@@ -224,9 +224,9 @@ class LinkSession:
 
     The event wiring mirrors
     :func:`repro.net.protocols.machine_sync.simulate_machine_sync` —
-    the responder saturates its transmitter (the Fig 13 shape), frames
-    arrive in order after serialisation + delay (+ retransmission under
-    loss) — but many sessions coexist on one
+    the responder keeps its transmitter busy inside its credit window,
+    frames arrive in order after serialisation + delay (+ retransmission
+    under loss) — but many sessions coexist on one
     :class:`~repro.net.simulator.Simulator`, which is what an N-node
     mesh round is.
     """

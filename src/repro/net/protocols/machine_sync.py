@@ -7,9 +7,10 @@ the asyncio TCP service drive — but every frame travels a
 :class:`~repro.net.link.Link` with bandwidth serialisation, propagation
 delay, and (new) loss-induced retransmission.  That makes "any
 registered scheme over a lossy 20 Mbps / 50 ms link" a one-liner for
-the first time: streaming schemes saturate the pipe exactly like the
-Fig 13 model (the responder produces a block whenever its transmitter
-frees up), sketch schemes pay their lock-step round trips, and the
+the first time: streaming schemes fill the pipe like the Fig 13 model
+(the responder produces a block whenever its transmitter frees up and
+the shard's credit window is open, so a long-fat link ramps like slow
+start), sketch schemes pay their lock-step round trips, and the
 estimator composition pays its extra exchange.
 
 Only schemes that can neither stream nor serialize (Merkle's
@@ -115,7 +116,7 @@ def simulate_machine_sync(
             state["decoded_at"] = sim.now
 
     def schedule_production() -> None:
-        """Keep Alice's transmitter exactly saturated (the Fig 13 shape)."""
+        """Keep Alice's transmitter busy while her window allows (Fig 13)."""
         if state["production_scheduled"] or not responder.wants_tick:
             return
         state["production_scheduled"] = True

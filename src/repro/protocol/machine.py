@@ -49,13 +49,15 @@ each over the same connection.
 Wire format and modes
 ---------------------
 
-Both machines speak the :mod:`repro.service.framing` catalogue — the
-same frames the TCP service has always used, so the engine is
-wire-compatible with pre-engine peers.  Capability dispatch:
+Both machines speak the :mod:`repro.service.framing` catalogue at
+``PROTOCOL_VERSION``; a peer on another version is refused, typed, at
+the HELLO/WELCOME check.  Capability dispatch:
 
 * **streaming** schemes run STREAM mode: the responder ships §6-framed
   coded symbols in ``SYMBOLS`` frames until the initiator's peeler
-  reports done (``SHARD_DONE`` per shard, then ``BYE``/``STATS``);
+  reports done (``SHARD_DONE`` per shard, then ``BYE``/``STATS``) —
+  but never past the per-shard credit window the initiator's ``CREDIT``
+  frames open (see "Flow control" below);
 * **fixed-capacity / one-shot serializable** schemes run SKETCH mode:
   sized sketches in ``SKETCH`` frames with client-driven doubling
   ``RETRY``s — and, when both sides were constructed with
@@ -63,6 +65,23 @@ wire-compatible with pre-engine peers.  Capability dispatch:
   frame) sizes the first sketch, the composition deployments use;
 * schemes that can neither stream nor serialize (Merkle's interactive
   heal) cannot be framed; callers keep the in-process path.
+
+Flow control
+------------
+
+"Stream until Bob says stop" needs a brake that is not the transport's
+buffers: a responder that can write faster than its peer decodes would
+otherwise serialise megabytes nobody reads.  Each stream-mode shard
+therefore has a cumulative symbol *limit*, ``INITIAL_WINDOW`` at first.
+The responder starts a block only while the shard's cursor is below the
+limit (block boundaries never move, so the initiator absorbs the same
+prefix it always did).  The initiator doubles the limit — one
+``CREDIT(shard, limit)`` frame — whenever what it has absorbed without
+decoding reaches half of what it has granted: O(log symbols) frames per
+shard, a responder never more than ~4x ahead of its peer, and a
+long-fat link still ramps like TCP slow start.  The limit is cumulative
+so grants are idempotent and order-free: a duplicate or stale one is a
+no-op, never a double credit.
 """
 
 from __future__ import annotations
@@ -96,6 +115,7 @@ from repro.service.errors import (
     ServerBusy,
 )
 from repro.service.framing import (
+    INITIAL_WINDOW,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     BodyReader,
@@ -124,8 +144,7 @@ ESTIMATE_MARGIN = 1.25
 # Give-up bound for sketch-mode doubling retries.
 DEFAULT_MAX_ROUNDS = 4
 
-# Sketch bound when the initiator's HELLO leaves sizing to the responder
-# (mirrors repro.service.server.DEFAULT_SKETCH_BOUND).
+# Sketch bound when the initiator's HELLO leaves sizing to the responder.
 DEFAULT_SKETCH_BOUND = 16
 
 
@@ -320,13 +339,16 @@ class _InitiatorShard:
     computed once for placement and reused for codec checksums.
     """
 
-    __slots__ = ("items", "hashes", "reconciler", "tally", "done", "result")
+    __slots__ = (
+        "items", "hashes", "reconciler", "tally", "done", "result", "granted"
+    )
 
     def __init__(self, shard: int, items: list, hashes: list) -> None:
         self.items = items
         self.hashes = hashes
         self.reconciler: Optional[StreamingReconciler] = None
         self.tally = ShardTally(shard)
+        self.granted = INITIAL_WINDOW
         self.done = False
         self.result = None
 
@@ -578,6 +600,14 @@ class InitiatorMachine(ReconcilerMachine):
                 symbols_sent=st.tally.symbols,
                 max_symbols=self.max_symbols,
             )
+        elif 2 * st.tally.symbols >= st.granted:
+            # Half the window absorbed and still undecoded: double it,
+            # so the responder keeps streaming while the grant travels.
+            while 2 * st.tally.symbols >= st.granted:
+                st.granted *= 2
+            self._send_frame(
+                FrameType.CREDIT, pack_uvarints(shard_id, st.granted)
+            )
 
     def _on_estimate(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.ESTIMATE:
@@ -718,27 +748,35 @@ class InitiatorMachine(ReconcilerMachine):
 class _ResponderShard:
     """Responder-side production state for one stream-mode shard."""
 
-    __slots__ = ("shard", "cursor", "done", "ramp", "grace_deadline")
+    __slots__ = ("shard", "cursor", "done", "ramp", "limit", "grace_deadline")
 
     def __init__(self, shard: int, cursor, ramp: int) -> None:
         self.shard = shard
         self.cursor = cursor
         self.done = False
         self.ramp = ramp
+        self.limit = INITIAL_WINDOW
         self.grace_deadline: Optional[float] = None
 
 
 class ResponderMachine(ReconcilerMachine):
     """Alice's side: validates the HELLO, then serves the backend.
 
-    Stream-mode production happens on ``tick`` — one block per
-    not-yet-done shard per tick, ramping from 8 cells up to
-    ``block_size`` (``slow_start=False`` pins every block to
+    Stream-mode production happens on ``tick`` — one block per shard
+    that is neither done nor at its credit limit, ramping from 8 cells
+    up to ``block_size`` (``slow_start=False`` pins every block to
     ``block_size``, which the lock-step transports use for cell-exact
-    termination).  Budget exhaustion arms a ``budget_grace`` deadline
-    (symbols already in flight may still decode); ``tick``-ing past it
-    fails the session with the typed ``SymbolBudgetExceeded`` and an
-    ``ERROR`` frame, exactly like the asyncio server always did.
+    termination).  A shard's limit starts at ``INITIAL_WINDOW`` and
+    only the initiator's ``CREDIT`` frames raise it; a block starts
+    whenever the cursor is below the limit, so at most
+    ``limit + block_size`` symbols are ever served.  When every live
+    shard sits at its limit ``wants_tick`` is False and
+    ``next_tick_delay`` is None: only input (a grant, a SHARD_DONE) or
+    the host's idle deadline moves the session.  Budget exhaustion arms
+    a ``budget_grace`` deadline (symbols already in flight may still
+    decode); ``tick``-ing past it fails the session with the typed
+    ``SymbolBudgetExceeded`` and an ``ERROR`` frame.  The budget is
+    checked before the limit, so no grant can buy symbols past it.
     """
 
     def __init__(
@@ -971,6 +1009,18 @@ class ResponderMachine(ReconcilerMachine):
                 return
             self._streams[shard].done = True
             return
+        if ftype == FrameType.CREDIT:
+            shard = reader.uvarint()
+            limit = reader.uvarint()
+            if reader.remaining or shard >= len(self._streams):
+                self._protocol_fail(
+                    ErrorCode.PROTOCOL, f"malformed CREDIT for shard {shard}"
+                )
+                return
+            st = self._streams[shard]
+            # Cumulative, so a stale or duplicated grant changes nothing.
+            st.limit = max(st.limit, limit)
+            return
         if ftype == FrameType.PUSH:
             self._apply_push(reader)
             return
@@ -1011,6 +1061,8 @@ class ResponderMachine(ReconcilerMachine):
                         max_symbols=budget,
                     )
                 continue
+            if sent >= st.limit:
+                continue  # window spent: wait for the initiator's CREDIT
             if self.slow_start:
                 cells = st.ramp
                 st.ramp = min(st.ramp * 2, self.block_size)
@@ -1032,10 +1084,12 @@ class ResponderMachine(ReconcilerMachine):
         for st in self._streams:
             if st.done:
                 continue
-            if budget is None or st.cursor.symbols_sent < budget:
+            sent = st.cursor.symbols_sent
+            if budget is not None and sent >= budget:
+                if st.grace_deadline is None:
+                    return True  # a tick is needed to arm the grace deadline
+            elif sent < st.limit:
                 return True
-            if st.grace_deadline is None:
-                return True  # a tick is needed to arm the grace deadline
         return False
 
     def next_tick_delay(self, now: float) -> Optional[float]:

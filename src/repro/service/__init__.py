@@ -19,8 +19,8 @@ churns.  This package is that story over real sockets:
 :mod:`repro.service.server`
     The asyncio session manager: each connection pumps a
     :class:`~repro.protocol.ResponderMachine` (the sans-io engine),
-    with socket backpressure and typed symbol budgets that drop
-    runaway sessions.
+    whose credit window bounds what a session is served and whose
+    typed symbol budgets drop runaway sessions.
 :mod:`repro.service.client`
     The asyncio client: :func:`~repro.service.client.sync` shuttles
     bytes between the socket and an

@@ -30,7 +30,7 @@ they then read is already patched.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.api.base import StreamingReconciler, UnsupportedOperation
 from repro.api.registry import Scheme

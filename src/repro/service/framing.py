@@ -25,13 +25,20 @@ Frame catalogue (bodies are varint-packed, see the pack helpers)::
     ERROR       both  code, utf-8 message
                       (code BUSY: code, retry_after_ms, utf-8 message)
     ESTIMATE    s->c  <serialized strata estimator summary>
+    CREDIT      c->s  shard, limit          (stream mode flow control)
 
 ``ESTIMATE`` carries the responder's strata-estimator summary when both
 peers agreed (at machine construction — it is not negotiated in HELLO)
 to run the estimator-then-sized-sketch composition; the initiator
 answers with ``RETRY`` frames that request the first sized sketches.
-Legacy sessions never emit it, so the frame catalogue stays
-backward-compatible.
+Sessions that did not agree on it never emit it.
+
+``CREDIT`` is stream mode's flow control: the responder serves each
+shard only up to a cumulative symbol ``limit`` that starts at
+:data:`INITIAL_WINDOW` and that only the initiator's ``CREDIT`` frames
+raise (see :mod:`repro.protocol.machine`).  Protocol version 2 made it
+mandatory — there is no unbounded streaming to fall back to — so a
+version-1 peer fails typed at the HELLO/WELCOME version check.
 """
 
 from __future__ import annotations
@@ -43,7 +50,13 @@ from typing import Iterator, Optional
 
 from repro.core import varint
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+# Stream-mode flow control: coded symbols per shard a responder may
+# serve before the first CREDIT.  Two service-default blocks, which
+# covers the whole 8+16+32+64 slow-start ramp, so a session whose
+# shards each decode within it (d <= 64 or so) never waits a round trip.
+INITIAL_WINDOW = 128
 
 # A frame larger than this is corruption (or abuse), not data: the
 # biggest legitimate frames are PUSH bodies and serialized sketches,
@@ -69,6 +82,7 @@ class FrameType(IntEnum):
     STATS = 0x09
     ERROR = 0x0A
     ESTIMATE = 0x0B
+    CREDIT = 0x0C
 
 
 class ErrorCode(IntEnum):

@@ -2,15 +2,19 @@
 
 One :class:`ReconciliationServer` owns a sharded set and serves any
 number of concurrent sessions over TCP.  Protocol logic — handshake
-validation, stream production with slow-start ramping, sketch RETRY
-doubling, symbol budgets with their grace window, PUSH/BYE/STATS — is
-*not* implemented here: each session is a
-:class:`~repro.protocol.ResponderMachine` (the same sans-io machine the
-in-memory pump and the simulated link drive), and this module is only
-the asyncio shell that shuttles socket bytes in, machine frames out,
-and ``tick``s production while the writer drains — backpressure is the
-socket itself: a slow client suspends ``drain()`` and with it that
-session's production, costing the server nothing beyond the OS buffer.
+validation, stream production with slow-start ramping and the
+per-shard credit window, sketch RETRY doubling, symbol budgets with
+their grace window, PUSH/BYE/STATS — is *not* implemented here: each
+session is a :class:`~repro.protocol.ResponderMachine` (the same
+sans-io machine the in-memory pump and the simulated link drive), and
+this module is only the asyncio shell that shuttles socket bytes in,
+machine frames out, and ``tick``s production while the machine wants
+it.  What bounds a session's cost is the machine's credit window, not
+the socket: kernel buffers let a server run megabytes ahead of a busy
+client, so the machine serves each shard only up to the limit the
+client's ``CREDIT`` frames have granted.  A window-stalled session
+holds a cursor and waits on its read task; one that never grants is
+reaped by ``idle_timeout`` with the typed ``IDLE`` error.
 
 Runaway sessions are dropped, not tolerated: a shard that exceeds
 ``max_symbols_per_shard`` without the client reporting decode fails the
@@ -42,10 +46,6 @@ from repro.service.framing import (
 )
 from repro.service.defaults import DEFAULT_BUSY_RETRY_AFTER, with_service_hasher
 from repro.service.shard import ShardedSet, key_probe
-
-# Sketch-mode bound when the client's HELLO leaves it to the server
-# (canonically repro.protocol.machine.DEFAULT_SKETCH_BOUND).
-DEFAULT_SKETCH_BOUND = 16
 
 _READ_CHUNK = 1 << 16
 
@@ -216,8 +216,8 @@ class ReconciliationServer:
         self.handle: Scheme = handle
         self.config = config or ServerConfig()
         self.stats = ServerStats()
-        self.codec: Optional[SymbolCodec] = _codec_of(handle)
-        hash64 = _hash64_of(handle, self.codec)
+        self.codec: Optional[SymbolCodec] = protocol_machine.codec_of(handle)
+        hash64 = protocol_machine.hash64_of(handle, self.codec)
         self.key_probe = key_probe(hash64)
         if backend is None:
             sharded = ShardedSet(hash64, num_shards, materialised)
@@ -629,13 +629,3 @@ class _Session:
         stats.items_pushed += machine.pushes_applied
         for code in machine.error_codes:
             stats.count_error(code)
-
-
-def _codec_of(handle: Scheme) -> Optional[SymbolCodec]:
-    """The scheme's SymbolCodec when its params describe one."""
-    return protocol_machine.codec_of(handle)
-
-
-def _hash64_of(handle: Scheme, codec: Optional[SymbolCodec]):
-    """The keyed 64-bit hash both peers share, for shard placement."""
-    return protocol_machine.hash64_of(handle, codec)

@@ -37,7 +37,12 @@ from repro.service import (
     WorkerUnavailable,
     sync,
 )
-from repro.service.framing import FrameType, encode_frame, pack_uvarints
+from repro.service.framing import (
+    PROTOCOL_VERSION,
+    FrameType,
+    encode_frame,
+    pack_uvarints,
+)
 
 SYNC_TIMEOUT = 180.0
 
@@ -200,11 +205,13 @@ def test_worker_death_mid_session_is_typed_not_a_hang():
     WorkerUnavailable (a ConnectionError, so RetryPolicy retries it)."""
 
     async def handler(reader, writer):
-        # A plausible cluster WELCOME: version 1, stream mode, 2 granted
+        # A plausible cluster WELCOME: our version, stream mode, 2 granted
         # shards, block 64, then the routing tail (2 workers, index 0,
         # 4 shards, ports) -- and then the "worker" dies mid-session.
         await reader.read(64)  # let the HELLO arrive
-        welcome = pack_uvarints(1, 0, 2, 64) + pack_uvarints(2, 0, 4, 1, 2)
+        welcome = pack_uvarints(PROTOCOL_VERSION, 0, 2, 64) + pack_uvarints(
+            2, 0, 4, 1, 2
+        )
         writer.write(encode_frame(FrameType.WELCOME, welcome))
         await writer.drain()
         writer.close()

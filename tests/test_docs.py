@@ -20,6 +20,7 @@ from repro.durable import faults, journal, snapshot
 from repro.durable.store import JOURNAL_NAME, MANIFEST_FORMAT, MANIFEST_NAME
 from repro.gossip.rounds import DIGEST_TAG
 from repro.service.framing import (
+    INITIAL_WINDOW,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ErrorCode,
@@ -132,6 +133,7 @@ def test_sync_modes_match_framing():
 def test_frame_layer_constants():
     text = doc_text("wire-format.md")
     assert f"`PROTOCOL_VERSION = {PROTOCOL_VERSION}`" in text
+    assert f"`INITIAL_WINDOW = {INITIAL_WINDOW}`" in text
     assert f"`MAX_FRAME_BYTES = {MAX_FRAME_BYTES >> 20} MiB` ({MAX_FRAME_BYTES} bytes)" in text
 
 
@@ -203,6 +205,17 @@ def test_operations_busy_default_and_shed_reasons():
     for reason in ("session limit", "peer rate limit", "session bytes"):
         assert f'"{reason}"' in text, f"shed reason {reason!r} undocumented"
         assert f'"{reason}"' in source, f"doc invents shed reason {reason!r}"
+
+
+def test_operations_window_stall_quotes_source_constants():
+    from repro.service.server import ServerConfig
+
+    body = section(doc_text("operations.md"), "Window-stalled sessions")
+    assert f"`repro.service.framing.INITIAL_WINDOW`, {INITIAL_WINDOW})" in body
+    assert f"({ServerConfig().idle_timeout:g} s by default)" in body
+    for name in ("symbols_sent", "sessions_dropped", "errors_sent"):
+        assert f"`{name}`" in body or f".{name}`" in body
+    assert f"code {int(ErrorCode.IDLE)}" in body
 
 
 def test_operations_cluster_limit_fields_exist():

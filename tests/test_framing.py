@@ -140,6 +140,7 @@ _SWEEP_BODIES = {
     FrameType.STATS: pack_uvarints(12, 3456),
     FrameType.ERROR: pack_busy_body(0.5, "busy"),
     FrameType.ESTIMATE: pack_uvarints(1) + bytes(24),
+    FrameType.CREDIT: pack_uvarints(3, 4096),
 }
 
 

@@ -43,7 +43,17 @@ from repro.protocol import (
 )
 from repro.service.backends import make_backend
 from repro.service.errors import ProtocolError
-from repro.service.framing import TruncatedFrame
+from repro.service.framing import (
+    INITIAL_WINDOW,
+    PROTOCOL_VERSION,
+    BodyReader,
+    ErrorCode,
+    FrameDecoder,
+    FrameType,
+    TruncatedFrame,
+    encode_frame,
+    pack_uvarints,
+)
 from repro.service.shard import ShardedSet
 
 GOLDEN = json.loads(
@@ -83,10 +93,10 @@ def items_range(lo: int, hi: int) -> list:
     return [b"%08d" % i for i in range(lo, hi)]
 
 
-def service_responder(handle, items, **overrides) -> ResponderMachine:
+def service_responder(handle, items, num_shards=1, **overrides) -> ResponderMachine:
     """A responder configured exactly like the asyncio server's default."""
     codec = codec_of(handle)
-    sharded = ShardedSet(hash64_of(handle, codec), 1, list(items))
+    sharded = ShardedSet(hash64_of(handle, codec), num_shards, list(items))
     return ResponderMachine(
         make_backend(handle, sharded, codec), handle, **overrides
     )
@@ -201,6 +211,11 @@ def test_golden_service_sketch_transcripts() -> None:
     report = drive(initiator, responder, up=up, down=down)
     assert up.hex() == recorded["client_to_server_hex"]
     assert len(down) == recorded["server_to_client_len"]
+    # The digest was recorded under protocol version 1; the WELCOME's
+    # version byte (length, type, version) is the only byte allowed to
+    # differ, so rewind it and demand the recorded digest unchanged.
+    assert down[:3] == bytes((down[0], FrameType.WELCOME, PROTOCOL_VERSION))
+    down[2] = 1
     assert (
         hashlib.sha256(bytes(down)).hexdigest()
         == recorded["server_to_client_sha256"]
@@ -426,6 +441,202 @@ def test_every_event_on_finished_machine_is_inert() -> None:
     assert initiator.failed is first_error
 
 
+# --- stream-mode flow control: the receiver-driven credit window ------------
+
+
+def hello_bytes(handle, items=()) -> bytes:
+    """A valid HELLO, as the only thing a non-granting peer ever says."""
+    initiator = InitiatorMachine(handle, list(items))
+    initiator.start()
+    return initiator.take_output()
+
+
+def tick_until_stalled(responder, limit=10_000) -> None:
+    ticks = 0
+    while responder.wants_tick:
+        responder.tick(0.0)
+        ticks += 1
+        assert ticks < limit, "responder never stalls: no window in force"
+
+
+def frames_of(data: bytes) -> list:
+    return FrameDecoder().feed(bytes(data))
+
+
+def credit(shard: int, limit: int) -> bytes:
+    return encode_frame(FrameType.CREDIT, pack_uvarints(shard, limit))
+
+
+@pytest.mark.parametrize(
+    "profile, per_shard",
+    [
+        # The 8+16+32+64 ramp ends at 120 < 128, so one more whole block
+        # starts: a block is never cut to fit the window.
+        ({"block_size": 64}, 8 + 16 + 32 + 64 + 64),
+        ({"block_size": 64, "slow_start": False}, INITIAL_WINDOW),
+        ({"block_size": 1, "slow_start": False}, INITIAL_WINDOW),
+    ],
+)
+def test_non_granting_peer_gets_the_initial_window_and_no_more(
+    profile, per_shard
+) -> None:
+    handle = get_scheme("riblt", symbol_size=8)
+    shards = 3
+    responder = service_responder(handle, items_range(0, 900), shards, **profile)
+    responder.start()
+    responder.bytes_received(hello_bytes(handle))
+    tick_until_stalled(responder)
+    assert responder.symbols_sent == shards * per_shard
+    assert per_shard <= INITIAL_WINDOW + profile["block_size"]
+    assert not responder.finished
+    assert responder.wants_tick is False
+    assert responder.next_tick_delay(0.0) is None
+    responder.tick(1e9)  # a redundant tick is inert, whatever the clock
+    assert responder.symbols_sent == shards * per_shard
+
+    # A grant reopens exactly the granted shard, up to the new limit.
+    responder.bytes_received(credit(1, 2 * INITIAL_WINDOW))
+    assert responder.wants_tick
+    tick_until_stalled(responder)
+    block = profile["block_size"]
+    reopened = -(-(2 * INITIAL_WINDOW - per_shard) // block) * block
+    assert responder.symbols_sent == shards * per_shard + reopened
+
+    # Frames race: a stale (non-increasing) limit is ignored, not an error.
+    responder.bytes_received(credit(1, INITIAL_WINDOW) + credit(1, 2 * INITIAL_WINDOW))
+    assert not responder.finished and responder.wants_tick is False
+
+
+def _greedy_drive(initiator, responder, up):
+    """The TCP failure mode in memory: the responder produces for as long
+    as it wants to before the initiator sees a byte — bottomless socket
+    buffers.  Only the credit window can bound what it serves."""
+    initiator.start()
+    responder.start()
+    while not initiator.finished:
+        tick_until_stalled(responder, limit=100_000)
+        back = responder.take_output()
+        if back:
+            initiator.bytes_received(back)
+        out = initiator.take_output()
+        if out and not responder.finished:
+            up.extend(out)
+            responder.bytes_received(out)
+        elif not back:
+            initiator.peer_closed()
+    return initiator.report
+
+
+@pytest.mark.parametrize("d", [0, 10, 1_000, 20_000])
+def test_responder_stays_within_four_times_what_the_peer_absorbed(d) -> None:
+    import math
+
+    from repro.core import cellbank
+
+    if d > 10_000 and not cellbank.NUMPY_LANE:
+        pytest.skip("30 s of scalar peeling; the window logic is engine-blind")
+    handle = get_scheme("riblt", symbol_size=8)
+    shards, block = 2, 64
+    n = max(2 * d, 2_000)
+    alice = items_range(0, n)
+    bob = items_range(d // 2, n) + [b"B%07d" % i for i in range(d - d // 2)]
+    initiator = InitiatorMachine(handle, bob)
+    responder = service_responder(handle, alice, shards, block_size=block)
+    up = bytearray()
+    report = _greedy_drive(initiator, responder, up)
+    assert initiator.failed is None
+    assert len(report.only_in_remote) + len(report.only_in_local) == d
+
+    absorbed = report.symbols
+    assert responder.symbols_sent <= 4 * absorbed + shards * (INITIAL_WINDOW + block)
+    credits = [0] * shards
+    for ftype, body in frames_of(up):
+        if ftype == FrameType.CREDIT:
+            credits[BodyReader(body).uvarint()] += 1
+    for tally, sent in zip(report.per_shard, credits):
+        if 2 * tally.symbols < INITIAL_WINDOW:
+            assert sent == 0  # decoded inside the window: no round trip
+        else:
+            assert sent <= math.ceil(math.log2(tally.symbols / INITIAL_WINDOW)) + 2
+
+
+def _expect_protocol_error(responder) -> None:
+    assert responder.finished and isinstance(responder.failed, ProtocolError)
+    assert responder.error_codes == [int(ErrorCode.PROTOCOL)]
+    ftype, body = frames_of(responder.take_output())[-1]
+    assert ftype == FrameType.ERROR
+    assert BodyReader(body).uvarint() == ErrorCode.PROTOCOL
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        credit(5, 4096),  # unknown shard
+        encode_frame(FrameType.CREDIT, pack_uvarints(0, 4096) + b"\x00"),  # trailing
+    ],
+)
+def test_malformed_credit_is_a_typed_protocol_error(frame) -> None:
+    handle = get_scheme("riblt", symbol_size=8)
+    responder = service_responder(handle, items_range(0, 100), 2)
+    responder.start()
+    responder.bytes_received(hello_bytes(handle))
+    responder.take_output()
+    responder.bytes_received(frame)
+    _expect_protocol_error(responder)
+
+
+def test_credit_before_hello_or_in_sketch_mode_is_a_protocol_error() -> None:
+    handle = get_scheme("riblt", symbol_size=8)
+    early = service_responder(handle, items_range(0, 100), 1)
+    early.start()
+    early.bytes_received(credit(0, 4096))
+    _expect_protocol_error(early)
+
+    sketchy = get_scheme("regular_iblt", symbol_size=8)
+    responder = service_responder(sketchy, items_range(0, 100))
+    responder.start()
+    hello = InitiatorMachine(sketchy, [], difference_bound=4)
+    hello.start()
+    responder.bytes_received(hello.take_output())
+    responder.take_output()
+    responder.bytes_received(credit(0, 4096))
+    _expect_protocol_error(responder)
+
+
+def test_credit_cannot_buy_symbols_past_the_budget() -> None:
+    handle = get_scheme("riblt", symbol_size=8)
+    responder = service_responder(
+        handle, items_range(0, 400), max_symbols_per_shard=200, budget_grace=0.5
+    )
+    responder.start()
+    responder.bytes_received(hello_bytes(handle) + credit(0, 1 << 60))
+    tick_until_stalled(responder)
+    assert responder.symbols_sent == 200  # the budget, not the grant
+    assert responder.next_tick_delay(0.0) == 0.5  # grace armed as before
+    responder.tick(1.0)
+    assert isinstance(responder.failed, SymbolBudgetExceeded)
+    assert responder.error_codes == [int(ErrorCode.BUDGET)]
+
+
+def test_version_one_peer_fails_typed_on_both_sides() -> None:
+    handle = get_scheme("riblt", symbol_size=8)
+    hello = frames_of(hello_bytes(handle))[0][1]
+    assert hello[0] == PROTOCOL_VERSION == 2
+    responder = service_responder(handle, items_range(0, 10))
+    responder.start()
+    responder.bytes_received(encode_frame(FrameType.HELLO, b"\x01" + hello[1:]))
+    _expect_protocol_error(responder)
+    assert "protocol version 1 unsupported" in str(responder.failed)
+
+    initiator = InitiatorMachine(handle, items_range(0, 10))
+    initiator.start()
+    initiator.bytes_received(
+        encode_frame(FrameType.WELCOME, pack_uvarints(1, 0, 1, 64))
+    )
+    assert isinstance(initiator.failed, ProtocolError)
+    assert "server speaks protocol 1" in str(initiator.failed)
+
+
 # --- the simulated-link transport (any scheme, lossy link) ------------------
 
 SIM_SCHEMES = [s for s in available_schemes() if scheme_info(s).capabilities.serializable or scheme_info(s).capabilities.streaming]
@@ -536,10 +747,9 @@ def test_hostile_estimate_header_fails_fast() -> None:
     initiator = InitiatorMachine(handle, items_range(0, 50), use_estimator=True)
     initiator.start()
     initiator.take_output()
-    from repro.service.framing import FrameType, encode_frame, pack_uvarints
-
     welcome = encode_frame(
-        FrameType.WELCOME, pack_uvarints(1, 1, 1, 64)  # SKETCH mode, 1 shard
+        FrameType.WELCOME,
+        pack_uvarints(PROTOCOL_VERSION, 1, 1, 64),  # SKETCH mode, 1 shard
     )
     initiator.bytes_received(welcome + encode_frame(FrameType.ESTIMATE, hostile))
     # The machine wraps the deserializer's rejection into the wire-level

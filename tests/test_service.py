@@ -429,3 +429,55 @@ def test_retry_frame_in_stream_mode_is_protocol_error():
             assert result.only_in_server == {b"%08d" % 0}
 
     run(scenario())
+
+
+def test_handshake_then_silence_costs_one_window_per_shard():
+    """A client that completes the handshake and then stops reading (or
+    just never grants) is served the initial credit window per shard and
+    not a symbol more — the bound is the machine's, not the socket
+    buffers' — and the idle deadline reaps it with the typed IDLE error.
+    Before the credit window the server serialised symbols until the
+    kernel buffers filled: tens of thousands of them."""
+    from repro.protocol import InitiatorMachine
+    from repro.service.framing import (
+        INITIAL_WINDOW,
+        ErrorCode,
+        FrameDecoder,
+        FrameType,
+        read_frame,
+    )
+
+    shards = 4
+    config = ServerConfig(idle_timeout=0.3)
+
+    async def scenario():
+        async with ReconciliationServer(
+            items_range(0, 4000), num_shards=shards, config=config
+        ) as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            # A real machine's HELLO — and then none of its other frames.
+            client = InitiatorMachine(server.handle, [])
+            client.start()
+            writer.write(client.take_output())
+            await writer.drain()
+            frame = await read_frame(reader)
+            assert frame is not None and frame[0] == FrameType.WELCOME
+            # ... and now read nothing until the server has given up.
+            await settle(server, "sessions_dropped", 1)
+            bound = shards * (INITIAL_WINDOW + config.block_size)
+            assert 0 < server.stats.symbols_sent <= bound
+            assert server.stats.errors_sent == {int(ErrorCode.IDLE): 1}
+            # Everything it did send still sits in the socket: the whole
+            # window, then the typed reason, then EOF.
+            frames = FrameDecoder().feed(await reader.read(-1))
+            assert frames[-1][0] == FrameType.ERROR
+            assert frames[-1][1][0] == ErrorCode.IDLE
+            assert {ftype for ftype, _ in frames[:-1]} == {FrameType.SYMBOLS}
+            writer.close()
+            await writer.wait_closed()
+            # The server is unharmed and serves the next client.
+            result = await sync(host, port, items_range(3, 4003))
+            assert result.difference_size == 6
+
+    run(scenario())

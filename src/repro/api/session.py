@@ -28,11 +28,13 @@ dispatch is unchanged:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from importlib import import_module
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.api.base import (
     ReconcileError,
     ReconcileResult,
+    SetReconciler,
     SymbolBudgetExceeded,
     as_item_list,
 )
@@ -52,15 +54,15 @@ DEFAULT_MAX_ROUNDS = 4
 
 
 def _engine():
-    """The protocol engine, imported lazily to keep import cycles at bay."""
-    from repro.protocol import InitiatorMachine, memory_responder, pump
+    """The engine's in-memory driver module (:mod:`repro.protocol.pump`),
+    imported lazily to keep import cycles at bay."""
+    return import_module("repro.protocol.pump")
 
-    return InitiatorMachine, memory_responder, pump
 
-
-def _resolve_symbol_size(
+def resolve_symbol_size(
     handle: Scheme, a: Sequence[bytes], b: Sequence[bytes]
 ) -> Scheme:
+    """Pin ``symbol_size`` from the first item when the handle left it open."""
     if handle.params.symbol_size is not None:
         return handle
     probe = a[0] if a else (b[0] if b else None)
@@ -70,6 +72,37 @@ def _resolve_symbol_size(
             "when building from an empty set"
         )
     return handle.with_params(symbol_size=len(probe))
+
+
+def sketch_sizing(
+    handle: Scheme, difference_bound: Optional[int]
+) -> Tuple[int, bool]:
+    """``(difference_bound, use_estimator)`` an initiator should open with.
+
+    The policy every in-process transport shares: only fixed-capacity
+    schemes size anything; an explicit bound (at least 1) sizes the
+    sketch directly, and the strata exchange runs when there is none or
+    when the scheme is itself the estimator composition.
+    """
+    caps = handle.capabilities
+    if not caps.fixed_capacity:
+        return 0, False
+    if difference_bound is None:
+        return 0, True
+    return max(1, difference_bound), caps.needs_estimator
+
+
+def result_of(report) -> ReconcileResult:
+    """A finished machine's report as the scheme-independent result."""
+    return ReconcileResult(
+        only_in_a=set(report.only_in_remote),
+        only_in_b=set(report.only_in_local),
+        bytes_on_wire=report.accounted_bytes,
+        symbols_used=report.symbols,
+        scheme=report.scheme,
+        rounds=report.rounds,
+        symbol_size=report.symbol_size,
+    )
 
 
 def _resolve_handle(scheme, params: dict) -> Scheme:
@@ -105,34 +138,23 @@ class Session:
             )
         a = as_item_list(alice_items, handle.params.symbol_size)
         b = as_item_list(bob_items, handle.params.symbol_size)
-        handle = _resolve_symbol_size(handle, a, b)
-        initiator_cls, memory_responder, _ = _engine()
+        handle = resolve_symbol_size(handle, a, b)
+        self._engine = _engine()
         self.scheme = handle.name
         self.handle = handle
-        self._initiator = initiator_cls(handle, b)
-        self._responder = memory_responder(handle, a)
+        self._initiator = self._engine.InitiatorMachine(handle, b)
+        self._responder = self._engine.memory_responder(handle, a)
         self.steps = 0
         # Handshake now (HELLO/WELCOME), so bad parameters surface in the
         # constructor like they always did, and step() is pure data flow.
         self._initiator.start()
         self._responder.start()
-        self._shuttle()
+        self._move_frames()
 
-    def _shuttle(self) -> None:
+    def _move_frames(self) -> None:
         """Move every pending frame between the two machines."""
-        moved = True
-        while moved and not self._initiator.finished:
-            moved = False
-            out = self._initiator.take_output()
-            if out and not self._responder.finished:
-                self._responder.bytes_received(out)
-                moved = True
-            back = self._responder.take_output()
-            if back:
-                self._initiator.bytes_received(back)
-                moved = True
-        if self._initiator.failed is not None:
-            raise self._initiator.failed
+        self._engine.shuttle(self._initiator, self._responder)
+        self._engine.raise_root_cause(self._initiator, self._responder)
 
     @property
     def decoded(self) -> bool:
@@ -145,7 +167,7 @@ class Session:
 
     def step(self) -> bool:
         """Move one coded payload Alice → Bob; True once decoded."""
-        return self._step(1)
+        return self.step_block(1)
 
     def step_block(self, block_size: int) -> bool:
         """Move ``block_size`` coded units in one payload; True once decoded.
@@ -153,24 +175,18 @@ class Session:
         Identical bytes on the wire to ``block_size`` single steps;
         termination is detected at block granularity.
         """
-        return self._step(block_size)
-
-    def _step(self, block_size: int) -> bool:
         if not self.decoded:
             self._responder.block_size = block_size
             before = self._initiator.payload_bytes
             self._responder.tick()
             self.steps += block_size
-            self._shuttle()
+            self._move_frames()
             if not self.decoded and self._initiator.payload_bytes == before:
                 # The tick moved no payload: the responder died silently
                 # (e.g. an internal error with no ERROR frame).  Surface
                 # the root cause instead of spinning forever.
                 self._initiator.peer_closed()
-                if self._responder.failed is not None:
-                    raise self._responder.failed
-                assert self._initiator.failed is not None
-                raise self._initiator.failed
+                self._engine.raise_root_cause(self._initiator, self._responder)
         return self.decoded
 
     def run(
@@ -189,29 +205,16 @@ class Session:
                     symbols_sent=self.steps,
                     max_symbols=max_symbols,
                 )
-            self._step(block_size if block_size > 1 else 1)
-        report = self._initiator.report
-        if report is None:  # the closing frames are still in flight
-            self._shuttle()
-            report = self._initiator.report
-        assert report is not None
-        return ReconcileResult(
-            only_in_a=set(report.only_in_remote),
-            only_in_b=set(report.only_in_local),
-            bytes_on_wire=report.payload_bytes,
-            symbols_used=report.symbols,
-            scheme=self.scheme,
-            symbol_size=report.symbol_size,
-        )
+            self.step_block(max(1, block_size))
+        if self._initiator.report is None:  # closing frames still in flight
+            self._move_frames()
+        assert self._initiator.report is not None
+        return result_of(self._initiator.report)
 
 
-def _one_shot_reconcile(
-    handle: Scheme, alice_items: list, bob_items: list
-) -> ReconcileResult:
-    """In-process path for schemes that cannot be framed (Merkle heal)."""
-    alice = handle.new(alice_items)
-    bob = handle.new(bob_items)
-    diff = alice.subtract(bob)
+def one_shot_result(handle: Scheme, diff: SetReconciler) -> ReconcileResult:
+    """Decode an in-process difference: the path for schemes that cannot
+    be framed (Merkle heal), where ``diff = alice.subtract(bob)``."""
     result = diff.decode()
     if not result.success:
         raise ReconcileError(f"{handle.name}: sketch did not decode")
@@ -267,35 +270,19 @@ def reconcile(
             max_symbols=max_symbols, block_size=block_size
         )
     if not handle.capabilities.serializable:
-        return _one_shot_reconcile(handle, a, b)
+        return one_shot_result(handle, handle.new(a).subtract(handle.new(b)))
     a = as_item_list(a, handle.params.symbol_size)
     b = as_item_list(b, handle.params.symbol_size)
-    handle = _resolve_symbol_size(handle, a, b)
-    initiator_cls, memory_responder, pump = _engine()
-    fixed = handle.capabilities.fixed_capacity
-    use_estimator = fixed and (
-        handle.capabilities.needs_estimator or difference_bound is None
-    )
-    bound = 0
-    if fixed and difference_bound is not None:
-        bound = max(1, difference_bound)
-    initiator = initiator_cls(
+    handle = resolve_symbol_size(handle, a, b)
+    engine = _engine()
+    bound, use_estimator = sketch_sizing(handle, difference_bound)
+    initiator = engine.InitiatorMachine(
         handle,
         b,
         difference_bound=bound,
-        max_rounds=max_rounds if fixed else 1,
+        max_rounds=max_rounds if handle.capabilities.fixed_capacity else 1,
         use_estimator=use_estimator,
         estimate_margin=ESTIMATE_MARGIN,
     )
-    responder = memory_responder(handle, a, use_estimator=use_estimator)
-    report = pump(initiator, responder)
-    assert report is not None
-    return ReconcileResult(
-        only_in_a=set(report.only_in_remote),
-        only_in_b=set(report.only_in_local),
-        bytes_on_wire=report.accounted_bytes,
-        symbols_used=report.symbols,
-        scheme=handle.name,
-        rounds=report.rounds,
-        symbol_size=report.symbol_size,
-    )
+    responder = engine.memory_responder(handle, a, use_estimator=use_estimator)
+    return result_of(engine.pump(initiator, responder))

@@ -510,12 +510,11 @@ def _sync_local_transport(args: argparse.Namespace) -> int:
             if args.scheme == "merkle":
                 # The interactive heal cannot be framed; replay its
                 # transcript through the same link model instead.
-                from repro.net.protocols.scheme_sync import simulate_scheme_sync
+                from repro.net.protocols.heal_sync import simulate_merkle_sync
 
-                outcome = simulate_scheme_sync(
+                outcome = simulate_merkle_sync(
                     sorted(peer_set),
                     sorted(local_set),
-                    args.scheme,
                     bandwidth_bps=args.bandwidth,
                     delay_s=args.delay,
                     **params,

@@ -13,9 +13,11 @@ existing pieces:
 * every full exchange drives the sans-io
   :class:`~repro.protocol.InitiatorMachine` /
   :class:`~repro.protocol.ResponderMachine` pair over a pluggable
-  transport — the lock-step memory shuttle, lossy
-  :class:`~repro.net.link.Link`s on a shared discrete-event simulator,
-  or real asyncio TCP via :class:`~repro.service.ReconciliationServer`;
+  transport, each through that transport's one driver — the lock-step
+  memory loop (:func:`repro.protocol.pump.drive`), one lossy
+  :class:`~repro.net.protocols.machine_sync.LinkSession` per pair on a
+  shared discrete-event simulator, or real asyncio TCP via
+  :class:`~repro.service.ReconciliationServer`;
 * but *most* exchanges never get that far: per-peer version clocks
   (:class:`~repro.gossip.node.PeerView`) skip provably-unchanged
   neighbours for free, and a ~14-byte :class:`SetDigest` exchange
@@ -45,7 +47,6 @@ from repro.gossip.rounds import (
     GossipConfig,
     decode_digest,
     encode_digest,
-    run_link_session,
     run_round,
 )
 from repro.gossip.stats import (
@@ -55,6 +56,9 @@ from repro.gossip.stats import (
     RoundOutcome,
     simulate_flooding,
 )
+
+# Re-export: the simulated-link driver lives with the other simulators.
+from repro.net.protocols.machine_sync import run_link_session
 
 
 def make_nodes(

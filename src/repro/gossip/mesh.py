@@ -42,16 +42,11 @@ from repro.gossip.node import GossipNode
 from repro.gossip.rounds import (
     SESSION_FAILURES,
     GossipConfig,
-    LinkSession,
-    exchange_digests,
-    confirm_sync,
+    PairRound,
     run_round,
 )
-from repro.gossip.stats import (
-    ConvergenceReport,
-    MeshRoundStats,
-    RoundOutcome,
-)
+from repro.gossip.stats import ConvergenceReport, MeshRoundStats
+from repro.net.protocols.machine_sync import MAX_SIM_EVENTS, LinkSession
 from repro.net.simulator import Simulator
 
 #: Per-item overhead charged when a sim-round delivers pushed items out
@@ -221,101 +216,37 @@ class GossipMesh:
         (see the module docstring).
         """
         config = self.config
-        sessions: List[Tuple[int, int, LinkSession, int]] = []
+        sessions: List[Tuple[PairRound, LinkSession]] = []
         sim = Simulator()
         for initiator_id, responder_id in pairs:
-            x, y = self.nodes[initiator_id], self.nodes[responder_id]
-            if x.in_backoff(y.node_id, self.round_no):
-                stats.absorb(
-                    RoundOutcome(x.node_id, y.node_id, "backoff")
-                )
-                continue
-            if x.can_skip(y.node_id, self.round_no, config.refresh_every):
-                stats.absorb(
-                    RoundOutcome(x.node_id, y.node_id, "clock-skip")
-                )
-                continue
-            matched, digest_bytes = exchange_digests(x, y, self.round_no)
-            if matched:
-                x.mark_contact_ok(y.node_id)
-                y.mark_contact_ok(x.node_id)
-                stats.absorb(
-                    RoundOutcome(
-                        x.node_id,
-                        y.node_id,
-                        "digest-skip",
-                        digest_bytes=digest_bytes,
-                    )
-                )
-                continue
-            session = LinkSession(
-                sim,
-                x.initiator(
-                    push=False,  # pushes are delivered after the round
-                    max_symbols=config.max_symbols,
-                    difference_bound=config.difference_bound,
-                    use_estimator=config.use_estimator,
-                ),
-                y.responder(
-                    block_size=config.block_size,
-                    use_estimator=config.use_estimator,
-                ),
-                bandwidth_bps=config.bandwidth_bps,
-                delay_s=config.delay_s,
-                loss_rate=config.loss_rate,
-                rng=random.Random(
-                    config.seed
-                    ^ (self.round_no << 16)
-                    ^ (x.node_id << 8)
-                    ^ y.node_id
-                )
-                if config.loss_rate
-                else None,
+            pair = PairRound(
+                self.nodes[initiator_id],
+                self.nodes[responder_id],
+                self.round_no,
+                config,
             )
+            outcome = pair.cheap_tiers()
+            if outcome is not None:
+                stats.absorb(outcome)
+                continue
+            # push=False: pushes are delivered after the round.
+            session = pair.link_session(sim, push=False)
             session.start()
-            sessions.append(
-                (initiator_id, responder_id, session, digest_bytes)
-            )
-        sim.run(max_events=50_000_000)
-        for initiator_id, responder_id, session, digest_bytes in sessions:
-            x, y = self.nodes[initiator_id], self.nodes[responder_id]
+            sessions.append((pair, session))
+        sim.run(max_events=MAX_SIM_EVENTS)
+        for pair, session in sessions:
             try:
                 report, wire_bytes, completed_at = session.result()
             except SESSION_FAILURES as exc:
-                x.mark_failed(y.node_id, self.round_no)
-                if not config.tolerate_failures:
-                    raise
-                stats.absorb(
-                    RoundOutcome(
-                        x.node_id,
-                        y.node_id,
-                        "failed",
-                        digest_bytes=digest_bytes,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                stats.absorb(pair.failed(exc))
                 continue
-            learned = x.learn(report.only_in_remote)
             delivered = 0
             if config.push and report.only_in_local:
                 exclusives = sorted(report.only_in_local)
-                delivered = y.learn(exclusives)
+                delivered = pair.y.learn(exclusives)
                 wire_bytes += PUSH_HEADER_BYTES + sum(
                     len(item) for item in exclusives
                 )
-            confirm_sync(x, y, self.round_no)
-            x.mark_contact_ok(y.node_id)
-            y.mark_contact_ok(x.node_id)
             stats.absorb(
-                RoundOutcome(
-                    x.node_id,
-                    y.node_id,
-                    "full",
-                    digest_bytes=digest_bytes,
-                    session_bytes=wire_bytes,
-                    symbols=report.symbols,
-                    learned=learned,
-                    delivered=delivered,
-                    completion_time=completed_at,
-                )
+                pair.done(report, wire_bytes, delivered, completed_at)
             )

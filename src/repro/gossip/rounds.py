@@ -15,13 +15,19 @@ sufficient tier:
    :class:`~repro.protocol.ResponderMachine` pair every other transport
    uses, over the configured transport:
 
-   * ``memory`` — the lock-step byte shuttle (cell-exact, byte-counted);
-   * ``sim`` — a :class:`~repro.net.link.Link` on a shared
-     :class:`~repro.net.simulator.Simulator`, with bandwidth
+   * ``memory`` — the lock-step loop, :func:`repro.protocol.pump.drive`
+     (cell-exact, every wire byte counted);
+   * ``sim`` — a :class:`~repro.net.protocols.machine_sync.LinkSession`
+     on a :class:`~repro.net.simulator.Simulator`, with bandwidth
      serialisation, propagation delay, and loss-induced retransmission;
    * ``service`` — real asyncio TCP: the responder node's warm backend
      is hosted by a :class:`~repro.service.ReconciliationServer` and the
      initiator machine shuttles over the socket.
+
+This module owns no in-process machine driver of its own:
+:class:`PairRound` holds the tier ladder, the per-pair session
+construction and the post-session bookkeeping, shared with the mesh's
+concurrent ``sim`` rounds; moving bytes is the transports' job.
 
 Failures never hang: the machines are sans-io and surface every
 protocol/budget error as a typed exception, which the round re-raises.
@@ -36,10 +42,11 @@ from typing import Optional, Tuple
 from repro.api import SymbolBudgetExceeded
 from repro.gossip.node import GossipNode, SetDigest
 from repro.gossip.stats import RoundOutcome
-from repro.net.link import Link
+from repro.net.protocols.machine_sync import LinkSession
 from repro.net.simulator import Simulator
 from repro.protocol.events import MachineReport
 from repro.protocol.machine import InitiatorMachine, ResponderMachine
+from repro.protocol.pump import drive
 from repro.service.errors import ProtocolError, ServiceError
 from repro.service.framing import BodyReader, FrameError, pack_uvarints
 
@@ -167,183 +174,107 @@ def confirm_sync(x: GossipNode, y: GossipNode, round_no: int) -> bool:
     return False
 
 
-def pump_counted(
-    initiator: InitiatorMachine, responder: ResponderMachine
-) -> Tuple[MachineReport, int]:
-    """The lock-step in-memory shuttle, with full wire-byte accounting.
+class PairRound:
+    """One initiator ``x`` → responder ``y`` exchange in flight.
 
-    Same drive order as :func:`repro.protocol.pump.pump`, but every
-    byte either machine emits is counted (frames, handshake, STATS —
-    everything), because the mesh's deliverable is total bytes on the
-    wire, not just coded payload.
-    """
-    initiator.start()
-    responder.start()
-    wire_bytes = 0
-    now = 0.0
-    while not initiator.finished:
-        out = initiator.take_output()
-        if out and not responder.finished:
-            wire_bytes += len(out)
-            responder.bytes_received(out)
-            continue
-        back = responder.take_output()
-        if back:
-            wire_bytes += len(back)
-            initiator.bytes_received(back)
-            continue
-        if responder.wants_tick:
-            responder.tick(now)
-            continue
-        delay = responder.next_tick_delay(now)
-        if delay is not None and not responder.finished:
-            now += delay
-            responder.tick(now)
-            continue
-        initiator.peer_closed()
-    _raise_typed(initiator, responder)
-    assert initiator.report is not None
-    return initiator.report, wire_bytes
-
-
-def _raise_typed(
-    initiator: InitiatorMachine, responder: ResponderMachine
-) -> None:
-    """Re-raise a failed session's typed error (responder root cause
-    preferred when the initiator only saw the peer vanish)."""
-    if initiator.failed is None:
-        return
-    error = initiator.failed
-    if responder.failed is not None and type(error) is ProtocolError:
-        error = responder.failed
-    raise error
-
-
-class LinkSession:
-    """One machine pair riding its own :class:`Link` on a shared sim.
-
-    The event wiring mirrors
-    :func:`repro.net.protocols.machine_sync.simulate_machine_sync` —
-    the responder keeps its transmitter busy inside its credit window,
-    frames arrive in order after serialisation + delay (+ retransmission
-    under loss) — but many sessions coexist on one
-    :class:`~repro.net.simulator.Simulator`, which is what an N-node
-    mesh round is.
+    Everything about a round that does not depend on the transport: the
+    cheap tiers, the session machines, and the bookkeeping that closes a
+    full session — shared by :func:`run_round` and the mesh's concurrent
+    ``sim`` rounds, which differ only in who moves the bytes and when.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        initiator: InitiatorMachine,
-        responder: ResponderMachine,
-        *,
-        bandwidth_bps: float,
-        delay_s: float,
-        loss_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
+        self, x: GossipNode, y: GossipNode, round_no: int, config: GossipConfig
     ) -> None:
-        self.sim = sim
-        self.initiator = initiator
-        self.responder = responder
-        self.link = Link(
-            sim, bandwidth_bps, delay_s, loss_rate=loss_rate, rng=rng
-        )
-        self.decoded_at: Optional[float] = None
-        self._production_scheduled = False
+        self.x, self.y, self.round_no, self.config = x, y, round_no, config
+        self.digest_bytes = 0
 
-    def start(self) -> None:
-        self.initiator.start()
-        self.responder.start()
-        self._flush_initiator()
-        self._schedule_production()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _flush_responder(self) -> None:
-        out = self.responder.take_output()
-        if out:
-            self.link.send_to_b(len(out), out, self._deliver_to_initiator)
-        self._schedule_production()
-
-    def _flush_initiator(self) -> None:
-        out = self.initiator.take_output()
-        if out:
-            self.link.send_to_a(len(out), out, self._deliver_to_responder)
-        if self.initiator.decoded and self.decoded_at is None:
-            self.decoded_at = self.sim.now
-
-    def _schedule_production(self) -> None:
-        if self._production_scheduled or not self.responder.wants_tick:
-            return
-        self._production_scheduled = True
-        self.sim.schedule_at(
-            max(self.sim.now, self.link.a_to_b.busy_until), self._produce
+    def _outcome(self, tier: str, **fields: object) -> RoundOutcome:
+        return RoundOutcome(
+            self.x.node_id,
+            self.y.node_id,
+            tier,
+            digest_bytes=self.digest_bytes,
+            **fields,
         )
 
-    def _produce(self) -> None:
-        self._production_scheduled = False
-        if self.initiator.finished or not self.responder.wants_tick:
-            return
-        self.responder.tick(self.sim.now)
-        self._flush_responder()
+    def cheap_tiers(self) -> Optional[RoundOutcome]:
+        """Backoff, clock skip, digest exchange; ``None`` when the
+        digests differ, i.e. the pair still owes a full session."""
+        x, y = self.x, self.y
+        if x.in_backoff(y.node_id, self.round_no):
+            return self._outcome("backoff")
+        if x.can_skip(y.node_id, self.round_no, self.config.refresh_every):
+            return self._outcome("clock-skip")
+        matched, self.digest_bytes = exchange_digests(x, y, self.round_no)
+        if not matched:
+            return None
+        x.mark_contact_ok(y.node_id)
+        y.mark_contact_ok(x.node_id)
+        return self._outcome("digest-skip")
 
-    def _deliver_to_initiator(self, message) -> None:
-        if self.initiator.finished:
-            return
-        self.initiator.bytes_received(message.payload)
-        self._flush_initiator()
+    def initiator(self, push: bool) -> InitiatorMachine:
+        return self.x.initiator(
+            push=push,
+            max_symbols=self.config.max_symbols,
+            difference_bound=self.config.difference_bound,
+            use_estimator=self.config.use_estimator,
+        )
 
-    def _deliver_to_responder(self, message) -> None:
-        if self.responder.finished:
-            return
-        self.responder.bytes_received(message.payload)
-        self._flush_responder()
+    def responder(self) -> ResponderMachine:
+        return self.y.responder(
+            block_size=self.config.block_size,
+            use_estimator=self.config.use_estimator,
+        )
 
-    # -- outcome -----------------------------------------------------------
+    def link_session(self, sim: Simulator, push: bool) -> LinkSession:
+        """The full session on ``sim`` (sim transport), not yet started."""
+        config = self.config
+        seed = (
+            config.seed
+            ^ (self.round_no << 16)
+            ^ (self.x.node_id << 8)
+            ^ self.y.node_id
+        )
+        return LinkSession(
+            sim,
+            self.initiator(push),
+            self.responder(),
+            bandwidth_bps=config.bandwidth_bps,
+            delay_s=config.delay_s,
+            loss_rate=config.loss_rate,
+            rng=random.Random(seed) if config.loss_rate else None,
+        )
 
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes the link carried, both directions, retransmits included."""
-        return self.link.a_to_b.bytes_sent + self.link.b_to_a.bytes_sent
+    def failed(self, exc: Exception) -> RoundOutcome:
+        """Degrade a dead full session: suspect + backoff, tier ``failed``
+        (re-raised instead unless ``config.tolerate_failures``)."""
+        self.x.mark_failed(self.y.node_id, self.round_no)
+        if not self.config.tolerate_failures:
+            raise exc
+        return self._outcome("failed", error=f"{type(exc).__name__}: {exc}")
 
-    def result(self) -> Tuple[MachineReport, int, float]:
-        """(report, wire bytes, completion time); raises typed on failure."""
-        _raise_typed(self.initiator, self.responder)
-        report = self.initiator.report
-        if report is None:
-            if self.responder.failed is not None:
-                raise self.responder.failed
-            raise ProtocolError(
-                "simulated gossip session never completed (machines wedged)"
-            )
-        completed = self.decoded_at if self.decoded_at is not None else self.sim.now
-        return report, self.wire_bytes, completed
-
-
-def run_link_session(
-    initiator: InitiatorMachine,
-    responder: ResponderMachine,
-    *,
-    bandwidth_bps: float,
-    delay_s: float,
-    loss_rate: float = 0.0,
-    rng: Optional[random.Random] = None,
-    sim: Optional[Simulator] = None,
-) -> Tuple[MachineReport, int, float]:
-    """Drive one machine pair over a (possibly lossy) simulated link."""
-    sim = sim or Simulator()
-    session = LinkSession(
-        sim,
-        initiator,
-        responder,
-        bandwidth_bps=bandwidth_bps,
-        delay_s=delay_s,
-        loss_rate=loss_rate,
-        rng=rng,
-    )
-    session.start()
-    sim.run(max_events=50_000_000)
-    return session.result()
+    def done(
+        self,
+        report: MachineReport,
+        session_bytes: int,
+        delivered: int,
+        completion_time: float = 0.0,
+    ) -> RoundOutcome:
+        """Apply a finished session's diff to ``x`` and pin the clocks."""
+        x, y = self.x, self.y
+        learned = x.learn(report.only_in_remote)
+        confirm_sync(x, y, self.round_no)
+        x.mark_contact_ok(y.node_id)
+        y.mark_contact_ok(x.node_id)
+        return self._outcome(
+            "full",
+            session_bytes=session_bytes,
+            symbols=report.symbols,
+            learned=learned,
+            delivered=delivered,
+            completion_time=completion_time,
+        )
 
 
 def run_round(
@@ -354,76 +285,28 @@ def run_round(
 ) -> RoundOutcome:
     """One anti-entropy exchange, initiator ``x`` → responder ``y``.
 
-    ``memory`` and ``service`` transports apply the learned/pushed items
-    immediately; the ``sim`` transport is driven by the mesh's shared
-    round loop instead (see :meth:`GossipMesh.run_round`), which calls
-    this only for the two cheap tiers.
+    Learned/pushed items are applied immediately.  A mesh runs its
+    ``sim`` rounds concurrently on one simulator instead (see
+    :meth:`GossipMesh.run_round`).
     """
     config = config or GossipConfig()
-    if x.in_backoff(y.node_id, round_no):
-        return RoundOutcome(x.node_id, y.node_id, "backoff")
-    if x.can_skip(y.node_id, round_no, config.refresh_every):
-        return RoundOutcome(x.node_id, y.node_id, "clock-skip")
-    matched, digest_bytes = exchange_digests(x, y, round_no)
-    if matched:
-        x.mark_contact_ok(y.node_id)
-        y.mark_contact_ok(x.node_id)
-        return RoundOutcome(
-            x.node_id, y.node_id, "digest-skip", digest_bytes=digest_bytes
-        )
+    pair = PairRound(x, y, round_no, config)
+    outcome = pair.cheap_tiers()
+    if outcome is not None:
+        return outcome
     try:
         if config.transport == "service":
             report, wire_bytes = _run_service_session(x, y, config)
+        elif config.transport == "sim":
+            session = pair.link_session(Simulator(), config.push)
+            report, wire_bytes, _ = session.run()
         else:
-            initiator = x.initiator(
-                push=config.push,
-                max_symbols=config.max_symbols,
-                difference_bound=config.difference_bound,
-                use_estimator=config.use_estimator,
-            )
-            responder = y.responder(
-                block_size=config.block_size,
-                use_estimator=config.use_estimator,
-            )
-            if config.transport == "sim":
-                report, wire_bytes, _ = run_link_session(
-                    initiator,
-                    responder,
-                    bandwidth_bps=config.bandwidth_bps,
-                    delay_s=config.delay_s,
-                    loss_rate=config.loss_rate,
-                    rng=random.Random(config.seed ^ (round_no << 16)
-                                      ^ (x.node_id << 8) ^ y.node_id)
-                    if config.loss_rate
-                    else None,
-                )
-            else:
-                report, wire_bytes = pump_counted(initiator, responder)
+            initiator, responder = pair.initiator(config.push), pair.responder()
+            wire_bytes = drive(initiator, responder)
+            report = initiator.report
     except SESSION_FAILURES as exc:
-        x.mark_failed(y.node_id, round_no)
-        if not config.tolerate_failures:
-            raise
-        return RoundOutcome(
-            x.node_id,
-            y.node_id,
-            "failed",
-            digest_bytes=digest_bytes,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    learned = x.learn(report.only_in_remote)
-    confirm_sync(x, y, round_no)
-    x.mark_contact_ok(y.node_id)
-    y.mark_contact_ok(x.node_id)
-    return RoundOutcome(
-        x.node_id,
-        y.node_id,
-        "full",
-        digest_bytes=digest_bytes,
-        session_bytes=wire_bytes,
-        symbols=report.symbols,
-        learned=learned,
-        delivered=report.pushed,
-    )
+        return pair.failed(exc)
+    return pair.done(report, wire_bytes, report.pushed)
 
 
 def _run_service_session(

@@ -3,8 +3,9 @@
 A scenario packages everything both protocols need: the two item sets for
 set reconciliation, and the two tries (plus Bob's private node store) for
 state heal.  ``measure_riblt_plan`` runs the *real* codec on the scenario
-and measures per-symbol CPU costs, producing the plan the network
-simulator replays.
+(the reference :class:`~repro.core.session.ReconciliationSession`) and
+measures per-symbol CPU costs, producing the plan the §7.3 network
+model (``repro.net.protocols.riblt_sync``) replays.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import time
 from dataclasses import dataclass
 
 from repro.baselines.merkle.trie import NodeStore, Trie
-from repro.core.decoder import RatelessDecoder
-from repro.core.encoder import RatelessEncoder
+from repro.core.session import ReconciliationSession
 from repro.core.symbols import SymbolCodec
-from repro.core.wire import SymbolStreamWriter
 from repro.ledger.account import ITEM_BYTES
 from repro.ledger.chain import Chain
 from repro.net.protocols.riblt_sync import SyncPlan
@@ -71,7 +70,7 @@ def measure_riblt_plan(
     """Run the real reconciliation once, measuring symbols and CPU costs.
 
     Returns the :class:`SyncPlan` that ``simulate_riblt_sync`` replays.
-    Encoding cost is *not* charged to the timeline by default: §7.3's
+    Encoding cost is *not* charged to the timeline: §7.3's
     Alice maintains a universal stream incrementally across peers, so
     coded symbols are read, not computed, at request time.
 
@@ -84,32 +83,16 @@ def measure_riblt_plan(
     """
     if codec is None:
         codec = SymbolCodec(ITEM_BYTES)
+    session = ReconciliationSession(
+        scenario.alice_items, scenario.bob_items, codec
+    )
     t0 = time.perf_counter()
-    alice = RatelessEncoder(codec, scenario.alice_items)
-    bob = RatelessEncoder(codec, scenario.bob_items)
-    setup_seconds = time.perf_counter() - t0
-
-    writer = SymbolStreamWriter(codec, set_size=alice.set_size)
-    bytes_total = len(writer.header())
-    decoder = RatelessDecoder(codec)
-    t0 = time.perf_counter()
-    symbols = 0
-    while not decoder.decoded:
-        if block_symbols > 1:
-            # Bank-backed block path (``block_symbols − 1`` max overshoot).
-            remote = alice.produce_block(block_symbols)
-            bytes_total += len(writer.write_block(remote))
-            remote.subtract_in_place(bob.produce_block(block_symbols))
-            decoder.add_coded_block(remote)
-            symbols += block_symbols
-        else:
-            remote = alice.produce_next()
-            bytes_total += len(writer.write(remote))
-            local = bob.produce_next()
-            decoder.add_subtracted(remote, local)
-            symbols += 1
+    # block_symbols > 1 rides the bank-backed block path (at most
+    # ``block_symbols − 1`` symbols of overshoot past the decode point).
+    session.run(block_size=block_symbols)
     stream_seconds = time.perf_counter() - t0
-    bytes_per_symbol = bytes_total / symbols
+    symbols = session.symbols_sent
+    bytes_per_symbol = session.bytes_sent / symbols
     if calibrated_line_rate_bps is not None:
         decode_per_symbol = bytes_per_symbol * 8.0 / calibrated_line_rate_bps
     else:
@@ -120,6 +103,5 @@ def measure_riblt_plan(
         symbols_needed=symbols,
         bytes_per_symbol=bytes_per_symbol,
         decode_seconds_per_symbol=decode_per_symbol,
-        encode_seconds_per_symbol=0.0,
         chunk_symbols=chunk_symbols,
     )

@@ -52,6 +52,11 @@ class _Direction:
         rng: Optional[random.Random] = None,
         rto_s: Optional[float] = None,
     ) -> None:
+        # ``not x > 0`` (rather than ``x <= 0``) also rejects NaN.
+        if not bandwidth_bps > 0.0:
+            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
+        if not delay_s >= 0.0:
+            raise ValueError(f"delay_s must be >= 0, got {delay_s}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if loss_rate and rng is None:

@@ -10,15 +10,24 @@ bandwidth — the Fig 14 plateau.
 
 The default per-node cost is calibrated so the plateau falls at ≈20 Mbps
 for our node-size mix, matching the paper's observation for Geth.
+
+:func:`simulate_merkle_sync` is the item-set face: it runs the registry's
+``merkle`` scheme on two sets and replays the heal it just performed —
+the one scheme the protocol engine cannot frame
+(:func:`~repro.net.protocols.machine_sync.simulate_machine_sync` covers
+every other).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
+from repro.api.registry import get_scheme
+from repro.api.session import one_shot_result
 from repro.baselines.merkle.heal import HealReport
 from repro.net.link import Link, Message
+from repro.net.protocols.machine_sync import SchemeSyncOutcome
 from repro.net.simulator import Simulator
 from repro.net.trace import BandwidthTrace
 
@@ -91,4 +100,31 @@ def simulate_state_heal(
         round_trips=len(rounds),
         nodes_fetched=report.nodes_fetched,
         trace=trace,
+    )
+
+
+def simulate_merkle_sync(
+    alice_items: Iterable[bytes],
+    bob_items: Iterable[bytes],
+    *,
+    bandwidth_bps: float,
+    delay_s: float,
+    **params: object,
+) -> SchemeSyncOutcome:
+    """Heal Bob's trie of ``bob_items`` to Alice's, under a link model.
+
+    Runs the real heal in process, then replays its transcript through
+    :func:`simulate_state_heal` (lock-step rounds, no loss model).
+    """
+    handle = get_scheme("merkle", **params)
+    diff = handle.new(alice_items).subtract(handle.new(bob_items))
+    result = one_shot_result(handle, diff)
+    heal = simulate_state_heal(diff.heal_report, bandwidth_bps, delay_s)
+    return SchemeSyncOutcome(
+        scheme=handle.name,
+        completion_time=heal.completion_time,
+        bytes_down=heal.bytes_down,
+        bytes_up=heal.bytes_up,
+        rounds=heal.round_trips,
+        result=result,
     )

@@ -36,7 +36,6 @@ class SyncPlan:
     symbols_needed: int
     bytes_per_symbol: float
     decode_seconds_per_symbol: float = 0.0
-    encode_seconds_per_symbol: float = 0.0  # charged when Alice encodes live
     chunk_symbols: int = 256
 
 
@@ -71,7 +70,6 @@ def simulate_riblt_sync(
     state = {
         "symbols_received": 0,
         "bob_busy_until": 0.0,
-        "encode_ready_at": 0.0,
         "decoded_at": None,
         "bytes_at_decode": None,
         "stop_received": False,
@@ -80,22 +78,6 @@ def simulate_riblt_sync(
     def alice_send_chunk() -> None:
         """Put one chunk on the wire, then schedule the next for the moment
         the transmitter frees up (keeps the pipe exactly saturated)."""
-        if state["stop_received"]:
-            return
-        if plan.encode_seconds_per_symbol:
-            # Live encoding: a chunk cannot enter the pipe before the
-            # encoder has produced it.
-            ready = (
-                max(sim.now, state["encode_ready_at"])
-                + plan.chunk_symbols * plan.encode_seconds_per_symbol
-            )
-            state["encode_ready_at"] = ready
-            if ready > sim.now:
-                sim.schedule_at(ready, _transmit_chunk)
-                return
-        _transmit_chunk()
-
-    def _transmit_chunk() -> None:
         if state["stop_received"]:
             return
         link.send_to_b(chunk_size, plan.chunk_symbols, bob_receive_chunk)

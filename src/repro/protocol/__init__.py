@@ -31,7 +31,7 @@ from repro.protocol.machine import (
     codec_of,
     hash64_of,
 )
-from repro.protocol.pump import memory_responder, pump, run_memory
+from repro.protocol.pump import memory_responder, pump
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",
@@ -51,5 +51,4 @@ __all__ = [
     "hash64_of",
     "memory_responder",
     "pump",
-    "run_memory",
 ]

@@ -1,11 +1,18 @@
 """The in-memory transport: pump two machines against each other.
 
-This is the "transport" behind ``repro.api.reconcile`` and
-``repro.api.Session``: every frame a machine emits is handed straight to
-its peer, lock-step.  Lock-step matters — the responder only produces a
-new block (``tick``) once the initiator has nothing left to say, so the
-coded-symbol stream stops at exactly the cell that decodes, and byte
-accounting matches the pre-engine in-memory drivers cell for cell.
+This is the "transport" behind ``repro.api.reconcile``,
+``repro.api.Session`` and the gossip mesh's ``memory`` rounds, and the
+only copy of it: :func:`shuttle` moves frames, :func:`drive` adds the
+responder's ticks, reports the wire bytes it moved and raises on
+failure, :func:`pump` returns the report instead, and
+:func:`raise_root_cause` is the one error rule, shared with the
+simulated-link driver (:mod:`repro.net.protocols.machine_sync`).
+
+Every frame a machine emits is handed straight to its peer, lock-step.
+Lock-step matters — the responder only produces a new block (``tick``)
+once the initiator has nothing left to say, so the coded-symbol stream
+stops at exactly the cell that decodes, and byte accounting matches the
+pre-engine in-memory drivers cell for cell.
 
 Virtual time: the pump keeps a float clock that jumps straight to the
 responder's next deadline when neither side has bytes to move, so
@@ -15,7 +22,7 @@ nothing in memory.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.api.registry import Scheme
 from repro.protocol.events import MachineReport
@@ -38,8 +45,6 @@ def memory_responder(
     num_shards: int = 1,
     block_size: int = 1,
     slow_start: bool = False,
-    max_symbols_per_shard: Optional[int] = None,
-    budget_grace: float = 0.0,
     use_estimator: bool = False,
 ) -> ResponderMachine:
     """A responder over a fresh in-memory backend for ``items``.
@@ -57,37 +62,68 @@ def memory_responder(
         handle,
         block_size=block_size,
         slow_start=slow_start,
-        max_symbols_per_shard=max_symbols_per_shard,
-        budget_grace=budget_grace,
         use_estimator=use_estimator,
     )
 
 
-def pump(
-    initiator: InitiatorMachine,
-    responder: ReconcilerMachine,
-    *,
-    raise_on_failure: bool = True,
-) -> Optional[MachineReport]:
-    """Drive both machines to completion entirely in memory.
+def raise_root_cause(
+    initiator: InitiatorMachine, responder: ReconcilerMachine
+) -> None:
+    """Re-raise a failed initiator's typed error; no-op while it has none.
 
-    Returns the initiator's :class:`MachineReport`; a ``Failed``
-    initiator re-raises its typed error (``raise_on_failure=False``
-    returns ``None`` instead, with the error left on
-    ``initiator.failed``).
+    The one error rule of every in-process transport: both machines live
+    in one process, so when the initiator only knows "the peer vanished"
+    (a bare :class:`ProtocolError`), the responder's root cause (e.g. a
+    scheme's representation-limit ``ValueError``) is the error the
+    caller actually needs.
     """
-    initiator.start()
-    responder.start()
-    now = 0.0
+    error = initiator.failed
+    if error is None:
+        return
+    if responder.failed is not None and type(error) is ProtocolError:
+        error = responder.failed
+    raise error
+
+
+def shuttle(initiator: InitiatorMachine, responder: ReconcilerMachine) -> int:
+    """Hand every pending frame to its peer until both sides are quiet.
+
+    Moves bytes only — it never ticks, so a caller that paces the
+    responder itself (:class:`repro.api.Session`) uses it between ticks.
+    Returns the wire bytes moved, both directions, every frame counted.
+    """
+    moved = 0
     while not initiator.finished:
         out = initiator.take_output()
         if out and not responder.finished:
             responder.bytes_received(out)
+            moved += len(out)
             continue
         back = responder.take_output()
-        if back:
-            initiator.bytes_received(back)
-            continue
+        if not back:
+            break
+        initiator.bytes_received(back)
+        moved += len(back)
+    return moved
+
+
+def drive(initiator: InitiatorMachine, responder: ReconcilerMachine) -> int:
+    """The lock-step loop: run both machines until the initiator finishes.
+
+    Returns the total wire bytes moved (handshake, frames, STATS —
+    everything), which is what the gossip mesh charges a full session,
+    and leaves the outcome on ``initiator.report``; a ``Failed``
+    initiator re-raises its typed error (see :func:`raise_root_cause`).
+    """
+    initiator.start()
+    responder.start()
+    wire_bytes = 0
+    now = 0.0
+    while True:
+        wire_bytes += shuttle(initiator, responder)
+        if initiator.finished:
+            raise_root_cause(initiator, responder)
+            return wire_bytes
         if responder.wants_tick:
             responder.tick(now)
             continue
@@ -99,37 +135,13 @@ def pump(
         # Neither bytes nor ticks can move: the responder is finished or
         # wedged.  Surface it as the peer vanishing, never a hang.
         initiator.peer_closed()
-    if initiator.failed is not None and raise_on_failure:
-        error = initiator.failed
-        responder_error = getattr(responder, "failed", None)
-        if responder_error is not None and type(error) is ProtocolError:
-            # In memory both sides are one process: when the initiator
-            # only knows "the peer vanished", the responder's root cause
-            # (e.g. a scheme's representation-limit ValueError) is the
-            # error the caller actually needs.
-            error = responder_error
-        raise error
-    return initiator.report
 
 
-def run_memory(
-    handle: Scheme,
-    alice_items: Sequence[bytes],
-    bob_items: Sequence[bytes],
-    **initiator_options,
+def pump(
+    initiator: InitiatorMachine, responder: ReconcilerMachine
 ) -> MachineReport:
-    """One-call in-memory reconciliation through the engine.
-
-    Convenience for tests and the CLI's ``--transport memory``: builds
-    the matched initiator (Bob, ``bob_items``) / responder (Alice,
-    ``alice_items``) pair and pumps to completion.
-    """
-    use_estimator = bool(initiator_options.get("use_estimator", False))
-    initiator = InitiatorMachine(handle, bob_items, **initiator_options)
-    responder = memory_responder(
-        handle, alice_items, use_estimator=use_estimator
-    )
-    report = pump(initiator, responder)
-    if report is None:  # pragma: no cover - pump() raised already
-        raise ProtocolError("reconciliation did not complete")
-    return report
+    """:func:`drive` both machines to completion entirely in memory and
+    return the initiator's :class:`MachineReport`."""
+    drive(initiator, responder)
+    assert initiator.report is not None  # finished and not failed
+    return initiator.report

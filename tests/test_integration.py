@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.baselines.cpi import reconcile_cpi
 from repro.baselines.merkle import Trie, state_heal
 from repro.baselines.met_iblt import MetIBLT
@@ -69,11 +71,15 @@ def test_all_schemes_agree_on_same_workload():
     assert set(only_a) == expected_a and set(only_b) == expected_b
 
 
-def test_ledger_sync_end_to_end():
-    """Full §7.3 pipeline: chain → scenario → riblt sync vs state heal."""
+def ledger_scenario():
     chain = Chain(num_accounts=4000, seed=11, updates_per_block=25, creates_per_block=3)
     chain.advance(12)
-    scenario = build_scenario(chain, staleness_blocks=6)
+    return build_scenario(chain, staleness_blocks=6)
+
+
+def test_ledger_sync_end_to_end():
+    """Full §7.3 pipeline: chain → scenario → riblt sync vs state heal."""
+    scenario = ledger_scenario()
 
     # (1) set reconciliation recovers exactly the account-state difference
     out = reconcile(scenario.alice_items, scenario.bob_items, symbol_size=92)
@@ -99,6 +105,24 @@ def test_ledger_sync_end_to_end():
     assert riblt.completion_time < heal.completion_time
     assert heal.round_trips >= 3
     assert riblt.bytes_down_at_decode >= plan.symbols_needed * 92
+
+
+@pytest.mark.parametrize(
+    "block_symbols, symbols_needed, bytes_per_symbol",
+    [(1, 474, 101.01898734177215), (64, 512, 101.017578125)],
+)
+def test_riblt_plan_numbers_are_pinned(
+    block_symbols, symbols_needed, bytes_per_symbol
+):
+    """measure_riblt_plan drives core.session.ReconciliationSession; the
+    plan it measures on the scenario above is the one its hand-rolled
+    loop produced (numbers recorded at the parent commit)."""
+    scenario = ledger_scenario()
+    plan = measure_riblt_plan(
+        scenario, calibrated_line_rate_bps=170e6, block_symbols=block_symbols
+    )
+    assert plan.symbols_needed == symbols_needed
+    assert plan.bytes_per_symbol == bytes_per_symbol
 
 
 def test_riblt_multisource_union():

@@ -143,3 +143,17 @@ def test_trace_extends_to_until():
 def test_trace_rejects_bad_bin():
     with pytest.raises(ValueError):
         BandwidthTrace(bin_seconds=0.0)
+
+
+@pytest.mark.parametrize(
+    "bandwidth_bps, delay_s, message",
+    [
+        (0.0, 0.05, "bandwidth_bps must be > 0"),
+        (20e6, -1.0, "delay_s must be >= 0"),
+    ],
+)
+def test_link_rejects_impossible_parameters(bandwidth_bps, delay_s, message):
+    """Zero bandwidth / negative delay fail at construction with a typed
+    error, not as a ZeroDivisionError (or past-schedule) on first send."""
+    with pytest.raises(ValueError, match=message):
+        Link(Simulator(), bandwidth_bps, delay_s)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,26 @@ def test_golden_service_sketch_transcripts() -> None:
     )
     assert report.per_shard[0].rounds == recorded["rounds"]
     assert report.payload_bytes == recorded["bytes_received"]
+
+
+def test_pump_wire_byte_count_matches_the_sketch_recording() -> None:
+    """drive() — the loop under pump() — counts every byte either machine
+    emits: for the golden sketch pair that is exactly both recorded
+    transcripts' lengths."""
+    from repro.protocol.pump import drive
+
+    recorded = GOLDEN["service"]["sketch"]
+    handle = get_scheme("regular_iblt", symbol_size=8)
+    initiator = InitiatorMachine(
+        handle, items_range(16, 216), difference_bound=1, max_rounds=8
+    )
+    responder = service_responder(handle, items_range(0, 200))
+    wire_bytes = drive(initiator, responder)
+    assert initiator.report is not None
+    assert wire_bytes == (
+        len(recorded["client_to_server_hex"]) // 2
+        + recorded["server_to_client_len"]
+    )
 
 
 def test_golden_tcp_service_matches_recording() -> None:
@@ -724,6 +745,45 @@ def test_cli_sync_sim_and_memory_transports(tmp_path, capsys) -> None:
     assert "extra locally   : 4" in out
 
 
+def test_cli_sync_sim_merkle_replays_the_heal(tmp_path, capsys) -> None:
+    from repro.cli import main
+
+    rng = random.Random(6)
+    shared = [rng.randbytes(8) for _ in range(120)]
+    only_a = sorted(rng.randbytes(8) for _ in range(3))
+    only_b = sorted(rng.randbytes(8) for _ in range(2))
+    file_a = tmp_path / "a.bin"
+    file_b = tmp_path / "b.bin"
+    file_a.write_bytes(b"".join(shared + only_a))
+    file_b.write_bytes(b"".join(shared + only_b))
+    code = main(
+        ["--item-size", "8", "sync", str(file_a), "--transport", "sim",
+         "--peer", str(file_b), "--scheme", "merkle", "--show-items"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "scheme          : merkle (sim transport)" in out
+    assert [line for line in out.splitlines() if line.startswith("  ")] == (
+        [f"  + {item.hex()}" for item in only_b]
+        + [f"  - {item.hex()}" for item in only_a]
+    )
+    assert "completion time" in out
+    assert "loss n/a" in out
+
+
+def test_cli_sync_sim_rejects_zero_bandwidth(tmp_path, capsys) -> None:
+    from repro.cli import main
+
+    file_a = tmp_path / "a.bin"
+    file_a.write_bytes(b"z" * 8 + b"y" * 8)
+    code = main(
+        ["--item-size", "8", "sync", str(file_a), "--transport", "sim",
+         "--peer", str(file_a), "--bandwidth", "0"]
+    )
+    assert code == 2
+    assert "bandwidth_bps must be > 0" in capsys.readouterr().err
+
+
 def test_hostile_estimate_header_fails_fast() -> None:
     """A tiny ESTIMATE body declaring a gigabyte geometry must be
     rejected from the length check alone — before any table allocation."""
@@ -835,3 +895,28 @@ def test_fixed_table_stream_exhaustion_raises() -> None:
         while True:
             bob.absorb(alice.produce_block(64))
     assert not bob.decoded
+
+
+# --- one driver per transport -----------------------------------------------
+
+
+def test_only_the_known_drivers_tick_a_machine() -> None:
+    """Ticking a machine is what a transport driver does, and each
+    transport has exactly one: the in-memory loop (protocol/pump.py, plus
+    api/session.py which paces it a step at a time), the simulated link
+    (net/protocols/machine_sync.py) and the asyncio server.  A new file
+    showing up here is a copied driver — fold it into one of these, or
+    edit this list and say why it cannot be."""
+    src = Path(__file__).parent.parent / "src" / "repro"
+    tickers = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if re.search(r"\.tick\(|wants_tick", path.read_text())
+    }
+    assert tickers == {
+        "protocol/machine.py",  # defines tick / wants_tick
+        "protocol/pump.py",
+        "api/session.py",
+        "net/protocols/machine_sync.py",
+        "service/server.py",
+    }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.merkle.heal import HealReport, HealRound
-from repro.net.protocols.heal_sync import simulate_state_heal
+from repro.net.protocols.heal_sync import simulate_merkle_sync, simulate_state_heal
 from repro.net.protocols.riblt_sync import SyncPlan, simulate_riblt_sync
 
 
@@ -127,3 +127,26 @@ def test_riblt_beats_heal_on_latency_small_diff():
         make_heal_report(rounds=11, response_bytes=2_000), 20e6, 0.05
     )
     assert riblt.completion_time < heal.completion_time / 3
+
+
+def test_merkle_sync_is_the_state_heal_replay_of_its_own_transcript():
+    """simulate_merkle_sync adds nothing to the timing model: same
+    transcript in, same completion time / bytes / rounds out."""
+    from repro.api import get_scheme
+
+    a = [b"%08d" % i for i in range(400)]
+    b = [b"%08d" % i for i in range(25, 425)]
+    out = simulate_merkle_sync(
+        a, b, bandwidth_bps=20e6, delay_s=0.05, symbol_size=8
+    )
+    assert out.result.only_in_a == set(a) - set(b)
+    assert out.result.only_in_b == set(b) - set(a)
+
+    handle = get_scheme("merkle", symbol_size=8)
+    diff = handle.new(a).subtract(handle.new(b))
+    diff.decode()
+    heal = simulate_state_heal(diff.heal_report, 20e6, 0.05)
+    assert out.completion_time == heal.completion_time
+    assert out.bytes_down == heal.bytes_down
+    assert out.bytes_up == heal.bytes_up
+    assert out.rounds == heal.round_trips >= 2

@@ -3,7 +3,8 @@
 ``REPRO_SCALE`` selects the sweep sizes:
 
 * ``quick``   — smoke-test scale (CI);
-* ``default`` — laptop scale, minutes (what EXPERIMENTS.md reports);
+* ``default`` — laptop scale, minutes (what the committed ``BENCH_*.json``
+  records report);
 * ``paper``   — closest to the paper's grids that pure Python tolerates.
 """
 

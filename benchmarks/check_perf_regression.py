@@ -4,8 +4,9 @@
 CI's perf-smoke job runs the throughput benches at ``REPRO_SCALE=quick``
 (which writes ``BENCH_<name>.quick.json`` beside the committed
 default-scale ``BENCH_<name>.json``) and then calls this script.  Rows
-are matched on their workload key (``d`` / ``set_size`` / ``clients``)
-and compared on their throughput-style metric; a row that fell below
+are matched on their workload key (``d`` / ``set_size`` / ``clients`` /
+``item_bytes``, plus ``engine`` where a bench times several) and
+compared on their throughput-style metric; a row that fell below
 ``1/THRESHOLD`` of the committed value fails the job.
 
 Differences in workload *scale* between profiles only ever make the
@@ -38,13 +39,14 @@ _METRICS = (
     ("symbols_per_s", True),
     ("seconds", False),
 )
-_KEYS = ("d", "set_size", "clients")
+_KEYS = ("d", "set_size", "clients", "item_bytes")
 
 
 def _row_key(row: dict):
     for key in _KEYS:
         if key in row:
-            return key, row[key]
+            # fig11 times two engines per width: the engine is part of the key
+            return key, f"{row[key]}/{row['engine']}" if "engine" in row else row[key]
     return None
 
 

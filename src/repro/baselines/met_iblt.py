@@ -171,6 +171,7 @@ class MetIBLT:
         datas = items if isinstance(items, list) else list(items)
         if (
             len(datas) >= NUMPY_MIN_JOBS
+            and codec.symbol_size <= 8  # one uint64 value vector
             and numpy_lane_eligible(codec)
             and all(
                 e < s for e, s in zip(config.edges_per_block, config.block_sizes)

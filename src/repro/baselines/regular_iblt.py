@@ -113,7 +113,12 @@ class RegularIBLT:
         """
         table = cls(num_cells, codec, hash_count)
         datas = items if isinstance(items, list) else list(items)
-        if len(datas) >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
+        # One uint64 value vector: narrower than the core's lane matrix.
+        if (
+            len(datas) >= NUMPY_MIN_JOBS
+            and codec.symbol_size <= 8
+            and numpy_lane_eligible(codec)
+        ):
             import numpy as np
 
             from repro.hashing.prng import mix64_lanes

@@ -10,18 +10,32 @@ and the hot loops operate on the lanes directly.
 
 Lane representation
 -------------------
-Lanes are plain Python lists of ints.  We measured ``array('Q')`` at
-~1.4× *slower* than a list for the read-modify-write inner loop (every
-``array`` access boxes/unboxes a fresh int object, while a list hands
-back the stored object), and lists additionally handle symbols wider
-than 8 bytes with the same code path.  ``array``/``bytearray`` appear at
-the serialisation boundary (:meth:`CodedSymbolBank.pack` /
-:meth:`CodedSymbolBank.unpack`), and the optional NumPy lane views the
-same data as ``uint64``/``int64`` vectors for batch scatters.
+A bank's public lanes are plain Python lists of ints.  We measured
+``array('Q')`` at ~1.4× *slower* than a list for the read-modify-write
+inner loop (every ``array`` access boxes/unboxes a fresh int object,
+while a list hands back the stored object), and a list of ints carries a
+symbol of any width, which is what the scalar reference engine, the
+durable store and the parity tests read.
+
+The vector engines see the same data as NumPy arrays in **one** shape
+for every symbol width: sums and source values are a little-endian
+``(rows, k)`` uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded;
+checksums are a ``(rows,)`` uint64 vector and counts ``(rows,)`` int64.
+This module is the only place Python ints meet those arrays, through
+two converters — :func:`lanes_from_ints` / :func:`ints_from_lanes`, and
+:func:`lanes_from_bytes` for item or wire bytes (one zero-padded
+``frombuffer`` view) — and a field's wire bytes are
+``lanes.view(uint8)[:, :ℓ]``.  An 8-byte symbol is simply ``k = 1``; the
+kernels view that case as 1-D, which is the whole of its special
+treatment.
+
+Symbols wider than :data:`LANE_MAX_SYMBOL_BYTES` stay on the scalar
+engine: Python's big-int XOR is already memcpy-speed there while the
+lane gathers are not (paper Fig 11's knee; see the constant).
 
 Batch sampling (the §4.2 mapping, many symbols at once)
 -------------------------------------------------------
-:func:`scatter_walk` XORs a batch of source symbols into every lane index
+A scatter walk XORs a batch of source symbols into every lane index
 they map to inside ``[·, hi)``, advancing each symbol's splitmix64 state
 exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would.
 Two interchangeable engines exist:
@@ -34,12 +48,13 @@ Two interchangeable engines exist:
   n source items below this frontier").  Splitmix64's state is an
   additive counter, so a whole batch advances in lock-step rounds of
   uint64 vector arithmetic; colliding slots are combined with a
-  radix-sorted ``np.bitwise_xor.reduceat`` segment reduction (XOR is
-  commutative/associative, so reduction order cannot change the lanes)
-  and the working set compacts as symbols retire.  Guarded: requires NumPy,
-  sums/checksums that fit in 64 bits, and the regular α = 0.5 mapping.
+  radix-sorted ``np.bitwise_xor.reduceat`` segment reduction along the
+  row axis (XOR is commutative/associative, so reduction order cannot
+  change the lanes), and each round gathers the value rows it needs
+  straight from the caller's matrix — no compacted copy of the values
+  is carried.  Guarded by :func:`numpy_block_eligible`.
   :func:`scatter_walk_numpy` is its list-in/list-out face for callers
-  (decoder replay, heap check-in) holding Python-int state.
+  (decoder replay) holding Python-int state.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
 double arithmetic is performed in the same order), which the
@@ -58,6 +73,7 @@ import os
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.core.coded import CodedSymbol
+from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA, MAX_INDEX
 from repro.hashing.prng import GAMMA, INV_2_53, MASK64, MIX1, MIX2
 
@@ -82,9 +98,16 @@ NUMPY_MIN_SPAN = 32
 # NumPy calls however few symbols remain, a scalar edge ~1.5 µs.
 NUMPY_TAIL_JOBS = 32
 
-# Largest lane size the tail finisher round-trips through Python lists;
-# beyond this the full-lane copy costs more than the leftover edges.
-_TAIL_LIST_MAX = 4096
+# Widest symbol (bytes) the uint64 lanes carry; wider codecs run the
+# scalar big-int engine.  Selected from an observable input, not tuned
+# per workload: in a width sweep of the service's block ramp (N = 1 000
+# and 2 500, 1 400 cells) the lane kernel beats the scalar block engine
+# x6 at 17 B, x5 at 92 B, x2.4 at 1 KiB and x1.2 at 2 KiB, and loses
+# x0.6 at 4 KiB and x0.2 at 32 KiB — CPython's big-int XOR is one
+# memcpy-speed pass at that size, the per-round row gathers are not.
+# That is the paper's Fig 11 knee; benchmarks/bench_fig11_item_size.py
+# commits a row on each side of the cut (BENCH_fig11_item_size.json).
+LANE_MAX_SYMBOL_BYTES = 2048
 
 # Below this many cells the (n, stride) matrix set-up of the vectorised
 # pack/unpack costs more than the per-cell ``to_bytes`` loop.
@@ -271,8 +294,8 @@ class CodedSymbolBank:
         matrix filled by column views, emitted with a single
         ``ndarray.tobytes``) used under NumPy for banks of at least
         ``PACK_MIN_CELLS`` cells.  Both emit byte-identical blobs — the
-        golden-equivalence suite asserts it — and symbols up to 16 bytes
-        ride the vector path via a low/high uint64 lane split.
+        golden-equivalence suite asserts it — at any symbol width: the
+        sum field is the first ℓ bytes of the cell's k uint64 lanes.
         """
         ssize = codec.symbol_size
         csize = codec.checksum_size
@@ -301,44 +324,19 @@ class CodedSymbolBank:
         """Vectorised :meth:`pack`: fill an ``(n, stride)`` uint8 matrix by
         column views, dump it with one ``tobytes``.  Returns ``None`` when
         a lane value does not fit its field (the scalar engine then raises
-        the same error per-cell ``to_bytes`` always raised) or the symbol
-        is wider than the two uint64 lanes cover."""
+        the same error per-cell ``to_bytes`` always raised)."""
         np = _np
         n = len(self.sums)
-        out = np.zeros((n, stride), dtype=np.uint8)
-
-        def byte_columns(values: list, width: int):
-            # Little-endian byte matrix of a uint64-per-row lane; None
-            # when a row needs more than `width` bytes.
-            arr = np.array(values, dtype=np.uint64)
-            if width < 8 and int(arr.max(initial=0)) >> (8 * width):
-                return None
-            return arr.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width]
-
         try:
-            if ssize <= 8:
-                cols = byte_columns(self.sums, ssize)
-                if cols is None:
-                    return None
-                out[:, :ssize] = cols
-            elif ssize <= 16:
-                mask = MASK64
-                lo = byte_columns([s & mask for s in self.sums], 8)
-                hi = byte_columns([s >> 64 for s in self.sums], ssize - 8)
-                if lo is None or hi is None:
-                    return None
-                out[:, :8] = lo
-                out[:, 8:ssize] = hi
-            else:
-                return None
-            cols = byte_columns(self.checksums, csize)
-            if cols is None:
-                return None
-            out[:, ssize : ssize + csize] = cols
-            counts = np.array(self.counts, dtype=np.int64)
+            sum_lanes = lanes_from_ints(self.sums, ssize)
+            check_lanes = lanes_from_ints(self.checksums, csize)
+            counts = np.array(self.counts, dtype="<i8")
         except OverflowError:
             return None  # negative sum / oversized count: scalar raises
-        out[:, ssize + csize :] = counts.astype("<i8").view(np.uint8).reshape(n, 8)
+        out = np.empty((n, stride), dtype=np.uint8)
+        out[:, :ssize] = sum_lanes.view(np.uint8)[:, :ssize]
+        out[:, ssize : ssize + csize] = check_lanes.view(np.uint8)[:, :csize]
+        out[:, ssize + csize :] = counts.view(np.uint8).reshape(n, 8)
         return out.tobytes()
 
     @classmethod
@@ -359,13 +357,14 @@ class CodedSymbolBank:
                 f"bank blob of {len(blob)} bytes is not a multiple of the "
                 f"{stride}-byte cell stride"
             )
-        if (
-            NUMPY_LANE
-            and _np is not None
-            and len(blob) >= stride * PACK_MIN_CELLS
-            and ssize <= 16
-        ):
-            return cls._unpack_numpy(blob, ssize, csize, stride)
+        if NUMPY_LANE and _np is not None and len(blob) >= stride * PACK_MIN_CELLS:
+            np = _np
+            mat = np.frombuffer(blob, dtype=np.uint8).reshape(-1, stride)
+            return cls(
+                ints_from_lanes(lanes_from_bytes(mat[:, :ssize], ssize)),
+                ints_from_lanes(lanes_from_bytes(mat[:, ssize : ssize + csize], csize)),
+                mat[:, ssize + csize :].copy().view("<i8").ravel().tolist(),
+            )
         view = memoryview(blob)
         sums: list[int] = []
         checksums: list[int] = []
@@ -379,70 +378,97 @@ class CodedSymbolBank:
             counts.append(from_bytes(view[offset : offset + 8], "little", signed=True))
         return cls(sums, checksums, counts)
 
-    @classmethod
-    def _unpack_numpy(
-        cls, blob: bytes, ssize: int, csize: int, stride: int
-    ) -> "CodedSymbolBank":
-        """Vectorised :meth:`unpack` engine (≤16-byte symbols)."""
-        np = _np
-        n = len(blob) // stride
-        mat = np.frombuffer(blob, dtype=np.uint8).reshape(n, stride)
 
-        def lane(col: int, width: int) -> list:
-            pad = np.zeros((n, 8), dtype=np.uint8)
-            pad[:, :width] = mat[:, col : col + width]
-            return pad.view("<u8").ravel().tolist()
+# -- Python ints ↔ uint64 lanes -------------------------------------------
+#
+# The only three functions in the package that move symbols between the
+# list-of-int form and the (rows, k) uint64 lane matrix.
 
-        if ssize <= 8:
-            sums = lane(0, ssize)
-        else:
-            sums = [
-                lo | (hi << 64)
-                for lo, hi in zip(lane(0, 8), lane(8, ssize - 8))
-            ]
-        checksums = lane(ssize, csize)
-        counts = (
-            mat[:, ssize + csize :].copy().view("<i8").ravel().tolist()
-        )
-        return cls(sums, checksums, counts)
+
+def lane_count(size: int) -> int:
+    """k: uint64 lanes per ``size``-byte field."""
+    return -(-size // 8)
+
+
+def lanes_from_bytes(rows, size: int):
+    """Little-endian ``(n, ⌈size/8⌉)`` uint64 lanes of ``n`` ``size``-byte
+    fields, the last lane zero-padded.
+
+    ``rows`` is a sequence of ``size``-byte strings (set items) or an
+    ``(n, size)`` uint8 matrix (a field's column slice of a wire or
+    packed-bank buffer); a string of any other length raises the
+    codec's ``ValueError``.
+    """
+    np = _np
+    if not isinstance(rows, np.ndarray):
+        if rows and set(map(len, rows)) != {size}:
+            bad = next(len(r) for r in rows if len(r) != size)
+            raise ValueError(f"item must be exactly {size} bytes, got {bad}")
+        rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, size)
+    padded = np.zeros((rows.shape[0], 8 * lane_count(size)), dtype=np.uint8)
+    padded[:, :size] = rows
+    return padded.view("<u8")
+
+
+def lanes_from_ints(values, size: int):
+    """Lanes (see :func:`lanes_from_bytes`) of integers in ``[0, 2^(8·size))``.
+
+    Anything outside that range raises the ``OverflowError``
+    ``int.to_bytes`` raises — it *is* that call for multi-lane symbols
+    and for a one-lane batch the array conversion rejected.
+    """
+    if size <= 8:
+        try:
+            lanes = _np.asarray(values, dtype="<u8").reshape(-1, 1)
+            if size == 8 or not lanes.size or not int(lanes.max()) >> (8 * size):
+                return lanes
+        except OverflowError:
+            pass  # re-raised in canonical form by to_bytes below
+    return lanes_from_bytes([int(v).to_bytes(size, "little") for v in values], size)
+
+
+def ints_from_lanes(lanes) -> list[int]:
+    """The Python ints held by an ``(n, k)`` lane matrix, in row order."""
+    if lanes.shape[1] == 1:
+        return lanes[:, 0].tolist()
+    blob = lanes.astype("<u8", copy=False).tobytes()
+    width = 8 * lanes.shape[1]
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(blob[offset : offset + width], "little")
+        for offset in range(0, len(blob), width)
+    ]
 
 
 # -- batch scatter-walk samplers ------------------------------------------
 
 
-def numpy_lane_eligible(codec: "SymbolCodec") -> bool:
-    """True when ``codec``'s symbols can ride the single-lane vector path.
-
-    Requires NumPy, sums and checksums that fit in uint64, and the
-    regular α = 0.5 mapping.  This is the gate for the column-store
-    ingestion pool (one uint64 value lane, one α for all rows); block
-    producers/consumers use the wider :func:`numpy_block_eligible`.
-    """
-    return (
-        NUMPY_LANE
-        and _np is not None
-        and codec.symbol_size <= 8
-        and codec.checksum_size <= 8
-        and codec.irregular is None
-    )
-
-
 def numpy_block_eligible(codec: "SymbolCodec") -> bool:
     """True when ``codec``'s blocks can ride the batch pipeline at all.
 
-    Wider than :func:`numpy_lane_eligible`: symbols up to 16 bytes run on
-    a low/high pair of uint64 sum lanes, and §8 irregular mappings run
-    with a per-symbol α vector (:func:`scatter_walk_arrays` keeps the
-    generic-α inverse-CDF power step element-wise, because NumPy's SIMD
-    ``pow`` is not bit-identical to scalar libm ``pow`` — everything
-    around it is vectorised).
+    Requires NumPy and a symbol no wider than
+    :data:`LANE_MAX_SYMBOL_BYTES` (checksums are at most 8 bytes by
+    construction).  §8 irregular mappings qualify: they run with a
+    per-symbol α vector (:func:`scatter_walk_arrays` keeps the generic-α
+    inverse-CDF power step element-wise, because NumPy's SIMD ``pow`` is
+    not bit-identical to scalar libm ``pow`` — everything around it is
+    vectorised).
     """
     return (
         NUMPY_LANE
         and _np is not None
-        and codec.symbol_size <= 16
-        and codec.checksum_size <= 8
+        and codec.symbol_size <= LANE_MAX_SYMBOL_BYTES
     )
+
+
+def numpy_lane_eligible(codec: "SymbolCodec") -> bool:
+    """True when ``codec``'s source symbols can live in a column store.
+
+    :func:`numpy_block_eligible` plus the regular α = 0.5 mapping: the
+    gate for the encoder's ingestion pool and the one-shot sketch build
+    (one α for all rows, parked walk states in arrays).
+    """
+    return numpy_block_eligible(codec) and codec.irregular is None
 
 
 def scatter_walk_scalar(
@@ -535,20 +561,18 @@ def scatter_walk_scalar(
 
 
 def scatter_walk_arrays(
-    sums,  # np.ndarray[uint64]
-    checksums,  # np.ndarray[uint64]
-    counts,  # np.ndarray[int64]
-    idx,  # np.ndarray[int64], consumed
-    state,  # np.ndarray[uint64], consumed
-    vals,  # np.ndarray[uint64]
-    csums,  # np.ndarray[uint64]
-    dirs,  # np.ndarray[int64]
+    sums,  # np.ndarray[uint64] (m, k)
+    checksums,  # np.ndarray[uint64] (m,)
+    counts,  # np.ndarray[int64] (m,)
+    idx,  # np.ndarray[int64] (n,), advanced in place
+    state,  # np.ndarray[uint64] (n,), advanced in place
+    vals,  # np.ndarray[uint64] (n, k)
+    csums,  # np.ndarray[uint64] (n,)
+    dirs,  # np.ndarray[int64] (n,)
     hi: int,
     base: int = 0,
     touched: Optional[list] = None,
     alphas=None,  # np.ndarray[float64] | None — per-symbol α (§8)
-    sums_hi=None,  # np.ndarray[uint64] | None — high 64 bits of wide sums
-    vals_hi=None,  # np.ndarray[uint64] | None — high 64 bits of wide values
 ):
     """Array-native scatter walk.
 
@@ -556,41 +580,41 @@ def scatter_walk_arrays(
     stage of the set-ingestion pipeline: walk every symbol ``j`` from
     ``idx[j]`` to its first index ≥ ``hi``, XOR-ing it into the lane
     arrays (which cover absolute indices ``[base, base + len)``), and
-    return the final ``(idx, state)`` arrays.
+    return the ``(idx, state)`` arrays, advanced in place.  Symbols
+    already at or past ``hi`` are not read, so a caller may hand over a
+    whole column store and park retired rows at a sentinel index.
 
-    Each lock-step round scatters one edge per still-active symbol with
-    ``np.bitwise_xor.at`` / ``np.add.at`` (unbuffered, so colliding
-    indices accumulate correctly), then advances every active state with
-    uint64 vector arithmetic.  Rounds operate on *compacted* copies —
-    retired symbols are dropped from the working arrays instead of being
-    re-gathered through an index mask every round.  Bit-identical to the
+    Each lock-step round scatters one edge per still-active symbol (see
+    :func:`_fold_edges`), then advances every active state with uint64
+    vector arithmetic.  Only the walk positions are carried compacted
+    from round to round; the k-lane value rows, checksums and
+    directions of the active symbols are gathered from the caller's
+    arrays by row number when a round folds them.  Bit-identical to the
     scalar engine: the float64 expression tree is evaluated in the same
     order, and IEEE-754 makes each elementwise op exactly reproducible.
 
-    Two optional extensions let wide symbols and §8 irregular mappings
-    ride the same kernel:
-
-    * ``sums_hi``/``vals_hi`` — a second uint64 lane holding bits 64+ of
-      sums/values, scattered to the same slots (symbols up to 16 bytes).
-    * ``alphas`` — per-symbol mapping parameter.  α = 0.5 rows keep the
-      closed-form vectorised inverse CDF; generic-α rows compute
-      ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
-      NumPy's SIMD array ``pow`` is **not** bit-identical to the scalar
-      libm ``pow`` the reference engine uses (measured: ~4 % of draws
-      differ in the last ulp).  Everything else in the round — the
-      splitmix64 advance, the scatters, ceil/clamp — stays vectorised.
+    ``alphas`` — per-symbol mapping parameter — lets §8 irregular
+    mappings ride the same kernel.  α = 0.5 rows keep the closed-form
+    vectorised inverse CDF; generic-α rows compute
+    ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
+    NumPy's SIMD array ``pow`` is **not** bit-identical to the scalar
+    libm ``pow`` the reference engine uses (measured: ~4 % of draws
+    differ in the last ulp).  Everything else in the round — the
+    splitmix64 advance, the scatters, ceil/clamp — stays vectorised.
 
     ``touched``, when given, collects per-round absolute-index arrays.
 
     Lock-step rounds cost ~20 small-array NumPy calls each, so once the
-    live set shrinks below :data:`NUMPY_MIN_JOBS` the remaining
+    live set shrinks below :data:`NUMPY_TAIL_JOBS` the remaining
     stragglers are finished per-edge by :func:`_walk_tail_scalar` (the
     same arithmetic on the same arrays — per-symbol walks are
     independent, so the hand-off point cannot change the result).
     """
     np = _np
-    out_idx = idx
-    out_state = state
+    if sums.shape[1] == 1:
+        # One lane: fold 1-D vectors (same ufunc calls, no row axis).
+        sums = sums[:, 0]
+        vals = vals[:, 0]
     u30, u27, u31, u11 = (np.uint64(b) for b in (30, 27, 31, 11))
     gamma = np.uint64(GAMMA)
     mix1 = np.uint64(MIX1)
@@ -600,63 +624,23 @@ def scatter_walk_arrays(
         rows = np.nonzero(idx < hi)[0]
         ia = idx[rows]
         st = state[rows]
-        va = vals[rows]
-        ca = csums[rows]
-        da = dirs[rows]
         al = alphas[rows] if alphas is not None else None
         if al is not None and not (al != default_alpha).any():
             al = None  # all-regular batch: keep the closed-form fast path
-        vh = vals_hi[rows] if vals_hi is not None else None
         while rows.size:
             if rows.size < NUMPY_TAIL_JOBS:
-                _walk_tail_scalar(
-                    sums, checksums, counts, out_idx, out_state,
-                    rows, ia, st, va, ca, da, al, vh,
-                    hi, base, touched, sums_hi,
+                walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
+                    rows, ia, st, al, hi
                 )
+                if walked.size:
+                    slot = walked - base
+                    _fold_edges(
+                        sums, checksums, counts, slot, walked_rows, vals, csums, dirs
+                    )
+                    if touched is not None:
+                        touched.append(walked)
                 break
-            slot = ia - base
-            # Buffered fancy indexing drops colliding slots, so rounds
-            # with duplicates segment-reduce instead: group equal slots
-            # (stable radix argsort) and fold each group with reduceat —
-            # XOR and integer add are commutative, so the fold order
-            # inside a group cannot change the result.  All three forms
-            # below are exact; ufunc.at would be too, but runs an order
-            # of magnitude slower than any of them.
-            smin = int(slot.min())
-            smax = int(slot.max())
-            if smin == smax:
-                # One shared cell (always round 0 of a fresh walk, where
-                # every symbol maps to index 0): fold the whole batch.
-                sums[smin] ^= np.bitwise_xor.reduce(va)
-                if vh is not None:
-                    sums_hi[smin] ^= np.bitwise_xor.reduce(vh)
-                checksums[smin] ^= np.bitwise_xor.reduce(ca)
-                counts[smin] += da.sum()
-            else:
-                # NumPy's radix sort only engages for ≤16-bit ints; bank
-                # spans almost always fit, and radix is ~10x faster than
-                # comparison-sorting int64 slots.
-                key = slot.astype(np.int16) if smax < 0x8000 else slot
-                perm = np.argsort(key, kind="stable")
-                ss = key[perm]
-                first = np.empty(ss.size, dtype=bool)
-                first[0] = True
-                np.not_equal(ss[1:], ss[:-1], out=first[1:])
-                if first.all():
-                    sums[slot] ^= va
-                    if vh is not None:
-                        sums_hi[slot] ^= vh
-                    checksums[slot] ^= ca
-                    counts[slot] += da
-                else:
-                    seg = np.flatnonzero(first)
-                    uniq = ss[seg]
-                    sums[uniq] ^= np.bitwise_xor.reduceat(va[perm], seg)
-                    if vh is not None:
-                        sums_hi[uniq] ^= np.bitwise_xor.reduceat(vh[perm], seg)
-                    checksums[uniq] ^= np.bitwise_xor.reduceat(ca[perm], seg)
-                    counts[uniq] += np.add.reduceat(da[perm], seg)
+            _fold_edges(sums, checksums, counts, ia - base, rows, vals, csums, dirs)
             if touched is not None:
                 touched.append(ia)
             st = st + gamma
@@ -710,137 +694,99 @@ def scatter_walk_arrays(
                 continue
             done = ~live
             retired = rows[done]
-            out_idx[retired] = nxt[done]
-            out_state[retired] = st[done]
+            idx[retired] = nxt[done]
+            state[retired] = st[done]
             rows = rows[live]
             ia = nxt[live]
             st = st[live]
-            va = va[live]
-            ca = ca[live]
-            da = da[live]
             if al is not None:
                 al = al[live]
-            if vh is not None:
-                vh = vh[live]
-    return out_idx, out_state
+    return idx, state
 
 
-def _walk_tail_scalar(
-    sums, checksums, counts, out_idx, out_state,
-    rows, ia, st, va, ca, da, al, vh,
-    hi: int, base: int, touched: Optional[list], sums_hi,
-) -> None:
-    """Per-edge finisher for :func:`scatter_walk_arrays` stragglers.
+def _fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
+    """XOR/add one batch of edges into the lanes: edge ``e`` folds source
+    row ``rows[e]`` of ``vals``/``csums``/``dirs`` into lane slot ``slot[e]``.
 
-    Walks each remaining symbol to its first index ≥ ``hi`` with the
-    exact :func:`scatter_walk_scalar` arithmetic — cheaper than
-    lock-step rounds once only a handful of symbols are still live.
-    Small lane arrays are round-tripped through Python lists for the
-    loop (scalar list indexing runs an order of magnitude faster than
-    scalar ndarray indexing); large banks are written in place, since a
-    full-lane copy would dwarf the few edges left to scatter.  Either
-    way the arithmetic is the reference engine's, on exact integers.
+    Buffered fancy indexing drops colliding slots, so batches with
+    duplicates segment-reduce instead: group equal slots (stable radix
+    argsort) and fold each group with ``reduceat`` along the row axis —
+    XOR and integer add are commutative, so the fold order inside a
+    group cannot change the result.  All three forms below are exact;
+    ``ufunc.at`` would be too, but runs an order of magnitude slower
+    than any of them.  ``sums``/``vals`` are ``(·, k)`` matrices, or 1-D
+    for the one-lane case; every call is shape-agnostic (``axis=0``).
     """
     np = _np
-    sqrt = math.sqrt
-    default_alpha = DEFAULT_ALPHA
-    collect: Optional[list[int]] = [] if touched is not None else None
-    listify = len(sums) <= _TAIL_LIST_MAX
-    if listify:
-        lane_sums = sums.tolist()
-        lane_checksums = checksums.tolist()
-        lane_counts = counts.tolist()
-        lane_sums_hi = sums_hi.tolist() if sums_hi is not None else None
-    else:
-        lane_sums = sums
-        lane_checksums = checksums
-        lane_counts = counts
-        lane_sums_hi = sums_hi
-    rows_l = rows.tolist()
-    ia_l = ia.tolist()
-    st_l = st.tolist()
-    va_l = va.tolist()
-    ca_l = ca.tolist()
-    da_l = da.tolist()
-    al_l = al.tolist() if al is not None else None
-    vh_l = vh.tolist() if vh is not None else None
-    for j, row in enumerate(rows_l):
-        idx = ia_l[j]
-        state = st_l[j]
-        value = va_l[j]
-        checksum = ca_l[j]
-        direction = da_l[j]
-        alpha = al_l[j] if al_l is not None else default_alpha
-        value_hi = vh_l[j] if vh_l is not None else None
-        if alpha == default_alpha:
-            while idx < hi:
-                slot = idx - base
-                lane_sums[slot] ^= value
-                if value_hi is not None:
-                    lane_sums_hi[slot] ^= value_hi
-                lane_checksums[slot] ^= checksum
-                lane_counts[slot] += direction
-                if collect is not None:
-                    collect.append(idx)
-                state = (state + GAMMA) & MASK64
-                z = (state ^ (state >> 30)) * MIX1 & MASK64
-                z = (z ^ (z >> 27)) * MIX2 & MASK64
-                r = ((z ^ (z >> 31)) >> 11) * INV_2_53
-                half = idx + 1.5
-                gap = (
-                    sqrt(half * half + r * (idx + 1.0) * (idx + 2.0) / (1.0 - r))
-                    - half
-                )
-                step = int(gap)
-                if step < gap:
-                    step += 1
-                if step < 1:
-                    step = 1
-                nxt = idx + step
-                if nxt > MAX_INDEX:
-                    nxt = idx + 1
-                idx = nxt
-        else:
-            neg_alpha = -alpha
-            while idx < hi:
-                slot = idx - base
-                lane_sums[slot] ^= value
-                if value_hi is not None:
-                    lane_sums_hi[slot] ^= value_hi
-                lane_checksums[slot] ^= checksum
-                lane_counts[slot] += direction
-                if collect is not None:
-                    collect.append(idx)
-                state = (state + GAMMA) & MASK64
-                z = (state ^ (state >> 30)) * MIX1 & MASK64
-                z = (z ^ (z >> 27)) * MIX2 & MASK64
-                r = ((z ^ (z >> 31)) >> 11) * INV_2_53
-                gap = (idx + 1.0) * ((1.0 - r) ** neg_alpha - 1.0)
-                step = int(gap)
-                if step < gap:
-                    step += 1
-                if step < 1:
-                    step = 1
-                nxt = idx + step
-                if nxt > MAX_INDEX:
-                    nxt = idx + 1
-                idx = nxt
-        out_idx[row] = idx
-        out_state[row] = state
-    if listify:
-        sums[:] = lane_sums
-        checksums[:] = lane_checksums
-        counts[:] = lane_counts
-        if sums_hi is not None:
-            sums_hi[:] = lane_sums_hi
-    if collect is not None:
-        touched.append(np.array(collect, dtype=np.int64))
+    smin = int(slot.min())
+    smax = int(slot.max())
+    if smin == smax:
+        # One shared cell (always round 0 of a fresh walk, where every
+        # symbol maps to index 0): fold the whole batch.
+        sums[smin] ^= np.bitwise_xor.reduce(vals[rows], axis=0)
+        checksums[smin] ^= np.bitwise_xor.reduce(csums[rows])
+        counts[smin] += dirs[rows].sum()
+        return
+    # NumPy's radix sort only engages for ≤16-bit ints; bank spans almost
+    # always fit, and radix is ~10x faster than comparison-sorting int64.
+    key = slot.astype(np.int16) if smax < 0x8000 else slot
+    perm = np.argsort(key, kind="stable")
+    ss = key[perm]
+    first = np.empty(ss.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ss[1:], ss[:-1], out=first[1:])
+    if first.all():
+        sums[slot] ^= vals[rows]
+        checksums[slot] ^= csums[rows]
+        counts[slot] += dirs[rows]
+        return
+    seg = np.flatnonzero(first)
+    uniq = ss[seg]
+    rows = rows[perm]
+    sums[uniq] ^= np.bitwise_xor.reduceat(vals[rows], seg, axis=0)
+    checksums[uniq] ^= np.bitwise_xor.reduceat(csums[rows], seg)
+    counts[uniq] += np.add.reduceat(dirs[rows], seg)
+
+
+def _walk_tail_scalar(rows, ia, st, al, hi: int):
+    """Per-edge finisher for :func:`scatter_walk_arrays` stragglers.
+
+    Walks symbol ``rows[j]`` from ``(ia[j], st[j])`` to its first index
+    ≥ ``hi`` on the reference :class:`~repro.core.mapping.IndexGenerator`
+    — cheaper than lock-step rounds once only a handful of symbols are
+    still live.  Returns the edges crossed, as parallel ``(index, row)``
+    arrays for one :func:`_fold_edges` call, and the parked ``(idx,
+    state)`` per symbol.  No symbol value is touched per edge, so the
+    cost does not depend on the lane count.
+    """
+    np = _np
+    edge_idx: list[int] = []
+    edge_rows: list[int] = []
+    ends: list[int] = []
+    states: list[int] = []
+    alphas = al.tolist() if al is not None else None
+    restore = IndexGenerator.restore
+    for j, (row, current, seed) in enumerate(
+        zip(rows.tolist(), ia.tolist(), st.tolist())
+    ):
+        gen = restore(seed, current, alphas[j] if alphas else DEFAULT_ALPHA)
+        walked = gen.indices_below(hi)
+        edge_idx += walked
+        edge_rows += [row] * len(walked)
+        ends.append(gen.current)
+        states.append(gen.state)
+    return (
+        np.array(edge_idx, dtype=np.int64),
+        np.array(edge_rows, dtype=np.int64),
+        ends,
+        np.array(states, dtype=np.uint64),
+    )
 
 
 def scatter_walk_numpy(
-    sums,  # np.ndarray[uint64]
-    checksums,  # np.ndarray[uint64]
-    counts,  # np.ndarray[int64]
+    sums,  # np.ndarray[uint64] (m, k)
+    checksums,  # np.ndarray[uint64] (m,)
+    counts,  # np.ndarray[int64] (m,)
     indices: list[int],
     states: list[int],
     values: Sequence[int],
@@ -850,38 +796,26 @@ def scatter_walk_numpy(
     base: int = 0,
     touched: Optional[list] = None,
     alphas: Optional[Sequence[float]] = None,
-    sums_hi=None,  # np.ndarray[uint64] | None — high 64 bits of wide sums
 ) -> None:
     """Vectorised :func:`scatter_walk_scalar`: list-in/list-out face of
-    :func:`scatter_walk_arrays` for callers holding Python-int state.
-
-    ``alphas`` (per-symbol mapping parameters) and ``sums_hi`` (the
-    second bank lane for >8-byte symbols; ``values`` may then exceed 64
-    bits — they are split into low/high uint64 lanes here) extend the
-    face to §8 irregular mappings and wide symbols.
+    :func:`scatter_walk_arrays` for callers holding Python-int state
+    (``values`` become lanes as wide as ``sums``' rows; ``alphas`` are
+    the per-symbol mapping parameters of §8 irregular codecs).
     """
     np = _np
-    if sums_hi is not None:
-        vals = np.array([v & MASK64 for v in values], dtype=np.uint64)
-        vals_hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-    else:
-        vals = np.array(values, dtype=np.uint64)
-        vals_hi = None
     idx, state = scatter_walk_arrays(
         sums,
         checksums,
         counts,
         np.array(indices, dtype=np.int64),
         np.array(states, dtype=np.uint64),
-        vals,
+        lanes_from_ints(values, 8 * sums.shape[1]),
         np.array(symbol_checksums, dtype=np.uint64),
         np.array(directions, dtype=np.int64),
         hi,
         base=base,
         touched=touched,
         alphas=np.array(alphas, dtype=np.float64) if alphas is not None else None,
-        sums_hi=sums_hi,
-        vals_hi=vals_hi,
     )
     indices[:] = idx.tolist()
     states[:] = state.tolist()

@@ -44,7 +44,14 @@ from dataclasses import dataclass, field
 from itertools import count as _counter
 from typing import Iterable, Optional
 
-from repro.core.cellbank import CodedSymbolBank, numpy_block_eligible, scatter_walk_numpy
+from repro.core.cellbank import (
+    CodedSymbolBank,
+    _np,
+    ints_from_lanes,
+    lanes_from_ints,
+    numpy_block_eligible,
+    scatter_walk_numpy,
+)
 from repro.core.coded import CodedSymbol
 from repro.core.symbols import SymbolCodec
 
@@ -244,12 +251,12 @@ class RatelessDecoder:
     ) -> int:
         """Batch engine: append + pending replay + breadth-first peeling.
 
-        Works on uint64/int64 array lanes for the whole call and writes
-        them back once; every arithmetic step is bit-identical to the
-        scalar engine (see ``cellbank.scatter_walk_numpy``).  Symbols
-        wider than 8 bytes run on a low/high pair of sum lanes, and §8
-        irregular codecs hand the kernel a per-symbol α vector — both
-        ride this path instead of falling back to per-cell ingestion.
+        Works on array lanes for the whole call — ``(total, k)`` uint64
+        sums, uint64 checksums, int64 counts — and writes them back
+        once; every arithmetic step is bit-identical to the scalar
+        engine (see ``cellbank.scatter_walk_numpy``).  Symbols of any
+        width the lanes carry and §8 irregular codecs (a per-symbol α
+        vector) ride this path instead of per-cell ingestion.
 
         Each peel round gathers its pure-cell (sum, checksum) candidates
         and verifies them against :meth:`SymbolCodec.checksum_int_batch`
@@ -257,41 +264,23 @@ class RatelessDecoder:
         order-dependent checks (in-round ghost duplicates), so the set of
         recovered symbols is exactly the reference engine's.
         """
-        import numpy as np
-
+        np = _np
         bank = self._bank
         codec = self.codec
         checksum_int_batch = codec.checksum_int_batch
         new_mapping = codec.new_mapping
         alpha_for = codec.alpha_for
         irregular = codec.irregular is not None
-        wide = codec.symbol_size > 8
-        mask64 = 0xFFFFFFFFFFFFFFFF
         pending = self._pending
         seen = self._seen
         remote = self._remote
         local = self._local
         seq = self._seq
         old = len(bank)
-        n = len(src)
-        total = old + n
-        sums = np.empty(total, dtype=np.uint64)
-        checksums = np.empty(total, dtype=np.uint64)
-        counts = np.empty(total, dtype=np.int64)
-        if wide:
-            sums[:old] = [s & mask64 for s in bank.sums]
-            sums[old:] = [s & mask64 for s in src.sums]
-            sums_hi = np.empty(total, dtype=np.uint64)
-            sums_hi[:old] = [s >> 64 for s in bank.sums]
-            sums_hi[old:] = [s >> 64 for s in src.sums]
-        else:
-            sums[:old] = bank.sums
-            sums[old:] = src.sums
-            sums_hi = None
-        checksums[:old] = bank.checksums
-        checksums[old:] = src.checksums
-        counts[:old] = bank.counts
-        counts[old:] = src.counts
+        total = old + len(src)
+        sums = lanes_from_ints(bank.sums + src.sums, codec.symbol_size)
+        checksums = np.array(bank.checksums + src.checksums, dtype=np.uint64)
+        counts = np.array(bank.counts + src.counts, dtype=np.int64)
         frontier = old
         while frontier < total:
             new_frontier = min(frontier + step, total)
@@ -325,7 +314,6 @@ class RatelessDecoder:
                     job_directions,
                     new_frontier,
                     alphas=job_alphas,
-                    sums_hi=sums_hi,
                 )
                 for j, (sq, rec) in enumerate(replayed):
                     rec.gen.current = job_indices[j]
@@ -340,16 +328,7 @@ class RatelessDecoder:
                 rec_directions: list[int] = []
                 cand_counts = counts[candidates].tolist()
                 cand_checksums = checksums[candidates].tolist()
-                if sums_hi is None:
-                    cand_values = sums[candidates].tolist()
-                else:
-                    cand_values = [
-                        lo | (hi << 64)
-                        for lo, hi in zip(
-                            sums[candidates].tolist(),
-                            sums_hi[candidates].tolist(),
-                        )
-                    ]
+                cand_values = ints_from_lanes(sums[candidates])
                 # Gather the round's plausible candidates, then verify
                 # their checksums in ONE batch hash call.  A candidate
                 # that becomes an in-round ghost (its checksum recovered
@@ -399,7 +378,6 @@ class RatelessDecoder:
                         if irregular
                         else None
                     ),
-                    sums_hi=sums_hi,
                 )
                 # Park each recovery for cells beyond the frontier.
                 for j, checksum in enumerate(rec_checksums):
@@ -418,28 +396,18 @@ class RatelessDecoder:
                 counts[:frontier].any()
                 or sums[:frontier].any()
                 or checksums[:frontier].any()
-                or (sums_hi is not None and sums_hi[:frontier].any())
             ):
                 break
-        if wide:
-            bank.sums[:] = [
-                lo | (hi << 64)
-                for lo, hi in zip(
-                    sums[:frontier].tolist(), sums_hi[:frontier].tolist()
-                )
-            ]
-        else:
-            bank.sums[:] = sums[:frontier].tolist()
+        bank.sums[:] = ints_from_lanes(sums[:frontier])
         bank.checksums[:] = checksums[:frontier].tolist()
         bank.counts[:] = counts[:frontier].tolist()
-        nonzero = (
-            (sums[:frontier] != 0)
-            | (checksums[:frontier] != 0)
-            | (counts[:frontier] != 0)
+        self._nonzero = int(
+            np.count_nonzero(
+                sums[:frontier].any(axis=1)
+                | (checksums[:frontier] != 0)
+                | (counts[:frontier] != 0)
+            )
         )
-        if sums_hi is not None:
-            nonzero |= sums_hi[:frontier] != 0
-        self._nonzero = int(np.count_nonzero(nonzero))
         return frontier - old
 
     # -- peeling -----------------------------------------------------------

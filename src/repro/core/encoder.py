@@ -21,15 +21,19 @@ paths exist:
 Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is batched
 end to end.  :meth:`RatelessEncoder.add_items` hashes the whole batch
 through the codec's keyed batch face (lane-parallel SipHash under
-NumPy), then *stages* the symbols in a column pool — parallel
-``values/checksums/state/current`` arrays — instead of building one
-``_SourceEntry`` + heap tuple per item.  ``produce_block`` feeds staged
-rows straight into the vectorised scatter kernel (their walk states park
-in the pool's arrays, never touching Python objects), and the pool is
+NumPy), then *stages* the symbols in a column pool — a ``(rows, k)``
+uint64 value matrix filled straight from the item bytes beside parallel
+``checksums/state/idx`` vectors — instead of building one
+``_SourceEntry`` + heap tuple per item.  The pool forms for every
+regular codec the lanes carry, 8-byte hashes and 92-byte ledger items
+alike (``cellbank.numpy_lane_eligible``).  ``produce_block`` hands the
+pool's arrays to the vectorised scatter kernel as they are (walk states
+advance in place, never touching Python objects), and the pool is
 materialised into heap entries only when a per-cell path needs them
-(``produce_next``, or the NumPy lane going away).  Under
-``REPRO_NO_NUMPY=1`` the pool never forms and the per-item reference
-engine runs instead; both produce bit-identical banks.
+(``produce_next``, or the NumPy lane going away).  The per-item heap
+path remains for §8 irregular codecs, batches under ``NUMPY_MIN_JOBS``,
+symbols past the lane width cut and ``REPRO_NO_NUMPY=1``; both engines
+produce bit-identical banks.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
 removing a source symbol after ``m`` cells were produced simply XORs
@@ -56,12 +60,16 @@ from repro.core.cellbank import (
     NUMPY_MIN_JOBS,
     NUMPY_MIN_SPAN,
     CodedSymbolBank,
+    _np,
+    ints_from_lanes,
+    lane_count,
+    lanes_from_bytes,
+    lanes_from_ints,
     numpy_block_eligible,
     numpy_lane_eligible,
     scatter_walk_arrays,
     scatter_walk_scalar,
 )
-from repro.hashing.prng import MASK64
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA
@@ -77,8 +85,16 @@ _MIN_BATCH_BLOCK = 4
 # Patching a produced prefix through the NumPy lane costs one list→array
 # →list round trip of the whole bank; below ~1 batch item per 64 cached
 # cells the scalar per-edge patch is cheaper (measured crossover sits
-# near 1/90 at both 10^4 and 10^5 cells).
+# near 1/90 at both 10^4 and 10^5 cells).  That is for one-lane symbols.
+# Re-measured for k lanes at 10^4 cells: the round trip costs 1x, 2.7x
+# and ~8x the one-lane one at k = 1, 12 and 64 (crossovers near 1/90,
+# 1/24 and 1/8), which (7 + k) / 8 fits, so the cell allowance per item
+# shrinks by that factor (see _patch_prefix_batch).
 _PATCH_CELLS_PER_ITEM = 64
+
+# Parked index of a removed pool row: past every frontier, so the
+# scatter kernel never walks it.
+_DEAD_ROW = (1 << 63) - 1
 
 
 class _SourceEntry:
@@ -96,23 +112,53 @@ class _SourceEntry:
 class _StagedPool:
     """Bulk-ingested source symbols as a column store (NumPy engine).
 
-    Parallel arrays instead of per-item objects: ``values``/``checksums``
-    are the symbols, ``idx``/``state`` the parked ``(current, splitmix64
-    state)`` walk positions the batch samplers check out and back in.
-    ``rows`` maps a symbol's integer value to its row; removal kills the
-    row in place (``alive`` mask) so array offsets stay stable.
+    Parallel arrays instead of per-item objects: ``values`` is the
+    symbols' ``(rows, k)`` uint64 lane matrix, ``checksums`` their keyed
+    hashes, ``idx``/``state`` the parked ``(current, splitmix64 state)``
+    walk positions the batch samplers advance in place.  ``rows`` maps a
+    symbol's integer value to its row, in row order.  Removal parks the
+    row at ``_DEAD_ROW`` so array offsets stay stable; once dead rows
+    outnumber live ones the arrays are compacted (amortised O(1) per
+    removal), so a churning set's pool stays within 2x its live size.
     """
 
-    __slots__ = ("values", "checksums", "idx", "state", "alive", "rows", "live")
+    __slots__ = ("values", "checksums", "idx", "state", "rows")
 
-    def __init__(self, values, checksums, idx, state, alive) -> None:
+    def __init__(self, keys, values, checksums, idx, state) -> None:
         self.values = values
         self.checksums = checksums
         self.idx = idx
         self.state = state
-        self.alive = alive
-        self.rows: dict[int, int] = {}
-        self.live = 0
+        self.rows: dict[int, int] = dict(zip(keys, range(len(keys))))
+
+    def extend(self, keys, values, checksums, idx, state) -> None:
+        """Append a batch of rows (``keys`` are their integer values)."""
+        base = self.idx.shape[0]
+        self.values = _np.concatenate([self.values, values])
+        self.checksums = _np.concatenate([self.checksums, checksums])
+        self.idx = _np.concatenate([self.idx, idx])
+        self.state = _np.concatenate([self.state, state])
+        self.rows.update(zip(keys, range(base, base + len(keys))))
+
+    def kill(self, key: int) -> int:
+        """Drop the symbol ``key``; returns its checksum."""
+        row = self.rows.pop(key)
+        self.idx[row] = _DEAD_ROW
+        return int(self.checksums[row])
+
+    def compact_if_sparse(self) -> None:
+        """Squeeze dead rows out once they outnumber the live ones."""
+        live = len(self.rows)
+        if self.idx.shape[0] <= 2 * live:
+            return
+        keep = _np.nonzero(self.idx != _DEAD_ROW)[0]
+        self.values = self.values[keep]
+        self.checksums = self.checksums[keep]
+        self.idx = self.idx[keep]
+        self.state = self.state[keep]
+        # ``rows`` is in row order (rows are only appended and popped),
+        # so the survivors renumber 0..live-1 as they stand.
+        self.rows = dict(zip(self.rows, range(live)))
 
 
 class RatelessEncoder:
@@ -146,7 +192,7 @@ class RatelessEncoder:
 
     def __len__(self) -> int:
         pool = self._pool
-        return len(self._entries) + (pool.live if pool is not None else 0)
+        return len(self._entries) + (len(pool.rows) if pool is not None else 0)
 
     @property
     def set_size(self) -> int:
@@ -179,11 +225,11 @@ class RatelessEncoder:
 
         The whole batch is hashed through the codec's keyed batch face,
         then staged in the column pool (NumPy lane) or inserted through
-        the per-item reference engine (``REPRO_NO_NUMPY``, wide symbols,
-        irregular mappings, tiny batches).  With a produced prefix the
-        batch patches the cached bank in one fused scatter.  Duplicates
-        anywhere — the set, the pool, or the batch itself — raise
-        ``KeyError`` before anything is inserted.
+        the per-item reference engine (``REPRO_NO_NUMPY``, symbols past
+        the lane width cut, irregular mappings, tiny batches).  With a
+        produced prefix the batch patches the cached bank in one fused
+        scatter.  Duplicates anywhere — the set, the pool, or the batch
+        itself — raise ``KeyError`` before anything is inserted.
 
         ``item_hashes``, when given, must be the codec hasher's keyed
         64-bit hash of each item, in order (e.g. the values shard
@@ -221,7 +267,7 @@ class RatelessEncoder:
                     raise KeyError(f"duplicate item: {value:#x}")
                 seen.add(value)
         if len(values) >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
-            self._ingest_pooled(values, checksums)
+            self._ingest_pooled(datas, values, checksums)
             return
         frontier = len(self._bank)
         new_mapping = codec.new_mapping
@@ -253,61 +299,48 @@ class RatelessEncoder:
         direction: int,
         alphas: list[float],
         frontier: int,
+        lanes=None,
     ):
         """Replay a batch of symbols from their seeds across the produced
         prefix ``[0, frontier)`` — direction +1 folds them in, −1 peels
         them out.  Picks the fused NumPy scatter when the batch amortises
         the lane round trip (the ``_PATCH_CELLS_PER_ITEM`` crossover),
-        the in-place scalar walk otherwise.  Returns the parked
-        ``(current, state)`` pair per symbol as NumPy arrays when the
-        NumPy lane ran, as lists otherwise.
+        the in-place scalar walk otherwise.  ``lanes`` is the batch's
+        value matrix when the caller already holds it.  Returns the
+        parked ``(current, state)`` pair per symbol as NumPy arrays when
+        the NumPy lane ran, as lists otherwise.
         """
         n = len(values)
         bank = self._bank
+        codec = self.codec
+        ssize = codec.symbol_size
         if (
             n >= NUMPY_MIN_JOBS
-            and n * _PATCH_CELLS_PER_ITEM >= frontier
-            and numpy_block_eligible(self.codec)
+            and 8 * n * _PATCH_CELLS_PER_ITEM >= frontier * (7 + lane_count(ssize))
+            and numpy_block_eligible(codec)
         ):
-            import numpy as np
-
-            wide = self.codec.symbol_size > 8
-            if wide:
-                sums = np.array([s & MASK64 for s in bank.sums], dtype=np.uint64)
-                sums_hi = np.array([s >> 64 for s in bank.sums], dtype=np.uint64)
-                vals = np.array([v & MASK64 for v in values], dtype=np.uint64)
-                vals_hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-            else:
-                sums = np.array(bank.sums, dtype=np.uint64)
-                sums_hi = vals_hi = None
-                vals = np.array(values, dtype=np.uint64)
+            np = _np
+            sums = lanes_from_ints(bank.sums, ssize)
             bank_checksums = np.array(bank.checksums, dtype=np.uint64)
             counts = np.array(bank.counts, dtype=np.int64)
+            csums = np.array(checksums, dtype=np.uint64)
             idx, state = scatter_walk_arrays(
                 sums,
                 bank_checksums,
                 counts,
                 np.zeros(n, dtype=np.int64),
-                np.array(checksums, dtype=np.uint64),
-                vals,
-                np.array(checksums, dtype=np.uint64),
+                csums.copy(),
+                lanes if lanes is not None else lanes_from_ints(values, ssize),
+                csums,
                 np.full(n, direction, dtype=np.int64),
                 frontier,
                 alphas=(
                     np.array(alphas, dtype=np.float64)
-                    if self.codec.irregular is not None
+                    if codec.irregular is not None
                     else None
                 ),
-                sums_hi=sums_hi,
-                vals_hi=vals_hi,
             )
-            if wide:
-                bank.sums[:] = [
-                    lo | (hi << 64)
-                    for lo, hi in zip(sums.tolist(), sums_hi.tolist())
-                ]
-            else:
-                bank.sums[:] = sums.tolist()
+            bank.sums[:] = ints_from_lanes(sums)
             bank.checksums[:] = bank_checksums.tolist()
             bank.counts[:] = counts.tolist()
             return idx, state
@@ -327,42 +360,31 @@ class RatelessEncoder:
         )
         return indices, states
 
-    def _ingest_pooled(self, values: list[int], checksums: list[int]) -> None:
+    def _ingest_pooled(
+        self, datas: list[bytes], values: list[int], checksums: list[int]
+    ) -> None:
         """Stage a validated batch in the column pool, patching any
         produced prefix with one fused scatter."""
-        import numpy as np
-
+        np = _np
         n = len(values)
-        vals = np.array(values, dtype=np.uint64)
+        lanes = lanes_from_bytes(datas, self.codec.symbol_size)
         csums = np.array(checksums, dtype=np.uint64)
-        # The §4.2 mapping walk starts at index 0 (ρ(0) = 1) with the
-        # splitmix64 stream seeded by the keyed checksum.
-        idx = np.zeros(n, dtype=np.int64)
-        state = csums.copy()
         frontier = len(self._bank)
         if frontier:
             idx, state = self._patch_prefix_batch(
-                values, checksums, 1, [DEFAULT_ALPHA] * n, frontier
+                values, checksums, 1, [DEFAULT_ALPHA] * n, frontier, lanes
             )
             idx = np.asarray(idx, dtype=np.int64)
             state = np.asarray(state, dtype=np.uint64)
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = _StagedPool(
-                vals, csums, idx, state, np.ones(n, dtype=bool)
-            )
-            base = 0
         else:
-            base = pool.values.shape[0]
-            pool.values = np.concatenate([pool.values, vals])
-            pool.checksums = np.concatenate([pool.checksums, csums])
-            pool.idx = np.concatenate([pool.idx, idx])
-            pool.state = np.concatenate([pool.state, state])
-            pool.alive = np.concatenate([pool.alive, np.ones(n, dtype=bool)])
-        rows = pool.rows
-        for offset, value in enumerate(values):
-            rows[value] = base + offset
-        pool.live += n
+            # The §4.2 mapping walk starts at index 0 (ρ(0) = 1) with the
+            # splitmix64 stream seeded by the keyed checksum.
+            idx = np.zeros(n, dtype=np.int64)
+            state = csums.copy()
+        if self._pool is None:
+            self._pool = _StagedPool(values, lanes, csums, idx, state)
+        else:
+            self._pool.extend(values, lanes, csums, idx, state)
 
     def _materialize_pool(self) -> None:
         """Turn staged pool rows into heap entries (the per-cell paths
@@ -372,8 +394,6 @@ class RatelessEncoder:
         if pool is None:
             return
         self._pool = None
-        if not pool.live:
-            return
         entries = self._entries
         heap = self._heap
         seq = self._seq
@@ -446,9 +466,9 @@ class RatelessEncoder:
             if entry is not None:
                 entry.alive = False  # lazily dropped from the heap
             else:
-                row = pool_rows.pop(value)
-                pool.alive[row] = False
-                pool.live -= 1
+                pool.kill(value)
+        if pool is not None:
+            pool.compact_if_sparse()
         frontier = len(self._bank)
         if not frontier:
             return
@@ -465,10 +485,8 @@ class RatelessEncoder:
             checksum = entry.checksum
             alpha = entry.gen.alpha
         elif pool is not None and value in pool.rows:
-            row = pool.rows.pop(value)
-            pool.alive[row] = False
-            pool.live -= 1
-            checksum = int(pool.checksums[row])
+            checksum = pool.kill(value)
+            pool.compact_if_sparse()
             alpha = DEFAULT_ALPHA
         else:
             raise KeyError(f"item not in set: {value:#x}")
@@ -544,20 +562,19 @@ class RatelessEncoder:
         encoder._bank = bank
         n = len(values)
         if n >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
-            import numpy as np
-
-            pool = _StagedPool(
-                np.asarray(values, dtype=np.uint64),
+            np = _np
+            lanes = lanes_from_ints(values, codec.symbol_size)
+            encoder._pool = _StagedPool(
+                # Python-int keys read back off the lanes (one C-speed
+                # tolist() at one lane — much faster than per-element
+                # int() casts on a 100k-row restore).
+                ints_from_lanes(lanes),
+                lanes,
                 np.asarray(checksums, dtype=np.uint64),
-                np.asarray(currents, dtype=np.int64),
-                np.asarray(states, dtype=np.uint64),
-                np.ones(n, dtype=bool),
+                # Copies: the kernel advances the walk columns in place.
+                np.array(currents, dtype=np.int64),
+                np.array(states, dtype=np.uint64),
             )
-            # tolist() materialises python ints in C — much faster than
-            # per-element int() casts on a 100k-row restore.
-            pool.rows = dict(zip(pool.values.tolist(), range(n)))
-            pool.live = n
-            encoder._pool = pool
             return encoder
         entries = encoder._entries
         heap = encoder._heap
@@ -653,78 +670,60 @@ class RatelessEncoder:
                 keep.append((key, seq, entry))
         bank = self._bank
         njobs = len(job_indices)
-        pool_jobs = None
-        if pool is not None:
-            import numpy as np
-
-            pool_jobs = np.nonzero(pool.alive & (pool.idx < hi))[0]
-        if pool_jobs is not None and pool_jobs.size == 0:
-            pool_jobs = None
-        if pool_jobs is not None or (
+        codec = self.codec
+        heap_lane = (
             njobs >= NUMPY_MIN_JOBS
             and (m >= NUMPY_MIN_SPAN or njobs >= 256)
-            and numpy_block_eligible(self.codec)
-        ):
-            import numpy as np
-
-            # Pool rows only exist for strictly-eligible codecs (≤8-byte
-            # symbols, regular mapping), so the wide/irregular lanes below
-            # never coincide with a pool concat.
-            wide = self.codec.symbol_size > 8
-            sums = np.zeros(m, dtype=np.uint64)
+            and numpy_block_eligible(codec)
+        )
+        if pool is not None or heap_lane:
+            np = _np
+            ssize = codec.symbol_size
+            sums = np.zeros((m, lane_count(ssize)), dtype=np.uint64)
             checksums = np.zeros(m, dtype=np.uint64)
             counts = np.zeros(m, dtype=np.int64)
-            idx = np.array(job_indices, dtype=np.int64)
-            state = np.array(job_states, dtype=np.uint64)
-            if wide:
-                vals = np.array([v & MASK64 for v in job_values], dtype=np.uint64)
-                vals_hi = np.array([v >> 64 for v in job_values], dtype=np.uint64)
-                sums_hi = np.zeros(m, dtype=np.uint64)
-            else:
-                vals = np.array(job_values, dtype=np.uint64)
-                vals_hi = sums_hi = None
-            csums = np.array(job_checksums, dtype=np.uint64)
-            alphas = (
-                np.array(job_alphas, dtype=np.float64)
-                if self.codec.irregular is not None
-                else None
-            )
-            if pool_jobs is not None:
-                idx = np.concatenate([idx, pool.idx[pool_jobs]])
-                state = np.concatenate([state, pool.state[pool_jobs]])
-                vals = np.concatenate([vals, pool.values[pool_jobs]])
-                csums = np.concatenate([csums, pool.checksums[pool_jobs]])
-            idx, state = scatter_walk_arrays(
-                sums,
-                checksums,
-                counts,
-                idx,
-                state,
-                vals,
-                csums,
-                np.ones(idx.shape[0], dtype=np.int64),
-                hi,
-                base=lo,
-                alphas=alphas,
-                sums_hi=sums_hi,
-                vals_hi=vals_hi,
-            )
-            if pool_jobs is not None:
-                pool.idx[pool_jobs] = idx[njobs:]
-                pool.state[pool_jobs] = state[njobs:]
-            job_indices[:] = idx[:njobs].tolist()
-            job_states[:] = state[:njobs].tolist()
-            if wide:
-                bank.sums.extend(
-                    lo_ | (hi_ << 64)
-                    for lo_, hi_ in zip(sums.tolist(), sums_hi.tolist())
+            if pool is not None:
+                # The pool's own columns, advanced in place: dead rows
+                # sit at _DEAD_ROW and rows parked past the block are
+                # skipped by the kernel, so nothing is gathered here.
+                scatter_walk_arrays(
+                    sums,
+                    checksums,
+                    counts,
+                    pool.idx,
+                    pool.state,
+                    pool.values,
+                    pool.checksums,
+                    np.ones(pool.idx.shape[0], dtype=np.int64),
+                    hi,
+                    base=lo,
                 )
-            else:
-                bank.sums.extend(sums.tolist())
+            if heap_lane:
+                idx, state = scatter_walk_arrays(
+                    sums,
+                    checksums,
+                    counts,
+                    np.array(job_indices, dtype=np.int64),
+                    np.array(job_states, dtype=np.uint64),
+                    lanes_from_ints(job_values, ssize),
+                    np.array(job_checksums, dtype=np.uint64),
+                    np.ones(njobs, dtype=np.int64),
+                    hi,
+                    base=lo,
+                    alphas=(
+                        np.array(job_alphas, dtype=np.float64)
+                        if codec.irregular is not None
+                        else None
+                    ),
+                )
+                job_indices[:] = idx.tolist()
+                job_states[:] = state.tolist()
+            bank.sums.extend(ints_from_lanes(sums))
             bank.checksums.extend(checksums.tolist())
             bank.counts.extend(counts.tolist())
         else:
             bank.extend_zeros(m)
+        if not heap_lane:
             scatter_walk_scalar(
                 bank.sums,
                 bank.checksums,

@@ -13,6 +13,9 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.cellbank import (
     NUMPY_MIN_JOBS,
     CodedSymbolBank,
+    _np,
+    ints_from_lanes,
+    lanes_from_bytes,
     numpy_lane_eligible,
     scatter_walk_arrays,
 )
@@ -44,9 +47,10 @@ class RatelessSketch:
 
         One-shot builds walk each symbol's mapped indices directly — no
         heap needed because the prefix length is known up front.  Big
-        batches of narrow regular symbols ride the vectorised ingestion
-        pipeline (batch keyed hashing + one fused scatter); the per-item
-        loop is the reference engine and emits a bit-identical sketch.
+        batches of regular symbols the lanes carry ride the vectorised
+        ingestion pipeline (batch keyed hashing + one fused scatter over
+        the items' ``(n, k)`` lane matrix); the per-item loop is the
+        reference engine and emits a bit-identical sketch.
         """
         datas = items if isinstance(items, list) else list(items)
         if (
@@ -54,21 +58,19 @@ class RatelessSketch:
             and len(datas) >= NUMPY_MIN_JOBS
             and numpy_lane_eligible(codec)
         ):
-            import numpy as np
-
-            values = codec.to_int_batch(datas)
-            checksums = codec.checksum_batch(datas)
-            sums = np.zeros(size, dtype=np.uint64)
+            np = _np
+            vals = lanes_from_bytes(datas, codec.symbol_size)
+            csums = np.array(codec.checksum_batch(datas), dtype=np.uint64)
+            sums = np.zeros((size, vals.shape[1]), dtype=np.uint64)
             cell_checksums = np.zeros(size, dtype=np.uint64)
             counts = np.zeros(size, dtype=np.int64)
-            csums = np.array(checksums, dtype=np.uint64)
             scatter_walk_arrays(
                 sums,
                 cell_checksums,
                 counts,
                 np.zeros(len(datas), dtype=np.int64),
                 csums.copy(),
-                np.array(values, dtype=np.uint64),
+                vals,
                 csums,
                 np.ones(len(datas), dtype=np.int64),
                 size,
@@ -76,7 +78,7 @@ class RatelessSketch:
             cells = [
                 CodedSymbol(s, k, c)
                 for s, k, c in zip(
-                    sums.tolist(), cell_checksums.tolist(), counts.tolist()
+                    ints_from_lanes(sums), cell_checksums.tolist(), counts.tolist()
                 )
             ]
             return cls(codec, cells, set_size=len(datas))

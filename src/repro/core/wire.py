@@ -25,6 +25,9 @@ from repro.core.cellbank import (
     PACK_MIN_CELLS,
     CodedSymbolBank,
     _np,
+    ints_from_lanes,
+    lanes_from_bytes,
+    lanes_from_ints,
     numpy_block_eligible,
 )
 from repro.core.coded import CodedSymbol
@@ -180,47 +183,17 @@ class SymbolStreamWriter:
         expected = _expected_counts_vector(codec, self.set_size, self.index, n)
         try:
             counts = np.array(bank.counts, dtype=np.int64)
+            sum_lanes = lanes_from_ints(bank.sums, ssize)
+            check_lanes = lanes_from_ints(bank.checksums, csize)
         except (OverflowError, TypeError, ValueError):
             return None
         delta = counts - expected
         zigzag = np.where(delta >= 0, delta * 2, (-delta) * 2 - 1)
         if int(zigzag.max(initial=0)) >= 0x80:
             return None  # some count needs a multibyte varint
-        stride = ssize + csize + 1
-        out = np.zeros((n, stride), dtype=np.uint8)
-
-        def byte_columns(values, width: int):
-            # Little-endian byte matrix of a uint64-per-row lane; None if
-            # any value falls outside [0, 2**(8*width)).
-            try:
-                arr = np.array(values, dtype=np.uint64)
-            except (OverflowError, TypeError, ValueError):
-                return None
-            if width < 8 and int(arr.max(initial=0)) >> (8 * width):
-                return None
-            return arr.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width]
-
-        if ssize <= 8:
-            cols = byte_columns(bank.sums, ssize)
-            if cols is None:
-                return None
-            out[:, :ssize] = cols
-        else:
-            try:
-                lo = [s & 0xFFFFFFFFFFFFFFFF for s in bank.sums]
-                hi = [s >> 64 for s in bank.sums]
-            except TypeError:
-                return None
-            lo_cols = byte_columns(lo, 8)
-            hi_cols = byte_columns(hi, ssize - 8)
-            if lo_cols is None or hi_cols is None:
-                return None
-            out[:, :8] = lo_cols
-            out[:, 8:ssize] = hi_cols
-        check_cols = byte_columns(bank.checksums, csize)
-        if check_cols is None:
-            return None
-        out[:, ssize : ssize + csize] = check_cols
+        out = np.empty((n, ssize + csize + 1), dtype=np.uint8)
+        out[:, :ssize] = sum_lanes.view(np.uint8)[:, :ssize]
+        out[:, ssize : ssize + csize] = check_lanes.view(np.uint8)[:, :csize]
         out[:, ssize + csize] = zigzag.astype(np.uint8)
         return out.tobytes()
 
@@ -331,25 +304,14 @@ class SymbolStreamReader:
         if limit < PACK_MIN_CELLS:
             return 0, 0
         mat = arr[: limit * stride].reshape(limit, stride)
-
-        def lane(col: int, width: int):
-            # Zero-padded little-endian uint64 view of one lane's bytes.
-            pad = np.zeros((limit, 8), dtype=np.uint8)
-            pad[:, :width] = mat[:, col : col + width]
-            return pad.view("<u8").ravel()
-
-        if ssize <= 8:
-            sums = lane(0, ssize).tolist()
-        else:
-            hi = lane(8, ssize - 8).tolist()
-            sums = [int(lo) | (h << 64) for lo, h in zip(lane(0, 8).tolist(), hi)]
-        checks = lane(ssize, csize).tolist()
         zigzag = count_bytes[:limit].astype(np.int64)
         delta = np.where(zigzag & 1, -((zigzag + 1) >> 1), zigzag >> 1)
         assert self.set_size is not None
         expected = _expected_counts_vector(codec, self.set_size, self.index, limit)
-        bank.sums.extend(sums)
-        bank.checksums.extend(checks)
+        bank.sums.extend(ints_from_lanes(lanes_from_bytes(mat[:, :ssize], ssize)))
+        bank.checksums.extend(
+            ints_from_lanes(lanes_from_bytes(mat[:, ssize:fixed], csize))
+        )
         bank.counts.extend((delta + expected).tolist())
         self.index += limit
         return limit, limit * stride

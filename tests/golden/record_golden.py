@@ -254,6 +254,10 @@ def main() -> int:
         "api_schemes": record_api_schemes(),
         "api_estimator": record_api_estimator(),
         "service": record_service(),
+        # Pinned at the commit before the (rows, k) lane-matrix rewrite by
+        # test_golden_wide_stream_payload_pinned's own recipe; carried over
+        # verbatim so a re-record never silently re-bases it.
+        "wide_stream": json.loads(OUT.read_text())["wide_stream"],
     }
     OUT.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {OUT}")

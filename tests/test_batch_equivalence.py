@@ -2,8 +2,9 @@
 to the reference per-cell paths.
 
 Covers both scatter engines (NumPy lane on and off), regular and
-irregular (§8) codecs, wide symbols (>64-bit, scalar-only lane),
-truncated checksums, mid-stream add/remove patching of a bank-backed
+irregular (§8) codecs, wide symbols (2, 3 and 12 uint64 lanes, and one
+width past the lane cut that stays on the scalar engine), truncated
+checksums, mid-stream add/remove patching of a bank-backed
 prefix, block wire framing, and session-level block stepping.
 """
 
@@ -29,6 +30,13 @@ CODECS = {
     "irregular8": lambda: SymbolCodec(8, irregular=PAPER_IRREGULAR),
     "wide16": lambda: SymbolCodec(16),
     "truncated4": lambda: SymbolCodec(8, checksum_size=4),
+    # the (rows, k) uint64 lane matrix: a padded last lane, the §7.3
+    # ledger shape, the same with truncated checksums, and one symbol
+    # just past the width cut (scalar big-int engine on both params)
+    "wide20": lambda: SymbolCodec(20),
+    "wide92": lambda: SymbolCodec(92),
+    "wide92_trunc4": lambda: SymbolCodec(92, checksum_size=4),
+    "past_cut": lambda: SymbolCodec(cellbank.LANE_MAX_SYMBOL_BYTES + 1),
 }
 
 
@@ -365,6 +373,26 @@ def test_feed_into_matches_feed(rng):
     parsed = CodedSymbolBank()
     for i in range(0, len(blob), 11):
         reader_b.feed_into(parsed, blob[i : i + 11])
+    assert parsed == bank
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+def test_wire_block_round_trip_every_codec(lane, codec_name, rng):
+    """write_block == per-cell write, and feed_into parses it back, at
+    every symbol width (dribbled so partial cells are buffered)."""
+    codec, items = codec_items(codec_name, rng, 64)
+    bank = RatelessEncoder(codec, items).produce_block(90)
+    one = SymbolStreamWriter(codec, set_size=64)
+    per_cell = one.header() + b"".join(one.write(cell) for cell in bank.cells())
+    two = SymbolStreamWriter(codec, set_size=64)
+    blob = two.header() + two.write_block(bank)
+    assert blob == per_cell
+    assert one.count_bytes_written == two.count_bytes_written
+    step = 3 * (codec.symbol_size + codec.checksum_size + 1) + 5
+    reader = SymbolStreamReader(codec)
+    parsed = CodedSymbolBank()
+    for i in range(0, len(blob), step * 7):
+        reader.feed_into(parsed, blob[i : i + step * 7])
     assert parsed == bank
 
 

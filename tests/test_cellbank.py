@@ -173,14 +173,24 @@ def test_scatter_walk_scalar_matches_index_generator(rng, alpha):
 
 
 def test_scatter_walk_numpy_matches_scalar(rng):
+    check_scatter_walk_numpy_matches_scalar(rng, 8)
+
+
+@pytest.mark.parametrize("width", [9, 20, 92])
+def test_scatter_walk_numpy_matches_scalar_multi_lane(rng, width):
+    """The same kernel on 2, 3 and 12 uint64 lanes per symbol."""
+    check_scatter_walk_numpy_matches_scalar(rng, width)
+
+
+def check_scatter_walk_numpy_matches_scalar(rng, width):
     np = pytest.importorskip("numpy")
     hi = 128
     seeds = [
-        (int.from_bytes(rng.randbytes(8), "little"), rng.getrandbits(64))
+        (int.from_bytes(rng.randbytes(width), "little"), rng.getrandbits(64))
         for _ in range(64)
     ]
     expected_cells, expected_ends = reference_walk(seeds, [DEFAULT_ALPHA] * 64, hi)
-    sums = np.zeros(hi, dtype=np.uint64)
+    sums = np.zeros((hi, -(-width // 8)), dtype=np.uint64)
     checksums = np.zeros(hi, dtype=np.uint64)
     counts = np.zeros(hi, dtype=np.int64)
     indices, states, values, symbol_checksums, directions = walk_jobs(seeds)
@@ -198,8 +208,10 @@ def test_scatter_walk_numpy_matches_scalar(rng):
         touched=touched,
     )
     got = [
-        CodedSymbol(int(s), int(k), int(c))
-        for s, k, c in zip(sums.tolist(), checksums.tolist(), counts.tolist())
+        CodedSymbol(s, int(k), int(c))
+        for s, k, c in zip(
+            cellbank.ints_from_lanes(sums), checksums.tolist(), counts.tolist()
+        )
     ]
     assert got == expected_cells
     assert list(zip(indices, states)) == expected_ends
@@ -233,7 +245,7 @@ def test_scatter_walk_numpy_base_offset(rng):
         [DEFAULT_ALPHA] * 16,
         base,
     )
-    sums = np.zeros(hi - base, dtype=np.uint64)
+    sums = np.zeros((hi - base, 1), dtype=np.uint64)
     cks = np.zeros(hi - base, dtype=np.uint64)
     counts = np.zeros(hi - base, dtype=np.int64)
     scatter_walk_numpy(
@@ -242,7 +254,7 @@ def test_scatter_walk_numpy_base_offset(rng):
     )
     got = [
         CodedSymbol(int(s), int(k), int(c))
-        for s, k, c in zip(sums.tolist(), cks.tolist(), counts.tolist())
+        for s, k, c in zip(sums[:, 0].tolist(), cks.tolist(), counts.tolist())
     ]
     assert got == expected_cells[base:]
 
@@ -254,10 +266,98 @@ def test_numpy_lane_eligibility(monkeypatch):
         assert not cellbank.numpy_lane_eligible(SymbolCodec(8))
         return
     monkeypatch.setattr(cellbank, "NUMPY_LANE", True)
+    cut = cellbank.LANE_MAX_SYMBOL_BYTES
     assert cellbank.numpy_lane_eligible(SymbolCodec(8))
-    assert not cellbank.numpy_lane_eligible(SymbolCodec(16))  # >64-bit sums
-    assert not cellbank.numpy_lane_eligible(
-        SymbolCodec(8, irregular=PAPER_IRREGULAR)
-    )
+    assert cellbank.numpy_lane_eligible(SymbolCodec(92))  # k uint64 lanes
+    assert cellbank.numpy_lane_eligible(SymbolCodec(cut))
+    assert not cellbank.numpy_lane_eligible(SymbolCodec(cut + 1))  # scalar engine
+    irregular = SymbolCodec(8, irregular=PAPER_IRREGULAR)
+    assert not cellbank.numpy_lane_eligible(irregular)
+    # the two predicates differ only in the irregular-mapping clause
+    assert cellbank.numpy_block_eligible(irregular)
+    assert not cellbank.numpy_block_eligible(SymbolCodec(cut + 1))
     monkeypatch.setattr(cellbank, "NUMPY_LANE", False)
     assert not cellbank.numpy_lane_eligible(SymbolCodec(8))
+
+
+# -- Python ints ↔ uint64 lanes --------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 92])
+def test_lane_converters_round_trip(rng, size):
+    np = pytest.importorskip("numpy")
+    top = (1 << (8 * size)) - 1
+    values = [0, top] + [rng.getrandbits(8 * size) for _ in range(40)]
+    lanes = cellbank.lanes_from_ints(values, size)
+    assert lanes.shape == (len(values), cellbank.lane_count(size))
+    assert lanes.dtype == np.dtype("<u8")
+    assert cellbank.ints_from_lanes(lanes) == values
+    # a field's wire bytes are the first `size` bytes of its lanes ...
+    items = [v.to_bytes(size, "little") for v in values]
+    assert lanes.view(np.uint8)[:, :size].tobytes() == b"".join(items)
+    # ... the padding beyond them is zero, and bytes → lanes agrees
+    assert not lanes.view(np.uint8)[:, size:].any()
+    assert (cellbank.lanes_from_bytes(items, size) == lanes).all()
+    matrix = np.frombuffer(b"".join(items), dtype=np.uint8).reshape(-1, size)
+    assert (cellbank.lanes_from_bytes(matrix, size) == lanes).all()
+    assert cellbank.lanes_from_ints([], size).shape == (0, cellbank.lane_count(size))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 92])
+@pytest.mark.parametrize("bad", ["too_big", "negative"])
+def test_lane_converters_reject_like_to_bytes(size, bad):
+    pytest.importorskip("numpy")
+    value = 1 << (8 * size) if bad == "too_big" else -1
+    with pytest.raises(OverflowError) as canonical:
+        value.to_bytes(size, "little")
+    with pytest.raises(OverflowError) as got:
+        cellbank.lanes_from_ints([5, value], size)
+    assert str(got.value) == str(canonical.value)
+
+
+def test_lanes_from_bytes_rejects_wrong_length_items():
+    pytest.importorskip("numpy")
+    with pytest.raises(ValueError, match="exactly 9 bytes, got 8"):
+        cellbank.lanes_from_bytes([bytes(9), bytes(8)], 9)
+
+
+# -- one lane representation, shown structurally -----------------------------
+
+
+def test_one_lane_representation_in_core():
+    """Symbol width is decided in exactly one place.
+
+    ``repro.core`` once had three width regimes — one uint64 lane up to
+    8 bytes, a ``sums``/``sums_hi`` low/high pair up to 16, Python
+    big-ints beyond — threaded through encoder, decoder and wire as
+    ``& MASK64`` / ``>> 64`` / ``lo | hi << 64`` splits.  Now every width
+    the lanes carry is one ``(rows, k)`` matrix and the only width test
+    is ``cellbank``'s ``LANE_MAX_SYMBOL_BYTES`` inside its two
+    eligibility predicates.  A fourth regime has to edit this test and
+    say why.
+    """
+    import re
+    from pathlib import Path
+
+    core = Path(cellbank.__file__).parent
+    for path in sorted(core.glob("*.py")):
+        text = path.read_text()
+        for relic in ("sums_hi", "vals_hi", ">> 64", "<< 64"):
+            assert relic not in text, f"{path.name}: {relic!r} is the low/high pair"
+    width = r"(?:symbol_size|ssize)"
+    compare = r"(?:<=|>=|==|!=|<|>)"
+    literal_test = re.compile(
+        rf"{width}\s*{compare}\s*\d|\d\s*{compare}\s*(?:\w+\.)*{width}"
+    )
+    for name in ("encoder.py", "decoder.py", "wire.py", "sketch.py"):
+        hits = literal_test.findall((core / name).read_text())
+        assert not hits, f"{name} tests symbol width against a literal: {hits}"
+    # the predicates themselves: one constant, and one clause apart
+    import inspect
+
+    block = inspect.getsource(cellbank.numpy_block_eligible)
+    lane = inspect.getsource(cellbank.numpy_lane_eligible)
+    assert "LANE_MAX_SYMBOL_BYTES" in block and not literal_test.search(block)
+    assert "numpy_block_eligible(codec) and codec.irregular is None" in lane
+    assert "sums_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters
+    assert "vals_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters

@@ -360,3 +360,64 @@ def test_checkpoint_sweeps_stale_generations(tmp_path):
     assert len(gens) == 1  # only the live generation remains
     assert not list(tmp_path.glob("*.tmp"))
     backend.close()
+
+
+# -- wide symbols: the snapshot format does not know about lanes -----------
+
+# Recorded at the commit before the core moved wide symbols onto the
+# (rows, k) uint64 lane matrix: sha256 over each shard's sorted source
+# rows and packed bank (row *order* follows set iteration and is not
+# part of the contract).  Equal content means a snapshot written on
+# either side of that change restores on the other.
+_WIDE_SNAPSHOT_SHA256 = (
+    "f9c4278cecefd2d40725331ac6c393867a90ed9e7f4646384801f05f393e7e45"
+)
+
+
+def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
+    import hashlib
+
+    from repro.durable.snapshot import unpack_shard
+
+    rng = random.Random(92)
+    pool = sorted({rng.randbytes(92) for _ in range(460)})
+    params = dict(symbol_size=92, hasher="siphash")
+    backend = open_durable(
+        tmp_path,
+        pool[:400],
+        num_shards=2,
+        config=DurableConfig(fsync=False),
+        **params,
+    )
+    for shard in range(2):
+        backend.open_stream(shard).next_block(200)
+    backend.add_many(pool[400:])
+    backend.remove_many(pool[:30])
+    backend.checkpoint()
+    backend.close()
+
+    handle = get_scheme("riblt", **params)
+    codec = codec_of(handle)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.snap")):
+        snap = unpack_shard(path.read_bytes(), codec)
+        rows = sorted(
+            zip(
+                map(int, snap.values),
+                map(int, snap.checksums),
+                map(int, snap.currents),
+                map(int, snap.states),
+            )
+        )
+        digest.update(repr((snap.shard, rows)).encode())
+        digest.update(snap.bank.pack(codec))
+    assert digest.hexdigest() == _WIDE_SNAPSHOT_SHA256
+
+    recovered = open_durable(tmp_path)
+    try:
+        final = pool[30:]
+        assert sorted(recovered.sharded) == final
+        sharded = ShardedSet(hash64_of(handle, codec), 2, final)
+        assert_bit_identical(recovered, WarmRibltBackend(handle, sharded, codec))
+    finally:
+        recovered.close()

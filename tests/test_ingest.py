@@ -137,6 +137,34 @@ def test_pool_survives_numpy_lane_loss(rng):
     assert head + tail == reference.produce_block(100).cells()
 
 
+@pytest.mark.parametrize("size", [8, 92])
+def test_pool_compacts_under_churn(rng, size):
+    """200 rounds of 64 adds + 64 removes against a 2 500-item encoder:
+    the column pool must not keep the dead rows (it once grew 64 rows a
+    round for ever), and the stream stays a cold encoder's."""
+    if not cellbank.NUMPY_LANE:
+        pytest.skip("the column pool is the NumPy engine")
+    items = make_items(rng, 2500 + 200 * 64, size)
+    enc = RatelessEncoder(SymbolCodec(size), items[:2500])
+    enc.produce_block(200)
+    live = list(items[:2500])
+    for round_no in range(200):
+        fresh = items[2500 + 64 * round_no : 2500 + 64 * (round_no + 1)]
+        enc.add_items(fresh)
+        stale = [live.pop(rng.randrange(len(live))) for _ in range(64)]
+        live.extend(fresh)
+        enc.remove_items(stale)
+        assert enc._pool.values.shape[0] <= 2 * len(enc)
+    assert len(enc) == 2500
+    assert enc._pool.values.shape == (enc._pool.idx.shape[0], -(-size // 8))
+    cold = RatelessEncoder(SymbolCodec(size), live)
+    assert enc.cached_block(0, 200) == cold.cached_block(0, 200)
+    # the walk keeps going past the patched prefix, compacted rows and all
+    assert enc.cached_block(200, 300) == cold.cached_block(200, 300)
+    values, checksums, currents, states = enc.export_rows()
+    assert sorted(values) == sorted(int.from_bytes(i, "little") for i in live)
+
+
 def test_empty_batches_are_noops(rng):
     enc = RatelessEncoder(SymbolCodec(8), make_items(rng, 10))
     enc.add_items([])

@@ -197,6 +197,43 @@ def test_golden_service_stream_transcripts() -> None:
     assert len(report.only_in_local) == recorded["only_in_client"]
 
 
+@pytest.mark.parametrize("numpy_lane", [True, False], ids=["numpy", "scalar"])
+def test_golden_wide_stream_payload_pinned(numpy_lane: bool, monkeypatch) -> None:
+    """92-byte (§7.3 ledger-shaped) items over the service-profile
+    stream: the server→client SYMBOLS payload and the absorbed symbol
+    count were recorded at the commit *before* the core moved wide
+    symbols onto the ``(rows, k)`` uint64 lane matrix, so this pins the
+    wire across that rewrite on both engines."""
+    import hashlib
+
+    from repro.core import cellbank
+
+    if numpy_lane and not cellbank.NUMPY_LANE:
+        pytest.skip("NumPy lane not available")
+    monkeypatch.setattr(cellbank, "NUMPY_LANE", numpy_lane)
+    recorded = GOLDEN["wide_stream"]
+    size = recorded["item_size"]
+    rng = random.Random(20)
+    pool: set = set()
+    while len(pool) < 2500 + 40 + 48:
+        pool.add(rng.randbytes(size))
+    ordered = sorted(pool)
+    server = ordered[:2540]
+    client = ordered[:2500] + ordered[2540:]
+    handle = get_scheme("riblt", symbol_size=size, hasher="siphash")
+    initiator = InitiatorMachine(handle, client, capture_payloads=True)
+    responder = service_responder(handle, server)
+    report = drive(initiator, responder)
+    payload = bytes(report.payloads[0])
+    assert len(payload) == recorded["payload_len"]
+    assert hashlib.sha256(payload).hexdigest() == recorded["payload_sha256"]
+    assert report.symbols == recorded["symbols"]
+    assert report.only_in_remote == set(ordered[2500:2540])
+    assert report.only_in_local == set(ordered[2540:])
+    assert len(report.only_in_remote) == recorded["only_in_server"]
+    assert len(report.only_in_local) == recorded["only_in_client"]
+
+
 def test_golden_service_sketch_transcripts() -> None:
     """Sketch mode with RETRY doubling: both directions byte-identical to
     the legacy client/server pair (STATS counters included)."""

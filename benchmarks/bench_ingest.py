@@ -4,8 +4,8 @@ The §4.3/§7 workloads are dominated by ingestion at n = 10^5–10^6: keyed
 hashing of every item, the §4.2 mapping walk, and the scatter into the
 bank's lanes.  The vectorised pipeline batches all three stages (lane-
 parallel SipHash, batched splitmix64 + inverse-CDF sampling, one fused
-scatter); the per-item reference engine (``REPRO_NO_NUMPY=1``) is the
-bit-identical baseline it is measured against.
+scatter); the per-item reference engine (``repro.engine.NUMPY_LANE``
+off) is the bit-identical baseline it is measured against.
 
 Rows (gate-comparable, see ``check_perf_regression.py``):
 
@@ -20,15 +20,15 @@ results in ``BENCH_ingest.json``.
 
 import random
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from bench_json import write_bench_json
 from bench_util import by_scale, make_items, report_table
-from repro.core import cellbank
+from repro import engine
 from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
-from repro.hashing import siphash
 from repro.hashing.keyed import SipHasher
 
 ITEM = 8
@@ -61,21 +61,18 @@ def churn_time(encoder: RatelessEncoder, fresh: list[bytes], stale: list[bytes])
     return time.perf_counter() - start
 
 
-# Initial engine flags, restored after the sweep — under REPRO_NO_NUMPY
-# they start False and must stay False for whatever runs next.
-_INITIAL_LANES = (cellbank.NUMPY_LANE, siphash.NUMPY_LANE)
-
-
-def scalar_engine(enabled: bool) -> None:
-    if enabled:
-        cellbank.NUMPY_LANE = False
-        siphash.NUMPY_LANE = False
-    else:
-        cellbank.NUMPY_LANE, siphash.NUMPY_LANE = _INITIAL_LANES
+@contextmanager
+def scalar_engine():
+    """Run the enclosed block on the scalar reference engine."""
+    engine.NUMPY_LANE = False
+    try:
+        yield
+    finally:
+        engine.NUMPY_LANE = True  # the sweep only runs with the lanes on
 
 
 def test_ingest_throughput(benchmark):
-    if not (cellbank.NUMPY_LANE and siphash.NUMPY_LANE):
+    if not engine.NUMPY_LANE:
         pytest.skip("batch-over-scalar comparison needs the NumPy lanes")
     rng = random.Random(105)
     rows = []
@@ -84,55 +81,49 @@ def test_ingest_throughput(benchmark):
     def run():
         all_items = make_items(rng, max(SIZES) + 2 * CHURN, ITEM)
         scalar_seconds = {}
-        try:
-            for n in SIZES:
-                items = all_items[:n]
-                seconds = ingest_time(items)
-                rows.append(
-                    {
-                        "set_size": n,
-                        "seconds": seconds,
-                        "throughput_per_s": n / seconds,
-                    }
-                )
-                if n <= SCALAR_MAX_N:
-                    scalar_engine(True)
-                    scalar_seconds[n] = ingest_time(items)
-                    scalar_engine(False)
-            # Warm-bank churn: one batched add+remove cycle of CHURN items
-            # against a produced prefix (the §7.3 universal-stream patch).
-            base = all_items[: max(SIZES)]
-            fresh = all_items[max(SIZES) : max(SIZES) + CHURN]
-            encoder = RatelessEncoder(SymbolCodec(ITEM), base)
-            encoder.produce_block(SYMBOLS)
-            churn_seconds = churn_time(encoder, fresh, fresh)
+        for n in SIZES:
+            items = all_items[:n]
+            seconds = ingest_time(items)
             rows.append(
                 {
-                    "d": CHURN,
-                    "op": "churn_patch",
-                    "seconds": churn_seconds,
-                    "throughput_per_s": 2 * CHURN / churn_seconds,
+                    "set_size": n,
+                    "seconds": seconds,
+                    "throughput_per_s": n / seconds,
                 }
             )
-            scalar_engine(True)
+            if n <= SCALAR_MAX_N:
+                with scalar_engine():
+                    scalar_seconds[n] = ingest_time(items)
+        # Warm-bank churn: one batched add+remove cycle of CHURN items
+        # against a produced prefix (the §7.3 universal-stream patch).
+        base = all_items[: max(SIZES)]
+        fresh = all_items[max(SIZES) : max(SIZES) + CHURN]
+        encoder = RatelessEncoder(SymbolCodec(ITEM), base)
+        encoder.produce_block(SYMBOLS)
+        churn_seconds = churn_time(encoder, fresh, fresh)
+        rows.append(
+            {
+                "d": CHURN,
+                "op": "churn_patch",
+                "seconds": churn_seconds,
+                "throughput_per_s": 2 * CHURN / churn_seconds,
+            }
+        )
+        with scalar_engine():
             encoder = RatelessEncoder(SymbolCodec(ITEM), base)
             encoder.produce_block(SYMBOLS)
             scalar_churn = churn_time(encoder, fresh, fresh)
-            scalar_engine(False)
-            # Hashing stage in isolation: lane-parallel vs pure-Python
-            # SipHash-2-4 (the keyed hash the paper specifies).
-            sip_n = min(10_000, max(SIZES))
-            sip_items = all_items[:sip_n]
-            start = time.perf_counter()
-            SipHasher().hash64_batch(sip_items)
-            sip_batch = time.perf_counter() - start
-            scalar_engine(True)
+        # Hashing stage in isolation: lane-parallel vs pure-Python
+        # SipHash-2-4 (the keyed hash the paper specifies).
+        sip_n = min(10_000, max(SIZES))
+        sip_items = all_items[:sip_n]
+        start = time.perf_counter()
+        SipHasher().hash64_batch(sip_items)
+        sip_batch = time.perf_counter() - start
+        with scalar_engine():
             start = time.perf_counter()
             SipHasher().hash64_batch(sip_items)
             sip_scalar = time.perf_counter() - start
-            scalar_engine(False)
-        finally:
-            scalar_engine(False)
         largest = max(n for n in scalar_seconds)
         batch_seconds = next(
             row["seconds"] for row in rows if row.get("set_size") == largest

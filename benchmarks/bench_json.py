@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from bench_util import SCALE
+from repro import engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,16 +48,9 @@ def environment_meta() -> dict[str, Any]:
     comparable at a glance: NumPy version (or ``None`` for the scalar
     engine), CPU count, and platform triple.
     """
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - the no-numpy CI leg
-        numpy_version = None
-    if os.environ.get("REPRO_NO_NUMPY", "") == "1":
-        numpy_version = None  # installed but disabled: records scalar-engine
     return {
-        "numpy": numpy_version,
+        # installed but switched off records as the scalar engine it is
+        "numpy": engine.np.__version__ if engine.NUMPY_LANE else None,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }

@@ -27,7 +27,10 @@ from repro.core.symbols import SymbolCodec
 ITEM = 8
 SET_SIZE = by_scale(1_000, 8_000, 30_000)
 DIFFERENCE = by_scale(64, 256, 1_024)
-BLOCK_SIZES = by_scale([1, 64], [1, 16, 64], [1, 16, 64, 256])
+# No block size 1: the core session then steps cell by cell while the
+# engine still frames and windows blocks, so the two arms do different
+# work and the ratio (0.32x recorded) compared nothing.
+BLOCK_SIZES = by_scale([64], [16, 64], [16, 64, 256])
 REPEATS = 3
 
 

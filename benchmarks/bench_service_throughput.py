@@ -15,11 +15,8 @@ Results land in ``BENCH_service_throughput.json`` and
 """
 
 import asyncio
-import os
 import random
-import sys
 import time
-from pathlib import Path
 
 from bench_json import write_bench_json
 from bench_util import SCALE, by_scale, make_items, report_table
@@ -36,11 +33,6 @@ RESTART_CELLS = 256  # first-block depth each restart flavour must serve
 WARM_SPEEDUP_FLOOR = 5.0
 
 WORKLOAD_SEED = 0x5E51CE
-WORKER_COUNTS = by_scale([1, 2], [1, 2, 4], [1, 2, 4, 8])
-WORKER_CLIENTS = by_scale(2, 8, 16)
-POOL_SHARDS = 8  # constant across worker counts: only the pool size varies
-WORKER_SPEEDUP_FLOOR = 1.8
-_SYNC_WORKER = Path(__file__).resolve().parent / "_bench_sync_worker.py"
 
 
 def _workload(rng):
@@ -78,68 +70,6 @@ async def _serve_k_clients(server_items, fresh, k):
     return symbols, payload_bytes, elapsed
 
 
-async def _pool_k_clients(server_items, num_workers, k):
-    """A ``repro.cluster`` pool of ``num_workers`` processes serving
-    ``k`` *subprocess* clients (see ``_bench_sync_worker.py``) — both
-    sides of the socket get their own cores, so the aggregate rate
-    reflects real parallelism, not GIL interleaving."""
-    from repro.cluster import ClusterConfig, ClusterSupervisor
-
-    config = ClusterConfig(
-        num_workers=num_workers,
-        fsync=False,
-        block_size=128,
-        max_symbols_per_shard=None,
-    )
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[1] / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing else src_root + os.pathsep + existing
-    )
-    async with ClusterSupervisor(
-        server_items, num_shards=POOL_SHARDS, config=config
-    ) as sup:
-        host, port = sup.entry_address
-        clients = [
-            await asyncio.create_subprocess_exec(
-                sys.executable,
-                str(_SYNC_WORKER),
-                host,
-                str(port),
-                str(WORKLOAD_SEED),
-                str(i),
-                str(SET_SIZE),
-                str(DIFFERENCE),
-                str(ITEM),
-                stdin=asyncio.subprocess.PIPE,
-                stdout=asyncio.subprocess.PIPE,
-                env=env,
-            )
-            for i in range(k)
-        ]
-        for proc in clients:
-            ready = (await proc.stdout.readline()).decode().strip()
-            assert ready == "READY", ready
-        # Workload generation is done everywhere; the timed window is
-        # GO-broadcast to last DONE.
-        start = time.perf_counter()
-        for proc in clients:
-            proc.stdin.write(b"GO\n")
-            await proc.stdin.drain()
-        symbols = payload_bytes = 0
-        for proc in clients:
-            done = (await proc.stdout.readline()).decode().split()
-            assert done and done[0] == "DONE", done
-            symbols += int(done[1])
-            payload_bytes += int(done[2])
-        elapsed = time.perf_counter() - start
-        for proc in clients:
-            proc.stdin.close()
-            await proc.wait()
-    return symbols, payload_bytes, elapsed
-
-
 def test_service_throughput_vs_clients(benchmark):
     rng = random.Random(WORKLOAD_SEED)
     server_items, fresh = _workload(rng)
@@ -159,47 +89,18 @@ def test_service_throughput_vs_clients(benchmark):
                     "symbols_per_s": symbols / elapsed,
                 }
             )
-        for w in WORKER_COUNTS:
-            symbols, payload_bytes, elapsed = asyncio.run(
-                _pool_k_clients(server_items, w, WORKER_CLIENTS)
-            )
-            rows.append(
-                {
-                    "d": f"workers-{w}",
-                    "clients": WORKER_CLIENTS,
-                    "set_size": SET_SIZE,
-                    "symbols_absorbed": symbols,
-                    "payload_bytes": payload_bytes,
-                    "seconds": elapsed,
-                    "symbols_per_s": symbols / elapsed,
-                }
-            )
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    client_rows = [r for r in rows if "d" not in r]
-    worker_rows = [r for r in rows if "d" in r]
     lines = [f"{'clients':>8} {'symbols':>10} {'seconds':>9} {'symbols/s':>12}"]
     lines += [
         f"{r['clients']:>8} {r['symbols_absorbed']:>10} "
         f"{r['seconds']:>9.3f} {r['symbols_per_s']:>12.0f}"
-        for r in client_rows
+        for r in rows
     ]
     report_table(
         f"Service — symbols/sec vs concurrent clients "
         f"(N={SET_SIZE}, d={DIFFERENCE}, {NUM_SHARDS} shards)",
-        lines,
-    )
-    lines = [f"{'workers':>8} {'symbols':>10} {'seconds':>9} {'symbols/s':>12}"]
-    lines += [
-        f"{r['d'].removeprefix('workers-'):>8} {r['symbols_absorbed']:>10} "
-        f"{r['seconds']:>9.3f} {r['symbols_per_s']:>12.0f}"
-        for r in worker_rows
-    ]
-    report_table(
-        f"Cluster — aggregate symbols/sec vs worker processes "
-        f"(N={SET_SIZE}, d={DIFFERENCE}, {POOL_SHARDS} shards, "
-        f"{WORKER_CLIENTS} subprocess clients)",
         lines,
     )
     write_bench_json(
@@ -209,22 +110,10 @@ def test_service_throughput_vs_clients(benchmark):
             "set_size": SET_SIZE,
             "difference": DIFFERENCE,
             "num_shards": NUM_SHARDS,
-            "pool_shards": POOL_SHARDS,
-            "pool_clients": WORKER_CLIENTS,
             "hasher": SERVICE_HASHER,
         },
     )
     assert all(r["symbols_per_s"] > 0 for r in rows)
-    # The scaling claim needs cores to scale onto: a 1-core runner
-    # serialises the workers and measures only process overhead, so the
-    # floor is asserted where the parallelism physically exists.
-    if SCALE == "default" and (os.cpu_count() or 1) >= 4 and len(worker_rows) > 1:
-        base = worker_rows[0]["symbols_per_s"]
-        best = max(r["symbols_per_s"] for r in worker_rows[1:])
-        assert best >= WORKER_SPEEDUP_FLOOR * base, (
-            f"pool only {best / base:.2f}x over one worker "
-            f"(floor {WORKER_SPEEDUP_FLOOR}x)"
-        )
 
 
 def test_service_restart_cold_vs_warm(benchmark, tmp_path):

@@ -22,12 +22,8 @@ from repro.api.adapters.cellpack import (
 )
 from repro.api.base import StreamingReconciler
 from repro.api.registry import Capabilities, register_scheme
-from repro.baselines.met_iblt import (
-    CELL_OVERHEAD_BYTES,
-    DEFAULT_MET_CONFIG,
-    MetConfig,
-    MetIBLT,
-)
+from repro.baselines.met_iblt import DEFAULT_MET_CONFIG, MetConfig, MetIBLT
+from repro.baselines.table import CELL_OVERHEAD_BYTES
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult
 from repro.core.symbols import SymbolCodec

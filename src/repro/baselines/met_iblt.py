@@ -18,23 +18,21 @@ properties are preserved:
   shorter ones (rate compatibility);
 * each item maps to ``edges_per_block[j]`` distinct cells in block ``j``,
   giving the multi-edge-type degree structure;
-* decoding with the first ``t`` blocks peels like any IBLT.
+* decoding with the first ``t`` blocks peels like any IBLT — the shared
+  :class:`~repro.baselines.table.CellTable` peel, as are insert/delete,
+  subtraction and the batch build.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.core.cellbank import NUMPY_MIN_JOBS, numpy_lane_eligible
-from repro.core.coded import CodedSymbol
+from repro import engine
+from repro.baselines.table import CellTable
 from repro.core.decoder import DecodeResult
 from repro.core.symbols import SymbolCodec
-from repro.hashing.prng import mix64
-
-# Same wire accounting as regular IBLT (§7.1 setup).
-CELL_OVERHEAD_BYTES = 16
+from repro.hashing.prng import mix64, mix64_lanes
 
 _BLOCK_SALT = 0xC2B2AE3D27D4EB4F
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -97,16 +95,14 @@ DEFAULT_MET_CONFIG = MetConfig(
 )
 
 
-class MetIBLT:
+class MetIBLT(CellTable):
     """A MET-IBLT of a set, decodable at any block-aligned prefix."""
 
     def __init__(
         self, codec: SymbolCodec, config: MetConfig = DEFAULT_MET_CONFIG
     ) -> None:
-        self.codec = codec
         self.config = config
-        self.num_cells = config.cumulative_cells(config.levels)
-        self.cells = [CodedSymbol() for _ in range(self.num_cells)]
+        super().__init__(codec, config.cumulative_cells(config.levels))
 
     # -- geometry -----------------------------------------------------------
 
@@ -125,31 +121,54 @@ class MetIBLT:
                 positions.append(pos)
         return positions
 
-    def _positions(self, checksum: int, levels: int) -> list[int]:
+    def positions(self, checksum: int, limit: int) -> list[int]:
+        """Cells of an item in the blocks below the block-aligned ``limit``."""
         positions: list[int] = []
-        for block in range(levels):
+        for block in range(self.config.levels):
+            if self.config.cumulative_cells(block) >= limit:
+                break
             positions.extend(self._positions_in_block(checksum, block))
         return positions
 
-    # -- construction ---------------------------------------------------------
+    def _edge_batches(self, checksums) -> Iterator[tuple]:
+        """Per block, the first ``edges`` candidate positions as ``mix64``
+        lane arithmetic.  The few items whose candidates collide inside a
+        block (rejection resampling is data-dependent) replay that
+        block's scalar walk, so the table is bit-identical to the
+        per-item loop."""
+        np = engine.np
+        config = self.config
+        for block in range(config.levels):
+            size = np.uint64(config.block_sizes[block])
+            base = np.int64(config.cumulative_cells(block))
+            edges = config.edges_per_block[block]
+            cols = []
+            for attempt in range(edges):
+                salt = np.uint64(((block * 131 + attempt) * _BLOCK_SALT) & _MASK)
+                cols.append(
+                    base + (mix64_lanes(checksums + salt) % size).astype(np.int64)
+                )
+            # Rows whose first `edges` candidates are all distinct took
+            # no resampling detour.
+            clean = np.ones(checksums.shape[0], dtype=bool)
+            for a in range(edges):
+                for b in range(a + 1, edges):
+                    clean &= cols[a] != cols[b]
+            rows = np.flatnonzero(clean)
+            for pos in cols:
+                yield rows, pos[rows]
+            redo_rows: list[int] = []
+            redo_slots: list[int] = []
+            for row in np.flatnonzero(~clean).tolist():
+                walked = self._positions_in_block(int(checksums[row]), block)
+                redo_rows += [row] * len(walked)
+                redo_slots += walked
+            yield np.array(redo_rows, dtype=np.int64), np.array(
+                redo_slots, dtype=np.int64
+            )
 
-    def insert(self, data: bytes) -> None:
-        self.insert_value(self.codec.to_int(data))
-
-    def insert_value(self, value: int) -> None:
-        checksum = self.codec.checksum_int(value)
-        for pos in self._positions(checksum, self.config.levels):
-            self.cells[pos].apply(value, checksum, 1)
-
-    def delete(self, data: bytes) -> None:
-        """Remove one item (XOR is self-inverse)."""
-        self.delete_value(self.codec.to_int(data))
-
-    def delete_value(self, value: int) -> None:
-        """Remove one item given in integer form."""
-        checksum = self.codec.checksum_int(value)
-        for pos in self._positions(checksum, self.config.levels):
-            self.cells[pos].apply(value, checksum, -1)
+    def _geometry(self) -> object:
+        return self.config
 
     @classmethod
     def from_items(
@@ -158,91 +177,8 @@ class MetIBLT:
         codec: SymbolCodec,
         config: MetConfig = DEFAULT_MET_CONFIG,
     ) -> "MetIBLT":
-        """Build a table from a batch of items.
-
-        Large batches of narrow symbols ride the vectorised ingestion
-        pipeline: one batch keyed-hash call, then per block the first
-        ``edges`` candidate positions as ``mix64`` lane arithmetic.  The
-        few items whose candidates collide inside a block (rejection
-        resampling is data-dependent) drop back to the per-item walk, so
-        the table is bit-identical to the reference loop.
-        """
-        table = cls(codec, config)
-        datas = items if isinstance(items, list) else list(items)
-        if (
-            len(datas) >= NUMPY_MIN_JOBS
-            and codec.symbol_size <= 8  # one uint64 value vector
-            and numpy_lane_eligible(codec)
-            and all(
-                e < s for e, s in zip(config.edges_per_block, config.block_sizes)
-            )
-        ):
-            table._fill_batch(datas)
-            return table
-        for item in datas:
-            table.insert(item)
-        return table
-
-    def _fill_batch(self, datas: list[bytes]) -> None:
-        """NumPy engine behind :meth:`from_items`."""
-        import numpy as np
-
-        from repro.hashing.prng import mix64_lanes
-
-        codec = self.codec
-        config = self.config
-        values = np.array(codec.to_int_batch(datas), dtype=np.uint64)
-        checksums = np.array(codec.checksum_batch(datas), dtype=np.uint64)
-        sums = np.zeros(self.num_cells, dtype=np.uint64)
-        cell_checksums = np.zeros(self.num_cells, dtype=np.uint64)
-        counts = np.zeros(self.num_cells, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            for block in range(config.levels):
-                size = np.uint64(config.block_sizes[block])
-                base = np.int64(config.cumulative_cells(block))
-                edges = config.edges_per_block[block]
-                cols = []
-                for attempt in range(edges):
-                    salt = np.uint64(
-                        ((block * 131 + attempt) * _BLOCK_SALT) & _MASK
-                    )
-                    cols.append(
-                        base
-                        + (mix64_lanes(checksums + salt) % size).astype(np.int64)
-                    )
-                # Rows whose first `edges` candidates are all distinct took
-                # no resampling detour and scatter as lanes; the rest
-                # replay this block's scalar walk on the same lanes.
-                clean = np.ones(len(datas), dtype=bool)
-                for a in range(edges):
-                    for b in range(a + 1, edges):
-                        clean &= cols[a] != cols[b]
-                for pos in cols:
-                    np.bitwise_xor.at(sums, pos[clean], values[clean])
-                    np.bitwise_xor.at(cell_checksums, pos[clean], checksums[clean])
-                    np.add.at(counts, pos[clean], 1)
-                for row in np.nonzero(~clean)[0].tolist():
-                    checksum = int(checksums[row])
-                    value = np.uint64(values[row])
-                    for pos in self._positions_in_block(checksum, block):
-                        sums[pos] ^= value
-                        cell_checksums[pos] ^= np.uint64(checksum)
-                        counts[pos] += 1
-        self.cells = [
-            CodedSymbol(s, k, c)
-            for s, k, c in zip(
-                sums.tolist(), cell_checksums.tolist(), counts.tolist()
-            )
-        ]
-
-    # -- linearity ---------------------------------------------------------------
-
-    def subtract(self, other: "MetIBLT") -> "MetIBLT":
-        if self.config != other.config or not self.codec.compatible_with(other.codec):
-            raise ValueError("MET-IBLTs have different geometry")
-        out = MetIBLT(self.codec, self.config)
-        out.cells = [a.subtract(b) for a, b in zip(self.cells, other.cells)]
-        return out
+        """Build a table from a batch of items."""
+        return cls(codec, config)._filled(items)
 
     # -- decoding -----------------------------------------------------------------
 
@@ -252,42 +188,7 @@ class MetIBLT:
             levels = self.config.levels
         if not 1 <= levels <= self.config.levels:
             raise ValueError(f"levels must be in 1..{self.config.levels}")
-        limit = self.config.cumulative_cells(levels)
-        cells = [cell.copy() for cell in self.cells[:limit]]
-        codec = self.codec
-        queue = deque(idx for idx, cell in enumerate(cells) if cell.count in (1, -1))
-        remote: list[int] = []
-        local: list[int] = []
-        seen: set[int] = set()
-        while queue:
-            idx = queue.popleft()
-            cell = cells[idx]
-            direction = cell.count
-            if direction != 1 and direction != -1:
-                continue
-            checksum = cell.checksum
-            if codec.checksum_int(cell.sum) != checksum:
-                continue
-            if checksum in seen:
-                continue
-            value = cell.sum
-            seen.add(checksum)
-            if direction == 1:
-                remote.append(value)
-            else:
-                local.append(value)
-            for pos in self._positions(checksum, levels):
-                target = cells[pos]
-                target.apply(value, checksum, -direction)
-                if target.count in (1, -1):
-                    queue.append(pos)
-        success = all(cell.is_zero() for cell in cells)
-        return DecodeResult(
-            success=success,
-            remote=[codec.to_bytes(v) for v in remote],
-            local=[codec.to_bytes(v) for v in local],
-            symbols_used=limit,
-        )
+        return self._peel(self.config.cumulative_cells(levels))
 
     def decode_smallest_prefix(self) -> tuple[DecodeResult, int]:
         """Decode with the fewest blocks that succeed (rate-compatible use).
@@ -305,5 +206,4 @@ class MetIBLT:
         """Bytes on the wire for a ``levels``-block prefix."""
         if levels is None:
             levels = self.config.levels
-        cells = self.config.cumulative_cells(levels)
-        return cells * (self.codec.symbol_size + CELL_OVERHEAD_BYTES)
+        return self._wire_size(self.config.cumulative_cells(levels))

@@ -22,16 +22,27 @@ for every symbol width: sums and source values are a little-endian
 ``(rows, k)`` uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded;
 checksums are a ``(rows,)`` uint64 vector and counts ``(rows,)`` int64.
 This module is the only place Python ints meet those arrays, through
-two converters — :func:`lanes_from_ints` / :func:`ints_from_lanes`, and
+the converters :func:`lanes_from_ints` / :func:`ints_from_lanes` and
 :func:`lanes_from_bytes` for item or wire bytes (one zero-padded
-``frombuffer`` view) — and a field's wire bytes are
-``lanes.view(uint8)[:, :ℓ]``.  An 8-byte symbol is simply ``k = 1``; the
+``frombuffer`` view).  An 8-byte symbol is simply ``k = 1``; the
 kernels view that case as 1-D, which is the whole of its special
 treatment.
 
 Symbols wider than :data:`LANE_MAX_SYMBOL_BYTES` stay on the scalar
 engine: Python's big-int XOR is already memcpy-speed there while the
 lane gathers are not (paper Fig 11's knee; see the constant).
+
+The record codec
+----------------
+Every fixed-width byte layout in the package — the packed bank, the §6
+stream's single-byte-count cells, a snapshot's source rows, the
+count-free cells, a batch of items — is "n records of little-endian
+columns", and :func:`pack_records` / :func:`unpack_records` are the one
+implementation: a vector body (column views into an ``(n, stride)``
+uint8 matrix; a field's bytes are ``lanes.view(uint8)[:, :width]``, at
+any width the lanes carry) and a scalar body (the reference, and the
+path that raises ``int.to_bytes``' canonical ``OverflowError``).
+Callers never choose between them.
 
 Batch sampling (the §4.2 mapping, many symbols at once)
 -------------------------------------------------------
@@ -58,20 +69,19 @@ Two interchangeable engines exist:
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
 double arithmetic is performed in the same order), which the
-golden-equivalence suite asserts.  ``REPRO_NO_NUMPY=1`` forces the
-scalar engine everywhere at import time; at runtime this module's
-``NUMPY_LANE`` governs only the scatter/walk engines here — the batch
-hashing stage has its own ``repro.hashing.siphash.NUMPY_LANE`` (same
-env default), so a full-pipeline engine flip must set both (see
-``scalar_engine`` in ``benchmarks/bench_ingest.py``).
+golden-equivalence suite asserts.  Which one runs is decided by
+:mod:`repro.engine` alone: every vector path here — and in hashing,
+placement, the wire and the durable store — reads its ``NUMPY_LANE``
+at call time, so one assignment flips the whole pipeline.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
+from repro import engine
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA, MAX_INDEX
@@ -79,15 +89,6 @@ from repro.hashing.prng import GAMMA, INV_2_53, MASK64, MIX1, MIX2
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.symbols import SymbolCodec
-
-try:  # pragma: no cover - exercised implicitly by the lane dispatch tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-# Flip to False (or set REPRO_NO_NUMPY=1) to force the scalar engine;
-# the golden-equivalence tests toggle this to cover both lanes.
-NUMPY_LANE = _np is not None and os.environ.get("REPRO_NO_NUMPY", "") != "1"
 
 # Below these sizes the NumPy call overhead outweighs the vector win.
 NUMPY_MIN_JOBS = 8
@@ -109,8 +110,8 @@ NUMPY_TAIL_JOBS = 32
 # commits a row on each side of the cut (BENCH_fig11_item_size.json).
 LANE_MAX_SYMBOL_BYTES = 2048
 
-# Below this many cells the (n, stride) matrix set-up of the vectorised
-# pack/unpack costs more than the per-cell ``to_bytes`` loop.
+# Below this many records the (n, stride) matrix set-up of the record
+# codec's vector body costs more than the per-record ``to_bytes`` loop.
 PACK_MIN_CELLS = 16
 
 
@@ -289,94 +290,29 @@ class CodedSymbolBank:
         * ``checksum`` — ``checksum_size`` bytes, unsigned little-endian;
         * ``count`` — 8 bytes, **signed** little-endian (two's complement).
 
-        Two engines produce it: a per-cell ``int.to_bytes`` reference
-        loop, and a vectorised lane dump (one ``(n, stride)`` uint8
-        matrix filled by column views, emitted with a single
-        ``ndarray.tobytes``) used under NumPy for banks of at least
-        ``PACK_MIN_CELLS`` cells.  Both emit byte-identical blobs — the
-        golden-equivalence suite asserts it — at any symbol width: the
-        sum field is the first ℓ bytes of the cell's k uint64 lanes.
+        Three columns through :func:`pack_records`, whose two engines
+        emit byte-identical blobs at any symbol width.
         """
-        ssize = codec.symbol_size
-        csize = codec.checksum_size
-        stride = ssize + csize + self.COUNT_BYTES
-        if NUMPY_LANE and _np is not None and len(self.sums) >= PACK_MIN_CELLS:
-            blob = self._pack_numpy(ssize, csize, stride)
-            if blob is not None:
-                return blob
-        return self._pack_scalar(ssize, csize, stride)
-
-    def _pack_scalar(self, ssize: int, csize: int, stride: int) -> bytes:
-        """Reference per-cell :meth:`pack` engine (also the fallback that
-        raises the canonical ``OverflowError`` for out-of-range lanes)."""
-        blob = bytearray(stride * len(self.sums))
-        offset = 0
-        for s, k, c in zip(self.sums, self.checksums, self.counts):
-            blob[offset : offset + ssize] = s.to_bytes(ssize, "little")
-            offset += ssize
-            blob[offset : offset + csize] = k.to_bytes(csize, "little")
-            offset += csize
-            blob[offset : offset + 8] = c.to_bytes(8, "little", signed=True)
-            offset += 8
-        return bytes(blob)
-
-    def _pack_numpy(self, ssize: int, csize: int, stride: int) -> Optional[bytes]:
-        """Vectorised :meth:`pack`: fill an ``(n, stride)`` uint8 matrix by
-        column views, dump it with one ``tobytes``.  Returns ``None`` when
-        a lane value does not fit its field (the scalar engine then raises
-        the same error per-cell ``to_bytes`` always raised)."""
-        np = _np
-        n = len(self.sums)
-        try:
-            sum_lanes = lanes_from_ints(self.sums, ssize)
-            check_lanes = lanes_from_ints(self.checksums, csize)
-            counts = np.array(self.counts, dtype="<i8")
-        except OverflowError:
-            return None  # negative sum / oversized count: scalar raises
-        out = np.empty((n, stride), dtype=np.uint8)
-        out[:, :ssize] = sum_lanes.view(np.uint8)[:, :ssize]
-        out[:, ssize : ssize + csize] = check_lanes.view(np.uint8)[:, :csize]
-        out[:, ssize + csize :] = counts.view(np.uint8).reshape(n, 8)
-        return out.tobytes()
+        return pack_records(
+            (self.sums, self.checksums, self.counts),
+            (codec.symbol_size, codec.checksum_size, self.COUNT_BYTES),
+            signed_last=True,
+        )
 
     @classmethod
     def unpack(cls, blob: bytes, codec: "SymbolCodec") -> "CodedSymbolBank":
         """Parse a :meth:`pack`-format byte string back into a bank.
 
         The exact inverse of :meth:`pack` (see there for the normative
-        byte layout).  Mirrors its two engines: a per-cell
-        ``int.from_bytes`` reference loop, and a zero-copy
-        ``np.frombuffer`` view reshaped to ``(n, stride)`` whose column
-        slices become the lanes.  Both parse to identical lane values.
+        byte layout), through :func:`unpack_records`.
         """
-        ssize = codec.symbol_size
-        csize = codec.checksum_size
-        stride = ssize + csize + cls.COUNT_BYTES
-        if len(blob) % stride:
-            raise ValueError(
-                f"bank blob of {len(blob)} bytes is not a multiple of the "
-                f"{stride}-byte cell stride"
+        return cls(
+            *unpack_records(
+                blob,
+                (codec.symbol_size, codec.checksum_size, cls.COUNT_BYTES),
+                signed_last=True,
             )
-        if NUMPY_LANE and _np is not None and len(blob) >= stride * PACK_MIN_CELLS:
-            np = _np
-            mat = np.frombuffer(blob, dtype=np.uint8).reshape(-1, stride)
-            return cls(
-                ints_from_lanes(lanes_from_bytes(mat[:, :ssize], ssize)),
-                ints_from_lanes(lanes_from_bytes(mat[:, ssize : ssize + csize], csize)),
-                mat[:, ssize + csize :].copy().view("<i8").ravel().tolist(),
-            )
-        view = memoryview(blob)
-        sums: list[int] = []
-        checksums: list[int] = []
-        counts: list[int] = []
-        from_bytes = int.from_bytes
-        for offset in range(0, len(blob), stride):
-            sums.append(from_bytes(view[offset : offset + ssize], "little"))
-            offset += ssize
-            checksums.append(from_bytes(view[offset : offset + csize], "little"))
-            offset += csize
-            counts.append(from_bytes(view[offset : offset + 8], "little", signed=True))
-        return cls(sums, checksums, counts)
+        )
 
 
 # -- Python ints ↔ uint64 lanes -------------------------------------------
@@ -399,7 +335,7 @@ def lanes_from_bytes(rows, size: int):
     packed-bank buffer); a string of any other length raises the
     codec's ``ValueError``.
     """
-    np = _np
+    np = engine.np
     if not isinstance(rows, np.ndarray):
         if rows and set(map(len, rows)) != {size}:
             bad = next(len(r) for r in rows if len(r) != size)
@@ -419,7 +355,7 @@ def lanes_from_ints(values, size: int):
     """
     if size <= 8:
         try:
-            lanes = _np.asarray(values, dtype="<u8").reshape(-1, 1)
+            lanes = engine.np.asarray(values, dtype="<u8").reshape(-1, 1)
             if size == 8 or not lanes.size or not int(lanes.max()) >> (8 * size):
                 return lanes
         except OverflowError:
@@ -440,6 +376,93 @@ def ints_from_lanes(lanes) -> list[int]:
     ]
 
 
+# -- the record codec -----------------------------------------------------
+#
+# n records of fixed-width little-endian columns (see the module
+# docstring).  ``widths`` are the column widths in bytes, in record
+# order; ``signed_last`` marks the last column as the bank's 8-byte
+# two's-complement count.  Everything else is unsigned.
+
+
+def pack_records(columns: Sequence, widths: Sequence[int], signed_last: bool = False) -> bytes:
+    """Serialise parallel integer ``columns`` as ``len(columns[0])``
+    records of ``sum(widths)`` bytes each.
+
+    A value outside its field raises ``OverflowError`` exactly as
+    ``int.to_bytes`` words it, on either engine.
+    """
+    signed = [False] * (len(widths) - 1) + [signed_last]
+    if engine.NUMPY_LANE and len(columns[0]) >= PACK_MIN_CELLS:
+        np = engine.np
+        out = np.empty((len(columns[0]), sum(widths)), dtype=np.uint8)
+        lo = 0
+        try:
+            for column, width, sign in zip(columns, widths, signed):
+                if sign:
+                    lanes = np.asarray(column, dtype="<i8").reshape(-1, 1)
+                else:
+                    lanes = lanes_from_ints(column, width)
+                out[:, lo : lo + width] = lanes.view(np.uint8)[:, :width]
+                lo += width
+            return out.tobytes()
+        except OverflowError:
+            pass  # the reference body below raises it in canonical form
+    fields = [
+        [int(v).to_bytes(width, "little", signed=sign) for v in column]
+        for column, width, sign in zip(columns, widths, signed)
+    ]
+    return b"".join(chain.from_iterable(zip(*fields)))
+
+
+def unpack_records(
+    blob: bytes,
+    widths: Sequence[int],
+    signed_last: bool = False,
+    vectors: bool = False,
+) -> list:
+    """Parse :func:`pack_records` output back into one list of Python
+    ints per column.
+
+    ``vectors`` lets a caller that feeds arrays onward (the durable
+    store restoring an encoder's column pool) keep a column of at most
+    8 bytes as the ``(n,)`` NumPy vector the vector body parsed instead
+    of paying for a list it would convert straight back; the scalar
+    body returns lists regardless.
+    """
+    stride = sum(widths)
+    if len(blob) % stride:
+        raise ValueError(
+            f"blob of {len(blob)} bytes is not a multiple of the "
+            f"{stride}-byte record stride"
+        )
+    signed = [False] * (len(widths) - 1) + [signed_last]
+    columns: list = []
+    lo = 0
+    if engine.NUMPY_LANE and len(blob) >= stride * PACK_MIN_CELLS:
+        mat = engine.np.frombuffer(blob, dtype=engine.np.uint8).reshape(-1, stride)
+        for width, sign in zip(widths, signed):
+            lanes = lanes_from_bytes(mat[:, lo : lo + width], width)
+            if sign:
+                lanes = lanes.view("<i8")
+            if vectors and lanes.shape[1] == 1:
+                columns.append(lanes[:, 0])
+            else:
+                columns.append(ints_from_lanes(lanes))
+            lo += width
+        return columns
+    view = memoryview(blob)
+    from_bytes = int.from_bytes
+    for width, sign in zip(widths, signed):
+        columns.append(
+            [
+                from_bytes(view[offset : offset + width], "little", signed=sign)
+                for offset in range(lo, len(blob), stride)
+            ]
+        )
+        lo += width
+    return columns
+
+
 # -- batch scatter-walk samplers ------------------------------------------
 
 
@@ -454,11 +477,7 @@ def numpy_block_eligible(codec: "SymbolCodec") -> bool:
     not bit-identical to scalar libm ``pow`` — everything around it is
     vectorised).
     """
-    return (
-        NUMPY_LANE
-        and _np is not None
-        and codec.symbol_size <= LANE_MAX_SYMBOL_BYTES
-    )
+    return engine.NUMPY_LANE and codec.symbol_size <= LANE_MAX_SYMBOL_BYTES
 
 
 def numpy_lane_eligible(codec: "SymbolCodec") -> bool:
@@ -585,7 +604,7 @@ def scatter_walk_arrays(
     whole column store and park retired rows at a sentinel index.
 
     Each lock-step round scatters one edge per still-active symbol (see
-    :func:`_fold_edges`), then advances every active state with uint64
+    :func:`fold_edges`), then advances every active state with uint64
     vector arithmetic.  Only the walk positions are carried compacted
     from round to round; the k-lane value rows, checksums and
     directions of the active symbols are gathered from the caller's
@@ -610,7 +629,7 @@ def scatter_walk_arrays(
     same arithmetic on the same arrays — per-symbol walks are
     independent, so the hand-off point cannot change the result).
     """
-    np = _np
+    np = engine.np
     if sums.shape[1] == 1:
         # One lane: fold 1-D vectors (same ufunc calls, no row axis).
         sums = sums[:, 0]
@@ -634,13 +653,13 @@ def scatter_walk_arrays(
                 )
                 if walked.size:
                     slot = walked - base
-                    _fold_edges(
+                    fold_edges(
                         sums, checksums, counts, slot, walked_rows, vals, csums, dirs
                     )
                     if touched is not None:
                         touched.append(walked)
                 break
-            _fold_edges(sums, checksums, counts, ia - base, rows, vals, csums, dirs)
+            fold_edges(sums, checksums, counts, ia - base, rows, vals, csums, dirs)
             if touched is not None:
                 touched.append(ia)
             st = st + gamma
@@ -704,20 +723,24 @@ def scatter_walk_arrays(
     return idx, state
 
 
-def _fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
-    """XOR/add one batch of edges into the lanes: edge ``e`` folds source
-    row ``rows[e]`` of ``vals``/``csums``/``dirs`` into lane slot ``slot[e]``.
+def fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
+    """The fixed-position scatter: XOR/add one batch of edges into the
+    lanes.  Edge ``e`` folds source row ``rows[e]`` of ``vals``/``csums``/
+    ``dirs`` into lane slot ``slot[e]`` (``slot`` non-empty).  One round
+    of a scatter walk is one call; so is one hash row of a fixed IBLT
+    table (:func:`fold_items`).
 
     Buffered fancy indexing drops colliding slots, so batches with
     duplicates segment-reduce instead: group equal slots (stable radix
     argsort) and fold each group with ``reduceat`` along the row axis —
     XOR and integer add are commutative, so the fold order inside a
-    group cannot change the result.  All three forms below are exact;
-    ``ufunc.at`` would be too, but runs an order of magnitude slower
-    than any of them.  ``sums``/``vals`` are ``(·, k)`` matrices, or 1-D
-    for the one-lane case; every call is shape-agnostic (``axis=0``).
+    group cannot change the result.  All three forms below are exact
+    (an unbuffered ufunc scatter would be too, but runs an order of
+    magnitude slower than any of them).  ``sums``/``vals`` are ``(·, k)``
+    matrices, or 1-D for the one-lane case; every call is shape-agnostic
+    (``axis=0``).
     """
-    np = _np
+    np = engine.np
     smin = int(slot.min())
     smax = int(slot.max())
     if smin == smax:
@@ -748,6 +771,40 @@ def _fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
     counts[uniq] += np.add.reduceat(dirs[rows], seg)
 
 
+def fold_items(
+    codec: "SymbolCodec",
+    items: Sequence[bytes],
+    size: int,
+    edge_batches: Callable,
+) -> Optional[CodedSymbolBank]:
+    """Fold a batch of items into a fresh ``size``-cell bank at fixed
+    positions — the table build of the IBLT baselines, on the same
+    kernel as the rateless walks.
+
+    ``edge_batches(checksums)`` receives the items' keyed checksums as a
+    uint64 vector and yields ``(rows, slots)`` int64 array pairs: item
+    ``rows[e]`` lands in cell ``slots[e]``.  Returns ``None`` when the
+    vector engine declines (switched off, a symbol past the lane cut,
+    fewer than :data:`NUMPY_MIN_JOBS` items); the caller's per-item
+    loop is then the engine, and builds the identical table.
+    """
+    if len(items) < NUMPY_MIN_JOBS or not numpy_block_eligible(codec):
+        return None
+    np = engine.np
+    vals = lanes_from_bytes(items, codec.symbol_size)
+    csums = np.array(codec.checksum_batch(items), dtype=np.uint64)
+    sums = np.zeros((size, vals.shape[1]), dtype=np.uint64)
+    checksums = np.zeros(size, dtype=np.uint64)
+    counts = np.zeros(size, dtype=np.int64)
+    dirs = np.ones(len(items), dtype=np.int64)
+    # One lane folds as 1-D vectors, as in scatter_walk_arrays.
+    fold_sums, fold_vals = (sums[:, 0], vals[:, 0]) if vals.shape[1] == 1 else (sums, vals)
+    for rows, slots in edge_batches(csums):
+        if rows.size:
+            fold_edges(fold_sums, checksums, counts, slots, rows, fold_vals, csums, dirs)
+    return CodedSymbolBank(ints_from_lanes(sums), checksums.tolist(), counts.tolist())
+
+
 def _walk_tail_scalar(rows, ia, st, al, hi: int):
     """Per-edge finisher for :func:`scatter_walk_arrays` stragglers.
 
@@ -755,11 +812,11 @@ def _walk_tail_scalar(rows, ia, st, al, hi: int):
     ≥ ``hi`` on the reference :class:`~repro.core.mapping.IndexGenerator`
     — cheaper than lock-step rounds once only a handful of symbols are
     still live.  Returns the edges crossed, as parallel ``(index, row)``
-    arrays for one :func:`_fold_edges` call, and the parked ``(idx,
+    arrays for one :func:`fold_edges` call, and the parked ``(idx,
     state)`` per symbol.  No symbol value is touched per edge, so the
     cost does not depend on the lane count.
     """
-    np = _np
+    np = engine.np
     edge_idx: list[int] = []
     edge_rows: list[int] = []
     ends: list[int] = []
@@ -802,7 +859,7 @@ def scatter_walk_numpy(
     (``values`` become lanes as wide as ``sums``' rows; ``alphas`` are
     the per-symbol mapping parameters of §8 irregular codecs).
     """
-    np = _np
+    np = engine.np
     idx, state = scatter_walk_arrays(
         sums,
         checksums,

@@ -18,6 +18,7 @@ from collections import deque
 from itertools import count as _counter
 from typing import Callable, Iterable, Optional
 
+from repro.core.cellbank import pack_records, unpack_records
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult
 from repro.core.mapping import IndexGenerator
@@ -151,30 +152,17 @@ def countless_cell_bytes(codec: SymbolCodec) -> int:
 
 def encode_countless(codec: SymbolCodec, cells: Iterable[CodedSymbol]) -> bytes:
     """Serialise cells without their count field."""
-    parts = []
-    for cell in cells:
-        parts.append(cell.sum.to_bytes(codec.symbol_size, "little"))
-        parts.append(cell.checksum.to_bytes(codec.checksum_size, "little"))
-    return b"".join(parts)
+    cells = list(cells)
+    return pack_records(
+        ([cell.sum for cell in cells], [cell.checksum for cell in cells]),
+        (codec.symbol_size, codec.checksum_size),
+    )
 
 
 def decode_countless(codec: SymbolCodec, data: bytes) -> list[CodedSymbol]:
     """Parse a count-free stream; counts come back as 0 (unknown)."""
-    cell_size = countless_cell_bytes(codec)
-    if len(data) % cell_size:
-        raise ValueError(
-            f"stream length {len(data)} is not a multiple of {cell_size}"
-        )
-    cells = []
-    for offset in range(0, len(data), cell_size):
-        value = int.from_bytes(
-            data[offset : offset + codec.symbol_size], "little"
-        )
-        checksum = int.from_bytes(
-            data[offset + codec.symbol_size : offset + cell_size], "little"
-        )
-        cells.append(CodedSymbol(value, checksum, 0))
-    return cells
+    sums, checksums = unpack_records(data, (codec.symbol_size, codec.checksum_size))
+    return [CodedSymbol(value, checksum, 0) for value, checksum in zip(sums, checksums)]
 
 
 def reconcile_countless(

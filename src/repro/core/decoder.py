@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from itertools import count as _counter
 from typing import Iterable, Optional
 
+from repro import engine
 from repro.core.cellbank import (
     CodedSymbolBank,
-    _np,
     ints_from_lanes,
     lanes_from_ints,
     numpy_block_eligible,
@@ -264,7 +264,7 @@ class RatelessDecoder:
         order-dependent checks (in-round ghost duplicates), so the set of
         recovered symbols is exactly the reference engine's.
         """
-        np = _np
+        np = engine.np
         bank = self._bank
         codec = self.codec
         checksum_int_batch = codec.checksum_int_batch
@@ -501,14 +501,11 @@ class RatelessDecoder:
 
 
 def decode_sketch_cells(
-    cells: Iterable[CodedSymbol],
-    codec: SymbolCodec,
-    copy: bool = True,
+    cells: Iterable[CodedSymbol], codec: SymbolCodec
 ) -> DecodeResult:
     """Decode a complete (already subtracted) list of cells in one call.
 
-    Input cells are never mutated (the decoder banks their values);
-    ``copy`` is retained for interface compatibility.
+    Input cells are never mutated (the decoder banks their values).
     """
     decoder = RatelessDecoder(codec)
     decoder.add_coded_block(CodedSymbolBank.from_cells(cells))

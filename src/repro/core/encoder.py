@@ -32,8 +32,8 @@ advance in place, never touching Python objects), and the pool is
 materialised into heap entries only when a per-cell path needs them
 (``produce_next``, or the NumPy lane going away).  The per-item heap
 path remains for §8 irregular codecs, batches under ``NUMPY_MIN_JOBS``,
-symbols past the lane width cut and ``REPRO_NO_NUMPY=1``; both engines
-produce bit-identical banks.
+symbols past the lane width cut and the scalar engine
+(:mod:`repro.engine`); both engines produce bit-identical banks.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
 removing a source symbol after ``m`` cells were produced simply XORs
@@ -56,11 +56,11 @@ import heapq
 from itertools import count as _counter
 from typing import Iterable, Optional, Sequence
 
+from repro import engine
 from repro.core.cellbank import (
     NUMPY_MIN_JOBS,
     NUMPY_MIN_SPAN,
     CodedSymbolBank,
-    _np,
     ints_from_lanes,
     lane_count,
     lanes_from_bytes,
@@ -133,11 +133,12 @@ class _StagedPool:
 
     def extend(self, keys, values, checksums, idx, state) -> None:
         """Append a batch of rows (``keys`` are their integer values)."""
+        np = engine.np
         base = self.idx.shape[0]
-        self.values = _np.concatenate([self.values, values])
-        self.checksums = _np.concatenate([self.checksums, checksums])
-        self.idx = _np.concatenate([self.idx, idx])
-        self.state = _np.concatenate([self.state, state])
+        self.values = np.concatenate([self.values, values])
+        self.checksums = np.concatenate([self.checksums, checksums])
+        self.idx = np.concatenate([self.idx, idx])
+        self.state = np.concatenate([self.state, state])
         self.rows.update(zip(keys, range(base, base + len(keys))))
 
     def kill(self, key: int) -> int:
@@ -151,7 +152,7 @@ class _StagedPool:
         live = len(self.rows)
         if self.idx.shape[0] <= 2 * live:
             return
-        keep = _np.nonzero(self.idx != _DEAD_ROW)[0]
+        keep = engine.np.nonzero(self.idx != _DEAD_ROW)[0]
         self.values = self.values[keep]
         self.checksums = self.checksums[keep]
         self.idx = self.idx[keep]
@@ -225,7 +226,7 @@ class RatelessEncoder:
 
         The whole batch is hashed through the codec's keyed batch face,
         then staged in the column pool (NumPy lane) or inserted through
-        the per-item reference engine (``REPRO_NO_NUMPY``, symbols past
+        the per-item reference engine (vector engine off, symbols past
         the lane width cut, irregular mappings, tiny batches).  With a
         produced prefix the batch patches the cached bank in one fused
         scatter.  Duplicates anywhere — the set, the pool, or the batch
@@ -319,7 +320,7 @@ class RatelessEncoder:
             and 8 * n * _PATCH_CELLS_PER_ITEM >= frontier * (7 + lane_count(ssize))
             and numpy_block_eligible(codec)
         ):
-            np = _np
+            np = engine.np
             sums = lanes_from_ints(bank.sums, ssize)
             bank_checksums = np.array(bank.checksums, dtype=np.uint64)
             counts = np.array(bank.counts, dtype=np.int64)
@@ -365,7 +366,7 @@ class RatelessEncoder:
     ) -> None:
         """Stage a validated batch in the column pool, patching any
         produced prefix with one fused scatter."""
-        np = _np
+        np = engine.np
         n = len(values)
         lanes = lanes_from_bytes(datas, self.codec.symbol_size)
         csums = np.array(checksums, dtype=np.uint64)
@@ -562,7 +563,7 @@ class RatelessEncoder:
         encoder._bank = bank
         n = len(values)
         if n >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
-            np = _np
+            np = engine.np
             lanes = lanes_from_ints(values, codec.symbol_size)
             encoder._pool = _StagedPool(
                 # Python-int keys read back off the lanes (one C-speed
@@ -677,7 +678,7 @@ class RatelessEncoder:
             and numpy_block_eligible(codec)
         )
         if pool is not None or heap_lane:
-            np = _np
+            np = engine.np
             ssize = codec.symbol_size
             sums = np.zeros((m, lane_count(ssize)), dtype=np.uint64)
             checksums = np.zeros(m, dtype=np.uint64)

@@ -10,17 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.cellbank import (
-    NUMPY_MIN_JOBS,
-    CodedSymbolBank,
-    _np,
-    ints_from_lanes,
-    lanes_from_bytes,
-    numpy_lane_eligible,
-    scatter_walk_arrays,
-)
+from repro.core.cellbank import CodedSymbolBank
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult, RatelessDecoder
+from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 
 
@@ -43,54 +36,13 @@ class RatelessSketch:
     def from_items(
         cls, items: Iterable[bytes], size: int, codec: SymbolCodec
     ) -> "RatelessSketch":
-        """Encode ``items`` into the first ``size`` coded symbols.
-
-        One-shot builds walk each symbol's mapped indices directly — no
-        heap needed because the prefix length is known up front.  Big
-        batches of regular symbols the lanes carry ride the vectorised
-        ingestion pipeline (batch keyed hashing + one fused scatter over
-        the items' ``(n, k)`` lane matrix); the per-item loop is the
-        reference engine and emits a bit-identical sketch.
+        """Encode ``items`` into the first ``size`` coded symbols: the
+        first block a :class:`~repro.core.encoder.RatelessEncoder` of
+        the same set produces (distinct items, as any set has).
         """
         datas = items if isinstance(items, list) else list(items)
-        if (
-            size > 0
-            and len(datas) >= NUMPY_MIN_JOBS
-            and numpy_lane_eligible(codec)
-        ):
-            np = _np
-            vals = lanes_from_bytes(datas, codec.symbol_size)
-            csums = np.array(codec.checksum_batch(datas), dtype=np.uint64)
-            sums = np.zeros((size, vals.shape[1]), dtype=np.uint64)
-            cell_checksums = np.zeros(size, dtype=np.uint64)
-            counts = np.zeros(size, dtype=np.int64)
-            scatter_walk_arrays(
-                sums,
-                cell_checksums,
-                counts,
-                np.zeros(len(datas), dtype=np.int64),
-                csums.copy(),
-                vals,
-                csums,
-                np.ones(len(datas), dtype=np.int64),
-                size,
-            )
-            cells = [
-                CodedSymbol(s, k, c)
-                for s, k, c in zip(
-                    ints_from_lanes(sums), cell_checksums.tolist(), counts.tolist()
-                )
-            ]
-            return cls(codec, cells, set_size=len(datas))
-        cells = [CodedSymbol() for _ in range(size)]
-        count = 0
-        for data in datas:
-            count += 1
-            value = codec.to_int(data)
-            checksum = codec.checksum_int(value)
-            for idx in codec.new_mapping(checksum).indices_below(size):
-                cells[idx].apply(value, checksum, 1)
-        return cls(codec, cells, set_size=count)
+        bank = RatelessEncoder(codec, datas).produce_block(size)
+        return cls(codec, bank.cells(), set_size=len(datas))
 
     @classmethod
     def zero(cls, size: int, codec: SymbolCodec) -> "RatelessSketch":

@@ -16,16 +16,9 @@ decoder's purity test and the wire format stay consistent automatically.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly by the lane dispatch tests
-    import numpy as _batch_np
-except ImportError:  # pragma: no cover
-    _batch_np = None
-if os.environ.get("REPRO_NO_NUMPY", "") == "1":  # pragma: no cover
-    _batch_np = None
-
+from repro.core.cellbank import lane_count, unpack_records
 from repro.core.mapping import IndexGenerator
 from repro.core.params import CHECKSUM_BYTES, DEFAULT_ALPHA
 from repro.hashing.keyed import Blake2bHasher, KeyedHasher
@@ -91,38 +84,15 @@ class SymbolCodec:
         return int.from_bytes(data, "little")
 
     def to_int_batch(self, datas: "Sequence[bytes]") -> list[int]:
-        """Pack many ℓ-byte items into integers, in order.
-
-        Items of at most 8 bytes ride a single ``frombuffer`` view under
-        NumPy; anything else (wide items, ragged input, no NumPy) takes
-        the per-item ``int.from_bytes`` loop with its per-item error.
+        """Pack many ℓ-byte items into integers, in order: the batch is
+        one column of ℓ-byte records for the record codec.  An item of
+        any other length raises the same error as :meth:`to_int`.
         """
         size = self.symbol_size
-        n = len(datas)
-        if _batch_np is not None and size <= 8 and n >= 32:
-            lengths = set(map(len, datas))
-            if lengths and lengths != {size}:
-                bad = next(len(d) for d in datas if len(d) != size)
-                raise ValueError(
-                    f"item must be exactly {size} bytes, got {bad}"
-                )
-            joined = b"".join(datas)
-            if size == 8:
-                return _batch_np.frombuffer(joined, dtype="<u8").tolist()
-            mat = _batch_np.zeros((n, 8), dtype=_batch_np.uint8)
-            mat[:, :size] = _batch_np.frombuffer(
-                joined, dtype=_batch_np.uint8
-            ).reshape(n, size)
-            return mat.view("<u8").ravel().tolist()
-        from_bytes = int.from_bytes
-        out = []
-        for data in datas:
-            if len(data) != size:
-                raise ValueError(
-                    f"item must be exactly {size} bytes, got {len(data)}"
-                )
-            out.append(from_bytes(data, "little"))
-        return out
+        if datas and set(map(len, datas)) != {size}:
+            bad = next(len(d) for d in datas if len(d) != size)
+            raise ValueError(f"item must be exactly {size} bytes, got {bad}")
+        return unpack_records(b"".join(datas), (size,))[0]
 
     def to_bytes(self, value: int) -> bytes:
         """Unpack an integer sum back into ℓ bytes."""
@@ -179,7 +149,7 @@ class SymbolCodec:
         pure-cell candidate).
         """
         size = self.symbol_size
-        if size <= 8:
+        if lane_count(size) == 1:  # one lane is one hash block
             batch = getattr(self.hasher, "hash64_int_batch", None)
             if batch is not None:
                 hashes = batch(values, size)

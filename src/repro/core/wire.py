@@ -19,16 +19,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+from repro import engine
 from repro.core import varint
 from repro.core.cellbank import (
-    NUMPY_LANE,
     PACK_MIN_CELLS,
     CodedSymbolBank,
-    _np,
-    ints_from_lanes,
-    lanes_from_bytes,
-    lanes_from_ints,
     numpy_block_eligible,
+    pack_records,
+    unpack_records,
 )
 from repro.core.coded import CodedSymbol
 from repro.core.symbols import SymbolCodec
@@ -56,6 +54,16 @@ def expected_count(codec: SymbolCodec, set_size: int, index: int) -> int:
     return round(set_size * rho)
 
 
+def _count_vector_applies(codec: SymbolCodec, set_size: int, cells: int) -> bool:
+    """True when a block of ``cells`` cells is worth (and safe for) the
+    vectorised expected-count arithmetic; the scalar loops serve the rest."""
+    return (
+        cells >= PACK_MIN_CELLS
+        and numpy_block_eligible(codec)
+        and set_size < _MAX_VECTOR_SET_SIZE
+    )
+
+
 def _expected_counts_vector(codec: SymbolCodec, set_size: int, start: int, n: int):
     """``expected_count`` for indices ``[start, start+n)`` as an int64 array.
 
@@ -64,7 +72,7 @@ def _expected_counts_vector(codec: SymbolCodec, set_size: int, start: int, n: in
     matches Python ``round``'s half-to-even on these magnitudes), and the
     irregular branch simply calls the scalar function per index.
     """
-    np = _np
+    np = engine.np
     if codec.irregular is None:
         idx = np.arange(start, start + n, dtype=np.float64)
         rho = 1.0 / (1.0 + 0.5 * idx)
@@ -119,28 +127,21 @@ class SymbolStreamWriter:
         """Serialise a whole bank of cells; byte-identical to per-cell
         :meth:`write` calls, without materialising cell objects.
 
-        Under NumPy, blocks whose count deltas all fit a single zigzag
-        byte (the overwhelmingly common case — §6's point is that deltas
-        concentrate near zero) are emitted as one ``(n, ℓ+checksum+1)``
-        uint8 matrix dump; any wider delta, lane overflow, or ineligible
-        codec falls back to the scalar loop for the whole block.
+        Blocks whose count deltas all fit a single zigzag byte (the
+        overwhelmingly common case — §6's point is that deltas
+        concentrate near zero) are fixed-width records, emitted by the
+        record codec in one pass; any wider delta or ineligible codec
+        takes the scalar loop for the whole block.
         """
         codec = self.codec
-        if (
-            NUMPY_LANE
-            and _np is not None
-            and len(bank) >= PACK_MIN_CELLS
-            and numpy_block_eligible(codec)
-            and self.set_size < _MAX_VECTOR_SET_SIZE
-        ):
-            blob = self._write_block_numpy(bank)
-            if blob is not None:
-                n = len(bank)
-                self.index += n
-                self.cells_written += n
-                self.bytes_written += len(blob)
-                self.count_bytes_written += n  # one zigzag byte per cell
-                return blob
+        blob = self._write_block_records(bank)
+        if blob is not None:
+            n = len(bank)
+            self.index += n
+            self.cells_written += n
+            self.bytes_written += len(blob)
+            self.count_bytes_written += n  # one zigzag byte per cell
+            return blob
         symbol_size = codec.symbol_size
         checksum_size = codec.checksum_size
         set_size = self.set_size
@@ -166,36 +167,32 @@ class SymbolStreamWriter:
         self.count_bytes_written += count_bytes
         return blob
 
-    def _write_block_numpy(self, bank: CodedSymbolBank) -> Optional[bytes]:
-        """Vectorised :meth:`write_block` engine.
+    def _write_block_records(self, bank: CodedSymbolBank) -> Optional[bytes]:
+        """:meth:`write_block` for a block of single-byte count deltas:
+        ``sum ∥ checksum ∥ zigzag byte`` records.
 
-        Returns ``None`` whenever the block cannot be proven to serialise
-        exactly as the scalar loop would — a count delta needing a
-        multibyte varint, a sum/checksum that does not fit its field
-        (the scalar engine then raises the canonical ``OverflowError``),
-        or non-integer lane contents.
+        Returns ``None`` when the §6 expected-count vector is not
+        available (vector engine off, small block, absurd set size) or
+        some count needs a multibyte varint — the scalar loop then
+        serialises the block.
         """
-        np = _np
         codec = self.codec
-        ssize = codec.symbol_size
-        csize = codec.checksum_size
-        n = len(bank.sums)
-        expected = _expected_counts_vector(codec, self.set_size, self.index, n)
+        n = len(bank)
+        if not _count_vector_applies(codec, self.set_size, n):
+            return None
+        np = engine.np
         try:
             counts = np.array(bank.counts, dtype=np.int64)
-            sum_lanes = lanes_from_ints(bank.sums, ssize)
-            check_lanes = lanes_from_ints(bank.checksums, csize)
-        except (OverflowError, TypeError, ValueError):
+        except OverflowError:
             return None
-        delta = counts - expected
+        delta = counts - _expected_counts_vector(codec, self.set_size, self.index, n)
         zigzag = np.where(delta >= 0, delta * 2, (-delta) * 2 - 1)
         if int(zigzag.max(initial=0)) >= 0x80:
             return None  # some count needs a multibyte varint
-        out = np.empty((n, ssize + csize + 1), dtype=np.uint8)
-        out[:, :ssize] = sum_lanes.view(np.uint8)[:, :ssize]
-        out[:, ssize : ssize + csize] = check_lanes.view(np.uint8)[:, :csize]
-        out[:, ssize + csize] = zigzag.astype(np.uint8)
-        return out.tobytes()
+        return pack_records(
+            (bank.sums, bank.checksums, zigzag),
+            (codec.symbol_size, codec.checksum_size, 1),
+        )
 
     @property
     def mean_count_bytes(self) -> float:
@@ -226,11 +223,10 @@ class SymbolStreamReader:
         """Append bytes; parse every completed cell straight into ``bank``'s
         lanes (no cell objects).  Returns the number of cells appended.
 
-        Under NumPy, the maximal prefix of whole cells whose count varint
-        is a single byte is parsed as one reshaped uint8 matrix (the
-        mirror of :meth:`SymbolStreamWriter.write_block`'s fast path);
-        the scalar loop then handles any multibyte-varint, partial, or
-        corrupt tail exactly as before.
+        The maximal prefix of whole cells whose count varint is a single
+        byte is parsed as fixed-width records (the mirror of
+        :meth:`SymbolStreamWriter.write_block`'s fast path); the scalar
+        loop then handles any multibyte-varint, partial, or corrupt tail.
         """
         self._buffer.extend(data)
         if not self._header_parsed and not self._try_parse_header():
@@ -245,19 +241,9 @@ class SymbolStreamReader:
         counts = bank.counts
         set_size = self.set_size
         assert set_size is not None
-        appended = 0
         buf = bytes(self._buffer)
-        pos = 0
         end = len(buf)
-        if (
-            NUMPY_LANE
-            and _np is not None
-            and end >= (fixed + 1) * PACK_MIN_CELLS
-            and numpy_block_eligible(codec)
-            and set_size < _MAX_VECTOR_SET_SIZE
-        ):
-            parsed, pos = self._feed_numpy(bank, buf)
-            appended += parsed
+        appended, pos = self._feed_records(bank, buf)
         while end - pos >= fixed + 1:
             try:
                 delta, after = decode_svarint(buf, pos + fixed)
@@ -281,37 +267,37 @@ class SymbolStreamReader:
             del self._buffer[:pos]
         return appended
 
-    def _feed_numpy(self, bank: CodedSymbolBank, buf: bytes) -> tuple[int, int]:
-        """Vector-parse the maximal aligned prefix of single-byte-varint
-        cells from ``buf``.  Returns ``(cells_appended, bytes_consumed)``;
-        ``(0, 0)`` when the prefix is too short to beat the scalar loop.
+    def _feed_records(self, bank: CodedSymbolBank, buf: bytes) -> tuple[int, int]:
+        """Parse the maximal aligned prefix of single-byte-varint cells
+        of ``buf`` as ``sum ∥ checksum ∥ zigzag byte`` records.  Returns
+        ``(cells_appended, bytes_consumed)``; ``(0, 0)`` when the §6
+        expected-count vector is not available or the prefix is too
+        short to beat the scalar loop.
 
         Only cells up to (but not including) the first count byte with
         the continuation bit set are taken, so multibyte varints — and any
         corrupt ones — are always left to the scalar reference parser.
         """
-        np = _np
         codec = self.codec
         ssize = codec.symbol_size
         csize = codec.checksum_size
-        fixed = ssize + csize
-        stride = fixed + 1
+        stride = ssize + csize + 1
         nmax = len(buf) // stride
-        arr = np.frombuffer(buf, dtype=np.uint8)
-        count_bytes = arr[fixed::stride][:nmax]
+        assert self.set_size is not None
+        if not _count_vector_applies(codec, self.set_size, nmax):
+            return 0, 0
+        np = engine.np
+        count_bytes = np.frombuffer(buf, dtype=np.uint8)[stride - 1 :: stride][:nmax]
         multibyte = np.nonzero(count_bytes & 0x80)[0]
         limit = int(multibyte[0]) if multibyte.size else nmax
         if limit < PACK_MIN_CELLS:
             return 0, 0
-        mat = arr[: limit * stride].reshape(limit, stride)
+        sums, checksums, _ = unpack_records(buf[: limit * stride], (ssize, csize, 1))
         zigzag = count_bytes[:limit].astype(np.int64)
         delta = np.where(zigzag & 1, -((zigzag + 1) >> 1), zigzag >> 1)
-        assert self.set_size is not None
         expected = _expected_counts_vector(codec, self.set_size, self.index, limit)
-        bank.sums.extend(ints_from_lanes(lanes_from_bytes(mat[:, :ssize], ssize)))
-        bank.checksums.extend(
-            ints_from_lanes(lanes_from_bytes(mat[:, ssize:fixed], csize))
-        )
+        bank.sums.extend(sums)
+        bank.checksums.extend(checksums)
         bank.counts.extend((delta + expected).tolist())
         self.index += limit
         return limit, limit * stride

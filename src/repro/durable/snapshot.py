@@ -18,20 +18,20 @@ Layout (all integers little-endian)::
     n_cells  x ( sum[ssize] | checksum[csize] | count[8 signed] )
     crc32 of everything above, 4 bytes
 
-Parsing rides the NumPy structured-dtype lane when available (one
-``frombuffer`` per section — this is what makes warm restart beat cold
-re-ingest by the benched margin); the scalar fallback produces
-bit-identical state, and the no-numpy CI leg runs the whole durability
-suite through it.
+Both sections are fixed-width records, written and parsed by the one
+record codec (:func:`repro.core.cellbank.pack_records` /
+:func:`~repro.core.cellbank.unpack_records`) at every symbol width; this
+module only frames them.  Parsing whole sections at once is what makes
+warm restart beat cold re-ingest by the benched margin.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.core.cellbank import NUMPY_LANE, CodedSymbolBank
+from repro.core.cellbank import CodedSymbolBank, pack_records, unpack_records
 from repro.core.symbols import SymbolCodec
 from repro.core.varint import decode_uvarint, encode_uvarint
 from repro.durable.errors import CorruptSnapshot, DataDirMismatch
@@ -40,13 +40,6 @@ MAGIC = b"RPSNAP1\n"
 FORMAT = 1
 _CRC_BYTES = 4
 _WALK_BYTES = 8  # current and state are 8 bytes each
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-_NP_WIDTHS = (1, 2, 4, 8)
 
 
 @dataclass
@@ -78,20 +71,11 @@ def pack_shard(snapshot: ShardSnapshot, codec: SymbolCodec) -> bytes:
         csize,
     ):
         head += encode_uvarint(field)
-    body = bytearray(rows * (ssize + csize + 2 * _WALK_BYTES))
-    offset = 0
-    for value, checksum, current, state in zip(
-        snapshot.values, snapshot.checksums, snapshot.currents, snapshot.states
-    ):
-        body[offset : offset + ssize] = int(value).to_bytes(ssize, "little")
-        offset += ssize
-        body[offset : offset + csize] = int(checksum).to_bytes(csize, "little")
-        offset += csize
-        body[offset : offset + 8] = int(current).to_bytes(8, "little")
-        offset += 8
-        body[offset : offset + 8] = int(state).to_bytes(8, "little")
-        offset += 8
-    blob = bytes(head) + bytes(body) + snapshot.bank.pack(codec)
+    body = pack_records(
+        (snapshot.values, snapshot.checksums, snapshot.currents, snapshot.states),
+        (ssize, csize, _WALK_BYTES, _WALK_BYTES),
+    )
+    blob = bytes(head) + body + snapshot.bank.pack(codec)
     crc = zlib.crc32(blob) & 0xFFFFFFFF
     return blob + crc.to_bytes(_CRC_BYTES, "little")
 
@@ -133,85 +117,20 @@ def unpack_shard(blob: bytes, codec: SymbolCodec, name: str = "snapshot") -> Sha
     cells_end = rows_end + n_cells * cell_stride
     if cells_end != len(payload):
         raise CorruptSnapshot(f"{name}: body length does not match header")
-    rows_blob = payload[offset:rows_end]
-    cells_blob = payload[rows_end:cells_end]
-    if (
-        _np is not None
-        and NUMPY_LANE
-        and ssize in _NP_WIDTHS
-        and csize in _NP_WIDTHS
-    ):
-        values, checksums, currents, states = _parse_rows_numpy(
-            rows_blob, ssize, csize
-        )
-        bank = _parse_bank_numpy(cells_blob, ssize, csize)
-    else:
-        values, checksums, currents, states = _parse_rows_scalar(
-            rows_blob, ssize, csize
-        )
-        bank = CodedSymbolBank.unpack(cells_blob, codec)
+    values, checksums, currents, states = unpack_records(
+        payload[offset:rows_end],
+        (ssize, csize, _WALK_BYTES, _WALK_BYTES),
+        vectors=True,  # the rows feed RatelessEncoder.restore's column pool
+    )
+    bank = CodedSymbolBank.unpack(payload[rows_end:cells_end], codec)
     return ShardSnapshot(shard, version, values, checksums, currents, states, bank)
 
 
 def snapshot_members(snapshot: ShardSnapshot, codec: SymbolCodec) -> set:
-    """Rebuild the shard's member-bytes set from the snapshot's values.
-
-    Values round-trip through one vectorised ``astype``/``tobytes`` on
-    the NumPy lane; the scalar path converts one at a time.  Either way
-    the result is exactly the items that were ingested (values are the
-    little-endian integer form of the fixed-width items).
+    """Rebuild the shard's member-bytes set from the snapshot's values
+    (the little-endian integer form of the fixed-width items): one
+    column of ℓ-byte records, sliced back into items.
     """
     ssize = codec.symbol_size
-    values = snapshot.values
-    if _np is not None and isinstance(values, _np.ndarray) and ssize in _NP_WIDTHS:
-        blob = values.astype(f"<u{ssize}").tobytes()
-        return {blob[o : o + ssize] for o in range(0, len(blob), ssize)}
-    to_bytes = codec.to_bytes
-    return {to_bytes(int(value)) for value in values}
-
-
-def _parse_rows_numpy(blob: bytes, ssize: int, csize: int):
-    dtype = _np.dtype(
-        [
-            ("value", f"<u{ssize}"),
-            ("checksum", f"<u{csize}"),
-            ("current", "<u8"),
-            ("state", "<u8"),
-        ]
-    )
-    rows = _np.frombuffer(blob, dtype=dtype)
-    return (
-        rows["value"].astype(_np.uint64),
-        rows["checksum"].astype(_np.uint64),
-        rows["current"].astype(_np.int64),
-        rows["state"].astype(_np.uint64),
-    )
-
-
-def _parse_bank_numpy(blob: bytes, ssize: int, csize: int) -> CodedSymbolBank:
-    dtype = _np.dtype(
-        [("sum", f"<u{ssize}"), ("checksum", f"<u{csize}"), ("count", "<i8")]
-    )
-    cells = _np.frombuffer(blob, dtype=dtype)
-    return CodedSymbolBank(
-        cells["sum"].tolist(), cells["checksum"].tolist(), cells["count"].tolist()
-    )
-
-
-def _parse_rows_scalar(blob: bytes, ssize: int, csize: int):
-    values: List[int] = []
-    checksums: List[int] = []
-    currents: List[int] = []
-    states: List[int] = []
-    view = memoryview(blob)
-    from_bytes = int.from_bytes
-    stride = ssize + csize + 2 * _WALK_BYTES
-    for offset in range(0, len(blob), stride):
-        values.append(from_bytes(view[offset : offset + ssize], "little"))
-        offset += ssize
-        checksums.append(from_bytes(view[offset : offset + csize], "little"))
-        offset += csize
-        currents.append(from_bytes(view[offset : offset + 8], "little"))
-        offset += 8
-        states.append(from_bytes(view[offset : offset + 8], "little"))
-    return values, checksums, currents, states
+    blob = pack_records((snapshot.values,), (ssize,))
+    return {blob[o : o + ssize] for o in range(0, len(blob), ssize)}

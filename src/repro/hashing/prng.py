@@ -10,6 +10,8 @@ identical streams from a recovered symbol.
 
 from __future__ import annotations
 
+from repro import engine
+
 # The splitmix64 constants are public: the batch samplers in
 # ``repro.core.cellbank`` inline the state transition (both as local-variable
 # arithmetic and as NumPy uint64 vectors) and must stay bit-identical to
@@ -44,12 +46,12 @@ def mix64(z: int) -> int:
 def mix64_lanes(z):
     """:func:`mix64` over a NumPy uint64 array (element-for-element equal).
 
-    The caller supplies (and therefore has) NumPy; the array form is what
-    the batched IBLT table fills hash their position lanes with.  Wrap-on-
-    overflow multiplication is exactly the ``& MASK`` of the scalar path.
+    The caller supplies the array (so the vector engine is on); the
+    array form is what shard placement and the batched IBLT table fills
+    hash their position lanes with.  Wrap-on-overflow multiplication is
+    exactly the ``& MASK`` of the scalar path.
     """
-    import numpy as np
-
+    np = engine.np
     u30, u27, u31 = np.uint64(30), np.uint64(27), np.uint64(31)
     with np.errstate(over="ignore"):
         z = (z ^ (z >> u30)) * np.uint64(MIX1)

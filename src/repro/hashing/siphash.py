@@ -11,25 +11,17 @@ Two entry points:
 * :func:`siphash24_batch` — many fixed-width messages at once.  SipRounds
   are pure 64-bit add/rotate/xor, so the whole batch advances in
   lock-step as uint64 lane arithmetic under NumPy (the set-ingestion
-  pipeline hashes every item of a batch this way); without NumPy (or
-  under ``REPRO_NO_NUMPY=1``) it falls back to a :func:`siphash24` loop.
-  Both engines are bit-identical, which the reference-vector tests
-  assert entry by entry.
+  pipeline hashes every item of a batch this way); with the vector
+  engine off (:mod:`repro.engine`) it falls back to a :func:`siphash24`
+  loop.  Both engines are bit-identical, which the reference-vector
+  tests assert entry by entry.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-try:  # pragma: no cover - exercised implicitly by the engine dispatch tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-# Flip to False (or set REPRO_NO_NUMPY=1) to force the scalar engine; the
-# same kill switch the cellbank samplers honour.
-NUMPY_LANE = _np is not None and os.environ.get("REPRO_NO_NUMPY", "") != "1"
+from repro import engine
 
 # Below this batch size the NumPy call overhead outweighs the lane win.
 NUMPY_MIN_BATCH = 8
@@ -127,7 +119,7 @@ def siphash24_batch(key: bytes, items: Sequence[bytes]) -> list[int]:
     # costs nearly as much as the hashing itself on large batches.
     if set(map(len, items)) != {size}:
         raise ValueError("siphash24_batch requires equal-length messages")
-    if not NUMPY_LANE or _np is None or n < NUMPY_MIN_BATCH:
+    if not engine.NUMPY_LANE or n < NUMPY_MIN_BATCH:
         return [siphash24(key, item) for item in items]
     return _siphash24_lanes(key, items, size)
 
@@ -195,7 +187,7 @@ def siphash24_int_batch(key: bytes, values: Sequence[int], size: int) -> list[in
     # Same contract as int.to_bytes: reject values outside [0, 2^(8·size)).
     if min(values) < 0 or max(values) >> (8 * size):
         raise OverflowError(f"value does not fit in {size} bytes")
-    if not NUMPY_LANE or _np is None or n < NUMPY_INT_MIN_BATCH:
+    if not engine.NUMPY_LANE or n < NUMPY_INT_MIN_BATCH:
         k0 = int.from_bytes(key[:8], "little")
         k1 = int.from_bytes(key[8:], "little")
         if size == 8:
@@ -205,7 +197,7 @@ def siphash24_int_batch(key: bytes, values: Sequence[int], size: int) -> list[in
             ]
         tag = size << 56
         return [_siphash24_words_scalar(k0, k1, (v | tag,)) for v in values]
-    np = _np
+    np = engine.np
     lanes = np.array(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
         if size == 8:
@@ -217,7 +209,7 @@ def siphash24_int_batch(key: bytes, values: Sequence[int], size: int) -> list[in
 
 def _siphash24_lanes(key: bytes, items: Sequence[bytes], size: int) -> list[int]:
     """NumPy engine: the v0..v3 state of every message as uint64 lanes."""
-    np = _np
+    np = engine.np
     n = len(items)
     # One word per full 8-byte block plus the final block (tail bytes,
     # zero padded, length byte in the MSB — same rule as the scalar path).
@@ -243,7 +235,7 @@ def _siphash24_word_lanes(key: bytes, words, n: int) -> list[int]:
     per-message words, or a scalar when the block is the same for every
     message (the constant final block of 8-byte messages).
     """
-    np = _np
+    np = engine.np
     with np.errstate(over="ignore"):
         k0 = np.uint64(int.from_bytes(key[:8], "little"))
         k1 = np.uint64(int.from_bytes(key[8:], "little"))

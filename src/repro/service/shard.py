@@ -16,18 +16,11 @@ to reject that pairing before any symbols flow.
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro import engine
 from repro.hashing.prng import mix64, mix64_lanes
-
-try:  # pragma: no cover - exercised implicitly by the lane dispatch tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-NUMPY_LANE = _np is not None and os.environ.get("REPRO_NO_NUMPY", "") != "1"
 
 # Below this the batch-placement set-up costs more than the scalar loop.
 _NUMPY_MIN_BATCH = 32
@@ -74,40 +67,23 @@ def hash_items(
 
 
 def placements_from_hashes(hashes: Sequence[int], num_shards: int) -> list[int]:
-    """Shard placements from precomputed keyed hashes, in order.
-
-    ``placements_from_hashes(hash_items(h, items), n)`` is
-    element-for-element identical to ``shards_of(h, items, n)``.
+    """Shard placements from precomputed keyed hashes, in order:
+    ``mix64(h ^ salt) % num_shards`` per hash, as one uint64 lane pass
+    on the vector engine.
     """
-    n = len(hashes)
-    if NUMPY_LANE and n >= _NUMPY_MIN_BATCH:
-        arr = _np.array(hashes, dtype=_np.uint64)
-        mixed = mix64_lanes(arr ^ _np.uint64(_SHARD_SALT))
-        return (mixed % _np.uint64(num_shards)).astype(_np.int64).tolist()
+    if engine.NUMPY_LANE and len(hashes) >= _NUMPY_MIN_BATCH:
+        np = engine.np
+        mixed = mix64_lanes(np.array(hashes, dtype=np.uint64) ^ np.uint64(_SHARD_SALT))
+        return (mixed % np.uint64(num_shards)).astype(np.int64).tolist()
     return [mix64(h ^ _SHARD_SALT) % num_shards for h in hashes]
 
 
 def shards_of(
     hash64: Callable[[bytes], int], items: Sequence[bytes], num_shards: int
 ) -> list[int]:
-    """:func:`shard_of` of many items at once, in order.
-
-    Element-for-element identical to the scalar function.  When ``hash64``
-    is the bound method of a hasher exposing ``hash64_batch`` (SipHash runs
-    its rounds as uint64 lane arithmetic) and the items share one length,
-    the keyed hashes come from one batch call and the salt/mix/modulo run
-    as a single uint64 lane pass; any other shape falls back to the loop.
-    """
-    n = len(items)
-    if NUMPY_LANE and n >= _NUMPY_MIN_BATCH:
-        hasher = getattr(hash64, "__self__", None)
-        batch = getattr(hasher, "hash64_batch", None)
-        if batch is not None and getattr(hasher, "hash64", None) == hash64:
-            if len(set(map(len, items))) == 1:
-                hashes = _np.array(batch(items), dtype=_np.uint64)
-                mixed = mix64_lanes(hashes ^ _np.uint64(_SHARD_SALT))
-                return (mixed % _np.uint64(num_shards)).astype(_np.int64).tolist()
-    return [shard_of(hash64, item, num_shards) for item in items]
+    """:func:`shard_of` of many items at once, in order (element-for-
+    element identical to the scalar function)."""
+    return placements_from_hashes(hash_items(hash64, items), num_shards)
 
 
 def key_probe(hash64: Callable[[bytes], int]) -> int:
@@ -296,47 +272,34 @@ def partition_items(
     """One-shot partition (the client side, which needs no versioning).
 
     Within each shard the items keep their input order, so deterministic
-    inputs give deterministic per-shard reconciler construction.  Large
-    inputs bucket through ``itemgetter`` over per-shard index vectors
-    (``flatnonzero`` is ascending, preserving input order) instead of a
-    per-item append loop.
+    inputs give deterministic per-shard reconciler construction.
     """
-    shards: list[list[bytes]] = [[] for _ in range(num_shards)]
     items = items if isinstance(items, list) else list(items)
-    placed = shards_of(hash64, items, num_shards)
-    if NUMPY_LANE and len(items) >= _NUMPY_MIN_BATCH:
-        arr = _np.array(placed, dtype=_np.int64)
-        for shard in range(num_shards):
-            sel = _np.flatnonzero(arr == shard)
-            if sel.size == 1:
-                shards[shard] = [items[int(sel[0])]]
-            elif sel.size:
-                shards[shard] = list(itemgetter(*sel.tolist())(items))
-        return shards
-    for item, shard in zip(items, placed):
-        shards[shard].append(item)
-    return shards
+    return partition_with_hashes(items, hash_items(hash64, items), num_shards)[0]
 
 
 def partition_with_hashes(
     items: Sequence[bytes], hashes: Sequence[int], num_shards: int
 ) -> tuple[list[list[bytes]], list[list[int]]]:
-    """:func:`partition_items` from precomputed keyed hashes.
+    """Partition ``items`` by shard, carrying their keyed hashes along.
 
-    Returns ``(parts, part_hashes)`` where ``parts`` is exactly what
-    ``partition_items`` would produce and ``part_hashes[s][i]`` is the
-    keyed hash of ``parts[s][i]`` — ready to seed codec checksums
-    without hashing the items a second time.
+    Returns ``(parts, part_hashes)``: ``parts[s]`` holds shard ``s``'s
+    items in input order and ``part_hashes[s][i]`` is the keyed hash of
+    ``parts[s][i]`` — ready to seed codec checksums without hashing the
+    items a second time.  Large inputs bucket through ``itemgetter``
+    over per-shard index vectors (``flatnonzero`` is ascending,
+    preserving input order) instead of a per-item append loop.
     """
     if len(items) != len(hashes):
         raise ValueError(f"{len(items)} items but {len(hashes)} hashes")
     parts: list[list[bytes]] = [[] for _ in range(num_shards)]
     part_hashes: list[list[int]] = [[] for _ in range(num_shards)]
     placed = placements_from_hashes(hashes, num_shards)
-    if NUMPY_LANE and len(items) >= _NUMPY_MIN_BATCH:
-        arr = _np.array(placed, dtype=_np.int64)
+    if engine.NUMPY_LANE and len(items) >= _NUMPY_MIN_BATCH:
+        np = engine.np
+        arr = np.array(placed, dtype=np.int64)
         for shard in range(num_shards):
-            sel = _np.flatnonzero(arr == shard)
+            sel = np.flatnonzero(arr == shard)
             if sel.size == 1:
                 idx = int(sel[0])
                 parts[shard] = [items[idx]]

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from helpers import make_items, split_sets  # noqa: F401  (re-export)
+from helpers import engine_lane, make_items, split_sets  # noqa: F401  (re-export)
 from repro.core.symbols import SymbolCodec
 
 # Deterministic property testing: examples are derived from the test
@@ -38,3 +38,10 @@ def codec8() -> SymbolCodec:
 def codec32() -> SymbolCodec:
     """Codec for 32-byte items (the paper's communication benchmarks)."""
     return SymbolCodec(32)
+
+
+@pytest.fixture(params=[True, False], ids=["numpy", "scalar"])
+def lane(request):
+    """Run the test once per engine (see ``helpers.engine_lane``)."""
+    with engine_lane(request.param):
+        yield request.param

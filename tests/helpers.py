@@ -10,6 +10,11 @@ live here under a collision-free module name.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+
+import pytest
+
+from repro import engine
 
 
 def make_items(rng: random.Random, count: int, size: int = 8) -> list[bytes]:
@@ -33,3 +38,20 @@ def split_sets(
     a_extra = items[shared : shared + only_a]
     b_extra = items[shared + only_a :]
     return set(common) | set(a_extra), set(common) | set(b_extra)
+
+
+@contextmanager
+def engine_lane(vector: bool):
+    """Run the enclosed block on one engine — the NumPy lanes when
+    ``vector``, the scalar reference otherwise — by flipping the one
+    switch, :data:`repro.engine.NUMPY_LANE`.  Skips the calling test
+    when the vector engine is asked for and NumPy is absent.
+    """
+    if vector and engine.np is None:
+        pytest.skip("NumPy not available")
+    saved = engine.NUMPY_LANE
+    engine.NUMPY_LANE = vector
+    try:
+        yield
+    finally:
+        engine.NUMPY_LANE = saved

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import engine
 from repro.core import cellbank
 from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import RatelessDecoder
@@ -22,7 +23,7 @@ from repro.core.session import ReconciliationSession
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamReader, SymbolStreamWriter
 
-from helpers import make_items, split_sets
+from helpers import engine_lane, make_items, split_sets
 
 
 CODECS = {
@@ -38,14 +39,6 @@ CODECS = {
     "wide92_trunc4": lambda: SymbolCodec(92, checksum_size=4),
     "past_cut": lambda: SymbolCodec(cellbank.LANE_MAX_SYMBOL_BYTES + 1),
 }
-
-
-@pytest.fixture(params=[True, False], ids=["numpy", "scalar"])
-def lane(request, monkeypatch):
-    if request.param and cellbank._np is None:
-        pytest.skip("NumPy not available")
-    monkeypatch.setattr(cellbank, "NUMPY_LANE", request.param)
-    return request.param
 
 
 def codec_items(name, rng, n):
@@ -116,23 +109,17 @@ def test_add_items_batch_equals_singles(lane, rng):
 def test_bulk_ingest_bit_identical_across_engines(codec_name, rng):
     """items → bank through the staged pool (NumPy) vs the per-item
     reference engine: identical lanes, identical follow-on stream."""
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     codec_factory = CODECS[codec_name]
     items = make_items(rng, 300, size=codec_factory().symbol_size)
     banks = {}
     for flag in (True, False):
-        saved = cellbank.NUMPY_LANE
-        cellbank.NUMPY_LANE = flag
-        try:
+        with engine_lane(flag):
             enc = RatelessEncoder(codec_factory(), items)
             enc.produce_block(200)
             # per-cell production after the bulk block (materialises the
             # pool on the NumPy lane) must continue the same stream
             tail = [enc.produce_next() for _ in range(20)]
             banks[flag] = ([enc.cached(i) for i in range(220)], tail)
-        finally:
-            cellbank.NUMPY_LANE = saved
     assert banks[True] == banks[False]
 
 
@@ -140,25 +127,19 @@ def test_bulk_ingest_bit_identical_across_engines(codec_name, rng):
 def test_batch_churn_bit_identical_across_engines(codec_name, rng):
     """add_items/remove_items against a produced prefix: the fused batch
     patch equals the per-item reference patch equals a fresh encode."""
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     codec_factory = CODECS[codec_name]
     items = make_items(rng, 260, size=codec_factory().symbol_size)
     base, fresh = items[:200], items[200:]
     stale = items[:40]
     banks = {}
     for flag in (True, False):
-        saved = cellbank.NUMPY_LANE
-        cellbank.NUMPY_LANE = flag
-        try:
+        with engine_lane(flag):
             enc = RatelessEncoder(codec_factory(), base)
             enc.produce_block(150)
             enc.add_items(fresh)
             enc.remove_items(stale)
             enc.produce_block(50)
             banks[flag] = [enc.cached(i) for i in range(200)]
-        finally:
-            cellbank.NUMPY_LANE = saved
     assert banks[True] == banks[False]
     reference = RatelessEncoder(codec_factory(), items[40:])
     assert banks[True] == reference.produce_block(200).cells()
@@ -188,45 +169,39 @@ def test_pool_and_heap_entries_mix(lane, rng):
 def test_sketch_from_items_bit_identical_across_engines(rng):
     from repro.core.sketch import RatelessSketch
 
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     for codec_name in sorted(CODECS):
         codec_factory = CODECS[codec_name]
         items = make_items(rng, 150, size=codec_factory().symbol_size)
         sketches = {}
         for flag in (True, False):
-            saved = cellbank.NUMPY_LANE
-            cellbank.NUMPY_LANE = flag
-            try:
+            with engine_lane(flag):
                 sketches[flag] = RatelessSketch.from_items(
                     items, 120, codec_factory()
                 )
-            finally:
-                cellbank.NUMPY_LANE = saved
         assert sketches[True].cells == sketches[False].cells
         assert sketches[True].set_size == sketches[False].set_size
 
 
 def test_iblt_fills_bit_identical_across_engines(rng):
+    """The baselines' batch build rides the shared fold kernel at every
+    width the lanes carry; either engine builds the per-item table."""
     from repro.baselines.met_iblt import MetIBLT
     from repro.baselines.regular_iblt import RegularIBLT
 
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
-    codec = SymbolCodec(8)
-    items = make_items(rng, 400)
-    tables = {}
-    for flag in (True, False):
-        saved = cellbank.NUMPY_LANE
-        cellbank.NUMPY_LANE = flag
-        try:
-            tables[flag] = (
-                RegularIBLT.from_items(items, 300, codec).cells,
-                MetIBLT.from_items(items, codec).cells,
-            )
-        finally:
-            cellbank.NUMPY_LANE = saved
-    assert tables[True] == tables[False]
+    for codec_name in sorted(CODECS):
+        codec, items = codec_items(codec_name, rng, 400)
+        tables = {}
+        for flag in (True, False):
+            with engine_lane(flag):
+                tables[flag] = (
+                    RegularIBLT.from_items(items, 300, codec).cells,
+                    MetIBLT.from_items(items, codec).cells,
+                )
+        assert tables[True] == tables[False], codec_name
+        reference = RegularIBLT(300, codec)
+        for item in items:
+            reference.insert(item)
+        assert tables[True][0] == reference.cells, codec_name
 
 
 # -- decoder ---------------------------------------------------------------
@@ -301,16 +276,12 @@ def test_add_coded_block_rejects_bad_chunk(rng):
 
 
 def test_scalar_and_numpy_decoders_agree(rng):
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     codec = SymbolCodec(8)
     a, b = split_sets(rng, shared=200, only_a=40, only_b=40)
     stream = subtracted_stream(codec, a, b, 300)
     results = {}
     for flag in (True, False):
-        saved = cellbank.NUMPY_LANE
-        cellbank.NUMPY_LANE = flag
-        try:
+        with engine_lane(flag):
             decoder = RatelessDecoder(codec)
             decoder.add_coded_block(stream, stop_when_decoded=True)
             results[flag] = (
@@ -319,8 +290,6 @@ def test_scalar_and_numpy_decoders_agree(rng):
                 sorted(decoder.local_values()),
                 decoder._bank.copy(),
             )
-        finally:
-            cellbank.NUMPY_LANE = saved
     assert results[True] == results[False]
 
 
@@ -451,8 +420,6 @@ def test_pack_unpack_round_trip(lane, codec_name, rng):
 def test_pack_bytes_identical_across_engines(codec_name, rng):
     """The vectorised pack/unpack engines are byte-for-byte the scalar
     reference: same blob out, same lanes back."""
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     codec_factory = CODECS[codec_name]
     items = make_items(rng, 80, size=codec_factory().symbol_size)
     codec = codec_factory()
@@ -460,13 +427,9 @@ def test_pack_bytes_identical_across_engines(codec_name, rng):
     blobs = {}
     parsed = {}
     for flag in (True, False):
-        saved = cellbank.NUMPY_LANE
-        cellbank.NUMPY_LANE = flag
-        try:
+        with engine_lane(flag):
             blobs[flag] = bank.pack(codec)
             parsed[flag] = CodedSymbolBank.unpack(blobs[True], codec)
-        finally:
-            cellbank.NUMPY_LANE = saved
     assert blobs[True] == blobs[False]
     assert parsed[True] == parsed[False] == bank
 
@@ -503,17 +466,11 @@ def test_siphash_int_batch_matches_bytes_path(rng):
         expected = [
             sh.siphash24(key, v.to_bytes(size, "little")) for v in values
         ]
-        for flag in (True, False):
-            if flag and sh._np is None:
-                continue
-            saved = sh.NUMPY_LANE
-            sh.NUMPY_LANE = flag
-            try:
+        for flag in (True, False) if engine.np is not None else (False,):
+            with engine_lane(flag):
                 assert sh.siphash24_int_batch(key, values, size) == expected
                 # below the lane threshold the unrolled scalar engine runs
                 assert sh.siphash24_int_batch(key, values[:3], size) == expected[:3]
-            finally:
-                sh.NUMPY_LANE = saved
 
 
 def test_siphash_int_batch_contract():

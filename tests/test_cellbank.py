@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import engine
 from repro.core import cellbank
 from repro.core.cellbank import (
     CodedSymbolBank,
@@ -12,6 +13,8 @@ from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA
 from repro.core.symbols import SymbolCodec
+
+from helpers import engine_lane
 
 
 def bank_of(triples):
@@ -259,25 +262,24 @@ def test_scatter_walk_numpy_base_offset(rng):
     assert got == expected_cells[base:]
 
 
-def test_numpy_lane_eligibility(monkeypatch):
+def test_numpy_lane_eligibility():
     from repro.core.irregular import PAPER_IRREGULAR
 
-    if cellbank._np is None:
+    with engine_lane(False):
         assert not cellbank.numpy_lane_eligible(SymbolCodec(8))
+    if engine.np is None:
         return
-    monkeypatch.setattr(cellbank, "NUMPY_LANE", True)
-    cut = cellbank.LANE_MAX_SYMBOL_BYTES
-    assert cellbank.numpy_lane_eligible(SymbolCodec(8))
-    assert cellbank.numpy_lane_eligible(SymbolCodec(92))  # k uint64 lanes
-    assert cellbank.numpy_lane_eligible(SymbolCodec(cut))
-    assert not cellbank.numpy_lane_eligible(SymbolCodec(cut + 1))  # scalar engine
-    irregular = SymbolCodec(8, irregular=PAPER_IRREGULAR)
-    assert not cellbank.numpy_lane_eligible(irregular)
-    # the two predicates differ only in the irregular-mapping clause
-    assert cellbank.numpy_block_eligible(irregular)
-    assert not cellbank.numpy_block_eligible(SymbolCodec(cut + 1))
-    monkeypatch.setattr(cellbank, "NUMPY_LANE", False)
-    assert not cellbank.numpy_lane_eligible(SymbolCodec(8))
+    with engine_lane(True):
+        cut = cellbank.LANE_MAX_SYMBOL_BYTES
+        assert cellbank.numpy_lane_eligible(SymbolCodec(8))
+        assert cellbank.numpy_lane_eligible(SymbolCodec(92))  # k uint64 lanes
+        assert cellbank.numpy_lane_eligible(SymbolCodec(cut))
+        assert not cellbank.numpy_lane_eligible(SymbolCodec(cut + 1))  # scalar engine
+        irregular = SymbolCodec(8, irregular=PAPER_IRREGULAR)
+        assert not cellbank.numpy_lane_eligible(irregular)
+        # the two predicates differ only in the irregular-mapping clause
+        assert cellbank.numpy_block_eligible(irregular)
+        assert not cellbank.numpy_block_eligible(SymbolCodec(cut + 1))
 
 
 # -- Python ints ↔ uint64 lanes --------------------------------------------
@@ -330,28 +332,53 @@ def test_one_lane_representation_in_core():
     ``repro.core`` once had three width regimes — one uint64 lane up to
     8 bytes, a ``sums``/``sums_hi`` low/high pair up to 16, Python
     big-ints beyond — threaded through encoder, decoder and wire as
-    ``& MASK64`` / ``>> 64`` / ``lo | hi << 64`` splits.  Now every width
-    the lanes carry is one ``(rows, k)`` matrix and the only width test
-    is ``cellbank``'s ``LANE_MAX_SYMBOL_BYTES`` inside its two
-    eligibility predicates.  A fourth regime has to edit this test and
-    say why.
+    ``& MASK64`` / ``>> 64`` / ``lo | hi << 64`` splits, and the durable
+    snapshot, the IBLT baselines and the codec's batch converter each
+    kept a private fourth (``ℓ in (1, 2, 4, 8)``, ``ℓ <= 8``).  Now
+    every width the lanes carry is one ``(rows, k)`` matrix and the only
+    width test is ``cellbank``'s ``LANE_MAX_SYMBOL_BYTES`` inside its
+    two eligibility predicates.  Another regime has to edit this test
+    and say why.
     """
+    import ast
     import re
     from pathlib import Path
 
-    core = Path(cellbank.__file__).parent
-    for path in sorted(core.glob("*.py")):
+    src = Path(cellbank.__file__).parents[1]
+    for path in sorted((src / "core").glob("*.py")):
         text = path.read_text()
         for relic in ("sums_hi", "vals_hi", ">> 64", "<< 64"):
             assert relic not in text, f"{path.name}: {relic!r} is the low/high pair"
-    width = r"(?:symbol_size|ssize)"
+    for path in sorted(src.rglob("*.py")):
+        assert "_NP_WIDTHS" not in path.read_text(), f"{path.name}: a width whitelist"
+    # A symbol/field width compared against a literal byte count (2 or
+    # more: ``< 1`` / ``> 0`` are argument checks, not width regimes).
+    width = r"(?:symbol_size|ssize|csize|size|width)"
     compare = r"(?:<=|>=|==|!=|<|>)"
+    literal = r"(?:[2-9]|\d{2,})\b"
     literal_test = re.compile(
-        rf"{width}\s*{compare}\s*\d|\d\s*{compare}\s*(?:\w+\.)*{width}"
+        rf"\b{width}\s*{compare}\s*{literal}|\b{literal}\s*{compare}\s*(?:\w+\.)*{width}\b"
     )
-    for name in ("encoder.py", "decoder.py", "wire.py", "sketch.py"):
-        hits = literal_test.findall((core / name).read_text())
-        assert not hits, f"{name} tests symbol width against a literal: {hits}"
+    allowed = {
+        # a message of at most 8 bytes is a single SipHash block, so the
+        # integer-form batch builds its one padded word from the value
+        ("hashing/siphash.py", "siphash24_int_batch"),
+        # the int -> lane converter's one-lane fast path: values that
+        # fit a uint64 convert with one asarray instead of n to_bytes
+        ("core/cellbank.py", "lanes_from_ints"),
+    }
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        if not literal_test.search(text):
+            continue
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+                if literal_test.search(body):
+                    found.add((path.relative_to(src).as_posix(), node.name))
+    assert found == allowed, f"literal symbol-width tests outside the allowlist: {found - allowed}"
     # the predicates themselves: one constant, and one clause apart
     import inspect
 
@@ -361,3 +388,39 @@ def test_one_lane_representation_in_core():
     assert "numpy_block_eligible(codec) and codec.irregular is None" in lane
     assert "sums_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters
     assert "vals_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters
+
+
+def test_one_engine_switch_in_src():
+    """The engine decision exists once: one module imports NumPy, reads
+    the kill switch and assigns ``NUMPY_LANE``; everyone else reads it
+    through ``repro.engine`` at call time, and nothing scatters through
+    an unbuffered ufunc method (the shared fold kernel replaced those).
+
+    ``analysis/density_evolution.py`` is exempt from the import rule: its
+    NumPy/SciPy use is closed-form analysis of §5, not an engine — it
+    has no scalar twin and nothing switches it.
+    """
+    import ast
+    import re
+    from pathlib import Path
+
+    src = Path(engine.__file__).parent
+    texts = {p.relative_to(src).as_posix(): p.read_text() for p in src.rglob("*.py")}
+
+    def modules_with(pattern):
+        return {name for name, text in texts.items() if re.search(pattern, text)}
+
+    assert modules_with(r"import numpy") == {"engine.py", "analysis/density_evolution.py"}
+    assert modules_with(r"REPRO_NO_NUMPY") == {"engine.py"}
+    assign = r"\bNUMPY_LANE\s*=[^=]"
+    assert modules_with(assign) == {"engine.py"}
+    assert len(re.findall(assign, texts["engine.py"])) == 1
+    by_name = {
+        name
+        for name, text in texts.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "NUMPY_LANE" for alias in node.names)
+    }
+    assert not by_name, f"NUMPY_LANE imported by value in {by_name}"
+    assert not modules_with(r"\.at\(")

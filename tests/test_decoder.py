@@ -120,7 +120,7 @@ def test_decode_does_not_mutate_with_copy(codec8, rng):
         alice.produce_next().subtract(bob.produce_next()) for _ in range(30)
     ]
     snapshot = [cell.copy() for cell in cells]
-    decode_sketch_cells(cells, codec8, copy=True)
+    decode_sketch_cells(cells, codec8)
     assert cells == snapshot
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.decoder import RatelessDecoder, peel_until_decoded
 from repro.core.encoder import RatelessEncoder
-from repro.core.symbols import SymbolCodec
 from repro.net.link import Link
 from repro.net.simulator import Simulator
 
@@ -125,17 +124,6 @@ def test_chain_hour_staleness_helpers():
 
     scenario = build_scenario(chain, chain.head)
     assert scenario.staleness_seconds == 60
-
-
-def test_union_synchronizer_stats_before_run(rng):
-    from repro.core.multiparty import UnionSynchronizer
-
-    items = make_items(rng, 30)
-    sync = UnionSynchronizer(
-        SymbolCodec(8), items[:20], {"p": set(items[5:])}
-    )
-    assert not sync.all_decoded
-    assert sync.stats["p"].symbols_used == 0
 
 
 def test_trace_empty_series():

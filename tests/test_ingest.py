@@ -4,7 +4,7 @@ bit-identity of the two engines lives in test_batch_equivalence.py)."""
 
 import pytest
 
-from repro.core import cellbank
+from repro import engine
 from repro.core.encoder import RatelessEncoder
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
@@ -12,7 +12,7 @@ from repro.hashing.keyed import Blake2bHasher, SipHasher
 from repro.hashing.prng import mix64, mix64_lanes
 from repro.service.shard import ShardedSet
 
-from helpers import make_items
+from helpers import engine_lane, make_items
 
 
 # -- codec batch faces ------------------------------------------------------
@@ -121,18 +121,12 @@ def test_single_add_sees_pooled_duplicates(rng):
 def test_pool_survives_numpy_lane_loss(rng):
     """Bulk-staged symbols keep streaming when the NumPy lane is turned
     off mid-life (pool materialises into the reference engine)."""
-    if cellbank._np is None:
-        pytest.skip("NumPy not available")
     items = make_items(rng, 100)
-    saved = cellbank.NUMPY_LANE
-    cellbank.NUMPY_LANE = True
-    try:
+    with engine_lane(True):
         enc = RatelessEncoder(SymbolCodec(8), items)
         head = enc.produce_block(50).cells()
-        cellbank.NUMPY_LANE = False
+    with engine_lane(False):
         tail = enc.produce_block(50).cells()
-    finally:
-        cellbank.NUMPY_LANE = saved
     reference = RatelessEncoder(SymbolCodec(8), items)
     assert head + tail == reference.produce_block(100).cells()
 
@@ -142,7 +136,7 @@ def test_pool_compacts_under_churn(rng, size):
     """200 rounds of 64 adds + 64 removes against a 2 500-item encoder:
     the column pool must not keep the dead rows (it once grew 64 rows a
     round for ever), and the stream stays a cold encoder's."""
-    if not cellbank.NUMPY_LANE:
+    if not engine.NUMPY_LANE:
         pytest.skip("the column pool is the NumPy engine")
     items = make_items(rng, 2500 + 200 * 64, size)
     enc = RatelessEncoder(SymbolCodec(size), items[:2500])

@@ -5,7 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import cellbank
+from repro import engine
 from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import RatelessDecoder
 from repro.core.encoder import RatelessEncoder
@@ -13,6 +13,8 @@ from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamReader, SymbolStreamWriter
 from repro.hashing.keyed import SipHasher
+
+from helpers import engine_lane
 
 CODEC = SymbolCodec(8)
 
@@ -148,17 +150,13 @@ def test_any_width_block_pipeline_exact_and_engine_identical(case):
     recovers exactly A △ B, and the NumPy and scalar engines put the
     same bytes on the wire."""
     size, set_a, set_b, blocks = case
-    saved = cellbank.NUMPY_LANE
     streams = {}
-    try:
-        for flag in (True, False) if cellbank._np is not None else (False,):
-            cellbank.NUMPY_LANE = flag
+    for flag in (True, False) if engine.np is not None else (False,):
+        with engine_lane(flag):
             streams[flag], decoder = _reconcile_over_the_wire(
                 size, set_a, set_b, blocks
             )
-            assert decoder.decoded, "decoder failed within generous budget"
-            assert set(decoder.remote_items()) == set_a - set_b
-            assert set(decoder.local_items()) == set_b - set_a
-    finally:
-        cellbank.NUMPY_LANE = saved
+        assert decoder.decoded, "decoder failed within generous budget"
+        assert set(decoder.remote_items()) == set_a - set_b
+        assert set(decoder.local_items()) == set_b - set_a
     assert len(set(streams.values())) == 1

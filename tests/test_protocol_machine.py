@@ -197,8 +197,7 @@ def test_golden_service_stream_transcripts() -> None:
     assert len(report.only_in_local) == recorded["only_in_client"]
 
 
-@pytest.mark.parametrize("numpy_lane", [True, False], ids=["numpy", "scalar"])
-def test_golden_wide_stream_payload_pinned(numpy_lane: bool, monkeypatch) -> None:
+def test_golden_wide_stream_payload_pinned(lane: bool) -> None:
     """92-byte (§7.3 ledger-shaped) items over the service-profile
     stream: the server→client SYMBOLS payload and the absorbed symbol
     count were recorded at the commit *before* the core moved wide
@@ -206,11 +205,6 @@ def test_golden_wide_stream_payload_pinned(numpy_lane: bool, monkeypatch) -> Non
     wire across that rewrite on both engines."""
     import hashlib
 
-    from repro.core import cellbank
-
-    if numpy_lane and not cellbank.NUMPY_LANE:
-        pytest.skip("NumPy lane not available")
-    monkeypatch.setattr(cellbank, "NUMPY_LANE", numpy_lane)
     recorded = GOLDEN["wide_stream"]
     size = recorded["item_size"]
     rng = random.Random(20)
@@ -589,9 +583,9 @@ def _greedy_drive(initiator, responder, up):
 def test_responder_stays_within_four_times_what_the_peer_absorbed(d) -> None:
     import math
 
-    from repro.core import cellbank
+    from repro import engine
 
-    if d > 10_000 and not cellbank.NUMPY_LANE:
+    if d > 10_000 and not engine.NUMPY_LANE:
         pytest.skip("30 s of scalar peeling; the window logic is engine-blind")
     handle = get_scheme("riblt", symbol_size=8)
     shards, block = 2, 64

@@ -5,11 +5,8 @@ import random
 
 import pytest
 
-from repro.baselines.regular_iblt import (
-    CELL_OVERHEAD_BYTES,
-    RegularIBLT,
-    recommended_cells,
-)
+from repro.baselines.regular_iblt import RegularIBLT, recommended_cells
+from repro.baselines.table import CELL_OVERHEAD_BYTES
 from helpers import make_items, split_sets
 
 
@@ -24,7 +21,7 @@ def test_insert_delete_roundtrip(codec8, rng):
 def test_positions_distinct(codec8, rng):
     table = RegularIBLT(30, codec8, hash_count=3)
     for _ in range(100):
-        positions = table._positions(rng.getrandbits(64))
+        positions = table.positions(rng.getrandbits(64), table.num_cells)
         assert len(set(positions)) == 3
         # one per sub-table
         assert sorted(p // table.subtable_size for p in positions) == [0, 1, 2]

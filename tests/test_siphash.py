@@ -5,6 +5,8 @@ import pytest
 from repro.hashing import siphash
 from repro.hashing.siphash import siphash24, siphash24_batch
 
+from helpers import engine_lane
+
 REFERENCE_KEY = bytes(range(16))
 
 # The official Aumasson & Bernstein reference vectors (the 64-entry
@@ -36,14 +38,13 @@ VECTORS_SIP64 = [
 def hash_path(request, monkeypatch):
     """One hasher callable per engine path, same (key, message) contract."""
     if request.param == "scalar":
-        return siphash24
-    if request.param == "batch-numpy" and siphash._np is None:
-        pytest.skip("NumPy not available")
-    monkeypatch.setattr(siphash, "NUMPY_LANE", request.param == "batch-numpy")
+        yield siphash24
+        return
     # Singleton batches still run the full lane pipeline (padding, final
     # block, rounds) for every message length.
     monkeypatch.setattr(siphash, "NUMPY_MIN_BATCH", 1)
-    return lambda key, message: siphash24_batch(key, [message])[0]
+    with engine_lane(request.param == "batch-numpy"):
+        yield lambda key, message: siphash24_batch(key, [message])[0]
 
 
 @pytest.mark.parametrize("length", range(64))
@@ -62,14 +63,12 @@ def test_batch_matches_scalar_elementwise():
         ]
 
 
-def test_batch_engines_agree(monkeypatch):
-    if siphash._np is None:
-        pytest.skip("NumPy not available")
+def test_batch_engines_agree():
     messages = [bytes([i, 255 - i] * 4) for i in range(100)]
-    monkeypatch.setattr(siphash, "NUMPY_LANE", True)
-    fast = siphash24_batch(REFERENCE_KEY, messages)
-    monkeypatch.setattr(siphash, "NUMPY_LANE", False)
-    assert siphash24_batch(REFERENCE_KEY, messages) == fast
+    with engine_lane(True):
+        fast = siphash24_batch(REFERENCE_KEY, messages)
+    with engine_lane(False):
+        assert siphash24_batch(REFERENCE_KEY, messages) == fast
 
 
 def test_batch_rejects_ragged_messages():

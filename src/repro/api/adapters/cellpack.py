@@ -4,28 +4,27 @@
 shares the same three knobs, so :class:`CodecParams` holds them once and
 :func:`codec_for` is the one place a codec is constructed.
 
-*Wire format*: regular IBLT and MET-IBLT tables are flat lists of
-:class:`~repro.core.coded.CodedSymbol` cells with a geometry both sides
-already agree on, so the wire format is just the cells themselves:
-ℓ-byte sum, ``checksum_size``-byte checksum, 8-byte signed count, all
-little-endian.  (This is a faithful codec; the *accounting* size used in
-benchmarks stays the paper's §7.1 ℓ+16 figure, see the adapters.)
+*Wire format*: regular IBLT and MET-IBLT tables are one
+:class:`~repro.core.cellbank.CodedSymbolBank` of cells with a geometry
+both sides already agree on, so the wire format is the packed bank
+(:meth:`~repro.core.cellbank.CodedSymbolBank.pack`): ℓ-byte sum,
+``checksum_size``-byte checksum, 8-byte signed count, all little-endian.
+(This is a faithful codec; the *accounting* size used in benchmarks
+stays the paper's §7.1 ℓ+16 figure, see the adapters.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.api.base import ReconcileError, SchemeParams
+from repro.baselines.table import CellTable
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult
 from repro.core.params import CHECKSUM_BYTES
 from repro.core.symbols import SymbolCodec
 from repro.hashing.keyed import DEFAULT_KEY, make_hasher
-
-COUNT_BYTES = CodedSymbolBank.COUNT_BYTES
 
 
 @dataclass(frozen=True)
@@ -46,37 +45,21 @@ def codec_for(params: CodecParams) -> SymbolCodec:
     )
 
 
-def cell_blob_size(codec: SymbolCodec, num_cells: int) -> int:
-    """Serialised size of ``num_cells`` cells."""
-    return num_cells * (codec.symbol_size + codec.checksum_size + COUNT_BYTES)
-
-
-def pack_cells(codec: SymbolCodec, cells: list[CodedSymbol]) -> bytes:
-    """Serialise cells in the flat layout (delegates to the bank codec)."""
-    return CodedSymbolBank.from_cells(cells).pack(codec)
-
-
-def unpack_cells(codec: SymbolCodec, blob: bytes) -> list[CodedSymbol]:
-    """Parse a flat cell blob (delegates to the bank codec)."""
-    return CodedSymbolBank.unpack(blob, codec).cells()
-
-
 class CellStreamFace:
-    """Streaming face over a table of coded cells, for table adapters.
+    """The table plumbing and streaming face the IBLT table adapters share.
 
     Mixed into :class:`~repro.api.base.StreamingReconciler` subclasses
-    whose sketch is a flat cell list (regular IBLT, MET-IBLT): the
-    sender streams the table's cells in index order; the receiver
-    subtracts its own cell at the same index lane-wise and asks the
-    adapter (``_try_stream_decode``) whether the diff prefix decodes —
-    at the full table for a fixed-capacity scheme, at every preset
-    block boundary for a rate-compatible one.
+    whose sketch is a :class:`~repro.baselines.table.CellTable` held as
+    ``_table`` (regular IBLT, MET-IBLT): the sender streams the table's
+    bank in index order; the receiver subtracts its own cells at the
+    same indices lane-wise and asks the adapter
+    (``_try_stream_decode``) whether the diff prefix decodes — at the
+    full table for a fixed-capacity scheme, at every preset block
+    boundary for a rate-compatible one.
 
-    Both hot-path overrides the base class warns about are provided:
-    ``produce_block`` packs the whole cell slice in one pass instead of
-    joining per-symbol ``produce_next`` results, and
-    ``symbols_absorbed`` is a plain O(1) counter instead of
-    materialising ``stream_result()`` per frame.
+    ``produce_block`` packs the whole cell slice in one pass, and
+    ``symbols_absorbed`` is a plain O(1) counter instead of the base
+    class's ``stream_result()`` materialised per frame.
 
     Arbitrary payload fragmentation is fine: partial cells are buffered
     until a whole cell is available.  These streams are *finite* —
@@ -84,71 +67,97 @@ class CellStreamFace:
     (an undersized table cannot be extended; pick a bigger one).
     """
 
-    # Class-level defaults double as lazy instance state: the first
-    # mutation creates the instance attribute.
-    _stream_produced = 0
-    _stream_absorbed = 0
-    _stream_decoded = False
+    def __init__(self, params: CodecParams, table: CellTable) -> None:
+        self.params = params
+        self._table = table
+        self._stream_produced = 0
+        self._stream_absorbed = 0
+        self._stream_buf = bytearray()
+        self._stream_diff = CodedSymbolBank()
+        self._stream_result = DecodeResult(success=False)
 
     # -- adapter contract --------------------------------------------------
 
-    def _stream_codec(self) -> SymbolCodec:
-        raise NotImplementedError
-
-    def _own_cells(self) -> list[CodedSymbol]:
+    @classmethod
+    def _empty_table(cls, params: CodecParams) -> CellTable:
+        """The scheme's table for ``params``, holding no items."""
         raise NotImplementedError
 
     def _try_stream_decode(
-        self, diff_cells: list[CodedSymbol], absorbed: int
+        self, diff: CodedSymbolBank, absorbed: int
     ) -> Optional[DecodeResult]:
         """Attempt a decode of the ``absorbed``-cell diff prefix."""
         raise NotImplementedError
 
+    # -- the table ---------------------------------------------------------
+
+    @classmethod
+    def from_items(
+        cls, items: Sequence[bytes], params: CodecParams
+    ) -> "CellStreamFace":
+        return cls(params, cls._empty_table(params).filled(items))
+
+    @classmethod
+    def deserialize(cls, blob: bytes, params: CodecParams) -> "CellStreamFace":
+        table = cls._empty_table(params)
+        return cls(params, table.with_bank(CodedSymbolBank.unpack(blob, table.codec)))
+
+    def add(self, item: bytes) -> None:
+        self._table.insert(item)
+
+    def remove(self, item: bytes) -> None:
+        self._table.delete(item)
+
+    def serialize(self) -> bytes:
+        return self._table.bank.pack(self._table.codec)
+
+    def wire_size(self) -> int:
+        """§7.1 accounting: ℓ + 8 B checksum + 8 B count per cell."""
+        return self._table.wire_size()
+
+    def subtract(self, other: "CellStreamFace") -> "CellStreamFace":
+        return type(self)(self.params, self._table.subtract(other._table))
+
     # -- streaming face ----------------------------------------------------
 
-    def produce_next(self) -> bytes:
-        return self.produce_block(1)
-
     def produce_block(self, block_size: int) -> bytes:
-        cells = self._own_cells()
+        bank = self._table.bank
         lo = self._stream_produced
-        if lo >= len(cells):
+        if lo >= len(bank):
             raise ReconcileError(
                 f"{type(self).__name__}: cell stream exhausted after "
-                f"{len(cells)} cells (fixed tables cannot be extended)"
+                f"{len(bank)} cells (fixed tables cannot be extended)"
             )
-        hi = min(lo + block_size, len(cells))
+        hi = min(lo + block_size, len(bank))
         self._stream_produced = hi
-        return pack_cells(self._stream_codec(), cells[lo:hi])
+        return bank.slice(lo, hi).pack(self._table.codec)
 
     def absorb(self, payload: bytes) -> bool:
-        if self._stream_decoded:
+        if self.decoded:
             return True
-        buf = self.__dict__.setdefault("_stream_buf", bytearray())
-        diff = self.__dict__.setdefault("_stream_diff", [])
+        buf = self._stream_buf
         buf.extend(payload)
-        codec = self._stream_codec()
-        stride = codec.symbol_size + codec.checksum_size + COUNT_BYTES
+        codec = self._table.codec
+        stride = codec.symbol_size + codec.checksum_size + CodedSymbolBank.COUNT_BYTES
         usable = len(buf) - len(buf) % stride
         if not usable:
             return False
-        incoming = unpack_cells(codec, bytes(buf[:usable]))
+        incoming = CodedSymbolBank.unpack(bytes(buf[:usable]), codec)
         del buf[:usable]
-        own = self._own_cells()
+        own = self._table.bank
         base = self._stream_absorbed
         if base + len(incoming) > len(own):
             raise ReconcileError(
                 f"{type(self).__name__}: peer streamed more cells than the "
                 f"table holds ({len(own)})"
             )
-        for offset, cell in enumerate(incoming):
-            diff.append(cell.subtract(own[base + offset]))
         self._stream_absorbed = base + len(incoming)
-        result = self._try_stream_decode(diff, self._stream_absorbed)
+        incoming.subtract_in_place(own.slice(base, self._stream_absorbed))
+        self._stream_diff.extend(incoming)
+        result = self._try_stream_decode(self._stream_diff, self._stream_absorbed)
         if result is not None and result.success:
-            self._stream_decoded = True
             self._stream_result = result
-        return self._stream_decoded
+        return self.decoded
 
     @property
     def symbols_absorbed(self) -> int:
@@ -156,10 +165,7 @@ class CellStreamFace:
 
     @property
     def decoded(self) -> bool:
-        return self._stream_decoded
+        return self._stream_result.success
 
     def stream_result(self) -> DecodeResult:
-        result = self.__dict__.get("_stream_result")
-        if result is not None:
-            return result
-        return DecodeResult(success=False)
+        return self._stream_result

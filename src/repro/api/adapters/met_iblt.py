@@ -11,22 +11,15 @@ behaviour through the uniform interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.api.adapters.cellpack import (
-    CellStreamFace,
-    CodecParams,
-    codec_for,
-    pack_cells,
-    unpack_cells,
-)
+from repro.api.adapters.cellpack import CellStreamFace, CodecParams, codec_for
 from repro.api.base import StreamingReconciler
 from repro.api.registry import Capabilities, register_scheme
 from repro.baselines.met_iblt import DEFAULT_MET_CONFIG, MetConfig, MetIBLT
 from repro.baselines.table import CELL_OVERHEAD_BYTES
-from repro.core.coded import CodedSymbol
+from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import DecodeResult
-from repro.core.symbols import SymbolCodec
 
 
 @dataclass(frozen=True)
@@ -48,47 +41,15 @@ class MetIbltReconciler(CellStreamFace, StreamingReconciler):
     """
 
     def __init__(self, params: MetIbltParams, table: MetIBLT) -> None:
-        self.params = params
-        self._table = table
+        super().__init__(params, table)
         self._consumed_cells: Optional[int] = None
         self._stream_levels_tried = 0
 
     @classmethod
-    def from_items(
-        cls, items: Sequence[bytes], params: MetIbltParams
-    ) -> "MetIbltReconciler":
-        table = MetIBLT.from_items(items, codec_for(params), params.config)
-        return cls(params, table)
-
-    @classmethod
-    def deserialize(cls, blob: bytes, params: MetIbltParams) -> "MetIbltReconciler":
-        table = MetIBLT(codec_for(params), params.config)
-        cells = unpack_cells(table.codec, blob)
-        if len(cells) != table.num_cells:
-            raise ValueError(f"expected {table.num_cells} cells, got {len(cells)}")
-        table.cells = cells
-        return cls(params, table)
-
-    # -- mutation ---------------------------------------------------------
-
-    def add(self, item: bytes) -> None:
-        self._table.insert(item)
-
-    def remove(self, item: bytes) -> None:
-        self._table.delete(item)
-
-    # -- wire -------------------------------------------------------------
-
-    def serialize(self) -> bytes:
-        return pack_cells(self._table.codec, self._table.cells)
-
-    def wire_size(self) -> int:
-        return self._table.wire_size()
+    def _empty_table(cls, params: MetIbltParams) -> MetIBLT:
+        return MetIBLT(codec_for(params), params.config)
 
     # -- reconciliation ---------------------------------------------------
-
-    def subtract(self, other: "MetIbltReconciler") -> "MetIbltReconciler":
-        return MetIbltReconciler(self.params, self._table.subtract(other._table))
 
     def decode(self) -> DecodeResult:
         result, cells = self._table.decode_smallest_prefix()
@@ -102,16 +63,8 @@ class MetIbltReconciler(CellStreamFace, StreamingReconciler):
             return self.wire_size()
         return cells * (self._table.codec.symbol_size + CELL_OVERHEAD_BYTES)
 
-    # -- streaming face (CellStreamFace contract) --------------------------
-
-    def _stream_codec(self) -> SymbolCodec:
-        return self._table.codec
-
-    def _own_cells(self) -> list[CodedSymbol]:
-        return self._table.cells
-
     def _try_stream_decode(
-        self, diff_cells: list[CodedSymbol], absorbed: int
+        self, diff: CodedSymbolBank, absorbed: int
     ) -> Optional[DecodeResult]:
         config = self._table.config
         result: Optional[DecodeResult] = None
@@ -120,9 +73,11 @@ class MetIbltReconciler(CellStreamFace, StreamingReconciler):
             if limit > absorbed:
                 break
             self._stream_levels_tried = level
-            table = MetIBLT(self._table.codec, config)
-            table.cells[:absorbed] = [cell.copy() for cell in diff_cells]
-            result = table.decode(level)
+            # Cells not received yet are zero: decode(level) reads only
+            # the first ``limit`` of them.
+            padded = diff.copy()
+            padded.extend_zeros(self._table.num_cells - absorbed)
+            result = self._table.with_bank(padded).decode(level)
             if result.success:
                 self._consumed_cells = limit
                 return result

@@ -16,21 +16,14 @@ Two registry entries share the :class:`RegularIbltReconciler` class:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.api.adapters.cellpack import (
-    CellStreamFace,
-    CodecParams,
-    codec_for,
-    pack_cells,
-    unpack_cells,
-)
+from repro.api.adapters.cellpack import CellStreamFace, CodecParams, codec_for
 from repro.api.base import StreamingReconciler
 from repro.api.registry import Capabilities, register_scheme
 from repro.baselines.regular_iblt import RegularIBLT, recommended_cells
-from repro.core.coded import CodedSymbol
+from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import DecodeResult
-from repro.core.symbols import SymbolCodec
 
 
 @dataclass(frozen=True)
@@ -52,12 +45,8 @@ class RegularIbltReconciler(CellStreamFace, StreamingReconciler):
     rateless.
     """
 
-    def __init__(self, params: RegularIbltParams, table: RegularIBLT) -> None:
-        self.params = params
-        self._table = table
-
     @classmethod
-    def _sized_table(cls, params: RegularIbltParams) -> RegularIBLT:
+    def _empty_table(cls, params: RegularIbltParams) -> RegularIBLT:
         if params.num_cells is None:
             raise ValueError(
                 "regular_iblt is fixed-capacity: pass num_cells, or a "
@@ -67,77 +56,23 @@ class RegularIbltReconciler(CellStreamFace, StreamingReconciler):
         return RegularIBLT(params.num_cells, codec_for(params), params.hash_count)
 
     @classmethod
-    def from_items(
-        cls, items: Sequence[bytes], params: RegularIbltParams
-    ) -> "RegularIbltReconciler":
-        table = cls._sized_table(params)
-        for item in items:
-            table.insert(item)
-        return cls(params, table)
-
-    @classmethod
-    def deserialize(
-        cls, blob: bytes, params: RegularIbltParams
-    ) -> "RegularIbltReconciler":
-        table = cls._sized_table(params)
-        cells = unpack_cells(table.codec, blob)
-        if len(cells) != table.num_cells:
-            raise ValueError(
-                f"expected {table.num_cells} cells, got {len(cells)}"
-            )
-        table.cells = cells
-        return cls(params, table)
-
-    @classmethod
     def params_for_difference(
         cls, params: RegularIbltParams, difference: int
     ) -> RegularIbltParams:
         cells = recommended_cells(max(1, difference), params.hash_count)
         return replace(params, num_cells=cells)
 
-    # -- mutation ---------------------------------------------------------
-
-    def add(self, item: bytes) -> None:
-        self._table.insert(item)
-
-    def remove(self, item: bytes) -> None:
-        self._table.delete(item)
-
-    # -- wire -------------------------------------------------------------
-
-    def serialize(self) -> bytes:
-        return pack_cells(self._table.codec, self._table.cells)
-
-    def wire_size(self) -> int:
-        """§7.1 accounting: ℓ + 8 B checksum + 8 B count per cell."""
-        return self._table.wire_size()
-
     # -- reconciliation ---------------------------------------------------
-
-    def subtract(self, other: "RegularIbltReconciler") -> "RegularIbltReconciler":
-        return RegularIbltReconciler(self.params, self._table.subtract(other._table))
 
     def decode(self) -> DecodeResult:
         return self._table.decode()
 
-    # -- streaming face (CellStreamFace contract) --------------------------
-
-    def _stream_codec(self) -> SymbolCodec:
-        return self._table.codec
-
-    def _own_cells(self) -> list[CodedSymbol]:
-        return self._table.cells
-
     def _try_stream_decode(
-        self, diff_cells: list[CodedSymbol], absorbed: int
+        self, diff: CodedSymbolBank, absorbed: int
     ) -> Optional[DecodeResult]:
         if absorbed < self._table.num_cells:
             return None  # a fixed table only decodes once complete
-        table = RegularIBLT(
-            self._table.num_cells, self._table.codec, self._table.hash_count
-        )
-        table.cells = [cell.copy() for cell in diff_cells]
-        return table.decode()
+        return self._table.with_bank(diff).decode()
 
 
 register_scheme(

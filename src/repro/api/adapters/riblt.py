@@ -18,9 +18,9 @@ from repro.api.adapters.cellpack import CodecParams, codec_for
 from repro.api.base import StreamingReconciler, UnsupportedOperation
 from repro.api.registry import Capabilities, register_scheme
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult, RatelessDecoder
 from repro.core.encoder import RatelessEncoder
+from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import (
     SymbolStreamReader,
@@ -50,8 +50,7 @@ class RibltReconciler(StreamingReconciler):
         self.params = params
         self.codec = codec
         self._encoder: Optional[RatelessEncoder] = None  # live mode
-        self._cells: Optional[list[CodedSymbol]] = None  # received/diff mode
-        self._set_size = 0
+        self._sketch: Optional[RatelessSketch] = None  # received/diff mode
         # streaming state, created lazily.  Sending and receiving index
         # the *same* cached universal stream independently, so one
         # reconciler can do both at once (full-duplex peer-to-peer).
@@ -60,8 +59,8 @@ class RibltReconciler(StreamingReconciler):
         self._decoder: Optional[RatelessDecoder] = None
         self._absorbed = 0
         self._wire_index = 0
-        # diff mode: Alice's original cells, for consumed-prefix accounting
-        self._source_cells: Optional[list[CodedSymbol]] = None
+        # diff mode: Alice's original sketch, for consumed-prefix accounting
+        self._source: Optional[RatelessSketch] = None
 
     # -- construction -----------------------------------------------------
 
@@ -76,16 +75,13 @@ class RibltReconciler(StreamingReconciler):
         codec = codec_for(params)
         rec = cls(params, codec)
         rec._encoder = RatelessEncoder(codec, items, item_hashes=item_hashes)
-        rec._set_size = rec._encoder.set_size
         return rec
 
     @classmethod
     def deserialize(cls, blob: bytes, params: RibltParams) -> "RibltReconciler":
         codec = codec_for(params)
-        cells, set_size = decode_stream(codec, blob)
         rec = cls(params, codec)
-        rec._cells = cells
-        rec._set_size = set_size
+        rec._sketch = RatelessSketch(codec, *decode_stream(codec, blob))
         return rec
 
     @classmethod
@@ -99,11 +95,9 @@ class RibltReconciler(StreamingReconciler):
 
     def add(self, item: bytes) -> None:
         self._require_live().add_item(item)
-        self._set_size += 1
 
     def remove(self, item: bytes) -> None:
         self._require_live().remove_item(item)
-        self._set_size -= 1
 
     def _require_live(self) -> RatelessEncoder:
         if self._encoder is None:
@@ -114,16 +108,12 @@ class RibltReconciler(StreamingReconciler):
 
     # -- streaming face ----------------------------------------------------
 
-    def produce_next(self) -> bytes:
-        """The next §6-framed coded symbol (header precedes the first)."""
-        return self.produce_block(1)
-
     def produce_block(self, block_size: int) -> bytes:
-        """The next ``block_size`` §6-framed coded symbols in one payload.
+        """The next ``block_size`` §6-framed coded symbols in one payload
+        (the stream header precedes the first).
 
-        Byte-identical to ``block_size`` :meth:`produce_next` calls —
-        the framing is per cell — but produced through the bank-backed
-        batch path.
+        Byte-identical however the stream is cut into blocks — the
+        framing is per cell.
         """
         encoder = self._require_live()
         if self._writer is None:
@@ -167,50 +157,43 @@ class RibltReconciler(StreamingReconciler):
 
     # -- sketch face -------------------------------------------------------
 
-    def _sketch_cells(self, length: Optional[int] = None) -> list[CodedSymbol]:
-        if self._cells is not None:
-            if length is not None and length > len(self._cells):
-                raise ValueError(
-                    f"received sketch has {len(self._cells)} cells, need {length}"
-                )
-            return self._cells if length is None else self._cells[:length]
+    def _frozen(self, length: Optional[int] = None) -> RatelessSketch:
+        """The received sketch, or the live set's first ``length`` symbols."""
+        if self._sketch is not None:
+            return self._sketch if length is None else self._sketch.truncated(length)
         encoder = self._require_live()
         if length is None:
             length = self.params.prefix_symbols or DEFAULT_PREFIX_SYMBOLS
-        return encoder.prefix(length)
+        return RatelessSketch(
+            self.codec, encoder.cached_block(0, length), encoder.set_size
+        )
 
     def serialize(self) -> bytes:
-        cells = self._sketch_cells()
-        return encode_stream(self.codec, self._set_size, cells)
+        sketch = self._frozen()
+        return encode_stream(self.codec, sketch.set_size, sketch.bank)
 
     def wire_size(self) -> int:
         return len(self.serialize())
 
     def subtract(self, other: "RibltReconciler") -> "RibltReconciler":
-        mine = self._sketch_cells()
-        theirs = other._sketch_cells(len(mine))
+        mine = self._frozen()
         diff = RibltReconciler(self.params, self.codec)
-        diff._cells = [a.subtract(b) for a, b in zip(mine, theirs)]
-        diff._set_size = self._set_size
-        diff._source_cells = [cell.copy() for cell in mine]
+        diff._sketch = mine.subtract(other._frozen(len(mine)))
+        diff._source = mine
         return diff
 
     def decode(self) -> DecodeResult:
-        assert self._cells is not None, "decode() applies to a subtracted sketch"
-        decoder = RatelessDecoder(self.codec)
-        # chunk=1 keeps the consumed-prefix accounting cell-exact.
-        decoder.add_coded_block(
-            CodedSymbolBank.from_cells(self._cells), stop_when_decoded=True, chunk=1
-        )
-        return decoder.result()
+        assert self._sketch is not None, "decode() applies to a subtracted sketch"
+        return self._sketch.decode()
 
     def decode_wire_bytes(self, result: DecodeResult) -> int:
         """Bytes of the consumed coded-symbol prefix (§6 framing)."""
-        if self._source_cells is None:
+        source = self._source
+        if source is None:
             return self.wire_size()
-        used = result.symbols_used or len(self._source_cells)
+        used = result.symbols_used or len(source)
         return len(
-            encode_stream(self.codec, self._set_size, self._source_cells[:used])
+            encode_stream(self.codec, source.set_size, source.bank.slice(0, used))
         )
 
 

@@ -225,17 +225,12 @@ class StreamingReconciler(SetReconciler):
     """Rateless extension: the sketch is an endless, incremental stream."""
 
     @abstractmethod
-    def produce_next(self) -> bytes:
-        """Serialise the next coded unit(s) of this side's stream."""
-
     def produce_block(self, block_size: int) -> bytes:
-        """Serialise the next ``block_size`` coded units in one payload.
+        """Serialise the next ``block_size`` coded units in one payload."""
 
-        Default is a compatibility loop over :meth:`produce_next`;
-        adapters with a batch production path (Rateless IBLT's
-        bank-backed encoder) override it.
-        """
-        return b"".join(self.produce_next() for _ in range(block_size))
+    def produce_next(self) -> bytes:
+        """Serialise the next coded unit: a one-unit block."""
+        return self.produce_block(1)
 
     @abstractmethod
     def absorb(self, payload: bytes) -> bool:

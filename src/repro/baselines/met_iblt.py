@@ -178,7 +178,7 @@ class MetIBLT(CellTable):
         config: MetConfig = DEFAULT_MET_CONFIG,
     ) -> "MetIBLT":
         """Build a table from a batch of items."""
-        return cls(codec, config)._filled(items)
+        return cls(codec, config).filled(items)
 
     # -- decoding -----------------------------------------------------------------
 

@@ -222,10 +222,6 @@ class GF2m:
             result = self.sqr(result)
         return result
 
-    def is_element(self, a: int) -> bool:
-        """Range check."""
-        return 0 <= a < self.order
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF2m):
             return NotImplemented

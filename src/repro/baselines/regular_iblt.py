@@ -84,7 +84,7 @@ class RegularIBLT(CellTable):
         hash_count: int = 3,
     ) -> "RegularIBLT":
         """Build a table from a batch of items."""
-        return cls(num_cells, codec, hash_count)._filled(items)
+        return cls(num_cells, codec, hash_count).filled(items)
 
     def decode(self, prefix_cells: Optional[int] = None) -> DecodeResult:
         """Peel the (already subtracted) table.

@@ -125,10 +125,7 @@ class StrataEstimator:
             varint.encode_uvarint(self.cells_per_stratum),
             varint.encode_uvarint(self.hash_count),
         ]
-        parts.extend(
-            CodedSymbolBank.from_cells(table.cells).pack(self._codec)
-            for table in self.tables
-        )
+        parts.extend(table.bank.pack(self._codec) for table in self.tables)
         return b"".join(parts)
 
     @classmethod
@@ -158,9 +155,8 @@ class StrataEstimator:
                 f"got {len(blob) - pos}"
             )
         est = cls(strata, cells_per_stratum, hasher, hash_count)
-        codec = est._codec
         for table in est.tables:
             chunk = blob[pos : pos + stratum_bytes]
-            table.cells = CodedSymbolBank.unpack(chunk, codec).cells()
+            table.bank = CodedSymbolBank.unpack(chunk, est._codec)
             pos += stratum_bytes
         return est

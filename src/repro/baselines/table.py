@@ -17,7 +17,7 @@ import copy
 from collections import deque
 from typing import Iterable, Iterator
 
-from repro.core.cellbank import fold_items
+from repro.core.cellbank import CodedSymbolBank, fold_items
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult
 from repro.core.symbols import SymbolCodec
@@ -33,7 +33,20 @@ class CellTable:
     def __init__(self, codec: SymbolCodec, num_cells: int) -> None:
         self.codec = codec
         self.num_cells = num_cells
-        self.cells = [CodedSymbol() for _ in range(num_cells)]
+        self.bank = CodedSymbolBank.zeros(num_cells)
+
+    @property
+    def cells(self) -> list[CodedSymbol]:
+        """Read-only value snapshot of the cells."""
+        return self.bank.cells()
+
+    def with_bank(self, bank: CodedSymbolBank) -> "CellTable":
+        """A table of this geometry over ``bank`` (held, not copied)."""
+        if len(bank) != self.num_cells:
+            raise ValueError(f"expected {self.num_cells} cells, got {len(bank)}")
+        out = copy.copy(self)
+        out.bank = bank
+        return out
 
     # -- geometry (the subclass contract) ----------------------------------
 
@@ -84,16 +97,17 @@ class CellTable:
 
     def _apply(self, value: int, direction: int) -> None:
         checksum = self.codec.checksum_int(value)
-        for pos in self.positions(checksum, self.num_cells):
-            self.cells[pos].apply(value, checksum, direction)
+        self.bank.apply_batch(
+            value, checksum, direction, self.positions(checksum, self.num_cells)
+        )
 
-    def _filled(self, items: Iterable[bytes]) -> "CellTable":
+    def filled(self, items: Iterable[bytes]) -> "CellTable":
         """Fold a batch of items into this (empty) table; returns it.
         Both engines build the identical table."""
         datas = items if isinstance(items, list) else list(items)
         bank = fold_items(self.codec, datas, self.num_cells, self._edge_batches)
         if bank is not None:
-            self.cells = bank.cells()
+            self.bank = bank
         else:
             for item in datas:
                 self.insert(item)
@@ -105,41 +119,38 @@ class CellTable:
         """Cell-wise difference; decodes to the symmetric difference."""
         if not self.same_geometry(other):
             raise ValueError("tables have different geometry and cannot be subtracted")
-        out = copy.copy(self)
-        out.cells = [a.subtract(b) for a, b in zip(self.cells, other.cells)]
-        return out
+        return self.with_bank(self.bank.subtract(other.bank))
 
     # -- decoding ----------------------------------------------------------
 
     def _peel(self, limit: int) -> DecodeResult:
         """Peel the first ``limit`` cells of the (already subtracted)
         table; the table is not mutated."""
-        cells = [cell.copy() for cell in self.cells[:limit]]
+        work = self.bank.slice(0, limit)
+        sums, checksums, counts = work.sums, work.checksums, work.counts
         codec = self.codec
-        queue = deque(idx for idx, cell in enumerate(cells) if cell.count in (1, -1))
+        queue = deque(idx for idx, count in enumerate(counts) if count in (1, -1))
         remote: list[int] = []
         local: list[int] = []
         seen: set[int] = set()
         while queue:
-            cell = cells[queue.popleft()]
-            direction = cell.count
+            idx = queue.popleft()
+            direction = counts[idx]
             if direction != 1 and direction != -1:
                 continue
-            checksum = cell.checksum
-            if codec.checksum_int(cell.sum) != checksum:
+            checksum = checksums[idx]
+            value = sums[idx]
+            if codec.checksum_int(value) != checksum:
                 continue
             if checksum in seen:
                 continue
-            value = cell.sum
             seen.add(checksum)
             (remote if direction == 1 else local).append(value)
-            for pos in self.positions(checksum, limit):
-                target = cells[pos]
-                target.apply(value, checksum, -direction)
-                if target.count in (1, -1):
-                    queue.append(pos)
+            positions = self.positions(checksum, limit)
+            work.apply_batch(value, checksum, -direction, positions)
+            queue.extend(pos for pos in positions if counts[pos] in (1, -1))
         return DecodeResult(
-            success=all(cell.is_zero() for cell in cells),
+            success=work.is_all_zero(),
             remote=[codec.to_bytes(v) for v in remote],
             local=[codec.to_bytes(v) for v in local],
             symbols_used=limit,

@@ -105,16 +105,6 @@ class ChaosProxy:
         """Connections currently being proxied (accepted, not yet done)."""
         return len(self._conns)
 
-    async def wait_connections(self, count: int, timeout: float = 30.0) -> None:
-        """Block until the proxy has accepted ``count`` connections."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while self.stats.connections < count:
-            if asyncio.get_running_loop().time() >= deadline:
-                raise asyncio.TimeoutError(
-                    f"proxy saw {self.stats.connections}/{count} connections"
-                )
-            await asyncio.sleep(0.02)
-
     # -- per-connection ----------------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:

@@ -56,8 +56,7 @@ from typing import Iterable, Sequence
 from repro.api import ReconcileError, available_schemes, scheme_info
 from repro.api import reconcile as api_reconcile
 from repro.baselines.strata import StrataEstimator
-from repro.core.decoder import RatelessDecoder
-from repro.core.encoder import RatelessEncoder
+from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import decode_stream, encode_stream
 from repro.hashing.keyed import make_hasher
@@ -122,9 +121,8 @@ def cmd_sketch(args: argparse.Namespace) -> int:
     items = read_items(Path(args.input), args.item_size, args.format)
     unique = check_unique(items, args.input)
     codec = build_codec(items, args)
-    encoder = RatelessEncoder(codec, unique)
-    cells = [encoder.produce_next().copy() for _ in range(args.symbols)]
-    blob = encode_stream(codec, len(unique), cells)
+    sketch = RatelessSketch.from_items(unique, args.symbols, codec)
+    blob = encode_stream(codec, sketch.set_size, sketch.bank)
     Path(args.output).write_bytes(blob)
     print(
         f"wrote {args.symbols} coded symbols ({len(blob)} bytes) for "
@@ -137,16 +135,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     local_items = read_items(Path(args.local), args.item_size, args.format)
     local = check_unique(local_items, args.local)
     codec = build_codec(local_items, args)
-    cells, remote_size = decode_stream(codec, Path(args.sketch).read_bytes())
-    bob = RatelessEncoder(codec, local)
-    decoder = RatelessDecoder(codec)
-    for cell in cells:
-        decoder.add_subtracted(cell, bob.produce_next())
-        if decoder.decoded:
-            break
-    result = decoder.result()
+    bank, remote_size = decode_stream(codec, Path(args.sketch).read_bytes())
+    mine = RatelessSketch.from_items(local, len(bank), codec)
+    result = RatelessSketch(codec, bank, remote_size).subtract(mine).decode()
     print(f"remote set size : {remote_size}")
-    print(f"symbols used    : {result.symbols_used} of {len(cells)}")
+    print(f"symbols used    : {result.symbols_used} of {len(bank)}")
     verdict = "yes" if result.success else "NO (need a longer sketch)"
     print(f"decoded         : {verdict}")
     if result.success:

@@ -33,19 +33,21 @@ surviving workers own.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import shutil
 import signal
 import socket
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, List, Optional
 
 from repro.cluster.topology import worker_shards
 from repro.durable import DurableConfig, open_durable
 from repro.service.defaults import with_service_hasher
+from repro.service.server import ServerConfig
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -245,6 +247,15 @@ class ClusterSupervisor:
     async def _spawn(self, index: int) -> asyncio.subprocess.Process:
         cfg = self.config
         advertised = cfg.advertise_ports or self.ports
+        # Every ServerConfig knob the pool config also carries rides to
+        # the worker as one JSON object, by field name.
+        limits = {
+            f.name: getattr(cfg, f.name)
+            for f in fields(ServerConfig)
+            if hasattr(cfg, f.name)
+        }
+        if limits["busy_retry_after"] is None:
+            del limits["busy_retry_after"]  # keep the server's default hint
         argv = [
             sys.executable,
             "-m",
@@ -257,22 +268,8 @@ class ClusterSupervisor:
             "--port", str(self.ports[index]),
             "--ports", ",".join(str(p) for p in advertised),
             "--entry-port", str(self.entry_port if self._reuse else 0),
-            "--block-size", str(cfg.block_size),
-            "--max-symbols", str(cfg.max_symbols_per_shard or 0),
-            "--idle-timeout", str(cfg.idle_timeout or 0),
-            # -1 = unlimited: a cap of 0 is legal (drain mode, shed all).
-            "--max-clients", str(
-                -1 if cfg.max_concurrent_sessions is None
-                else cfg.max_concurrent_sessions
-            ),
-            "--peer-rate", str(cfg.per_peer_rate or 0),
-            "--peer-burst", str(cfg.per_peer_burst),
-            "--max-session-bytes", str(
-                -1 if cfg.max_session_bytes is None else cfg.max_session_bytes
-            ),
+            "--server-config", json.dumps(limits),
         ]
-        if cfg.busy_retry_after is not None:
-            argv += ["--busy-retry-after", str(cfg.busy_retry_after)]
         fsync = cfg.fsync and (
             self._durable.fsync if self._durable is not None else True
         )

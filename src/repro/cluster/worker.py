@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import signal
 import sys
@@ -73,22 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--entry-port", type=int, default=0,
                         help="shared SO_REUSEPORT entry port; 0 = none "
                         "(per-worker-port fallback mode)")
-    parser.add_argument("--block-size", type=int, default=64)
-    parser.add_argument("--max-symbols", type=int, default=1 << 17,
-                        help="per-session per-shard symbol budget; 0 = off")
-    parser.add_argument("--idle-timeout", type=float, default=60.0,
-                        help="session idle deadline in seconds; 0 = off")
-    parser.add_argument("--max-clients", type=int, default=-1,
-                        help="concurrent-session admission cap; -1 = off "
-                        "(0 is legal: drain mode, shed every connection)")
-    parser.add_argument("--peer-rate", type=float, default=0.0,
-                        help="per-peer-host connections/second; 0 = off")
-    parser.add_argument("--peer-burst", type=int, default=8,
-                        help="per-peer token-bucket burst capacity")
-    parser.add_argument("--max-session-bytes", type=int, default=-1,
-                        help="served-byte bound per session; -1 = off")
-    parser.add_argument("--busy-retry-after", type=float, default=None,
-                        help="retry-after hint (seconds) in BUSY sheds")
+    parser.add_argument("--server-config", type=json.loads, default={},
+                        help="ServerConfig fields as one JSON object")
     parser.add_argument("--no-fsync", action="store_true")
     return parser
 
@@ -106,22 +93,9 @@ async def run(args: argparse.Namespace) -> int:
         # segments into one on the next full open.
         config=DurableConfig(checkpoint_every=None, fsync=not args.no_fsync),
     )
-    config = ServerConfig(
-        block_size=args.block_size,
-        max_symbols_per_shard=args.max_symbols or None,
-        idle_timeout=args.idle_timeout or None,
-        max_concurrent_sessions=(
-            None if args.max_clients < 0 else args.max_clients
-        ),
-        per_peer_rate=args.peer_rate or None,
-        per_peer_burst=args.peer_burst,
-        max_session_bytes=(
-            None if args.max_session_bytes < 0 else args.max_session_bytes
-        ),
+    server = WorkerServer(
+        backend=backend, config=ServerConfig(**args.server_config)
     )
-    if args.busy_retry_after is not None:
-        config.busy_retry_after = args.busy_retry_after
-    server = WorkerServer(backend=backend, config=config)
     server.cluster = ClusterInfo(
         num_workers=args.num_workers,
         worker_index=args.worker,

@@ -270,8 +270,8 @@ class CodedSymbolBank:
 
     # -- wire format ------------------------------------------------------
     #
-    # The bank's own wire format is the flat fixed-width cell layout also
-    # used by the table-based schemes (see ``repro.api.adapters.cellpack``):
+    # The bank's own wire format is the flat fixed-width cell layout, which
+    # is also how the table-based schemes ship their banks:
     # ℓ-byte sum | checksum_size-byte checksum | 8-byte signed count, all
     # little-endian.  The §6 compressed-count stream framing lives in
     # ``repro.core.wire`` (``SymbolStreamWriter.write_block`` /

@@ -481,10 +481,6 @@ class RatelessDecoder:
         """Recovered items exclusive to the receiver (B \\ A)."""
         return [self.codec.to_bytes(v) for v in self._local]
 
-    def cells(self) -> list[CodedSymbol]:
-        """Value snapshots of the (partially peeled) received cells."""
-        return self._bank.cells()
-
     def result(self) -> DecodeResult:
         """Snapshot the current decoding outcome.
 

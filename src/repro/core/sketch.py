@@ -1,14 +1,15 @@
 """Fixed-length sketches: any prefix of the infinite coded sequence.
 
 A :class:`RatelessSketch` of size ``m`` is exactly the first ``m`` coded
-symbols of a set.  Sketches of equal size under compatible codecs can be
-subtracted cell-wise; by linearity (§4.1) the result is the sketch of the
-symmetric difference, which decodes with the standard peeling decoder.
+symbols of a set, held as a :class:`~repro.core.cellbank.CodedSymbolBank`.
+Sketches of equal size under compatible codecs can be subtracted
+cell-wise; by linearity (§4.1) the result is the sketch of the symmetric
+difference, which decodes with the standard peeling decoder.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.core.cellbank import CodedSymbolBank
 from repro.core.coded import CodedSymbol
@@ -20,16 +21,13 @@ from repro.core.symbols import SymbolCodec
 class RatelessSketch:
     """The first ``m`` coded symbols of a set, with linear subtraction."""
 
-    __slots__ = ("codec", "cells", "set_size")
+    __slots__ = ("codec", "bank", "set_size")
 
     def __init__(
-        self,
-        codec: SymbolCodec,
-        cells: Sequence[CodedSymbol],
-        set_size: int = 0,
+        self, codec: SymbolCodec, bank: CodedSymbolBank, set_size: int = 0
     ) -> None:
         self.codec = codec
-        self.cells = list(cells)
+        self.bank = bank
         self.set_size = set_size
 
     @classmethod
@@ -42,12 +40,12 @@ class RatelessSketch:
         """
         datas = items if isinstance(items, list) else list(items)
         bank = RatelessEncoder(codec, datas).produce_block(size)
-        return cls(codec, bank.cells(), set_size=len(datas))
+        return cls(codec, bank, set_size=len(datas))
 
     @classmethod
     def zero(cls, size: int, codec: SymbolCodec) -> "RatelessSketch":
         """The sketch of the empty set."""
-        return cls(codec, [CodedSymbol() for _ in range(size)], set_size=0)
+        return cls(codec, CodedSymbolBank.zeros(size), set_size=0)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -55,38 +53,30 @@ class RatelessSketch:
         """Cell-wise ``self ⊖ other`` → sketch of the symmetric difference."""
         if not self.codec.compatible_with(other.codec):
             raise ValueError("sketches built with incompatible codecs")
-        if len(self.cells) != len(other.cells):
-            raise ValueError(
-                f"sketch sizes differ: {len(self.cells)} vs {len(other.cells)}"
-            )
-        cells = [a.subtract(b) for a, b in zip(self.cells, other.cells)]
-        return RatelessSketch(self.codec, cells, set_size=0)
+        return RatelessSketch(self.codec, self.bank.subtract(other.bank), set_size=0)
+
+    def _apply(self, data: bytes, direction: int) -> None:
+        value = self.codec.to_int(data)
+        checksum = self.codec.checksum_int(value)
+        indices = self.codec.new_mapping(checksum).indices_below(len(self.bank))
+        self.bank.apply_batch(value, checksum, direction, indices)
+        self.set_size += direction
 
     def add_item(self, data: bytes) -> None:
         """Fold one more item into this sketch in place (linearity)."""
-        value = self.codec.to_int(data)
-        checksum = self.codec.checksum_int(value)
-        for idx in self.codec.new_mapping(checksum).indices_below(len(self.cells)):
-            self.cells[idx].apply(value, checksum, 1)
-        self.set_size += 1
+        self._apply(data, 1)
 
     def remove_item(self, data: bytes) -> None:
         """Peel one item back out of this sketch in place."""
-        value = self.codec.to_int(data)
-        checksum = self.codec.checksum_int(value)
-        for idx in self.codec.new_mapping(checksum).indices_below(len(self.cells)):
-            self.cells[idx].apply(value, checksum, -1)
-        self.set_size -= 1
+        self._apply(data, -1)
 
     def truncated(self, size: int) -> "RatelessSketch":
         """A shorter prefix of this sketch (prefixes nest, Fig 3)."""
-        if size > len(self.cells):
-            raise ValueError("cannot truncate to a longer size")
-        return RatelessSketch(
-            self.codec,
-            [cell.copy() for cell in self.cells[:size]],
-            set_size=self.set_size,
-        )
+        if size > len(self.bank):
+            raise ValueError(
+                f"cannot truncate a {len(self.bank)}-cell sketch to {size} cells"
+            )
+        return RatelessSketch(self.codec, self.bank.slice(0, size), self.set_size)
 
     # -- decoding ------------------------------------------------------------
 
@@ -97,26 +87,29 @@ class RatelessSketch:
         the same consumed prefix as per-cell feeding.
         """
         decoder = RatelessDecoder(self.codec)
-        decoder.add_coded_block(
-            CodedSymbolBank.from_cells(self.cells), stop_when_decoded=True, chunk=1
-        )
+        decoder.add_coded_block(self.bank, stop_when_decoded=True, chunk=1)
         return decoder.result()
 
     # -- container protocol ---------------------------------------------------
 
+    @property
+    def cells(self) -> list[CodedSymbol]:
+        """Read-only value snapshot of the cells."""
+        return self.bank.cells()
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.bank)
 
     def __iter__(self) -> Iterator[CodedSymbol]:
-        return iter(self.cells)
+        return iter(self.bank)
 
     def __getitem__(self, index: int) -> CodedSymbol:
-        return self.cells[index]
+        return self.bank.cell_at(index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatelessSketch):
             return NotImplemented
-        return self.cells == other.cells
+        return self.bank == other.bank
 
     def __repr__(self) -> str:
-        return f"RatelessSketch(size={len(self.cells)}, set_size={self.set_size})"
+        return f"RatelessSketch(size={len(self.bank)}, set_size={self.set_size})"

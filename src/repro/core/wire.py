@@ -17,7 +17,7 @@ header and knows ``i`` from stream position.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro import engine
 from repro.core import varint
@@ -109,19 +109,7 @@ class SymbolStreamWriter:
 
     def write(self, cell: CodedSymbol) -> bytes:
         """Serialise the next cell; the index advances implicitly."""
-        codec = self.codec
-        count_delta = cell.count - expected_count(codec, self.set_size, self.index)
-        count_blob = varint.encode_svarint(count_delta)
-        blob = (
-            cell.sum.to_bytes(codec.symbol_size, "little")
-            + cell.checksum.to_bytes(codec.checksum_size, "little")
-            + count_blob
-        )
-        self.index += 1
-        self.cells_written += 1
-        self.bytes_written += len(blob)
-        self.count_bytes_written += len(count_blob)
-        return blob
+        return self.write_block(CodedSymbolBank.from_cells((cell,)))
 
     def write_block(self, bank: CodedSymbolBank) -> bytes:
         """Serialise a whole bank of cells; byte-identical to per-cell
@@ -352,37 +340,30 @@ class SymbolStreamReader:
         self._header_parsed = True
         return True
 
+
 def encode_stream(
     codec: SymbolCodec,
     set_size: int,
     cells: "Iterable[CodedSymbol] | CodedSymbolBank",
     start_index: int = 0,
 ) -> bytes:
-    """One-shot serialisation: header followed by every cell.
-
-    Accepts a :class:`CodedSymbolBank` directly (block fast path) or any
-    iterable of cells.
-    """
+    """One-shot serialisation: header followed by every cell of a
+    :class:`CodedSymbolBank` (or, for the per-cell API, any iterable of
+    cells)."""
     writer = SymbolStreamWriter(codec, set_size, start_index)
     if not isinstance(cells, CodedSymbolBank):
         cells = CodedSymbolBank.from_cells(cells)
     return writer.header() + writer.write_block(cells)
 
 
-def decode_stream(codec: SymbolCodec, data: bytes) -> tuple[list[CodedSymbol], int]:
-    """One-shot parse; returns ``(cells, set_size)``."""
+def decode_stream(codec: SymbolCodec, data: bytes) -> tuple[CodedSymbolBank, int]:
+    """One-shot parse; returns ``(bank, set_size)``."""
     reader = SymbolStreamReader(codec)
-    cells = reader.feed(data)
+    bank = CodedSymbolBank()
+    reader.feed_into(bank, data)
     reader.finish()
     assert reader.set_size is not None
-    return cells, reader.set_size
-
-
-def iter_stream(codec: SymbolCodec, chunks: Iterable[bytes]) -> Iterator[CodedSymbol]:
-    """Parse an iterable of byte chunks into cells, streaming."""
-    reader = SymbolStreamReader(codec)
-    for chunk in chunks:
-        yield from reader.feed(chunk)
+    return bank, reader.set_size
 
 
 def cell_wire_size(codec: SymbolCodec, count_delta: int = 0) -> int:

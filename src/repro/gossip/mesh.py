@@ -154,13 +154,6 @@ class GossipMesh:
             node.digest().matches(first) for node in self.nodes[1:]
         )
 
-    def union_size(self) -> int:
-        """|union of all node sets| (diagnostics; O(total items))."""
-        union: set = set()
-        for node in self.nodes:
-            union.update(node.backend.sharded)
-        return len(union)
-
     # -- rounds ------------------------------------------------------------
 
     def run_round(self) -> MeshRoundStats:

@@ -15,7 +15,7 @@ provided:
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.hashing.siphash import siphash24, siphash24_batch, siphash24_int_batch
 
@@ -116,9 +116,3 @@ def make_hasher(kind: str = "blake2b", key: bytes = DEFAULT_KEY) -> KeyedHasher:
     if kind == "siphash":
         return SipHasher(key)
     raise ValueError(f"unknown hasher kind: {kind!r}")
-
-
-def hash_fn_of(hasher: KeyedHasher) -> Callable[[bytes], int]:
-    """Return the bound ``hash64`` of ``hasher`` (a micro-optimisation that
-    avoids attribute lookups in the encoder/decoder hot loops)."""
-    return hasher.hash64

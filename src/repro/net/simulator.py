@@ -69,7 +69,3 @@ class Simulator:
             processed += 1
             if processed >= max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap) - len(self._cancelled)

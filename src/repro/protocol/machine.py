@@ -1161,14 +1161,19 @@ class ResponderMachine(ReconcilerMachine):
         count = reader.uvarint()
         symbol_size = self.handle.params.symbol_size
         assert symbol_size is not None
-        for _ in range(count):
-            item = reader.raw(symbol_size)
-            try:
-                self.backend.add(item)
-            except KeyError:
-                continue  # another session already pushed it
-            self.pushes_applied += 1
+        items = [reader.raw(symbol_size) for _ in range(count)]
         reader.expect_end()
+        # Known items (another session already pushed them) and repeats
+        # are skipped; the rest land as one batch — one journal record
+        # and one warm-bank patch per shard on a durable server.
+        sharded = self.backend.sharded
+        fresh = [item for item in dict.fromkeys(items) if item not in sharded]
+        try:
+            self.backend.add_many(fresh)
+        except KeyError as exc:  # an item of a shard this worker does not own
+            self._protocol_fail(ErrorCode.PROTOCOL, f"PUSH refused: {exc.args[0]}")
+            return
+        self.pushes_applied += len(fresh)
 
     def _on_peer_closed(self) -> None:
         # The client left without BYE: the session simply ends

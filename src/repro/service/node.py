@@ -180,7 +180,7 @@ class ServiceNode:
                 if attempt + 1 == attempts:
                     raise
         if apply:
-            for item in result.only_in_server:
-                if item not in self.items:
-                    self.add_item(item)
+            self.add_items(
+                [item for item in result.only_in_server if item not in self.items]
+            )
         return result

@@ -108,6 +108,20 @@ def test_serialize_roundtrip(scheme: str) -> None:
     assert set(result.local) == b - a
 
 
+@pytest.mark.parametrize("scheme", ["regular_iblt", "met_iblt"])
+def test_table_adapters_batch_build_equals_per_item_adds(scheme: str) -> None:
+    """``from_items`` rides the table's batch build; the cells are the
+    ones item-by-item ``add`` calls produce."""
+    a, _ = sets_for("hundred_diff")
+    handle = get_scheme(scheme, symbol_size=ITEM).sized_for(40)
+    built = handle.new(sorted(a))
+    grown = handle.new([])
+    for item in sorted(a):
+        grown.add(item)
+    assert built._table.bank == grown._table.bank
+    assert built.serialize() == grown.serialize()
+
+
 @pytest.mark.parametrize("scheme", sorted(set(ALL_SCHEMES) - set(SERIALIZABLE)))
 def test_unserializable_schemes_say_so(scheme: str) -> None:
     a, _ = sets_for("one_diff")

@@ -424,3 +424,48 @@ def test_one_engine_switch_in_src():
     }
     assert not by_name, f"NUMPY_LANE imported by value in {by_name}"
     assert not modules_with(r"\.at\(")
+
+
+def test_one_cell_container_in_src():
+    """A stored coded-cell sequence is a ``CodedSymbolBank``, everywhere.
+
+    ``CodedSymbol`` objects are what the per-cell reference API hands
+    out, so only that API builds them or converts a bank to and from a
+    cell list; sketches, tables and adapters hold banks and use the
+    bank's ⊖ / slice / pack / zero test.  The one exception is the
+    read-only ``cells`` snapshot property of ``RatelessSketch`` and
+    ``CellTable``.
+    """
+    import ast
+    import re
+    from pathlib import Path
+
+    src = Path(engine.__file__).parent
+    builders = {f"core/{m}.py" for m in ("coded", "cellbank", "encoder", "countless")}
+    per_cell_api = {f"core/{m}.py" for m in ("encoder", "decoder", "wire", "cellbank")}
+    snapshots = {"core/sketch.py", "baselines/table.py"}
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        text = path.read_text()
+        tree = ast.parse(text)
+        snapshot_calls: set = set()
+        if name in snapshots:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "cells":
+                    decorators = [ast.unparse(d) for d in node.decorator_list]
+                    body = [s for s in node.body if not isinstance(s, ast.Expr)]
+                    assert decorators == ["property"], name
+                    assert len(body) == 1 and isinstance(body[0], ast.Return), name
+                    snapshot_calls.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "CodedSymbol":
+                assert name in builders, f"{name}:{node.lineno} builds a CodedSymbol"
+            if isinstance(func, ast.Attribute) and func.attr in ("from_cells", "cells"):
+                assert name in per_cell_api or id(node) in snapshot_calls, (
+                    f"{name}:{node.lineno} crosses between a bank and a cell list"
+                )
+        if name != "core/countless.py":
+            assert not re.search(r"self\.\w+[^=\n]*list\[CodedSymbol\]", text), name

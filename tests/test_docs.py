@@ -154,6 +154,29 @@ def test_packed_bank_constants():
     assert "ℓ + checksum_size + 8" in text
 
 
+def test_bank_is_the_one_cell_container():
+    """README and architecture.md name the holders of a stored cell
+    sequence as ``Class.bank``; each named class must hold a
+    ``CodedSymbolBank`` there, for rateless prefixes and fixed tables."""
+    from repro.baselines.regular_iblt import RegularIBLT
+    from repro.baselines.table import CellTable
+    from repro.core.sketch import RatelessSketch
+    from repro.core.symbols import SymbolCodec
+
+    codec = SymbolCodec(8)
+    holders = {
+        "RatelessSketch": RatelessSketch.zero(4, codec),
+        "CellTable": RegularIBLT(6, codec),
+    }
+    assert isinstance(holders["CellTable"], CellTable)
+    readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
+    for text in (readme, section(doc_text("architecture.md"), "core — the codec")):
+        assert "the one container for a stored cell sequence" in " ".join(text.split())
+        assert set(re.findall(r"`(\w+)\.bank`", text)) == set(holders)
+    for holder in holders.values():
+        assert isinstance(holder.bank, CodedSymbolBank)
+
+
 def test_busy_body_layout_documented():
     """wire-format.md must spell out BUSY's structured ERROR body, and
     the documented layout must be the one ``pack_busy_body`` emits."""

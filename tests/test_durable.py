@@ -461,3 +461,58 @@ def test_snapshot_crosses_engines_bit_identically(tmp_path, size, written_on_vec
             assert_bit_identical(recovered, WarmRibltBackend(handle, sharded, codec))
         finally:
             recovered.close()
+
+
+# -- a PUSH frame is one churn batch ---------------------------------------
+
+
+def _pushed_responder(tmp_path, body):
+    """A durable-backed responder that received HELLO, then one PUSH."""
+    from repro.protocol import InitiatorMachine, ResponderMachine
+    from repro.service.framing import FrameType, encode_frame
+
+    backend = open_durable(tmp_path, make_items(0, 50), num_shards=1)
+    responder = ResponderMachine(backend, backend.handle)
+    responder.start()
+    hello = InitiatorMachine(backend.handle, [])
+    hello.start()
+    responder.bytes_received(hello.take_output())
+    responder.bytes_received(encode_frame(FrameType.PUSH, body))
+    return backend, responder
+
+
+def test_push_frame_is_one_journal_append(tmp_path):
+    """n pushed items cost one journal record (and one fsync), and the
+    known and repeated ones among them are skipped, not errors."""
+    from repro.service.framing import pack_uvarints
+
+    fresh = make_items(900, 940)
+    sent = fresh + [fresh[0]] + make_items(0, 3)
+    backend, responder = _pushed_responder(
+        tmp_path, pack_uvarints(0, len(sent)) + b"".join(sent)
+    )
+    try:
+        assert responder.failed is None
+        assert responder.pushes_applied == len(fresh)
+        assert backend.store.seq == 1
+        assert set(backend.sharded) == set(make_items(0, 50)) | set(fresh)
+    finally:
+        backend.close()
+
+
+def test_malformed_push_applies_nothing(tmp_path):
+    """Trailing garbage after the declared items fails the frame before
+    any item reaches the set or the journal."""
+    from repro.service.framing import pack_uvarints
+
+    fresh = make_items(900, 910)
+    backend, responder = _pushed_responder(
+        tmp_path, pack_uvarints(0, len(fresh)) + b"".join(fresh) + b"\x00"
+    )
+    try:
+        assert responder.finished and responder.failed is not None
+        assert responder.pushes_applied == 0
+        assert backend.store.seq == 0
+        assert set(backend.sharded) == set(make_items(0, 50))
+    finally:
+        backend.close()

@@ -23,7 +23,7 @@ def test_roundtrip(codec8, rng):
     cells = [cell.copy() for cell in enc.produce(50)]
     blob = encode_stream(codec8, len(items), cells)
     decoded, set_size = decode_stream(codec8, blob)
-    assert decoded == cells
+    assert decoded.cells() == cells
     assert set_size == 100
 
 
@@ -35,7 +35,7 @@ def test_roundtrip_with_start_index(codec8, rng):
     tail = [cell.copy() for cell in enc.produce(16)]
     blob = encode_stream(codec8, 64, tail, start_index=32)
     decoded, _ = decode_stream(codec8, blob)
-    assert decoded == tail
+    assert decoded.cells() == tail
 
 
 def test_expected_count_regular(codec8):

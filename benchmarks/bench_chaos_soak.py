@@ -23,7 +23,7 @@ from bench_json import write_bench_json
 from bench_util import by_scale, make_items, report_table
 from repro.chaos import ChaosOrchestrator, default_schedule
 from repro.cluster import ClusterConfig
-from repro.service import RetryPolicy, sync
+from repro.service import RetryPolicy, ServerConfig, sync
 
 ITEM = 16
 SET_SIZE = by_scale(400, 4_000, 12_000)
@@ -58,10 +58,11 @@ async def _soak(server_items, fresh):
     schedule = default_schedule(SCHEDULE_SEED)
     config = ClusterConfig(
         num_workers=NUM_WORKERS,
-        fsync=False,
         restart_backoff=0.05,
-        max_concurrent_sessions=MAX_CONCURRENT,
-        busy_retry_after=BUSY_RETRY_AFTER,
+        server=ServerConfig(
+            max_concurrent_sessions=MAX_CONCURRENT,
+            busy_retry_after=BUSY_RETRY_AFTER,
+        ),
     )
     clients = _client_sets(server_items, fresh, CLIENTS)
     completed = 0

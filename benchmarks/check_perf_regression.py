@@ -4,7 +4,7 @@
 CI's perf-smoke job runs the throughput benches at ``REPRO_SCALE=quick``
 (which writes ``BENCH_<name>.quick.json`` beside the committed
 default-scale ``BENCH_<name>.json``) and then calls this script.  Rows
-are matched on their workload key (``d`` / ``set_size`` / ``clients`` /
+are matched on their workload key (``d`` / ``set_size`` /
 ``item_bytes``, plus ``engine`` where a bench times several) and
 compared on their throughput-style metric; a row that fell below
 ``1/THRESHOLD`` of the committed value fails the job.
@@ -39,7 +39,7 @@ _METRICS = (
     ("symbols_per_s", True),
     ("seconds", False),
 )
-_KEYS = ("d", "set_size", "clients", "item_bytes")
+_KEYS = ("d", "set_size", "item_bytes")
 
 
 def _row_key(row: dict):

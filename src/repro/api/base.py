@@ -32,6 +32,14 @@ from repro.core.decoder import DecodeResult
 from repro.core.session import SymbolBudgetExceeded as _CoreSymbolBudgetExceeded
 
 
+# Sketches sized from a (noisy) strata estimate get this headroom; the
+# retry loop doubles from there if the estimate still undershot.
+ESTIMATE_MARGIN = 1.25
+
+# Give-up bound for fixed-capacity (sketch-mode) doubling retries.
+DEFAULT_MAX_ROUNDS = 4
+
+
 class UnsupportedOperation(NotImplementedError):
     """The scheme cannot perform the requested operation (by design)."""
 

@@ -18,7 +18,8 @@ populates the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Optional, Sequence, Type
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence, Type
 
 from repro.api.base import (
     Capabilities,
@@ -26,6 +27,8 @@ from repro.api.base import (
     SetReconciler,
     as_item_list,
 )
+from repro.core.symbols import SymbolCodec
+from repro.hashing.keyed import Blake2bHasher
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,48 @@ class Scheme:
         )
         return Scheme(self.info, params)
 
-    def _bound_params(self, items: Sequence[bytes]) -> SchemeParams:
+    def bound_to(self, *collections: Iterable[bytes]) -> "Scheme":
+        """This handle with ``symbol_size`` pinned — the repo's one
+        inference site: an unset size is the length of the first item of
+        the first non-empty collection (each must be re-iterable)."""
+        if self.params.symbol_size is not None:
+            return self
+        for items in collections:
+            for item in items:
+                return self.with_params(symbol_size=len(item))
+        raise ValueError(
+            f"scheme {self.name!r}: symbol_size must be given explicitly "
+            "when building from an empty set"
+        )
+
+    # What a peer derives from its handle — cached, so every host, machine
+    # and backend sharing the handle shares one (stateless) codec.  Read
+    # them off a handle whose symbol_size is bound.
+
+    @cached_property
+    def codec(self) -> Optional[SymbolCodec]:
+        """The scheme's SymbolCodec when its params describe one."""
         params = self.params
-        if params.symbol_size is None:
-            if not items:
-                raise ValueError(
-                    f"scheme {self.name!r}: symbol_size must be given explicitly "
-                    "when building from an empty set"
-                )
-            params = replace(params, symbol_size=len(items[0]))
-        return params
+        if hasattr(params, "checksum_size") and hasattr(params, "hasher"):
+            from repro.api.adapters.cellpack import codec_for
+
+            return codec_for(params)  # type: ignore[arg-type]
+        return None
+
+    @cached_property
+    def hash64(self) -> Callable[[bytes], int]:
+        """The keyed 64-bit hash both peers share: shard placement for
+        every scheme, and the codec's checksum hash where there is one."""
+        if self.codec is not None:
+            return self.codec.hasher.hash64
+        return Blake2bHasher().hash64
+
+    @cached_property
+    def key_probe(self) -> int:
+        """The handshake probe identifying this peer's (hasher, key)."""
+        from repro.service.shard import key_probe
+
+        return key_probe(self.hash64)
 
     def new(
         self,
@@ -126,7 +161,7 @@ class Scheme:
         silently ignore them (the hashes are a pure optimisation).
         """
         materialised = as_item_list(items, self.params.symbol_size)
-        params = self._bound_params(materialised)
+        params = self.bound_to(materialised).params
         cls = self.info.reconciler_class
         if item_hashes is not None and getattr(cls, "accepts_item_hashes", False):
             return cls.from_items(
@@ -146,13 +181,21 @@ class Scheme:
         return f"Scheme({self.name!r}, {self.params!r})"
 
 
-def get_scheme(name: str, **params: object) -> Scheme:
+def get_scheme(name: "str | Scheme", **params: object) -> Scheme:
     """Look up ``name`` and bind keyword parameters to its dataclass.
 
     Unknown keyword arguments raise ``TypeError`` with the scheme's
     accepted parameter names, so callers discover each scheme's knobs
-    without reading the adapter.
+    without reading the adapter.  An already-bound :class:`Scheme`
+    passes through (and then takes no parameters), so every entry point
+    that accepts "a scheme name or a handle" resolves it here.
     """
+    if isinstance(name, Scheme):
+        if params:
+            raise TypeError(
+                "pass parameters either in the Scheme handle or as kwargs, not both"
+            )
+        return name
     info = scheme_info(name)
     accepted = {f.name for f in fields(info.param_class)}
     unknown = set(params) - accepted

@@ -29,9 +29,10 @@ dispatch is unchanged:
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.api.base import (
+    DEFAULT_MAX_ROUNDS,
     ReconcileError,
     ReconcileResult,
     SetReconciler,
@@ -40,38 +41,11 @@ from repro.api.base import (
 )
 from repro.api.registry import Scheme, get_scheme
 
-# Sketches sized from a (noisy) strata estimate get this headroom; the
-# retry loop doubles from there if the estimate still undershot.
-# Deliberately an independent literal (importing the engine's canonical
-# repro.protocol.machine.ESTIMATE_MARGIN at module scope would recreate
-# the import cycle this module's lazy _engine() exists to avoid);
-# reconcile() reads it at call time, so patching it here still works.
-ESTIMATE_MARGIN = 1.25
-
-# Give-up bound for fixed-capacity retries (the engine's
-# repro.protocol.machine.DEFAULT_MAX_ROUNDS holds the same value).
-DEFAULT_MAX_ROUNDS = 4
-
 
 def _engine():
     """The engine's in-memory driver module (:mod:`repro.protocol.pump`),
     imported lazily to keep import cycles at bay."""
     return import_module("repro.protocol.pump")
-
-
-def resolve_symbol_size(
-    handle: Scheme, a: Sequence[bytes], b: Sequence[bytes]
-) -> Scheme:
-    """Pin ``symbol_size`` from the first item when the handle left it open."""
-    if handle.params.symbol_size is not None:
-        return handle
-    probe = a[0] if a else (b[0] if b else None)
-    if probe is None:
-        raise ValueError(
-            f"scheme {handle.name!r}: symbol_size must be given explicitly "
-            "when building from an empty set"
-        )
-    return handle.with_params(symbol_size=len(probe))
 
 
 def sketch_sizing(
@@ -105,16 +79,6 @@ def result_of(report) -> ReconcileResult:
     )
 
 
-def _resolve_handle(scheme, params: dict) -> Scheme:
-    if isinstance(scheme, str):
-        return get_scheme(scheme, **params)
-    if params:
-        raise TypeError(
-            "pass parameters either in the Scheme handle or as kwargs, not both"
-        )
-    return scheme
-
-
 class Session:
     """One live streaming reconciliation between two in-memory sets.
 
@@ -131,14 +95,14 @@ class Session:
         scheme: str | Scheme = "riblt",
         **params: object,
     ) -> None:
-        handle = _resolve_handle(scheme, params)
+        handle = get_scheme(scheme, **params)
         if not handle.capabilities.streaming:
             raise ValueError(
                 f"scheme {handle.name!r} is not streaming; use repro.api.reconcile"
             )
         a = as_item_list(alice_items, handle.params.symbol_size)
         b = as_item_list(bob_items, handle.params.symbol_size)
-        handle = resolve_symbol_size(handle, a, b)
+        handle = handle.bound_to(a, b)
         self._engine = _engine()
         self.scheme = handle.name
         self.handle = handle
@@ -273,7 +237,7 @@ def reconcile(
         return one_shot_result(handle, handle.new(a).subtract(handle.new(b)))
     a = as_item_list(a, handle.params.symbol_size)
     b = as_item_list(b, handle.params.symbol_size)
-    handle = resolve_symbol_size(handle, a, b)
+    handle = handle.bound_to(a, b)
     engine = _engine()
     bound, use_estimator = sketch_sizing(handle, difference_bound)
     initiator = engine.InitiatorMachine(
@@ -282,7 +246,6 @@ def reconcile(
         difference_bound=bound,
         max_rounds=max_rounds if handle.capabilities.fixed_capacity else 1,
         use_estimator=use_estimator,
-        estimate_margin=ESTIMATE_MARGIN,
     )
     responder = engine.memory_responder(handle, a, use_estimator=use_estimator)
     return result_of(engine.pump(initiator, responder))

@@ -220,10 +220,23 @@ def cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
+def server_config_from_args(args: argparse.Namespace):
+    """The one ``ServerConfig`` ``serve``, ``serve --workers`` and
+    ``chaos`` build from their shared limit flags."""
+    from repro.service import ServerConfig
+
+    return ServerConfig(
+        block_size=args.block_size,
+        max_symbols_per_shard=args.max_symbols,
+        max_sessions=args.max_sessions,
+        max_concurrent_sessions=args.max_clients,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import ReconciliationServer, ServerConfig
+    from repro.service import ReconciliationServer
 
     if args.input is None and args.data_dir is None:
         raise CliError("serve needs an INPUT file, a --data-dir, or both")
@@ -236,12 +249,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # comes back from the durable data dir's manifest + journal.
         unique = set()
         params = {}
-    config = ServerConfig(
-        block_size=args.block_size,
-        max_symbols_per_shard=args.max_symbols,
-        max_sessions=args.max_sessions,
-        max_concurrent_sessions=args.max_clients,
-    )
     durable = None
     if args.data_dir is not None and args.checkpoint_every is not None:
         from repro.durable import DurableConfig
@@ -250,6 +257,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.workers > 1:
         return _serve_cluster(args, sorted(unique), params, durable)
+    config = server_config_from_args(args)
 
     async def run_server() -> None:
         try:
@@ -311,9 +319,7 @@ def _serve_cluster(
         num_workers=args.workers,
         host=args.host,
         entry_port=args.port,
-        block_size=args.block_size,
-        max_symbols_per_shard=args.max_symbols,
-        max_concurrent_sessions=args.max_clients,
+        server=server_config_from_args(args),
     )
 
     async def run_cluster() -> None:
@@ -375,9 +381,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     config = ClusterConfig(
         num_workers=args.workers,
         host=args.host,
-        block_size=args.block_size,
-        max_symbols_per_shard=args.max_symbols,
-        max_concurrent_sessions=args.max_clients,
+        server=server_config_from_args(args),
     )
 
     async def run_chaos() -> None:
@@ -786,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit once this many proxied connections have completed "
              "(default: serve until interrupted)",
     )
-    p_chaos.set_defaults(func=cmd_chaos, scheme="riblt")
+    p_chaos.set_defaults(func=cmd_chaos, scheme="riblt", max_sessions=None)
 
     p_sync = sub.add_parser(
         "sync", help="reconcile a local file against a peer, over any transport"

@@ -40,16 +40,16 @@ import signal
 import socket
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional
 
 from repro.cluster.topology import worker_shards
-from repro.durable import DurableConfig, open_durable
+from repro.durable import DurableConfig
+from repro.durable.store import MANIFEST_NAME
+from repro.service.backends import open_backend
 from repro.service.defaults import with_service_hasher
 from repro.service.server import ServerConfig
-
-MANIFEST_NAME = "MANIFEST.json"
 
 
 class ClusterError(RuntimeError):
@@ -78,16 +78,16 @@ def _free_port(host: str) -> int:
 
 @dataclass
 class ClusterConfig:
-    """Pool-level knobs (per-session knobs ride along to the workers)."""
+    """Pool-level knobs; per-session knobs are the nested ``server``."""
 
     num_workers: int = 2
     host: str = "127.0.0.1"
     entry_port: int = 0
     """The port clients dial; 0 picks an ephemeral one."""
-    block_size: int = 64
-    max_symbols_per_shard: Optional[int] = 1 << 17
-    idle_timeout: Optional[float] = 60.0
-    fsync: bool = True
+    server: ServerConfig = field(default_factory=ServerConfig)
+    """Every worker's :class:`~repro.service.server.ServerConfig`
+    (block size, budgets, idle deadline, admission limits — all
+    per worker), shipped to each worker process whole."""
     reuse_port: Optional[bool] = None
     """``None`` auto-detects; ``True`` requires ``SO_REUSEPORT``;
     ``False`` forces the per-worker-port fallback."""
@@ -96,18 +96,6 @@ class ClusterConfig:
     restart_backoff: float = 0.1
     ready_timeout: float = 30.0
     drain_timeout: float = 5.0
-    max_concurrent_sessions: Optional[int] = None
-    """Per-worker admission cap (see
-    :class:`~repro.service.server.ServerConfig`); excess HELLOs are
-    answered with a ``BUSY`` shed instead of queueing."""
-    per_peer_rate: Optional[float] = None
-    """Per-worker per-peer-host connection rate (token bucket)."""
-    per_peer_burst: int = 8
-    max_session_bytes: Optional[int] = None
-    """Per-worker per-session served-byte bound before a mid-stream shed."""
-    busy_retry_after: Optional[float] = None
-    """Retry-after hint stamped into worker ``BUSY`` frames; ``None``
-    keeps :data:`~repro.service.defaults.DEFAULT_BUSY_RETRY_AFTER`."""
     advertise_ports: Optional[List[int]] = None
     """Ports published in the WELCOME routing tail *instead of* the
     workers' real bind ports — one per worker.  This is how a fault
@@ -125,7 +113,8 @@ class ClusterSupervisor:
     an existing directory is recovered and the seed must match it.
     ``num_shards=0`` on a fresh store defaults to one shard per worker.
     Without ``data_dir`` the pool runs on an ephemeral directory
-    (removed in :meth:`close`) with ``fsync`` off unless configured.
+    (removed in :meth:`close`) with ``fsync`` off unless ``durable``
+    says otherwise.
     """
 
     def __init__(
@@ -221,20 +210,16 @@ class ClusterSupervisor:
 
     def _prepare_store(self) -> int:
         """Full open (folds stale segments), checkpoint, report shards."""
-        fresh = not (self.data_dir / MANIFEST_NAME).exists()
-        params = dict(self._params)
-        if fresh:
-            params = with_service_hasher(self._scheme, params)
         num_shards = self._num_shards
-        if fresh and num_shards == 0:
+        if num_shards == 0 and not (self.data_dir / MANIFEST_NAME).exists():
             num_shards = self.config.num_workers
-        backend = open_durable(
-            self.data_dir,
+        backend = open_backend(
             self._seed_items,
             scheme=self._scheme,
             num_shards=num_shards,
-            config=self._durable,
-            **params,
+            data_dir=self.data_dir,
+            durable=self._durable,
+            **with_service_hasher(self._scheme, self._params, self.data_dir),
         )
         try:
             # Unconditional: subset opens replay only their own segment,
@@ -247,15 +232,6 @@ class ClusterSupervisor:
     async def _spawn(self, index: int) -> asyncio.subprocess.Process:
         cfg = self.config
         advertised = cfg.advertise_ports or self.ports
-        # Every ServerConfig knob the pool config also carries rides to
-        # the worker as one JSON object, by field name.
-        limits = {
-            f.name: getattr(cfg, f.name)
-            for f in fields(ServerConfig)
-            if hasattr(cfg, f.name)
-        }
-        if limits["busy_retry_after"] is None:
-            del limits["busy_retry_after"]  # keep the server's default hint
         argv = [
             sys.executable,
             "-m",
@@ -268,12 +244,9 @@ class ClusterSupervisor:
             "--port", str(self.ports[index]),
             "--ports", ",".join(str(p) for p in advertised),
             "--entry-port", str(self.entry_port if self._reuse else 0),
-            "--server-config", json.dumps(limits),
+            "--server-config", json.dumps(asdict(cfg.server)),
         ]
-        fsync = cfg.fsync and (
-            self._durable.fsync if self._durable is not None else True
-        )
-        if not fsync:
+        if self._durable is not None and not self._durable.fsync:
             argv.append("--no-fsync")
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])

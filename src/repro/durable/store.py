@@ -20,8 +20,8 @@ skipped on replay).  There is no instant at which a reader can observe
 half a checkpoint.
 
 **Mutation** is write-ahead through :class:`DurableBackend`: validate
-against the live set (mirroring ``ShardedSet``'s all-or-nothing
-semantics), append to the journal, *then* patch the warm banks.  An
+against the live set (``ShardedSet.check_many``, the same all-or-nothing
+test the apply runs), append to the journal, *then* patch the warm banks.  An
 ``OSError`` on the append therefore leaves memory and disk both
 unchanged, and a replayed journal can never fail validation.
 
@@ -61,9 +61,7 @@ from repro.durable.snapshot import (
     snapshot_members,
     unpack_shard,
 )
-from repro.protocol.machine import codec_of, hash64_of
-from repro.service.backends import ShardBackend, WarmRibltBackend
-from repro.service.framing import SyncMode
+from repro.service.backends import WarmRibltBackend, open_backend
 from repro.service.shard import ShardedSet, ShardSubsetSet
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -189,7 +187,6 @@ class DurableShardStore:
         self,
         data_dir: Path,
         handle: Scheme,
-        codec: SymbolCodec,
         *,
         gen: int,
         seq: int,
@@ -200,7 +197,6 @@ class DurableShardStore:
     ) -> None:
         self.data_dir = data_dir
         self.handle = handle
-        self.codec = codec
         self.gen = gen
         self.seq = seq
         self.config = config
@@ -222,7 +218,7 @@ class DurableShardStore:
 
     # -- checkpointing -----------------------------------------------------
 
-    def checkpoint(self, inner: WarmRibltBackend) -> None:
+    def checkpoint(self, backend: WarmRibltBackend) -> None:
         """Freeze every shard's encoder to a new snapshot generation.
 
         Crash-safe at every instant: the manifest rename is the single
@@ -242,13 +238,13 @@ class DurableShardStore:
                 "folds worker segments on the next full open"
             )
         gen = self.gen + 1
-        codec = self.codec
+        codec = self.handle.codec
         entries = []
-        for shard, encoder in enumerate(inner.encoders):
+        for shard, encoder in enumerate(backend.encoders):
             values, checksums, currents, states = encoder.export_rows()
             snapshot = ShardSnapshot(
                 shard,
-                inner.sharded.versions[shard],
+                backend.sharded.versions[shard],
                 values,
                 checksums,
                 currents,
@@ -266,7 +262,7 @@ class DurableShardStore:
             entries.append(
                 {
                     "file": name,
-                    "version": inner.sharded.versions[shard],
+                    "version": backend.sharded.versions[shard],
                     "count": len(encoder),
                     "cells": encoder.produced_count,
                 }
@@ -279,7 +275,7 @@ class DurableShardStore:
             "checksum_size": codec.checksum_size,
             "hasher": params.hasher,
             "key": params.key.hex(),
-            "num_shards": inner.num_shards,
+            "num_shards": backend.num_shards,
             "gen": gen,
             "seq": self.seq,
             "shards": entries,
@@ -297,14 +293,14 @@ class DurableShardStore:
         self.churned_since_checkpoint = 0
         self._sweep_stale_files(keep_gen=gen, drop_segments=True)
 
-    def note_churn(self, count: int, inner: WarmRibltBackend) -> None:
+    def note_churn(self, count: int, backend: WarmRibltBackend) -> None:
         """Auto-checkpoint once enough churn accumulated in the journal."""
         self.churned_since_checkpoint += count
         if self.shard_subset is not None:
             return  # workers never checkpoint (see checkpoint's docstring)
         threshold = self.config.checkpoint_every
         if threshold is not None and self.churned_since_checkpoint >= threshold:
-            self.checkpoint(inner)
+            self.checkpoint(backend)
 
     def _sweep_stale_files(self, keep_gen: int, drop_segments: bool = False) -> None:
         """Drop snapshots of other generations and orphaned temp files.
@@ -353,86 +349,51 @@ def _snap_gen(name: str) -> Optional[int]:
 # -- the durable backend -----------------------------------------------------
 
 
-class DurableBackend(ShardBackend):
+class DurableBackend(WarmRibltBackend):
     """A :class:`WarmRibltBackend` whose churn is write-ahead journalled.
 
-    Streaming and sketches delegate straight to the inner warm backend
-    (both share the same :class:`ShardedSet`, so stream-version staleness
-    semantics are untouched); every mutation is validated, journalled,
-    then applied — see the module docstring for the ordering contract.
+    Streaming is the warm backend's own; every mutation is validated,
+    journalled, then applied — see the module docstring for the
+    ordering contract.
     """
 
-    mode = SyncMode.STREAM
-
-    def __init__(self, inner: WarmRibltBackend, store: DurableShardStore) -> None:
-        super().__init__(inner.handle, inner.sharded)
-        self.inner = inner
+    def __init__(
+        self,
+        handle: Scheme,
+        sharded: ShardedSet,
+        encoders: List[RatelessEncoder],
+        store: DurableShardStore,
+    ) -> None:
+        super().__init__(handle, sharded, encoders)
         self.store = store
-
-    @property
-    def codec(self) -> SymbolCodec:
-        return self.inner.codec
-
-    @property
-    def encoders(self) -> list[RatelessEncoder]:
-        return self.inner.encoders
-
-    def cached_symbols(self, shard: int) -> int:
-        return self.inner.cached_symbols(shard)
-
-    def open_stream(self, shard: int):
-        return self.inner.open_stream(shard)
-
-    def build_sketch(self, shard: int, bound: int) -> bytes:
-        return self.inner.build_sketch(shard, bound)
 
     # -- write-ahead mutation ----------------------------------------------
 
-    def _mutate(self, items: List[bytes], op: int) -> list[int]:
-        # Validate first (mirroring ShardedSet's all-or-nothing checks) so
-        # a record that reaches the journal can never fail to replay.
-        sharded = self.inner.sharded
-        seen: set = set()
-        for item in items:
-            present = item in sharded
-            dup = item in seen
-            if op == OP_ADD and (present or dup):
-                raise KeyError(f"duplicate item: {item.hex()}")
-            if op == OP_REMOVE and (not present or dup):
-                raise KeyError(f"item not in set: {item.hex()}")
-            seen.add(item)
-        if isinstance(sharded, ShardSubsetSet):
-            # An unowned item is not "present", so the membership sweep
-            # passes — but apply would raise.  Fail placement *before*
-            # the journal write or the record could never replay.
-            sharded.place_many(items)
+    def _journalled(self, items: Iterable[bytes], op: int) -> list[int]:
+        items = items if isinstance(items, list) else list(items)
+        if not items:
+            return []
+        # Validate first, with the very test the apply below repeats
+        # (placement in an owned shard included), so a record that
+        # reaches the journal can never fail to replay.
+        self.sharded.check_many(items, adding=op == OP_ADD)
         self.store.journal_op(op, items)
-        if op == OP_ADD:
-            placed = self.inner.add_many(items)
-        else:
-            placed = self.inner.remove_many(items)
-        self.store.note_churn(len(items), self.inner)
+        apply = super().add_many if op == OP_ADD else super().remove_many
+        placed = apply(items)
+        self.store.note_churn(len(items), self)
         return placed
 
-    def add(self, item: bytes) -> int:
-        return self._mutate([item], OP_ADD)[0]
-
-    def remove(self, item: bytes) -> int:
-        return self._mutate([item], OP_REMOVE)[0]
-
     def add_many(self, items: Iterable[bytes]) -> list[int]:
-        items = items if isinstance(items, list) else list(items)
-        return self._mutate(items, OP_ADD) if items else []
+        return self._journalled(items, OP_ADD)
 
     def remove_many(self, items: Iterable[bytes]) -> list[int]:
-        items = items if isinstance(items, list) else list(items)
-        return self._mutate(items, OP_REMOVE) if items else []
+        return self._journalled(items, OP_REMOVE)
 
     # -- lifecycle -----------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Force a snapshot generation now (also runs on churn threshold)."""
-        self.store.checkpoint(self.inner)
+        self.store.checkpoint(self)
 
     def close(self) -> None:
         self.store.close()
@@ -506,41 +467,21 @@ def open_durable(
         backend = _recover(data_dir, config, injector)
         _validate_reopen(backend, materialised, scheme, num_shards, params)
         return backend
-    return _initialise(
-        data_dir, materialised, scheme, num_shards or 1, config, injector, params
+    warm = open_backend(
+        materialised, scheme=scheme, num_shards=num_shards or 1, **params
     )
-
-
-def _initialise(
-    data_dir: Path,
-    materialised: List[bytes],
-    scheme: str,
-    num_shards: int,
-    config: DurableConfig,
-    injector: FaultInjector,
-    params: dict,
-) -> DurableBackend:
-    handle = get_scheme(scheme, **params)
-    if handle.params.symbol_size is None:
-        if not materialised:
-            raise ValueError(
-                "initialising an empty durable store needs an explicit symbol_size"
-            )
-        handle = handle.with_params(symbol_size=len(materialised[0]))
-    codec = codec_of(handle)
-    if handle.name != "riblt" or codec is None:
+    if not isinstance(warm, WarmRibltBackend):
         raise ValueError(
             f"the durable store persists warm riblt banks; scheme "
-            f"{handle.name!r} is not supported"
+            f"{warm.scheme!r} is not supported"
         )
-    sharded = ShardedSet(hash64_of(handle, codec), num_shards, materialised)
-    inner = WarmRibltBackend(handle, sharded, codec)
     store = DurableShardStore(
-        data_dir, handle, codec, gen=0, seq=0, config=config, injector=injector
+        data_dir, warm.handle, gen=0, seq=0, config=config, injector=injector
     )
     store.journal.open()
-    store.checkpoint(inner)  # generation 1: the store is born consistent
-    return DurableBackend(inner, store)
+    backend = DurableBackend(warm.handle, warm.sharded, warm.encoders, store)
+    backend.checkpoint()  # generation 1: the store is born consistent
+    return backend
 
 
 def _restore_shard(
@@ -567,16 +508,20 @@ def _restore_shard(
 
 def _replay_segment(
     path: Path, base_seq: int, symbol_size: int
-) -> List[Tuple[int, int, List[bytes]]]:
-    """Decode one journal segment's records past ``base_seq``, in order.
+) -> Tuple[List[Tuple[int, int, List[bytes]]], Optional[int]]:
+    """Decode one journal file's records past ``base_seq``, in order.
 
-    Each segment is independently contiguous from the manifest's seq
-    (workers initialise their counters from the same checkpoint); a gap
-    *within* a segment is corruption.  A torn tail is silently dropped
-    (``read_journal`` yields only CRC-valid frames) — those bytes were
-    never acknowledged.
+    Returns ``(records, torn_at)``: the ``(seq, op, items)`` records, and
+    the length of the file's valid prefix when a torn tail follows it
+    (``read_journal`` yields only CRC-valid frames; the bytes past them
+    were never acknowledged), else ``None``.  Every journal file — the
+    base ``journal.log`` and each worker segment — is independently
+    contiguous from the manifest's seq (workers initialise their
+    counters from the same checkpoint); a gap *within* a file is
+    corruption.  Records at or below ``base_seq`` were written before a
+    checkpoint whose journal reset did not complete, and are skipped.
     """
-    payloads, _valid, _total = read_journal(path)
+    payloads, valid, total = read_journal(path)
     records: List[Tuple[int, int, List[bytes]]] = []
     last_seq = base_seq
     for payload in payloads:
@@ -589,7 +534,7 @@ def _replay_segment(
             )
         last_seq = rec_seq
         records.append((rec_seq, op, rec_items))
-    return records
+    return records, valid if total > valid else None
 
 
 def _recover(
@@ -625,7 +570,7 @@ def _recover(
             f"{manifest_path}: {len(shard_entries)} shard entries for "
             f"{num_shards} shards"
         )
-    codec = codec_of(handle)
+    codec = handle.codec
     assert codec is not None
     if shard_subset is not None:
         for g in shard_subset:
@@ -633,14 +578,12 @@ def _recover(
                 raise DataDirMismatch(
                     f"shard subset names shard {g}, store holds {num_shards}"
                 )
-        sharded: ShardedSet = ShardSubsetSet(
-            hash64_of(handle, codec), num_shards, shard_subset
-        )
+        sharded: ShardedSet = ShardSubsetSet(handle.hash64, num_shards, shard_subset)
         restored = [
             (local, g, shard_entries[g]) for local, g in enumerate(shard_subset)
         ]
     else:
-        sharded = ShardedSet(hash64_of(handle, codec), num_shards)
+        sharded = ShardedSet(handle.hash64, num_shards)
         restored = [
             (shard, shard, entry) for shard, entry in enumerate(shard_entries)
         ]
@@ -659,32 +602,16 @@ def _recover(
                 snapshot.bank,
             )
         )
-    inner = WarmRibltBackend(handle, sharded, codec, encoders=encoders)
-    # Replay churn the last checkpoint had not absorbed, oldest first.
-    # Records at or below the manifest's seq were written before a
-    # checkpoint whose journal reset did not complete — skip them.
+    # Replay churn the last checkpoint had not absorbed, oldest first,
+    # on the bare warm layer (these records are already journalled).
     # A subset open replays only its *own* segment; a full open replays
     # the base journal, then folds every worker segment (merged by
     # (seq, worker) — workers touch disjoint shards, so the order
     # across segments only needs to be deterministic).
-    journal_path = data_dir / journal_name
-    payloads, valid, total = read_journal(journal_path)
-    replayed = 0
-    last_seq = seq
-    for payload in payloads:
-        op, rec_seq, rec_items = decode_op(payload, codec.symbol_size)
-        if rec_seq <= seq:
-            continue
-        if rec_seq != last_seq + 1:
-            raise CorruptJournal(
-                f"{journal_path}: sequence jumped {last_seq} -> {rec_seq}"
-            )
-        if op == OP_ADD:
-            inner.add_many(rec_items)
-        else:
-            inner.remove_many(rec_items)
-        last_seq = rec_seq
-        replayed += len(rec_items)
+    warm = WarmRibltBackend(handle, sharded, encoders)
+    records, torn_at = _replay_segment(
+        data_dir / journal_name, seq, codec.symbol_size
+    )
     segments_folded = False
     if shard_subset is None:
         merged: List[Tuple[int, int, int, List[bytes]]] = []
@@ -695,20 +622,22 @@ def _recover(
             segments_folded = True
             for rec_seq, op, rec_items in _replay_segment(
                 seg_path, seq, codec.symbol_size
-            ):
+            )[0]:
                 merged.append((rec_seq, worker, op, rec_items))
-        merged.sort(key=lambda rec: (rec[0], rec[1]))
-        for rec_seq, _worker, op, rec_items in merged:
-            if op == OP_ADD:
-                inner.add_many(rec_items)
-            else:
-                inner.remove_many(rec_items)
-            last_seq = max(last_seq, rec_seq)
-            replayed += len(rec_items)
+        merged.sort(key=lambda rec: rec[:2])
+        records += [(rec_seq, op, items) for rec_seq, _worker, op, items in merged]
+    replayed = 0
+    last_seq = seq
+    for rec_seq, op, rec_items in records:
+        if op == OP_ADD:
+            warm.add_many(rec_items)
+        else:
+            warm.remove_many(rec_items)
+        last_seq = max(last_seq, rec_seq)
+        replayed += len(rec_items)
     store = DurableShardStore(
         data_dir,
         handle,
-        codec,
         gen=gen,
         seq=last_seq,
         config=config,
@@ -717,10 +646,10 @@ def _recover(
         shard_subset=shard_subset,
     )
     store.journal.open()
-    if total > valid:
-        store.journal.truncate_to(valid)  # torn tail from a crash mid-append
+    if torn_at is not None:
+        store.journal.truncate_to(torn_at)  # torn tail from a crash mid-append
     store.churned_since_checkpoint = replayed
-    backend = DurableBackend(inner, store)
+    backend = DurableBackend(handle, sharded, encoders, store)
     if shard_subset is not None:
         # Workers neither sweep (other generations may be mid-fold) nor
         # checkpoint; their state is bounded by the supervisor's fold.
@@ -732,7 +661,7 @@ def _recover(
     # manifest seq) — the checkpoint's sweep then deletes them.
     threshold = config.checkpoint_every
     if segments_folded or (threshold is not None and replayed >= threshold):
-        store.checkpoint(inner)
+        backend.checkpoint()
     return backend
 
 

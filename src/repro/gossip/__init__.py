@@ -72,17 +72,7 @@ def make_nodes(
     """Build one :class:`GossipNode` per input set, sharing one scheme
     handle (and therefore one keyed hash — peers that disagree on the
     key cannot reconcile, exactly as in the two-party transports)."""
-    if handle is None:
-        handle = get_scheme(scheme, **params)
-        if handle.params.symbol_size is None:
-            probe = next(
-                (item for members in node_sets for item in members), None
-            )
-            if probe is None:
-                raise ValueError(
-                    "all-empty gossip sets need an explicit symbol_size"
-                )
-            handle = handle.with_params(symbol_size=len(probe))
+    handle = get_scheme(handle or scheme, **params).bound_to(*node_sets)
     return [
         GossipNode(node_id, members, handle=handle, num_shards=num_shards)
         for node_id, members in enumerate(node_sets)

@@ -31,19 +31,14 @@ designs (PAPERS.md: Mitzenmacher et al.; SNIPPETS.md: bami's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Dict, Iterable, Optional
 
-from repro.api.registry import Scheme, get_scheme
-from repro.protocol.machine import (
-    InitiatorMachine,
-    ResponderMachine,
-    codec_of,
-    hash64_of,
-)
-from repro.service.backends import ShardBackend, make_backend
-from repro.service.shard import ShardedSet
-
-_XOR_SEED = 0  # empty-set digest value
+from repro.api.registry import Scheme
+from repro.protocol.machine import InitiatorMachine, ResponderMachine
+from repro.service.backends import ShardBackend, open_backend
+from repro.service.shard import hash_items
 
 
 @dataclass(frozen=True)
@@ -99,49 +94,26 @@ class GossipNode:
         backend: Optional[ShardBackend] = None,
         **params: object,
     ) -> None:
-        if backend is not None:
-            # Adopt live shard state — e.g. a durable backend recovered
-            # from disk, so the node's version clock (and therefore the
-            # digest peers compare against their stale guard) survives
-            # a restart instead of resetting to zero.
-            materialised = list(items)
-            if materialised or num_shards != 1 or params or handle is not None:
-                raise ValueError(
-                    "backend= is exclusive: the backend already fixes the "
-                    "items, handle, shard count, and parameters"
-                )
-            handle = backend.handle
-            self.node_id = node_id
-            self.handle = handle
-            self.codec = codec_of(handle)
-            self.hash64 = hash64_of(handle, self.codec)
-            self.backend = backend
-            self.views: Dict[int, PeerView] = {}
-            self._xor = _XOR_SEED
-            for item in backend.sharded:
-                self._xor ^= self.hash64(item)
-            self._digest_version = self.version
-            return
-        materialised = list(items)
-        if handle is None:
-            handle = get_scheme(scheme, **params)
-            if handle.params.symbol_size is None:
-                if not materialised:
-                    raise ValueError(
-                        "an empty gossip node needs an explicit symbol_size"
-                    )
-                handle = handle.with_params(symbol_size=len(materialised[0]))
+        # ``backend=`` adopts live shard state — e.g. a durable backend
+        # recovered from disk, so the node's version clock (and therefore
+        # the digest peers compare against their stale guard) survives a
+        # restart instead of resetting to zero.
+        if backend is None:
+            backend = open_backend(
+                items, scheme=handle or scheme, num_shards=num_shards, **params
+            )
+        elif handle is not None or num_shards != 1 or params or list(items):
+            raise ValueError(
+                "backend= is exclusive: the backend already fixes the "
+                "items, handle, shard count, and parameters"
+            )
         self.node_id = node_id
-        self.handle = handle
-        self.codec = codec_of(handle)
-        self.hash64 = hash64_of(handle, self.codec)
-        sharded = ShardedSet(self.hash64, num_shards, materialised)
-        self.backend: ShardBackend = make_backend(handle, sharded, self.codec)
+        self.backend: ShardBackend = backend
+        self.handle: Scheme = backend.handle
+        self.hash64 = self.handle.hash64
         self.views: Dict[int, PeerView] = {}
-        self._xor = _XOR_SEED
-        for item in materialised:
-            self._xor ^= self.hash64(item)
-        self._digest_version = self.version
+        self._xor = 0
+        self._digest_version = -1  # stale: the first digest() folds the set
 
     # -- the set ----------------------------------------------------------
 
@@ -162,9 +134,7 @@ class GossipNode:
 
     def add(self, item: bytes) -> None:
         """Local churn: add one item (warm banks patched, digest folded)."""
-        clean = self._digest_version == self.version
-        self.backend.add(item)
-        self._fold([item], clean)
+        self.add_many([item])
 
     def remove(self, item: bytes) -> None:
         """Local churn: drop one item (XOR folding is its own inverse)."""
@@ -195,7 +165,7 @@ class GossipNode:
             self.add_many(fresh)
         return len(fresh)
 
-    def _fold(self, items: Iterable[bytes], was_clean: bool) -> None:
+    def _fold(self, items: list, was_clean: bool) -> None:
         """Fold a just-applied mutation batch into the cached digest.
 
         ``was_clean`` is whether the cache matched the backend *before*
@@ -205,8 +175,7 @@ class GossipNode:
         """
         if not was_clean:
             return
-        for item in items:
-            self._xor ^= self.hash64(item)
+        self._xor = reduce(xor, hash_items(self.hash64, items), self._xor)
         self._digest_version = self.version
 
     def digest(self) -> SetDigest:
@@ -215,11 +184,8 @@ class GossipNode:
         if self._digest_version != version:
             # A responder session applied pushes directly to the backend
             # (or _fold saw drift): rebuild the XOR from the set.
-            xor = _XOR_SEED
-            hash64 = self.hash64
-            for item in self.backend.sharded:
-                xor ^= hash64(item)
-            self._xor = xor
+            members = list(self.backend.sharded)
+            self._xor = reduce(xor, hash_items(self.hash64, members), 0)
             self._digest_version = version
         return SetDigest(version, self._xor, len(self))
 

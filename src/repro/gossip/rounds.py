@@ -296,7 +296,7 @@ def run_round(
         return outcome
     try:
         if config.transport == "service":
-            report, wire_bytes = _run_service_session(x, y, config)
+            report, wire_bytes = _run_service_session(pair)
         elif config.transport == "sim":
             session = pair.link_session(Simulator(), config.push)
             report, wire_bytes, _ = session.run()
@@ -309,70 +309,30 @@ def run_round(
     return pair.done(report, wire_bytes, report.pushed)
 
 
-def _run_service_session(
-    x: GossipNode, y: GossipNode, config: GossipConfig
-) -> Tuple[MachineReport, int]:
-    """Full session over real asyncio TCP: ``y``'s warm backend is
-    hosted by a :class:`~repro.service.ReconciliationServer` and ``x``'s
-    initiator machine shuttles over the socket."""
+def _run_service_session(pair: PairRound) -> Tuple[MachineReport, int]:
+    """Full session over real asyncio TCP: the responder's warm backend
+    is hosted by a :class:`~repro.service.ReconciliationServer` and the
+    initiator's machine is driven by the client's own socket loop."""
     import asyncio
 
+    from repro.service.client import dial_initiator
     from repro.service.server import ReconciliationServer, ServerConfig
 
     async def go() -> Tuple[MachineReport, int]:
         server = ReconciliationServer(
-            backend=y.backend,
-            config=ServerConfig(block_size=max(config.block_size, 8)),
+            backend=pair.y.backend,
+            config=ServerConfig(block_size=max(pair.config.block_size, 8)),
         )
-        await server.start()
+        host, port = await server.start()
         try:
-            host, port = server.address
-            return await _shuttle(host, port, config)
+            # Both ends of this loopback session share one stall deadline.
+            return await dial_initiator(
+                pair.initiator(pair.config.push),
+                host,
+                port,
+                idle_timeout=server.config.idle_timeout,
+            )
         finally:
             await server.close()
-
-    async def _shuttle(host: str, port: int, config: GossipConfig):
-        machine = x.initiator(
-            push=config.push,
-            max_symbols=config.max_symbols,
-            difference_bound=config.difference_bound,
-            use_estimator=config.use_estimator,
-        )
-        reader, writer = await asyncio.open_connection(host, port)
-        wire_bytes = 0
-        try:
-            machine.start()
-            while not machine.finished:
-                out = machine.take_output()
-                if out:
-                    wire_bytes += len(out)
-                    writer.write(out)
-                    await writer.drain()
-                if machine.finished:
-                    break
-                data = await reader.read(1 << 16)
-                if not data:
-                    machine.peer_closed()
-                else:
-                    wire_bytes += len(data)
-                    machine.bytes_received(data)
-            out = machine.take_output()
-            if out:
-                wire_bytes += len(out)
-                writer.write(out)
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if machine.failed is not None:
-            raise machine.failed
-        assert machine.report is not None
-        return machine.report, wire_bytes
 
     return asyncio.run(go())

@@ -5,11 +5,16 @@ adversarial workloads: the attacker can enumerate collisions for a known
 function, but not for a secret key.  Two interchangeable families are
 provided:
 
-* :class:`SipHasher` — the paper's choice, backed by our pure-Python
-  SipHash-2-4 (bit-faithful but interpreter-speed);
+* :class:`SipHasher` — the paper's choice: our bit-faithful SipHash-2-4.
+  One call runs at interpreter speed, but its batch face runs the
+  rounds as uint64 lane arithmetic on the vector engine, which makes it
+  the faster path through batch ingestion and the service layer's
+  default (:mod:`repro.service.defaults`);
 * :class:`Blake2bHasher` — ``hashlib.blake2b`` with ``digest_size=8`` and
-  the same 16-byte key, a keyed PRF that runs at C speed.  This is the
-  default for benchmarks (a documented substitution).
+  the same 16-byte key, a keyed PRF at C speed per call.  It stays the
+  default of the core codec and the scheme registry (a documented
+  substitution), so library callers and recorded transcripts see it
+  unless they ask for SipHash.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from repro.api.base import ReconcileResult
+from repro.api.base import DEFAULT_MAX_ROUNDS, ReconcileResult
 from repro.api.registry import get_scheme
-from repro.api.session import resolve_symbol_size, result_of, sketch_sizing
+from repro.api.session import result_of, sketch_sizing
 from repro.net.link import Link, Message
 from repro.net.simulator import Simulator
 from repro.protocol import (
@@ -187,7 +187,7 @@ def simulate_machine_sync(
     seed: int = 0,
     block_symbols: int = 64,
     difference_bound: int = 0,
-    max_rounds: int = 4,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_symbols: Optional[int] = None,
     use_estimator: Optional[bool] = None,
     **params: object,
@@ -202,7 +202,7 @@ def simulate_machine_sync(
     """
     a = list(dict.fromkeys(alice_items))
     b = list(dict.fromkeys(bob_items))
-    handle = resolve_symbol_size(get_scheme(scheme, **params), a, b)
+    handle = get_scheme(scheme, **params).bound_to(a, b)
     caps = handle.capabilities
     if not caps.streaming and not caps.serializable:
         raise ValueError(

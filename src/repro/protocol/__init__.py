@@ -28,8 +28,6 @@ from repro.protocol.machine import (
     InitiatorMachine,
     ReconcilerMachine,
     ResponderMachine,
-    codec_of,
-    hash64_of,
 )
 from repro.protocol.pump import memory_responder, pump
 
@@ -47,8 +45,6 @@ __all__ = [
     "ResponderMachine",
     "SendBytes",
     "ShardTally",
-    "codec_of",
-    "hash64_of",
     "memory_responder",
     "pump",
 ]

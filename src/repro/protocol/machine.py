@@ -90,13 +90,14 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.api.base import (
+    DEFAULT_MAX_ROUNDS,
+    ESTIMATE_MARGIN,
     ReconcileError,
     StreamingReconciler,
     SymbolBudgetExceeded,
 )
 from repro.api.registry import Scheme
 from repro.baselines.strata import StrataEstimator
-from repro.core.symbols import SymbolCodec
 from repro.protocol.events import (
     ClusterInfo,
     Delivered,
@@ -130,41 +131,10 @@ from repro.service.framing import (
     pack_lp_str,
     pack_uvarints,
 )
-from repro.service.shard import (
-    hash_items,
-    key_probe,
-    partition_items,
-    partition_with_hashes,
-)
-
-# Sketches sized from a (noisy) strata estimate get this headroom; the
-# retry loop doubles from there if the estimate still undershot.
-ESTIMATE_MARGIN = 1.25
-
-# Give-up bound for sketch-mode doubling retries.
-DEFAULT_MAX_ROUNDS = 4
+from repro.service.shard import hash_items, partition_with_hashes
 
 # Sketch bound when the initiator's HELLO leaves sizing to the responder.
 DEFAULT_SKETCH_BOUND = 16
-
-
-def codec_of(handle: Scheme) -> Optional[SymbolCodec]:
-    """The scheme's SymbolCodec when its params describe one."""
-    params = handle.params
-    if hasattr(params, "checksum_size") and hasattr(params, "hasher"):
-        from repro.api.adapters.cellpack import codec_for
-
-        return codec_for(params)  # type: ignore[arg-type]
-    return None
-
-
-def hash64_of(handle: Scheme, codec: Optional[SymbolCodec]):
-    """The keyed 64-bit hash both peers share, for shard placement."""
-    if codec is not None:
-        return codec.hasher.hash64
-    from repro.hashing.keyed import Blake2bHasher
-
-    return Blake2bHasher().hash64
 
 
 def _raise_peer_error(body: bytes) -> None:
@@ -359,7 +329,7 @@ class InitiatorMachine(ReconcilerMachine):
     ``difference_bound`` (> 0) pre-sizes sketch mode exactly like the
     legacy drivers; ``use_estimator=True`` (agreed out of band with the
     responder, not negotiated) runs the strata exchange first and sizes
-    the initial sketch as ``ceil(estimate × estimate_margin)``.
+    the initial sketch as ``ceil(estimate × ESTIMATE_MARGIN)``.
     """
 
     def __init__(
@@ -373,7 +343,6 @@ class InitiatorMachine(ReconcilerMachine):
         difference_bound: int = 0,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         use_estimator: bool = False,
-        estimate_margin: float = ESTIMATE_MARGIN,
         capture_payloads: bool = False,
         max_frame: int = MAX_FRAME_BYTES,
         item_hashes: Optional[Sequence[int]] = None,
@@ -392,9 +361,7 @@ class InitiatorMachine(ReconcilerMachine):
         self.difference_bound = int(difference_bound or 0)
         self.max_rounds = max_rounds
         self.use_estimator = use_estimator
-        self.estimate_margin = estimate_margin
-        self.codec = codec_of(handle)
-        self._hash64 = hash64_of(handle, self.codec)
+        self._hash64 = handle.hash64
         self._item_hashes = list(item_hashes) if item_hashes is not None else None
         self.expect_worker = expect_worker
         self.cluster: Optional[ClusterInfo] = None
@@ -434,17 +401,17 @@ class InitiatorMachine(ReconcilerMachine):
     def _on_start(self) -> None:
         symbol_size = self.handle.params.symbol_size
         assert symbol_size is not None
+        codec = self.handle.codec
         self._send_frame(
             FrameType.HELLO,
             pack_uvarints(PROTOCOL_VERSION)
             + pack_lp_str(self.handle.name)
             + pack_uvarints(
-                symbol_size,
-                self.codec.checksum_size if self.codec is not None else 0,
+                symbol_size, codec.checksum_size if codec is not None else 0
             )
             + pack_lp_str(str(getattr(self.handle.params, "hasher", "")))
             + pack_uvarints(
-                key_probe(self._hash64),
+                self.handle.key_probe,
                 self.num_shards_wish,
                 0,  # block size: responder's choice
                 self.difference_bound,
@@ -621,7 +588,7 @@ class InitiatorMachine(ReconcilerMachine):
         self._estimator_rounds = 1
         self._estimator_bytes = remote.wire_size()
         self._estimator_payload = len(body)
-        bound = max(1, math.ceil(estimate * self.estimate_margin))
+        bound = max(1, math.ceil(estimate * ESTIMATE_MARGIN))
         if self.difference_bound:
             bound = max(bound, self.difference_bound)
         for local, _st in enumerate(self._shards):
@@ -684,15 +651,14 @@ class InitiatorMachine(ReconcilerMachine):
             self._only_remote.update(decode.remote)
             self._only_local.update(decode.local)
         if self.push and self._only_local:
-            symbol_size = self.handle.params.symbol_size
-            assert symbol_size is not None
             total = (
                 self.cluster.total_shards
                 if self.cluster is not None
                 else len(self._shards)
             )
-            by_shard = partition_items(
-                self._hash64, sorted(self._only_local), total
+            pushes = sorted(self._only_local)
+            by_shard, _ = partition_with_hashes(
+                pushes, hash_items(self._hash64, pushes), total
             )
             for local, st in enumerate(self._shards):
                 members = by_shard[st.tally.shard]
@@ -797,9 +763,6 @@ class ResponderMachine(ReconcilerMachine):
         self.backend = backend
         self.handle = handle
         self.cluster = cluster
-        self.codec = codec_of(handle)
-        self._hash64 = hash64_of(handle, self.codec)
-        self.key_probe = key_probe(self._hash64)
         self.block_size = block_size
         self.slow_start = slow_start
         self.max_symbols_per_shard = max_symbols_per_shard
@@ -955,11 +918,12 @@ class ResponderMachine(ReconcilerMachine):
                 f"symbol_size mismatch: client {symbol_size}, "
                 f"server {expected_symbol}",
             )
-        if self.codec is not None and checksum_size != self.codec.checksum_size:
+        codec = self.handle.codec
+        if codec is not None and checksum_size != codec.checksum_size:
             return self._reject(
                 ErrorCode.MISMATCH,
                 f"checksum_size mismatch: client {checksum_size}, "
-                f"server {self.codec.checksum_size}",
+                f"server {codec.checksum_size}",
             )
         expected_hasher = getattr(self.handle.params, "hasher", "")
         if hasher and expected_hasher and hasher != expected_hasher:
@@ -967,7 +931,7 @@ class ResponderMachine(ReconcilerMachine):
                 ErrorCode.MISMATCH,
                 f"hasher mismatch: client {hasher!r}, server {expected_hasher!r}",
             )
-        if probe != self.key_probe:
+        if probe != self.handle.key_probe:
             return self._reject(
                 ErrorCode.MISMATCH,
                 "hash key probe mismatch: peers hold different keys",

@@ -30,12 +30,9 @@ from repro.protocol.machine import (
     InitiatorMachine,
     ReconcilerMachine,
     ResponderMachine,
-    codec_of,
-    hash64_of,
 )
-from repro.service.backends import make_backend
+from repro.service.backends import open_backend
 from repro.service.errors import ProtocolError
-from repro.service.shard import ShardedSet
 
 
 def memory_responder(
@@ -54,12 +51,10 @@ def memory_responder(
     cell-exact configuration whose wire bytes are identical to the
     legacy ``repro.core.session`` fast path.
     """
-    codec = codec_of(handle)
-    sharded = ShardedSet(hash64_of(handle, codec), num_shards, list(items))
-    backend = make_backend(handle, sharded, codec)
+    backend = open_backend(items, scheme=handle, num_shards=num_shards)
     return ResponderMachine(
         backend,
-        handle,
+        backend.handle,
         block_size=block_size,
         slow_start=slow_start,
         use_estimator=use_estimator,

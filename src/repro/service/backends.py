@@ -19,6 +19,9 @@ Any other scheme registered in :mod:`repro.api` can back a shard too:
   rebuilds it on client ``RETRY`` (the estimator-then-sized-sketch
   composition of :mod:`repro.api.session`, pushed over the wire).
 
+:func:`open_backend` is the one constructor of all of them — and so of
+every host's peer state.
+
 Consistency: every stream cursor snapshots its shard's version at open;
 a mutation mid-stream makes the already-sent prefix and the yet-unsent
 suffix describe *different* sets, so the cursor refuses to continue
@@ -30,16 +33,16 @@ they then read is already patched.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.api.base import StreamingReconciler, UnsupportedOperation
-from repro.api.registry import Scheme
+from repro.api.registry import Scheme, get_scheme
 from repro.core.encoder import RatelessEncoder
-from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamWriter
 from repro.service.errors import ServiceError
 from repro.service.framing import SyncMode
-from repro.service.shard import ShardedSet
+from repro.service.shard import ShardedSet, hash_items, partition_with_hashes
 
 
 class StaleStream(ServiceError):
@@ -85,11 +88,11 @@ class ShardBackend(ABC):
 
     def add(self, item: bytes) -> int:
         """Account a new item; returns the shard it landed in."""
-        return self.sharded.add(item)
+        return self.add_many([item])[0]
 
     def remove(self, item: bytes) -> int:
         """Drop an item; returns the shard it left."""
-        return self.sharded.remove(item)
+        return self.remove_many([item])[0]
 
     def add_many(self, items: Iterable[bytes]) -> list[int]:
         """Account a batch of items; returns each item's shard.
@@ -146,41 +149,25 @@ class _WarmStream(ShardStream):
 class WarmRibltBackend(ShardBackend):
     """One warm, continuously patched Rateless-IBLT encoder per shard.
 
-    ``encoders`` is the durable-store load hook: recovery rebuilds each
-    shard's encoder from its snapshot (exact parked walk state + cached
-    bank) and hands them in ready-made instead of re-ingesting
-    ``sharded``.  They must be index-aligned with ``sharded.shards``
-    and hold the same members.
+    ``encoders`` come ready-made, index-aligned with ``sharded.shards``
+    and holding the same members: :func:`open_backend` ingests each
+    shard with the placement hashes it already has, and durable
+    recovery restores each from its snapshot (exact parked walk state +
+    cached bank) with no hashing at all.
     """
 
     mode = SyncMode.STREAM
 
     def __init__(
-        self,
-        handle: Scheme,
-        sharded: ShardedSet,
-        codec: SymbolCodec,
-        encoders: Optional[list[RatelessEncoder]] = None,
+        self, handle: Scheme, sharded: ShardedSet, encoders: list[RatelessEncoder]
     ) -> None:
         super().__init__(handle, sharded)
-        self.codec = codec
-        if encoders is None:
-            encoders = [RatelessEncoder(codec, members) for members in sharded.shards]
-        elif len(encoders) != sharded.num_shards:
+        if len(encoders) != sharded.num_shards:
             raise ValueError(
                 f"{len(encoders)} encoders adopted for {sharded.num_shards} shards"
             )
+        self.codec = handle.codec
         self.encoders = encoders
-
-    def add(self, item: bytes) -> int:
-        shard = self.sharded.add(item)
-        self.encoders[shard].add_item(item)  # patches the cached prefix
-        return shard
-
-    def remove(self, item: bytes) -> int:
-        shard = self.sharded.remove(item)
-        self.encoders[shard].remove_item(item)
-        return shard
 
     def add_many(self, items: Iterable[bytes]) -> list[int]:
         """Batch churn: group by shard, one fused warm-bank patch each."""
@@ -251,25 +238,78 @@ class SketchBackend(ShardBackend):
         return sized.new(list(self.sharded.shards[shard])).serialize()
 
 
-def make_backend(
-    handle: Scheme, sharded: ShardedSet, codec: Optional[SymbolCodec]
+def open_backend(
+    items: Iterable[bytes] = (),
+    *,
+    scheme: "str | Scheme" = "riblt",
+    num_shards: int = 1,
+    data_dir: Optional[object] = None,
+    durable: Optional[object] = None,
+    **params: object,
 ) -> ShardBackend:
-    """The right backend for a scheme's capabilities.
+    """The one constructor of peer state: ``items`` → a shard backend.
 
-    ``codec`` is the shared symbol codec when the scheme has one (used
-    by the warm fast path); registry integration means *any* scheme can
-    back a shard — streaming schemes as live streams, serializable ones
-    as sized sketches.  Only schemes that can neither stream nor ship a
-    sketch (Merkle's interactive heal) are rejected.
+    Every host — server, node, gossip peer, in-memory responder, durable
+    store, cluster supervisor — stands its peer up here, through the
+    client's ingest pipeline: the handle resolves itself (``scheme`` is
+    a registry name configured by ``params`` as in
+    :func:`repro.api.reconcile`, or an already-bound handle;
+    ``symbol_size`` is inferred from the first item when unset), every
+    item is hashed *once*, and those keyed hashes both place the items
+    in shards and seed the warm encoders' checksums.  The keyed hash is
+    the library default unless ``params`` say otherwise; service hosts
+    apply :func:`~repro.service.defaults.with_service_hasher` first.
+
+    Any registered scheme can back a shard: riblt as one warm encoder
+    per shard, other streaming schemes as cold per-session streams,
+    serializable ones as sized sketches.  Only a scheme that can neither
+    stream nor ship a sketch (Merkle's interactive heal) is rejected.
+
+    ``data_dir`` makes the state durable through
+    :func:`repro.durable.open_durable` (``durable`` is its
+    :class:`~repro.durable.DurableConfig`, and ``scheme`` must then be a
+    name): a fresh directory is initialised from ``items``; an existing
+    one is recovered and checked against whatever the caller asserts.
+    The caller owns the returned store and must ``close()`` it.
     """
+    materialised = items if isinstance(items, list) else list(items)
+    if data_dir is not None:
+        from repro.durable.store import MANIFEST_NAME, open_durable
+
+        if not materialised and (Path(data_dir) / MANIFEST_NAME).exists():
+            num_shards = 0  # nothing asserted about the set: adopt the store's
+        return open_durable(
+            data_dir,
+            materialised,
+            scheme=scheme,
+            num_shards=num_shards,
+            config=durable,
+            **params,
+        )
+    handle = get_scheme(scheme, **params).bound_to(materialised)
     caps = handle.capabilities
-    if caps.streaming:
-        if handle.name == "riblt" and codec is not None:
-            return WarmRibltBackend(handle, sharded, codec)
-        return SchemeStreamBackend(handle, sharded)
-    if caps.serializable:
-        return SketchBackend(handle, sharded)
-    raise ValueError(
-        f"scheme {handle.name!r} can neither stream nor serialize a sketch; "
-        "it cannot back a service shard"
+    if not (caps.streaming or caps.serializable):
+        raise ValueError(
+            f"scheme {handle.name!r} can neither stream nor serialize a sketch; "
+            "it cannot back a service shard"
+        )
+    hash64 = handle.hash64
+    sharded = ShardedSet(hash64, num_shards)
+    parts, part_hashes = partition_with_hashes(
+        materialised, hash_items(hash64, materialised), num_shards
     )
+    sharded.adopt_parts(parts)
+    if not caps.streaming:
+        return SketchBackend(handle, sharded)
+    codec = handle.codec
+    if handle.name != "riblt" or codec is None:
+        return SchemeStreamBackend(handle, sharded)
+    encoders = []
+    for shard in range(num_shards):
+        encoders.append(
+            RatelessEncoder(codec, parts[shard], item_hashes=part_hashes[shard])
+        )
+        # Each list is dead once its encoder holds the rows; dropping it
+        # now keeps set-up's peak where hashing per shard left it.
+        parts[shard] = part_hashes[shard] = ()
+    return WarmRibltBackend(handle, sharded, encoders)

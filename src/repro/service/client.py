@@ -6,7 +6,10 @@ stream pair and an :class:`~repro.protocol.InitiatorMachine` — the same
 machine the in-memory pump and the simulated-link transport drive, so
 the wire behaviour (HELLO handshake, per-shard absorb/SHARD_DONE,
 sketch RETRY doubling, PUSH/BYE/STATS) is defined exactly once, in
-:mod:`repro.protocol.machine`.
+:mod:`repro.protocol.machine`.  That adapter, :func:`run_initiator`
+(:func:`dial_initiator` with the connection handling), is the only
+asyncio initiator loop: gossip's ``service`` transport drives its
+machines through it too.
 
 ``push=True`` closes the loop: once everything decoded, the items the
 server is missing (this side's exclusives) are pushed back, so both
@@ -35,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import repro.protocol.machine as protocol_machine
-from repro.api.registry import Scheme, get_scheme
-from repro.protocol.events import ClusterInfo
-from repro.api.base import SymbolBudgetExceeded
+from repro.api.base import DEFAULT_MAX_ROUNDS, SymbolBudgetExceeded
+from repro.api.registry import get_scheme
+from repro.protocol.events import ClusterInfo, MachineReport
 from repro.service.defaults import with_service_hasher
 from repro.service.errors import (
     IdleTimeout,
@@ -48,10 +51,6 @@ from repro.service.errors import (
 )
 from repro.service.framing import FrameError, MAX_FRAME_BYTES, SyncMode
 from repro.service.shard import hash_items
-
-# Give up on a sketch-mode shard after this many doublings (mirrors
-# repro.protocol.machine.DEFAULT_MAX_ROUNDS).
-DEFAULT_MAX_ROUNDS = 4
 
 _READ_CHUNK = 1 << 16
 
@@ -207,18 +206,15 @@ async def sync(
     blackholed link (``None`` = wait forever, the historical default).
     """
     materialised = list(dict.fromkeys(items))
-    handle = get_scheme(scheme, **with_service_hasher(scheme, params))
-    if handle.params.symbol_size is None:
-        if not materialised:
-            raise ValueError("syncing an empty set needs an explicit symbol_size")
-        handle = handle.with_params(symbol_size=len(materialised[0]))
+    handle = get_scheme(
+        scheme, **with_service_hasher(scheme, params)
+    ).bound_to(materialised)
     # Hash every item exactly once per sync: shard placement and codec
     # checksums consume the same keyed values, and in a cluster every
     # worker session reuses this one list.
-    codec = protocol_machine.codec_of(handle)
     item_hashes = (
-        hash_items(codec.hasher.hash64, materialised)
-        if codec is not None and materialised
+        hash_items(handle.hash64, materialised)
+        if handle.codec is not None and materialised
         else None
     )
 
@@ -229,31 +225,27 @@ async def sync(
         expect_worker: Optional[int] = None,
         on_cluster=None,
     ) -> SyncResult:
-        reader, writer = await asyncio.open_connection(session_host, session_port)
-        try:
-            return await _sync_over(
-                reader,
-                writer,
-                handle,
-                materialised,
-                num_shards=num_shards,
-                push=push,
-                max_symbols=max_symbols,
-                difference_bound=difference_bound,
-                max_rounds=max_rounds,
-                capture_payloads=capture_payloads,
-                max_frame=max_frame,
-                item_hashes=item_hashes,
-                expect_worker=expect_worker,
-                on_cluster=on_cluster,
-                idle_timeout=idle_timeout,
-            )
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        machine = protocol_machine.InitiatorMachine(
+            handle,
+            materialised,
+            num_shards=num_shards,
+            push=push,
+            max_symbols=max_symbols,
+            difference_bound=difference_bound,
+            max_rounds=max_rounds,
+            capture_payloads=capture_payloads,
+            max_frame=max_frame,
+            item_hashes=item_hashes,
+            expect_worker=expect_worker,
+        )
+        report, _ = await dial_initiator(
+            machine,
+            session_host,
+            session_port,
+            idle_timeout=idle_timeout,
+            on_cluster=on_cluster,
+        )
+        return _to_sync_result(report)
 
     async def _attempt() -> SyncResult:
         # A solo server answers the dialled port and that is the whole
@@ -337,30 +329,46 @@ def sync_once(
     return asyncio.run(sync(host, port, items, **kwargs))
 
 
-async def _sync_over(
+async def dial_initiator(
+    machine: protocol_machine.InitiatorMachine,
+    host: str,
+    port: int,
+    *,
+    idle_timeout: Optional[float] = None,
+    on_cluster=None,
+) -> tuple[MachineReport, int]:
+    """:func:`run_initiator` over a fresh connection to ``(host, port)``,
+    closed again whatever the outcome."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        return await run_initiator(
+            machine, reader, writer, idle_timeout=idle_timeout, on_cluster=on_cluster
+        )
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def run_initiator(
+    machine: protocol_machine.InitiatorMachine,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    handle: Scheme,
-    items: list,
     *,
-    num_shards: int,
-    push: bool,
-    max_symbols: Optional[int],
-    difference_bound: int,
-    max_rounds: int,
-    capture_payloads: bool,
-    max_frame: int,
-    item_hashes: Optional[list] = None,
-    expect_worker: Optional[int] = None,
-    on_cluster=None,
     idle_timeout: Optional[float] = None,
-) -> SyncResult:
+    on_cluster=None,
+) -> tuple[MachineReport, int]:
     """Shuttle bytes between the stream pair and an initiator machine.
 
-    ``on_cluster`` fires once, as soon as a cluster WELCOME tail is
-    parsed (the caller fans out sessions to the sibling workers).
-    ``idle_timeout`` bounds every socket wait (read and drain): a link
-    that moves no byte for that long fails typed, never hangs.
+    The one asyncio initiator loop.  Returns the machine's report and
+    the wire bytes moved (both directions, every frame counted); a
+    failed machine re-raises its typed error.  ``on_cluster`` fires
+    once, as soon as a cluster WELCOME tail is parsed (the caller fans
+    out sessions to the sibling workers).  ``idle_timeout`` bounds every
+    socket wait (read and drain): a link that moves no byte for that
+    long fails typed, never hangs.
     """
 
     async def _bounded(awaitable, doing: str):
@@ -372,25 +380,15 @@ async def _sync_over(
             raise IdleTimeout(
                 f"no progress {doing} for {idle_timeout:g}s"
             ) from None
-    machine = protocol_machine.InitiatorMachine(
-        handle,
-        items,
-        num_shards=num_shards,
-        push=push,
-        max_symbols=max_symbols,
-        difference_bound=difference_bound,
-        max_rounds=max_rounds,
-        capture_payloads=capture_payloads,
-        max_frame=max_frame,
-        item_hashes=item_hashes,
-        expect_worker=expect_worker,
-    )
+
     machine.start()
+    wire_bytes = 0
     cluster_seen = False
     saw_eof = False
     while not machine.finished:
         out = machine.take_output()
         if out:
+            wire_bytes += len(out)
             writer.write(out)
             await _bounded(writer.drain(), "draining to server")
         if machine.finished:
@@ -400,6 +398,7 @@ async def _sync_over(
             saw_eof = True
             machine.peer_closed()
         else:
+            wire_bytes += len(data)
             machine.bytes_received(data)
         if not cluster_seen and machine.cluster is not None:
             cluster_seen = True
@@ -407,6 +406,7 @@ async def _sync_over(
                 on_cluster(machine.cluster)
     out = machine.take_output()
     if out:
+        wire_bytes += len(out)
         writer.write(out)
         try:
             await writer.drain()
@@ -414,7 +414,7 @@ async def _sync_over(
             pass  # the sync outcome is already decided
     failure = machine.failed
     if failure is not None:
-        in_cluster = machine.cluster is not None or expect_worker is not None
+        in_cluster = machine.cluster is not None or machine.expect_worker is not None
         if (
             saw_eof
             and in_cluster
@@ -429,7 +429,7 @@ async def _sync_over(
             ) from failure
         raise failure
     assert machine.report is not None
-    return _to_sync_result(machine.report)
+    return machine.report, wire_bytes
 
 
 def _merge_cluster(info: ClusterInfo, results: list) -> SyncResult:

@@ -12,6 +12,9 @@ manifest always wins over this default on recovery).
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Optional
+
 SERVICE_HASHER = "siphash"
 
 DEFAULT_BUSY_RETRY_AFTER = 0.5
@@ -25,19 +28,29 @@ floor, short enough that a transient spike clears within one retry for
 the default :class:`~repro.service.client.RetryPolicy`."""
 
 
-def with_service_hasher(scheme: str, params: dict) -> dict:
+def with_service_hasher(
+    scheme: str, params: dict, data_dir: Optional[object] = None
+) -> dict:
     """Params with ``hasher`` defaulted to :data:`SERVICE_HASHER`.
 
-    Applied at the service entry points (server construction, client
-    :func:`~repro.service.client.sync`) — never deeper, so library users
-    of the core codec and the scheme registry see no change.  A scheme
-    that accepts no ``hasher`` parameter, or a caller that already chose
-    one, passes through untouched.
+    Applied at the service entry points (server and cluster-supervisor
+    construction, client :func:`~repro.service.client.sync`) — never
+    deeper, so library users of the core codec and the scheme registry
+    see no change.  A scheme that accepts no ``hasher`` parameter, or a
+    caller that already chose one, passes through untouched — and so
+    does everything when ``data_dir`` already holds a store: its
+    manifest recorded the hasher, and injecting a default there would
+    falsely claim the caller asserted it.
     """
     if "hasher" in params:
         return params
     from repro.api.registry import get_scheme
 
+    if data_dir is not None:
+        from repro.durable.store import MANIFEST_NAME
+
+        if (Path(data_dir) / MANIFEST_NAME).exists():
+            return params
     try:
         probe = get_scheme(scheme)
     except Exception:

@@ -1,19 +1,21 @@
 """:class:`ServiceNode`: one peer's set, servable and syncable.
 
-The node is the deployment-shaped wrapper: it owns a set of items,
-can expose it (:meth:`ServiceNode.start`), can reconcile it against
-another node's server (:meth:`ServiceNode.sync_with`), and keeps both
-faces consistent — items learned from a sync are applied to the live
-server's warm shard encoders, so the next peer that connects already
-sees them without any re-encoding.
+The node is the deployment-shaped wrapper: it owns one peer state — a
+:class:`~repro.service.backends.ShardBackend` — can expose it
+(:meth:`ServiceNode.start`), can reconcile it against another node's
+server (:meth:`ServiceNode.sync_with`), and has nothing to keep
+consistent between the two faces: items learned from a sync patch the
+same warm shard encoders the server serves, so the next peer that
+connects already sees them without any re-encoding.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.service.backends import StaleStream
+from repro.service.backends import ShardBackend, StaleStream, open_backend
 from repro.service.client import SyncResult, sync
+from repro.service.defaults import with_service_hasher
 from repro.service.server import ReconciliationServer, ServerConfig
 
 
@@ -43,60 +45,72 @@ class ServiceNode:
         durable: Optional[object] = None,
         **params: object,
     ) -> None:
-        self.items: set[bytes] = set(items)
+        self._seed = list(dict.fromkeys(items))
         self.scheme = scheme
         self.num_shards = num_shards
         self.config = config
         self.data_dir = data_dir
         self.durable = durable
+        self._backend: Optional[ShardBackend] = None
         self._server: Optional[ReconciliationServer] = None
         self.params = params
 
     # -- the set ----------------------------------------------------------
 
+    @property
+    def backend(self) -> ShardBackend:
+        """This node's peer state, opened on first use.
+
+        A ``data_dir`` node's state lives in its store, which is open
+        only between :meth:`start` and :meth:`stop`.
+        """
+        if self._backend is None:
+            if self.data_dir is not None:
+                raise RuntimeError(
+                    "a data_dir node opens its store in start(); "
+                    "its set is not available before that"
+                )
+            self._open()
+        return self._backend
+
+    def _open(self) -> None:
+        self._backend = open_backend(
+            self._seed,
+            scheme=self.scheme,
+            num_shards=self.num_shards,
+            data_dir=self.data_dir,
+            durable=self.durable,
+            **with_service_hasher(self.scheme, self.params, self.data_dir),
+        )
+        # The backend is the set from here on; a store reopened by a later
+        # start() is adopted as found, churn and all.
+        self._seed = []
+
+    @property
+    def items(self) -> frozenset:
+        """The node's current set (a read-only snapshot of the backend)."""
+        return frozenset(self.backend.sharded)
+
     def add_item(self, item: bytes) -> None:
-        if item in self.items:
-            raise KeyError(f"duplicate item: {item.hex()}")
-        self.items.add(item)
-        if self._server is not None:
-            self._server.add_item(item)
+        self.add_items([item])
 
     def remove_item(self, item: bytes) -> None:
-        if item not in self.items:
-            raise KeyError(f"item not in set: {item.hex()}")
-        self.items.remove(item)
-        if self._server is not None:
-            self._server.remove_item(item)
+        self.remove_items([item])
 
     def add_items(self, items: Iterable[bytes]) -> None:
-        """Add a batch of items (one warm-bank patch per touched shard)."""
-        batch = items if isinstance(items, list) else list(items)
-        seen: set[bytes] = set()
-        for item in batch:
-            if item in self.items or item in seen:
-                raise KeyError(f"duplicate item: {item.hex()}")
-            seen.add(item)
-        self.items.update(batch)
-        if self._server is not None:
-            self._server.add_items(batch)
+        """Add a batch of items (one warm-bank patch per touched shard);
+        all-or-nothing, ``KeyError`` on a duplicate."""
+        self.backend.add_many(items)
 
     def remove_items(self, items: Iterable[bytes]) -> None:
-        """Remove a batch of items."""
-        batch = items if isinstance(items, list) else list(items)
-        seen: set[bytes] = set()
-        for item in batch:
-            if item not in self.items or item in seen:
-                raise KeyError(f"item not in set: {item.hex()}")
-            seen.add(item)
-        self.items.difference_update(batch)
-        if self._server is not None:
-            self._server.remove_items(batch)
+        """Remove a batch of items; all-or-nothing, ``KeyError`` if absent."""
+        self.backend.remove_many(items)
 
     def __contains__(self, item: bytes) -> bool:
-        return item in self.items
+        return item in self.backend.sharded
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.backend.sharded)
 
     # -- server face ------------------------------------------------------
 
@@ -115,29 +129,25 @@ class ServiceNode:
 
         With ``data_dir`` the served state is durable: a warm restart
         (existing dir, no/same items) recovers the persisted shard
-        banks and churn journal, and the node's in-memory set is
-        refreshed from the recovered state — including journaled churn
-        a crash interrupted.
+        banks and churn journal — including journaled churn a crash
+        interrupted — and that recovered state *is* the node's set.
         """
         if self._server is not None:
             raise RuntimeError("node is already serving")
+        if self._backend is None:
+            self._open()
         self._server = ReconciliationServer(
-            sorted(self.items),
-            scheme=self.scheme,
-            num_shards=self.num_shards,
-            config=self.config,
-            data_dir=self.data_dir,
-            durable=self.durable,
-            **self.params,
+            backend=self._backend, config=self.config
         )
-        if self.data_dir is not None:
-            self.items = set(self._server.backend.sharded)
         return await self._server.start(host, port)
 
     async def stop(self) -> None:
         if self._server is not None:
             await self._server.close()
             self._server = None
+        if self.data_dir is not None and self._backend is not None:
+            self._backend.close()  # type: ignore[attr-defined]
+            self._backend = None
 
     # -- client face ------------------------------------------------------
 
@@ -169,7 +179,7 @@ class ServiceNode:
                 result = await sync(
                     host,
                     port,
-                    sorted(self.items),
+                    sorted(self.backend.sharded),
                     scheme=self.scheme,
                     num_shards=0,
                     push=push,
@@ -180,7 +190,8 @@ class ServiceNode:
                 if attempt + 1 == attempts:
                     raise
         if apply:
+            sharded = self.backend.sharded
             self.add_items(
-                [item for item in result.only_in_server if item not in self.items]
+                [item for item in result.only_in_server if item not in sharded]
             )
         return result

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import repro.protocol.machine as protocol_machine
-from repro.api.registry import Scheme, get_scheme
+from repro.api.registry import Scheme
 from repro.protocol.events import ClusterInfo
-from repro.core.symbols import SymbolCodec
-from repro.service.backends import ShardBackend, make_backend
+from repro.service.backends import ShardBackend, open_backend
 from repro.service.framing import (
     MAX_FRAME_BYTES,
     ErrorCode,
@@ -45,7 +44,6 @@ from repro.service.framing import (
     pack_busy_body,
 )
 from repro.service.defaults import DEFAULT_BUSY_RETRY_AFTER, with_service_hasher
-from repro.service.shard import ShardedSet, key_probe
 
 _READ_CHUNK = 1 << 16
 
@@ -170,59 +168,31 @@ class ReconciliationServer:
         durable: Optional[object] = None,
         **params: object,
     ) -> None:
-        self._owns_store = False
-        if data_dir is not None:
-            if backend is not None:
-                raise ValueError("data_dir= and backend= are exclusive")
-            from pathlib import Path
-
-            from repro.durable import open_durable
-            from repro.durable.store import MANIFEST_NAME
-
-            if not (Path(data_dir) / MANIFEST_NAME).exists():
-                # Fresh store: the service hasher default applies.  An
-                # existing store keeps whatever its manifest recorded
-                # (injecting a default there would falsely claim the
-                # caller asserted it).
-                params = with_service_hasher(scheme, params)
-            materialised = list(items)
-            backend = open_durable(
-                data_dir,
-                materialised,
+        if backend is None:
+            backend = open_backend(
+                items,
                 scheme=scheme,
-                num_shards=num_shards if materialised else 0,
-                config=durable,
-                **params,
+                num_shards=num_shards,
+                data_dir=data_dir,
+                durable=durable,
+                **with_service_hasher(scheme, params, data_dir),
             )
-            self._owns_store = True
-            handle = backend.handle
-        elif backend is not None:
-            materialised = list(items)
-            if materialised or num_shards != 1 or params or scheme != "riblt":
-                raise ValueError(
-                    "backend= is exclusive: the backend already fixes the "
-                    "items, scheme, shard count, and parameters"
-                )
-            handle = backend.handle
-        else:
-            materialised = list(items)
-            handle = get_scheme(scheme, **with_service_hasher(scheme, params))
-            if handle.params.symbol_size is None:
-                if not materialised:
-                    raise ValueError(
-                        "serving an empty set needs an explicit symbol_size"
-                    )
-                handle = handle.with_params(symbol_size=len(materialised[0]))
-        self.handle: Scheme = handle
+        elif (
+            data_dir is not None
+            or num_shards != 1
+            or params
+            or scheme != "riblt"
+            or list(items)
+        ):
+            raise ValueError(
+                "backend= is exclusive: the backend already fixes the "
+                "items, scheme, shard count, parameters and data dir"
+            )
+        self._owns_store = data_dir is not None
+        self.backend: ShardBackend = backend
+        self.handle: Scheme = backend.handle
         self.config = config or ServerConfig()
         self.stats = ServerStats()
-        self.codec: Optional[SymbolCodec] = protocol_machine.codec_of(handle)
-        hash64 = protocol_machine.hash64_of(handle, self.codec)
-        self.key_probe = key_probe(hash64)
-        if backend is None:
-            sharded = ShardedSet(hash64, num_shards, materialised)
-            backend = make_backend(handle, sharded, self.codec)
-        self.backend: ShardBackend = backend
         self.cluster: Optional[ClusterInfo] = None
         """Set by a cluster worker before ``start``: stamps every
         session's WELCOME with the pool's routing tail."""
@@ -238,11 +208,11 @@ class ReconciliationServer:
 
     def add_item(self, item: bytes) -> None:
         """Add an item; warm shard encoders are patched, not rebuilt."""
-        self.backend.add(item)
+        self.add_items([item])
 
     def remove_item(self, item: bytes) -> None:
         """Remove an item; warm shard encoders are patched, not rebuilt."""
-        self.backend.remove(item)
+        self.remove_items([item])
 
     def add_items(self, items: Iterable[bytes]) -> None:
         """Add a batch: per shard, one fused warm-bank patch and one

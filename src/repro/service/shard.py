@@ -112,14 +112,23 @@ class ShardedSet:
         self.shards: list[set[bytes]] = [set() for _ in range(num_shards)]
         self.versions: list[int] = [0] * num_shards
         items = items if isinstance(items, list) else list(items)
-        # Batch the placement hashing but keep per-item add semantics
-        # (duplicate detection and one version bump per item).
+        parts: list[list[bytes]] = [[] for _ in range(num_shards)]
         for item, shard in zip(items, self.place_many(items)):
-            members = self.shards[shard]
-            if item in members:
-                raise KeyError(f"duplicate item: {item.hex()}")
-            members.add(item)
-            self.versions[shard] += 1
+            parts[shard].append(item)
+        self.adopt_parts(parts)
+
+    def adopt_parts(self, parts: Sequence[Sequence[bytes]]) -> None:
+        """Load an already-placed partition (``parts[s]`` = shard ``s``'s
+        items) into this empty set.  Versions land where one ``add`` per
+        item would have left them; a repeated item raises ``KeyError``.
+        """
+        for shard, part in enumerate(parts):
+            members = set(part)
+            if len(members) != len(part):
+                dup = next(i for i in members if part.count(i) > 1)
+                raise KeyError(f"duplicate item: {dup.hex()}")
+            self.shards[shard] = members
+            self.versions[shard] = len(part)
 
     # -- placement (the overridable core; subset sets remap it) -----------
 
@@ -134,25 +143,15 @@ class ShardedSet:
     def shard_of(self, item: bytes) -> int:
         return self.place(item)
 
+    # -- mutation (one body; the single-item forms are one-element batches)
+
     def add(self, item: bytes) -> int:
         """Place ``item``; returns its shard.  Raises ``KeyError`` on dup."""
-        shard = self.place(item)
-        members = self.shards[shard]
-        if item in members:
-            raise KeyError(f"duplicate item: {item.hex()}")
-        members.add(item)
-        self.versions[shard] += 1
-        return shard
+        return self.add_many([item])[0]
 
     def remove(self, item: bytes) -> int:
         """Remove ``item``; returns its shard.  Raises ``KeyError`` if absent."""
-        shard = self.place(item)
-        members = self.shards[shard]
-        if item not in members:
-            raise KeyError(f"item not in set: {item.hex()}")
-        members.remove(item)
-        self.versions[shard] += 1
-        return shard
+        return self.remove_many([item])[0]
 
     def add_many(self, items: Iterable[bytes]) -> list[int]:
         """Place a batch of items; returns each item's shard, in order.
@@ -162,20 +161,7 @@ class ShardedSet:
         shard's version bumps once per batch — one stream invalidation
         per churn event, not one per item.
         """
-        items = items if isinstance(items, list) else list(items)
-        placed = self.place_many(items)
-        seen: set[bytes] = set()
-        for item, shard in zip(items, placed):
-            if item in self.shards[shard] or item in seen:
-                raise KeyError(f"duplicate item: {item.hex()}")
-            seen.add(item)
-        touched: set[int] = set()
-        for item, shard in zip(items, placed):
-            self.shards[shard].add(item)
-            touched.add(shard)
-        for shard in touched:
-            self.versions[shard] += 1
-        return placed
+        return self._mutate_many(items, adding=True)
 
     def remove_many(self, items: Iterable[bytes]) -> list[int]:
         """Drop a batch of items; returns each item's shard, in order.
@@ -183,16 +169,33 @@ class ShardedSet:
         All-or-nothing, mirroring :meth:`add_many` (an absent item — or
         one named twice in the batch — raises before anything changes).
         """
-        items = items if isinstance(items, list) else list(items)
+        return self._mutate_many(items, adding=False)
+
+    def check_many(self, items: Sequence[bytes], adding: bool) -> list[int]:
+        """Placements of a batch that :meth:`add_many` (``adding``) or
+        :meth:`remove_many` would accept; ``KeyError`` otherwise.
+        Changes nothing — the write-ahead journal validates with it."""
         placed = self.place_many(items)
         seen: set[bytes] = set()
         for item, shard in zip(items, placed):
-            if item not in self.shards[shard] or item in seen:
-                raise KeyError(f"item not in set: {item.hex()}")
+            if (item in self.shards[shard]) == adding or item in seen:
+                raise KeyError(
+                    f"duplicate item: {item.hex()}"
+                    if adding
+                    else f"item not in set: {item.hex()}"
+                )
             seen.add(item)
+        return placed
+
+    def _mutate_many(self, items: Iterable[bytes], adding: bool) -> list[int]:
+        items = items if isinstance(items, list) else list(items)
+        placed = self.check_many(items, adding)
         touched: set[int] = set()
         for item, shard in zip(items, placed):
-            self.shards[shard].remove(item)
+            if adding:
+                self.shards[shard].add(item)
+            else:
+                self.shards[shard].remove(item)
             touched.add(shard)
         for shard in touched:
             self.versions[shard] += 1
@@ -240,13 +243,7 @@ class ShardSubsetSet(ShardedSet):
         super().__init__(hash64, len(owned), items)
 
     def place(self, item: bytes) -> int:
-        g = shard_of(self.hash64, item, self.total_shards)
-        try:
-            return self._local[g]
-        except KeyError:
-            raise KeyError(
-                f"item {item.hex()} places in unowned shard {g}"
-            ) from None
+        return self.place_many([item])[0]
 
     def place_many(self, items: Sequence[bytes]) -> list[int]:
         local = self._local
@@ -264,18 +261,6 @@ class ShardSubsetSet(ShardedSet):
         g = shard_of(self.hash64, item, self.total_shards)
         local = self._local.get(g)
         return local is not None and item in self.shards[local]
-
-
-def partition_items(
-    hash64: Callable[[bytes], int], items: Iterable[bytes], num_shards: int
-) -> list[list[bytes]]:
-    """One-shot partition (the client side, which needs no versioning).
-
-    Within each shard the items keep their input order, so deterministic
-    inputs give deterministic per-shard reconciler construction.
-    """
-    items = items if isinstance(items, list) else list(items)
-    return partition_with_hashes(items, hash_items(hash64, items), num_shards)[0]
 
 
 def partition_with_hashes(

@@ -165,7 +165,8 @@ class _RecWriter:
 
 def record_service() -> dict:
     """One-shard service sessions, both directions, via a recording tap."""
-    from repro.service.client import _sync_over
+    from repro.protocol import InitiatorMachine
+    from repro.service.client import _to_sync_result, run_initiator
     from repro.service.server import ReconciliationServer
 
     def items_range(lo: int, hi: int) -> list[bytes]:
@@ -180,22 +181,18 @@ def record_service() -> dict:
         up = bytearray()  # client -> server
         down = bytearray()  # server -> client
         reader, writer = await asyncio.open_connection(host, port)
-        handle = get_scheme(scheme, **params)
-        if handle.params.symbol_size is None:
-            handle = handle.with_params(symbol_size=len(server_items[0]))
+        machine = InitiatorMachine(
+            get_scheme(scheme, **params).bound_to(server_items),
+            list(client_items),
+            capture_payloads=True,
+            max_frame=4 << 20,
+            **kwargs,
+        )
         try:
-            result = await _sync_over(
-                _RecReader(reader, down),
-                _RecWriter(writer, up),
-                handle,
-                list(client_items),
-                num_shards=0,
-                push=False,
-                max_symbols=None,
-                capture_payloads=True,
-                max_frame=4 << 20,
-                **kwargs,
+            report, _ = await run_initiator(
+                machine, _RecReader(reader, down), _RecWriter(writer, up)
             )
+            result = _to_sync_result(report)
         finally:
             writer.close()
             try:

@@ -58,7 +58,7 @@ def items_range(lo, hi):
 
 
 def fast_config(**overrides):
-    defaults = dict(num_workers=2, fsync=False, restart_backoff=0.05)
+    defaults = dict(num_workers=2, restart_backoff=0.05)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -192,7 +192,9 @@ def test_cluster_workers_inherit_limits():
     async def scenario():
         from repro.cluster import ClusterSupervisor
 
-        config = fast_config(max_concurrent_sessions=0, busy_retry_after=0.07)
+        config = fast_config(
+            server=ServerConfig(max_concurrent_sessions=0, busy_retry_after=0.07)
+        )
         async with ClusterSupervisor(
             items_range(0, 100), num_shards=4, config=config
         ) as sup:
@@ -319,7 +321,7 @@ def test_orchestrator_soak_with_worker_kill():
     async def scenario():
         server_items = items_range(0, 400)
         config = fast_config(
-            max_concurrent_sessions=2, busy_retry_after=0.05
+            server=ServerConfig(max_concurrent_sessions=2, busy_retry_after=0.05)
         )
         async with ChaosOrchestrator(
             server_items,

@@ -29,7 +29,7 @@ from repro.cluster import (
     worker_shards,
 )
 from repro.cluster.worker import CRASH_EXIT_CODE
-from repro.durable import open_durable
+from repro.durable import DurableConfig, open_durable
 from repro.durable.store import JOURNAL_SEGMENT_GLOB, journal_segment_name
 from repro.service import (
     ReconciliationServer,
@@ -58,8 +58,11 @@ def items_range(lo, hi):
     return [b"%016d" % i for i in range(lo, hi)]
 
 
+NO_FSYNC = DurableConfig(fsync=False)  # pools on a real data dir: speed only
+
+
 def fast_config(**overrides):
-    defaults = dict(num_workers=2, fsync=False, restart_backoff=0.05)
+    defaults = dict(num_workers=2, restart_backoff=0.05)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -255,6 +258,7 @@ def test_injected_crash_kills_worker_process_and_recovers(
             data_dir=data_dir,
             num_shards=4,
             config=fast_config(),
+            durable=NO_FSYNC,
         )
         try:
             host, port = await sup.start()
@@ -319,6 +323,7 @@ def test_pool_restart_recovers_churn_from_segments(tmp_path):
             data_dir=data_dir,
             num_shards=4,
             config=fast_config(),
+            durable=NO_FSYNC,
         ) as sup:
             host, port = sup.entry_address
             await sync(host, port, server_items + extras, push=True)
@@ -327,7 +332,7 @@ def test_pool_restart_recovers_churn_from_segments(tmp_path):
         # items=() on an existing dir: everything comes back from disk
         # (boot folds the segments from the previous run).
         async with ClusterSupervisor(
-            data_dir=data_dir, config=fast_config()
+            data_dir=data_dir, config=fast_config(), durable=NO_FSYNC
         ) as sup:
             host, port = sup.entry_address
             res = await sync(host, port, server_items + extras)

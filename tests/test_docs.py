@@ -242,22 +242,65 @@ def test_operations_window_stall_quotes_source_constants():
 
 
 def test_operations_cluster_limit_fields_exist():
+    """The pool table documents exactly ``ClusterConfig``'s fields, and
+    the per-session knobs it points at live on the nested ``ServerConfig``
+    (and nowhere on the pool config)."""
     import dataclasses
 
     from repro.cluster import ClusterConfig
+    from repro.service.server import ServerConfig
 
     body = section(doc_text("operations.md"), "Cluster limits")
-    fields = {f.name for f in dataclasses.fields(ClusterConfig)}
+    pool = {f.name for f in dataclasses.fields(ClusterConfig)}
+    rows = re.findall(r"^\|\s*(`\w+`(?:\s*/\s*`\w+`)*)\s*\|", body, re.MULTILINE)
+    documented = {name for row in rows for name in re.findall(r"`(\w+)`", row)}
+    assert documented == pool
+    assert isinstance(ClusterConfig().server, ServerConfig)
+    per_session = {f.name for f in dataclasses.fields(ServerConfig)}
     for name in (
         "max_concurrent_sessions",
         "per_peer_rate",
         "per_peer_burst",
         "max_session_bytes",
         "busy_retry_after",
-        "advertise_ports",
+        "block_size",
+        "max_symbols_per_shard",
+        "idle_timeout",
     ):
-        assert name in fields, f"documented field {name!r} not on ClusterConfig"
-        assert f"`{name}`" in body, f"ClusterConfig.{name} undocumented"
+        assert f"`{name}`" in body, f"ServerConfig.{name} undocumented"
+        assert name in per_session and name not in pool
+
+
+def test_architecture_standing_up_a_peer():
+    """Every host the section names really opens its state through
+    ``open_backend``, and the documented hasher split — which hosts
+    apply the service SipHash default — is the one in the source."""
+    import inspect
+
+    from repro.api.registry import Scheme
+    from repro.service import backends
+
+    body = section(doc_text("architecture.md"), "Standing up a peer")
+    assert callable(backends.open_backend) and callable(Scheme.bound_to)
+    for prop in ("codec", "hash64", "key_probe"):
+        assert f"handle.{prop}" in body and hasattr(Scheme, prop)
+    hosts = {
+        "ReconciliationServer": ("repro.service.server", True),
+        "ServiceNode": ("repro.service.node", True),
+        "ClusterSupervisor": ("repro.cluster.supervisor", True),
+        "GossipNode": ("repro.gossip.node", False),
+        "memory_responder": ("repro.protocol.pump", False),
+        "open_durable": ("repro.durable.store", False),
+    }
+    service, library = body.split("The in-process hosts")
+    service = service.split("The TCP-facing hosts")[1]
+    for host, (module, service_default) in hosts.items():
+        source = inspect.getsource(importlib.import_module(module))
+        assert "open_backend(" in source, f"{host} no longer calls open_backend"
+        assert ("with_service_hasher(" in source) == service_default, host
+        assert f"{host}`" in (service if service_default else library), host
+    client = inspect.getsource(importlib.import_module("repro.service.client"))
+    assert "with_service_hasher(" in client and "`sync`" in service
 
 
 def test_operations_chaos_schedule_fields_match_spec():

@@ -31,9 +31,7 @@ from repro.durable import (
 )
 from repro.durable.journal import MAGIC as JOURNAL_MAGIC
 from repro.durable.store import JOURNAL_NAME, MANIFEST_NAME
-from repro.protocol.machine import codec_of, hash64_of
-from repro.service.backends import WarmRibltBackend
-from repro.service.shard import ShardedSet
+from repro.service.backends import open_backend
 
 from helpers import engine_lane
 
@@ -54,11 +52,7 @@ def make_items(lo, hi):
 
 def fresh_backend(items, num_shards=NUM_SHARDS):
     """Reference: a cold WarmRibltBackend ingesting ``items`` directly."""
-    handle = get_scheme("riblt", symbol_size=ITEM)
-    codec = codec_of(handle)
-    hash64 = hash64_of(handle, codec)
-    sharded = ShardedSet(hash64, num_shards, sorted(items))
-    return WarmRibltBackend(handle, sharded, codec)
+    return open_backend(sorted(items), num_shards=num_shards, symbol_size=ITEM)
 
 
 def served_stream(backend, cells=96):
@@ -271,6 +265,24 @@ def test_corrupt_journal_record_fails_typed(tmp_path):
         open_durable(tmp_path)
 
 
+@pytest.mark.parametrize("name", [JOURNAL_NAME, "journal.0.log"])
+def test_journal_sequence_gap_fails_typed(tmp_path, name):
+    """Every journal file — the base log and a worker segment alike —
+    is replayed by one loop, and a hole in its sequence is corruption."""
+    from repro.durable.journal import frame_record
+    from repro.durable.store import OP_ADD, encode_op
+
+    open_durable(tmp_path, make_items(0, 60), num_shards=2).close()
+    records = [
+        encode_op(OP_ADD, seq, make_items(100 + seq, 101 + seq)) for seq in (1, 3)
+    ]
+    (tmp_path / name).write_bytes(
+        JOURNAL_MAGIC + b"".join(frame_record(r) for r in records)
+    )
+    with pytest.raises(CorruptJournal, match="sequence jumped 1 -> 3"):
+        open_durable(tmp_path)
+
+
 def test_corrupt_snapshot_fails_typed(tmp_path):
     backend = open_durable(tmp_path, make_items(0, 60), num_shards=2)
     backend.close()
@@ -398,8 +410,7 @@ def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
     backend.checkpoint()
     backend.close()
 
-    handle = get_scheme("riblt", **params)
-    codec = codec_of(handle)
+    codec = get_scheme("riblt", **params).codec
     digest = hashlib.sha256()
     for path in sorted(tmp_path.glob("*.snap")):
         snap = unpack_shard(path.read_bytes(), codec)
@@ -419,8 +430,7 @@ def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
     try:
         final = pool[30:]
         assert sorted(recovered.sharded) == final
-        sharded = ShardedSet(hash64_of(handle, codec), 2, final)
-        assert_bit_identical(recovered, WarmRibltBackend(handle, sharded, codec))
+        assert_bit_identical(recovered, open_backend(final, num_shards=2, **params))
     finally:
         recovered.close()
 
@@ -455,10 +465,9 @@ def test_snapshot_crosses_engines_bit_identically(tmp_path, size, written_on_vec
         try:
             final = pool[30:]
             assert sorted(recovered.sharded) == final
-            handle = get_scheme("riblt", **params)
-            codec = codec_of(handle)
-            sharded = ShardedSet(hash64_of(handle, codec), 2, final)
-            assert_bit_identical(recovered, WarmRibltBackend(handle, sharded, codec))
+            assert_bit_identical(
+                recovered, open_backend(final, num_shards=2, **params)
+            )
         finally:
             recovered.close()
 

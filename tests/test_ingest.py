@@ -203,14 +203,13 @@ def test_sharded_add_many_atomic(rng):
 
 
 def test_warm_backend_bulk_churn_matches_rebuild(rng):
-    from repro.api.registry import get_scheme
-    from repro.service.backends import WarmRibltBackend
+    from repro.service.backends import open_backend
 
     items = make_items(rng, 240)
     base, fresh = items[:200], items[200:]
     codec = SymbolCodec(8)
-    sharded = ShardedSet(_hash64, 3, base)
-    backend = WarmRibltBackend(get_scheme("riblt"), sharded, codec)
+    backend = open_backend(base, num_shards=3)
+    sharded = backend.sharded
     # produce some cells on every shard, then churn in one batch
     for shard in range(3):
         backend.encoders[shard].produce_block(64)

@@ -1,0 +1,349 @@
+"""One peer state: every host stands its ``ShardBackend`` up through
+``open_backend`` and mutates it one way.
+
+The paper's universality property (§4.1, §7.3) gives a set *one*
+coded-symbol stream, so whichever host holds the set — server, node,
+gossip peer, in-memory responder, durable store — must hold the same
+state: same shard members, same version clocks, same key probe, same
+coded cells.  The digests below were recorded at the commit before
+``open_backend`` existed, from the hosts' separate constructors.
+"""
+
+from __future__ import annotations
+
+import ast
+import asyncio
+import hashlib
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.api.registry import get_scheme
+from repro.durable import DurableConfig
+from repro.durable.store import JOURNAL_NAME
+from repro.gossip import GossipNode, make_nodes
+from repro.hashing.keyed import SipHasher
+from repro.protocol.pump import memory_responder
+from repro.service import ReconciliationServer, ServiceNode
+from repro.service.backends import open_backend
+from repro.service.shard import ShardedSet
+
+NUM_SHARDS = 4
+NO_FSYNC = DurableConfig(fsync=False)
+
+# name -> (scheme, item width, params, digest recorded at the parent)
+CASES = {
+    "riblt-8": (
+        "riblt",
+        8,
+        dict(hasher="siphash"),
+        "406bfb30b0725b0ee7f59bd14e34d8a2f5e3ea0a05bbfd4d61105ef174e65007",
+    ),
+    "riblt-92": (
+        "riblt",
+        92,
+        dict(hasher="siphash"),
+        "6c5eb7a189fa282ff840fefe4d37a813df5269141b9b63053b29c67877514331",
+    ),
+    "regular_iblt-8": (
+        "regular_iblt",
+        8,
+        dict(hasher="blake2b"),
+        "cf282214d950c2a42f345a5a670c292860c6496c36b4204289adb2112f66c3bf",
+    ),
+}
+
+
+def items_for(size: int) -> list[bytes]:
+    rng = random.Random(0x5EED + size)
+    return sorted({rng.randbytes(size) for _ in range(600)})
+
+
+def fingerprint(backend) -> str:
+    """Per-shard members and versions, the key probe and — for a warm
+    backend — the first 64 packed coded cells of every shard."""
+    sharded = backend.sharded
+    digest = hashlib.sha256()
+    for shard in range(backend.num_shards):
+        members = sorted(sharded.shards[shard])
+        digest.update(repr((members, sharded.versions[shard])).encode())
+    digest.update(str(backend.handle.key_probe).encode())
+    for encoder in getattr(backend, "encoders", ()):
+        digest.update(encoder.cached_block(0, 64).pack(backend.handle.codec))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_host_reaches_the_same_backend(case, lane, tmp_path):
+    scheme, size, params, recorded = CASES[case]
+    items = items_for(size)
+    spec = dict(scheme=scheme, num_shards=NUM_SHARDS, **params)
+    handle = get_scheme(scheme, symbol_size=size, **params)
+    hosts = {
+        "open_backend": open_backend(items, **spec),
+        "server": ReconciliationServer(items, **spec).backend,
+        "node": ServiceNode(items, **spec).backend,
+        "gossip": GossipNode(0, items, **spec).backend,
+        "memory": memory_responder(handle, items, num_shards=NUM_SHARDS).backend,
+    }
+    if scheme == "riblt":
+        hosts["data_dir"] = open_backend(
+            items, data_dir=tmp_path, durable=NO_FSYNC, **spec
+        )
+    else:
+        with pytest.raises(ValueError, match="persists warm riblt banks"):
+            open_backend(items, data_dir=tmp_path, **spec)
+    try:
+        assert {name: fingerprint(b) for name, b in hosts.items()} == dict.fromkeys(
+            hosts, recorded
+        )
+    finally:
+        if "data_dir" in hosts:
+            hosts["data_dir"].close()
+
+
+def test_gossip_digest_and_clock_after_construction():
+    """The digest peers compare, as the parent's constructor left it."""
+    recorded = {
+        "riblt-8": 14282640139943605027,
+        "riblt-92": 15622734371985179909,
+        "regular_iblt-8": 12188797026577265075,
+    }
+    for case, xor64 in recorded.items():
+        scheme, size, params, _ = CASES[case]
+        node = GossipNode(
+            0, items_for(size), scheme=scheme, num_shards=NUM_SHARDS, **params
+        )
+        digest = node.digest()
+        assert (digest.version, digest.xor64, digest.count) == (600, xor64, 600)
+
+
+def test_service_hosts_default_to_siphash_and_library_hosts_do_not():
+    """Which hosts apply the service hasher default is existing
+    behaviour: the TCP-facing ones do, the in-process ones keep the
+    registry's, and an existing store's manifest beats both."""
+    items = items_for(8)
+    hasher = lambda backend: backend.handle.params.hasher  # noqa: E731
+    assert hasher(ReconciliationServer(items).backend) == "siphash"
+    assert hasher(ServiceNode(items).backend) == "siphash"
+    assert hasher(open_backend(items)) == "blake2b"
+    assert hasher(GossipNode(0, items).backend) == "blake2b"
+    assert hasher(make_nodes([items])[0].backend) == "blake2b"
+    handle = get_scheme("riblt", symbol_size=8)
+    assert hasher(memory_responder(handle, items).backend) == "blake2b"
+
+
+def test_existing_store_keeps_its_hasher_under_a_service_host(tmp_path):
+    items = items_for(8)
+    open_backend(items, data_dir=tmp_path, durable=NO_FSYNC).close()  # blake2b
+
+    async def scenario():
+        server = ReconciliationServer(data_dir=tmp_path, durable=NO_FSYNC)
+        try:
+            assert server.handle.params.hasher == "blake2b"
+            assert len(server) == len(items)
+        finally:
+            await server.close()
+
+    asyncio.run(scenario())
+
+
+# -- set-up hashes every item once -------------------------------------------
+
+
+def test_server_setup_hashes_each_item_once(monkeypatch, lane):
+    """Shard placement and the warm encoders' checksums share one keyed
+    hash pass (two at the parent: ``ShardedSet`` placed, then each
+    ``RatelessEncoder`` hashed its shard again)."""
+    hashed = {"batch": 0, "scalar": 0}
+    batch, scalar = SipHasher.hash64_batch, SipHasher.hash64
+
+    def spy_batch(self, items):
+        hashed["batch"] += len(items)
+        return batch(self, items)
+
+    def spy_scalar(self, data):
+        hashed["scalar"] += 1
+        return scalar(self, data)
+
+    monkeypatch.setattr(SipHasher, "hash64_batch", spy_batch)
+    monkeypatch.setattr(SipHasher, "hash64", spy_scalar)
+    items = items_for(8)
+    server = ReconciliationServer(items, num_shards=NUM_SHARDS)
+    assert hashed["batch"] == len(items)
+    assert hashed["scalar"] <= 1  # at most the handshake's key probe
+    assert [len(e) for e in server.backend.encoders] == [
+        len(members) for members in server.backend.sharded.shards
+    ]
+
+
+# -- one mutation body per layer -----------------------------------------------
+
+
+def _twins(build):
+    return build(), build()
+
+
+def _bank_bytes(backend, cells=96):
+    codec = backend.handle.codec
+    return [e.cached_block(0, cells).pack(codec) for e in backend.encoders]
+
+
+def test_single_item_mutation_is_the_one_element_batch(tmp_path, lane):
+    items = items_for(8)
+    base, new, gone = items[:500], items[500], items[3]
+
+    def single(target):
+        return [target.add(new), target.remove(gone)]
+
+    def batch(target):
+        return target.add_many([new]) + target.remove_many([gone])
+
+    # ShardedSet: same placement, same version bumps.
+    hash64 = get_scheme("riblt", symbol_size=8).hash64
+    one, many = _twins(lambda: ShardedSet(hash64, 3, base))
+    assert single(one) == batch(many)
+    assert (one.shards, one.versions) == (many.shards, many.versions)
+
+    # WarmRibltBackend: the produced prefix is patched identically.
+    def warm():
+        backend = open_backend(base, num_shards=3, hasher="siphash")
+        _bank_bytes(backend)  # produce a prefix for churn to patch
+        return backend
+
+    one, many = _twins(warm)
+    assert single(one) == batch(many)
+    assert one.sharded.versions == many.sharded.versions
+    final = [item for item in base if item != gone] + [new]
+    rebuilt = open_backend(final, num_shards=3, hasher="siphash")
+    assert _bank_bytes(one) == _bank_bytes(many) == _bank_bytes(rebuilt)
+
+    # DurableBackend: one journal record per call, byte for byte.
+    def durable(name):
+        backend = open_backend(
+            base, num_shards=3, data_dir=tmp_path / name, durable=NO_FSYNC
+        )
+        _bank_bytes(backend)
+        return backend
+
+    one, many = durable("one"), durable("many")
+    try:
+        assert single(one) == batch(many)
+        assert _bank_bytes(one) == _bank_bytes(many)
+        assert one.sharded.versions == many.sharded.versions
+        journals = [
+            (tmp_path / name / JOURNAL_NAME).read_bytes() for name in ("one", "many")
+        ]
+        assert journals[0] == journals[1] and len(journals[0]) > 16
+    finally:
+        one.close()
+        many.close()
+
+    # The hosts: server, node and gossip peer forward to the same body.
+    for host in (ReconciliationServer, ServiceNode):
+        one, many = _twins(lambda: host(base, num_shards=3))
+        _bank_bytes(one.backend), _bank_bytes(many.backend)
+        one.add_item(new)
+        one.remove_item(gone)
+        many.add_items([new])
+        many.remove_items([gone])
+        assert one.backend.sharded.versions == many.backend.sharded.versions
+        assert _bank_bytes(one.backend) == _bank_bytes(many.backend)
+        with pytest.raises(KeyError):
+            one.add_item(new)  # all-or-nothing validation is the set's own
+        with pytest.raises(KeyError):
+            one.remove_item(gone)
+    one, many = _twins(lambda: GossipNode(0, base, num_shards=3))
+    one.add(new)
+    many.add_many([new])
+    assert one.digest() == many.digest()
+    assert one.backend.sharded.versions == many.backend.sharded.versions
+
+
+def test_service_node_items_is_a_view_of_the_backend():
+    node = ServiceNode(items_for(8)[:50], num_shards=2)
+    node.add_items(items_for(8)[50:60])
+    assert node.items == set(node.backend.sharded) == set(items_for(8)[:60])
+    assert len(node) == 60 and items_for(8)[55] in node
+    with pytest.raises(AttributeError):
+        node.items = set()  # read-only: the backend is the only copy
+
+
+# -- structure -------------------------------------------------------------------
+
+
+def _enclosing_functions(tree: ast.AST) -> dict[int, str]:
+    """``id(node) -> name of the innermost def`` containing it."""
+    owner: dict[int, str] = {}
+
+    def visit(node: ast.AST, name: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        owner[id(node)] = name
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return owner
+
+
+def test_one_peer_state_constructor_in_src():
+    """Handle → codec → keyed hash → ``ShardedSet`` → backend is wired
+    in one place.  A host that needs peer state calls ``open_backend``;
+    a second prelude, a second symbol-size inference or a shadow copy
+    of the set has to edit this test and say why.
+    """
+    src = Path(repro.__file__).parent
+    builders = {
+        "ShardedSet",
+        "ShardSubsetSet",
+        "make_backend",
+        "WarmRibltBackend",
+        "SchemeStreamBackend",
+        "SketchBackend",
+        "DurableBackend",
+    }
+    allowed = {
+        ("service/backends.py", "open_backend"),
+        ("durable/store.py", "_recover"),
+        ("durable/store.py", "open_durable"),  # wraps open_backend's state
+    }
+    inference_sites = []
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        text = path.read_text()
+        gone = r"\b(codec_of|hash64_of|resolve_symbol_size)\b"
+        assert not re.search(gone, text), name
+        tree = ast.parse(text)
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", "")
+                if called in builders:
+                    assert (name, owner[id(node)]) in allowed, (
+                        f"{name}:{node.lineno} builds peer state outside open_backend"
+                    )
+                for keyword in node.keywords:
+                    value = keyword.value
+                    if (
+                        keyword.arg == "symbol_size"
+                        and isinstance(value, ast.Call)
+                        and isinstance(value.func, ast.Name)
+                        and value.func.id == "len"
+                    ):
+                        inference_sites.append((name, owner[id(node)]))
+            if name == "service/node.py" and isinstance(
+                node, (ast.Assign, ast.AnnAssign, ast.AugAssign)
+            ):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    assert ast.unparse(target) != "self.items", (
+                        f"{name}:{node.lineno} keeps a shadow copy of the set"
+                    )
+    assert inference_sites == [("api/registry.py", "bound_to")]
+    store = (src / "durable" / "store.py").read_text()
+    assert "class DurableBackend(WarmRibltBackend)" in store
+    assert not re.search(r"\binner\b", store), "DurableBackend wraps an inner again"

@@ -37,12 +37,10 @@ from repro.protocol import (
     InitiatorMachine,
     ResponderMachine,
     SendBytes,
-    codec_of,
-    hash64_of,
     memory_responder,
     pump,
 )
-from repro.service.backends import make_backend
+from repro.service.backends import open_backend
 from repro.service.errors import ProtocolError
 from repro.service.framing import (
     INITIAL_WINDOW,
@@ -55,7 +53,6 @@ from repro.service.framing import (
     encode_frame,
     pack_uvarints,
 )
-from repro.service.shard import ShardedSet
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "protocol_golden.json").read_text()
@@ -96,11 +93,8 @@ def items_range(lo: int, hi: int) -> list:
 
 def service_responder(handle, items, num_shards=1, **overrides) -> ResponderMachine:
     """A responder configured exactly like the asyncio server's default."""
-    codec = codec_of(handle)
-    sharded = ShardedSet(hash64_of(handle, codec), num_shards, list(items))
-    return ResponderMachine(
-        make_backend(handle, sharded, codec), handle, **overrides
-    )
+    backend = open_backend(items, scheme=handle, num_shards=num_shards)
+    return ResponderMachine(backend, handle, **overrides)
 
 
 def drive(initiator, responder, up=None, down=None):
@@ -951,3 +945,17 @@ def test_only_the_known_drivers_tick_a_machine() -> None:
         "net/protocols/machine_sync.py",
         "service/server.py",
     }
+
+
+def test_only_the_known_loops_shuttle_a_machine_over_a_socket() -> None:
+    """An asyncio driver is a file that pairs ``take_output()`` with
+    ``bytes_received()`` around an ``await``.  There is one per side:
+    the server's session loop and the client's ``run_initiator`` — which
+    gossip's ``service`` transport calls rather than copies."""
+    src = Path(__file__).parent.parent / "src" / "repro"
+    loops = set()
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        if all(re.search(p, text) for p in (r"take_output\(", r"bytes_received\(", r"\bawait\b")):
+            loops.add(path.relative_to(src).as_posix())
+    assert loops == {"service/client.py", "service/server.py"}

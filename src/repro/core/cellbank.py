@@ -424,7 +424,7 @@ def unpack_records(
     ints per column.
 
     ``vectors`` lets a caller that feeds arrays onward (the durable
-    store restoring an encoder's column pool) keep a column of at most
+    store restoring an encoder's source store) keep a column of at most
     8 bytes as the ``(n,)`` NumPy vector the vector body parsed instead
     of paying for a list it would convert straight back; the scalar
     body returns lists regardless.
@@ -480,14 +480,10 @@ def numpy_block_eligible(codec: "SymbolCodec") -> bool:
     return engine.NUMPY_LANE and codec.symbol_size <= LANE_MAX_SYMBOL_BYTES
 
 
-def numpy_lane_eligible(codec: "SymbolCodec") -> bool:
-    """True when ``codec``'s source symbols can live in a column store.
-
-    :func:`numpy_block_eligible` plus the regular α = 0.5 mapping: the
-    gate for the encoder's ingestion pool and the one-shot sketch build
-    (one α for all rows, parked walk states in arrays).
-    """
-    return numpy_block_eligible(codec) and codec.irregular is None
+def needs_alphas(alphas: list[float]) -> bool:
+    """True when some α in ``alphas`` is not the α = 0.5 the kernels
+    inline — only then do they need a per-row ``alphas`` column."""
+    return alphas.count(DEFAULT_ALPHA) != len(alphas)
 
 
 def scatter_walk_scalar(
@@ -498,8 +494,8 @@ def scatter_walk_scalar(
     states: list[int],
     values: Sequence[int],
     symbol_checksums: Sequence[int],
-    directions: Sequence[int],
-    alphas: Sequence[float],
+    direction: int,
+    alphas: Optional[Sequence[float]],
     hi: int,
     touched: Optional[list[int]] = None,
 ) -> None:
@@ -507,10 +503,12 @@ def scatter_walk_scalar(
     XOR-ing it into every lane index it maps to along the way.
 
     ``indices``/``states`` are the symbols' (``current``, splitmix64
-    ``state``) pairs checked out of their
-    :class:`~repro.core.mapping.IndexGenerator`; both lists are updated
-    in place so the caller can check them back in.  ``touched``, when
-    given, collects every lane index written (with multiplicity).
+    ``state``) walk positions — an encoder's parked columns, or pairs
+    checked out of :class:`~repro.core.mapping.IndexGenerator` objects;
+    both lists are updated in place.  ``direction`` is +1 to fold the
+    symbols in, −1 to peel them out; ``alphas`` their per-symbol α
+    (``None``: all α = 0.5).  ``touched``, when given, collects every
+    lane index written (with multiplicity).
 
     The splitmix64 step and the α = 0.5 inverse CDF are inlined as
     local-variable arithmetic — this loop IS the encoder/decoder per-edge
@@ -526,8 +524,7 @@ def scatter_walk_scalar(
         state = states[j]
         value = values[j]
         checksum = symbol_checksums[j]
-        direction = directions[j]
-        alpha = alphas[j]
+        alpha = default_alpha if alphas is None else alphas[j]
         if alpha == default_alpha:
             while idx < hi:
                 sums[idx] ^= value

@@ -1,39 +1,38 @@
 """Incremental Rateless IBLT encoder (paper §4 design, §6 optimisations).
 
-The encoder owns a set of source symbols and materialises the infinite
-coded-symbol sequence into an array-backed
-:class:`~repro.core.cellbank.CodedSymbolBank` prefix.  Two production
-paths exist:
+The encoder's whole state is the one its paper definition names: the
+produced coded-symbol prefix, an array-backed
+:class:`~repro.core.cellbank.CodedSymbolBank`, and for every source
+symbol a parked position in its §4.2 index walk.  The symbols live in
+one :class:`SourceStore` — one row per live symbol (``value``,
+``checksum``, parked ``(idx, state)``, and its α when the codec maps
+some symbol with other than the default α, read from
+``codec.alpha_for`` once, at ingest) — so no method of the encoder asks
+where a symbol lives.  Two paths produce cells from it:
 
-* :meth:`RatelessEncoder.produce_next` — the reference path.  Following
-  §6, the symbols whose *next* mapped index is smallest sit at the head
-  of a binary heap, so producing coded symbol ``i`` touches exactly the
-  symbols mapped to ``i`` — O(k·log n) rather than a full scan.
-* :meth:`RatelessEncoder.produce_block` — the batch fast path.  One
-  linear sweep over the heap collects every symbol mapped into
-  ``[frontier, frontier+m)``; their walks are then replayed by the
-  :mod:`~repro.core.cellbank` scatter samplers (inlined splitmix64 +
-  inverse-CDF arithmetic, vectorised under NumPy when eligible) and the
-  heap is rebuilt once with ``heapify``.  The emitted prefix is
-  bit-identical to ``m`` reference calls — the golden-equivalence suite
-  asserts it.
+* :meth:`RatelessEncoder.produce_block` is one
+  :mod:`~repro.core.cellbank` scatter-kernel call on the store's
+  columns — vectorised across rows (NumPy columns, walk states advanced
+  in place) when the codec's symbols fit the lanes, the inlined scalar
+  sampler (Python lists) otherwise.  Rows parked past the block are
+  skipped by the kernel, so nothing is gathered.
+* :meth:`RatelessEncoder.produce_next` is the §6 reference: the rows
+  whose *next* mapped index is smallest sit at the head of a binary heap
+  of ``(next index, row)``, so producing cell ``i`` steps exactly the
+  rows mapped to ``i`` through ``IndexGenerator`` — O(k·log n), not a
+  full scan.  The heap is rebuilt lazily after a block walk.
+
+Both produce bit-identical cells — the golden-equivalence suite asserts
+it — and the store alone switches its columns between the NumPy and the
+list form, in one O(n) pass, when the next operation wants the other.
 
 Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is batched
 end to end.  :meth:`RatelessEncoder.add_items` hashes the whole batch
 through the codec's keyed batch face (lane-parallel SipHash under
-NumPy), then *stages* the symbols in a column pool — a ``(rows, k)``
-uint64 value matrix filled straight from the item bytes beside parallel
-``checksums/state/idx`` vectors — instead of building one
-``_SourceEntry`` + heap tuple per item.  The pool forms for every
-regular codec the lanes carry, 8-byte hashes and 92-byte ledger items
-alike (``cellbank.numpy_lane_eligible``).  ``produce_block`` hands the
-pool's arrays to the vectorised scatter kernel as they are (walk states
-advance in place, never touching Python objects), and the pool is
-materialised into heap entries only when a per-cell path needs them
-(``produce_next``, or the NumPy lane going away).  The per-item heap
-path remains for §8 irregular codecs, batches under ``NUMPY_MIN_JOBS``,
-symbols past the lane width cut and the scalar engine
-(:mod:`repro.engine`); both engines produce bit-identical banks.
+NumPy) and appends it to the store as columns — a ``(rows, k)`` uint64
+value matrix filled straight from the item bytes, for 8-byte hashes and
+92-byte ledger items alike.  The single-item forms are one-row calls of
+the same bodies.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
 removing a source symbol after ``m`` cells were produced simply XORs
@@ -42,8 +41,7 @@ node maintains one universal stream while its set churns (§7.3: 11 ms to
 patch 50M cached symbols per Ethereum block, amortised).  Churn is
 batched too: :meth:`add_items` / :meth:`remove_items` patch the cached
 prefix with one fused scatter per batch (removals replay each symbol's
-mapping from its seed — the checksum — reusing the parked α instead of
-re-deriving the mapping per call).
+mapping from its seed — the checksum — with the α stored in its row).
 
 Produced cells are returned as value snapshots; the live, continuously
 patched state is the internal bank (read it through :meth:`cached` /
@@ -53,34 +51,24 @@ patched state is the internal bank (read it through :meth:`cached` /
 from __future__ import annotations
 
 import heapq
-from itertools import count as _counter
 from typing import Iterable, Optional, Sequence
 
 from repro import engine
 from repro.core.cellbank import (
     NUMPY_MIN_JOBS,
-    NUMPY_MIN_SPAN,
     CodedSymbolBank,
     ints_from_lanes,
     lane_count,
     lanes_from_bytes,
     lanes_from_ints,
+    needs_alphas,
     numpy_block_eligible,
-    numpy_lane_eligible,
     scatter_walk_arrays,
     scatter_walk_scalar,
 )
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
-from repro.core.params import DEFAULT_ALPHA
 from repro.core.symbols import SymbolCodec
-
-# Below this block size the per-call sweep/heapify overhead of the batch
-# path exceeds the per-cell heap cost; fall back to produce_next.  (The
-# sweep is O(live entries) regardless of m, but so is one produce_next
-# call whenever the head of the heap is dense — which it is for any
-# young prefix — so the crossover sits low.)
-_MIN_BATCH_BLOCK = 4
 
 # Patching a produced prefix through the NumPy lane costs one list→array
 # →list round trip of the whole bank; below ~1 batch item per 64 cached
@@ -89,77 +77,263 @@ _MIN_BATCH_BLOCK = 4
 # Re-measured for k lanes at 10^4 cells: the round trip costs 1x, 2.7x
 # and ~8x the one-lane one at k = 1, 12 and 64 (crossovers near 1/90,
 # 1/24 and 1/8), which (7 + k) / 8 fits, so the cell allowance per item
-# shrinks by that factor (see _patch_prefix_batch).
+# shrinks by that factor (see _patch_prefix).
 _PATCH_CELLS_PER_ITEM = 64
 
-# Parked index of a removed pool row: past every frontier, so the
-# scatter kernel never walks it.
+# Parked index of a removed (or not yet used) row: past every frontier,
+# so no kernel walks it.
 _DEAD_ROW = (1 << 63) - 1
 
-
-class _SourceEntry:
-    """A source symbol plus its live position in the index stream."""
-
-    __slots__ = ("value", "checksum", "gen", "alive")
-
-    def __init__(self, value: int, checksum: int, gen) -> None:
-        self.value = value
-        self.checksum = checksum
-        self.gen = gen
-        self.alive = True
+# NumPy dtypes and free-row fillers of the checksum, idx, state and α
+# columns, in that order.
+_DTYPES = ("uint64", "int64", "uint64", "float64")
+_FILLERS = (0, _DEAD_ROW, 0, 0.0)
 
 
-class _StagedPool:
-    """Bulk-ingested source symbols as a column store (NumPy engine).
+def _ints(column) -> list:
+    """A column of Python numbers (a NumPy vector's ``tolist``)."""
+    return column if isinstance(column, list) else column.tolist()
 
-    Parallel arrays instead of per-item objects: ``values`` is the
-    symbols' ``(rows, k)`` uint64 lane matrix, ``checksums`` their keyed
-    hashes, ``idx``/``state`` the parked ``(current, splitmix64 state)``
-    walk positions the batch samplers advance in place.  ``rows`` maps a
-    symbol's integer value to its row, in row order.  Removal parks the
-    row at ``_DEAD_ROW`` so array offsets stay stable; once dead rows
-    outnumber live ones the arrays are compacted (amortised O(1) per
-    removal), so a churning set's pool stays within 2x its live size.
+
+def _column(values, spare: int, dtype: str, fill):
+    """A NumPy column holding ``values``, then ``spare`` free rows."""
+    column = engine.np.full(len(values) + spare, fill, dtype=dtype)
+    column[: len(values)] = values
+    return column
+
+
+def _lanes(values: list[int], datas, size: int):
+    """The rows' lane matrix, from their item bytes when the caller has them."""
+    return lanes_from_bytes(datas, size) if datas else lanes_from_ints(values, size)
+
+
+def _walk_into(bank, lo, hi, walks, direction, alphas, size) -> None:
+    """Walk rows from their parked positions to ``hi``, folding each in
+    (``direction`` +1) or peeling it out (−1) at every cell it crosses;
+    cells past the bank's end are appended.  ``walks`` is the rows'
+    ``(idx, state, values, checksums)`` columns, advanced in place — as
+    lists the scalar kernel runs, as NumPy columns the vector one, over
+    the cells ``[lo, hi)`` (no row is parked below ``lo``)."""
+    old = len(bank)
+    if isinstance(walks[0], list):
+        bank.extend_zeros(hi - old)
+        sums, checksums, counts = bank.sums, bank.checksums, bank.counts
+        scatter_walk_scalar(sums, checksums, counts, *walks, direction, alphas, hi)
+        return
+    np = engine.np
+    sums = np.zeros((hi - lo, lane_count(size)), dtype=np.uint64)
+    checksums = np.zeros(hi - lo, dtype=np.uint64)
+    counts = np.zeros(hi - lo, dtype=np.int64)
+    if old > lo:  # cells already produced: the walks patch them
+        sums[: old - lo] = lanes_from_ints(bank.sums[lo:], size)
+        checksums[: old - lo] = bank.checksums[lo:]
+        counts[: old - lo] = bank.counts[lo:]
+    alphas = None if alphas is None else np.asarray(alphas, dtype=np.float64)
+    dirs = np.full(len(walks[0]), direction, dtype=np.int64)
+    scatter_walk_arrays(
+        sums, checksums, counts, *walks, dirs, hi, base=lo, alphas=alphas
+    )
+    bank.sums[lo:] = ints_from_lanes(sums)
+    bank.checksums[lo:] = checksums.tolist()
+    bank.counts[lo:] = counts.tolist()
+
+
+class SourceStore:
+    """Every live source symbol of one encoder, one row each.
+
+    A row holds the symbol's ``value``, its keyed ``checksum`` and its
+    parked walk position ``(idx, state)`` — the first mapped index at or
+    past the produced frontier and the splitmix64 state that resumes the
+    walk there — plus its α in ``alphas``, a column that exists only once
+    some row's α is not the default the kernels inline (``None`` until
+    then).  ``rows`` maps each live value to its row, in row order.
+
+    The columns take one of two forms.  NumPy (``vector``): ``values`` is
+    the ``(capacity, k)`` uint64 lane matrix, the rest are vectors, and
+    the rows past ``size`` are free room for appends, parked at
+    ``_DEAD_ROW``.  Lists: Python ints per row, the scalar kernel's and
+    the per-cell heap's form.  :meth:`_repack` is the one O(n) pass
+    behind a form switch, compaction and growth.  Removal parks a row at
+    ``_DEAD_ROW``; the columns never hold more than twice the live rows,
+    so appends and removals cost O(1) amortised.
     """
 
-    __slots__ = ("values", "checksums", "idx", "state", "rows")
+    __slots__ = (
+        "codec",
+        "rows",
+        "vector",
+        "size",
+        "values",
+        "checksums",
+        "idx",
+        "state",
+        "alphas",
+        "heap",
+        "heaped",
+    )
 
-    def __init__(self, keys, values, checksums, idx, state) -> None:
-        self.values = values
-        self.checksums = checksums
-        self.idx = idx
-        self.state = state
-        self.rows: dict[int, int] = dict(zip(keys, range(len(keys))))
+    def __init__(self, codec: SymbolCodec) -> None:
+        self.codec = codec
+        self.rows: dict[int, int] = {}
+        self.vector = False
+        self.size = 0
+        self.values: list = []
+        self.checksums: list = []
+        self.idx: list = []
+        self.state: list = []
+        self.alphas: Optional[list] = None
+        self.heap: Optional[list[tuple[int, int]]] = None
+        self.heaped = 0
 
-    def extend(self, keys, values, checksums, idx, state) -> None:
-        """Append a batch of rows (``keys`` are their integer values)."""
-        np = engine.np
-        base = self.idx.shape[0]
-        self.values = np.concatenate([self.values, values])
-        self.checksums = np.concatenate([self.checksums, checksums])
-        self.idx = np.concatenate([self.idx, idx])
-        self.state = np.concatenate([self.state, state])
-        self.rows.update(zip(keys, range(base, base + len(keys))))
+    def _vector_for(self, rows: int) -> bool:
+        """The form ``rows`` live rows take: NumPy when the codec's
+        symbols ride the lanes and a batch amortises the call overhead."""
+        return rows >= NUMPY_MIN_JOBS and numpy_block_eligible(self.codec)
 
-    def kill(self, key: int) -> int:
-        """Drop the symbol ``key``; returns its checksum."""
-        row = self.rows.pop(key)
-        self.idx[row] = _DEAD_ROW
-        return int(self.checksums[row])
-
-    def compact_if_sparse(self) -> None:
-        """Squeeze dead rows out once they outnumber the live ones."""
+    def _repack(self, vector: bool, spare: int = 0) -> None:
+        """Rewrite the columns in the given form with the live rows only,
+        renumbered in row order, plus ``spare`` free rows (NumPy form)."""
         live = len(self.rows)
-        if self.idx.shape[0] <= 2 * live:
-            return
-        keep = engine.np.nonzero(self.idx != _DEAD_ROW)[0]
-        self.values = self.values[keep]
-        self.checksums = self.checksums[keep]
-        self.idx = self.idx[keep]
-        self.state = self.state[keep]
-        # ``rows`` is in row order (rows are only appended and popped),
-        # so the survivors renumber 0..live-1 as they stand.
-        self.rows = dict(zip(self.rows, range(live)))
+        dead = live != self.size  # else every row keeps its number
+        columns = (self.checksums, self.idx, self.state, self.alphas)
+        lanes = None
+        if self.vector:
+            keep = slice(live)
+            if dead:
+                keep = (self.idx[: self.size] != _DEAD_ROW).nonzero()[0]
+            lanes = self.values[keep]
+            columns = [None if c is None else c[keep] for c in columns]
+        elif dead:
+            keep = list(self.rows.values())
+            columns = [None if c is None else [c[r] for r in keep] for c in columns]
+        if dead:
+            self.rows = dict(zip(self.rows, range(live)))
+        self.size = live
+        self.heap = None
+        if vector:
+            np = engine.np
+            if lanes is None:
+                lanes = lanes_from_ints(list(self.rows), self.codec.symbol_size)
+            free = np.zeros((spare, lanes.shape[1]), dtype=np.uint64)
+            self.values = np.concatenate([lanes, free])
+            columns = [
+                None if c is None else _column(c, spare, d, f)
+                for c, d, f in zip(columns, _DTYPES, _FILLERS)
+            ]
+        else:
+            self.values = list(self.rows)
+            columns = [None if c is None else _ints(c) for c in columns]
+        self.checksums, self.idx, self.state, self.alphas = columns
+        self.vector = vector
+
+    def alphas_for(self, checksums: Sequence[int]) -> Optional[list[float]]:
+        """New rows' α, read from ``codec.alpha_for``: ``None`` while every
+        row, held and new, has the default α; the first row that does not
+        opens the α column, filled in for the rows already held."""
+        alpha_for = self.codec.alpha_for
+        alphas = list(map(alpha_for, checksums))
+        if self.alphas is None:
+            if not needs_alphas(alphas):
+                return None
+            held = list(map(alpha_for, _ints(self.checksums)))
+            self.alphas = engine.np.array(held) if self.vector else held
+        return alphas
+
+    def append(self, values, checksums, alphas, walks=None, datas=None) -> None:
+        """Add validated rows (``values``/``checksums`` as lists).
+        ``walks`` is their parked ``(idx, state)`` pair of columns,
+        ``None`` for fresh walks (index 0, seeded by the checksum);
+        ``datas`` their item bytes, when the caller has them."""
+        n = len(values)
+        if not self.rows:  # empty: take the form, and room, this batch wants
+            self._repack(self._vector_for(n), spare=n)
+        elif self.vector and not numpy_block_eligible(self.codec):
+            self._repack(False)  # the vector engine went away mid-life
+        lo = self.size
+        hi = lo + n
+        if self.vector:
+            if hi > len(self.idx):
+                self._repack(True, spare=n + len(self.rows) // 2)
+                lo = self.size
+                hi = lo + n
+            np = engine.np
+            self.values[lo:hi] = _lanes(values, datas, self.codec.symbol_size)
+            self.checksums[lo:hi] = np.asarray(checksums, dtype=np.uint64)
+            if walks is None:
+                self.idx[lo:hi] = 0
+                self.state[lo:hi] = self.checksums[lo:hi]
+            else:
+                self.idx[lo:hi] = np.asarray(walks[0], dtype=np.int64)
+                self.state[lo:hi] = np.asarray(walks[1], dtype=np.uint64)
+            if self.alphas is not None:
+                self.alphas[lo:hi] = alphas
+        else:
+            self.values += values
+            self.checksums += checksums
+            if walks is None:
+                self.idx += [0] * n
+                self.state += checksums
+            else:
+                self.idx += _ints(walks[0])
+                self.state += _ints(walks[1])
+            if self.alphas is not None:
+                self.alphas += alphas
+        self.rows.update(zip(values, range(lo, hi)))
+        self.size = hi
+
+    def kill(self, values: list[int]) -> tuple[list[int], Optional[list[float]]]:
+        """Drop the (present) rows of ``values``; returns their checksums
+        and α (``None`` without an α column) for the prefix patch."""
+        keep = [self.rows.pop(value) for value in values]
+        alphas = self.alphas
+        if self.vector:
+            checksums = self.checksums[keep].tolist()
+            alphas = None if alphas is None else alphas[keep].tolist()
+            self.idx[keep] = _DEAD_ROW
+        else:
+            checksums = [self.checksums[r] for r in keep]
+            alphas = None if alphas is None else [alphas[r] for r in keep]
+            for row in keep:
+                self.idx[row] = _DEAD_ROW
+        if len(self.idx) > 2 * len(self.rows):
+            self._repack(self.vector, spare=len(self.rows) // 2)
+        return checksums, alphas
+
+    def walk(self, bank: CodedSymbolBank, hi: int) -> None:
+        """Extend ``bank`` to ``hi`` cells: every row XORed into each cell
+        its walk reaches below ``hi``, in one kernel call."""
+        self.heap = None  # the walks move under it
+        vector = self._vector_for(len(self.rows))
+        if vector != self.vector:
+            self._repack(vector)
+        walks = (self.idx, self.state, self.values, self.checksums)
+        _walk_into(bank, len(bank), hi, walks, 1, self.alphas, self.codec.symbol_size)
+
+    def next_heap(self) -> list[tuple[int, int]]:
+        """The per-cell path's heap of ``(next index, row)`` over the list
+        form, rebuilt lazily: in full after a block walk or a repack moved
+        rows under it, topped up with the rows appended since otherwise.
+        Removed rows' entries are dropped when they surface."""
+        if self.vector:
+            self._repack(False)
+        idx = self.idx
+        if self.heap is None:
+            self.heap = [(idx[row], row) for row in self.rows.values()]
+            heapq.heapify(self.heap)
+        else:
+            for row in range(self.heaped, self.size):
+                if idx[row] != _DEAD_ROW:
+                    heapq.heappush(self.heap, (idx[row], row))
+        self.heaped = self.size
+        return self.heap
+
+    def export(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """``(values, checksums, idx, state)`` of the live rows, in row order."""
+        keep = list(self.rows.values())
+        columns = (self.checksums, self.idx, self.state)
+        if self.vector:
+            return list(self.rows), *(c[keep].tolist() for c in columns)
+        return list(self.rows), *([c[r] for r in keep] for c in columns)
 
 
 class RatelessEncoder:
@@ -181,19 +355,18 @@ class RatelessEncoder:
         item_hashes: Optional[Sequence[int]] = None,
     ) -> None:
         self.codec = codec
-        self._entries: dict[int, _SourceEntry] = {}
-        self._heap: list[tuple[int, int, _SourceEntry]] = []
-        self._seq = _counter()
+        self._store = SourceStore(codec)
         self._bank = CodedSymbolBank()
-        self._pool: Optional[_StagedPool] = None
+        # produce_next's stepper, re-parked at each row it advances; a
+        # store without an α column leaves it at the mapping's default α
+        self._walk = IndexGenerator(0)
         if items is not None:
             self.add_items(items, item_hashes=item_hashes)
 
     # -- set mutation ----------------------------------------------------
 
     def __len__(self) -> int:
-        pool = self._pool
-        return len(self._entries) + (len(pool.rows) if pool is not None else 0)
+        return len(self._store.rows)
 
     @property
     def set_size(self) -> int:
@@ -206,15 +379,15 @@ class RatelessEncoder:
         return len(self._bank)
 
     def __contains__(self, data: bytes) -> bool:
-        value = self.codec.to_int(data)
-        pool = self._pool
-        return value in self._entries or (
-            pool is not None and value in pool.rows
-        )
+        return self.codec.to_int(data) in self._store.rows
 
     def add_item(self, data: bytes) -> None:
         """Add an ℓ-byte item to the set being encoded."""
         self.add_value(self.codec.to_int(data))
+
+    def add_value(self, value: int) -> None:
+        """Add an item already packed into integer form."""
+        self._add([value], [self.codec.checksum_int(value)])
 
     def add_items(
         self,
@@ -224,13 +397,11 @@ class RatelessEncoder:
     ) -> None:
         """Add many items at once (the batch ingestion pipeline).
 
-        The whole batch is hashed through the codec's keyed batch face,
-        then staged in the column pool (NumPy lane) or inserted through
-        the per-item reference engine (vector engine off, symbols past
-        the lane width cut, irregular mappings, tiny batches).  With a
-        produced prefix the batch patches the cached bank in one fused
-        scatter.  Duplicates anywhere — the set, the pool, or the batch
-        itself — raise ``KeyError`` before anything is inserted.
+        The whole batch is hashed through the codec's keyed batch face
+        and appended to the source store; with a produced prefix it
+        patches the cached bank in one fused scatter.  Duplicates
+        anywhere — the set or the batch itself — raise ``KeyError``
+        before anything is inserted.
 
         ``item_hashes``, when given, must be the codec hasher's keyed
         64-bit hash of each item, in order (e.g. the values shard
@@ -250,256 +421,88 @@ class RatelessEncoder:
             checksums = codec.checksums_from_hash64(item_hashes)
         else:
             checksums = codec.checksum_batch(datas)
-        entries = self._entries
-        pool = self._pool
-        pool_rows = pool.rows if pool is not None else {}
-        # One C-speed sweep (set build + keys-view disjointness) replaces
-        # the per-item membership loop; the loop only reruns to name the
-        # offending item when a duplicate is present.
-        unique = set(values)
-        if (
-            len(unique) != len(values)
-            or (entries and not unique.isdisjoint(entries.keys()))
-            or (pool_rows and not unique.isdisjoint(pool_rows.keys()))
-        ):
-            seen: set[int] = set()
-            for value in values:
-                if value in entries or value in pool_rows or value in seen:
-                    raise KeyError(f"duplicate item: {value:#x}")
-                seen.add(value)
-        if len(values) >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
-            self._ingest_pooled(datas, values, checksums)
-            return
-        frontier = len(self._bank)
-        new_mapping = codec.new_mapping
-        heap = self._heap
-        seq = self._seq
-        if frontier == 0:
-            # Nothing produced yet: every new entry's next index is 0
-            # (ρ(0) = 1), and a run of equal keys appended with increasing
-            # sequence numbers is already a valid min-heap.
-            for value, checksum in zip(values, checksums):
-                entry = _SourceEntry(value, checksum, new_mapping(checksum))
-                entries[value] = entry
-                heap.append((0, next(seq), entry))
-            return
-        bank = self._bank
-        for value, checksum in zip(values, checksums):
-            # Patch the already-produced prefix (linearity, §4.1): XOR the
-            # symbol into every cached cell it maps to.
-            gen = new_mapping(checksum)
-            entry = _SourceEntry(value, checksum, gen)
-            entries[value] = entry
-            bank.apply_batch(value, checksum, 1, gen.indices_below(frontier))
-            heapq.heappush(heap, (gen.current, next(seq), entry))
+        self._add(values, checksums, datas)
 
-    def _patch_prefix_batch(
-        self,
-        values: list[int],
-        checksums: list[int],
-        direction: int,
-        alphas: list[float],
-        frontier: int,
-        lanes=None,
-    ):
-        """Replay a batch of symbols from their seeds across the produced
-        prefix ``[0, frontier)`` — direction +1 folds them in, −1 peels
-        them out.  Picks the fused NumPy scatter when the batch amortises
-        the lane round trip (the ``_PATCH_CELLS_PER_ITEM`` crossover),
-        the in-place scalar walk otherwise.  ``lanes`` is the batch's
-        value matrix when the caller already holds it.  Returns the
-        parked ``(current, state)`` pair per symbol as NumPy arrays when
-        the NumPy lane ran, as lists otherwise.
-        """
-        n = len(values)
-        bank = self._bank
-        codec = self.codec
-        ssize = codec.symbol_size
-        if (
-            n >= NUMPY_MIN_JOBS
-            and 8 * n * _PATCH_CELLS_PER_ITEM >= frontier * (7 + lane_count(ssize))
-            and numpy_block_eligible(codec)
-        ):
-            np = engine.np
-            sums = lanes_from_ints(bank.sums, ssize)
-            bank_checksums = np.array(bank.checksums, dtype=np.uint64)
-            counts = np.array(bank.counts, dtype=np.int64)
-            csums = np.array(checksums, dtype=np.uint64)
-            idx, state = scatter_walk_arrays(
-                sums,
-                bank_checksums,
-                counts,
-                np.zeros(n, dtype=np.int64),
-                csums.copy(),
-                lanes if lanes is not None else lanes_from_ints(values, ssize),
-                csums,
-                np.full(n, direction, dtype=np.int64),
-                frontier,
-                alphas=(
-                    np.array(alphas, dtype=np.float64)
-                    if codec.irregular is not None
-                    else None
-                ),
-            )
-            bank.sums[:] = ints_from_lanes(sums)
-            bank.checksums[:] = bank_checksums.tolist()
-            bank.counts[:] = counts.tolist()
-            return idx, state
-        indices = [0] * n
-        states = list(checksums)
-        scatter_walk_scalar(
-            bank.sums,
-            bank.checksums,
-            bank.counts,
-            indices,
-            states,
-            values,
-            checksums,
-            [direction] * n,
-            alphas,
-            frontier,
-        )
-        return indices, states
-
-    def _ingest_pooled(
-        self, datas: list[bytes], values: list[int], checksums: list[int]
-    ) -> None:
-        """Stage a validated batch in the column pool, patching any
-        produced prefix with one fused scatter."""
-        np = engine.np
-        n = len(values)
-        lanes = lanes_from_bytes(datas, self.codec.symbol_size)
-        csums = np.array(checksums, dtype=np.uint64)
-        frontier = len(self._bank)
-        if frontier:
-            idx, state = self._patch_prefix_batch(
-                values, checksums, 1, [DEFAULT_ALPHA] * n, frontier, lanes
-            )
-            idx = np.asarray(idx, dtype=np.int64)
-            state = np.asarray(state, dtype=np.uint64)
-        else:
-            # The §4.2 mapping walk starts at index 0 (ρ(0) = 1) with the
-            # splitmix64 stream seeded by the keyed checksum.
-            idx = np.zeros(n, dtype=np.int64)
-            state = csums.copy()
-        if self._pool is None:
-            self._pool = _StagedPool(values, lanes, csums, idx, state)
-        else:
-            self._pool.extend(values, lanes, csums, idx, state)
-
-    def _materialize_pool(self) -> None:
-        """Turn staged pool rows into heap entries (the per-cell paths
-        need per-symbol generators; the arrays already hold their parked
-        walk states, so this is pure bookkeeping)."""
-        pool = self._pool
-        if pool is None:
-            return
-        self._pool = None
-        entries = self._entries
-        heap = self._heap
-        seq = self._seq
-        idx_list = pool.idx.tolist()
-        state_list = pool.state.tolist()
-        checksum_list = pool.checksums.tolist()
-        restore = IndexGenerator.restore
-        for value, row in pool.rows.items():
-            gen = restore(state_list[row], idx_list[row], DEFAULT_ALPHA)
-            entry = _SourceEntry(value, checksum_list[row], gen)
-            entries[value] = entry
-            heap.append((gen.current, next(seq), entry))
-        heapq.heapify(heap)
-
-    def add_value(self, value: int) -> None:
-        """Add an item already packed into integer form."""
-        pool = self._pool
-        if value in self._entries or (pool is not None and value in pool.rows):
-            raise KeyError(f"duplicate item: {value:#x}")
-        checksum = self.codec.checksum_int(value)
-        gen = self.codec.new_mapping(checksum)
-        entry = _SourceEntry(value, checksum, gen)
-        self._entries[value] = entry
-        frontier = len(self._bank)
-        if frontier:
-            # Patch the already-produced prefix (linearity, §4.1): XOR the
-            # symbol into every cached cell it maps to.
-            self._bank.apply_batch(value, checksum, 1, gen.indices_below(frontier))
-        heapq.heappush(self._heap, (gen.current, next(self._seq), entry))
+    def _add(self, values: list[int], checksums: list[int], datas=None) -> None:
+        """The one insertion body: validate, patch the produced prefix
+        (linearity, §4.1: XOR each symbol into every cached cell it maps
+        to), then park the rows where their walks stopped."""
+        self._validate(values, present=False)
+        alphas = self._store.alphas_for(checksums)
+        walks = None
+        if self._bank:
+            walks = self._patch_prefix(values, checksums, 1, alphas, datas)
+        self._store.append(values, checksums, alphas, walks, datas)
 
     def remove_item(self, data: bytes) -> None:
         """Remove an item; the cached prefix is patched in place."""
         self.remove_value(self.codec.to_int(data))
 
+    def remove_value(self, value: int) -> None:
+        """Remove an item given in integer form."""
+        self._remove([value])
+
     def remove_items(self, items: Iterable[bytes]) -> None:
         """Remove many items at once, patching the prefix in one scatter.
 
         XOR is self-inverse, so each removal replays the symbol's mapping
-        from its seed (the stored checksum — no re-hash, and the parked α
-        is reused instead of re-deriving the mapping per item); the whole
-        batch then lands in one fused scatter.  Items missing from the
-        set raise ``KeyError`` before anything is removed.
+        from its seed (the stored checksum — no re-hash, and the α stored
+        in its row); the whole batch then lands in one fused scatter.
+        Items missing from the set raise ``KeyError`` before anything is
+        removed.
         """
         datas = items if isinstance(items, list) else list(items)
-        if not datas:
+        if datas:
+            self._remove(self.codec.to_int_batch(datas))
+
+    def _remove(self, values: list[int]) -> None:
+        """The one removal body."""
+        self._validate(values, present=True)
+        checksums, alphas = self._store.kill(values)
+        if self._bank:
+            # The parked walks are discarded: removed symbols have no
+            # future in the stream.
+            self._patch_prefix(values, checksums, -1, alphas)
+
+    def _validate(self, values: list[int], present: bool) -> None:
+        """Raise ``KeyError`` for the first value named twice in the batch
+        or whose membership is not ``present``.  One C-speed sweep (set
+        build + keys-view test) covers the common clean batch."""
+        rows = self._store.rows
+        unique = set(values)
+        if len(unique) == len(values) and (
+            rows.keys() >= unique if present else rows.keys().isdisjoint(unique)
+        ):
             return
-        codec = self.codec
-        values = codec.to_int_batch(datas)
-        entries = self._entries
-        pool = self._pool
-        pool_rows = pool.rows if pool is not None else {}
-        checksums: list[int] = []
-        alphas: list[float] = []
         seen: set[int] = set()
         for value in values:
-            if value in seen:
-                raise KeyError(f"item not in set: {value:#x}")
+            if value in seen or (value in rows) != present:
+                what = "item not in set" if present else "duplicate item"
+                raise KeyError(f"{what}: {value:#x}")
             seen.add(value)
-            entry = entries.get(value)
-            if entry is not None:
-                checksums.append(entry.checksum)
-                alphas.append(entry.gen.alpha)
-            elif value in pool_rows:
-                checksums.append(int(pool.checksums[pool_rows[value]]))
-                alphas.append(DEFAULT_ALPHA)
-            else:
-                raise KeyError(f"item not in set: {value:#x}")
-        for value in values:
-            entry = entries.pop(value, None)
-            if entry is not None:
-                entry.alive = False  # lazily dropped from the heap
-            else:
-                pool.kill(value)
-        if pool is not None:
-            pool.compact_if_sparse()
-        frontier = len(self._bank)
-        if not frontier:
-            return
-        # Parked (current, state) pairs are discarded: removed symbols
-        # have no future in the stream.
-        self._patch_prefix_batch(values, checksums, -1, alphas, frontier)
 
-    def remove_value(self, value: int) -> None:
-        """Remove an item given in integer form."""
-        entry = self._entries.pop(value, None)
-        pool = self._pool
-        if entry is not None:
-            entry.alive = False  # lazily dropped from the heap
-            checksum = entry.checksum
-            alpha = entry.gen.alpha
-        elif pool is not None and value in pool.rows:
-            checksum = pool.kill(value)
-            pool.compact_if_sparse()
-            alpha = DEFAULT_ALPHA
-        else:
-            raise KeyError(f"item not in set: {value:#x}")
+    def _patch_prefix(self, values, checksums, direction, alphas, datas=None):
+        """Replay a batch of symbols from their seeds across the produced
+        prefix — direction +1 folds them in, −1 peels them out — and
+        return their parked ``(idx, state)`` columns.  The NumPy kernel
+        runs when the batch amortises the bank's lane round trip (the
+        ``_PATCH_CELLS_PER_ITEM`` crossover), the scalar one otherwise."""
+        n = len(values)
         frontier = len(self._bank)
-        if frontier:
-            # XOR is self-inverse: replay the mapping to peel the symbol
-            # back out of the cached prefix.  The walk restarts from the
-            # seed (= checksum) with the entry's parked α — no re-derive.
-            gen = IndexGenerator.restore(checksum, 0, alpha)
-            self._bank.apply_batch(
-                value, checksum, -1, gen.indices_below(frontier)
-            )
+        size = self.codec.symbol_size
+        if (
+            n >= NUMPY_MIN_JOBS
+            and 8 * n * _PATCH_CELLS_PER_ITEM >= frontier * (7 + lane_count(size))
+            and numpy_block_eligible(self.codec)
+        ):
+            np = engine.np
+            csums = np.array(checksums, dtype=np.uint64)
+            lanes = _lanes(values, datas, size)
+            walks = (np.zeros(n, dtype=np.int64), csums.copy(), lanes, csums)
+        else:
+            walks = ([0] * n, list(checksums), values, checksums)
+        _walk_into(self._bank, 0, frontier, walks, direction, alphas, size)
+        return walks[:2]
 
     # -- persistence hooks -------------------------------------------------
 
@@ -511,34 +514,15 @@ class RatelessEncoder:
     def export_rows(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Parallel ``(values, checksums, currents, states)`` source rows.
 
-        One row per live source symbol, carrying its parked §4.2 walk
+        One row per live source symbol, in the store's row order (the
+        order the symbols were added), carrying its parked §4.2 walk
         position — the first mapped index at or past the produced
         frontier, plus the splitmix64 state that resumes the walk
         there.  Together with :attr:`bank` this is the encoder's whole
         state: :meth:`restore` rebuilds a bit-identical stream from it
         with no hashing and no index walking.
         """
-        values: list[int] = []
-        checksums: list[int] = []
-        currents: list[int] = []
-        states: list[int] = []
-        for value, entry in self._entries.items():
-            gen = entry.gen
-            values.append(value)
-            checksums.append(entry.checksum)
-            currents.append(gen.current)
-            states.append(gen.state)
-        pool = self._pool
-        if pool is not None and pool.rows:
-            idx_list = pool.idx.tolist()
-            state_list = pool.state.tolist()
-            checksum_list = pool.checksums.tolist()
-            for value, row in pool.rows.items():
-                values.append(value)
-                checksums.append(checksum_list[row])
-                currents.append(idx_list[row])
-                states.append(state_list[row])
-        return values, checksums, currents, states
+        return self._store.export()
 
     @classmethod
     def restore(
@@ -552,44 +536,17 @@ class RatelessEncoder:
     ) -> "RatelessEncoder":
         """Rebuild an encoder from :meth:`export_rows` output + its bank.
 
-        Adopts ``bank`` as the produced prefix and re-parks every source
-        symbol exactly where it was exported, so the restored encoder's
-        future output is bit-identical to the original's.  Rows land in
-        the column pool when the NumPy lane is eligible (restore stays
-        array-to-array), in reference heap entries otherwise — both
-        engines produce the same cells, as everywhere else.
+        Adopts ``bank`` as the produced prefix and appends every source
+        row to the store parked exactly where it was exported (columns
+        may be lists or NumPy vectors), so the restored encoder's future
+        output is bit-identical to the original's, on either engine.
         """
         encoder = cls(codec)
         encoder._bank = bank
-        n = len(values)
-        if n >= NUMPY_MIN_JOBS and numpy_lane_eligible(codec):
-            np = engine.np
-            lanes = lanes_from_ints(values, codec.symbol_size)
-            encoder._pool = _StagedPool(
-                # Python-int keys read back off the lanes (one C-speed
-                # tolist() at one lane — much faster than per-element
-                # int() casts on a 100k-row restore).
-                ints_from_lanes(lanes),
-                lanes,
-                np.asarray(checksums, dtype=np.uint64),
-                # Copies: the kernel advances the walk columns in place.
-                np.array(currents, dtype=np.int64),
-                np.array(states, dtype=np.uint64),
-            )
-            return encoder
-        entries = encoder._entries
-        heap = encoder._heap
-        seq = encoder._seq
-        restore_gen = IndexGenerator.restore
-        alpha_for = codec.alpha_for
-        for value, checksum, current, state in zip(values, checksums, currents, states):
-            value = int(value)
-            checksum = int(checksum)
-            gen = restore_gen(int(state), int(current), alpha_for(checksum))
-            entry = _SourceEntry(value, checksum, gen)
-            entries[value] = entry
-            heap.append((gen.current, next(seq), entry))
-        heapq.heapify(heap)
+        store = encoder._store
+        checksums = _ints(checksums)
+        alphas = store.alphas_for(checksums)
+        store.append(_ints(values), checksums, alphas, (currents, states))
         return encoder
 
     # -- coded symbol production -----------------------------------------
@@ -597,156 +554,55 @@ class RatelessEncoder:
     def produce_next(self) -> CodedSymbol:
         """Produce (and cache) the next coded symbol in the sequence.
 
-        Returns a value snapshot; the cached state (which later set
-        mutations patch — universal-stream semantics) lives in the
-        internal bank and is re-read by :meth:`cached`.
+        The §6 reference path: each row at the head of the store's heap
+        is parked at this index, so it is XORed into the cell, stepped
+        once along its walk by the reference
+        :class:`~repro.core.mapping.IndexGenerator` (re-parked from the
+        row's columns, which take the step back) and sifted down to its
+        next index.  Returns a value snapshot; the cached state (which
+        later set mutations patch — universal-stream semantics) lives in
+        the internal bank and is re-read by :meth:`cached`.
         """
-        if self._pool is not None:
-            self._materialize_pool()
-        bank = self._bank
-        index = len(bank.sums)
-        cell_sum = 0
-        cell_checksum = 0
-        cell_count = 0
-        heap = self._heap
-        seq = self._seq
+        store = self._store
+        heap = store.heap
+        if heap is None or store.heaped != store.size:
+            heap = store.next_heap()
+        idx, state, values = store.idx, store.state, store.values
+        checksums, alphas = store.checksums, store.alphas
+        walk = self._walk
+        index = len(self._bank)
+        cell_sum = cell_checksum = cell_count = 0
         while heap and heap[0][0] == index:
-            _, _, entry = heapq.heappop(heap)
-            if not entry.alive:
+            row = heap[0][1]
+            if idx[row] != index:  # a removed row, dropped as it surfaces
+                heapq.heappop(heap)
                 continue
-            cell_sum ^= entry.value
-            cell_checksum ^= entry.checksum
+            cell_sum ^= values[row]
+            cell_checksum ^= checksums[row]
             cell_count += 1
-            heapq.heappush(heap, (entry.gen.next_index(), next(seq), entry))
-        bank.append(cell_sum, cell_checksum, cell_count)
+            walk.current = index
+            walk.state = state[row]
+            if alphas is not None:
+                walk.alpha = alphas[row]
+            nxt = walk.next_index()
+            idx[row] = nxt
+            state[row] = walk.state
+            heapq.heapreplace(heap, (nxt, row))
+        self._bank.append(cell_sum, cell_checksum, cell_count)
         return CodedSymbol(cell_sum, cell_checksum, cell_count)
 
     def produce_block(self, m: int) -> CodedSymbolBank:
         """Materialise coded symbols ``[frontier, frontier+m)`` in one pass.
 
         Returns a value-copy bank of the produced region.  Bit-identical
-        to ``m`` :meth:`produce_next` calls, at a fraction of the cost:
-        one heap sweep + heapify instead of per-edge heap traffic, the
-        mapped-index walks run through the batch scatter samplers, and
-        pool-staged symbols feed the kernel straight from their arrays.
+        to ``m`` :meth:`produce_next` calls: one scatter-walk kernel call
+        on the source store instead of per-edge heap traffic.
         """
         if m <= 0:
             return CodedSymbolBank()
-        pool = self._pool
-        if pool is not None and not numpy_lane_eligible(self.codec):
-            # The NumPy lane went away (kill switch mid-life); fall back
-            # to the reference engine for everything staged.
-            self._materialize_pool()
-            pool = None
         lo = len(self._bank)
-        hi = lo + m
-        if m < _MIN_BATCH_BLOCK and lo > 0 and pool is None:
-            # Tiny extension of an existing prefix: the per-cell heap path
-            # is cheaper than a full sweep.  (The first block always takes
-            # the batch path — at frontier 0 every entry is due at once.)
-            for _ in range(m):
-                self.produce_next()
-            return self._bank.slice(lo, hi)
-        # Sweep: every live entry whose next index lands inside the block
-        # becomes a walk job; the rest keep their heap tuples unchanged.
-        keep: list[tuple[int, int, _SourceEntry]] = []
-        job_indices: list[int] = []
-        job_states: list[int] = []
-        job_values: list[int] = []
-        job_checksums: list[int] = []
-        job_entries: list[tuple[int, _SourceEntry]] = []
-        job_alphas: list[float] = []
-        for key, seq, entry in self._heap:
-            if not entry.alive:
-                continue
-            if key < hi:
-                gen = entry.gen
-                job_indices.append(key)  # invariant: key == gen.current
-                job_states.append(gen.state)
-                job_values.append(entry.value)
-                job_checksums.append(entry.checksum)
-                job_alphas.append(gen.alpha)
-                job_entries.append((seq, entry))
-            else:
-                keep.append((key, seq, entry))
-        bank = self._bank
-        njobs = len(job_indices)
-        codec = self.codec
-        heap_lane = (
-            njobs >= NUMPY_MIN_JOBS
-            and (m >= NUMPY_MIN_SPAN or njobs >= 256)
-            and numpy_block_eligible(codec)
-        )
-        if pool is not None or heap_lane:
-            np = engine.np
-            ssize = codec.symbol_size
-            sums = np.zeros((m, lane_count(ssize)), dtype=np.uint64)
-            checksums = np.zeros(m, dtype=np.uint64)
-            counts = np.zeros(m, dtype=np.int64)
-            if pool is not None:
-                # The pool's own columns, advanced in place: dead rows
-                # sit at _DEAD_ROW and rows parked past the block are
-                # skipped by the kernel, so nothing is gathered here.
-                scatter_walk_arrays(
-                    sums,
-                    checksums,
-                    counts,
-                    pool.idx,
-                    pool.state,
-                    pool.values,
-                    pool.checksums,
-                    np.ones(pool.idx.shape[0], dtype=np.int64),
-                    hi,
-                    base=lo,
-                )
-            if heap_lane:
-                idx, state = scatter_walk_arrays(
-                    sums,
-                    checksums,
-                    counts,
-                    np.array(job_indices, dtype=np.int64),
-                    np.array(job_states, dtype=np.uint64),
-                    lanes_from_ints(job_values, ssize),
-                    np.array(job_checksums, dtype=np.uint64),
-                    np.ones(njobs, dtype=np.int64),
-                    hi,
-                    base=lo,
-                    alphas=(
-                        np.array(job_alphas, dtype=np.float64)
-                        if codec.irregular is not None
-                        else None
-                    ),
-                )
-                job_indices[:] = idx.tolist()
-                job_states[:] = state.tolist()
-            bank.sums.extend(ints_from_lanes(sums))
-            bank.checksums.extend(checksums.tolist())
-            bank.counts.extend(counts.tolist())
-        else:
-            bank.extend_zeros(m)
-        if not heap_lane:
-            scatter_walk_scalar(
-                bank.sums,
-                bank.checksums,
-                bank.counts,
-                job_indices,
-                job_states,
-                job_values,
-                job_checksums,
-                [1] * njobs,
-                job_alphas,
-                hi,
-            )
-        # Check the walked (state, current) pairs back into the generators
-        # and rebuild the heap in one O(n) heapify.
-        for j, (seq, entry) in enumerate(job_entries):
-            gen = entry.gen
-            gen.current = job_indices[j]
-            gen.state = job_states[j]
-            keep.append((job_indices[j], seq, entry))
-        heapq.heapify(keep)
-        self._heap = keep
-        return bank.slice(lo, hi)
+        self._store.walk(self._bank, lo + m)
+        return self._bank.slice(lo, lo + m)
 
     def produce(self, n: int) -> list[CodedSymbol]:
         """Produce the next ``n`` coded symbols (value snapshots)."""
@@ -754,10 +610,7 @@ class RatelessEncoder:
 
     def prefix(self, m: int) -> list[CodedSymbol]:
         """Frozen copies of coded symbols ``0..m-1``, producing as needed."""
-        produced = len(self._bank)
-        if produced < m:
-            self.produce_block(m - produced)
-        return self._bank.slice(0, m).cells()
+        return self.cached_block(0, m).cells()
 
     def cached(self, index: int) -> CodedSymbol:
         """Snapshot of the cached cell at ``index`` (must be produced)."""

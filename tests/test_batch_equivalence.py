@@ -14,11 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import engine
+from repro.analysis.montecarlo import IntSymbolCodec
 from repro.core import cellbank
 from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import RatelessDecoder
 from repro.core.encoder import RatelessEncoder
-from repro.core.irregular import PAPER_IRREGULAR
+from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
+from repro.core.params import DEFAULT_ALPHA
 from repro.core.session import ReconciliationSession
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamReader, SymbolStreamWriter
@@ -75,6 +77,41 @@ def test_produce_block_split_points_agree(lane, codec_name, rng):
     assert out == expected
 
 
+@pytest.mark.parametrize("codec_name", ["regular8", "irregular8", "wide92"])
+def test_per_cell_and_block_production_interleave(lane, codec_name, rng):
+    """Per-cell production (the store's heap), block walks, churn that
+    compacts the store under a live heap, and one-row appends into it:
+    every produced prefix is the cold encoder's."""
+    codec, items = codec_items(codec_name, rng, 160)
+    live = list(items[:100])
+    enc = RatelessEncoder(codec, live)
+
+    def check():
+        produced = enc.produced_count
+        cold = RatelessEncoder(codec, live)
+        assert enc.cached_block(0, produced) == cold.produce_block(produced)
+
+    steps = ("next", "block", "next", "remove", "next", "add", "next", "block", "next")
+    for step in steps:
+        if step == "next":
+            for _ in range(3):
+                enc.produce_next()
+        elif step == "block":
+            enc.produce_block(5)
+        elif step == "remove":  # more than half: the store compacts
+            stale, live = live[:60], live[60:]
+            for item in stale[:10]:
+                enc.remove_item(item)
+            enc.remove_items(stale[10:])
+        else:
+            fresh = items[100:130]
+            live += fresh
+            for item in fresh[:5]:
+                enc.add_item(item)
+            enc.add_items(fresh[5:])
+        check()
+
+
 @pytest.mark.parametrize("codec_name", sorted(CODECS))
 def test_midstream_churn_patches_bank_prefix(lane, codec_name, rng):
     """add/remove after block production patches the cached bank so it
@@ -107,8 +144,9 @@ def test_add_items_batch_equals_singles(lane, rng):
 
 @pytest.mark.parametrize("codec_name", sorted(CODECS))
 def test_bulk_ingest_bit_identical_across_engines(codec_name, rng):
-    """items → bank through the staged pool (NumPy) vs the per-item
-    reference engine: identical lanes, identical follow-on stream."""
+    """items → bank through the source store's NumPy columns vs its
+    list form and the scalar engine: identical lanes, identical
+    follow-on stream."""
     codec_factory = CODECS[codec_name]
     items = make_items(rng, 300, size=codec_factory().symbol_size)
     banks = {}
@@ -116,8 +154,8 @@ def test_bulk_ingest_bit_identical_across_engines(codec_name, rng):
         with engine_lane(flag):
             enc = RatelessEncoder(codec_factory(), items)
             enc.produce_block(200)
-            # per-cell production after the bulk block (materialises the
-            # pool on the NumPy lane) must continue the same stream
+            # per-cell production after the bulk block (repacks the
+            # store's columns as lists) must continue the same stream
             tail = [enc.produce_next() for _ in range(20)]
             banks[flag] = ([enc.cached(i) for i in range(220)], tail)
     assert banks[True] == banks[False]
@@ -145,21 +183,81 @@ def test_batch_churn_bit_identical_across_engines(codec_name, rng):
     assert banks[True] == reference.produce_block(200).cells()
 
 
+class BulkIntCodec(IntSymbolCodec):
+    """The Monte Carlo harness's u64 codec plus the batch faces
+    ``add_items`` reads, so its rows can arrive in bulk too."""
+
+    __slots__ = ()
+
+    def to_int_batch(self, datas):
+        return [self.to_int(data) for data in datas]
+
+    def checksum_batch(self, datas):
+        return [self.checksum_data(data) for data in datas]
+
+
+ALPHA_CODECS = {
+    # Fig 4's α sweep and the α ablation: regular, but not α = 0.5
+    "alpha064": lambda: BulkIntCodec(alpha=0.64),
+    "irregular8": CODECS["irregular8"],
+    # half the rows at the default α: the α column opens mid-life
+    "half_default": lambda: SymbolCodec(
+        8, irregular=IrregularConfig((0.5, 0.5), (0.5, 0.82))
+    ),
+}
+
+
+@pytest.mark.parametrize("codec_name", sorted(ALPHA_CODECS))
+def test_every_path_reads_alpha_from_the_codec(lane, codec_name, rng):
+    """Block walks, per-cell production, removal patches and a restore
+    all map a symbol with the α its codec gives it — none assumes the
+    default (the bulk paths once hard-coded α = 0.5)."""
+    codec = ALPHA_CODECS[codec_name]()
+    items = make_items(rng, 300)
+    # default-α rows first, so a mixed codec opens its α column mid-life
+    items.sort(key=lambda i: codec.alpha_for(codec.checksum_data(i)) != DEFAULT_ALPHA)
+    values = [codec.to_int(item) for item in items]
+    singles = RatelessEncoder(codec)
+    for value in values:
+        singles.add_value(value)
+    expected = [singles.produce_next() for _ in range(200)]
+    bulk = RatelessEncoder(codec, items)
+    assert bulk.produce_block(200).cells() == expected
+    one_by_one = RatelessEncoder(codec)
+    for value in values:
+        one_by_one.add_value(value)
+    assert one_by_one.produce_block(200).cells() == expected
+    # remove bulk-ingested rows behind the produced prefix
+    for value in values[:60]:
+        bulk.remove_value(value)
+    cold = RatelessEncoder(codec, items[60:])
+    assert bulk.cached_block(0, 200) == cold.produce_block(200)
+    # a restored encoder continues the same stream, per block and per cell
+    restored = RatelessEncoder.restore(codec, *bulk.export_rows(), bulk.bank.copy())
+    assert restored.produce_block(100) == cold.produce_block(100)
+    assert [restored.produce_next() for _ in range(20)] == [
+        cold.produce_next() for _ in range(20)
+    ]
+
+
 def test_pool_and_heap_entries_mix(lane, rng):
-    """Singles (heap entries) and bulk batches (pool rows) interleave on
-    one encoder without disturbing the stream."""
+    """Singles (one-row appends) and bulk batches interleave on one
+    encoder — across both store forms and per-cell production — without
+    disturbing the stream."""
     codec = SymbolCodec(8)
     items = make_items(rng, 120)
     mixed = RatelessEncoder(codec)
-    mixed.add_items(items[:50])  # pool (NumPy lane) or entries (scalar)
+    mixed.add_items(items[:50])  # NumPy columns (vector engine) or lists
     for item in items[50:60]:
-        mixed.add_item(item)  # always heap entries
+        mixed.add_item(item)  # one-row appends to the same columns
     mixed.produce_block(80)
-    mixed.add_items(items[60:110])  # staged against a produced prefix
+    mixed.add_items(items[60:110])  # patched against a produced prefix
+    mixed.produce_next()  # list form, heap built
     for item in items[110:]:
-        mixed.add_item(item)
-    mixed.remove_items(items[:10] + items[55:65])  # spans pool and heap
-    mixed.produce_block(40)
+        mixed.add_item(item)  # topped up into the live heap
+    mixed.remove_items(items[:10] + items[55:65])  # bulk and single rows
+    mixed.produce_next()
+    mixed.produce_block(38)
     reference = RatelessEncoder(codec, items[10:55] + items[65:])
     assert reference.produce_block(120).cells() == [
         mixed.cached(i) for i in range(120)

@@ -154,7 +154,7 @@ def test_scatter_walk_scalar_matches_index_generator(rng, alpha):
     ]
     expected_cells, expected_ends = reference_walk(seeds, [alpha] * 40, hi)
     bank = CodedSymbolBank.zeros(hi)
-    indices, states, values, checksums, directions = walk_jobs(seeds)
+    indices, states, values, checksums, _ = walk_jobs(seeds)
     touched: list[int] = []
     scatter_walk_scalar(
         bank.sums,
@@ -164,7 +164,7 @@ def test_scatter_walk_scalar_matches_index_generator(rng, alpha):
         states,
         values,
         checksums,
-        directions,
+        1,
         [alpha] * 40,
         hi,
         touched=touched,
@@ -172,6 +172,15 @@ def test_scatter_walk_scalar_matches_index_generator(rng, alpha):
     assert bank.cells() == expected_cells
     assert list(zip(indices, states)) == expected_ends
     assert len(touched) == sum(c.count for c in expected_cells)
+    # alphas=None is "every symbol at α = 0.5"; direction -1 peels back out
+    if alpha == DEFAULT_ALPHA:
+        indices, states, values, checksums, _ = walk_jobs(seeds)
+        scatter_walk_scalar(
+            bank.sums, bank.checksums, bank.counts,
+            indices, states, values, checksums, -1, None, hi,
+        )
+        assert bank.is_all_zero()
+        assert list(zip(indices, states)) == expected_ends
     assert all(i < hi for i in touched)
 
 
@@ -244,7 +253,7 @@ def test_scatter_walk_numpy_base_offset(rng):
         states,
         values,
         checksums,
-        directions,
+        1,
         [DEFAULT_ALPHA] * 16,
         base,
     )
@@ -262,24 +271,38 @@ def test_scatter_walk_numpy_base_offset(rng):
     assert got == expected_cells[base:]
 
 
-def test_numpy_lane_eligibility():
+def test_numpy_lane_eligibility(rng):
+    """The form an encoder's source store takes for a block walk: NumPy
+    columns exactly when the codec's symbols ride the lanes — §8
+    irregular codecs included, with an α column — lists otherwise."""
+    from repro.core.encoder import RatelessEncoder
     from repro.core.irregular import PAPER_IRREGULAR
 
+    from helpers import make_items
+
+    def store_of(codec):
+        encoder = RatelessEncoder(codec, make_items(rng, 16, codec.symbol_size))
+        encoder.produce_block(4)
+        return encoder._store
+
     with engine_lane(False):
-        assert not cellbank.numpy_lane_eligible(SymbolCodec(8))
+        assert not cellbank.numpy_block_eligible(SymbolCodec(8))
+        assert not store_of(SymbolCodec(8)).vector
     if engine.np is None:
         return
     with engine_lane(True):
         cut = cellbank.LANE_MAX_SYMBOL_BYTES
-        assert cellbank.numpy_lane_eligible(SymbolCodec(8))
-        assert cellbank.numpy_lane_eligible(SymbolCodec(92))  # k uint64 lanes
-        assert cellbank.numpy_lane_eligible(SymbolCodec(cut))
-        assert not cellbank.numpy_lane_eligible(SymbolCodec(cut + 1))  # scalar engine
+        for size in (8, 92, cut):  # 92: k uint64 lanes
+            assert cellbank.numpy_block_eligible(SymbolCodec(size))
+            assert store_of(SymbolCodec(size)).vector
+        assert not cellbank.numpy_block_eligible(SymbolCodec(cut + 1))  # scalar engine
+        assert not store_of(SymbolCodec(cut + 1)).vector
         irregular = SymbolCodec(8, irregular=PAPER_IRREGULAR)
-        assert not cellbank.numpy_lane_eligible(irregular)
-        # the two predicates differ only in the irregular-mapping clause
         assert cellbank.numpy_block_eligible(irregular)
-        assert not cellbank.numpy_block_eligible(SymbolCodec(cut + 1))
+        store = store_of(irregular)
+        assert store.vector and store.alphas is not None
+        # a regular codec's rows carry no α column at all
+        assert store_of(SymbolCodec(8)).alphas is None
 
 
 # -- Python ints ↔ uint64 lanes --------------------------------------------
@@ -337,7 +360,7 @@ def test_one_lane_representation_in_core():
     kept a private fourth (``ℓ in (1, 2, 4, 8)``, ``ℓ <= 8``).  Now
     every width the lanes carry is one ``(rows, k)`` matrix and the only
     width test is ``cellbank``'s ``LANE_MAX_SYMBOL_BYTES`` inside its
-    two eligibility predicates.  Another regime has to edit this test
+    one eligibility predicate.  Another regime has to edit this test
     and say why.
     """
     import ast
@@ -379,13 +402,13 @@ def test_one_lane_representation_in_core():
                 if literal_test.search(body):
                     found.add((path.relative_to(src).as_posix(), node.name))
     assert found == allowed, f"literal symbol-width tests outside the allowlist: {found - allowed}"
-    # the predicates themselves: one constant, and one clause apart
+    # the predicate itself: one constant, and the only one left (the
+    # encoder's source store rides it for irregular codecs too)
     import inspect
 
     block = inspect.getsource(cellbank.numpy_block_eligible)
-    lane = inspect.getsource(cellbank.numpy_lane_eligible)
     assert "LANE_MAX_SYMBOL_BYTES" in block and not literal_test.search(block)
-    assert "numpy_block_eligible(codec) and codec.irregular is None" in lane
+    assert not hasattr(cellbank, "numpy_lane_eligible")
     assert "sums_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters
     assert "vals_hi" not in inspect.signature(cellbank.scatter_walk_arrays).parameters
 
@@ -469,3 +492,70 @@ def test_one_cell_container_in_src():
                 )
         if name != "core/countless.py":
             assert not re.search(r"self\.\w+[^=\n]*list\[CodedSymbol\]", text), name
+
+
+def test_one_source_store_in_encoder():
+    """An encoder keeps its source symbols in one container.
+
+    ``RatelessEncoder`` once held them twice — per-item entry objects on
+    a heap beside a NumPy column pool, with a materialise step between
+    them, a second eligibility predicate for the pool, and α = 0.5 hard
+    coded on the pool's paths while the heap read the codec's α.  Now
+    ``core/encoder.py`` defines the store and the encoder and nothing
+    else, only the per-cell reference path (``produce_next`` and the
+    store's lazy heap rebuild) touches ``heapq``, and every α comes from
+    ``codec.alpha_for``.
+    """
+    import ast
+    from pathlib import Path
+
+    src = Path(engine.__file__).parent
+    path = src / "core" / "encoder.py"
+    text = path.read_text()
+    tree = ast.parse(text)
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"SourceStore", "RatelessEncoder"}
+    heap_users = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "heapq"
+    }
+    assert heap_users == {"produce_next", "next_heap"}
+    for module in src.rglob("*.py"):
+        assert "numpy_lane_eligible" not in module.read_text(), module.name
+    # the α source: codec.alpha_for into the store's α column, nothing
+    # that derives or assumes one (the per-cell stepper is built with no
+    # α and only ever handed one from the column)
+    for relic in ("DEFAULT_ALPHA", "irregular", "new_mapping", "IndexGenerator.restore"):
+        assert relic not in text, f"encoder.py: {relic!r}"
+    alpha_reads = [
+        ast.unparse(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "alpha_for"
+    ]
+    assert alpha_reads and set(alpha_reads) <= {"codec", "self.codec"}
+
+    def is_alpha(node):
+        return isinstance(node, ast.Attribute) and node.attr == "alpha"
+
+    alpha_attrs = [node for node in ast.walk(tree) if is_alpha(node)]
+    alpha_sets = [
+        ast.unparse(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(map(is_alpha, node.targets))
+    ]
+    assert len(alpha_attrs) == len(alpha_sets) and set(alpha_sets) <= {"alphas[row]"}
+    steppers = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "IndexGenerator"
+    ]
+    assert steppers == ["IndexGenerator(0)"]
+    floats = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value
+    ]
+    assert not floats, f"encoder.py: float literals {floats}"

@@ -177,6 +177,24 @@ def test_bank_is_the_one_cell_container():
         assert isinstance(holder.bank, CodedSymbolBank)
 
 
+def test_architecture_names_the_source_store():
+    """architecture.md's core section names the one source-store class
+    ``core/encoder.py`` defines beside ``RatelessEncoder``, and that
+    class is what an encoder holds its symbols in."""
+    import ast
+
+    from repro.core import encoder
+    from repro.core.symbols import SymbolCodec
+
+    tree = ast.parse(Path(encoder.__file__).read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    (store,) = classes - {"RatelessEncoder"}
+    body = " ".join(section(doc_text("architecture.md"), "core — the codec").split())
+    assert f"`repro.core.encoder.{store}`" in body
+    held = encoder.RatelessEncoder(SymbolCodec(8))._store
+    assert isinstance(held, getattr(encoder, store))
+
+
 def test_busy_body_layout_documented():
     """wire-format.md must spell out BUSY's structured ERROR body, and
     the documented layout must be the one ``pack_busy_body`` emits."""

@@ -1,4 +1,4 @@
-"""The vectorised set-ingestion pipeline: pool mechanics, batch faces,
+"""The vectorised set-ingestion pipeline: source-store mechanics, batch faces,
 and the service's bulk churn — engine-agnostic behaviour (the
 bit-identity of the two engines lives in test_batch_equivalence.py)."""
 
@@ -67,7 +67,7 @@ def test_index_generator_restore_round_trip():
     assert parked.next_index() == gen.next_index()
 
 
-# -- encoder pool mechanics -------------------------------------------------
+# -- encoder source-store mechanics -----------------------------------------
 
 
 def test_bulk_encoder_membership_and_size(rng):
@@ -108,49 +108,58 @@ def test_bulk_remove_missing_rejected_atomically(rng):
 
 def test_single_add_sees_pooled_duplicates(rng):
     items = make_items(rng, 32)
-    enc = RatelessEncoder(SymbolCodec(8), items)  # staged in the pool
+    enc = RatelessEncoder(SymbolCodec(8), items)  # one bulk batch
     with pytest.raises(KeyError):
         enc.add_item(items[5])
-    enc.remove_item(items[5])  # single removal of a pooled row
+    enc.remove_item(items[5])  # single removal of a bulk-ingested row
     assert items[5] not in enc
-    enc.add_item(items[5])  # and back in, as a heap entry
+    enc.add_item(items[5])  # and back in, as a one-row append
     assert items[5] in enc
     assert len(enc) == 32
 
 
 def test_pool_survives_numpy_lane_loss(rng):
-    """Bulk-staged symbols keep streaming when the NumPy lane is turned
-    off mid-life (pool materialises into the reference engine)."""
+    """Bulk-ingested symbols keep streaming when the NumPy lane is turned
+    off mid-life (the store repacks its columns as lists for the scalar
+    kernel), and back on again."""
     items = make_items(rng, 100)
     with engine_lane(True):
         enc = RatelessEncoder(SymbolCodec(8), items)
         head = enc.produce_block(50).cells()
+        assert enc._store.vector
     with engine_lane(False):
         tail = enc.produce_block(50).cells()
+        assert not enc._store.vector
+    with engine_lane(True):
+        more = enc.produce_block(50).cells()
+        assert enc._store.vector
     reference = RatelessEncoder(SymbolCodec(8), items)
-    assert head + tail == reference.produce_block(100).cells()
+    assert head + tail + more == reference.produce_block(150).cells()
 
 
 @pytest.mark.parametrize("size", [8, 92])
 def test_pool_compacts_under_churn(rng, size):
     """200 rounds of 64 adds + 64 removes against a 2 500-item encoder:
-    the column pool must not keep the dead rows (it once grew 64 rows a
-    round for ever), and the stream stays a cold encoder's."""
+    the source store's NumPy columns must not keep the dead rows (the
+    old column pool once grew 64 rows a round for ever) nor let their
+    free room outgrow the set, and the stream stays a cold encoder's."""
     if not engine.NUMPY_LANE:
-        pytest.skip("the column pool is the NumPy engine")
+        pytest.skip("the source store's NumPy form is the vector engine")
     items = make_items(rng, 2500 + 200 * 64, size)
     enc = RatelessEncoder(SymbolCodec(size), items[:2500])
     enc.produce_block(200)
     live = list(items[:2500])
+    store = enc._store
     for round_no in range(200):
         fresh = items[2500 + 64 * round_no : 2500 + 64 * (round_no + 1)]
         enc.add_items(fresh)
         stale = [live.pop(rng.randrange(len(live))) for _ in range(64)]
         live.extend(fresh)
         enc.remove_items(stale)
-        assert enc._pool.values.shape[0] <= 2 * len(enc)
+        assert store.vector
+        assert store.values.shape[0] <= 2 * len(enc)
     assert len(enc) == 2500
-    assert enc._pool.values.shape == (enc._pool.idx.shape[0], -(-size // 8))
+    assert store.values.shape == (store.idx.shape[0], -(-size // 8))
     cold = RatelessEncoder(SymbolCodec(size), live)
     assert enc.cached_block(0, 200) == cold.cached_block(0, 200)
     # the walk keeps going past the patched prefix, compacted rows and all

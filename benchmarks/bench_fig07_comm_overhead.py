@@ -39,7 +39,7 @@ def scheme_overhead(rng, d, scheme):
     a, b = sets_with_difference(rng, SET_SIZE, d, ITEM)
     outcome = reconcile(a, b, scheme=scheme)
     assert outcome.difference_size == d
-    return outcome.bytes_on_wire / (d * ITEM)
+    return outcome.byte_overhead
 
 
 def regular_overhead(d):

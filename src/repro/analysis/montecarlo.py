@@ -63,6 +63,11 @@ class IntSymbolCodec:
             return self.alpha
         return self.irregular.alpha_for(checksum * _INV_2_64)
 
+    def alpha_batch(self, checksums) -> Optional[list[float]]:
+        if self.irregular is None and self.alpha == DEFAULT_ALPHA:
+            return None
+        return [self.alpha_for(int(checksum)) for checksum in checksums]
+
     def new_mapping(self, checksum: int) -> IndexGenerator:
         return IndexGenerator(checksum, self.alpha_for(checksum))
 

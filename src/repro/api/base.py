@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Set
 
+from repro.core.cellbank import check_widths
 from repro.core.decoder import DecodeResult
 from repro.core.session import SymbolBudgetExceeded as _CoreSymbolBudgetExceeded
 
@@ -268,10 +269,5 @@ def as_item_list(items: Iterable[bytes], symbol_size: Optional[int]) -> list[byt
     """Materialise and validate a uniform-width item collection."""
     out = list(items)
     if out:
-        width = symbol_size if symbol_size is not None else len(out[0])
-        # set(map(len, ...)) sweeps the lengths at C speed; the loop
-        # only reruns to name the offender when validation fails.
-        if set(map(len, out)) != {width}:
-            bad = next(len(item) for item in out if len(item) != width)
-            raise ValueError(f"items must all be {width} bytes; got {bad}")
+        check_widths(out, symbol_size if symbol_size is not None else len(out[0]))
     return out

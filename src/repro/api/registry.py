@@ -157,17 +157,16 @@ class Scheme:
         ``item_hashes`` — the codec hasher's keyed 64-bit hash of each
         item, in order — lets schemes that opt in (``accepts_item_hashes``)
         reuse e.g. shard-placement hashes for checksums instead of
-        hashing every item a second time.  Schemes that don't opt in
-        silently ignore them (the hashes are a pure optimisation).
+        hashing every item a second time, and take the batch as the
+        ingest pipeline carries it (``SymbolCodec.item_rows``).  Schemes
+        that don't opt in silently ignore them (a pure optimisation).
         """
-        materialised = as_item_list(items, self.params.symbol_size)
-        params = self.bound_to(materialised).params
         cls = self.info.reconciler_class
         if item_hashes is not None and getattr(cls, "accepts_item_hashes", False):
-            return cls.from_items(
-                materialised, params, item_hashes=list(item_hashes)
-            )
-        return cls.from_items(materialised, params)
+            params = self.bound_to(items).params
+            return cls.from_items(items, params, item_hashes=item_hashes)
+        materialised = as_item_list(items, self.params.symbol_size)
+        return cls.from_items(materialised, self.bound_to(materialised).params)
 
     def deserialize(self, blob: bytes) -> SetReconciler:
         """Rebuild a received sketch (needs an explicit symbol_size)."""

@@ -317,13 +317,20 @@ class CodedSymbolBank:
 
 # -- Python ints ↔ uint64 lanes -------------------------------------------
 #
-# The only three functions in the package that move symbols between the
+# The only functions in the package that move symbols between the
 # list-of-int form and the (rows, k) uint64 lane matrix.
 
 
 def lane_count(size: int) -> int:
     """k: uint64 lanes per ``size``-byte field."""
     return -(-size // 8)
+
+
+def check_widths(items: Sequence[bytes], size: int) -> None:
+    """The codec's ``ValueError`` unless every item is ``size`` bytes."""
+    if items and set(map(len, items)) != {size}:
+        bad = next(len(item) for item in items if len(item) != size)
+        raise ValueError(f"item must be exactly {size} bytes, got {bad}")
 
 
 def lanes_from_bytes(rows, size: int):
@@ -337,9 +344,7 @@ def lanes_from_bytes(rows, size: int):
     """
     np = engine.np
     if not isinstance(rows, np.ndarray):
-        if rows and set(map(len, rows)) != {size}:
-            bad = next(len(r) for r in rows if len(r) != size)
-            raise ValueError(f"item must be exactly {size} bytes, got {bad}")
+        check_widths(rows, size)
         rows = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, size)
     padded = np.zeros((rows.shape[0], 8 * lane_count(size)), dtype=np.uint8)
     padded[:, :size] = rows
@@ -374,6 +379,15 @@ def ints_from_lanes(lanes) -> list[int]:
         from_bytes(blob[offset : offset + width], "little")
         for offset in range(0, len(blob), width)
     ]
+
+
+def to_list(column) -> list:
+    """A list, NumPy vector or lane matrix column as a Python list."""
+    if isinstance(column, list):
+        return column
+    if column.ndim == 2:
+        return ints_from_lanes(column)
+    return column.tolist()
 
 
 # -- the record codec -----------------------------------------------------

@@ -6,8 +6,8 @@ produced coded-symbol prefix, an array-backed
 symbol a parked position in its §4.2 index walk.  The symbols live in
 one :class:`SourceStore` — one row per live symbol (``value``,
 ``checksum``, parked ``(idx, state)``, and its α when the codec maps
-some symbol with other than the default α, read from
-``codec.alpha_for`` once, at ingest) — so no method of the encoder asks
+some symbol with other than the default α, read from the codec's
+``alpha_batch`` face once, at ingest) — so no method of the encoder asks
 where a symbol lives.  Two paths produce cells from it:
 
 * :meth:`RatelessEncoder.produce_block` is one
@@ -26,13 +26,13 @@ Both produce bit-identical cells — the golden-equivalence suite asserts
 it — and the store alone switches its columns between the NumPy and the
 list form, in one O(n) pass, when the next operation wants the other.
 
-Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is batched
-end to end.  :meth:`RatelessEncoder.add_items` hashes the whole batch
-through the codec's keyed batch face (lane-parallel SipHash under
-NumPy) and appends it to the store as columns — a ``(rows, k)`` uint64
-value matrix filled straight from the item bytes, for 8-byte hashes and
-92-byte ledger items alike.  The single-item forms are one-row calls of
-the same bodies.
+Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is one array
+pass under the vector engine: :meth:`RatelessEncoder.add_items` fills the
+store's columns from a shard's slice of the batch's ``(n, ℓ)`` row matrix
+(:meth:`~repro.core.symbols.SymbolCodec.item_rows`) and of its placement
+hashes — one α answer and one duplicate sort per batch, no Python object
+per item, no value→row index until asked.  The single-item forms are
+one-row calls of the same bodies.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
 removing a source symbol after ``m`` cells were produced simply XORs
@@ -65,6 +65,7 @@ from repro.core.cellbank import (
     numpy_block_eligible,
     scatter_walk_arrays,
     scatter_walk_scalar,
+    to_list,
 )
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
@@ -90,11 +91,6 @@ _DTYPES = ("uint64", "int64", "uint64", "float64")
 _FILLERS = (0, _DEAD_ROW, 0, 0.0)
 
 
-def _ints(column) -> list:
-    """A column of Python numbers (a NumPy vector's ``tolist``)."""
-    return column if isinstance(column, list) else column.tolist()
-
-
 def _column(values, spare: int, dtype: str, fill):
     """A NumPy column holding ``values``, then ``spare`` free rows."""
     column = engine.np.full(len(values) + spare, fill, dtype=dtype)
@@ -102,9 +98,14 @@ def _column(values, spare: int, dtype: str, fill):
     return column
 
 
-def _lanes(values: list[int], datas, size: int):
-    """The rows' lane matrix, from their item bytes when the caller has them."""
-    return lanes_from_bytes(datas, size) if datas else lanes_from_ints(values, size)
+def _has_duplicates(lanes) -> bool:
+    """Whether a lane matrix holds a value twice: one sort of the first
+    lane, then only rows sharing a first lane are sorted whole."""
+    np = engine.np
+    first = np.sort(lanes[:, 0])
+    shared = lanes[np.isin(lanes[:, 0], first[1:][first[1:] == first[:-1]])]
+    shared = shared[np.lexsort(shared.T)]
+    return bool((shared[1:] == shared[:-1]).all(axis=1).any())
 
 
 def _walk_into(bank, lo, hi, walks, direction, alphas, size) -> None:
@@ -146,7 +147,7 @@ class SourceStore:
     past the produced frontier and the splitmix64 state that resumes the
     walk there — plus its α in ``alphas``, a column that exists only once
     some row's α is not the default the kernels inline (``None`` until
-    then).  ``rows`` maps each live value to its row, in row order.
+    then); ``live`` counts the live rows.
 
     The columns take one of two forms.  NumPy (``vector``): ``values`` is
     the ``(capacity, k)`` uint64 lane matrix, the rest are vectors, and
@@ -155,12 +156,14 @@ class SourceStore:
     the per-cell heap's form.  :meth:`_repack` is the one O(n) pass
     behind a form switch, compaction and growth.  Removal parks a row at
     ``_DEAD_ROW``; the columns never hold more than twice the live rows,
-    so appends and removals cost O(1) amortised.
+    so appends and removals cost O(1) amortised.  :attr:`rows`, the
+    membership index, is built on first use after a NumPy-form load.
     """
 
     __slots__ = (
         "codec",
-        "rows",
+        "_rows",
+        "live",
         "vector",
         "size",
         "values",
@@ -174,7 +177,8 @@ class SourceStore:
 
     def __init__(self, codec: SymbolCodec) -> None:
         self.codec = codec
-        self.rows: dict[int, int] = {}
+        self._rows: Optional[dict[int, int]] = {}
+        self.live = 0
         self.vector = False
         self.size = 0
         self.values: list = []
@@ -185,6 +189,14 @@ class SourceStore:
         self.heap: Optional[list[tuple[int, int]]] = None
         self.heaped = 0
 
+    @property
+    def rows(self) -> dict[int, int]:
+        """Each live value's row, in row order (built on first use)."""
+        if self._rows is None:  # a NumPy-form load into an empty store
+            keep = (self.idx[: self.size] != _DEAD_ROW).nonzero()[0]
+            self._rows = dict(zip(ints_from_lanes(self.values[keep]), keep.tolist()))
+        return self._rows
+
     def _vector_for(self, rows: int) -> bool:
         """The form ``rows`` live rows take: NumPy when the codec's
         symbols ride the lanes and a batch amortises the call overhead."""
@@ -193,71 +205,73 @@ class SourceStore:
     def _repack(self, vector: bool, spare: int = 0) -> None:
         """Rewrite the columns in the given form with the live rows only,
         renumbered in row order, plus ``spare`` free rows (NumPy form)."""
-        live = len(self.rows)
-        dead = live != self.size  # else every row keeps its number
-        columns = (self.checksums, self.idx, self.state, self.alphas)
-        lanes = None
-        if self.vector:
-            keep = slice(live)
-            if dead:
-                keep = (self.idx[: self.size] != _DEAD_ROW).nonzero()[0]
-            lanes = self.values[keep]
+        live = self.live
+        columns = (self.values, self.checksums, self.idx, self.state, self.alphas)
+        if live == self.size:  # every row keeps its number
+            columns = [None if c is None else c[:live] for c in columns]
+        elif self.vector:
+            keep = (self.idx[: self.size] != _DEAD_ROW).nonzero()[0]
             columns = [None if c is None else c[keep] for c in columns]
-        elif dead:
+        else:
             keep = list(self.rows.values())
             columns = [None if c is None else [c[r] for r in keep] for c in columns]
-        if dead:
-            self.rows = dict(zip(self.rows, range(live)))
+        if live != self.size and self._rows is not None:
+            self._rows = dict(zip(self._rows, range(live)))
         self.size = live
         self.heap = None
+        values, *rest = columns
         if vector:
             np = engine.np
-            if lanes is None:
-                lanes = lanes_from_ints(list(self.rows), self.codec.symbol_size)
-            free = np.zeros((spare, lanes.shape[1]), dtype=np.uint64)
-            self.values = np.concatenate([lanes, free])
-            columns = [
+            if not self.vector:
+                values = lanes_from_ints(values, self.codec.symbol_size)
+            free = np.zeros((spare, values.shape[1]), dtype=np.uint64)
+            self.values = np.concatenate([values, free])
+            rest = [
                 None if c is None else _column(c, spare, d, f)
-                for c, d, f in zip(columns, _DTYPES, _FILLERS)
+                for c, d, f in zip(rest, _DTYPES, _FILLERS)
             ]
         else:
-            self.values = list(self.rows)
-            columns = [None if c is None else _ints(c) for c in columns]
-        self.checksums, self.idx, self.state, self.alphas = columns
+            self.values = to_list(values)
+            rest = [None if c is None else to_list(c) for c in rest]
+            if self._rows is None:  # the list form keeps its index
+                self._rows = dict(zip(self.values, range(live)))
+        self.checksums, self.idx, self.state, self.alphas = rest
         self.vector = vector
 
-    def alphas_for(self, checksums: Sequence[int]) -> Optional[list[float]]:
-        """New rows' α, read from ``codec.alpha_for``: ``None`` while every
+    def alphas_for(self, checksums) -> Optional[list[float]]:
+        """New rows' α, from the codec's batch face: ``None`` while every
         row, held and new, has the default α; the first row that does not
         opens the α column, filled in for the rows already held."""
-        alpha_for = self.codec.alpha_for
-        alphas = list(map(alpha_for, checksums))
+        alphas = self.codec.alpha_batch(checksums)
         if self.alphas is None:
-            if not needs_alphas(alphas):
+            if alphas is None or not needs_alphas(alphas):
                 return None
-            held = list(map(alpha_for, _ints(self.checksums)))
+            held = self.codec.alpha_batch(self.checksums)
             self.alphas = engine.np.array(held) if self.vector else held
         return alphas
 
-    def append(self, values, checksums, alphas, walks=None, datas=None) -> None:
-        """Add validated rows (``values``/``checksums`` as lists).
-        ``walks`` is their parked ``(idx, state)`` pair of columns,
-        ``None`` for fresh walks (index 0, seeded by the checksum);
-        ``datas`` their item bytes, when the caller has them."""
+    def append(self, values, checksums, alphas, walks=None) -> None:
+        """Add validated rows: ``values`` as a lane matrix or ints,
+        ``checksums`` as a vector or a list.  ``walks`` is their parked
+        ``(idx, state)`` pair of columns, ``None`` for fresh walks
+        (index 0, seeded by the checksum)."""
         n = len(values)
-        if not self.rows:  # empty: take the form, and room, this batch wants
+        if not self.live:  # empty: take the form, and room, this batch wants
             self._repack(self._vector_for(n), spare=n)
+            self._rows = None if self.vector else {}
         elif self.vector and not numpy_block_eligible(self.codec):
             self._repack(False)  # the vector engine went away mid-life
         lo = self.size
         hi = lo + n
         if self.vector:
             if hi > len(self.idx):
-                self._repack(True, spare=n + len(self.rows) // 2)
+                self._repack(True, spare=n + self.live // 2)
                 lo = self.size
                 hi = lo + n
             np = engine.np
-            self.values[lo:hi] = _lanes(values, datas, self.codec.symbol_size)
+            if isinstance(values, list):
+                values = lanes_from_ints(values, self.codec.symbol_size)
+            self.values[lo:hi] = values
             self.checksums[lo:hi] = np.asarray(checksums, dtype=np.uint64)
             if walks is None:
                 self.idx[lo:hi] = 0
@@ -268,23 +282,28 @@ class SourceStore:
             if self.alphas is not None:
                 self.alphas[lo:hi] = alphas
         else:
-            self.values += values
+            checksums = to_list(checksums)
+            self.values += to_list(values)
             self.checksums += checksums
             if walks is None:
                 self.idx += [0] * n
                 self.state += checksums
             else:
-                self.idx += _ints(walks[0])
-                self.state += _ints(walks[1])
+                self.idx += to_list(walks[0])
+                self.state += to_list(walks[1])
             if self.alphas is not None:
                 self.alphas += alphas
-        self.rows.update(zip(values, range(lo, hi)))
+        if self._rows is not None:
+            self._rows.update(zip(to_list(values), range(lo, hi)))
+        self.live += n
         self.size = hi
 
-    def kill(self, values: list[int]) -> tuple[list[int], Optional[list[float]]]:
+    def kill(self, values) -> tuple[list[int], Optional[list[float]]]:
         """Drop the (present) rows of ``values``; returns their checksums
         and α (``None`` without an α column) for the prefix patch."""
-        keep = [self.rows.pop(value) for value in values]
+        rows = self.rows
+        keep = [rows.pop(value) for value in to_list(values)]
+        self.live -= len(keep)
         alphas = self.alphas
         if self.vector:
             checksums = self.checksums[keep].tolist()
@@ -295,15 +314,15 @@ class SourceStore:
             alphas = None if alphas is None else [alphas[r] for r in keep]
             for row in keep:
                 self.idx[row] = _DEAD_ROW
-        if len(self.idx) > 2 * len(self.rows):
-            self._repack(self.vector, spare=len(self.rows) // 2)
+        if len(self.idx) > 2 * self.live:
+            self._repack(self.vector, spare=self.live // 2)
         return checksums, alphas
 
     def walk(self, bank: CodedSymbolBank, hi: int) -> None:
         """Extend ``bank`` to ``hi`` cells: every row XORed into each cell
         its walk reaches below ``hi``, in one kernel call."""
         self.heap = None  # the walks move under it
-        vector = self._vector_for(len(self.rows))
+        vector = self._vector_for(self.live)
         if vector != self.vector:
             self._repack(vector)
         walks = (self.idx, self.state, self.values, self.checksums)
@@ -329,11 +348,11 @@ class SourceStore:
 
     def export(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """``(values, checksums, idx, state)`` of the live rows, in row order."""
-        keep = list(self.rows.values())
-        columns = (self.checksums, self.idx, self.state)
-        if self.vector:
-            return list(self.rows), *(c[keep].tolist() for c in columns)
-        return list(self.rows), *([c[r] for r in keep] for c in columns)
+        columns = (self.values, self.checksums, self.idx, self.state)
+        if self.vector:  # read past an unbuilt index: live rows are undead
+            keep = (self.idx[: self.size] != _DEAD_ROW).nonzero()[0]
+            return tuple(to_list(c[keep]) for c in columns)
+        return tuple([c[r] for r in self.rows.values()] for c in columns)
 
 
 class RatelessEncoder:
@@ -366,7 +385,7 @@ class RatelessEncoder:
     # -- set mutation ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._store.rows)
+        return self._store.live
 
     @property
     def set_size(self) -> int:
@@ -397,33 +416,33 @@ class RatelessEncoder:
     ) -> None:
         """Add many items at once (the batch ingestion pipeline).
 
-        The whole batch is hashed through the codec's keyed batch face
-        and appended to the source store; with a produced prefix it
-        patches the cached bank in one fused scatter.  Duplicates
-        anywhere — the set or the batch itself — raise ``KeyError``
-        before anything is inserted.
+        ``items`` (ℓ-byte items, or :meth:`SymbolCodec.item_rows`) join
+        the source store as columns; with a produced prefix they patch the
+        cached bank in one fused scatter.  Duplicates anywhere — the set or
+        the batch itself — raise ``KeyError`` before anything is inserted.
 
         ``item_hashes``, when given, must be the codec hasher's keyed
-        64-bit hash of each item, in order (e.g. the values shard
+        64-bit hash of each item, in order (e.g. the vector shard
         placement already computed); checksums are then masked from
         them instead of hashing the items a second time.
         """
-        datas = items if isinstance(items, list) else list(items)
-        if not datas:
-            return
         codec = self.codec
-        values = codec.to_int_batch(datas)
-        if item_hashes is not None:
-            if len(item_hashes) != len(datas):
-                raise ValueError(
-                    f"{len(datas)} items but {len(item_hashes)} hashes"
-                )
-            checksums = codec.checksums_from_hash64(item_hashes)
-        else:
+        datas = items if hasattr(items, "__getitem__") else list(items)
+        rows = codec.item_rows(datas)
+        if not len(rows):
+            return
+        if item_hashes is None:
             checksums = codec.checksum_batch(datas)
-        self._add(values, checksums, datas)
+        elif len(item_hashes) != len(rows):
+            raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
+        else:
+            checksums = codec.checksums_from_hash64(item_hashes)
+        if isinstance(rows, list):
+            self._add(codec.to_int_batch(rows), checksums)
+        else:  # the value lanes are the rows, zero-padded
+            self._add(lanes_from_bytes(rows, codec.symbol_size), checksums)
 
-    def _add(self, values: list[int], checksums: list[int], datas=None) -> None:
+    def _add(self, values, checksums) -> None:
         """The one insertion body: validate, patch the produced prefix
         (linearity, §4.1: XOR each symbol into every cached cell it maps
         to), then park the rows where their walks stopped."""
@@ -431,8 +450,8 @@ class RatelessEncoder:
         alphas = self._store.alphas_for(checksums)
         walks = None
         if self._bank:
-            walks = self._patch_prefix(values, checksums, 1, alphas, datas)
-        self._store.append(values, checksums, alphas, walks, datas)
+            walks = self._patch_prefix(values, checksums, 1, alphas)
+        self._store.append(values, checksums, alphas, walks)
 
     def remove_item(self, data: bytes) -> None:
         """Remove an item; the cached prefix is patched in place."""
@@ -455,7 +474,7 @@ class RatelessEncoder:
         if datas:
             self._remove(self.codec.to_int_batch(datas))
 
-    def _remove(self, values: list[int]) -> None:
+    def _remove(self, values) -> None:
         """The one removal body."""
         self._validate(values, present=True)
         checksums, alphas = self._store.kill(values)
@@ -464,11 +483,18 @@ class RatelessEncoder:
             # future in the stream.
             self._patch_prefix(values, checksums, -1, alphas)
 
-    def _validate(self, values: list[int], present: bool) -> None:
+    def _validate(self, values, present: bool) -> None:
         """Raise ``KeyError`` for the first value named twice in the batch
-        or whose membership is not ``present``.  One C-speed sweep (set
-        build + keys-view test) covers the common clean batch."""
-        rows = self._store.rows
+        or whose membership is not ``present``.  A lane batch loaded into
+        an empty store is one sort of its lanes, leaving the store's index
+        unbuilt; anything else is one C-speed sweep (set build + keys-view
+        test) against the index for the common clean batch."""
+        store = self._store
+        if not (present or store.live or isinstance(values, list)):
+            if not _has_duplicates(values):
+                return
+        values = to_list(values)
+        rows = store.rows
         unique = set(values)
         if len(unique) == len(values) and (
             rows.keys() >= unique if present else rows.keys().isdisjoint(unique)
@@ -481,7 +507,7 @@ class RatelessEncoder:
                 raise KeyError(f"{what}: {value:#x}")
             seen.add(value)
 
-    def _patch_prefix(self, values, checksums, direction, alphas, datas=None):
+    def _patch_prefix(self, values, checksums, direction, alphas):
         """Replay a batch of symbols from their seeds across the produced
         prefix — direction +1 folds them in, −1 peels them out — and
         return their parked ``(idx, state)`` columns.  The NumPy kernel
@@ -497,10 +523,12 @@ class RatelessEncoder:
         ):
             np = engine.np
             csums = np.array(checksums, dtype=np.uint64)
-            lanes = _lanes(values, datas, size)
-            walks = (np.zeros(n, dtype=np.int64), csums.copy(), lanes, csums)
+            if isinstance(values, list):
+                values = lanes_from_ints(values, size)
+            walks = (np.zeros(n, dtype=np.int64), csums.copy(), values, csums)
         else:
-            walks = ([0] * n, list(checksums), values, checksums)
+            checksums = to_list(checksums)
+            walks = ([0] * n, list(checksums), to_list(values), checksums)
         _walk_into(self._bank, 0, frontier, walks, direction, alphas, size)
         return walks[:2]
 
@@ -544,9 +572,8 @@ class RatelessEncoder:
         encoder = cls(codec)
         encoder._bank = bank
         store = encoder._store
-        checksums = _ints(checksums)
         alphas = store.alphas_for(checksums)
-        store.append(_ints(values), checksums, alphas, (currents, states))
+        store.append(to_list(values), checksums, alphas, (currents, states))
         return encoder
 
     # -- coded symbol production -----------------------------------------
@@ -607,10 +634,6 @@ class RatelessEncoder:
     def produce(self, n: int) -> list[CodedSymbol]:
         """Produce the next ``n`` coded symbols (value snapshots)."""
         return self.produce_block(n).cells()
-
-    def prefix(self, m: int) -> list[CodedSymbol]:
-        """Frozen copies of coded symbols ``0..m-1``, producing as needed."""
-        return self.cached_block(0, m).cells()
 
     def cached(self, index: int) -> CodedSymbol:
         """Snapshot of the cached cell at ``index`` (must be produced)."""

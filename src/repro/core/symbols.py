@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.cellbank import lane_count, unpack_records
+from repro import engine
+from repro.core.cellbank import check_widths, lane_count, numpy_block_eligible
+from repro.core.cellbank import to_list, unpack_records
 from repro.core.mapping import IndexGenerator
 from repro.core.params import CHECKSUM_BYTES, DEFAULT_ALPHA
 from repro.hashing.keyed import Blake2bHasher, KeyedHasher
@@ -88,11 +90,25 @@ class SymbolCodec:
         one column of ℓ-byte records for the record codec.  An item of
         any other length raises the same error as :meth:`to_int`.
         """
+        check_widths(datas, self.symbol_size)
+        return unpack_records(b"".join(datas), (self.symbol_size,))[0]
+
+    def item_rows(self, items):
+        """The batch as ingest carries it, validated (as :meth:`to_int`):
+        for symbols on the vector engine's lanes, its ``(n, ℓ)`` uint8 row
+        matrix — one join — that hashing, placement and the store columns
+        slice (a row matrix passes through); otherwise the item list."""
         size = self.symbol_size
-        if datas and set(map(len, datas)) != {size}:
-            bad = next(len(d) for d in datas if len(d) != size)
-            raise ValueError(f"item must be exactly {size} bytes, got {bad}")
-        return unpack_records(b"".join(datas), (size,))[0]
+        if hasattr(items, "shape"):
+            if items.shape[1:] != (size,):
+                raise ValueError(f"items must be exactly {size} bytes wide")
+            return items
+        items = items if isinstance(items, list) else list(items)
+        check_widths(items, size)
+        if not items or not numpy_block_eligible(self):
+            return items
+        np = engine.np
+        return np.frombuffer(b"".join(items), dtype=np.uint8).reshape(-1, size)
 
     def to_bytes(self, value: int) -> bytes:
         """Unpack an integer sum back into ℓ bytes."""
@@ -109,25 +125,22 @@ class SymbolCodec:
         data = value.to_bytes(self.symbol_size, "little")
         return self._hash64(data) & self._checksum_mask
 
-    def checksum_batch(self, datas: "Sequence[bytes]") -> list[int]:
+    def checksum_batch(self, datas):
         """Keyed checksums of many raw items at once, in order.
 
         Element-for-element identical to :meth:`checksum_data`; routed
         through the hasher's batch face so SipHash runs its rounds as
-        uint64 lane arithmetic (the ingestion pipeline's hashing stage).
+        uint64 lane arithmetic (items or :meth:`item_rows`) into a vector.
         """
         batch = getattr(self.hasher, "hash64_batch", None)
         if batch is not None:
             hashes = batch(datas)
         else:  # pre-batch custom hasher: same results, one call at a time
             hash64 = self._hash64
-            hashes = [hash64(data) for data in datas]
-        mask = self._checksum_mask
-        if mask == 0xFFFFFFFFFFFFFFFF:
-            return hashes
-        return [h & mask for h in hashes]
+            hashes = [hash64(bytes(data)) for data in datas]
+        return self.checksums_from_hash64(hashes)
 
-    def checksums_from_hash64(self, hashes: "Sequence[int]") -> list[int]:
+    def checksums_from_hash64(self, hashes):
         """Checksums from precomputed keyed 64-bit hashes, in order.
 
         ``checksums_from_hash64([hash64(d) for d in datas])`` is
@@ -136,6 +149,8 @@ class SymbolCodec:
         items (e.g. for shard placement) does not hash them again.
         """
         mask = self._checksum_mask
+        if hasattr(hashes, "shape"):
+            return hashes & engine.np.uint64(mask)
         if mask == 0xFFFFFFFFFFFFFFFF:
             return list(hashes)
         return [h & mask for h in hashes]
@@ -152,12 +167,10 @@ class SymbolCodec:
         if lane_count(size) == 1:  # one lane is one hash block
             batch = getattr(self.hasher, "hash64_int_batch", None)
             if batch is not None:
-                hashes = batch(values, size)
-                mask = self._checksum_mask
-                if mask == 0xFFFFFFFFFFFFFFFF:
-                    return hashes
-                return [h & mask for h in hashes]
-        return self.checksum_batch([v.to_bytes(size, "little") for v in values])
+                return self.checksums_from_hash64(batch(values, size))
+        return to_list(
+            self.checksum_batch([v.to_bytes(size, "little") for v in values])
+        )
 
     # -- mapping ----------------------------------------------------------
 
@@ -166,6 +179,13 @@ class SymbolCodec:
         if self.irregular is None:
             return DEFAULT_ALPHA
         return self.irregular.alpha_for(checksum * self._inv_mask_span)
+
+    def alpha_batch(self, checksums) -> Optional[list[float]]:
+        """:meth:`alpha_for` of many checksums, in order — ``None`` for a
+        regular codec, every symbol at the default α the kernels inline."""
+        if self.irregular is None:
+            return None
+        return list(map(self.alpha_for, to_list(checksums)))
 
     def new_mapping(self, checksum: int) -> IndexGenerator:
         """Fresh index generator for the symbol with this checksum hash."""

@@ -36,6 +36,7 @@ from operator import xor
 from typing import Dict, Iterable, Optional
 
 from repro.api.registry import Scheme
+from repro.core.cellbank import to_list
 from repro.protocol.machine import InitiatorMachine, ResponderMachine
 from repro.service.backends import ShardBackend, open_backend
 from repro.service.shard import hash_items
@@ -175,7 +176,7 @@ class GossipNode:
         """
         if not was_clean:
             return
-        self._xor = reduce(xor, hash_items(self.hash64, items), self._xor)
+        self._xor = reduce(xor, to_list(hash_items(self.hash64, items)), self._xor)
         self._digest_version = self.version
 
     def digest(self) -> SetDigest:
@@ -185,7 +186,7 @@ class GossipNode:
             # A responder session applied pushes directly to the backend
             # (or _fold saw drift): rebuild the XOR from the set.
             members = list(self.backend.sharded)
-            self._xor = reduce(xor, hash_items(self.hash64, members), 0)
+            self._xor = reduce(xor, to_list(hash_items(self.hash64, members)), 0)
             self._digest_version = version
         return SetDigest(version, self._xor, len(self))
 

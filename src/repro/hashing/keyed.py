@@ -30,13 +30,13 @@ DEFAULT_KEY = bytes(range(16))
 class KeyedHasher(Protocol):
     """Anything that maps ``bytes`` to an unsigned 64-bit integer.
 
-    Implementations *may* additionally provide
-    ``hash64_batch(items) -> list[int]`` — keyed hashes of many
-    equal-length items, element-for-element identical to ``hash64`` per
-    item but amortising per-call overhead (SipHash runs its rounds as
-    uint64 lane arithmetic).  It is deliberately not part of this
-    protocol: consumers probe for it and fall back to a ``hash64`` loop
-    (see :meth:`repro.core.symbols.SymbolCodec.checksum_batch`), so
+    Implementations *may* additionally provide ``hash64_batch(items)`` —
+    keyed hashes of many equal-length items or their row matrix,
+    element-for-element identical to ``hash64`` per item but amortising
+    per-call overhead (SipHash's lanes return the uint64 hash vector).
+    It is deliberately not part of this protocol: consumers probe for it
+    and fall back to a ``hash64`` loop (see
+    :meth:`repro.core.symbols.SymbolCodec.checksum_batch`), so
     hash64-only hashers stay valid.
     """
 
@@ -60,7 +60,7 @@ class SipHasher:
     def hash64(self, data: bytes) -> int:
         return siphash24(self.key, data)
 
-    def hash64_batch(self, items: Sequence[bytes]) -> list[int]:
+    def hash64_batch(self, items):
         return siphash24_batch(self.key, items)
 
     def hash64_int_batch(self, values: Sequence[int], size: int) -> list[int]:
@@ -87,30 +87,15 @@ class Blake2bHasher:
         digest = hashlib.blake2b(data, digest_size=8, key=self.key).digest()
         return int.from_bytes(digest, "little")
 
-    def hash64_batch(self, items: Sequence[bytes]) -> list[int]:
-        # BLAKE2b has no lane form; one tight C-call loop, no attribute
-        # walks — the batch contract is about call shape, not engine.
+    def hash64_batch(self, items) -> list[int]:
+        # BLAKE2b has no lane form; one tight C-call loop (row-matrix rows
+        # via the buffer protocol) — the contract is call shape, not engine.
         blake2b = hashlib.blake2b
         key = self.key
         from_bytes = int.from_bytes
         return [
             from_bytes(blake2b(data, digest_size=8, key=key).digest(), "little")
             for data in items
-        ]
-
-    def hash64_int_batch(self, values: Sequence[int], size: int) -> list[int]:
-        """Keyed hashes of ``size``-byte little-endian integer messages."""
-        blake2b = hashlib.blake2b
-        key = self.key
-        from_bytes = int.from_bytes
-        return [
-            from_bytes(
-                blake2b(
-                    v.to_bytes(size, "little"), digest_size=8, key=key
-                ).digest(),
-                "little",
-            )
-            for v in values
         ]
 
 

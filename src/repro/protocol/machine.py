@@ -305,8 +305,9 @@ class _InitiatorShard:
     """Initiator-side decoding state for one shard.
 
     ``tally.shard`` is the *global* shard id (== the local frame id
-    outside a cluster); ``hashes`` are the items' keyed 64-bit hashes,
-    computed once for placement and reused for codec checksums.
+    outside a cluster); ``items``/``hashes`` are the shard's slice of
+    the batch and of its keyed hashes (computed once, for placement and
+    checksums) — in stream mode, row-matrix and vector slices.
     """
 
     __slots__ = (
@@ -354,7 +355,7 @@ class InitiatorMachine(ReconcilerMachine):
                 f"scheme {handle.name!r}: the initiator needs an explicit symbol_size"
             )
         self.handle = handle
-        self.items = list(items)
+        self.items = items if hasattr(items, "shape") else list(items)
         self.num_shards_wish = num_shards
         self.push = push
         self.max_symbols = max_symbols
@@ -362,7 +363,7 @@ class InitiatorMachine(ReconcilerMachine):
         self.max_rounds = max_rounds
         self.use_estimator = use_estimator
         self._hash64 = handle.hash64
-        self._item_hashes = list(item_hashes) if item_hashes is not None else None
+        self._item_hashes = item_hashes
         self.expect_worker = expect_worker
         self.cluster: Optional[ClusterInfo] = None
         self._state = "welcome"
@@ -482,6 +483,8 @@ class InitiatorMachine(ReconcilerMachine):
         hashes = self._item_hashes
         if hashes is None:
             hashes = hash_items(self._hash64, self.items)
+        if mode == SyncMode.STREAM and self.handle.codec is not None:
+            self.items = self.handle.codec.item_rows(self.items)  # encoders slice it
         parts, part_hashes = partition_with_hashes(self.items, hashes, total)
         self._shards = [
             _InitiatorShard(g, parts[g], part_hashes[g]) for g in owned

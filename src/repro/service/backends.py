@@ -304,12 +304,8 @@ def open_backend(
     codec = handle.codec
     if handle.name != "riblt" or codec is None:
         return SchemeStreamBackend(handle, sharded)
-    encoders = []
-    for shard in range(num_shards):
-        encoders.append(
-            RatelessEncoder(codec, parts[shard], item_hashes=part_hashes[shard])
-        )
-        # Each list is dead once its encoder holds the rows; dropping it
-        # now keeps set-up's peak where hashing per shard left it.
-        parts[shard] = part_hashes[shard] = ()
+    encoders = [
+        RatelessEncoder(codec, part, item_hashes=hashes)
+        for part, hashes in zip(parts, part_hashes)
+    ]
     return WarmRibltBackend(handle, sharded, encoders)

@@ -209,14 +209,14 @@ async def sync(
     handle = get_scheme(
         scheme, **with_service_hasher(scheme, params)
     ).bound_to(materialised)
-    # Hash every item exactly once per sync: shard placement and codec
-    # checksums consume the same keyed values, and in a cluster every
-    # worker session reuses this one list.
-    item_hashes = (
-        hash_items(handle.hash64, materialised)
-        if handle.codec is not None and materialised
-        else None
-    )
+    # One pass from item bytes to columns per sync, reused by every worker
+    # session: a streaming scheme's batch becomes the row matrix its stream
+    # encoders slice, and one hash per item serves placement and checksums.
+    item_hashes = None
+    if handle.codec is not None and materialised:
+        if handle.capabilities.streaming:
+            materialised = handle.codec.item_rows(materialised)
+        item_hashes = hash_items(handle.hash64, materialised)
 
     async def _session(
         session_host: str,

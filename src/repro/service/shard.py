@@ -12,14 +12,18 @@ decorrelated from the checksum values that seed the §4.2 index mapping.
 Peers that disagree on the hash family or key will disagree on
 placement (and on checksums); the service handshake carries a key probe
 to reject that pairing before any symbols flow.
+
+Every host's cold ingest places its batch here: :func:`hash_items` (the
+uint64 hash vector, under SipHash's lanes), then one ``mix64`` lane pass
+and one stable argsort split (:func:`partition_with_hashes`).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro import engine
+from repro.core.cellbank import to_list
 from repro.hashing.prng import mix64, mix64_lanes
 
 # Below this the batch-placement set-up costs more than the scalar loop.
@@ -40,9 +44,7 @@ def shard_of(hash64: Callable[[bytes], int], item: bytes, num_shards: int) -> in
     return mix64(hash64(item) ^ _SHARD_SALT) % num_shards
 
 
-def hash_items(
-    hash64: Callable[[bytes], int], items: Sequence[bytes]
-) -> list[int]:
+def hash_items(hash64: Callable[[bytes], int], items: Sequence[bytes]):
     """The keyed 64-bit hashes of many items, in order.
 
     These are exactly the values shard placement mixes *and* the codec
@@ -50,20 +52,27 @@ def hash_items(
     once instead of twice (see :func:`partition_with_hashes` and
     ``Scheme.new(..., item_hashes=...)``).  Routed through the hasher's
     batch face when ``hash64`` is a bound method of one (equal-length
-    items only — the SipHash lane engine's contract); any other shape
-    takes the scalar loop, element-for-element identical.
+    items or their row matrix — the SipHash lane engine's contract);
+    any other shape takes the scalar loop, element-for-element identical.
     """
-    if not items:
+    if not len(items):
         return []
     hasher = getattr(hash64, "__self__", None)
     batch = getattr(hasher, "hash64_batch", None)
     if (
         batch is not None
         and getattr(hasher, "hash64", None) == hash64
-        and len(set(map(len, items))) <= 1
+        and (hasattr(items, "shape") or len(set(map(len, items))) <= 1)
     ):
-        return list(batch(items))
+        return batch(items)
     return [hash64(item) for item in items]
+
+
+def _placement_lanes(hashes, num_shards: int):
+    """``mix64(h ^ salt) % num_shards`` of a hash vector, as one lane pass."""
+    np = engine.np
+    mixed = mix64_lanes(np.asarray(hashes, dtype=np.uint64) ^ np.uint64(_SHARD_SALT))
+    return mixed % np.uint64(num_shards)
 
 
 def placements_from_hashes(hashes: Sequence[int], num_shards: int) -> list[int]:
@@ -72,18 +81,8 @@ def placements_from_hashes(hashes: Sequence[int], num_shards: int) -> list[int]:
     on the vector engine.
     """
     if engine.NUMPY_LANE and len(hashes) >= _NUMPY_MIN_BATCH:
-        np = engine.np
-        mixed = mix64_lanes(np.array(hashes, dtype=np.uint64) ^ np.uint64(_SHARD_SALT))
-        return (mixed % np.uint64(num_shards)).astype(np.int64).tolist()
-    return [mix64(h ^ _SHARD_SALT) % num_shards for h in hashes]
-
-
-def shards_of(
-    hash64: Callable[[bytes], int], items: Sequence[bytes], num_shards: int
-) -> list[int]:
-    """:func:`shard_of` of many items at once, in order (element-for-
-    element identical to the scalar function)."""
-    return placements_from_hashes(hash_items(hash64, items), num_shards)
+        return _placement_lanes(hashes, num_shards).tolist()
+    return [mix64(h ^ _SHARD_SALT) % num_shards for h in to_list(hashes)]
 
 
 def key_probe(hash64: Callable[[bytes], int]) -> int:
@@ -138,7 +137,7 @@ class ShardedSet:
 
     def place_many(self, items: Sequence[bytes]) -> list[int]:
         """:meth:`place` of many items at once, in order."""
-        return shards_of(self.hash64, items, self.num_shards)
+        return placements_from_hashes(hash_items(self.hash64, items), self.num_shards)
 
     def shard_of(self, item: bytes) -> int:
         return self.place(item)
@@ -248,7 +247,10 @@ class ShardSubsetSet(ShardedSet):
     def place_many(self, items: Sequence[bytes]) -> list[int]:
         local = self._local
         out: list[int] = []
-        for item, g in zip(items, shards_of(self.hash64, items, self.total_shards)):
+        placed = placements_from_hashes(
+            hash_items(self.hash64, items), self.total_shards
+        )
+        for item, g in zip(items, placed):
             try:
                 out.append(local[g])
             except KeyError:
@@ -265,35 +267,35 @@ class ShardSubsetSet(ShardedSet):
 
 def partition_with_hashes(
     items: Sequence[bytes], hashes: Sequence[int], num_shards: int
-) -> tuple[list[list[bytes]], list[list[int]]]:
-    """Partition ``items`` by shard, carrying their keyed hashes along.
+) -> tuple[list, list]:
+    """Partition a batch by shard, carrying its keyed hashes along.
 
     Returns ``(parts, part_hashes)``: ``parts[s]`` holds shard ``s``'s
-    items in input order and ``part_hashes[s][i]`` is the keyed hash of
-    ``parts[s][i]`` — ready to seed codec checksums without hashing the
-    items a second time.  Large inputs bucket through ``itemgetter``
-    over per-shard index vectors (``flatnonzero`` is ascending,
-    preserving input order) instead of a per-item append loop.
+    items in input order, as row-matrix or list slices like the batch,
+    and ``part_hashes[s][i]`` is the keyed hash of ``parts[s][i]`` —
+    ready to seed codec checksums without hashing the items again.
     """
     if len(items) != len(hashes):
         raise ValueError(f"{len(items)} items but {len(hashes)} hashes")
+    if engine.NUMPY_LANE:
+        np = engine.np
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        # placements fit a small dtype, which argsorts by radix
+        placed = _placement_lanes(hashes, num_shards).astype(
+            np.min_scalar_type(num_shards - 1)
+        )
+        order = np.argsort(placed, kind="stable")
+        ends = np.bincount(placed, minlength=num_shards).cumsum().tolist()
+        if hasattr(items, "shape"):
+            items = items[order]
+        else:
+            items = [items[i] for i in order.tolist()]
+        hashes = hashes[order]
+        bounds = list(zip([0, *ends], ends))
+        return [items[a:b] for a, b in bounds], [hashes[a:b] for a, b in bounds]
     parts: list[list[bytes]] = [[] for _ in range(num_shards)]
     part_hashes: list[list[int]] = [[] for _ in range(num_shards)]
     placed = placements_from_hashes(hashes, num_shards)
-    if engine.NUMPY_LANE and len(items) >= _NUMPY_MIN_BATCH:
-        np = engine.np
-        arr = np.array(placed, dtype=np.int64)
-        for shard in range(num_shards):
-            sel = np.flatnonzero(arr == shard)
-            if sel.size == 1:
-                idx = int(sel[0])
-                parts[shard] = [items[idx]]
-                part_hashes[shard] = [hashes[idx]]
-            elif sel.size:
-                getter = itemgetter(*sel.tolist())
-                parts[shard] = list(getter(items))
-                part_hashes[shard] = list(getter(hashes))
-        return parts, part_hashes
     for item, h, shard in zip(items, hashes, placed):
         parts[shard].append(item)
         part_hashes[shard].append(h)

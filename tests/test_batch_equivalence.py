@@ -189,6 +189,8 @@ class BulkIntCodec(IntSymbolCodec):
 
     __slots__ = ()
 
+    item_rows = SymbolCodec.item_rows
+
     def to_int_batch(self, datas):
         return [self.to_int(data) for data in datas]
 

@@ -504,7 +504,8 @@ def test_one_source_store_in_encoder():
     ``core/encoder.py`` defines the store and the encoder and nothing
     else, only the per-cell reference path (``produce_next`` and the
     store's lazy heap rebuild) touches ``heapq``, and every α comes from
-    ``codec.alpha_for``.
+    the codec — ``alpha_for`` or its batch face ``alpha_batch``, which
+    answers for a whole ingest batch at once.
     """
     import ast
     from pathlib import Path
@@ -525,17 +526,19 @@ def test_one_source_store_in_encoder():
     assert heap_users == {"produce_next", "next_heap"}
     for module in src.rglob("*.py"):
         assert "numpy_lane_eligible" not in module.read_text(), module.name
-    # the α source: codec.alpha_for into the store's α column, nothing
-    # that derives or assumes one (the per-cell stepper is built with no
-    # α and only ever handed one from the column)
+    # the α source: the codec's α faces into the store's α column,
+    # nothing that derives or assumes one (the per-cell stepper is built
+    # with no α and only ever handed one from the column)
     for relic in ("DEFAULT_ALPHA", "irregular", "new_mapping", "IndexGenerator.restore"):
         assert relic not in text, f"encoder.py: {relic!r}"
-    alpha_reads = [
-        ast.unparse(node.value)
+    alpha_reads = {
+        (ast.unparse(node.value), node.attr)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "alpha_for"
-    ]
-    assert alpha_reads and set(alpha_reads) <= {"codec", "self.codec"}
+        if isinstance(node, ast.Attribute) and node.attr in ("alpha_for", "alpha_batch")
+    }
+    assert alpha_reads and {owner for owner, _ in alpha_reads} <= {"codec", "self.codec"}
+    # one batch-face call per ingest batch, never a per-row α read
+    assert {face for _, face in alpha_reads} == {"alpha_batch"}
 
     def is_alpha(node):
         return isinstance(node, ast.Attribute) and node.attr == "alpha"
@@ -559,3 +562,47 @@ def test_one_source_store_in_encoder():
         if isinstance(node, ast.Constant) and type(node.value) is float and node.value
     ]
     assert not floats, f"encoder.py: float literals {floats}"
+
+
+def test_cold_ingest_builds_no_item_objects(monkeypatch):
+    """Cold ingest is one array pass from item bytes to store columns.
+
+    Under the vector engine a host's set reaches its first coded block
+    without a Python int per item (``to_int_batch``), without a per-row
+    α read (``alpha_for``) and without the store's value→row index; the
+    first removal builds the index, and the state then matches the set.
+    """
+    import random
+
+    from repro.service.backends import open_backend
+
+    from helpers import make_items
+
+    if engine.np is None:
+        pytest.skip("the array pass is the vector engine's")
+
+    def refuse(*args):
+        raise AssertionError("a per-item object on the cold ingest path")
+
+    items = make_items(random.Random(26), 4000)
+    gone = set(items[::7])
+    with engine_lane(True):
+        monkeypatch.setattr(SymbolCodec, "to_int_batch", refuse)
+        monkeypatch.setattr(SymbolCodec, "alpha_for", refuse)
+        backend = open_backend(items, hasher="siphash", num_shards=4)
+        for encoder in backend.encoders:
+            encoder.cached_block(0, 64)
+        assert all(e._store._rows is None for e in backend.encoders)
+        monkeypatch.undo()
+        backend.remove_many(sorted(gone))
+        model = [i for i in items if i not in gone]
+        cold = open_backend(model, hasher="siphash", num_shards=4)
+        for warm, fresh, members in zip(
+            backend.encoders, cold.encoders, backend.sharded.shards
+        ):
+            assert warm._store._rows is not None
+            values = {int.from_bytes(item, "little") for item in members}
+            assert set(warm._store.rows) == set(warm.export_rows()[0]) == values
+            assert all(item in warm for item in members)
+            assert not any(item in warm for item in gone)
+            assert warm.cached_block(0, 64) == fresh.cached_block(0, 64)

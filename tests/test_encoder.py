@@ -128,10 +128,10 @@ def test_produce_counts(codec8, rng):
 
 def test_prefix_produces_on_demand(codec8, rng):
     enc = RatelessEncoder(codec8, make_items(rng, 10))
-    cells = enc.prefix(12)
+    cells = enc.cached_block(0, 12).cells()
     assert len(cells) == 12
     assert enc.produced_count == 12
-    # prefix returns frozen copies
+    # cached_block returns value copies
     cells[0].apply(1, 1, 1)
     assert enc.cached(0) != cells[0]
 

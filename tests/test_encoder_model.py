@@ -3,7 +3,9 @@
 A hypothesis state machine drives one warm ``RatelessEncoder`` through
 any interleaving of single and bulk churn (batches of 1–40, so both
 list-form and NumPy-column ingestion), rejected batches, per-cell and
-block production, an ``export_rows`` → ``restore`` round trip and an
+block production, an ``export_rows`` → ``restore`` round trip, a cold
+bulk rebuild (whose store leaves its membership index unbuilt until a
+membership test, removal or add asks for it), membership probes and an
 engine flip.  After every step the encoder holds exactly the model's
 members and its cached prefix is what a cold encoder of the model's set
 produces (§4.1 linearity: the stream is a function of the set alone).
@@ -126,6 +128,20 @@ def machine_for(codec_name: str):
                 codec, *encoder.export_rows(), encoder.bank
             )
 
+        @rule(rows=st.booleans())
+        def bulk_rebuild(self, rows):
+            """A cold bulk load of the model's set, as an item list or as
+            its row matrix (the ingest pipeline's form)."""
+            members = sorted(self.model)
+            self.encoder = RatelessEncoder(
+                codec, codec.item_rows(members) if rows else members
+            )
+
+        @rule()
+        def membership(self):
+            encoder = self.encoder
+            assert all((item in encoder) == (item in self.model) for item in universe)
+
         @precondition(lambda self: engine.np is not None)
         @rule()
         def flip_engine(self):
@@ -137,7 +153,10 @@ def machine_for(codec_name: str):
         def holds_the_model(self):
             encoder = self.encoder
             assert len(encoder) == len(self.model)
-            assert all((item in encoder) == (item in self.model) for item in universe)
+            # read through the rows, not membership, so an unbuilt index
+            # stays unbuilt into the next step
+            values = sorted(encoder.export_rows()[0])
+            assert values == sorted(int.from_bytes(i, "little") for i in self.model)
             produced = encoder.produced_count
             cold = RatelessEncoder(codec, sorted(self.model))
             assert encoder.cached_block(0, produced) == cold.produce_block(produced)

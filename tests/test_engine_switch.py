@@ -95,7 +95,9 @@ def stream_round_trip(codec, bank):
 
 
 CALLS = {
-    "siphash24_batch": lambda c, items, bank, snap: siphash24_batch(KEY, items),
+    "siphash24_batch": lambda c, items, bank, snap: list(
+        map(int, siphash24_batch(KEY, items))
+    ),
     "placements_from_hashes": lambda c, items, bank, snap: placements_from_hashes(
         [int.from_bytes(item[:8], "little") for item in items], 5
     ),

@@ -41,7 +41,9 @@ def test_checksums_from_hash64_matches_checksum_batch(hasher, checksum_size):
     )
     items = items_range(0, 300)
     hashes = hash_items(codec.hasher.hash64, items)
-    assert codec.checksums_from_hash64(hashes) == codec.checksum_batch(items)
+    assert list(map(int, codec.checksums_from_hash64(hashes))) == list(
+        map(int, codec.checksum_batch(items))
+    )
 
 
 @pytest.mark.parametrize("hasher", HASHERS)
@@ -91,7 +93,7 @@ def test_partition_with_hashes_keeps_alignment():
     hashes = hash_items(codec.hasher.hash64, items)
     parts, part_hashes = partition_with_hashes(items, hashes, 4)
     for shard in range(4):
-        assert part_hashes[shard] == [
+        assert list(map(int, part_hashes[shard])) == [
             codec.hasher.hash64(item) for item in parts[shard]
         ]
     with pytest.raises(ValueError):

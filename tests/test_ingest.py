@@ -13,6 +13,7 @@ from repro.hashing.prng import mix64, mix64_lanes
 from repro.service.shard import ShardedSet
 
 from helpers import engine_lane, make_items
+from test_batch_equivalence import CODECS as EQUIVALENCE_CODECS
 
 
 # -- codec batch faces ------------------------------------------------------
@@ -23,7 +24,7 @@ def test_checksum_batch_matches_singles(rng):
         for checksum_size in (8, 4):
             codec = SymbolCodec(8, hasher=hasher, checksum_size=checksum_size)
             items = make_items(rng, 50)
-            assert codec.checksum_batch(items) == [
+            assert list(map(int, codec.checksum_batch(items))) == [
                 codec.checksum_data(item) for item in items
             ]
 
@@ -251,3 +252,114 @@ def test_server_bulk_mutation_api(rng):
     assert items[59] in server
     with pytest.raises(KeyError):
         server.add_items([items[59]])
+
+
+# -- one cold-ingest pipeline ------------------------------------------------
+
+
+def _handle_for(codec, monkeypatch):
+    """A riblt handle, and riblt reconcilers, on ``codec`` (the registry's
+    params cannot name every codec the encoder takes, §8 mappings
+    included)."""
+    from repro.api.adapters import riblt
+    from repro.api.registry import get_scheme
+
+    monkeypatch.setattr(riblt, "codec_for", lambda params: codec)
+    handle = get_scheme("riblt", symbol_size=codec.symbol_size)
+    handle.__dict__["codec"] = codec  # the handle's cached codec
+    return handle
+
+
+def _per_item_reference(codec, items, num_shards):
+    """The reference the pipeline must equal: each item placed by
+    ``shard_of`` and added to its shard's encoder one at a time."""
+    from repro.service.shard import shard_of
+
+    encoders = [RatelessEncoder(codec) for _ in range(num_shards)]
+    for item in items:
+        encoders[shard_of(codec.hasher.hash64, item, num_shards)].add_item(item)
+    return encoders
+
+
+def _assert_same_encoders(got, expected):
+    for encoder, reference in zip(got, expected, strict=True):
+        cells = max(300, encoder.produced_count)
+        assert encoder.cached_block(0, cells) == reference.cached_block(0, cells)
+        assert encoder.export_rows() == reference.export_rows()
+
+
+@pytest.mark.parametrize("hasher", ["blake2b", "siphash"])
+@pytest.mark.parametrize("codec_name", sorted(EQUIVALENCE_CODECS))
+def test_cold_ingest_matches_per_item_reference(
+    lane, codec_name, hasher, rng, monkeypatch
+):
+    """Hash → place → per-shard columns, through ``open_backend`` and
+    through an initiator's stream-mode encoders (fed an item list, or a
+    row matrix with its hashes as the client feeds them), equals one
+    ``shard_of`` + ``add_item`` per item — on every codec the
+    equivalence suite covers, on both engines."""
+    from repro.protocol import InitiatorMachine, memory_responder, pump
+    from repro.service.backends import open_backend
+    from repro.service.shard import hash_items
+
+    base = EQUIVALENCE_CODECS[codec_name]()
+    codec = SymbolCodec(
+        base.symbol_size,
+        hasher=SipHasher() if hasher == "siphash" else Blake2bHasher(),
+        irregular=base.irregular,
+        checksum_size=base.checksum_size,
+    )
+    items = make_items(rng, 240, codec.symbol_size)
+    handle = _handle_for(codec, monkeypatch)
+    hash64 = codec.hasher.hash64
+    rows = codec.item_rows(items)
+    for batch in (items, rows):
+        assert list(map(int, hash_items(hash64, batch))) == [hash64(x) for x in items]
+    expected = _per_item_reference(codec, items, 4)
+
+    backend = open_backend(items, scheme=handle, num_shards=4)
+    _assert_same_encoders(backend.encoders, expected)
+    feeds = {"list": (items, None), "client": (rows, hash_items(hash64, rows))}
+    for batch, hashes in feeds.values():
+        initiator = InitiatorMachine(handle, batch, num_shards=4, item_hashes=hashes)
+        pump(initiator, memory_responder(handle, items, num_shards=4))
+        encoders = [st.reconciler._encoder for st in initiator._shards]
+        _assert_same_encoders(encoders, expected)
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_bulk_duplicates_are_exact_and_all_or_nothing(lane, size, rng):
+    """Only a repeated *item* is a duplicate: items that share a 1-byte
+    checksum (or, at 16 bytes, their whole first value lane) are not.
+    A repeated item refuses the batch whole — through the constructor
+    and through ``add_items`` on a non-empty store."""
+    codec = SymbolCodec(size, checksum_size=1)
+    prefix = rng.randbytes(8)
+    by_checksum: dict[int, bytes] = {}
+    items: list[bytes] = []
+    while len(items) < 2:  # two distinct items with one checksum
+        item = (prefix + rng.randbytes(8))[-size:] if size > 8 else rng.randbytes(8)
+        if item in by_checksum.values():
+            continue
+        twin = by_checksum.setdefault(codec.checksum_data(item), item)
+        if twin != item:
+            items = [twin, item]
+    items += [i for i in make_items(rng, 60, size) if i not in items][:58]
+    if size > 8:  # every row shares its first lane with another
+        items = [prefix + item[8:] for item in items]
+        items = list(dict.fromkeys(items))
+    assert len(set(items)) == len(items) and codec.checksum_data(items[0]) == (
+        codec.checksum_data(items[1])
+    )
+
+    encoder = RatelessEncoder(codec, items[:30])  # equal checksums: no error
+    with pytest.raises(KeyError):
+        RatelessEncoder(codec, items + [items[3]])
+    encoder.produce_block(40)
+    before = (len(encoder), encoder.export_rows(), encoder.bank.copy())
+    with pytest.raises(KeyError):
+        encoder.add_items(items[30:] + [items[35]])
+    assert (len(encoder), encoder.export_rows(), encoder.bank) == before
+    encoder.add_items(items[30:])
+    cold = RatelessEncoder(codec, items)
+    assert encoder.cached_block(0, 80) == cold.cached_block(0, 80)

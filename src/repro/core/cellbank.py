@@ -55,17 +55,17 @@ Two interchangeable engines exist:
   inverse CDF inlined as local-variable arithmetic (no function calls on
   the per-edge path); handles any symbol width and per-symbol α (§8).
 * :func:`scatter_walk_arrays` — vectorised across symbols, arrays in and
-  out (the set-ingestion pipeline's mapping + scatter stage: "map these
-  n source items below this frontier").  Splitmix64's state is an
-  additive counter, so a whole batch advances in lock-step rounds of
-  uint64 vector arithmetic; colliding slots are combined with a
-  radix-sorted ``np.bitwise_xor.reduceat`` segment reduction along the
-  row axis (XOR is commutative/associative, so reduction order cannot
-  change the lanes), and each round gathers the value rows it needs
-  straight from the caller's matrix — no compacted copy of the values
-  is carried.  Guarded by :func:`numpy_block_eligible`.
-  :func:`scatter_walk_numpy` is its list-in/list-out face for callers
-  (decoder replay) holding Python-int state.
+  out (the set-ingestion pipeline's mapping + scatter stage).  Splitmix64's
+  state is an additive counter, so a whole batch advances in lock-step
+  rounds of in-place uint64/float64 arithmetic on per-call work buffers,
+  positions held exactly as float64; colliding slots fold by a
+  radix-sorted ``reduceat`` segment reduction (XOR is commutative, so the
+  order cannot change the lanes) of value rows read straight from the
+  caller's matrix.  The last few walks finish per edge, on splitmix
+  draws made in bulk by vector calls.  Guarded by
+  :func:`numpy_block_eligible`; :func:`scatter_walk_numpy` is its
+  list-in/list-out face for callers (the decoder) holding Python-int
+  state.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
 double arithmetic is performed in the same order), which the
@@ -83,20 +83,20 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from repro import engine
 from repro.core.coded import CodedSymbol
-from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA, MAX_INDEX
-from repro.hashing.prng import GAMMA, INV_2_53, MASK64, MIX1, MIX2
+from repro.hashing.prng import GAMMA, INV_2_53, MASK64, MIX1, MIX2, mix64_lanes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.symbols import SymbolCodec
 
-# Below these sizes the NumPy call overhead outweighs the vector win.
+# Below this many rows the NumPy call overhead outweighs the vector win.
 NUMPY_MIN_JOBS = 8
-NUMPY_MIN_SPAN = 32
 
-# Live-row count below which a scatter walk finishes its stragglers
-# per-edge (see _walk_tail_scalar): a lock-step round costs ~20 small
-# NumPy calls however few symbols remain, a scalar edge ~1.5 µs.
+# Live-row count below which a scatter walk finishes its stragglers per
+# edge (_walk_tail_scalar): a lock-step round is ~30 NumPy calls however
+# few walks remain, a tail edge ~0.3 µs.  Re-measured on both rewritten
+# engines: 32-128 tie on 5k-37.5k-row walks, 64 wins only under ~200
+# rows, and the traced big_diff client's walks ran 5-35 % slower at 64.
 NUMPY_TAIL_JOBS = 32
 
 # Widest symbol (bytes) the uint64 lanes carry; wider codecs run the
@@ -598,7 +598,7 @@ def scatter_walk_arrays(
     state,  # np.ndarray[uint64] (n,), advanced in place
     vals,  # np.ndarray[uint64] (n, k)
     csums,  # np.ndarray[uint64] (n,)
-    dirs,  # np.ndarray[int64] (n,)
+    dirs,  # int, or np.ndarray[int64] (n,) — see fold_edges
     hi: int,
     base: int = 0,
     touched: Optional[list] = None,
@@ -614,172 +614,159 @@ def scatter_walk_arrays(
     already at or past ``hi`` are not read, so a caller may hand over a
     whole column store and park retired rows at a sentinel index.
 
-    Each lock-step round scatters one edge per still-active symbol (see
-    :func:`fold_edges`), then advances every active state with uint64
-    vector arithmetic.  Only the walk positions are carried compacted
-    from round to round; the k-lane value rows, checksums and
-    directions of the active symbols are gathered from the caller's
-    arrays by row number when a round folds them.  Bit-identical to the
-    scalar engine: the float64 expression tree is evaluated in the same
-    order, and IEEE-754 makes each elementwise op exactly reproducible.
+    Each lock-step round folds one edge per live walk (:func:`fold_edges`
+    reads value rows by row number, as a view while the live rows are
+    one run) and advances every live walk with in-place ops on work
+    buffers allocated once and sliced to the live count.  Positions are
+    float64, exact below 2^53 (``MAX_INDEX`` = 2^48); the live
+    positions, states and row numbers are compacted only in rounds where
+    a walk retires.  The float64 expression tree is the reference's, op
+    for op, so the result is bit-identical.  The ``MAX_INDEX`` unit-step
+    clamp can only fire on a step that would retire a walk, so it runs
+    on those rows, and a clamped walk landing below ``hi`` stays live.
 
-    ``alphas`` — per-symbol mapping parameter — lets §8 irregular
-    mappings ride the same kernel.  α = 0.5 rows keep the closed-form
-    vectorised inverse CDF; generic-α rows compute
-    ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
-    NumPy's SIMD array ``pow`` is **not** bit-identical to the scalar
-    libm ``pow`` the reference engine uses (measured: ~4 % of draws
-    differ in the last ulp).  Everything else in the round — the
-    splitmix64 advance, the scatters, ceil/clamp — stays vectorised.
-
-    ``touched``, when given, collects per-round absolute-index arrays.
-
-    Lock-step rounds cost ~20 small-array NumPy calls each, so once the
-    live set shrinks below :data:`NUMPY_TAIL_JOBS` the remaining
-    stragglers are finished per-edge by :func:`_walk_tail_scalar` (the
-    same arithmetic on the same arrays — per-symbol walks are
-    independent, so the hand-off point cannot change the result).
+    ``alphas`` (§8 irregular mappings): generic-α rows take the gap
+    ``(i+1)·((1−r)^{−α} − 1)`` over the α = 0.5 one, computed element-wise
+    in Python floats because NumPy's SIMD array ``pow`` is **not**
+    bit-identical to the scalar libm ``pow`` (measured: ~4 % of draws
+    differ in the last ulp).  ``touched``, when given, collects
+    per-round absolute-index arrays.  Once fewer than
+    :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
+    finishes them per edge (walks are independent, so the hand-off
+    point cannot change the result).
     """
     np = engine.np
     if sums.shape[1] == 1:
         # One lane: fold 1-D vectors (same ufunc calls, no row axis).
         sums = sums[:, 0]
         vals = vals[:, 0]
-    u30, u27, u31, u11 = (np.uint64(b) for b in (30, 27, 31, 11))
-    gamma = np.uint64(GAMMA)
-    mix1 = np.uint64(MIX1)
-    mix2 = np.uint64(MIX2)
-    default_alpha = DEFAULT_ALPHA
-    with np.errstate(over="ignore"):
-        rows = np.nonzero(idx < hi)[0]
-        ia = idx[rows]
-        st = state[rows]
-        al = alphas[rows] if alphas is not None else None
-        if al is not None and not (al != default_alpha).any():
-            al = None  # all-regular batch: keep the closed-form fast path
-        while rows.size:
-            if rows.size < NUMPY_TAIL_JOBS:
-                walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
-                    rows, ia, st, al, hi
-                )
-                if walked.size:
-                    slot = walked - base
-                    fold_edges(
-                        sums, checksums, counts, slot, walked_rows, vals, csums, dirs
-                    )
-                    if touched is not None:
-                        touched.append(walked)
-                break
-            fold_edges(sums, checksums, counts, ia - base, rows, vals, csums, dirs)
-            if touched is not None:
-                touched.append(ia)
-            st = st + gamma
-            z = (st ^ (st >> u30)) * mix1
-            z = (z ^ (z >> u27)) * mix2
-            z = z ^ (z >> u31)
-            r = (z >> u11).astype(np.float64) * INV_2_53
-            fi = ia.astype(np.float64)
-            if al is None:
-                half = fi + 1.5
-                t = r * (fi + 1.0)
-                t = t * (fi + 2.0)
-                t = t / (1.0 - r)
-                gap = np.sqrt(half * half + t) - half
-            else:
-                gap = np.empty_like(r)
-                half_rows = al == default_alpha
-                if half_rows.any():
-                    rh = r[half_rows]
-                    fih = fi[half_rows]
-                    half = fih + 1.5
-                    t = rh * (fih + 1.0)
-                    t = t * (fih + 2.0)
-                    t = t / (1.0 - rh)
-                    gap[half_rows] = np.sqrt(half * half + t) - half
-                pow_rows = np.nonzero(~half_rows)[0]
-                if pow_rows.size:
-                    # Element-wise on purpose — see the docstring: array
-                    # pow would drift from the scalar reference by an ulp.
-                    gap[pow_rows] = [
-                        (f + 1.0) * ((1.0 - rv) ** -a - 1.0)
-                        for rv, f, a in zip(
-                            r[pow_rows].tolist(),
-                            fi[pow_rows].tolist(),
-                            al[pow_rows].tolist(),
-                        )
-                    ]
-            step = np.ceil(gap)
-            # Cap before the int64 cast: a far-tail draw (r → 1) can push
-            # ceil(gap) past 2^63.  Any step this large already exceeds
-            # MAX_INDEX, so the clamp below fires either way — the cap
-            # only keeps the cast defined.
-            np.minimum(step, 1e18, out=step)
-            stepi = step.astype(np.int64)
-            np.maximum(stepi, 1, out=stepi)
-            nxt = ia + stepi
-            nxt = np.where(nxt > MAX_INDEX, ia + 1, nxt)
-            live = nxt < hi
-            if live.all():
-                ia = nxt
-                continue
-            done = ~live
-            retired = rows[done]
-            idx[retired] = nxt[done]
-            state[retired] = st[done]
-            rows = rows[live]
-            ia = nxt[live]
-            st = st[live]
-            if al is not None:
-                al = al[live]
+    rows = np.flatnonzero(idx < hi)
+    n = rows.size
+    pos = idx[rows].astype(np.float64)
+    st = state[rows]
+    al = alphas[rows] if alphas is not None else None
+    if al is not None and not (al != DEFAULT_ALPHA).any():
+        al = None  # all-regular batch: no element-wise pass
+    z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
+    a, b, h = np.empty(n), np.empty(n), np.empty(n)
+    lim = min(hi, MAX_INDEX + 1)
+    slot_type = _slot_type(hi - base)  # slots are < hi - base
+    while n >= NUMPY_TAIL_JOBS:
+        zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
+        first = int(rows[0])
+        take = slice(first, first + n) if int(rows[-1]) - first == n - 1 else rows
+        slot = (np.subtract(pos, base, out=hh) if base else pos).astype(slot_type)
+        fold_edges(sums, checksums, counts, slot, take, vals, csums, dirs)
+        if touched is not None:
+            touched.append(pos.astype(np.int64))
+        np.add(st, GAMMA, out=st)
+        mix64_lanes(st, zz, tt)
+        np.right_shift(zz, 11, out=zz)
+        np.copyto(aa, zz.view(np.int64), casting="unsafe")
+        np.multiply(aa, INV_2_53, out=aa)  # r
+        if al is not None:  # generic-α gaps, element-wise
+            powed = np.flatnonzero(al != DEFAULT_ALPHA)
+            cols = (v[powed].tolist() for v in (aa, pos, al))
+            gaps = [(f + 1.0) * ((1.0 - r) ** -x - 1.0) for r, f, x in zip(*cols)]
+        if al is None or powed.size < n:
+            # sqrt(half² + r·(i+1)·(i+2)/(1−r)) − half, half = i + 1.5
+            np.add(pos, 1.0, out=bb)
+            np.multiply(aa, bb, out=bb)
+            np.add(pos, 2.0, out=hh)
+            np.multiply(bb, hh, out=bb)
+            np.subtract(1.0, aa, out=aa)
+            np.divide(bb, aa, out=bb)
+            np.add(pos, 1.5, out=hh)
+            np.multiply(hh, hh, out=aa)
+            np.add(aa, bb, out=aa)
+            np.sqrt(aa, out=aa)
+            np.subtract(aa, hh, out=aa)
+        if al is not None:
+            aa[powed] = gaps
+        np.ceil(aa, out=aa)
+        np.maximum(aa, 1.0, out=aa)
+        np.add(pos, aa, out=aa)  # the next index of every live walk
+        np.less(aa, lim, out=lv)
+        if lv.all():
+            pos, a = aa, pos
+            continue
+        out = np.flatnonzero(~lv)
+        far = out[aa[out] > MAX_INDEX]
+        aa[far] = pos[far] + 1.0
+        lv[far] = aa[far] < hi
+        out = out[~lv[out]]
+        idx[rows[out]] = aa[out]
+        state[rows[out]] = st[out]
+        keep = np.flatnonzero(lv)
+        rows, pos, st = rows[keep], aa[keep], st[keep]
+        al = None if al is None else al[keep]
+        n = rows.size
+    if n:  # every straggler crosses at least one edge
+        walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
+            rows, pos, st, al, hi
+        )
+        fold_edges(sums, checksums, counts, walked - base, walked_rows, vals, csums, dirs)
+        if touched is not None:
+            touched.append(walked)
     return idx, state
+
+
+def _slot_type(span: int):
+    """int16 for slots below ``span`` if they fit: NumPy radix-sorts only ≤16-bit ints."""
+    return engine.np.int16 if span <= 0x8000 else engine.np.int64
 
 
 def fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
     """The fixed-position scatter: XOR/add one batch of edges into the
-    lanes.  Edge ``e`` folds source row ``rows[e]`` of ``vals``/``csums``/
-    ``dirs`` into lane slot ``slot[e]`` (``slot`` non-empty).  One round
-    of a scatter walk is one call; so is one hash row of a fixed IBLT
-    table (:func:`fold_items`).
+    lanes.  Edge ``e`` folds source row ``rows[e]`` of ``vals``/``csums``
+    into lane slot ``slot[e]`` (``slot`` non-empty) with count ``dirs``:
+    one int for every edge (encoder walks, churn patches, table fills) or
+    a per-row column (the decoder's mixed-direction jobs).  ``rows`` may
+    be a slice, read as a view with no gather.  One round of a scatter
+    walk is one call; so is one hash row of a fixed IBLT table
+    (:func:`fold_items`).
 
     Buffered fancy indexing drops colliding slots, so batches with
     duplicates segment-reduce instead: group equal slots (stable radix
     argsort) and fold each group with ``reduceat`` along the row axis —
     XOR and integer add are commutative, so the fold order inside a
-    group cannot change the result.  All three forms below are exact
-    (an unbuffered ufunc scatter would be too, but runs an order of
-    magnitude slower than any of them).  ``sums``/``vals`` are ``(·, k)``
-    matrices, or 1-D for the one-lane case; every call is shape-agnostic
-    (``axis=0``).
+    group cannot change the result, and one int direction folds a
+    group's count from its length.  All three forms below are exact (an
+    unbuffered ufunc scatter would be too, but runs an order of
+    magnitude slower).  ``sums``/``vals`` are ``(·, k)`` matrices, or
+    1-D for the one-lane case; every call is shape-agnostic (``axis=0``).
     """
     np = engine.np
-    smin = int(slot.min())
-    smax = int(slot.max())
+    one = isinstance(dirs, int)
+    smin, smax = int(slot.min()), int(slot.max())
     if smin == smax:
         # One shared cell (always round 0 of a fresh walk, where every
         # symbol maps to index 0): fold the whole batch.
         sums[smin] ^= np.bitwise_xor.reduce(vals[rows], axis=0)
         checksums[smin] ^= np.bitwise_xor.reduce(csums[rows])
-        counts[smin] += dirs[rows].sum()
+        counts[smin] += dirs * slot.size if one else dirs[rows].sum()
         return
-    # NumPy's radix sort only engages for ≤16-bit ints; bank spans almost
-    # always fit, and radix is ~10x faster than comparison-sorting int64.
-    key = slot.astype(np.int16) if smax < 0x8000 else slot
+    key = slot.astype(_slot_type(smax + 1), copy=False)
     perm = np.argsort(key, kind="stable")
     ss = key[perm]
-    first = np.empty(ss.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=first[1:])
+    first = np.empty(ss.size + 1, dtype=bool)  # segment starts, then the end
+    first[0] = first[-1] = True
+    np.not_equal(ss[1:], ss[:-1], out=first[1:-1])
     if first.all():
         sums[slot] ^= vals[rows]
         checksums[slot] ^= csums[rows]
-        counts[slot] += dirs[rows]
+        counts[slot] += dirs if one else dirs[rows]
         return
-    seg = np.flatnonzero(first)
+    bounds = np.flatnonzero(first)
+    seg = bounds[:-1]
     uniq = ss[seg]
-    rows = rows[perm]
-    sums[uniq] ^= np.bitwise_xor.reduceat(vals[rows], seg, axis=0)
+    rows = perm + rows.start if isinstance(rows, slice) else rows[perm]
+    sums[uniq] ^= np.bitwise_xor.reduceat(vals.take(rows, axis=0), seg, axis=0)
     checksums[uniq] ^= np.bitwise_xor.reduceat(csums[rows], seg)
-    counts[uniq] += np.add.reduceat(dirs[rows], seg)
+    if one:
+        counts[uniq] += dirs * (bounds[1:] - seg)
+    else:
+        counts[uniq] += np.add.reduceat(dirs[rows], seg)
 
 
 def fold_items(
@@ -807,48 +794,68 @@ def fold_items(
     sums = np.zeros((size, vals.shape[1]), dtype=np.uint64)
     checksums = np.zeros(size, dtype=np.uint64)
     counts = np.zeros(size, dtype=np.int64)
-    dirs = np.ones(len(items), dtype=np.int64)
     # One lane folds as 1-D vectors, as in scatter_walk_arrays.
     fold_sums, fold_vals = (sums[:, 0], vals[:, 0]) if vals.shape[1] == 1 else (sums, vals)
     for rows, slots in edge_batches(csums):
         if rows.size:
-            fold_edges(fold_sums, checksums, counts, slots, rows, fold_vals, csums, dirs)
+            fold_edges(fold_sums, checksums, counts, slots, rows, fold_vals, csums, 1)
     return CodedSymbolBank(ints_from_lanes(sums), checksums.tolist(), counts.tolist())
 
 
-def _walk_tail_scalar(rows, ia, st, al, hi: int):
-    """Per-edge finisher for :func:`scatter_walk_arrays` stragglers.
+def _unit_draws(seeds, done: int, count: int) -> list[list[float]]:
+    """Splitmix64 draws ``done + 1 … done + count`` of each uint64 seed as
+    one list of unit floats ``r`` per seed: draw ``s`` of a stream seeded
+    ``x`` is the finaliser of ``x + s·GAMMA``, so this is one vector call."""
+    np = engine.np
+    steps = np.arange(done + 1, done + count + 1, dtype=np.uint64)
+    mixed = mix64_lanes(seeds[:, None] + steps * np.uint64(GAMMA))
+    return ((mixed >> np.uint64(11)) * INV_2_53).tolist()
 
-    Walks symbol ``rows[j]`` from ``(ia[j], st[j])`` to its first index
-    ≥ ``hi`` on the reference :class:`~repro.core.mapping.IndexGenerator`
-    — cheaper than lock-step rounds once only a handful of symbols are
-    still live.  Returns the edges crossed, as parallel ``(index, row)``
-    arrays for one :func:`fold_edges` call, and the parked ``(idx,
-    state)`` per symbol.  No symbol value is touched per edge, so the
-    cost does not depend on the lane count.
+
+def _walk_tail_scalar(rows, pos, st, al, hi: int):
+    """Per-edge finisher for :func:`scatter_walk_arrays` stragglers: walk
+    symbol ``rows[j]`` from ``(pos[j], st[j])`` to its first index ≥ ``hi``.
+
+    One :func:`_unit_draws` call draws every walk twice the slowest one's
+    expected remaining α = 0.5 degree (§4.1.2: about 2·ln((hi+2)/(i+2))
+    edges from index ``i``); a walk (small §8 α) that outruns its draws
+    doubles them.  Per edge, Python runs only the float inverse-CDF step
+    of :meth:`~repro.core.mapping.IndexGenerator.next_index`; a walk of
+    ``s`` steps parks at ``state = st[j] + s·GAMMA``.  Returns
+    the edges crossed as ``(index, row)`` arrays for one
+    :func:`fold_edges` call, and the parked ``(idx, state)`` per symbol.
     """
     np = engine.np
-    edge_idx: list[int] = []
-    edge_rows: list[int] = []
-    ends: list[int] = []
-    states: list[int] = []
-    alphas = al.tolist() if al is not None else None
-    restore = IndexGenerator.restore
-    for j, (row, current, seed) in enumerate(
-        zip(rows.tolist(), ia.tolist(), st.tolist())
-    ):
-        gen = restore(seed, current, alphas[j] if alphas else DEFAULT_ALPHA)
-        walked = gen.indices_below(hi)
-        edge_idx += walked
-        edge_rows += [row] * len(walked)
-        ends.append(gen.current)
-        states.append(gen.state)
-    return (
-        np.array(edge_idx, dtype=np.int64),
-        np.array(edge_rows, dtype=np.int64),
-        ends,
-        np.array(states, dtype=np.uint64),
-    )
+    sqrt, ceil = math.sqrt, math.ceil
+    chunk = 2 + 2 * ceil(2.0 * math.log((hi + 2.0) / (float(pos.min()) + 2.0)))
+    draws = _unit_draws(st, 0, chunk)
+    alphas = al.tolist() if al is not None else [DEFAULT_ALPHA] * rows.size
+    ends = pos.astype(np.int64).tolist()
+    edge_idx, edge_rows, steps = [], [], []  # steps: draws taken per walk
+    for j, (row, i, alpha, rs) in enumerate(zip(rows.tolist(), ends, alphas, draws)):
+        k = 0
+        while i < hi:
+            edge_idx.append(i)
+            if k == len(rs):  # double this walk's draws
+                rs += _unit_draws(st[j : j + 1], k, k)[0]
+            r = rs[k]
+            k += 1
+            if alpha == DEFAULT_ALPHA:
+                half = i + 1.5
+                gap = sqrt(half * half + r * (i + 1.0) * (i + 2.0) / (1.0 - r)) - half
+            else:
+                gap = (i + 1.0) * ((1.0 - r) ** -alpha - 1.0)
+            step = ceil(gap)
+            if step < 1:
+                step = 1
+            nxt = i + step
+            i = i + 1 if nxt > MAX_INDEX else nxt
+        edge_rows += [row] * k
+        ends[j] = i
+        steps.append(k)
+    edges = np.array([edge_idx, edge_rows], dtype=np.int64)
+    parked = st + np.array(steps, dtype=np.uint64) * np.uint64(GAMMA)
+    return edges[0], edges[1], ends, parked
 
 
 def scatter_walk_numpy(

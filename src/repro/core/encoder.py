@@ -130,9 +130,8 @@ def _walk_into(bank, lo, hi, walks, direction, alphas, size) -> None:
         checksums[: old - lo] = bank.checksums[lo:]
         counts[: old - lo] = bank.counts[lo:]
     alphas = None if alphas is None else np.asarray(alphas, dtype=np.float64)
-    dirs = np.full(len(walks[0]), direction, dtype=np.int64)
     scatter_walk_arrays(
-        sums, checksums, counts, *walks, dirs, hi, base=lo, alphas=alphas
+        sums, checksums, counts, *walks, direction, hi, base=lo, alphas=alphas
     )
     bank.sums[lo:] = ints_from_lanes(sums)
     bank.checksums[lo:] = checksums.tolist()

@@ -58,16 +58,6 @@ class IndexGenerator:
         self.current = 0
         self.alpha = alpha
 
-    @classmethod
-    def restore(cls, state: int, current: int, alpha: float) -> "IndexGenerator":
-        """Re-park a generator at a ``(state, current)`` pair checked out
-        by a batch sampler (see :mod:`repro.core.cellbank`)."""
-        gen = cls.__new__(cls)
-        gen.state = state
-        gen.current = current
-        gen.alpha = alpha
-        return gen
-
     def next_index(self) -> int:
         """Advance to — and return — the next mapped coded index."""
         i = self.current

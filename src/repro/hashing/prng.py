@@ -43,20 +43,24 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_lanes(z):
+def mix64_lanes(z, out=None, tmp=None):
     """:func:`mix64` over a NumPy uint64 array (element-for-element equal).
 
-    The caller supplies the array (so the vector engine is on); the
-    array form is what shard placement and the batched IBLT table fills
-    hash their position lanes with.  Wrap-on-overflow multiplication is
-    exactly the ``& MASK`` of the scalar path.
+    The caller supplies the array (so the vector engine is on): shard
+    placement, the IBLT table fills and the scatter-walk draws hash with
+    it, the walk kernel into its own ``out``/``tmp`` work buffers.
+    Wrap-on-overflow multiplication is the scalar path's ``& MASK``.
     """
     np = engine.np
-    u30, u27, u31 = np.uint64(30), np.uint64(27), np.uint64(31)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> u30)) * np.uint64(MIX1)
-        z = (z ^ (z >> u27)) * np.uint64(MIX2)
-        return z ^ (z >> u31)
+    out = np.empty_like(z) if out is None else out
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mix in ((30, MIX1), (27, MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=out)
+        np.multiply(out, mix, out=out)
+        z = out
+    np.right_shift(out, 31, out=tmp)
+    return np.bitwise_xor(out, tmp, out=out)
 
 
 class Splitmix64:

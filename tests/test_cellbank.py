@@ -271,6 +271,133 @@ def test_scatter_walk_numpy_base_offset(rng):
     assert got == expected_cells[base:]
 
 
+def walk_reference(walks, hi, base):
+    """Cells ``[base, hi)``, parked ``(idx, state)`` pairs and touched
+    indices of per-row ``IndexGenerator`` walks: ``walks`` holds one
+    ``(value, checksum, idx, state, alpha, direction)`` per row."""
+    cells = [CodedSymbol() for _ in range(hi - base)]
+    ends, touched = [], []
+    for value, checksum, idx, state, alpha, direction in walks:
+        gen = IndexGenerator(0, alpha)
+        gen.current, gen.state = idx, state
+        for index in gen.indices_below(hi):
+            cells[index - base].apply(value, checksum, direction)
+            touched.append(index)
+        ends.append((gen.current, gen.state))
+    return cells, ends, sorted(touched)
+
+
+def run_kernel(walks, hi, base, width, dirs):
+    """The same walks through ``scatter_walk_arrays``; ``dirs`` is the
+    one direction as an int, or ``None`` for the per-row column."""
+    np = pytest.importorskip("numpy")
+    values, checksums, idx, state, alphas, directions = map(list, zip(*walks))
+    k = cellbank.lane_count(width)
+    sums = np.zeros((hi - base, k), dtype=np.uint64)
+    cks = np.zeros(hi - base, dtype=np.uint64)
+    counts = np.zeros(hi - base, dtype=np.int64)
+    touched: list = []
+    end_idx, end_state = cellbank.scatter_walk_arrays(
+        sums,
+        cks,
+        counts,
+        np.array(idx, dtype=np.int64),
+        np.array(state, dtype=np.uint64),
+        cellbank.lanes_from_ints(values, width),
+        np.array(checksums, dtype=np.uint64),
+        np.array(directions, dtype=np.int64) if dirs is None else dirs,
+        hi,
+        base=base,
+        touched=touched,
+        alphas=np.array(alphas) if set(alphas) != {DEFAULT_ALPHA} else None,
+    )
+    cells = [
+        CodedSymbol(s, k_, c)
+        for s, k_, c in zip(cellbank.ints_from_lanes(sums), cks.tolist(), counts.tolist())
+    ]
+    flat = np.concatenate(touched).tolist() if touched else []
+    return cells, list(zip(end_idx.tolist(), end_state.tolist())), sorted(flat)
+
+
+@pytest.mark.parametrize("width", [8, 92])  # 1 and 12 uint64 lanes
+@pytest.mark.parametrize("irregular", [False, True])
+@pytest.mark.parametrize("rows", [cellbank.NUMPY_TAIL_JOBS - 1, 200])
+@pytest.mark.parametrize("parked", [False, True])
+@pytest.mark.parametrize("direction", [1, -1, None])
+def test_walk_kernel_matches_index_generator(
+    rng, monkeypatch, width, irregular, rows, parked, direction
+):
+    """The lock-step kernel and its per-edge tail, differentially against
+    per-row ``IndexGenerator`` walks: cold walks from index 0 or walks
+    resumed from parked ``(idx, state)`` pairs over a nonzero ``base``;
+    one direction either way or a mixed column; α = 0.5 or an irregular
+    α vector; 1 or 12 lanes; a batch on either side of
+    ``NUMPY_TAIL_JOBS``.  The small irregular α rows outrun the tail's
+    first draw chunk, so a second one is drawn."""
+    pytest.importorskip("numpy")
+    base, hi = (700, 3000) if parked else (0, 3000)
+    choices = [DEFAULT_ALPHA, 0.11, 0.68, 0.82] if irregular else [DEFAULT_ALPHA]
+    walks = []
+    for _ in range(rows):
+        checksum = rng.getrandbits(64)
+        alpha = rng.choice(choices)
+        gen = IndexGenerator(checksum, alpha)
+        gen.indices_below(base if parked else 0)
+        sign = direction if direction is not None else rng.choice((1, -1))
+        walks.append(
+            (rng.getrandbits(8 * width), checksum, gen.current, gen.state, alpha, sign)
+        )
+    draws = []
+    unit_draws = cellbank._unit_draws
+
+    def spy(seeds, done, count):
+        draws.append(done)
+        return unit_draws(seeds, done, count)
+
+    monkeypatch.setattr(cellbank, "_unit_draws", spy)
+    got = run_kernel(walks, hi, base, width, direction)
+    assert got == walk_reference(walks, hi, base)
+    assert draws, "the tail finished no straggler"
+    if irregular and rows < cellbank.NUMPY_TAIL_JOBS:
+        assert max(draws) > 0, "no walk needed a second draw chunk"
+
+
+def state_before_draw(r_bits: int) -> int:
+    """A splitmix64 state whose next draw has top 53 bits ``r_bits``:
+    the finaliser inverted (xorshifts undone, multipliers inverted mod
+    2^64), then one ``GAMMA`` step taken back."""
+    from repro.hashing.prng import GAMMA, MASK64, MIX1, MIX2
+
+    z = (r_bits << 11) | 0x5A5
+    z ^= z >> 31
+    z = z * pow(MIX2, -1, 1 << 64) & MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(MIX1, -1, 1 << 64) & MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - GAMMA) & MASK64
+
+
+@pytest.mark.parametrize("rows", [8, 40])  # tail only; lock-step rounds first
+def test_walk_kernel_far_tail_clamp(rng, rows):
+    """A draw of r = 1 − 2^-53 at index ~2^40 steps past ``MAX_INDEX``;
+    the walk must fall back to a unit step and stay live below ``hi``,
+    exactly as ``IndexGenerator.next_index`` does."""
+    pytest.importorskip("numpy")
+    base = 1 << 40
+    hi = base + 64
+    state = state_before_draw((1 << 53) - 1)
+    probe = IndexGenerator(0)
+    probe.current, probe.state = base, state
+    assert probe.next_index() == base + 1  # the clamp fired
+    walks = [
+        (rng.getrandbits(64), rng.getrandbits(64), base + j, state, DEFAULT_ALPHA, 1)
+        for j in range(rows)
+    ]
+    got = run_kernel(walks, hi, base, 8, 1)
+    assert got == walk_reference(walks, hi, base)
+    assert sum(c.count for c in got[0]) >= 2 * rows  # every row took the unit step
+
+
 def test_numpy_lane_eligibility(rng):
     """The form an encoder's source store takes for a block walk: NumPy
     columns exactly when the codec's symbols ride the lanes — §8

@@ -61,10 +61,13 @@ def test_mix64_lanes_matches_scalar(rng):
 
 
 def test_index_generator_restore_round_trip():
+    """A walk re-parked at a checked-out ``(state, current)`` pair — as
+    the encoder's per-cell stepper is — resumes the same sequence."""
     gen = IndexGenerator(seed=0xDEADBEEF)
     for _ in range(5):
         gen.next_index()
-    parked = IndexGenerator.restore(gen.state, gen.current, gen.alpha)
+    parked = IndexGenerator(0, gen.alpha)
+    parked.current, parked.state = gen.current, gen.state
     assert parked.next_index() == gen.next_index()
 
 

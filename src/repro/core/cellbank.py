@@ -1,36 +1,28 @@
 """Array-backed coded-symbol banks and the batch scatter-walk samplers.
 
-The per-cell :class:`~repro.core.coded.CodedSymbol` object is the right
-unit for the protocol definition, but the wrong unit for throughput: one
-Python object, one method call, and one heap operation per cell/edge
+One Python object, method call and heap operation per cell or edge would
 drown the paper's computational claims (§7, Figs 8–10) in interpreter
-constant factors.  A :class:`CodedSymbolBank` stores a coded-symbol
+constant factors, so a :class:`CodedSymbolBank` stores a coded-symbol
 prefix as three parallel lanes — ``sums``, ``checksums``, ``counts`` —
 and the hot loops operate on the lanes directly.
 
 Lane representation
 -------------------
-A bank's public lanes are plain Python lists of ints.  We measured
-``array('Q')`` at ~1.4× *slower* than a list for the read-modify-write
-inner loop (every ``array`` access boxes/unboxes a fresh int object,
-while a list hands back the stored object), and a list of ints carries a
-symbol of any width, which is what the scalar reference engine, the
-durable store and the parity tests read.
-
-The vector engines see the same data as NumPy arrays in **one** shape
-for every symbol width: sums and source values are a little-endian
-``(rows, k)`` uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded;
-checksums are a ``(rows,)`` uint64 vector and counts ``(rows,)`` int64.
-This module is the only place Python ints meet those arrays, through
-the converters :func:`lanes_from_ints` / :func:`ints_from_lanes` and
-:func:`lanes_from_bytes` for item or wire bytes (one zero-padded
-``frombuffer`` view).  An 8-byte symbol is simply ``k = 1``; the
-kernels view that case as 1-D, which is the whole of its special
-treatment.
-
-Symbols wider than :data:`LANE_MAX_SYMBOL_BYTES` stay on the scalar
-engine: Python's big-int XOR is already memcpy-speed there while the
-lane gathers are not (paper Fig 11's knee; see the constant).
+A bank's public lanes are plain Python lists of ints: ``array('Q')``
+measured ~1.4× *slower* in the read-modify-write inner loop (every access
+boxes a fresh int), and a list carries a symbol of any width, which is
+what the scalar reference engine, the durable store and the parity tests
+read.  The vector engines see the same data in **one** NumPy shape for
+every width: sums and source values are a little-endian ``(rows, k)``
+uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded; checksums are a
+``(rows,)`` uint64 vector and counts ``(rows,)`` int64.  This module is
+the only place Python ints meet those arrays, through
+:func:`lanes_from_ints` / :func:`ints_from_lanes` and
+:func:`lanes_from_bytes` (one zero-padded ``frombuffer`` view of item or
+wire bytes).  An 8-byte symbol is ``k = 1``, which the kernels view as
+1-D.  Symbols wider than :data:`LANE_MAX_SYMBOL_BYTES` stay on the scalar
+engine: big-int XOR is memcpy-speed there while lane gathers are not
+(paper Fig 11's knee; see the constant).
 
 The record codec
 ----------------
@@ -39,40 +31,30 @@ stream's single-byte-count cells, a snapshot's source rows, the
 count-free cells, a batch of items — is "n records of little-endian
 columns", and :func:`pack_records` / :func:`unpack_records` are the one
 implementation: a vector body (column views into an ``(n, stride)``
-uint8 matrix; a field's bytes are ``lanes.view(uint8)[:, :width]``, at
-any width the lanes carry) and a scalar body (the reference, and the
-path that raises ``int.to_bytes``' canonical ``OverflowError``).
-Callers never choose between them.
+uint8 matrix) and a scalar body (the reference, and the path that raises
+``int.to_bytes``' canonical ``OverflowError``).  Callers never choose.
 
 Batch sampling (the §4.2 mapping, many symbols at once)
 -------------------------------------------------------
 A scatter walk XORs a batch of source symbols into every lane index
-they map to inside ``[·, hi)``, advancing each symbol's splitmix64 state
-exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would.
-Two interchangeable engines exist:
+they map to below ``hi``, advancing each symbol's splitmix64 state
+exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would:
 
-* :func:`scatter_walk_scalar` — the splitmix64 step and the α = 0.5
-  inverse CDF inlined as local-variable arithmetic (no function calls on
-  the per-edge path); handles any symbol width and per-symbol α (§8).
-* :func:`scatter_walk_arrays` — vectorised across symbols, arrays in and
-  out (the set-ingestion pipeline's mapping + scatter stage).  Splitmix64's
-  state is an additive counter, so a whole batch advances in lock-step
-  rounds of in-place uint64/float64 arithmetic on per-call work buffers,
-  positions held exactly as float64; colliding slots fold by a
-  radix-sorted ``reduceat`` segment reduction (XOR is commutative, so the
-  order cannot change the lanes) of value rows read straight from the
-  caller's matrix.  The last few walks finish per edge, on splitmix
-  draws made in bulk by vector calls.  Guarded by
-  :func:`numpy_block_eligible`; :func:`scatter_walk_numpy` is its
-  list-in/list-out face for callers (the decoder) holding Python-int
-  state.
+* :func:`scatter_walk_scalar` — splitmix64 and the α = 0.5 inverse CDF
+  inlined as local-variable arithmetic; any symbol width, per-symbol α.
+* :func:`scatter_walk_arrays` — vectorised across symbols: splitmix64's
+  state is an additive counter, so a batch advances in lock-step rounds
+  of in-place uint64/float64 arithmetic, colliding slots folding by a
+  radix-sorted ``reduceat`` (XOR commutes); the last few walks finish
+  per edge on splitmix draws made in bulk.  Per-row ``hi``/``base``
+  columns let one call walk several banks laid end to end (a churn
+  batch over every shard).  Guarded by :func:`numpy_block_eligible`;
+  :func:`scatter_walk_numpy` is its list-in/list-out face.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
-double arithmetic is performed in the same order), which the
-golden-equivalence suite asserts.  Which one runs is decided by
-:mod:`repro.engine` alone: every vector path here — and in hashing,
-placement, the wire and the durable store — reads its ``NUMPY_LANE``
-at call time, so one assignment flips the whole pipeline.
+double arithmetic in the same order), which the golden-equivalence suite
+asserts.  Which one runs is decided by :mod:`repro.engine` alone: every
+vector path reads its ``NUMPY_LANE`` at call time.
 """
 
 from __future__ import annotations
@@ -481,16 +463,10 @@ def unpack_records(
 
 
 def numpy_block_eligible(codec: "SymbolCodec") -> bool:
-    """True when ``codec``'s blocks can ride the batch pipeline at all.
-
-    Requires NumPy and a symbol no wider than
-    :data:`LANE_MAX_SYMBOL_BYTES` (checksums are at most 8 bytes by
-    construction).  §8 irregular mappings qualify: they run with a
-    per-symbol α vector (:func:`scatter_walk_arrays` keeps the generic-α
-    inverse-CDF power step element-wise, because NumPy's SIMD ``pow`` is
-    not bit-identical to scalar libm ``pow`` — everything around it is
-    vectorised).
-    """
+    """True when ``codec``'s blocks can ride the batch pipeline at all:
+    NumPy, and a symbol no wider than :data:`LANE_MAX_SYMBOL_BYTES`
+    (checksums are at most 8 bytes by construction).  §8 irregular
+    mappings qualify, with a per-symbol α vector."""
     return engine.NUMPY_LANE and codec.symbol_size <= LANE_MAX_SYMBOL_BYTES
 
 
@@ -517,16 +493,12 @@ def scatter_walk_scalar(
     XOR-ing it into every lane index it maps to along the way.
 
     ``indices``/``states`` are the symbols' (``current``, splitmix64
-    ``state``) walk positions — an encoder's parked columns, or pairs
-    checked out of :class:`~repro.core.mapping.IndexGenerator` objects;
-    both lists are updated in place.  ``direction`` is +1 to fold the
-    symbols in, −1 to peel them out; ``alphas`` their per-symbol α
-    (``None``: all α = 0.5).  ``touched``, when given, collects every
-    lane index written (with multiplicity).
-
-    The splitmix64 step and the α = 0.5 inverse CDF are inlined as
-    local-variable arithmetic — this loop IS the encoder/decoder per-edge
-    hot path, bit-identical to ``IndexGenerator.next_index``.
+    ``state``) walk positions, updated in place.  ``direction`` is +1 to
+    fold the symbols in, −1 to peel them out; ``alphas`` their per-symbol
+    α (``None``: all α = 0.5).  ``touched``, when given, collects every
+    lane index written (with multiplicity).  Splitmix64 and the α = 0.5
+    inverse CDF are inlined — this loop IS the scalar per-edge hot path,
+    bit-identical to ``IndexGenerator.next_index``.
     """
     sqrt = math.sqrt
     default_alpha = DEFAULT_ALPHA
@@ -599,8 +571,8 @@ def scatter_walk_arrays(
     vals,  # np.ndarray[uint64] (n, k)
     csums,  # np.ndarray[uint64] (n,)
     dirs,  # int, or np.ndarray[int64] (n,) — see fold_edges
-    hi: int,
-    base: int = 0,
+    hi,  # int, or np.ndarray[int64] (n,) — each row's own end
+    base=0,  # int, or np.ndarray[int64] (n,) — each row's lane origin
     touched: Optional[list] = None,
     alphas=None,  # np.ndarray[float64] | None — per-symbol α (§8)
 ):
@@ -613,23 +585,27 @@ def scatter_walk_arrays(
     return the ``(idx, state)`` arrays, advanced in place.  Symbols
     already at or past ``hi`` are not read, so a caller may hand over a
     whole column store and park retired rows at a sentinel index.
+    ``hi`` and ``base`` may instead be per-row columns: row ``j`` walks
+    to ``hi[j]`` and folds index ``i`` into lane row ``i − base[j]``, so
+    several banks laid end to end are walked by one call, each row in its
+    own bank's coordinates.  An int is the broadcast of its column
+    (:func:`_rows_of` compacts either with the live rows).
 
     Each lock-step round folds one edge per live walk (:func:`fold_edges`
     reads value rows by row number, as a view while the live rows are
     one run) and advances every live walk with in-place ops on work
     buffers allocated once and sliced to the live count.  Positions are
-    float64, exact below 2^53 (``MAX_INDEX`` = 2^48); the live
-    positions, states and row numbers are compacted only in rounds where
-    a walk retires.  The float64 expression tree is the reference's, op
-    for op, so the result is bit-identical.  The ``MAX_INDEX`` unit-step
-    clamp can only fire on a step that would retire a walk, so it runs
-    on those rows, and a clamped walk landing below ``hi`` stays live.
+    float64, exact below 2^53 (``MAX_INDEX`` = 2^48), and the live
+    columns are compacted only in rounds where a walk retires.  The
+    float64 expression tree is the reference's, op for op.  The
+    ``MAX_INDEX`` unit-step clamp can only fire on a step that would
+    retire a walk, so it runs on those rows, and a clamped walk landing
+    below its ``hi`` stays live.
 
     ``alphas`` (§8 irregular mappings): generic-α rows take the gap
-    ``(i+1)·((1−r)^{−α} − 1)`` over the α = 0.5 one, computed element-wise
-    in Python floats because NumPy's SIMD array ``pow`` is **not**
-    bit-identical to the scalar libm ``pow`` (measured: ~4 % of draws
-    differ in the last ulp).  ``touched``, when given, collects
+    ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
+    NumPy's SIMD ``pow`` is **not** bit-identical to libm's (~4 % of
+    draws differ in the last ulp).  ``touched``, when given, collects
     per-round absolute-index arrays.  Once fewer than
     :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
     finishes them per edge (walks are independent, so the hand-off
@@ -647,15 +623,18 @@ def scatter_walk_arrays(
     al = alphas[rows] if alphas is not None else None
     if al is not None and not (al != DEFAULT_ALPHA).any():
         al = None  # all-regular batch: no element-wise pass
+    # the live rows' ends, unit-step limits and lane origins
+    hl, bs = _rows_of(hi, rows), _rows_of(base, rows)
+    lim = np.minimum(hl, MAX_INDEX + 1)
+    shift = getattr(base, "ndim", 0) or base != 0  # a column, or a nonzero int
     z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
     a, b, h = np.empty(n), np.empty(n), np.empty(n)
-    lim = min(hi, MAX_INDEX + 1)
-    slot_type = _slot_type(hi - base)  # slots are < hi - base
+    slot_type = _slot_type(len(checksums))  # slots index the lanes
     while n >= NUMPY_TAIL_JOBS:
         zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
         first = int(rows[0])
         take = slice(first, first + n) if int(rows[-1]) - first == n - 1 else rows
-        slot = (np.subtract(pos, base, out=hh) if base else pos).astype(slot_type)
+        slot = (np.subtract(pos, bs, out=hh) if shift else pos).astype(slot_type)
         fold_edges(sums, checksums, counts, slot, take, vals, csums, dirs)
         if touched is not None:
             touched.append(pos.astype(np.int64))
@@ -693,22 +672,29 @@ def scatter_walk_arrays(
         out = np.flatnonzero(~lv)
         far = out[aa[out] > MAX_INDEX]
         aa[far] = pos[far] + 1.0
-        lv[far] = aa[far] < hi
+        lv[far] = aa[far] < _rows_of(hl, far)
         out = out[~lv[out]]
         idx[rows[out]] = aa[out]
         state[rows[out]] = st[out]
         keep = np.flatnonzero(lv)
         rows, pos, st = rows[keep], aa[keep], st[keep]
         al = None if al is None else al[keep]
+        hl, bs, lim = _rows_of(hl, keep), _rows_of(bs, keep), _rows_of(lim, keep)
         n = rows.size
     if n:  # every straggler crosses at least one edge
         walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
-            rows, pos, st, al, hi
+            rows, pos, st, al, hl
         )
-        fold_edges(sums, checksums, counts, walked - base, walked_rows, vals, csums, dirs)
+        slot = walked - _rows_of(base, walked_rows)
+        fold_edges(sums, checksums, counts, slot, walked_rows, vals, csums, dirs)
         if touched is not None:
             touched.append(walked)
     return idx, state
+
+
+def _rows_of(column, rows):
+    """``column[rows]``; an int or 0-d value (every row's) as it is."""
+    return column[rows] if getattr(column, "ndim", 0) else column
 
 
 def _slot_type(span: int):
@@ -812,29 +798,31 @@ def _unit_draws(seeds, done: int, count: int) -> list[list[float]]:
     return ((mixed >> np.uint64(11)) * INV_2_53).tolist()
 
 
-def _walk_tail_scalar(rows, pos, st, al, hi: int):
+def _walk_tail_scalar(rows, pos, st, al, hi):
     """Per-edge finisher for :func:`scatter_walk_arrays` stragglers: walk
-    symbol ``rows[j]`` from ``(pos[j], st[j])`` to its first index ≥ ``hi``.
+    symbol ``rows[j]`` from ``(pos[j], st[j])`` to its first index ≥
+    ``hi`` — an int for every walk, or a column aligned with ``rows``.
 
     One :func:`_unit_draws` call draws every walk twice the slowest one's
     expected remaining α = 0.5 degree (§4.1.2: about 2·ln((hi+2)/(i+2))
-    edges from index ``i``); a walk (small §8 α) that outruns its draws
-    doubles them.  Per edge, Python runs only the float inverse-CDF step
-    of :meth:`~repro.core.mapping.IndexGenerator.next_index`; a walk of
-    ``s`` steps parks at ``state = st[j] + s·GAMMA``.  Returns
-    the edges crossed as ``(index, row)`` arrays for one
-    :func:`fold_edges` call, and the parked ``(idx, state)`` per symbol.
+    edges from index ``i``); a walk that outruns its draws (small §8 α)
+    doubles them.  Per edge, Python runs only the float inverse-CDF step;
+    a walk of ``s`` steps parks at ``state = st[j] + s·GAMMA``.  Returns
+    the edges crossed as ``(index, row)`` arrays for one :func:`fold_edges`
+    call, and the parked ``(idx, state)`` per symbol.
     """
     np = engine.np
     sqrt, ceil = math.sqrt, math.ceil
-    chunk = 2 + 2 * ceil(2.0 * math.log((hi + 2.0) / (float(pos.min()) + 2.0)))
+    his = hi.tolist() if getattr(hi, "ndim", 0) else [hi] * rows.size
+    chunk = 2 + 2 * ceil(2.0 * math.log((max(his) + 2.0) / (float(pos.min()) + 2.0)))
     draws = _unit_draws(st, 0, chunk)
     alphas = al.tolist() if al is not None else [DEFAULT_ALPHA] * rows.size
     ends = pos.astype(np.int64).tolist()
     edge_idx, edge_rows, steps = [], [], []  # steps: draws taken per walk
-    for j, (row, i, alpha, rs) in enumerate(zip(rows.tolist(), ends, alphas, draws)):
+    walks = zip(rows.tolist(), ends, alphas, draws, his)
+    for j, (row, i, alpha, rs, end) in enumerate(walks):
         k = 0
-        while i < hi:
+        while i < end:
             edge_idx.append(i)
             if k == len(rs):  # double this walk's draws
                 rs += _unit_draws(st[j : j + 1], k, k)[0]
@@ -874,9 +862,7 @@ def scatter_walk_numpy(
 ) -> None:
     """Vectorised :func:`scatter_walk_scalar`: list-in/list-out face of
     :func:`scatter_walk_arrays` for callers holding Python-int state
-    (``values`` become lanes as wide as ``sums``' rows; ``alphas`` are
-    the per-symbol mapping parameters of §8 irregular codecs).
-    """
+    (``values`` become lanes as wide as ``sums``' rows)."""
     np = engine.np
     idx, state = scatter_walk_arrays(
         sums,

@@ -7,50 +7,45 @@ symbol a parked position in its §4.2 index walk.  The symbols live in
 one :class:`SourceStore` — one row per live symbol (``value``,
 ``checksum``, parked ``(idx, state)``, and its α when the codec maps
 some symbol with other than the default α, read from the codec's
-``alpha_batch`` face once, at ingest) — so no method of the encoder asks
-where a symbol lives.  Two paths produce cells from it:
+``alpha_batch`` face once, at ingest).  Two paths produce cells from it:
 
 * :meth:`RatelessEncoder.produce_block` is one
   :mod:`~repro.core.cellbank` scatter-kernel call on the store's
-  columns — vectorised across rows (NumPy columns, walk states advanced
-  in place) when the codec's symbols fit the lanes, the inlined scalar
-  sampler (Python lists) otherwise.  Rows parked past the block are
-  skipped by the kernel, so nothing is gathered.
-* :meth:`RatelessEncoder.produce_next` is the §6 reference: the rows
-  whose *next* mapped index is smallest sit at the head of a binary heap
-  of ``(next index, row)``, so producing cell ``i`` steps exactly the
-  rows mapped to ``i`` through ``IndexGenerator`` — O(k·log n), not a
-  full scan.  The heap is rebuilt lazily after a block walk.
+  columns: NumPy columns advanced in place when the codec's symbols fit
+  the lanes, the inlined scalar sampler over Python lists otherwise.
+* :meth:`RatelessEncoder.produce_next` is the §6 reference: a binary
+  heap of ``(next index, row)`` yields exactly the rows mapped to the
+  next cell, each stepped through ``IndexGenerator`` — O(k·log n).
 
-Both produce bit-identical cells — the golden-equivalence suite asserts
-it — and the store alone switches its columns between the NumPy and the
-list form, in one O(n) pass, when the next operation wants the other.
+Both produce bit-identical cells (the golden-equivalence suite asserts
+it); the store alone switches its columns between the NumPy and the list
+form, in one O(n) pass, when the next operation wants the other.
 
 Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is one array
 pass under the vector engine: :meth:`RatelessEncoder.add_items` fills the
 store's columns from a shard's slice of the batch's ``(n, ℓ)`` row matrix
 (:meth:`~repro.core.symbols.SymbolCodec.item_rows`) and of its placement
 hashes — one α answer and one duplicate sort per batch, no Python object
-per item, no value→row index until asked.  The single-item forms are
-one-row calls of the same bodies.
+per item, no value→row index until asked.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
-removing a source symbol after ``m`` cells were produced simply XORs
-that symbol into the affected cells of the cached bank, which is how a
-node maintains one universal stream while its set churns (§7.3: 11 ms to
+removing a source symbol after ``m`` cells were produced XORs that
+symbol into the affected cells of the cached bank, which is how a node
+maintains one universal stream while its set churns (§7.3: 11 ms to
 patch 50M cached symbols per Ethereum block, amortised).  Churn is
-batched too: :meth:`add_items` / :meth:`remove_items` patch the cached
-prefix with one fused scatter per batch (removals replay each symbol's
-mapping from its seed — the checksum — with the α stored in its row).
-
-Produced cells are returned as value snapshots; the live, continuously
-patched state is the internal bank (read it through :meth:`cached` /
-:meth:`cached_block`, which snapshot at call time).
+batched too, across encoders: :func:`churn` adds or removes a batch at
+every shard of a host in one :func:`_patch` pass, the shards' prefixes
+laid end to end under one walk-kernel call (removals replay each
+symbol's mapping from its seed — the checksum — with its stored α);
+``add_items``/``remove_items`` and the one-item forms are its
+one-encoder case.  Produced cells are value snapshots; the live, patched
+state is the internal bank (:meth:`cached` / :meth:`cached_block`).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from repro import engine
@@ -71,14 +66,14 @@ from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
 
-# Patching a produced prefix through the NumPy lane costs one list→array
-# →list round trip of the whole bank; below ~1 batch item per 64 cached
-# cells the scalar per-edge patch is cheaper (measured crossover sits
-# near 1/90 at both 10^4 and 10^5 cells).  That is for one-lane symbols.
-# Re-measured for k lanes at 10^4 cells: the round trip costs 1x, 2.7x
-# and ~8x the one-lane one at k = 1, 12 and 64 (crossovers near 1/90,
-# 1/24 and 1/8), which (7 + k) / 8 fits, so the cell allowance per item
-# shrinks by that factor (see _patch_prefix).
+# A churn batch patches through the NumPy lane when it has a row per
+# _PATCH_CELLS_PER_ITEM · 8 / (7 + k) cached cells (rows and cells summed
+# over its banks); below that the scalar per-edge patch beats the banks'
+# lane round trip and ~15 lock-step rounds of fixed NumPy cost.  Measured
+# on 4 banks (add + remove, one Xeon core), lane factor out, the crossover
+# sat at one row per 22 cells (k = 1), 15 (k = 12) and 43 (k = 64) over
+# 2 500 cells, and per 53, 30 and 47 over 10^4: it grows with the prefix,
+# and servers hold the long ones, so the rule stays near that end.
 _PATCH_CELLS_PER_ITEM = 64
 
 # Parked index of a removed (or not yet used) row: past every frontier,
@@ -108,45 +103,144 @@ def _has_duplicates(lanes) -> bool:
     return bool((shared[1:] == shared[:-1]).all(axis=1).any())
 
 
-def _walk_into(bank, lo, hi, walks, direction, alphas, size) -> None:
-    """Walk rows from their parked positions to ``hi``, folding each in
-    (``direction`` +1) or peeling it out (−1) at every cell it crosses;
-    cells past the bank's end are appended.  ``walks`` is the rows'
-    ``(idx, state, values, checksums)`` columns, advanced in place — as
-    lists the scalar kernel runs, as NumPy columns the vector one, over
-    the cells ``[lo, hi)`` (no row is parked below ``lo``)."""
-    old = len(bank)
-    if isinstance(walks[0], list):
-        bank.extend_zeros(hi - old)
-        sums, checksums, counts = bank.sums, bank.checksums, bank.counts
-        scatter_walk_scalar(sums, checksums, counts, *walks, direction, alphas, hi)
+def _walk_into(spans, direction, size) -> None:
+    """Fold rows in (``direction`` +1) or peel them out (−1) at every cell
+    their walks cross.  A span ``(bank, lo, hi, walks, alphas)`` walks its
+    rows' ``(idx, state, values, checksums)`` (advanced in place, none
+    parked below ``lo``) over the bank's cells ``[lo, hi)``, appending
+    cells past its end; ``alphas`` is ``None`` for every span or none.
+    As lists, the scalar kernel walks one bank at a time; as NumPy
+    columns, the spans lie end to end in one lane matrix and one kernel
+    call walks each row in its own bank's coordinates."""
+    if isinstance(spans[0][3][0], list):
+        for bank, lo, hi, walks, alphas in spans:
+            bank.extend_zeros(hi - len(bank))
+            sums, checksums, counts = bank.sums, bank.checksums, bank.counts
+            scatter_walk_scalar(sums, checksums, counts, *walks, direction, alphas, hi)
         return
     np = engine.np
-    sums = np.zeros((hi - lo, lane_count(size)), dtype=np.uint64)
-    checksums = np.zeros(hi - lo, dtype=np.uint64)
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    if old > lo:  # cells already produced: the walks patch them
-        sums[: old - lo] = lanes_from_ints(bank.sums[lo:], size)
-        checksums[: old - lo] = bank.checksums[lo:]
-        counts[: old - lo] = bank.counts[lo:]
+    cells = [0, *accumulate(hi - lo for _, lo, hi, _, _ in spans)]
+    rows = [0, *accumulate(len(span[3][0]) for span in spans)]
+    sums = np.zeros((cells[-1], lane_count(size)), dtype=np.uint64)
+    checksums = np.zeros(cells[-1], dtype=np.uint64)
+    counts = np.zeros(cells[-1], dtype=np.int64)
+    for (bank, lo, _, _, _), off in zip(spans, cells):
+        held = off + len(bank) - lo
+        if held > off:  # cells already produced: the walks patch them
+            sums[off:held] = lanes_from_ints(bank.sums[lo:], size)
+            checksums[off:held] = bank.checksums[lo:]
+            counts[off:held] = bank.counts[lo:]
+    if len(spans) == 1:  # int hi and base
+        ((_, base, hi, walks, alphas),) = spans
+    else:  # per-row hi and base columns
+        width = np.diff(rows)
+        hi = np.repeat([span[2] for span in spans], width)
+        base = np.repeat([span[1] - off for span, off in zip(spans, cells)], width)
+        walks = [np.concatenate(column) for column in zip(*(s[3] for s in spans))]
+        alphas = None if spans[0][4] is None else np.concatenate([s[4] for s in spans])
     alphas = None if alphas is None else np.asarray(alphas, dtype=np.float64)
     scatter_walk_arrays(
-        sums, checksums, counts, *walks, direction, hi, base=lo, alphas=alphas
+        sums, checksums, counts, *walks, direction, hi, base=base, alphas=alphas
     )
-    bank.sums[lo:] = ints_from_lanes(sums)
-    bank.checksums[lo:] = checksums.tolist()
-    bank.counts[lo:] = counts.tolist()
+    sums = ints_from_lanes(sums)
+    checksums, counts = checksums.tolist(), counts.tolist()
+    bounds = zip(spans, cells, cells[1:], rows, rows[1:])
+    for (bank, lo, _, own, _), a, b, c, d in bounds:
+        bank.sums[lo:], bank.checksums[lo:] = sums[a:b], checksums[a:b]
+        bank.counts[lo:] = counts[a:b]
+        if own is not walks:  # the span's rows take their parked walks back
+            own[0][:], own[1][:] = walks[0][c:d], walks[1][c:d]
+
+
+def _patch(jobs, direction: int) -> None:
+    """The one patch body of set churn (linearity, §4.1): add
+    (``direction`` +1) or remove (−1) ``jobs`` — ``(encoder, values,
+    checksums)`` over distinct encoders of one codec, ``checksums``
+    ``None`` when removing.  Every batch is validated first; then each
+    symbol's walk (from its seed, or replayed from its stored checksum
+    and α) is XORed into every cached cell it maps to, all the prefixes
+    under one :func:`_walk_into` call, and added rows park where their
+    walks stopped."""
+    removing = direction < 0
+    for encoder, values, _ in jobs:
+        encoder._validate(values, present=removing)
+    rows = []
+    for encoder, values, checksums in jobs:
+        store = encoder._store
+        if removing:  # parked walks are discarded: no future in the stream
+            checksums, alphas = store.kill(values)
+        else:
+            alphas = store.alphas_for(checksums)
+        rows.append((encoder, values, checksums, alphas))
+    codec = jobs[0][0].codec
+    size = codec.symbol_size
+    patched = [row for row in rows if row[0]._bank]
+    n = sum(len(row[1]) for row in patched)
+    cells = sum(len(row[0]._bank) for row in patched)
+    vector = (
+        n >= NUMPY_MIN_JOBS
+        and 8 * n * _PATCH_CELLS_PER_ITEM >= cells * (7 + lane_count(size))
+        and numpy_block_eligible(codec)
+    )
+    opened = any(row[3] is not None for row in patched)
+    spans = []
+    for encoder, values, checksums, alphas in patched:
+        if opened and alphas is None:  # a store without an α column
+            alphas = codec.alpha_batch(checksums)
+        if vector:
+            np = engine.np
+            csums = np.array(checksums, dtype=np.uint64)
+            if isinstance(values, list):
+                values = lanes_from_ints(values, size)
+            walks = (np.zeros(len(csums), dtype=np.int64), csums.copy(), values, csums)
+        else:
+            checksums = to_list(checksums)
+            walks = ([0] * len(checksums), list(checksums), to_list(values), checksums)
+        spans.append((encoder._bank, 0, len(encoder._bank), walks, alphas))
+    if spans:
+        _walk_into(spans, direction, size)
+    if not removing:
+        parked = {id(span[0]): span[3][:2] for span in spans}
+        for encoder, values, checksums, alphas in rows:
+            walks = parked.get(id(encoder._bank))
+            encoder._store.append(values, checksums, alphas, walks)
+
+
+def churn(batches, direction: int) -> None:
+    """Add (``direction`` +1) or remove (−1) ``batches`` of items —
+    ``(encoder, items, item_hashes)`` over distinct encoders of one
+    codec, as :meth:`RatelessEncoder.add_items` takes them — in one
+    :func:`_patch` pass: a sharded host's churn batch."""
+    jobs = []
+    for encoder, items, item_hashes in batches:
+        codec = encoder.codec
+        datas = items if hasattr(items, "__getitem__") else list(items)
+        rows = codec.item_rows(datas) if direction > 0 else list(datas)
+        if not len(rows):
+            continue
+        if isinstance(rows, list):
+            values = codec.to_int_batch(rows)
+        else:  # the value lanes are the rows, zero-padded
+            values = lanes_from_bytes(rows, codec.symbol_size)
+        checksums = None  # a removal's rows hold theirs
+        if direction > 0 and item_hashes is None:
+            checksums = codec.checksum_batch(datas)
+        elif direction > 0 and len(item_hashes) != len(rows):
+            raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
+        elif direction > 0:
+            checksums = codec.checksums_from_hash64(item_hashes)
+        jobs.append((encoder, values, checksums))
+    if jobs:
+        _patch(jobs, direction)
 
 
 class SourceStore:
     """Every live source symbol of one encoder, one row each.
 
-    A row holds the symbol's ``value``, its keyed ``checksum`` and its
-    parked walk position ``(idx, state)`` — the first mapped index at or
-    past the produced frontier and the splitmix64 state that resumes the
-    walk there — plus its α in ``alphas``, a column that exists only once
-    some row's α is not the default the kernels inline (``None`` until
-    then); ``live`` counts the live rows.
+    A row holds the symbol's ``value``, its keyed ``checksum``, its
+    parked walk position ``(idx, state)``, and its α in ``alphas`` — a
+    column that exists only once some row's α is not the default the
+    kernels inline (``None`` until then); ``live`` counts the live rows.
 
     The columns take one of two forms.  NumPy (``vector``): ``values`` is
     the ``(capacity, k)`` uint64 lane matrix, the rest are vectors, and
@@ -325,7 +419,8 @@ class SourceStore:
         if vector != self.vector:
             self._repack(vector)
         walks = (self.idx, self.state, self.values, self.checksums)
-        _walk_into(bank, len(bank), hi, walks, 1, self.alphas, self.codec.symbol_size)
+        span = (bank, len(bank), hi, walks, self.alphas)
+        _walk_into([span], 1, self.codec.symbol_size)
 
     def next_heap(self) -> list[tuple[int, int]]:
         """The per-cell path's heap of ``(next index, row)`` over the list
@@ -405,7 +500,7 @@ class RatelessEncoder:
 
     def add_value(self, value: int) -> None:
         """Add an item already packed into integer form."""
-        self._add([value], [self.codec.checksum_int(value)])
+        _patch([(self, [value], [self.codec.checksum_int(value)])], 1)
 
     def add_items(
         self,
@@ -413,44 +508,16 @@ class RatelessEncoder:
         *,
         item_hashes: Optional[Sequence[int]] = None,
     ) -> None:
-        """Add many items at once (the batch ingestion pipeline).
+        """Add many items at once: the one-encoder case of :func:`churn`.
 
         ``items`` (ℓ-byte items, or :meth:`SymbolCodec.item_rows`) join
-        the source store as columns; with a produced prefix they patch the
-        cached bank in one fused scatter.  Duplicates anywhere — the set or
-        the batch itself — raise ``KeyError`` before anything is inserted.
-
-        ``item_hashes``, when given, must be the codec hasher's keyed
-        64-bit hash of each item, in order (e.g. the vector shard
-        placement already computed); checksums are then masked from
-        them instead of hashing the items a second time.
+        the source store as columns and patch a produced prefix in one
+        scatter; a duplicate (in the set or the batch) raises ``KeyError``
+        before anything is inserted.  ``item_hashes``, when given, are the
+        codec hasher's keyed 64-bit hashes of the items, in order (e.g.
+        from shard placement): checksums are masked from them, not rehashed.
         """
-        codec = self.codec
-        datas = items if hasattr(items, "__getitem__") else list(items)
-        rows = codec.item_rows(datas)
-        if not len(rows):
-            return
-        if item_hashes is None:
-            checksums = codec.checksum_batch(datas)
-        elif len(item_hashes) != len(rows):
-            raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
-        else:
-            checksums = codec.checksums_from_hash64(item_hashes)
-        if isinstance(rows, list):
-            self._add(codec.to_int_batch(rows), checksums)
-        else:  # the value lanes are the rows, zero-padded
-            self._add(lanes_from_bytes(rows, codec.symbol_size), checksums)
-
-    def _add(self, values, checksums) -> None:
-        """The one insertion body: validate, patch the produced prefix
-        (linearity, §4.1: XOR each symbol into every cached cell it maps
-        to), then park the rows where their walks stopped."""
-        self._validate(values, present=False)
-        alphas = self._store.alphas_for(checksums)
-        walks = None
-        if self._bank:
-            walks = self._patch_prefix(values, checksums, 1, alphas)
-        self._store.append(values, checksums, alphas, walks)
+        churn([(self, items, item_hashes)], 1)
 
     def remove_item(self, data: bytes) -> None:
         """Remove an item; the cached prefix is patched in place."""
@@ -458,29 +525,16 @@ class RatelessEncoder:
 
     def remove_value(self, value: int) -> None:
         """Remove an item given in integer form."""
-        self._remove([value])
+        _patch([(self, [value], None)], -1)
 
     def remove_items(self, items: Iterable[bytes]) -> None:
-        """Remove many items at once, patching the prefix in one scatter.
+        """Remove many items at once: the one-encoder case of :func:`churn`.
 
         XOR is self-inverse, so each removal replays the symbol's mapping
-        from its seed (the stored checksum — no re-hash, and the α stored
-        in its row); the whole batch then lands in one fused scatter.
-        Items missing from the set raise ``KeyError`` before anything is
-        removed.
+        from its stored checksum and α (no re-hash) in one scatter; an
+        item missing from the set raises ``KeyError`` before any removal.
         """
-        datas = items if isinstance(items, list) else list(items)
-        if datas:
-            self._remove(self.codec.to_int_batch(datas))
-
-    def _remove(self, values) -> None:
-        """The one removal body."""
-        self._validate(values, present=True)
-        checksums, alphas = self._store.kill(values)
-        if self._bank:
-            # The parked walks are discarded: removed symbols have no
-            # future in the stream.
-            self._patch_prefix(values, checksums, -1, alphas)
+        churn([(self, items, None)], -1)
 
     def _validate(self, values, present: bool) -> None:
         """Raise ``KeyError`` for the first value named twice in the batch
@@ -506,31 +560,6 @@ class RatelessEncoder:
                 raise KeyError(f"{what}: {value:#x}")
             seen.add(value)
 
-    def _patch_prefix(self, values, checksums, direction, alphas):
-        """Replay a batch of symbols from their seeds across the produced
-        prefix — direction +1 folds them in, −1 peels them out — and
-        return their parked ``(idx, state)`` columns.  The NumPy kernel
-        runs when the batch amortises the bank's lane round trip (the
-        ``_PATCH_CELLS_PER_ITEM`` crossover), the scalar one otherwise."""
-        n = len(values)
-        frontier = len(self._bank)
-        size = self.codec.symbol_size
-        if (
-            n >= NUMPY_MIN_JOBS
-            and 8 * n * _PATCH_CELLS_PER_ITEM >= frontier * (7 + lane_count(size))
-            and numpy_block_eligible(self.codec)
-        ):
-            np = engine.np
-            csums = np.array(checksums, dtype=np.uint64)
-            if isinstance(values, list):
-                values = lanes_from_ints(values, size)
-            walks = (np.zeros(n, dtype=np.int64), csums.copy(), values, csums)
-        else:
-            checksums = to_list(checksums)
-            walks = ([0] * n, list(checksums), to_list(values), checksums)
-        _walk_into(self._bank, 0, frontier, walks, direction, alphas, size)
-        return walks[:2]
-
     # -- persistence hooks -------------------------------------------------
 
     @property
@@ -542,12 +571,10 @@ class RatelessEncoder:
         """Parallel ``(values, checksums, currents, states)`` source rows.
 
         One row per live source symbol, in the store's row order (the
-        order the symbols were added), carrying its parked §4.2 walk
-        position — the first mapped index at or past the produced
-        frontier, plus the splitmix64 state that resumes the walk
-        there.  Together with :attr:`bank` this is the encoder's whole
-        state: :meth:`restore` rebuilds a bit-identical stream from it
-        with no hashing and no index walking.
+        order the symbols were added), with its parked §4.2 walk position
+        (first mapped index at or past the produced frontier, and the
+        splitmix64 state there).  With :attr:`bank` this is the encoder's
+        whole state: :meth:`restore` rebuilds a bit-identical stream.
         """
         return self._store.export()
 
@@ -582,12 +609,10 @@ class RatelessEncoder:
 
         The §6 reference path: each row at the head of the store's heap
         is parked at this index, so it is XORed into the cell, stepped
-        once along its walk by the reference
-        :class:`~repro.core.mapping.IndexGenerator` (re-parked from the
-        row's columns, which take the step back) and sifted down to its
-        next index.  Returns a value snapshot; the cached state (which
-        later set mutations patch — universal-stream semantics) lives in
-        the internal bank and is re-read by :meth:`cached`.
+        once by the reference :class:`~repro.core.mapping.IndexGenerator`
+        (re-parked from the row's columns, which take the step back) and
+        sifted down to its next index.  Returns a value snapshot; the
+        patched state lives in the internal bank (:meth:`cached`).
         """
         store = self._store
         heap = store.heap
@@ -618,12 +643,9 @@ class RatelessEncoder:
         return CodedSymbol(cell_sum, cell_checksum, cell_count)
 
     def produce_block(self, m: int) -> CodedSymbolBank:
-        """Materialise coded symbols ``[frontier, frontier+m)`` in one pass.
-
-        Returns a value-copy bank of the produced region.  Bit-identical
-        to ``m`` :meth:`produce_next` calls: one scatter-walk kernel call
-        on the source store instead of per-edge heap traffic.
-        """
+        """Materialise coded symbols ``[frontier, frontier+m)`` as a
+        value-copy bank: bit-identical to ``m`` :meth:`produce_next`
+        calls, in one scatter-walk kernel call on the source store."""
         if m <= 0:
             return CodedSymbolBank()
         lo = len(self._bank)

@@ -21,9 +21,9 @@ half a checkpoint.
 
 **Mutation** is write-ahead through :class:`DurableBackend`: validate
 against the live set (``ShardedSet.check_many``, the same all-or-nothing
-test the apply runs), append to the journal, *then* patch the warm banks.  An
-``OSError`` on the append therefore leaves memory and disk both
-unchanged, and a replayed journal can never fail validation.
+test the apply runs, on the batch's one keyed hash pass), append to the
+journal, *then* patch the warm banks.  An ``OSError`` on the append
+leaves memory and disk unchanged; a replayed journal cannot fail.
 
 **Recovery** (:func:`open_durable` on an existing dir) parses the
 manifest, rebuilds each shard's :class:`~repro.core.encoder.
@@ -62,7 +62,7 @@ from repro.durable.snapshot import (
     unpack_shard,
 )
 from repro.service.backends import WarmRibltBackend, open_backend
-from repro.service.shard import ShardedSet, ShardSubsetSet
+from repro.service.shard import ShardedSet, ShardSubsetSet, hash_items
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.log"
@@ -369,25 +369,19 @@ class DurableBackend(WarmRibltBackend):
 
     # -- write-ahead mutation ----------------------------------------------
 
-    def _journalled(self, items: Iterable[bytes], op: int) -> list[int]:
+    def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
         items = items if isinstance(items, list) else list(items)
         if not items:
             return []
-        # Validate first, with the very test the apply below repeats
-        # (placement in an owned shard included), so a record that
-        # reaches the journal can never fail to replay.
-        self.sharded.check_many(items, adding=op == OP_ADD)
-        self.store.journal_op(op, items)
-        apply = super().add_many if op == OP_ADD else super().remove_many
-        placed = apply(items)
+        # Validate first, with the very test the apply below repeats, so a
+        # journalled record can never fail to replay.  The batch's one keyed
+        # hash pass serves the test, the apply and the checksums.
+        hashes = hash_items(self.handle.hash64, items)
+        self.sharded.check_many(items, direction > 0, hashes)
+        self.store.journal_op(OP_ADD if direction > 0 else OP_REMOVE, items)
+        placed = super()._churn(items, direction, hashes)
         self.store.note_churn(len(items), self)
         return placed
-
-    def add_many(self, items: Iterable[bytes]) -> list[int]:
-        return self._journalled(items, OP_ADD)
-
-    def remove_many(self, items: Iterable[bytes]) -> list[int]:
-        return self._journalled(items, OP_REMOVE)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -144,7 +144,7 @@ class GossipNode:
         self._fold([item], clean)
 
     def add_many(self, items: Iterable[bytes]) -> None:
-        """Batch churn: one warm-bank patch per touched shard."""
+        """Batch churn: one warm-bank patch pass over every touched shard."""
         items = items if isinstance(items, list) else list(items)
         if not items:
             return

@@ -4,30 +4,23 @@ The tentpole backend is :class:`WarmRibltBackend` — the paper's
 "universal stream" (§4.1, §7.3) made operational.  Each shard owns ONE
 :class:`~repro.core.encoder.RatelessEncoder` shared by every session the
 server ever serves: a new client costs no encoding work for any cell
-another client already pulled (the cached bank is just re-serialized),
-and set churn patches the cached prefix in place via linearity instead
-of re-encoding.  Per-session state is only a cursor: a stream index and
-a §6 writer.
+another client already pulled, and a churn batch is hashed once and
+patched into every touched shard's cached prefix by one walk-kernel
+call (linearity) instead of re-encoding.  Per-session state is only a
+cursor: a stream index and a §6 writer.
 
-Any other scheme registered in :mod:`repro.api` can back a shard too:
-
-* streaming schemes ride :class:`SchemeStreamBackend` (a fresh
-  per-session :class:`~repro.api.base.StreamingReconciler`, no warm
-  reuse — the interface does not promise shareable state);
-* serializable fixed-capacity / one-shot schemes ride
-  :class:`SketchBackend`, which serves a ``bound``-sized sketch and
-  rebuilds it on client ``RETRY`` (the estimator-then-sized-sketch
-  composition of :mod:`repro.api.session`, pushed over the wire).
-
-:func:`open_backend` is the one constructor of all of them — and so of
-every host's peer state.
+Any other registered scheme can back a shard too: streaming schemes ride
+:class:`SchemeStreamBackend` (a fresh per-session
+:class:`~repro.api.base.StreamingReconciler`: the interface does not
+promise shareable state), serializable fixed-capacity / one-shot ones
+:class:`SketchBackend`, which serves a ``bound``-sized sketch and
+rebuilds it on client ``RETRY``.  :func:`open_backend` is the one
+constructor of all of them — and so of every host's peer state.
 
 Consistency: every stream cursor snapshots its shard's version at open;
-a mutation mid-stream makes the already-sent prefix and the yet-unsent
-suffix describe *different* sets, so the cursor refuses to continue
-(:class:`StaleStream`) rather than serve a stream that can never decode
-to a meaningful difference.  Clients simply reconnect; the warm bank
-they then read is already patched.
+a mutation mid-stream makes the sent prefix and the unsent suffix
+describe *different* sets, so the cursor refuses to continue
+(:class:`StaleStream`).  Clients reconnect and read the patched bank.
 """
 
 from __future__ import annotations
@@ -38,7 +31,8 @@ from typing import Iterable, Optional
 
 from repro.api.base import StreamingReconciler, UnsupportedOperation
 from repro.api.registry import Scheme, get_scheme
-from repro.core.encoder import RatelessEncoder
+from repro.core.cellbank import to_list
+from repro.core.encoder import RatelessEncoder, churn
 from repro.core.wire import SymbolStreamWriter
 from repro.service.errors import ServiceError
 from repro.service.framing import SyncMode
@@ -49,20 +43,31 @@ class StaleStream(ServiceError):
     """The shard's set changed while a session was mid-stream."""
 
 
-def _group_by_shard(
-    items: list[bytes], placed: list[int]
-) -> dict[int, list[bytes]]:
-    """Bucket a placed batch per shard, preserving batch order."""
-    groups: dict[int, list[bytes]] = {}
-    for item, shard in zip(items, placed):
-        groups.setdefault(shard, []).append(item)
+def _group_by_shard(placed: list[int], items: list[bytes], hashes) -> dict:
+    """Bucket a placed batch and its keyed hashes per shard, in batch order."""
+    groups: dict[int, tuple[list, list]] = {}
+    for item, h, shard in zip(items, to_list(hashes), placed):
+        group = groups.setdefault(shard, ([], []))
+        group[0].append(item)
+        group[1].append(h)
     return groups
 
 
 class ShardStream(ABC):
-    """One session's cursor into one shard's coded-symbol stream."""
+    """One session's cursor into one shard's stream: it snapshots the
+    shard's version at open and refuses to go on past churn (StaleStream)."""
 
-    symbols_sent: int = 0
+    def __init__(self, backend: "ShardBackend", shard: int) -> None:
+        self._backend = backend
+        self._shard = shard
+        self._version = backend.sharded.versions[shard]
+        self.symbols_sent = 0
+
+    def _check_version(self) -> None:
+        if self._backend.sharded.versions[self._shard] != self._version:
+            raise StaleStream(
+                f"shard {self._shard} mutated mid-stream; reconnect to resync"
+            )
 
     @abstractmethod
     def next_block(self, max_cells: int) -> bytes:
@@ -97,14 +102,21 @@ class ShardBackend(ABC):
     def add_many(self, items: Iterable[bytes]) -> list[int]:
         """Account a batch of items; returns each item's shard.
 
-        One version bump per touched shard.  Backends with warm per-shard
-        state override this to patch it batch-at-a-time.
+        All-or-nothing, one version bump per touched shard, and one keyed
+        hash pass over the batch.  Backends with warm per-shard state
+        patch it in :meth:`_churn`, one pass for the whole batch.
         """
-        return self.sharded.add_many(items)
+        return self._churn(items, 1)
 
     def remove_many(self, items: Iterable[bytes]) -> list[int]:
         """Drop a batch of items; returns each item's shard."""
-        return self.sharded.remove_many(items)
+        return self._churn(items, -1)
+
+    def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
+        """The one mutation body: add (``direction`` +1) or remove (−1) a
+        batch; ``hashes`` are its keyed hashes when the caller has them."""
+        mutate = self.sharded.add_many if direction > 0 else self.sharded.remove_many
+        return mutate(items, hashes)
 
     def open_stream(self, shard: int) -> ShardStream:
         raise UnsupportedOperation(f"{type(self).__name__} does not stream")
@@ -118,23 +130,16 @@ class _WarmStream(ShardStream):
     the §6 serialisation state (header + implicit indices + set size)."""
 
     def __init__(self, backend: "WarmRibltBackend", shard: int) -> None:
-        self._backend = backend
-        self._shard = shard
+        super().__init__(backend, shard)
         self._encoder = backend.encoders[shard]
-        self._version = backend.sharded.versions[shard]
         self._writer = SymbolStreamWriter(
             backend.codec, set_size=self._encoder.set_size
         )
         self._head: Optional[bytes] = self._writer.header()
         self._index = 0
-        self.symbols_sent = 0
 
     def next_block(self, max_cells: int) -> bytes:
-        backend = self._backend
-        if backend.sharded.versions[self._shard] != self._version:
-            raise StaleStream(
-                f"shard {self._shard} mutated mid-stream; reconnect to resync"
-            )
+        self._check_version()
         lo = self._index
         self._index += max_cells
         # cached_block only *encodes* cells nobody has pulled yet; every
@@ -169,20 +174,19 @@ class WarmRibltBackend(ShardBackend):
         self.codec = handle.codec
         self.encoders = encoders
 
-    def add_many(self, items: Iterable[bytes]) -> list[int]:
-        """Batch churn: group by shard, one fused warm-bank patch each."""
+    def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
+        """One keyed hash pass places, validates and applies the batch on the
+        set and seeds added rows' checksums; then one ``encoder.churn`` call
+        patches every touched shard's prefix together."""
         items = items if isinstance(items, list) else list(items)
-        placed = self.sharded.add_many(items)
-        for shard, group in _group_by_shard(items, placed).items():
-            self.encoders[shard].add_items(group)
-        return placed
-
-    def remove_many(self, items: Iterable[bytes]) -> list[int]:
-        """Batch churn: group by shard, one fused warm-bank patch each."""
-        items = items if isinstance(items, list) else list(items)
-        placed = self.sharded.remove_many(items)
-        for shard, group in _group_by_shard(items, placed).items():
-            self.encoders[shard].remove_items(group)
+        if hashes is None:
+            hashes = hash_items(self.handle.hash64, items)
+        placed = super()._churn(items, direction, hashes)
+        groups = _group_by_shard(placed, items, hashes)
+        churn(
+            [(self.encoders[shard], *group) for shard, group in groups.items()],
+            direction,
+        )
         return placed
 
     def open_stream(self, shard: int) -> ShardStream:
@@ -202,17 +206,11 @@ class _SchemeStream(ShardStream):
         backend: "SchemeStreamBackend",
         shard: int,
     ) -> None:
+        super().__init__(backend, shard)
         self._reconciler = reconciler
-        self._backend = backend
-        self._shard = shard
-        self._version = backend.sharded.versions[shard]
-        self.symbols_sent = 0
 
     def next_block(self, max_cells: int) -> bytes:
-        if self._backend.sharded.versions[self._shard] != self._version:
-            raise StaleStream(
-                f"shard {self._shard} mutated mid-stream; reconnect to resync"
-            )
+        self._check_version()
         self.symbols_sent += max_cells
         return self._reconciler.produce_block(max_cells)
 

@@ -98,8 +98,8 @@ class ServiceNode:
         self.remove_items([item])
 
     def add_items(self, items: Iterable[bytes]) -> None:
-        """Add a batch of items (one warm-bank patch per touched shard);
-        all-or-nothing, ``KeyError`` on a duplicate."""
+        """Add a batch of items (one warm-bank patch pass over every
+        touched shard); all-or-nothing, ``KeyError`` on a duplicate."""
         self.backend.add_many(items)
 
     def remove_items(self, items: Iterable[bytes]) -> None:

@@ -215,12 +215,12 @@ class ReconciliationServer:
         self.remove_items([item])
 
     def add_items(self, items: Iterable[bytes]) -> None:
-        """Add a batch: per shard, one fused warm-bank patch and one
-        stream invalidation (instead of one of each per item)."""
+        """Add a batch: one hash pass, one warm-bank patch over every
+        touched shard, one stream invalidation per shard."""
         self.backend.add_many(items)
 
     def remove_items(self, items: Iterable[bytes]) -> None:
-        """Remove a batch; the warm shard encoders are patched per shard."""
+        """Remove a batch; the touched shards are patched in one pass."""
         self.backend.remove_many(items)
 
     def checkpoint(self) -> None:

@@ -15,7 +15,9 @@ to reject that pairing before any symbols flow.
 
 Every host's cold ingest places its batch here: :func:`hash_items` (the
 uint64 hash vector, under SipHash's lanes), then one ``mix64`` lane pass
-and one stable argsort split (:func:`partition_with_hashes`).
+and one stable argsort split (:func:`partition_with_hashes`).  A churn
+batch's one :func:`hash_items` pass is handed to the set's mutations as
+``hashes`` (validation, placement), and on to the encoders' checksums.
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ def shard_of(hash64: Callable[[bytes], int], item: bytes, num_shards: int) -> in
 
 
 def hash_items(hash64: Callable[[bytes], int], items: Sequence[bytes]):
-    """The keyed 64-bit hashes of many items, in order.
-
-    These are exactly the values shard placement mixes *and* the codec
-    masks into checksums, so a caller that keeps them pays for hashing
-    once instead of twice (see :func:`partition_with_hashes` and
-    ``Scheme.new(..., item_hashes=...)``).  Routed through the hasher's
-    batch face when ``hash64`` is a bound method of one (equal-length
-    items or their row matrix — the SipHash lane engine's contract);
-    any other shape takes the scalar loop, element-for-element identical.
+    """The keyed 64-bit hashes of many items, in order: exactly what shard
+    placement mixes *and* the codec masks into checksums, so a caller
+    that keeps them hashes once.  Routed through the hasher's batch face
+    when ``hash64`` is a bound method of one (equal-length items or their
+    row matrix); any other shape takes the identical scalar loop.
     """
     if not len(items):
         return []
@@ -135,9 +133,12 @@ class ShardedSet:
         """The local shard index ``item`` belongs to."""
         return shard_of(self.hash64, item, self.num_shards)
 
-    def place_many(self, items: Sequence[bytes]) -> list[int]:
-        """:meth:`place` of many items at once, in order."""
-        return placements_from_hashes(hash_items(self.hash64, items), self.num_shards)
+    def place_many(self, items: Sequence[bytes], hashes=None) -> list[int]:
+        """:meth:`place` of many items, in order (``hashes``: their
+        :func:`hash_items`, when the caller has them)."""
+        if hashes is None:
+            hashes = hash_items(self.hash64, items)
+        return placements_from_hashes(hashes, self.num_shards)
 
     def shard_of(self, item: bytes) -> int:
         return self.place(item)
@@ -152,29 +153,32 @@ class ShardedSet:
         """Remove ``item``; returns its shard.  Raises ``KeyError`` if absent."""
         return self.remove_many([item])[0]
 
-    def add_many(self, items: Iterable[bytes]) -> list[int]:
+    def add_many(self, items: Iterable[bytes], hashes=None) -> list[int]:
         """Place a batch of items; returns each item's shard, in order.
 
         All-or-nothing: a duplicate (against the set or inside the batch)
         raises ``KeyError`` before anything is placed.  Each touched
         shard's version bumps once per batch — one stream invalidation
-        per churn event, not one per item.
+        per churn event, not one per item.  ``hashes`` as in
+        :meth:`place_many`.
         """
-        return self._mutate_many(items, adding=True)
+        return self._mutate_many(items, True, hashes)
 
-    def remove_many(self, items: Iterable[bytes]) -> list[int]:
+    def remove_many(self, items: Iterable[bytes], hashes=None) -> list[int]:
         """Drop a batch of items; returns each item's shard, in order.
 
         All-or-nothing, mirroring :meth:`add_many` (an absent item — or
         one named twice in the batch — raises before anything changes).
         """
-        return self._mutate_many(items, adding=False)
+        return self._mutate_many(items, False, hashes)
 
-    def check_many(self, items: Sequence[bytes], adding: bool) -> list[int]:
+    def check_many(
+        self, items: Sequence[bytes], adding: bool, hashes=None
+    ) -> list[int]:
         """Placements of a batch that :meth:`add_many` (``adding``) or
         :meth:`remove_many` would accept; ``KeyError`` otherwise.
         Changes nothing — the write-ahead journal validates with it."""
-        placed = self.place_many(items)
+        placed = self.place_many(items, hashes)
         seen: set[bytes] = set()
         for item, shard in zip(items, placed):
             if (item in self.shards[shard]) == adding or item in seen:
@@ -186,17 +190,12 @@ class ShardedSet:
             seen.add(item)
         return placed
 
-    def _mutate_many(self, items: Iterable[bytes], adding: bool) -> list[int]:
+    def _mutate_many(self, items: Iterable[bytes], adding: bool, hashes) -> list[int]:
         items = items if isinstance(items, list) else list(items)
-        placed = self.check_many(items, adding)
-        touched: set[int] = set()
+        placed = self.check_many(items, adding, hashes)
         for item, shard in zip(items, placed):
-            if adding:
-                self.shards[shard].add(item)
-            else:
-                self.shards[shard].remove(item)
-            touched.add(shard)
-        for shard in touched:
+            (self.shards[shard].add if adding else self.shards[shard].remove)(item)
+        for shard in set(placed):
             self.versions[shard] += 1
         return placed
 
@@ -244,12 +243,12 @@ class ShardSubsetSet(ShardedSet):
     def place(self, item: bytes) -> int:
         return self.place_many([item])[0]
 
-    def place_many(self, items: Sequence[bytes]) -> list[int]:
+    def place_many(self, items: Sequence[bytes], hashes=None) -> list[int]:
         local = self._local
         out: list[int] = []
-        placed = placements_from_hashes(
-            hash_items(self.hash64, items), self.total_shards
-        )
+        if hashes is None:
+            hashes = hash_items(self.hash64, items)
+        placed = placements_from_hashes(hashes, self.total_shards)
         for item, g in zip(items, placed):
             try:
                 out.append(local[g])

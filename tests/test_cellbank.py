@@ -398,6 +398,104 @@ def test_walk_kernel_far_tail_clamp(rng, rows):
     assert sum(c.count for c in got[0]) >= 2 * rows  # every row took the unit step
 
 
+def run_banks(banks, width, direction):
+    """One ``scatter_walk_arrays`` call over several banks laid end to
+    end: ``banks`` holds ``(walks, base, hi)`` per bank, and every row
+    carries its bank's ``hi`` and lane origin as per-row columns.
+    Returns each bank's cells and parked ``(idx, state)`` pairs."""
+    np = pytest.importorskip("numpy")
+    offs = [0]
+    for _, base, hi in banks:
+        offs.append(offs[-1] + hi - base)
+    rows = [w for walks, _, _ in banks for w in walks]
+    his = [hi for walks, _, hi in banks for _ in walks]
+    bases = [base - off for (walks, base, _), off in zip(banks, offs) for _ in walks]
+    values, checksums, idx, state, alphas, _ = map(list, zip(*rows))
+    sums = np.zeros((offs[-1], cellbank.lane_count(width)), dtype=np.uint64)
+    cks = np.zeros(offs[-1], dtype=np.uint64)
+    counts = np.zeros(offs[-1], dtype=np.int64)
+    end_idx, end_state = cellbank.scatter_walk_arrays(
+        sums,
+        cks,
+        counts,
+        np.array(idx, dtype=np.int64),
+        np.array(state, dtype=np.uint64),
+        cellbank.lanes_from_ints(values, width),
+        np.array(checksums, dtype=np.uint64),
+        direction,
+        np.array(his, dtype=np.int64),
+        base=np.array(bases, dtype=np.int64),
+        alphas=np.array(alphas) if set(alphas) != {DEFAULT_ALPHA} else None,
+    )
+    lanes = zip(cellbank.ints_from_lanes(sums), cks.tolist(), counts.tolist())
+    cells = [CodedSymbol(s, k_, c) for s, k_, c in lanes]
+    ends = list(zip(end_idx.tolist(), end_state.tolist()))
+    out, at = [], 0
+    for (walks, _, _), lo, hi in zip(banks, offs, offs[1:]):
+        out.append((cells[lo:hi], ends[at : at + len(walks)]))
+        at += len(walks)
+    return out
+
+
+@pytest.mark.parametrize("width", [8, 92])  # 1 and 12 uint64 lanes
+@pytest.mark.parametrize("irregular", [False, True])
+@pytest.mark.parametrize("rows", [cellbank.NUMPY_TAIL_JOBS - 1, 300])
+@pytest.mark.parametrize("parked", [False, True])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_walk_kernel_multi_bank_matches_per_bank_calls(
+    rng, width, irregular, rows, parked, direction
+):
+    """Banks end to end under per-row ``hi``/``base`` columns walk
+    exactly as one kernel call per bank: unequal prefixes, a 0-cell bank
+    (its rows are not read and keep their parked walks), a bank with no
+    rows (a shard missing from the batch: its cells stay as they were),
+    rows resumed from parked states, irregular α, 1 and 12 lanes, and a
+    batch below ``NUMPY_TAIL_JOBS`` that only the per-edge tail walks."""
+    pytest.importorskip("numpy")
+    spans = [(200, 760), (300, 300), (500, 1500), (10, 64)] if parked else [
+        (0, 760), (0, 0), (0, 1500), (0, 64)
+    ]
+    shares = [2, 1, 0, 2]  # bank 2 is missing from the batch
+    choices = [DEFAULT_ALPHA, 0.11, 0.68, 0.82] if irregular else [DEFAULT_ALPHA]
+    banks = []
+    for (base, hi), share in zip(spans, shares):
+        walks = []
+        for _ in range(rows * share // sum(shares)):
+            checksum = rng.getrandbits(64)
+            alpha = rng.choice(choices)
+            gen = IndexGenerator(checksum, alpha)
+            gen.indices_below(base)
+            value = rng.getrandbits(8 * width)
+            walks.append((value, checksum, gen.current, gen.state, alpha, 0))
+        banks.append((walks, base, hi))
+    got = run_banks(banks, width, direction)
+    for (walks, base, hi), (cells, ends) in zip(banks, got):
+        signed = [w[:5] + (direction,) for w in walks]
+        assert (cells, ends) == walk_reference(signed, hi, base)[:2]
+        if walks:
+            assert (cells, ends) == run_kernel(signed, hi, base, width, direction)[:2]
+
+
+@pytest.mark.parametrize("rows", [8, 40])  # tail only; lock-step rounds first
+def test_walk_kernel_far_tail_clamp_per_row_hi(rng, rows):
+    """The ``MAX_INDEX`` unit-step clamp with per-row ``hi``: two banks at
+    index ~2^40 end at different ``hi``, and each clamped walk stays live
+    below its own bank's end, not the other's."""
+    pytest.importorskip("numpy")
+    base = 1 << 40
+    state = state_before_draw((1 << 53) - 1)
+    banks = []
+    for hi in (base + 64, base + 24):
+        walks = [
+            (rng.getrandbits(64), rng.getrandbits(64), base + j, state, 0.5, 1)
+            for j in range(rows)
+        ]
+        banks.append((walks, base, hi))
+    for (walks, base_, hi), (cells, ends) in zip(banks, run_banks(banks, 8, 1)):
+        assert (cells, ends) == walk_reference(walks, hi, base_)[:2]
+        assert sum(c.count for c in cells) >= sum(base + j < hi for j in range(rows))
+
+
 def test_numpy_lane_eligibility(rng):
     """The form an encoder's source store takes for a block walk: NumPy
     columns exactly when the codec's symbols ride the lanes — §8

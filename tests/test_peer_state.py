@@ -16,6 +16,7 @@ import asyncio
 import hashlib
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,15 @@ import pytest
 import repro
 from repro.api.registry import get_scheme
 from repro.durable import DurableConfig
-from repro.durable.store import JOURNAL_NAME
+from repro.durable.store import JOURNAL_NAME, journal_segment_name, open_durable
 from repro.gossip import GossipNode, make_nodes
 from repro.hashing.keyed import SipHasher
 from repro.protocol.pump import memory_responder
 from repro.service import ReconciliationServer, ServiceNode
 from repro.service.backends import open_backend
-from repro.service.shard import ShardedSet
+from repro.service.shard import ShardedSet, ShardSubsetSet, shard_of
+
+from helpers import engine_lane
 
 NUM_SHARDS = 4
 NO_FSYNC = DurableConfig(fsync=False)
@@ -154,10 +157,14 @@ def test_existing_store_keeps_its_hasher_under_a_service_host(tmp_path):
 # -- set-up hashes every item once -------------------------------------------
 
 
-def test_server_setup_hashes_each_item_once(monkeypatch, lane):
+def test_server_setup_hashes_each_item_once(monkeypatch, lane, tmp_path):
     """Shard placement and the warm encoders' checksums share one keyed
     hash pass (two at the parent: ``ShardedSet`` placed, then each
-    ``RatelessEncoder`` hashed its shard again)."""
+    ``RatelessEncoder`` hashed its shard again).  So does churn: a
+    durable ``add_many`` or ``remove_many`` validates, journals, places
+    and seeds checksums from one pass over its batch (three and two
+    passes before churn became one patch pass), on a cluster worker's
+    ``ShardSubsetSet`` too."""
     hashed = {"batch": 0, "scalar": 0}
     batch, scalar = SipHasher.hash64_batch, SipHasher.hash64
 
@@ -178,6 +185,42 @@ def test_server_setup_hashes_each_item_once(monkeypatch, lane):
     assert [len(e) for e in server.backend.encoders] == [
         len(members) for members in server.backend.sharded.shards
     ]
+
+    def churn_passes(backend, fresh, gone):
+        for encoder in backend.encoders:
+            encoder.cached_block(0, 48)  # a prefix for the churn to patch
+        passes = []
+        for mutate, batch_ in ((backend.add_many, fresh), (backend.remove_many, gone)):
+            hashed.update(batch=0, scalar=0)
+            mutate(batch_)
+            passes.append((hashed["batch"] / len(batch_), hashed["scalar"]))
+        return passes
+
+    rng = random.Random(28)
+    fresh = [rng.randbytes(8) for _ in range(90)]
+    durable = open_backend(
+        items, num_shards=NUM_SHARDS, data_dir=tmp_path / "full", durable=NO_FSYNC,
+        hasher="siphash",
+    )
+    try:
+        assert churn_passes(durable, fresh, items[::7]) == [(1, 0), (1, 0)]
+    finally:
+        durable.close()
+    owned = (1, 3)
+    hash64 = durable.handle.hash64
+    live = set(items) - set(items[::7])
+    mine = [i for i in sorted(live) if shard_of(hash64, i, NUM_SHARDS) in owned]
+    more = [rng.randbytes(8) for _ in range(90)]
+    extra = [i for i in more if shard_of(hash64, i, NUM_SHARDS) in owned]
+    worker = open_durable(
+        tmp_path / "full", shard_subset=owned, journal_name=journal_segment_name(0),
+        config=NO_FSYNC,
+    )
+    try:
+        assert isinstance(worker.sharded, ShardSubsetSet)
+        assert churn_passes(worker, extra, mine[:40]) == [(1, 0), (1, 0)]
+    finally:
+        worker.close()
 
 
 # -- one mutation body per layer -----------------------------------------------
@@ -261,6 +304,151 @@ def test_single_item_mutation_is_the_one_element_batch(tmp_path, lane):
     many.add_many([new])
     assert one.digest() == many.digest()
     assert one.backend.sharded.versions == many.backend.sharded.versions
+
+
+# -- one churn pass per batch ------------------------------------------------
+
+
+def _state(backend):
+    """Every shard's packed bank and exported source rows."""
+    codec = backend.handle.codec
+    return [(e.bank.pack(codec), e.export_rows()) for e in backend.encoders]
+
+
+@pytest.mark.parametrize("size", [8, 92])
+@pytest.mark.parametrize("durable", [False, True])
+def test_churn_batch_matches_per_shard_encoder_calls(lane, tmp_path, size, durable):
+    """Random add/remove batches through a warm or durable 4-shard
+    backend — one hash pass and one patch call each — leave every
+    shard's bank and source rows byte-identical to
+    ``RatelessEncoder.add_items`` / ``remove_items`` run one shard at a
+    time, over unequal cached prefixes (one of them empty) that grow
+    between batches."""
+    rng = random.Random(size)
+    items = items_for(size)
+    spec = dict(num_shards=NUM_SHARDS, hasher="siphash")
+    data_dir = tmp_path if durable else None
+    backend = open_backend(items, data_dir=data_dir, durable=NO_FSYNC, **spec)
+    reference = open_backend(items, **spec)
+    depths = [0, 40, 300, 700]
+    live = list(items)
+    try:
+        for op in range(12):
+            for depth, a, b in zip(depths, backend.encoders, reference.encoders):
+                a.cached_block(0, depth + 20 * op * (depth > 0))
+                b.cached_block(0, depth + 20 * op * (depth > 0))
+            rng.shuffle(live)
+            count = rng.choice([1, 5, 40, 200])
+            gone, live = live[:count], live[count:]
+            fresh = [rng.randbytes(size) for _ in range(rng.choice([1, 9, 64, 250]))]
+            live += fresh
+            backend.add_many(fresh)
+            backend.remove_many(gone)
+            for batch, adding in ((fresh, True), (gone, False)):
+                sharded = reference.sharded
+                placed = (sharded.add_many if adding else sharded.remove_many)(batch)
+                for shard, encoder in enumerate(reference.encoders):
+                    group = [i for i, s in zip(batch, placed) if s == shard]
+                    if group:
+                        (encoder.add_items if adding else encoder.remove_items)(group)
+            assert _state(backend) == _state(reference)
+            assert backend.sharded.versions == reference.sharded.versions
+    finally:
+        if durable:
+            backend.close()
+
+
+def test_data_dir_written_per_shard_reopens_identically(lane, tmp_path):
+    """``tests/golden/durable_journal`` was written while each shard's
+    churn was still patched by its own kernel call: four shards with
+    unequal cached prefixes, checkpointed, then six churn batches (1 to
+    70 items) left in the journal.  Reopening replays them through the
+    one-pass ``add_many``/``remove_many``; members, versions, banks and
+    source rows must hash to the digest recorded when it was written."""
+    golden = Path(__file__).parent / "golden" / "durable_journal"
+    data_dir = shutil.copytree(golden, tmp_path / "data")
+    config = DurableConfig(fsync=False, checkpoint_every=None)
+    backend = open_backend(data_dir=data_dir, durable=config)
+    try:
+        digest = hashlib.sha256()
+        for shard, encoder in enumerate(backend.encoders):
+            members = sorted(backend.sharded.shards[shard])
+            digest.update(repr((members, backend.sharded.versions[shard])).encode())
+            digest.update(encoder.bank.pack(backend.handle.codec))
+            digest.update(repr(encoder.export_rows()).encode())
+        assert len(backend.sharded) == 431
+        assert [len(e.bank) for e in backend.encoders] == [40, 64, 88, 112]
+        assert digest.hexdigest() == (
+            "b04a8840c466d3726f014a6487735f502d18608b4a2dcb7f11f3c217412a27f6"
+        )
+    finally:
+        backend.close()
+
+
+def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
+    """A churn batch is one walk-kernel call, however many shards it
+    touches: the touched shards' cached prefixes lie end to end in one
+    lane matrix, each row walking in its own bank's coordinates.  Before,
+    a 4-shard batch made one call per shard.  And ``encoder.py`` has one
+    patch body, ``_patch``: the only code that validates a batch, kills
+    rows or walks a produced prefix for churn; every add and remove
+    form is a call of it, and the backends reach it through ``churn``
+    rather than per-encoder ``add_items``/``remove_items``."""
+    pytest.importorskip("numpy")
+    from repro.core import encoder as encoder_module
+
+    calls = []
+    kernel = encoder_module.scatter_walk_arrays
+
+    def spy(*args, **kwargs):
+        calls.append(args[8])  # hi: an int, or one end per row
+        return kernel(*args, **kwargs)
+
+    items = items_for(8)
+    rng = random.Random(20)
+    spec = dict(num_shards=NUM_SHARDS, hasher="siphash")
+    with engine_lane(True):
+        warm = open_backend(items, **spec)
+        durable = open_backend(items, data_dir=tmp_path, durable=NO_FSYNC, **spec)
+        try:
+            for backend in (warm, durable):
+                for encoder in backend.encoders:
+                    encoder.cached_block(0, 128)
+                fresh = [rng.randbytes(8) for _ in range(160)]
+                gone = items[1::3]
+                monkeypatch.setattr(encoder_module, "scatter_walk_arrays", spy)
+                churn = ((backend.add_many, fresh), (backend.remove_many, gone))
+                for mutate, batch in churn:
+                    calls.clear()
+                    assert set(mutate(batch)) == set(range(NUM_SHARDS))
+                    assert len(calls) == 1 and len(calls[0]) == len(batch)
+                monkeypatch.undo()
+        finally:
+            durable.close()
+
+    src = Path(repro.__file__).parent
+    tree = ast.parse((src / "core" / "encoder.py").read_text())
+    owner = _enclosing_functions(tree)
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_patch_prefix" not in defined
+
+    def callers(name):
+        return {
+            owner[id(node)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, a, None) for a in ("id", "attr"))
+        }
+
+    assert callers("_walk_into") == {"walk", "_patch"}
+    assert callers("kill") == callers("_validate") == callers("alphas_for") - {
+        "restore"
+    } == {"_patch"}
+    assert callers("_patch") == {"add_value", "remove_value", "churn"}
+    assert callers("churn") == {"add_items", "remove_items"}
+    for module in ("service/backends.py", "durable/store.py"):
+        text = (src / module).read_text()
+        assert not re.search(r"\.(add_items|remove_items)\(", text), module
 
 
 def test_service_node_items_is_a_view_of_the_backend():

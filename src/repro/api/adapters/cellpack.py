@@ -16,6 +16,7 @@ stays the paper's §7.1 ℓ+16 figure, see the adapters.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.api.base import ReconcileError, SchemeParams
@@ -38,11 +39,12 @@ class CodecParams(SchemeParams):
 
 def codec_for(params: CodecParams) -> SymbolCodec:
     assert params.symbol_size is not None
-    return SymbolCodec(
-        params.symbol_size,
-        make_hasher(params.hasher, params.key),
-        checksum_size=params.checksum_size,
-    )
+    return _codec(params.symbol_size, params.hasher, params.key, params.checksum_size)
+
+
+@lru_cache(maxsize=None)  # one codec per configuration: decoder waves group by it
+def _codec(size: int, hasher: str, key: bytes, checksum_size: int) -> SymbolCodec:
+    return SymbolCodec(size, make_hasher(hasher, key), checksum_size=checksum_size)
 
 
 class CellStreamFace:

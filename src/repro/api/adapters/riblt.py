@@ -18,7 +18,7 @@ from repro.api.adapters.cellpack import CodecParams, codec_for
 from repro.api.base import StreamingReconciler, UnsupportedOperation
 from repro.api.registry import Capabilities, register_scheme
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.decoder import DecodeResult, RatelessDecoder
+from repro.core.decoder import DecodeResult, RatelessDecoder, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
@@ -128,19 +128,35 @@ class RibltReconciler(StreamingReconciler):
 
     def absorb(self, payload: bytes) -> bool:
         """Subtract our matching cells from the peer's stream and peel."""
-        encoder = self._require_live()
-        if self._reader is None:
-            self._reader = SymbolStreamReader(self.codec)
-            self._decoder = RatelessDecoder(self.codec)
-        assert self._decoder is not None
-        incoming = CodedSymbolBank()
-        parsed = self._reader.feed_into(incoming, payload)
-        if parsed:
-            lo = self._absorbed
-            self._absorbed += parsed
-            incoming.subtract_in_place(encoder.cached_block(lo, lo + parsed))
-            self._decoder.add_coded_block(incoming)
-        return self._decoder.decoded
+        (result,) = self.absorb_many([(self, payload)])
+        if isinstance(result, ValueError):
+            raise result
+        return result
+
+    @classmethod
+    def absorb_many(cls, pairs) -> list:
+        """Each pair subtracts its own ``cached_block``; then every decoder
+        peels in one :func:`~repro.core.decoder.ingest` wave."""
+        decoders, jobs = [], []
+        for rec, payload in pairs:
+            encoder = rec._require_live()
+            if rec._reader is None:
+                rec._reader = SymbolStreamReader(rec.codec)
+                rec._decoder = RatelessDecoder(rec.codec)
+            incoming = CodedSymbolBank()
+            try:
+                parsed = rec._reader.feed_into(incoming, payload)
+            except ValueError as exc:
+                ingest(jobs)
+                return [d.decoded for d in decoders] + [exc]
+            if parsed:
+                lo = rec._absorbed
+                rec._absorbed += parsed
+                incoming.subtract_in_place(encoder.cached_block(lo, lo + parsed))
+                jobs.append((rec._decoder, incoming))
+            decoders.append(rec._decoder)
+        ingest(jobs)
+        return [d.decoded for d in decoders]
 
     @property
     def symbols_absorbed(self) -> int:

@@ -245,6 +245,21 @@ class StreamingReconciler(SetReconciler):
     def absorb(self, payload: bytes) -> bool:
         """Consume the peer's next payload; True once fully decoded."""
 
+    @classmethod
+    def absorb_many(cls, pairs: Sequence[tuple["StreamingReconciler", bytes]]) -> list:
+        """:meth:`absorb` one payload into each of several reconcilers
+        (each at most once), in order: one result per pair, or, for a
+        malformed payload, its ``ValueError`` — the list ends there and
+        later pairs stay unabsorbed.  Adapters that can share work across
+        streams override this loop."""
+        out: list = []
+        for reconciler, payload in pairs:
+            try:
+                out.append(reconciler.absorb(payload))
+            except ValueError as exc:
+                return out + [exc]
+        return out
+
     @property
     def symbols_absorbed(self) -> int:
         """Coded units consumed by ``absorb`` so far.

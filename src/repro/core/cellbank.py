@@ -48,8 +48,8 @@ exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would:
   radix-sorted ``reduceat`` (XOR commutes); the last few walks finish
   per edge on splitmix draws made in bulk.  Per-row ``hi``/``base``
   columns let one call walk several banks laid end to end (a churn
-  batch over every shard).  Guarded by :func:`numpy_block_eligible`;
-  :func:`scatter_walk_numpy` is its list-in/list-out face.
+  batch over every shard, a decoder wave over every shard's bank).
+  Guarded by :func:`numpy_block_eligible`.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
 double arithmetic in the same order), which the golden-equivalence suite
@@ -578,8 +578,8 @@ def scatter_walk_arrays(
 ):
     """Array-native scatter walk.
 
-    The kernel under :func:`scatter_walk_numpy`, and the batch mapping
-    stage of the set-ingestion pipeline: walk every symbol ``j`` from
+    The decoder's replay and peel walks, and the batch mapping stage of
+    the set-ingestion pipeline: walk every symbol ``j`` from
     ``idx[j]`` to its first index ≥ ``hi``, XOR-ing it into the lane
     arrays (which cover absolute indices ``[base, base + len)``), and
     return the ``(idx, state)`` arrays, advanced in place.  Symbols
@@ -606,7 +606,8 @@ def scatter_walk_arrays(
     ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
     NumPy's SIMD ``pow`` is **not** bit-identical to libm's (~4 % of
     draws differ in the last ulp).  ``touched``, when given, collects
-    per-round absolute-index arrays.  Once fewer than
+    per-round arrays of the lane slots written (``index − base``: rows of
+    the lane arrays, whichever bank they belong to).  Once fewer than
     :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
     finishes them per edge (walks are independent, so the hand-off
     point cannot change the result).
@@ -637,7 +638,7 @@ def scatter_walk_arrays(
         slot = (np.subtract(pos, bs, out=hh) if shift else pos).astype(slot_type)
         fold_edges(sums, checksums, counts, slot, take, vals, csums, dirs)
         if touched is not None:
-            touched.append(pos.astype(np.int64))
+            touched.append(slot)
         np.add(st, GAMMA, out=st)
         mix64_lanes(st, zz, tt)
         np.right_shift(zz, 11, out=zz)
@@ -688,7 +689,7 @@ def scatter_walk_arrays(
         slot = walked - _rows_of(base, walked_rows)
         fold_edges(sums, checksums, counts, slot, walked_rows, vals, csums, dirs)
         if touched is not None:
-            touched.append(walked)
+            touched.append(slot)
     return idx, state
 
 
@@ -844,39 +845,3 @@ def _walk_tail_scalar(rows, pos, st, al, hi):
     edges = np.array([edge_idx, edge_rows], dtype=np.int64)
     parked = st + np.array(steps, dtype=np.uint64) * np.uint64(GAMMA)
     return edges[0], edges[1], ends, parked
-
-
-def scatter_walk_numpy(
-    sums,  # np.ndarray[uint64] (m, k)
-    checksums,  # np.ndarray[uint64] (m,)
-    counts,  # np.ndarray[int64] (m,)
-    indices: list[int],
-    states: list[int],
-    values: Sequence[int],
-    symbol_checksums: Sequence[int],
-    directions: Sequence[int],
-    hi: int,
-    base: int = 0,
-    touched: Optional[list] = None,
-    alphas: Optional[Sequence[float]] = None,
-) -> None:
-    """Vectorised :func:`scatter_walk_scalar`: list-in/list-out face of
-    :func:`scatter_walk_arrays` for callers holding Python-int state
-    (``values`` become lanes as wide as ``sums``' rows)."""
-    np = engine.np
-    idx, state = scatter_walk_arrays(
-        sums,
-        checksums,
-        counts,
-        np.array(indices, dtype=np.int64),
-        np.array(states, dtype=np.uint64),
-        lanes_from_ints(values, 8 * sums.shape[1]),
-        np.array(symbol_checksums, dtype=np.uint64),
-        np.array(directions, dtype=np.int64),
-        hi,
-        base=base,
-        touched=touched,
-        alphas=np.array(alphas, dtype=np.float64) if alphas is not None else None,
-    )
-    indices[:] = idx.tolist()
-    states[:] = state.tolist()

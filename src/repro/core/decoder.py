@@ -19,16 +19,15 @@ Two ingestion paths exist:
 
 * :meth:`RatelessDecoder.add_coded_symbol` — the reference per-cell
   path (peel depth-first via a work queue).
-* :meth:`RatelessDecoder.add_coded_block` — the batch fast path: a whole
-  bank is appended at once, pending symbols are replayed across the new
-  region by the :mod:`~repro.core.cellbank` scatter samplers, and
-  peeling proceeds in breadth-first *rounds* — verify every pure
-  candidate, then batch-subtract all of the round's recoveries in one
-  vectorised scatter.  Peeling is confluent (the recoverable set is
-  determined by the cell contents, not the peel order), so the fast path
-  reaches the same fixed point — same recovered symbols, same final
-  lanes — as per-cell ingestion; the golden-equivalence suite asserts
-  this.
+* :func:`ingest` — the batch path: a bank for each of many decoders
+  (:meth:`RatelessDecoder.add_coded_block` is its one-decoder case).
+  Sizeable blocks share one *wave*: their banks lie end to end in one
+  lane matrix, one kernel call replays every parked symbol, and peeling
+  runs in breadth-first *rounds* — one batch hash call verifies every
+  decoder's pure candidates, one kernel call subtracts the recoveries.
+  Peeling is confluent and decoders are independent, so this reaches the
+  same fixed point — recovered symbols, final lanes — as per-cell
+  ingestion; the golden-equivalence suite asserts this.
 
 Termination: the stream is fully decoded exactly when every received
 cell has been reduced to zero.  Because ρ(0) = 1, cell 0 participates in
@@ -41,8 +40,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count as _counter
-from typing import Iterable, Optional
+from itertools import accumulate, chain, count as _counter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro import engine
 from repro.core.cellbank import (
@@ -50,9 +49,10 @@ from repro.core.cellbank import (
     ints_from_lanes,
     lanes_from_ints,
     numpy_block_eligible,
-    scatter_walk_numpy,
+    scatter_walk_arrays,
 )
 from repro.core.coded import CodedSymbol
+from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
 
 # Early-stop granularity of the batch path: the block is ingested in
@@ -65,16 +65,13 @@ DEFAULT_STOP_CHUNK = 2048
 _MIN_NUMPY_BLOCK = 64
 
 
-class _RecoveredEntry:
+class _RecoveredEntry(NamedTuple):
     """A recovered source symbol waiting to be peeled from future cells."""
 
-    __slots__ = ("value", "checksum", "direction", "gen")
-
-    def __init__(self, value: int, checksum: int, direction: int, gen) -> None:
-        self.value = value
-        self.checksum = checksum
-        self.direction = direction
-        self.gen = gen
+    value: int
+    checksum: int
+    direction: int
+    gen: IndexGenerator
 
 
 @dataclass
@@ -121,9 +118,8 @@ class RatelessDecoder:
     are re-peeled from later cells as they arrive (a heap of parked
     §4.2 walks), and a *pure* cell (count ±1, checksum matching its
     sum) triggers breadth-first peeling.  Two ingestion engines — the
-    scalar reference and a batched NumPy path that verifies each peel
-    round's candidates with one keyed-hash batch call — reach the same
-    fixed point with identical lane state; peeling is confluent, so
+    scalar reference and the NumPy waves of :func:`ingest` — reach the
+    same fixed point with identical lane state; peeling is confluent, so
     engine choice never changes what is recovered.
     """
 
@@ -205,210 +201,12 @@ class RatelessDecoder:
     ) -> int:
         """Consume a whole bank of subtracted cells; returns cells consumed.
 
-        Reaches the same fixed point as per-cell ingestion of the same
-        cells (see module docstring).  With ``stop_when_decoded`` the
-        bank is ingested in ``chunk``-cell sub-blocks and ingestion stops
-        at the end of the first sub-block that completes decoding — pass
-        ``chunk=1`` for cell-exact early stopping (both engines honour
-        the same granularity).  ``bank`` is read, never mutated.
+        The one-job case of :func:`ingest`: the fixed point of per-cell
+        ingestion, stopping (with ``stop_when_decoded``) after the first
+        ``chunk``-cell sub-block that completes decoding — ``chunk=1``
+        is cell-exact on both engines.  ``bank`` is never mutated.
         """
-        n = len(bank)
-        if n == 0:
-            return 0
-        if stop_when_decoded and self.decoded:
-            return 0
-        step = chunk if stop_when_decoded else n
-        if step < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        # The NumPy engine copies the whole accumulated bank into arrays
-        # and back once per call, so it only pays when the incoming block
-        # is both sizeable and a meaningful fraction of what is already
-        # banked — otherwise a long stream of small blocks would re-copy
-        # the bank quadratically and the scalar engine wins.
-        if (
-            n >= _MIN_NUMPY_BLOCK
-            and step >= _MIN_NUMPY_BLOCK
-            and 16 * n >= len(self._bank)
-            and numpy_block_eligible(self.codec)
-        ):
-            return self._ingest_numpy(bank, step, stop_when_decoded)
-        src_sums = bank.sums
-        src_checksums = bank.checksums
-        src_counts = bank.counts
-        consume = self._consume
-        consumed = 0
-        while consumed < n:
-            upto = min(consumed + step, n)
-            for i in range(consumed, upto):
-                consume(src_sums[i], src_checksums[i], src_counts[i])
-            consumed = upto
-            if stop_when_decoded and self._nonzero == 0:
-                break
-        return consumed
-
-    def _ingest_numpy(
-        self, src: CodedSymbolBank, step: int, stop_when_decoded: bool
-    ) -> int:
-        """Batch engine: append + pending replay + breadth-first peeling.
-
-        Works on array lanes for the whole call — ``(total, k)`` uint64
-        sums, uint64 checksums, int64 counts — and writes them back
-        once; every arithmetic step is bit-identical to the scalar
-        engine (see ``cellbank.scatter_walk_numpy``).  Symbols of any
-        width the lanes carry and §8 irregular codecs (a per-symbol α
-        vector) ride this path instead of per-cell ingestion.
-
-        Each peel round gathers its pure-cell (sum, checksum) candidates
-        and verifies them against :meth:`SymbolCodec.checksum_int_batch`
-        in one call; the accept pass then replays the scalar loop's
-        order-dependent checks (in-round ghost duplicates), so the set of
-        recovered symbols is exactly the reference engine's.
-        """
-        np = engine.np
-        bank = self._bank
-        codec = self.codec
-        checksum_int_batch = codec.checksum_int_batch
-        new_mapping = codec.new_mapping
-        alpha_for = codec.alpha_for
-        irregular = codec.irregular is not None
-        pending = self._pending
-        seen = self._seen
-        remote = self._remote
-        local = self._local
-        seq = self._seq
-        old = len(bank)
-        total = old + len(src)
-        sums = lanes_from_ints(bank.sums + src.sums, codec.symbol_size)
-        checksums = np.array(bank.checksums + src.checksums, dtype=np.uint64)
-        counts = np.array(bank.counts + src.counts, dtype=np.int64)
-        frontier = old
-        while frontier < total:
-            new_frontier = min(frontier + step, total)
-            # 1. Replay parked recovered symbols across the new region.
-            replayed: list[tuple[int, int, _RecoveredEntry]] = []
-            job_indices: list[int] = []
-            job_states: list[int] = []
-            job_values: list[int] = []
-            job_checksums: list[int] = []
-            job_directions: list[int] = []
-            job_alphas: Optional[list[float]] = [] if irregular else None
-            while pending and pending[0][0] < new_frontier:
-                key, sq, rec = heapq.heappop(pending)
-                job_indices.append(key)
-                job_states.append(rec.gen.state)
-                job_values.append(rec.value)
-                job_checksums.append(rec.checksum)
-                job_directions.append(-rec.direction)
-                if job_alphas is not None:
-                    job_alphas.append(rec.gen.alpha)
-                replayed.append((sq, rec))
-            if job_indices:
-                scatter_walk_numpy(
-                    sums,
-                    checksums,
-                    counts,
-                    job_indices,
-                    job_states,
-                    job_values,
-                    job_checksums,
-                    job_directions,
-                    new_frontier,
-                    alphas=job_alphas,
-                )
-                for j, (sq, rec) in enumerate(replayed):
-                    rec.gen.current = job_indices[j]
-                    rec.gen.state = job_states[j]
-                    heapq.heappush(pending, (job_indices[j], sq, rec))
-            # 2. Breadth-first peeling rounds over [0, new_frontier).
-            region = counts[frontier:new_frontier]
-            candidates = np.where((region == 1) | (region == -1))[0] + frontier
-            while candidates.size:
-                rec_values: list[int] = []
-                rec_checksums: list[int] = []
-                rec_directions: list[int] = []
-                cand_counts = counts[candidates].tolist()
-                cand_checksums = checksums[candidates].tolist()
-                cand_values = ints_from_lanes(sums[candidates])
-                # Gather the round's plausible candidates, then verify
-                # their checksums in ONE batch hash call.  A candidate
-                # that becomes an in-round ghost (its checksum recovered
-                # by an *earlier* candidate this round) is re-checked
-                # against ``seen`` at accept time below — hashing it here
-                # is side-effect-free, so the recovered set is exactly
-                # what the scalar per-candidate loop produces.
-                probe = [
-                    j
-                    for j in range(len(cand_counts))
-                    if (cand_counts[j] == 1 or cand_counts[j] == -1)
-                    and cand_checksums[j] not in seen
-                ]
-                hashes = checksum_int_batch([cand_values[j] for j in probe])
-                for j, hashed in zip(probe, hashes):
-                    checksum = cand_checksums[j]
-                    if checksum in seen:
-                        continue  # ghost duplicate of a recovered symbol
-                    if hashed != checksum:
-                        continue  # not actually pure (counts cancelled)
-                    count = cand_counts[j]
-                    value = cand_values[j]
-                    seen.add(checksum)
-                    (remote if count == 1 else local).append(value)
-                    rec_values.append(value)
-                    rec_checksums.append(checksum)
-                    rec_directions.append(-count)
-                if not rec_values:
-                    break
-                # Batch-subtract the round's recoveries everywhere they map.
-                job_indices = [0] * len(rec_values)
-                job_states = list(rec_checksums)
-                touched: list = []
-                scatter_walk_numpy(
-                    sums,
-                    checksums,
-                    counts,
-                    job_indices,
-                    job_states,
-                    rec_values,
-                    rec_checksums,
-                    rec_directions,
-                    new_frontier,
-                    touched=touched,
-                    alphas=(
-                        [alpha_for(c) for c in rec_checksums]
-                        if irregular
-                        else None
-                    ),
-                )
-                # Park each recovery for cells beyond the frontier.
-                for j, checksum in enumerate(rec_checksums):
-                    gen = new_mapping(checksum)
-                    gen.current = job_indices[j]
-                    gen.state = job_states[j]
-                    rec = _RecoveredEntry(
-                        rec_values[j], checksum, -rec_directions[j], gen
-                    )
-                    heapq.heappush(pending, (job_indices[j], next(seq), rec))
-                hit = np.unique(np.concatenate(touched))
-                hit_counts = counts[hit]
-                candidates = hit[(hit_counts == 1) | (hit_counts == -1)]
-            frontier = new_frontier
-            if stop_when_decoded and not (
-                counts[:frontier].any()
-                or sums[:frontier].any()
-                or checksums[:frontier].any()
-            ):
-                break
-        bank.sums[:] = ints_from_lanes(sums[:frontier])
-        bank.checksums[:] = checksums[:frontier].tolist()
-        bank.counts[:] = counts[:frontier].tolist()
-        self._nonzero = int(
-            np.count_nonzero(
-                sums[:frontier].any(axis=1)
-                | (checksums[:frontier] != 0)
-                | (counts[:frontier] != 0)
-            )
-        )
-        return frontier - old
+        return ingest([(self, bank)], stop_when_decoded, chunk)[0]
 
     # -- peeling -----------------------------------------------------------
 
@@ -494,6 +292,170 @@ class RatelessDecoder:
             local=self.local_items(),
             symbols_used=len(self._bank),
         )
+
+
+def ingest(
+    jobs: Sequence[tuple[RatelessDecoder, CodedSymbolBank]],
+    stop_when_decoded: bool = False,
+    chunk: int = DEFAULT_STOP_CHUNK,
+) -> list[int]:
+    """Feed each ``(decoder, bank)`` job its bank; returns cells consumed per job.
+
+    A job takes the NumPy engine only when its block is sizeable and a
+    fair fraction of its decoder's bank (which the engine copies into
+    arrays and back per call), else the per-cell engine.  The NumPy jobs
+    of one codec run as one *wave* (banks end to end in one lane matrix,
+    per-row kernel ``hi``/``base``): one kernel call replays all parked
+    symbols, and each peel round verifies every decoder's candidates in
+    ONE ``checksum_int_batch`` call, accepts them against that decoder's
+    ``seen`` and peels them in one kernel call — so each decoder ends as
+    a call of its own leaves it.  ``stop_when_decoded`` advances the jobs
+    in lock-step ``chunk``-cell sub-blocks.  One job per decoder at most.
+    """
+    if len({id(decoder) for decoder, _ in jobs}) < len(jobs):
+        raise ValueError("a decoder may appear in at most one ingest job")
+    consumed = [0] * len(jobs)
+    waves: dict[int, list[int]] = {}  # id(codec) -> its NumPy jobs
+    for j, (decoder, bank) in enumerate(jobs):
+        n = len(bank)
+        if n == 0 or (stop_when_decoded and decoder.decoded):
+            continue
+        step = chunk if stop_when_decoded else n
+        if step < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        if (
+            n >= _MIN_NUMPY_BLOCK
+            and step >= _MIN_NUMPY_BLOCK
+            and 16 * n >= len(decoder._bank)
+            and numpy_block_eligible(decoder.codec)
+        ):
+            waves.setdefault(id(decoder.codec), []).append(j)
+            continue
+        consume, lanes = decoder._consume, (bank.sums, bank.checksums, bank.counts)
+        while consumed[j] < n:
+            lo = consumed[j]
+            consumed[j] = min(lo + step, n)
+            for cell in zip(*(lane[lo : consumed[j]] for lane in lanes)):
+                consume(*cell)
+            if stop_when_decoded and decoder._nonzero == 0:
+                break
+    np = engine.np
+    for wave in waves.values():
+        decoders = [jobs[j][0] for j in wave]
+        banks = [(decoder._bank, jobs[j][1]) for decoder, j in zip(decoders, wave)]
+        codec = decoders[0].codec
+        irregular = codec.irregular is not None
+        seens = [decoder._seen for decoder in decoders]
+        olds = [len(mine) for mine, _ in banks]
+        totals = [len(mine) + len(src) for mine, src in banks]
+        starts = [0, *accumulate(totals)]  # decoder w: rows starts[w]..starts[w+1]
+        parts = [b for pair in banks for b in pair]  # a decoder's bank, its block
+        sums = lanes_from_ints(list(chain(*(b.sums for b in parts))), codec.symbol_size)
+        checksums = np.array(list(chain(*(b.checksums for b in parts))), np.uint64)
+        counts = np.array(list(chain(*(b.counts for b in parts))), np.int64)
+        arrays, frontiers, ends = (sums, checksums, counts), olds[:], totals[:]
+
+        def walk(owner, indices, states, values, csums, dirs, alphas, touched=None):
+            # One kernel call; row r walks decoder owner[r]'s rows to its end.
+            hi, base = ends[0], 0
+            if len(wave) > 1:
+                hi, base = np.array(ends)[owner], -np.array(starts[:-1])[owner]
+            idx, state = scatter_walk_arrays(
+                *arrays, np.array(indices, np.int64), np.array(states, np.uint64),
+                lanes_from_ints(values, codec.symbol_size), np.array(csums, np.uint64),
+                np.array(dirs, np.int64), hi, base=base, touched=touched,
+                alphas=None if alphas is None else np.array(alphas, np.float64),
+            )
+            indices[:], states[:] = idx.tolist(), state.tolist()
+
+        active = list(range(len(wave)))
+        while active:
+            # 1. Replay every decoder's parked recoveries across its new cells.
+            replayed = []
+            for w in active:
+                if stop_when_decoded:
+                    ends[w] = min(frontiers[w] + chunk, totals[w])
+                pending = decoders[w]._pending
+                while pending and pending[0][0] < ends[w]:
+                    replayed.append((w, *heapq.heappop(pending)))
+            if replayed:
+                owner, indices, _, recs = map(list, zip(*replayed))
+                states = [rec.gen.state for rec in recs]
+                values = [rec.value for rec in recs]
+                csums = [rec.checksum for rec in recs]
+                dirs = [-rec.direction for rec in recs]
+                alphas = [rec.gen.alpha for rec in recs] if irregular else None
+                walk(owner, indices, states, values, csums, dirs, alphas)
+                for (w, _, sq, rec), index, state in zip(replayed, indices, states):
+                    rec.gen.current, rec.gen.state = index, state
+                    heapq.heappush(decoders[w]._pending, (index, sq, rec))
+            # 2. Breadth-first peel rounds over every decoder's [0, end).
+            pure = (counts == 1) | (counts == -1)
+            spans = [(starts[w] + frontiers[w], starts[w] + ends[w]) for w in active]
+            hits = [np.flatnonzero(pure[lo:hi]) + lo for lo, hi in spans]
+            candidates = np.concatenate(hits)
+            while candidates.size:
+                cand_counts = counts[candidates].tolist()
+                cand_checksums = checksums[candidates].tolist()
+                cand_values = ints_from_lanes(sums[candidates])
+                cuts = starts[1:-1]  # the decoders' row boundaries
+                owners = np.searchsorted(cuts, candidates, side="right").tolist()
+                # ONE batch hash call verifies the round; an in-round ghost
+                # (recovered by an earlier candidate of its decoder) is
+                # re-checked against ``seen`` below, as the scalar loop does.
+                probe = [
+                    j
+                    for j, count in enumerate(cand_counts)
+                    if (count == 1 or count == -1)
+                    and cand_checksums[j] not in seens[owners[j]]
+                ]
+                hashes = codec.checksum_int_batch([cand_values[j] for j in probe])
+                recovered = []  # (decoder, value, checksum, count)
+                for j, hashed in zip(probe, hashes):
+                    checksum, w, value = cand_checksums[j], owners[j], cand_values[j]
+                    if checksum in seens[w] or hashed != checksum:
+                        continue  # a ghost duplicate, or not pure (counts cancelled)
+                    seens[w].add(checksum)
+                    decoder, sign = decoders[w], cand_counts[j]
+                    (decoder._remote if sign == 1 else decoder._local).append(value)
+                    recovered.append((w, value, checksum, sign))
+                if not recovered:
+                    break
+                # Batch-subtract the round's recoveries everywhere they map,
+                # then park each for the cells beyond its decoder's end.
+                owner, values, csums, signs = map(list, zip(*recovered))
+                indices, states, touched = [0] * len(csums), list(csums), []
+                alphas = list(map(codec.alpha_for, csums)) if irregular else None
+                dirs = [-sign for sign in signs]
+                walk(owner, indices, states, values, csums, dirs, alphas, touched)
+                for (w, value, checksum, sign), index, state in zip(
+                    recovered, indices, states
+                ):
+                    gen = codec.new_mapping(checksum)
+                    gen.current, gen.state = index, state
+                    entry = _RecoveredEntry(value, checksum, sign, gen)
+                    seq = next(decoders[w]._seq)
+                    heapq.heappush(decoders[w]._pending, (index, seq, entry))
+                hit = np.unique(np.concatenate(touched))
+                hit_counts = counts[hit]
+                candidates = hit[(hit_counts == 1) | (hit_counts == -1)]
+            frontiers = ends[:]
+            active = [w for w in active if ends[w] < totals[w]]
+            if stop_when_decoded:  # a job stops after the sub-block decoding it
+                live = sums.any(axis=1) | (checksums != 0) | (counts != 0)
+                live = [live[starts[w] : starts[w] + ends[w]].any() for w in active]
+                active = [w for w, undecoded in zip(active, live) if undecoded]
+        values = ints_from_lanes(sums)
+        checksum_list, count_list = checksums.tolist(), counts.tolist()
+        nonzero = sums.any(axis=1) | (checksums != 0) | (counts != 0)
+        for w, (decoder, (bank, _)) in enumerate(zip(decoders, banks)):
+            lo, hi = starts[w], starts[w] + frontiers[w]
+            bank.sums[:] = values[lo:hi]
+            bank.checksums[:] = checksum_list[lo:hi]
+            bank.counts[:] = count_list[lo:hi]
+            decoder._nonzero = int(np.count_nonzero(nonzero[lo:hi]))
+            consumed[wave[w]] = frontiers[w] - olds[w]
+    return consumed
 
 
 def decode_sketch_cells(

@@ -82,6 +82,13 @@ shard, a responder never more than ~4x ahead of its peer, and a
 long-fat link still ramps like TCP slow start.  The limit is cumulative
 so grants are idempotent and order-free: a duplicate or stale one is a
 no-op, never a double credit.
+
+A read usually carries a block of every shard (one per shard per tick),
+so the initiator absorbs a read's SYMBOLS frames in *waves* — the k-th
+frame of every undecoded shard, one ``absorb_many`` call whose decoders
+share each peel round's hash and kernel calls — then answers each frame
+(SHARD_DONE, CREDIT, typed error) in arrival order, exactly as
+frame-at-a-time absorption would: shards are independent.
 """
 
 from __future__ import annotations
@@ -327,10 +334,12 @@ class _InitiatorShard:
 class InitiatorMachine(ReconcilerMachine):
     """Bob's side: opens the session, absorbs, delivers the difference.
 
-    ``difference_bound`` (> 0) pre-sizes sketch mode exactly like the
-    legacy drivers; ``use_estimator=True`` (agreed out of band with the
-    responder, not negotiated) runs the strata exchange first and sizes
-    the initial sketch as ``ceil(estimate × ESTIMATE_MARGIN)``.
+    A read's SYMBOLS frames reach the reconcilers in waves, through
+    ``absorb_many`` (see "Flow control").  ``difference_bound`` (> 0)
+    pre-sizes sketch mode exactly like the legacy drivers;
+    ``use_estimator=True`` (agreed out of band with the responder, not
+    negotiated) runs the strata exchange first and sizes the initial
+    sketch as ``ceil(estimate × ESTIMATE_MARGIN)``.
     """
 
     def __init__(
@@ -425,7 +434,7 @@ class InitiatorMachine(ReconcilerMachine):
         if self._state == "welcome":
             self._on_welcome(ftype, body)
         elif self._state == "stream":
-            self._on_symbols(ftype, body)
+            raise ProtocolError(f"expected SYMBOLS, got frame type {ftype:#x}")
         elif self._state == "estimate":
             self._on_estimate(ftype, body)
         elif self._state == "sketch":
@@ -528,56 +537,87 @@ class InitiatorMachine(ReconcilerMachine):
         ports = tuple(welcome.uvarint() for _ in range(num_workers))
         return ClusterInfo(num_workers, worker_index, total_shards, ports)
 
-    def _on_symbols(self, ftype: int, body: bytes) -> None:
-        if ftype != FrameType.SYMBOLS:
-            raise ProtocolError(f"expected SYMBOLS, got frame type {ftype:#x}")
-        parser = BodyReader(body)
-        shard_id = parser.uvarint()
-        payload = parser.rest()
-        if shard_id >= len(self._shards):
-            raise ProtocolError(f"server sent unknown shard {shard_id}")
-        st = self._shards[shard_id]
-        if st.done:
-            return  # frames already in flight when SHARD_DONE crossed them
-        if self._payloads is not None:
-            self._payloads[st.tally.shard].extend(payload)
-        st.tally.payload_bytes += len(payload)
-        reconciler = st.reconciler
-        assert reconciler is not None
+    def _feed(self, data: bytes) -> None:
+        run: list = []  # consecutive SYMBOLS frames: (shard id, state, payload)
         try:
-            decoded = reconciler.absorb(payload)
-        except ValueError as exc:
-            # A scheme deserializer rejecting peer bytes is a wire-level
-            # corruption, not a caller bug: keep the failure typed.
-            raise ProtocolError(
-                f"shard {shard_id}: malformed SYMBOLS payload: {exc}"
-            ) from None
-        st.tally.symbols = reconciler.symbols_absorbed
-        if decoded:
-            st.done = True
-            st.result = reconciler.stream_result()
-            self._remaining -= 1
-            self._send_frame(FrameType.SHARD_DONE, pack_uvarints(shard_id))
-            if not self._remaining:
-                self._finish_up()
-        elif (
-            self.max_symbols is not None
-            and st.tally.symbols >= self.max_symbols
-        ):
-            raise SymbolBudgetExceeded(
-                f"shard {shard_id}: no decode within {self.max_symbols} "
-                "coded symbols",
-                symbols_sent=st.tally.symbols,
-                max_symbols=self.max_symbols,
-            )
-        elif 2 * st.tally.symbols >= st.granted:
-            # Half the window absorbed and still undecoded: double it,
-            # so the responder keeps streaming while the grant travels.
-            while 2 * st.tally.symbols >= st.granted:
-                st.granted *= 2
-            self._send_frame(
-                FrameType.CREDIT, pack_uvarints(shard_id, st.granted)
-            )
+            for ftype, body in self._frames.feed(data):
+                if self._state == "stream" and ftype == FrameType.SYMBOLS:
+                    parser = BodyReader(body)
+                    shard_id = parser.uvarint()
+                    if shard_id >= len(self._shards):
+                        raise ProtocolError(f"server sent unknown shard {shard_id}")
+                    run.append((shard_id, self._shards[shard_id], parser.rest()))
+                    continue
+                frames, run = run, []
+                if frames:
+                    self._on_symbols(frames)
+                if self.finished:
+                    return
+                self._on_frame(ftype, body)
+        finally:  # the frames before a malformed header come first
+            if run:
+                self._on_symbols(run)
+
+    def _on_symbols(self, frames: list) -> None:
+        """Absorb a run of SYMBOLS frames in waves, then answer each frame
+        in arrival order (see "Flow control")."""
+        end, results, queues = len(frames), {}, {}
+        for pos, (_, st, _) in enumerate(frames):
+            if not st.done:
+                queues.setdefault(st, []).append(pos)
+        while wave := sorted(q.pop(0) for q in queues.values() if q and q[0] < end):
+            pairs = [(frames[pos][1].reconciler, frames[pos][2]) for pos in wave]
+            for pos, result in zip(wave, type(pairs[0][0]).absorb_many(pairs)):
+                st = frames[pos][1]
+                if isinstance(result, ValueError):
+                    results[pos], end = result, min(end, pos + 1)
+                    continue
+                symbols = st.reconciler.symbols_absorbed
+                results[pos] = (result, symbols)
+                if result:
+                    queues[st] = []  # its later frames are dropped
+                elif self.max_symbols is not None and symbols >= self.max_symbols:
+                    end = min(end, pos + 1)  # the run fails at this frame
+        for pos in range(end):
+            shard_id, st, payload = frames[pos]
+            if st.done:
+                continue  # frames already in flight when SHARD_DONE crossed them
+            if self._payloads is not None:
+                self._payloads[st.tally.shard].extend(payload)
+            st.tally.payload_bytes += len(payload)
+            result = results[pos]
+            if isinstance(result, ValueError):
+                # A scheme deserializer rejecting peer bytes is a wire-level
+                # corruption, not a caller bug: keep the failure typed.
+                raise ProtocolError(
+                    f"shard {shard_id}: malformed SYMBOLS payload: {result}"
+                )
+            decoded, st.tally.symbols = result
+            if decoded:
+                st.done = True
+                st.result = st.reconciler.stream_result()
+                self._remaining -= 1
+                self._send_frame(FrameType.SHARD_DONE, pack_uvarints(shard_id))
+                if not self._remaining:
+                    self._finish_up()
+            elif (
+                self.max_symbols is not None
+                and st.tally.symbols >= self.max_symbols
+            ):
+                raise SymbolBudgetExceeded(
+                    f"shard {shard_id}: no decode within {self.max_symbols} "
+                    "coded symbols",
+                    symbols_sent=st.tally.symbols,
+                    max_symbols=self.max_symbols,
+                )
+            elif 2 * st.tally.symbols >= st.granted:
+                # Half the window absorbed and still undecoded: double it,
+                # so the responder keeps streaming while the grant travels.
+                while 2 * st.tally.symbols >= st.granted:
+                    st.granted *= 2
+                self._send_frame(
+                    FrameType.CREDIT, pack_uvarints(shard_id, st.granted)
+                )
 
     def _on_estimate(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.ESTIMATE:

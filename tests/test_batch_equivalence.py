@@ -9,6 +9,8 @@ prefix, block wire framing, and session-level block stepping.
 """
 
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from repro import engine
 from repro.analysis.montecarlo import IntSymbolCodec
 from repro.core import cellbank
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.decoder import RatelessDecoder
+from repro.core.decoder import DEFAULT_STOP_CHUNK, RatelessDecoder, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
 from repro.core.params import DEFAULT_ALPHA
@@ -408,6 +410,83 @@ def test_property_block_paths_reconcile_exactly(set_a, set_b):
     assert decoder.decoded
     assert set(decoder.remote_items()) == set_a - set_b
     assert set(decoder.local_items()) == set_b - set_a
+
+
+def decoder_state(decoder):
+    """Everything a decoder holds: recovered lists in order, bank lanes,
+    the nonzero count and the parked ``(index, seq, state)`` heap."""
+    parked = [(k, seq, rec.gen.state, rec.value) for k, seq, rec in decoder._pending]
+    return (
+        decoder._remote,
+        decoder._local,
+        decoder._bank,
+        decoder._nonzero,
+        parked,
+    )
+
+
+def block_schedule(data, rng):
+    """Block sizes for one decoder: the service's 8/16/32/64 slow-start
+    ramp, or irregular sizes (some below the NumPy engine's minimum)."""
+    if data.draw(st.booleans()):
+        return [min(8 << k, 64) for k in range(data.draw(st.integers(1, 9)))]
+    return [rng.choice((1, 5, 40, 63, 64, 100, 200)) for _ in range(rng.randint(1, 6))]
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+@given(data=st.data())
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_ingest_wave_equals_one_block_at_a_time(lane, codec_name, data):
+    """``ingest`` over every decoder's k-th block, wave after wave, leaves
+    each decoder exactly as feeding it its blocks one ``add_coded_block``
+    at a time: 1-8 decoders over random set pairs and block schedules,
+    some decoders recovering the same symbols, with and without the
+    chunked early stop."""
+    codec = CODECS[codec_name]()
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    stop = data.draw(st.booleans())
+    chunk = data.draw(st.sampled_from([16, 64, DEFAULT_STOP_CHUNK]))
+    schedules = []
+    for k in range(data.draw(st.integers(1, 8))):
+        sizes = block_schedule(data, rng)
+        if not k or rng.random() < 0.5:  # else: the last decoder's sets again
+            a, b = split_sets(
+                rng, rng.randint(0, 60), rng.randint(0, 40), rng.randint(0, 40),
+                size=codec.symbol_size,
+            )
+        stream = subtracted_stream(codec, a, b, sum(sizes))
+        cuts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+        schedules.append([stream.slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    alone = [RatelessDecoder(codec) for _ in schedules]
+    used_alone = [
+        [decoder.add_coded_block(block, stop, chunk) for block in blocks]
+        for decoder, blocks in zip(alone, schedules)
+    ]
+    waved = [RatelessDecoder(codec) for _ in schedules]
+    used_waved = [[] for _ in schedules]
+    for k in range(max(map(len, schedules))):
+        jobs = [
+            (i, (waved[i], blocks[k]))
+            for i, blocks in enumerate(schedules)
+            if k < len(blocks)
+        ]
+        for (i, _), used in zip(jobs, ingest([job for _, job in jobs], stop, chunk)):
+            used_waved[i].append(used)
+    assert used_waved == used_alone
+    for one, wave in zip(alone, waved):
+        assert decoder_state(wave) == decoder_state(one)
+
+
+def test_ingest_rejects_a_decoder_twice(rng):
+    codec = SymbolCodec(8)
+    decoder = RatelessDecoder(codec)
+    bank = CodedSymbolBank.zeros(4)
+    with pytest.raises(ValueError):
+        ingest([(decoder, bank), (decoder, bank)])
 
 
 # -- wire + session --------------------------------------------------------

@@ -4,11 +4,7 @@ import pytest
 
 from repro import engine
 from repro.core import cellbank
-from repro.core.cellbank import (
-    CodedSymbolBank,
-    scatter_walk_numpy,
-    scatter_walk_scalar,
-)
+from repro.core.cellbank import CodedSymbolBank, scatter_walk_scalar
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.params import DEFAULT_ALPHA
@@ -184,6 +180,29 @@ def test_scatter_walk_scalar_matches_index_generator(rng, alpha):
     assert all(i < hi for i in touched)
 
 
+def scatter_walk_numpy(
+    sums, checksums, counts, indices, states, values, csums, directions, hi,
+    base=0, touched=None,
+):
+    """``scatter_walk_arrays`` over Python-int walk state, the way the
+    decoder calls it: ``indices``/``states`` are advanced in place."""
+    np = engine.np
+    idx, state = cellbank.scatter_walk_arrays(
+        sums,
+        checksums,
+        counts,
+        np.array(indices, np.int64),
+        np.array(states, np.uint64),
+        cellbank.lanes_from_ints(values, 8 * sums.shape[1]),
+        np.array(csums, np.uint64),
+        np.array(directions, np.int64),
+        hi,
+        base=base,
+        touched=touched,
+    )
+    indices[:], states[:] = idx.tolist(), state.tolist()
+
+
 def test_scatter_walk_numpy_matches_scalar(rng):
     check_scatter_walk_numpy_matches_scalar(rng, 8)
 
@@ -273,8 +292,9 @@ def test_scatter_walk_numpy_base_offset(rng):
 
 def walk_reference(walks, hi, base):
     """Cells ``[base, hi)``, parked ``(idx, state)`` pairs and touched
-    indices of per-row ``IndexGenerator`` walks: ``walks`` holds one
-    ``(value, checksum, idx, state, alpha, direction)`` per row."""
+    lane slots (``index − base``) of per-row ``IndexGenerator`` walks:
+    ``walks`` holds one ``(value, checksum, idx, state, alpha,
+    direction)`` per row."""
     cells = [CodedSymbol() for _ in range(hi - base)]
     ends, touched = [], []
     for value, checksum, idx, state, alpha, direction in walks:
@@ -282,7 +302,7 @@ def walk_reference(walks, hi, base):
         gen.current, gen.state = idx, state
         for index in gen.indices_below(hi):
             cells[index - base].apply(value, checksum, direction)
-            touched.append(index)
+            touched.append(index - base)
         ends.append((gen.current, gen.state))
     return cells, ends, sorted(touched)
 
@@ -398,11 +418,12 @@ def test_walk_kernel_far_tail_clamp(rng, rows):
     assert sum(c.count for c in got[0]) >= 2 * rows  # every row took the unit step
 
 
-def run_banks(banks, width, direction):
+def run_banks(banks, width, direction, touched=None):
     """One ``scatter_walk_arrays`` call over several banks laid end to
     end: ``banks`` holds ``(walks, base, hi)`` per bank, and every row
     carries its bank's ``hi`` and lane origin as per-row columns.
-    Returns each bank's cells and parked ``(idx, state)`` pairs."""
+    Returns each bank's cells and parked ``(idx, state)`` pairs;
+    ``touched`` is handed to the kernel."""
     np = pytest.importorskip("numpy")
     offs = [0]
     for _, base, hi in banks:
@@ -425,6 +446,7 @@ def run_banks(banks, width, direction):
         direction,
         np.array(his, dtype=np.int64),
         base=np.array(bases, dtype=np.int64),
+        touched=touched,
         alphas=np.array(alphas) if set(alphas) != {DEFAULT_ALPHA} else None,
     )
     lanes = zip(cellbank.ints_from_lanes(sums), cks.tolist(), counts.tolist())
@@ -474,6 +496,46 @@ def test_walk_kernel_multi_bank_matches_per_bank_calls(
         assert (cells, ends) == walk_reference(signed, hi, base)[:2]
         if walks:
             assert (cells, ends) == run_kernel(signed, hi, base, width, direction)[:2]
+
+
+@pytest.mark.parametrize("rows", [10, 100])  # per bank: tail only; rounds first
+def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
+    """``touched`` collects the lane slots (``index − base``) the edges
+    were folded into, not walk indices: over three banks laid end to end
+    under per-row ``base``, on the lock-step rounds and the per-edge tail
+    alike, it is exactly what ``fold_edges`` wrote — the rows a decoder
+    wave reads its next peel candidates from."""
+    np = pytest.importorskip("numpy")
+    spans = [(200, 760), (0, 500), (10, 300)]
+    banks = []
+    for base, hi in spans:
+        walks = []
+        for _ in range(rows):
+            checksum = rng.getrandbits(64)
+            gen = IndexGenerator(checksum)
+            gen.indices_below(base)
+            value = rng.getrandbits(64)
+            walks.append((value, checksum, gen.current, gen.state, DEFAULT_ALPHA, 1))
+        banks.append((walks, base, hi))
+    folded = []
+    fold = cellbank.fold_edges
+
+    def spy(sums, checksums, counts, slot, *rest):
+        folded.append(np.array(slot, dtype=np.int64))
+        return fold(sums, checksums, counts, slot, *rest)
+
+    monkeypatch.setattr(cellbank, "fold_edges", spy)
+    touched = []
+    run_banks(banks, 8, 1, touched=touched)
+    rounds = 3 * rows >= cellbank.NUMPY_TAIL_JOBS
+    assert len(folded) == len(touched) and (len(folded) > 1) == rounds
+    got = sorted(np.concatenate(touched).tolist())
+    assert got == sorted(np.concatenate(folded).tolist())
+    expected, off = [], 0
+    for walks, base, hi in banks:
+        expected += [off + slot for slot in walk_reference(walks, hi, base)[2]]
+        off += hi - base
+    assert got == sorted(expected)
 
 
 @pytest.mark.parametrize("rows", [8, 40])  # tail only; lock-step rounds first
@@ -831,3 +893,118 @@ def test_cold_ingest_builds_no_item_objects(monkeypatch):
             assert all(item in warm for item in members)
             assert not any(item in warm for item in gone)
             assert warm.cached_block(0, 64) == fresh.cached_block(0, 64)
+
+
+def test_one_peel_round_per_wave(monkeypatch):
+    """One peel wave per read: the client absorbs every shard's next
+    block together, so each lock-step peel round is ONE verification
+    hash call for all shards — a wave makes as many calls as its slowest
+    shard alone, not one per shard per round.  Before, every SYMBOLS
+    frame was decoded on its own.  Structurally, ``decoder.py`` has one
+    decode path: ``_ingest_numpy`` is gone, the walk kernels are called
+    only from ``ingest`` and ``add_coded_block`` is its one-job case;
+    ``RibltReconciler.absorb`` is ``absorb_many``'s one-pair case, and
+    ``InitiatorMachine`` reaches reconcilers only through ``absorb_many``.
+    """
+    import ast
+    import random
+    from pathlib import Path
+
+    from repro.api import get_scheme
+    from repro.api.adapters import riblt
+    from repro.core.decoder import ingest
+    from repro.protocol.machine import InitiatorMachine, ResponderMachine
+    from repro.protocol.pump import drive
+    from repro.service.backends import open_backend
+
+    from helpers import make_items
+
+    hashed = [0]
+    verify = SymbolCodec.checksum_int_batch
+
+    def counted(codec, values):
+        hashed[0] += 1
+        return verify(codec, values)
+
+    def session(waved):
+        """Hash calls per ``ingest`` call of a 4-shard service-profile
+        session: the wave's, or each job's alone, in job order."""
+        log = []
+
+        def spy(jobs, *args):
+            if waved:
+                before = hashed[0]
+                out = ingest(jobs, *args)
+                log.append(hashed[0] - before)
+                return out
+            out, alone = [], []
+            for job in jobs:
+                before = hashed[0]
+                out += ingest([job], *args)
+                alone.append(hashed[0] - before)
+            log.append(alone)
+            return out
+
+        monkeypatch.setattr(riblt, "ingest", spy)
+        handle = get_scheme("riblt", symbol_size=8)
+        items = make_items(random.Random(29), 2400)
+        responder = ResponderMachine(
+            open_backend(items[:2000], scheme=handle, num_shards=4), handle
+        )
+        initiator = InitiatorMachine(handle, items[400:], num_shards=4)
+        drive(initiator, responder)
+        return log, initiator.report
+
+    with engine_lane(True):
+        monkeypatch.setattr(SymbolCodec, "checksum_int_batch", counted)
+        waves, report = session(waved=True)
+        alone, reference = session(waved=False)
+    assert report.symbols == reference.symbols
+    assert report.only_in_remote == reference.only_in_remote
+    assert len(waves) == len(alone)
+    assert waves == [max(calls, default=0) for calls in alone]
+    assert sum(waves) < sum(map(sum, alone))
+    assert any(sum(c > 0 for c in calls) == 4 for calls in alone)
+
+    src = Path(engine.__file__).parent
+
+    def calls_by_function(path):
+        """The names each module-level function or method calls (its
+        nested closures included)."""
+        tree = ast.parse((src / path).read_text())
+        scopes = [tree] + [c for c in tree.body if isinstance(c, ast.ClassDef)]
+        return {
+            fn.name: {
+                ast.unparse(node.func).rpartition(".")[2]
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+            }
+            for scope in scopes
+            for fn in scope.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+
+    decoder = calls_by_function("core/decoder.py")
+    assert "_ingest_numpy" not in decoder
+    kernels = {"scatter_walk_numpy", "scatter_walk_arrays"}
+    assert {name for name, calls in decoder.items() if calls & kernels} == {"ingest"}
+    assert {name for name, calls in decoder.items() if "ingest" in calls} == {
+        "add_coded_block"
+    }
+    adapter = calls_by_function("api/adapters/riblt.py")
+    assert "absorb_many" in adapter["absorb"] and "ingest" in adapter["absorb_many"]
+    assert not any("add_coded_block" in calls for calls in adapter.values())
+    tree = ast.parse((src / "protocol" / "machine.py").read_text())
+    (initiator,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "InitiatorMachine"
+    ]
+    absorbs = [
+        node.func.attr
+        for node in ast.walk(initiator)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith("absorb")
+    ]
+    assert absorbs == ["absorb_many"]

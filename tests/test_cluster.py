@@ -21,6 +21,7 @@ import signal
 
 import pytest
 
+from repro.api import get_scheme
 from repro.cluster import (
     ClusterConfig,
     ClusterError,
@@ -37,12 +38,14 @@ from repro.service import (
     WorkerUnavailable,
     sync,
 )
+from repro.service.defaults import SERVICE_HASHER
 from repro.service.framing import (
     PROTOCOL_VERSION,
     FrameType,
     encode_frame,
     pack_uvarints,
 )
+from repro.service.shard import shard_of
 
 SYNC_TIMEOUT = 180.0
 
@@ -243,10 +246,22 @@ def test_injected_crash_kills_worker_process_and_recovers(
     supervisor restarts it warm and recovery keeps exactly the acked
     prefix of its journal segment (here: nothing -- the first append is
     torn, so the push is dropped wholesale and the retry re-applies it).
+
+    Both workers are armed, but once the first one dies the client
+    cancels its sibling session, so the other may get no PUSH and stay
+    armed.  The scenario therefore re-pushes the extras only of shards
+    whose worker has not yet crashed (a restarted worker is unarmed and
+    would land them) until every worker has crashed, waits until every
+    restarted worker serves again, and only then checks recovery.
     """
     server_items = items_range(0, 300)
     extras = items_range(40_000, 40_040)
     data_dir = tmp_path / "pool"
+    hash64 = get_scheme("riblt", symbol_size=16, hasher=SERVICE_HASHER).hash64
+    workers = fast_config().num_workers
+
+    def owner(item):
+        return worker_of_shard(shard_of(hash64, item, 4), workers)
 
     async def scenario():
         # Armed BEFORE the workers spawn: each worker parses the env at
@@ -265,20 +280,34 @@ def test_injected_crash_kills_worker_process_and_recovers(
             # Disarm now: monitor respawns re-read os.environ, so the
             # restarted workers must come back clean.
             monkeypatch.delenv("REPRO_CRASH_POINT")
-            try:
-                await sync(host, port, server_items + extras, push=True)
-            except (WorkerUnavailable, ConnectionError):
-                pass  # the crash may also cut the session mid-push
-            deadline = asyncio.get_running_loop().time() + 30.0
-            while not any(sup.restart_counts):
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.05)
-            crashed = [
-                w
-                for w, codes in enumerate(sup.unexpected_exits)
-                if CRASH_EXIT_CODE in codes
-            ]
-            assert crashed, sup.unexpected_exits
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 60.0
+
+            async def settled_crashes():
+                # A worker's exit reaches the supervisor within
+                # milliseconds; wait until none has appeared for a while.
+                seen = None
+                while seen != sup.unexpected_exits:
+                    seen = sup.unexpected_exits
+                    await asyncio.sleep(0.3)
+                return [w for w, codes in enumerate(seen) if CRASH_EXIT_CODE in codes]
+
+            crashed = []
+            while len(crashed) < workers:
+                armed = [e for e in extras if owner(e) not in crashed]
+                try:
+                    await sync(host, port, server_items + armed, push=True)
+                except (WorkerUnavailable, ConnectionError):
+                    pass  # the crash may also cut the session mid-push
+                while not any(sup.restart_counts):
+                    assert loop.time() < deadline
+                    await asyncio.sleep(0.05)
+                crashed = await settled_crashes()
+                assert crashed, sup.unexpected_exits
+                assert loop.time() < deadline, sup.unexpected_exits
+            # Every worker is restarted unarmed; a push-free sync waits
+            # until all of them serve again.
+            await sync(host, port, server_items, retry=RETRY)
             # The armed append was torn: recovery drops it, the store
             # still equals the pre-push (acked) state, and the retried
             # push lands everything.

@@ -377,6 +377,111 @@ def test_fragmentation_and_coalescing_equivalence(mode: str) -> None:
     assert fresh.report.symbols == reference.symbols
 
 
+def _multi_shard_session(server, client, ticks):
+    """A 4-shard service-profile session whose responder ticks ``ticks``
+    times per exchange, so one read can carry several frames of a shard;
+    returns the handle and both directions' bytes."""
+    handle = get_scheme("riblt", symbol_size=8)
+    initiator = InitiatorMachine(handle, client, num_shards=4)
+    responder = service_responder(handle, server, num_shards=4)
+    up, down = bytearray(), bytearray()
+    initiator.start()
+    responder.start()
+    while not initiator.finished:
+        out = initiator.take_output()
+        up += out
+        responder.bytes_received(out)
+        for _ in range(ticks):
+            responder.tick()
+        back = responder.take_output()
+        down += back
+        if not back and not out:
+            initiator.peer_closed()
+        initiator.bytes_received(back)
+    up += initiator.take_output()
+    assert initiator.failed is None
+    return handle, bytes(up), bytes(down)
+
+
+def _replay(handle, client, down, chunking, **kwargs):
+    """Feed ``down`` to a fresh initiator cut as ``chunking`` says:
+    one frame per call, one blob, or seeded random chunks.  Returns the
+    machine and every byte it sent back."""
+    fresh = InitiatorMachine(handle, client, num_shards=4, **kwargs)
+    fresh.start()
+    if chunking == "per_frame":
+        chunks = [encode_frame(t, body) for t, body in FrameDecoder().feed(down)]
+    elif chunking == "one_blob":
+        chunks = [down]
+    else:
+        rng, chunks, pos = random.Random(29), [], 0
+        while pos < len(down):
+            size = rng.randint(1, 3000)
+            chunks.append(down[pos : pos + size])
+            pos += size
+    up = bytearray(fresh.take_output())
+    for chunk in chunks:
+        fresh.bytes_received(chunk)
+        up += fresh.take_output()
+    return fresh, bytes(up)
+
+
+def _shard_payloads(down):
+    """Total SYMBOLS payload bytes per shard in a downstream capture."""
+    totals = {}
+    for ftype, body in FrameDecoder().feed(down):
+        if ftype == FrameType.SYMBOLS:
+            reader = BodyReader(body)
+            shard = reader.uvarint()
+            totals[shard] = totals.get(shard, 0) + len(reader.rest())
+    return totals
+
+
+@pytest.mark.parametrize("ticks", [1, 3])
+def test_multi_shard_transcript_is_independent_of_read_boundaries(ticks) -> None:
+    """A 4-shard session's downstream bytes replayed one frame per call,
+    as one blob and in random chunks: the initiator absorbs a read's
+    SYMBOLS frames in waves, yet sends the identical client→server
+    bytes (CREDITs, SHARD_DONEs, BYE in the same order) and reports the
+    identical symbols, payload bytes, per-shard tallies and diff.  With
+    three ticks per exchange a read carries several frames of a shard,
+    and a shard that decodes mid-read drops its later frames uncounted."""
+    server, client = items_range(0, 1200), items_range(80, 1280)
+    handle, up, down = _multi_shard_session(server, client, ticks)
+    reports = {}
+    for chunking in ("per_frame", "one_blob", "random_chunks"):
+        fresh, sent = _replay(handle, client, down, chunking)
+        assert fresh.finished and fresh.failed is None, chunking
+        assert sent == up, chunking
+        reports[chunking] = fresh.report
+    report = reports["per_frame"]
+    assert reports["one_blob"] == reports["random_chunks"] == report
+    assert report.only_in_remote == set(server) - set(client)
+    assert report.only_in_local == set(client) - set(server)
+    carried = _shard_payloads(down)
+    counted = {tally.shard: tally.payload_bytes for tally in report.per_shard}
+    assert report.payload_bytes == sum(counted.values())
+    if ticks > 1:  # frames that crossed a SHARD_DONE were dropped uncounted
+        assert any(counted[g] < carried[g] for g in counted)
+
+
+def test_multi_shard_budget_trips_at_the_same_frame_mid_read() -> None:
+    """``max_symbols`` spent mid-read: the wave absorbs on past the
+    tripping frame, but the initiator raises the same typed
+    ``SymbolBudgetExceeded`` for the same shard, after the same
+    client→server bytes, as frame-at-a-time absorption."""
+    server, client = items_range(0, 1200), items_range(300, 1500)
+    handle, _, down = _multi_shard_session(server, client, 1)
+    outcomes = []
+    for chunking in ("per_frame", "one_blob", "random_chunks"):
+        fresh, sent = _replay(handle, client, down, chunking, max_symbols=100)
+        assert isinstance(fresh.failed, SymbolBudgetExceeded), chunking
+        failed = fresh.failed
+        outcomes.append((str(failed), failed.symbols_sent, sent))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][1] >= 100
+
+
 def test_duplicated_ticks_only_overshoot() -> None:
     """Ticking the responder redundantly (transport retries, jittery event
     loops) costs extra symbols but can neither corrupt nor wedge."""

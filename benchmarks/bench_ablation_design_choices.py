@@ -17,9 +17,9 @@ import time
 from bench_util import by_scale, sets_with_difference
 from bench_util import report_table
 from repro.analysis.montecarlo import IntSymbolCodec, overhead_stats
+from repro.api import reconcile
 from repro.core.countless import countless_cell_bytes, reconcile_countless
 from repro.core.encoder import RatelessEncoder
-from repro.core.session import ReconciliationSession
 from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 
@@ -33,15 +33,19 @@ def test_ablation_checksum_width(benchmark):
 
     def run():
         for checksum_size in (2, 4, 8):
-            codec = SymbolCodec(8, checksum_size=checksum_size)
             rng = random.Random(checksum_size)
             successes = 0
             total_bytes = 0
             for _ in range(RUNS):
                 a, b = sets_with_difference(rng, SET_SIZE, D, 8)
-                session = ReconciliationSession(a, b, codec)
                 try:
-                    outcome = session.run(max_symbols=20 * D)
+                    outcome = reconcile(
+                        a,
+                        b,
+                        symbol_size=8,
+                        checksum_size=checksum_size,
+                        max_symbols=20 * D,
+                    )
                 except RuntimeError:
                     continue
                 if (
@@ -75,8 +79,7 @@ def test_ablation_count_field(benchmark):
         codec = SymbolCodec(8)
         rng = random.Random(42)
         a, b = sets_with_difference(rng, SET_SIZE, D, 8)
-        session = ReconciliationSession(a, b, codec)
-        with_count = session.run()
+        with_count = reconcile(a, b, symbol_size=8)
         countless = reconcile_countless(a, b, codec)
         assert countless.success
         countless_bytes = countless.symbols_used * countless_cell_bytes(codec)

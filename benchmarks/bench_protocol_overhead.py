@@ -1,10 +1,11 @@
-"""Engine overhead: the sans-io protocol machines vs the raw core session.
+"""Engine overhead: the sans-io protocol machines vs the bare core loop.
 
 The protocol engine frames every block (length prefix + type byte +
-shard varint) and routes it through ``FrameDecoder``; the raw
-``repro.core.session.ReconciliationSession`` moves coded symbols with
-zero framing.  This bench measures what that generality costs on the
-streaming hot path, per block size — the number the perf-smoke gate
+shard varint) and routes it through ``FrameDecoder``; the core loop
+(``produce_block`` → §6 ``write_block`` → ``subtract_in_place`` →
+``add_coded_block``) moves coded symbols with zero framing.  This
+bench measures what that generality costs on the streaming hot path,
+per block size — the number the perf-smoke gate
 (``check_perf_regression.py``, which auto-discovers every committed
 ``BENCH_*.json``) holds future engine changes to.
 
@@ -21,13 +22,15 @@ from bench_json import write_bench_json
 from bench_util import by_scale, report_table, sets_with_difference, timed
 
 from repro.api import Session
-from repro.core.session import ReconciliationSession
+from repro.core.decoder import RatelessDecoder
+from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
+from repro.core.wire import SymbolStreamWriter
 
 ITEM = 8
 SET_SIZE = by_scale(1_000, 8_000, 30_000)
 DIFFERENCE = by_scale(64, 256, 1_024)
-# No block size 1: the core session then steps cell by cell while the
+# No block size 1: the core loop then steps cell by cell while the
 # engine still frames and windows blocks, so the two arms do different
 # work and the ratio (0.32x recorded) compared nothing.
 BLOCK_SIZES = by_scale([64], [16, 64], [16, 64, 256])
@@ -35,9 +38,20 @@ REPEATS = 3
 
 
 def _core_run(a, b, block_size):
-    session = ReconciliationSession(a, b, SymbolCodec(ITEM))
-    outcome = session.run(block_size=block_size)
-    return session.symbols_sent, outcome
+    codec = SymbolCodec(ITEM)
+    alice = RatelessEncoder(codec, a)
+    bob = RatelessEncoder(codec, b)
+    decoder = RatelessDecoder(codec)
+    writer = SymbolStreamWriter(codec, set_size=alice.set_size)
+    writer.header()
+    symbols = 0
+    while not decoder.decoded:
+        remote = alice.produce_block(block_size)
+        writer.write_block(remote)
+        remote.subtract_in_place(bob.produce_block(block_size))
+        decoder.add_coded_block(remote)
+        symbols += block_size
+    return symbols, decoder
 
 
 def _engine_run(a, b, block_size):
@@ -88,7 +102,7 @@ def test_protocol_engine_overhead(benchmark):
         for r in rows
     ]
     report_table(
-        f"Protocol engine vs core session (N={SET_SIZE}, d={DIFFERENCE})",
+        f"Protocol engine vs core loop (N={SET_SIZE}, d={DIFFERENCE})",
         lines,
     )
     write_bench_json(

@@ -17,7 +17,7 @@ Run:  python examples/adversarial_workload.py
 import os
 import random
 
-from repro.core.session import ReconciliationSession
+from repro.api import SymbolBudgetExceeded, reconcile
 from repro.core.symbols import SymbolCodec
 from repro.hashing.keyed import SipHasher
 
@@ -36,12 +36,19 @@ def mine_collision(codec, target_item):
         attempt += 1
 
 
-def run_session(codec, alice_items, bob_items, budget):
-    session = ReconciliationSession(alice_items, bob_items, codec)
+def run_session(key, checksum_size, alice_items, bob_items, budget):
     try:
-        outcome = session.run(max_symbols=budget)
+        outcome = reconcile(
+            alice_items,
+            bob_items,
+            symbol_size=ITEM,
+            checksum_size=checksum_size,
+            hasher="siphash",
+            key=key,
+            max_symbols=budget,
+        )
         return True, outcome
-    except RuntimeError:
+    except SymbolBudgetExceeded:
         return False, None
 
 
@@ -60,13 +67,12 @@ def main() -> None:
     alice = shared | {target}
     bob = shared | {evil}  # attacker injected the collision into Bob
 
-    ok, _ = run_session(public_codec, alice, bob, budget=2_000)
+    ok, _ = run_session(PUBLIC_KEY, 2, alice, bob, budget=2_000)
     print(f"\npublic 16-bit checksum: reconciliation "
           f"{'completed (lucky)' if ok else 'FAILED to terminate (attack works)'}")
 
     # Same sets, but the checksum is keyed with a secret session key.
-    secret_codec = SymbolCodec(ITEM, SipHasher(os.urandom(16)), checksum_size=8)
-    ok, outcome = run_session(secret_codec, alice, bob, budget=2_000)
+    ok, outcome = run_session(os.urandom(16), 8, alice, bob, budget=2_000)
     assert ok
     print(f"keyed 64-bit checksum : reconciliation completed in "
           f"{outcome.symbols_used} symbols; recovered "

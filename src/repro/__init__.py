@@ -9,8 +9,8 @@ Module map (one sub-package per system):
     ``reconcile(a, b, scheme=...)`` driver.  Start here.
 ``repro.core``
     The paper's primary contribution: the Rateless IBLT codec
-    (encoder, decoder, sketches, wire format, reconciliation sessions)
-    plus the Irregular variant of §8.
+    (encoder, decoder, sketches, wire format) plus the Irregular
+    variant of §8.
 ``repro.hashing``
     Keyed 64-bit hashing (SipHash-2-4, BLAKE2b) and deterministic PRNGs.
 ``repro.baselines``
@@ -35,19 +35,17 @@ Quickstart — any scheme, one call::
     result = reconcile(alice, bob, scheme="pinsketch")
     print(available_schemes())
 
-``repro.reconcile`` (below) remains the rateless-only fast path with
-explicit codec control; ``repro.api.reconcile`` is the scheme-generic
-front door.
+``repro.reconcile`` is ``repro.api.reconcile``.
 """
 
 from repro import api
+from repro.api import reconcile
 from repro.core.cellbank import CodedSymbolBank
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult, RatelessDecoder
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import IrregularConfig, PAPER_IRREGULAR
 from repro.core.mapping import IndexGenerator, RandomMapping
-from repro.core.session import ReconciliationSession, reconcile
 from repro.core.sketch import RatelessSketch
 
 __version__ = "1.1.0"
@@ -63,7 +61,6 @@ __all__ = [
     "RatelessDecoder",
     "RatelessEncoder",
     "RatelessSketch",
-    "ReconciliationSession",
     "api",
     "reconcile",
     "__version__",

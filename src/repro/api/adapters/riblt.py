@@ -1,12 +1,12 @@
 """Adapter: the paper's Rateless IBLT (repro.core) behind ``SetReconciler``.
 
 The streaming face (``produce_next``/``absorb``) wraps the incremental
-encoder/decoder pair with §6 wire framing, so byte accounting matches
-what :class:`repro.core.session.ReconciliationSession` reports.  The
-sketch face (``serialize``/``subtract``/``decode``) freezes a coded-
-symbol prefix — either explicitly sized via ``prefix_symbols`` /
-``Scheme.sized_for`` or the conservative default — which is how a
-rateless stream is used in datagram settings.
+encoder/decoder pair with §6 wire framing, so byte accounting is what a
+§6 stream writer emits for the same cells.  The sketch face
+(``serialize``/``subtract``/``decode``) freezes a coded-symbol prefix —
+either explicitly sized via ``prefix_symbols`` / ``Scheme.sized_for`` or
+the conservative default — which is how a rateless stream is used in
+datagram settings.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from typing import Iterable, Optional, Sequence, Set
 
 from repro.core.cellbank import check_widths
 from repro.core.decoder import DecodeResult
-from repro.core.session import SymbolBudgetExceeded as _CoreSymbolBudgetExceeded
 
 
 # Sketches sized from a (noisy) strata estimate get this headroom; the
@@ -49,19 +48,20 @@ class ReconcileError(RuntimeError):
     """Reconciliation did not complete within the configured budget."""
 
 
-class SymbolBudgetExceeded(ReconcileError, _CoreSymbolBudgetExceeded):
+class SymbolBudgetExceeded(ReconcileError):
     """A streaming reconciliation exhausted ``max_symbols`` undecoded.
 
-    Subclasses both :class:`ReconcileError` (so generic ``except
-    ReconcileError`` handlers keep working) and the core
-    :class:`repro.core.session.SymbolBudgetExceeded` (so servers built
-    on either layer can catch one type to drop runaway sessions).
+    Raised (instead of returning a sentinel) so long-running servers can
+    catch exactly this condition and drop a runaway session — a stalled
+    peer, a mismatched hash key, or a difference far beyond what the
+    budget provisions all surface here.  ``symbols_sent`` records how
+    much was spent before giving up.
     """
 
     def __init__(self, message: str, symbols_sent: int, max_symbols: int) -> None:
-        _CoreSymbolBudgetExceeded.__init__(
-            self, message, symbols_sent=symbols_sent, max_symbols=max_symbols
-        )
+        super().__init__(message)
+        self.symbols_sent = symbols_sent
+        self.max_symbols = max_symbols
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ class ReconcileResult:
 
     ``symbols_used`` counts the scheme's own coded units (coded symbols,
     IBLT cells, syndromes, polynomial evaluations, trie nodes...);
-    ``bytes_on_wire`` is the comparable cross-scheme cost.  As in
-    :class:`repro.core.session.ReconcileOutcome`, ``overhead`` is 0.0
-    when the sets were already equal.
+    ``bytes_on_wire`` is the comparable cross-scheme cost.  ``overhead``
+    is 0.0 when the sets were already equal.
     """
 
     only_in_a: Set[bytes]

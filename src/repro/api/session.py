@@ -14,8 +14,8 @@ state machine the simulated-link and TCP transports drive.  Capability
 dispatch is unchanged:
 
 * **streaming** — the engine's STREAM mode, lock-step so accounting is
-  cell-exact (:class:`Session` exposes the legacy ``step()``/``run()``
-  surface over it, byte-identical on the wire to the pre-engine driver);
+  cell-exact (:class:`Session` exposes ``step()``/``run()`` over it,
+  byte-identical on the wire to a bare core encoder → decoder loop);
 * **fixed_capacity** — the engine's SKETCH mode: an explicit
   ``difference_bound`` sizes the sketch directly; otherwise the
   strata-estimator exchange (ESTIMATE frame) runs first and is charged
@@ -85,7 +85,7 @@ class Session:
     A lock-step pump over the engine: ``step()`` moves one coded payload
     Alice → Bob (one ``tick`` of the responder, absorbed immediately),
     ``run()`` iterates until Bob has the whole difference.  Wire bytes
-    and symbol counts match the pre-engine driver exactly.
+    and symbol counts match a bare core encoder → decoder loop exactly.
     """
 
     def __init__(
@@ -139,6 +139,8 @@ class Session:
         Identical bytes on the wire to ``block_size`` single steps;
         termination is detected at block granularity.
         """
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         if not self.decoded:
             self._responder.block_size = block_size
             before = self._initiator.payload_bytes

@@ -13,7 +13,6 @@ Module map:
 ``decoder``   — incremental peeling decoder (§3, §4) with block fast path.
 ``sketch``    — fixed-length prefixes ("sketches") with linear subtraction.
 ``wire``      — §6 wire format with var-int compressed counts.
-``session``   — in-memory reconciliation protocol driver.
 ``irregular`` — §8 Irregular Rateless IBLT configuration.
 """
 
@@ -23,7 +22,6 @@ from repro.core.decoder import DecodeResult, RatelessDecoder
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import IrregularConfig, PAPER_IRREGULAR
 from repro.core.mapping import IndexGenerator, RandomMapping
-from repro.core.session import ReconciliationSession, reconcile
 from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 
@@ -38,7 +36,5 @@ __all__ = [
     "RatelessDecoder",
     "RatelessEncoder",
     "RatelessSketch",
-    "ReconciliationSession",
     "SymbolCodec",
-    "reconcile",
 ]

@@ -41,7 +41,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count as _counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro import engine
 from repro.core.cellbank import (
@@ -98,7 +98,6 @@ class DecodeResult:
 
         When the sets were already equal there is nothing to normalise
         by, so the convention is ``0.0`` — matching
-        :class:`repro.core.session.ReconcileOutcome` and
         ``repro.api.base.ReconcileResult`` (the symbols spent on the
         termination signal remain visible in ``symbols_used``).
         """
@@ -177,21 +176,6 @@ class RatelessDecoder:
             remote_cell.checksum ^ local_cell.checksum,
             remote_cell.count - local_cell.count,
         )
-
-    def add_stream(
-        self, cells: Iterable[CodedSymbol], stop_when_decoded: bool = True
-    ) -> int:
-        """Consume cells until the stream is exhausted or decoding completes.
-
-        Returns the number of cells consumed from ``cells``.
-        """
-        used = 0
-        for cell in cells:
-            self.add_coded_symbol(cell)
-            used += 1
-            if stop_when_decoded and self.decoded:
-                break
-        return used
 
     def add_coded_block(
         self,
@@ -469,23 +453,3 @@ def decode_sketch_cells(
     decoder.add_coded_block(CodedSymbolBank.from_cells(cells))
     return decoder.result()
 
-
-def peel_until_decoded(
-    decoder: RatelessDecoder,
-    stream: Iterable[CodedSymbol],
-    max_symbols: Optional[int] = None,
-) -> DecodeResult:
-    """Feed ``stream`` into ``decoder`` until success or ``max_symbols``.
-
-    Stops after the first cell that completes decoding, or once
-    ``max_symbols`` total cells have been consumed (budget exhaustion
-    is reported as ``success=False`` in the returned result, never as
-    an exception).
-    """
-    for cell in stream:
-        decoder.add_coded_symbol(cell)
-        if decoder.decoded:
-            break
-        if max_symbols is not None and decoder.symbols_received >= max_symbols:
-            break
-    return decoder.result()

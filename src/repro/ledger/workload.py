@@ -3,9 +3,9 @@
 A scenario packages everything both protocols need: the two item sets for
 set reconciliation, and the two tries (plus Bob's private node store) for
 state heal.  ``measure_riblt_plan`` runs the *real* codec on the scenario
-(the reference :class:`~repro.core.session.ReconciliationSession`) and
-measures per-symbol CPU costs, producing the plan the §7.3 network
-model (``repro.net.protocols.riblt_sync``) replays.
+(an in-memory :class:`~repro.api.Session`) and measures per-symbol CPU
+costs, producing the plan the §7.3 network model
+(``repro.net.protocols.riblt_sync``) replays.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.api import Session
 from repro.baselines.merkle.trie import NodeStore, Trie
-from repro.core.session import ReconciliationSession
 from repro.core.symbols import SymbolCodec
 from repro.ledger.account import ITEM_BYTES
 from repro.ledger.chain import Chain
@@ -80,24 +80,31 @@ def measure_riblt_plan(
     one CPU core" (§7.3).  The §7.3 benches use this so the network
     experiment reproduces the *protocol* dynamics rather than the Python
     constant factor (a documented substitution).
+
+    ``codec`` fixes the item and checksum widths; the hash is the riblt
+    scheme's default.
     """
     if codec is None:
         codec = SymbolCodec(ITEM_BYTES)
-    session = ReconciliationSession(
-        scenario.alice_items, scenario.bob_items, codec
+    session = Session(
+        scenario.alice_items,
+        scenario.bob_items,
+        "riblt",
+        symbol_size=codec.symbol_size,
+        checksum_size=codec.checksum_size,
     )
     t0 = time.perf_counter()
     # block_symbols > 1 rides the bank-backed block path (at most
     # ``block_symbols − 1`` symbols of overshoot past the decode point).
     session.run(block_size=block_symbols)
     stream_seconds = time.perf_counter() - t0
-    symbols = session.symbols_sent
+    symbols = session.steps
     bytes_per_symbol = session.bytes_sent / symbols
     if calibrated_line_rate_bps is not None:
         decode_per_symbol = bytes_per_symbol * 8.0 / calibrated_line_rate_bps
     else:
-        # The measured loop runs both encoders and the decoder; Bob's
-        # online cost is his encoder + decoder, approximately 2/3.
+        # The measured pump runs Alice's encoder and Bob's encoder +
+        # decoder; Bob's online cost is approximately 2/3 of it.
         decode_per_symbol = stream_seconds * (2.0 / 3.0) / symbols
     return SyncPlan(
         symbols_needed=symbols,

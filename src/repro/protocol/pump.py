@@ -11,8 +11,8 @@ simulated-link driver (:mod:`repro.net.protocols.machine_sync`).
 Every frame a machine emits is handed straight to its peer, lock-step.
 Lock-step matters — the responder only produces a new block (``tick``)
 once the initiator has nothing left to say, so the coded-symbol stream
-stops at exactly the cell that decodes, and byte accounting matches the
-pre-engine in-memory drivers cell for cell.
+stops at exactly the cell that decodes, and byte accounting matches a
+bare encoder → decoder loop over the core codec cell for cell.
 
 Virtual time: the pump keeps a float clock that jumps straight to the
 responder's next deadline when neither side has bytes to move, so
@@ -48,8 +48,8 @@ def memory_responder(
 
     Defaults differ from the service profile on purpose: one shard,
     block size 1, no slow-start ramp and no budget — the lock-step,
-    cell-exact configuration whose wire bytes are identical to the
-    legacy ``repro.core.session`` fast path.
+    cell-exact configuration whose wire bytes are identical to a bare
+    encoder → decoder loop over the core codec.
     """
     backend = open_backend(items, scheme=handle, num_shards=num_shards)
     return ResponderMachine(

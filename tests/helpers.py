@@ -15,6 +15,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro import engine
+from repro.core.decoder import RatelessDecoder
+from repro.core.encoder import RatelessEncoder
 
 
 def make_items(rng: random.Random, count: int, size: int = 8) -> list[bytes]:
@@ -38,6 +40,36 @@ def split_sets(
     a_extra = items[shared : shared + only_a]
     b_extra = items[shared + only_a :]
     return set(common) | set(a_extra), set(common) | set(b_extra)
+
+
+def stream_reconcile(
+    codec, set_a, set_b, block_size=1, writer=None, max_symbols=100_000
+):
+    """The bare §4.1 loop over the core codec, with no protocol machine.
+
+    Alice streams coded symbols (through ``writer``, when given, for §6
+    byte accounting); Bob subtracts his own and peels until decoded.
+    ``block_size=1`` moves cells one at a time (cell-exact termination);
+    larger blocks ride the bank paths.  Returns Bob's decoder.
+    """
+    alice = RatelessEncoder(codec, set_a)
+    bob = RatelessEncoder(codec, set_b)
+    decoder = RatelessDecoder(codec)
+    while not decoder.decoded:
+        if decoder.symbols_received >= max_symbols:
+            raise AssertionError("did not decode in time")
+        if block_size == 1:
+            remote = alice.produce_next()
+            if writer is not None:
+                writer.write(remote)
+            decoder.add_subtracted(remote, bob.produce_next())
+        else:
+            remote = alice.produce_block(block_size)
+            if writer is not None:
+                writer.write_block(remote)
+            remote.subtract_in_place(bob.produce_block(block_size))
+            decoder.add_coded_block(remote)
+    return decoder
 
 
 @contextmanager

@@ -23,11 +23,10 @@ from repro.core.decoder import DEFAULT_STOP_CHUNK, RatelessDecoder, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
 from repro.core.params import DEFAULT_ALPHA
-from repro.core.session import ReconciliationSession
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamReader, SymbolStreamWriter
 
-from helpers import engine_lane, make_items, split_sets
+from helpers import engine_lane, make_items, split_sets, stream_reconcile
 
 
 CODECS = {
@@ -361,7 +360,12 @@ def test_add_coded_block_stop_when_decoded_cell_exact(lane, rng):
     a, b = split_sets(rng, shared=80, only_a=8, only_b=8)
     stream = subtracted_stream(codec, a, b, 120)
     reference = RatelessDecoder(codec)
-    used_reference = reference.add_stream(stream.cells())
+    used_reference = 0
+    for cell in stream.cells():
+        reference.add_coded_symbol(cell)
+        used_reference += 1
+        if reference.decoded:
+            break
     batch = RatelessDecoder(codec)
     used_batch = batch.add_coded_block(stream, stop_when_decoded=True, chunk=1)
     assert used_batch == used_reference
@@ -546,12 +550,13 @@ def test_wire_block_round_trip_every_codec(lane, codec_name, rng):
 
 def test_session_block_run_matches_outcome(lane, rng):
     a, b = split_sets(rng, shared=150, only_a=12, only_b=12)
-    exact = ReconciliationSession(a, b, SymbolCodec(8)).run()
-    blocked = ReconciliationSession(a, b, SymbolCodec(8)).run(block_size=32)
-    assert blocked.only_in_a == exact.only_in_a
-    assert blocked.only_in_b == exact.only_in_b
+    exact = stream_reconcile(SymbolCodec(8), a, b)
+    blocked = stream_reconcile(SymbolCodec(8), a, b, block_size=32)
+    assert set(blocked.remote_items()) == set(exact.remote_items()) == a - b
+    assert set(blocked.local_items()) == set(exact.local_items()) == b - a
     # block granularity: within one block of the exact count
-    assert exact.symbols_used <= blocked.symbols_used < exact.symbols_used + 32
+    exact_used, blocked_used = exact.symbols_received, blocked.symbols_received
+    assert exact_used <= blocked_used < exact_used + 32
 
 
 def test_api_session_block_run_matches(lane, rng):

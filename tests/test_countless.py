@@ -41,7 +41,7 @@ def test_countless_one_sided(codec8, rng):
 def test_countless_overhead_unchanged(codec8, rng):
     """Dropping count must not change *how many* symbols decoding needs
     (the peeling graph is identical)."""
-    from repro.core.session import reconcile
+    from repro.api import reconcile
 
     a, b = split_sets(rng, shared=400, only_a=25, only_b=25)
     with_count = reconcile(a, b, symbol_size=8)

@@ -2,23 +2,12 @@
 
 import pytest
 
+from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import RatelessDecoder, decode_sketch_cells
 from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 
-from helpers import make_items, split_sets
-
-
-def stream_reconcile(codec, set_a, set_b, max_symbols=100_000):
-    """Helper: run the full subtract-and-peel protocol."""
-    alice = RatelessEncoder(codec, set_a)
-    bob = RatelessEncoder(codec, set_b)
-    decoder = RatelessDecoder(codec)
-    while not decoder.decoded:
-        if decoder.symbols_received >= max_symbols:
-            raise AssertionError("did not decode in time")
-        decoder.add_subtracted(alice.produce_next(), bob.produce_next())
-    return decoder
+from helpers import make_items, split_sets, stream_reconcile
 
 
 def test_identical_sets_decode_immediately(codec8, rng):
@@ -157,7 +146,7 @@ def test_truncated_checksum_still_decodes(rng):
     assert set(decoder.local_items()) == b - a
 
 
-def test_add_stream_stops_on_decode(codec8, rng):
+def test_add_coded_block_stops_on_decode(codec8, rng):
     a, b = split_sets(rng, shared=50, only_a=2, only_b=2)
     alice = RatelessEncoder(codec8, a)
     bob = RatelessEncoder(codec8, b)
@@ -165,6 +154,9 @@ def test_add_stream_stops_on_decode(codec8, rng):
         alice.produce_next().subtract(bob.produce_next()) for _ in range(64)
     ]
     decoder = RatelessDecoder(codec8)
-    used = decoder.add_stream(cells)
+    used = decoder.add_coded_block(
+        CodedSymbolBank.from_cells(cells), stop_when_decoded=True, chunk=1
+    )
     assert decoder.decoded
     assert used < 64
+    assert decoder.symbols_received == used

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.decoder import RatelessDecoder, peel_until_decoded
+from repro.core.decoder import RatelessDecoder
 from repro.core.encoder import RatelessEncoder
 from repro.net.link import Link
 from repro.net.simulator import Simulator
@@ -10,34 +10,22 @@ from repro.net.simulator import Simulator
 from helpers import make_items, split_sets
 
 
-def test_peel_until_decoded_helper(codec8, rng):
+def test_add_coded_block_stop_when_decoded_result(codec8, rng):
     a, b = split_sets(rng, shared=60, only_a=3, only_b=3)
-    alice = RatelessEncoder(codec8, a)
-    bob = RatelessEncoder(codec8, b)
-    stream = (
-        alice.produce_next().subtract(bob.produce_next()) for _ in range(200)
-    )
-    result = peel_until_decoded(RatelessDecoder(codec8), stream)
+    remote = RatelessEncoder(codec8, a).produce_block(200)
+    remote.subtract_in_place(RatelessEncoder(codec8, b).produce_block(200))
+    decoder = RatelessDecoder(codec8)
+    used = decoder.add_coded_block(remote, stop_when_decoded=True, chunk=1)
+    result = decoder.result()
     assert result.success
+    assert result.symbols_used == used < 200
     assert set(result.remote) == a - b
-
-
-def test_peel_until_decoded_respects_budget(codec8, rng):
-    a, b = split_sets(rng, shared=20, only_a=30, only_b=30)
-    alice = RatelessEncoder(codec8, a)
-    bob = RatelessEncoder(codec8, b)
-    stream = (
-        alice.produce_next().subtract(bob.produce_next()) for _ in range(10_000)
-    )
-    result = peel_until_decoded(RatelessDecoder(codec8), stream, max_symbols=10)
-    assert not result.success
-    assert result.symbols_used == 10
 
 
 def test_decode_result_overhead_empty():
     """d = 0 reports overhead 0.0 — the convention shared with
-    ``ReconcileOutcome`` and ``ReconcileResult`` (PR 1); the termination
-    symbol stays visible in ``symbols_used``."""
+    ``ReconcileResult``; the termination symbol stays visible in
+    ``symbols_used``."""
     from repro.core.decoder import DecodeResult
 
     result = DecodeResult(success=True, symbols_used=1)

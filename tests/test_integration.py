@@ -9,7 +9,7 @@ from repro.baselines.merkle import Trie, state_heal
 from repro.baselines.met_iblt import MetIBLT
 from repro.baselines.pinsketch import GF2m, PinSketch
 from repro.baselines.regular_iblt import RegularIBLT, recommended_cells
-from repro.core.session import reconcile
+from repro.api import reconcile
 from repro.core.symbols import SymbolCodec
 from repro.ledger import Chain, build_scenario
 from repro.ledger.workload import measure_riblt_plan
@@ -114,9 +114,9 @@ def test_ledger_sync_end_to_end():
 def test_riblt_plan_numbers_are_pinned(
     block_symbols, symbols_needed, bytes_per_symbol
 ):
-    """measure_riblt_plan drives core.session.ReconciliationSession; the
-    plan it measures on the scenario above is the one its hand-rolled
-    loop produced (numbers recorded at the parent commit)."""
+    """measure_riblt_plan drives an in-memory api.Session; the plan it
+    measures on the scenario above is pinned, so a change of driver or
+    engine that moves a symbol or a byte fails here."""
     scenario = ledger_scenario()
     plan = measure_riblt_plan(
         scenario, calibrated_line_rate_bps=170e6, block_symbols=block_symbols

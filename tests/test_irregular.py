@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
-from repro.core.session import reconcile
 from repro.core.symbols import SymbolCodec
 
-from helpers import split_sets
+from helpers import split_sets, stream_reconcile
 
 
 def test_paper_config_values():
@@ -55,9 +54,9 @@ def test_mean_rho_decreasing():
 def test_irregular_reconciliation_roundtrip(rng):
     codec = SymbolCodec(8, irregular=PAPER_IRREGULAR)
     a, b = split_sets(rng, shared=300, only_a=30, only_b=30)
-    out = reconcile(a, b, symbol_size=8, codec=codec)
-    assert out.only_in_a == a - b
-    assert out.only_in_b == b - a
+    decoder = stream_reconcile(codec, a, b)
+    assert set(decoder.remote_items()) == a - b
+    assert set(decoder.local_items()) == b - a
 
 
 def test_irregular_overhead_beats_regular_at_scale(rng):

@@ -1052,6 +1052,43 @@ def test_only_the_known_drivers_tick_a_machine() -> None:
     }
 
 
+def test_one_session_driver_in_src() -> None:
+    """Two in-memory sets reconcile one way: ``repro.api.Session`` pumping
+    the machines, with ``repro.api.reconcile`` the one-call front door.
+    A second module-level ``reconcile``, a second class stepping blocks
+    or a second budget exception is a second driver growing back."""
+    import ast
+
+    import repro
+    import repro.api
+
+    src = Path(__file__).parent.parent / "src" / "repro"
+    assert not (src / "core" / "session.py").exists()
+    reconcilers, steppers, budgets = [], [], []
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text())
+        reconcilers += [
+            name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "reconcile"
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == "SymbolBudgetExceeded":
+                budgets.append(name)
+            if any(
+                isinstance(item, ast.FunctionDef) and item.name == "step_block"
+                for item in node.body
+            ):
+                steppers.append(f"{name}:{node.name}")
+    assert reconcilers == ["api/session.py"]
+    assert steppers == ["api/session.py:Session"]
+    assert budgets == ["api/base.py"]
+    assert repro.reconcile is repro.api.reconcile
+
+
 def test_only_the_known_loops_shuttle_a_machine_over_a_socket() -> None:
     """An asyncio driver is a file that pairs ``take_output()`` with
     ``bytes_received()`` around an ``await``.  There is one per side:

@@ -14,7 +14,6 @@ import asyncio
 import pytest
 
 from repro.api import ReconcileError, SymbolBudgetExceeded
-from repro.core.session import SymbolBudgetExceeded as CoreSymbolBudgetExceeded
 from repro.service import (
     ReconciliationServer,
     SchemeMismatch,
@@ -192,9 +191,9 @@ def test_budget_exhaustion_is_typed_and_server_survives():
             host, port = server.address
             with pytest.raises(SymbolBudgetExceeded):
                 await sync(host, port, [b"X%07d" % i for i in range(1500)])
-            # One typed family across layers: servers written against the
-            # core session type catch the same exception.
-            with pytest.raises(CoreSymbolBudgetExceeded):
+            # One typed family: a generic ReconcileError handler catches
+            # the same exception.
+            with pytest.raises(ReconcileError):
                 await sync(host, port, [b"X%07d" % i for i in range(1500)])
             await settle(server, "sessions_dropped", 2)
             # The server keeps serving after dropping runaway sessions.

@@ -5,7 +5,8 @@ CI's perf-smoke job runs the throughput benches at ``REPRO_SCALE=quick``
 (which writes ``BENCH_<name>.quick.json`` beside the committed
 default-scale ``BENCH_<name>.json``) and then calls this script.  Rows
 are matched on their workload key (``d`` / ``set_size`` /
-``item_bytes``, plus ``engine`` where a bench times several) and
+``item_bytes``, plus ``engine`` or ``prefix_cells`` where a bench
+times several per key) and
 compared on their throughput-style metric; a row that fell below
 ``1/THRESHOLD`` of the committed value fails the job.
 
@@ -40,13 +41,16 @@ _METRICS = (
     ("seconds", False),
 )
 _KEYS = ("d", "set_size", "item_bytes")
+# Row fields that further split a key: fig11 times two engines per width,
+# churn_patch two cached-prefix lengths per width.
+_QUALIFIERS = ("engine", "prefix_cells")
 
 
 def _row_key(row: dict):
     for key in _KEYS:
         if key in row:
-            # fig11 times two engines per width: the engine is part of the key
-            return key, f"{row[key]}/{row['engine']}" if "engine" in row else row[key]
+            tags = [str(row[tag]) for tag in _QUALIFIERS if tag in row]
+            return key, "/".join([str(row[key]), *tags]) if tags else row[key]
     return None
 
 

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from repro.api.adapters.cellpack import CodecParams, codec_for
 from repro.api.base import StreamingReconciler, UnsupportedOperation
 from repro.api.registry import Capabilities, register_scheme
-from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import DecodeResult, RatelessDecoder, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.sketch import RatelessSketch
@@ -113,8 +112,10 @@ class RibltReconciler(StreamingReconciler):
         (the stream header precedes the first).
 
         Byte-identical however the stream is cut into blocks — the
-        framing is per cell.
+        framing is per cell.  ``block_size`` must be at least 1.
         """
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         encoder = self._require_live()
         if self._writer is None:
             self._writer = SymbolStreamWriter(self.codec, set_size=encoder.set_size)
@@ -143,7 +144,8 @@ class RibltReconciler(StreamingReconciler):
             if rec._reader is None:
                 rec._reader = SymbolStreamReader(rec.codec)
                 rec._decoder = RatelessDecoder(rec.codec)
-            incoming = CodedSymbolBank()
+            # the cached prefix's form, so the subtraction is one XOR per lane
+            incoming = encoder.bank.slice(0, 0)
             try:
                 parsed = rec._reader.feed_into(incoming, payload)
             except ValueError as exc:

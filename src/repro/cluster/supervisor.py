@@ -44,7 +44,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional
 
-from repro.cluster.topology import worker_shards
 from repro.durable import DurableConfig
 from repro.durable.store import MANIFEST_NAME
 from repro.service.backends import open_backend
@@ -408,11 +407,3 @@ class ClusterSupervisor:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
-
-    # -- introspection -----------------------------------------------------
-
-    def shards_of(self, worker: int) -> range:
-        """Global shards worker ``worker`` owns (striped topology)."""
-        return worker_shards(
-            self.total_shards, self.config.num_workers, worker
-        )

@@ -8,21 +8,23 @@ and the hot loops operate on the lanes directly.
 
 Lane representation
 -------------------
-A bank's public lanes are plain Python lists of ints: ``array('Q')``
-measured ~1.4× *slower* in the read-modify-write inner loop (every access
-boxes a fresh int), and a list carries a symbol of any width, which is
-what the scalar reference engine, the durable store and the parity tests
-read.  The vector engines see the same data in **one** NumPy shape for
-every width: sums and source values are a little-endian ``(rows, k)``
-uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded; checksums are a
-``(rows,)`` uint64 vector and counts ``(rows,)`` int64.  This module is
-the only place Python ints meet those arrays, through
-:func:`lanes_from_ints` / :func:`ints_from_lanes` and
-:func:`lanes_from_bytes` (one zero-padded ``frombuffer`` view of item or
-wire bytes).  An 8-byte symbol is ``k = 1``, which the kernels view as
-1-D.  Symbols wider than :data:`LANE_MAX_SYMBOL_BYTES` stay on the scalar
-engine: big-int XOR is memcpy-speed there while lane gathers are not
-(paper Fig 11's knee; see the constant).
+A bank's lanes take one of two forms.  The *lane form* is the one the
+vector engines read and write in place: sums are a little-endian
+``(rows, k)`` uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded
+(source values take the same shape); checksums are a ``(rows,)`` uint64
+vector and counts ``(rows,)`` int64 — exact-length views of arrays with
+spare rows, so a growing prefix is not copied per block.  The encoder
+keeps its cached prefix in this form under the vector engine, so a churn
+patch and a served block touch no Python int.  The *list form* is plain
+Python lists of ints, which carry a symbol of any width: it is the
+scalar reference engine's, the form past :data:`LANE_MAX_SYMBOL_BYTES`
+(big-int XOR is memcpy-speed there while lane gathers are not: paper Fig
+11's knee, see the constant), and the decoder's received prefix, which
+its per-cell engine indexes one cell at a time.  This module is the only
+place Python ints meet the arrays, through :func:`lanes_from_ints` /
+:func:`ints_from_lanes` and :func:`lanes_from_bytes` (one zero-padded
+``frombuffer`` view of item or wire bytes); an 8-byte symbol is
+``k = 1``, which the kernels view as 1-D.
 
 The record codec
 ----------------
@@ -100,39 +102,34 @@ PACK_MIN_CELLS = 16
 class CodedSymbolBank:
     """A coded-symbol prefix stored as three parallel lanes.
 
-    Semantically a ``list[CodedSymbol]``; physically three lists of ints
-    that the batch producers/consumers address directly.  All mutating
-    bank-level operations are linear (XOR on sums/checksums, ± on
-    counts), mirroring :class:`~repro.core.coded.CodedSymbol`.
+    Semantically a ``list[CodedSymbol]``; physically three lanes the
+    batch producers/consumers address directly, as lists of ints or in
+    the lane form (module docstring).  All mutating bank-level
+    operations are linear (XOR on sums/checksums, ± on counts),
+    mirroring :class:`~repro.core.coded.CodedSymbol`.  Values that leave
+    a bank are Python ints, and equality holds across the two forms.
     """
 
-    __slots__ = ("sums", "checksums", "counts")
+    __slots__ = ("sums", "checksums", "counts", "_room")
 
-    def __init__(
-        self,
-        sums: Optional[list[int]] = None,
-        checksums: Optional[list[int]] = None,
-        counts: Optional[list[int]] = None,
-    ) -> None:
-        self.sums: list[int] = sums if sums is not None else []
-        self.checksums: list[int] = checksums if checksums is not None else []
-        self.counts: list[int] = counts if counts is not None else []
+    def __init__(self, sums=None, checksums=None, counts=None) -> None:
+        self.sums = sums if sums is not None else []
+        self.checksums = checksums if checksums is not None else []
+        self.counts = counts if counts is not None else []
         if not (len(self.sums) == len(self.checksums) == len(self.counts)):
             raise ValueError("bank lanes must have equal length")
+        # lane form: the full-capacity arrays the lanes are views of
+        self._room = None if isinstance(self.sums, list) else self.lanes
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_cells(cls, cells: Iterable[CodedSymbol]) -> "CodedSymbolBank":
         """Bank holding a value copy of ``cells``."""
-        sums: list[int] = []
-        checksums: list[int] = []
-        counts: list[int] = []
+        bank = cls()
         for cell in cells:
-            sums.append(cell.sum)
-            checksums.append(cell.checksum)
-            counts.append(cell.count)
-        return cls(sums, checksums, counts)
+            bank.append_cell(cell)
+        return bank
 
     @classmethod
     def zeros(cls, size: int) -> "CodedSymbolBank":
@@ -141,13 +138,44 @@ class CodedSymbolBank:
 
     def copy(self) -> "CodedSymbolBank":
         """Value copy of this bank."""
-        return CodedSymbolBank(list(self.sums), list(self.checksums), list(self.counts))
+        return self.slice(0, len(self))
 
     def slice(self, lo: int, hi: int) -> "CodedSymbolBank":
-        """Value copy of cells ``[lo, hi)``."""
+        """Value copy of cells ``[lo, hi)``, in this bank's form."""
+        lanes = [lane[lo:hi] for lane in self.lanes]
+        if self._room is not None:  # a slice of an array is a view
+            lanes = [lane.copy() for lane in lanes]
+        return CodedSymbolBank(*lanes)
+
+    @property
+    def vector(self) -> bool:
+        """True for the lane form (NumPy arrays), False for lists."""
+        return self._room is not None
+
+    @property
+    def lanes(self) -> tuple:
+        """``(sums, checksums, counts)``."""
+        return self.sums, self.checksums, self.counts
+
+    def in_form(self, vector: bool, size: int = 0) -> "CodedSymbolBank":
+        """This bank in the lane form (``vector``, for ``size``-byte
+        symbols) or as lists: itself when it already is, else a value
+        copy made in one pass."""
+        if vector == self.vector:
+            return self
+        if not vector:
+            return CodedSymbolBank(*map(to_list, self.lanes))
+        np = engine.np
         return CodedSymbolBank(
-            self.sums[lo:hi], self.checksums[lo:hi], self.counts[lo:hi]
+            lanes_from_ints(self.sums, size),
+            np.array(self.checksums, dtype=np.uint64),
+            np.array(self.counts, dtype=np.int64),
         )
+
+    def _own(self, other: "CodedSymbolBank") -> tuple:
+        """``other``'s lanes in this bank's form (and lane width)."""
+        size = 8 * self.sums.shape[1] if self._room is not None else 0
+        return other.in_form(self.vector, size).lanes
 
     # -- container protocol ----------------------------------------------
 
@@ -155,24 +183,21 @@ class CodedSymbolBank:
         return len(self.sums)
 
     def __iter__(self) -> Iterator[CodedSymbol]:
-        for s, k, c in zip(self.sums, self.checksums, self.counts):
+        for s, k, c in zip(*self.in_form(False).lanes):
             yield CodedSymbol(s, k, c)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodedSymbolBank):
             return NotImplemented
-        return (
-            self.sums == other.sums
-            and self.checksums == other.checksums
-            and self.counts == other.counts
-        )
+        return self.in_form(False).lanes == other.in_form(False).lanes
 
     def __repr__(self) -> str:
         return f"CodedSymbolBank(size={len(self.sums)})"
 
     def cell_at(self, index: int) -> CodedSymbol:
         """Value snapshot of cell ``index``."""
-        return CodedSymbol(self.sums[index], self.checksums[index], self.counts[index])
+        index = range(len(self))[index]
+        return next(iter(self.slice(index, index + 1)))
 
     def cells(self) -> list[CodedSymbol]:
         """Value snapshots of every cell."""
@@ -180,6 +205,9 @@ class CodedSymbolBank:
 
     def append(self, sum_: int, checksum: int, count: int) -> None:
         """Append one cell given as a lane triple."""
+        if self._room is not None:
+            self.extend(CodedSymbolBank([sum_], [checksum], [count]))
+            return
         self.sums.append(sum_)
         self.checksums.append(checksum)
         self.counts.append(count)
@@ -189,16 +217,28 @@ class CodedSymbolBank:
         self.append(cell.sum, cell.checksum, cell.count)
 
     def extend_zeros(self, size: int) -> None:
-        """Grow the bank by ``size`` zero cells."""
-        self.sums.extend([0] * size)
-        self.checksums.extend([0] * size)
-        self.counts.extend([0] * size)
+        """Grow the bank by ``size`` zero cells: into the lane form's spare
+        rows, which regrow by half once used up (one copy)."""
+        n = len(self) + size
+        if self._room is None:
+            for lane in self.lanes:
+                lane.extend([0] * size)
+        elif size:
+            if n > len(self._room[1]):
+                np, grown = engine.np, n + n // 2
+                room = [np.zeros((grown, *x.shape[1:]), x.dtype) for x in self.lanes]
+                for spare, lane in zip(room, self.lanes):
+                    spare[: len(lane)] = lane
+                self._room = tuple(room)
+            self.sums, self.checksums, self.counts = (lane[:n] for lane in self._room)
 
     def extend(self, other: "CodedSymbolBank") -> None:
-        """Append a value copy of every cell of ``other``."""
-        self.sums.extend(other.sums)
-        self.checksums.extend(other.checksums)
-        self.counts.extend(other.counts)
+        """Append a value copy of every cell of ``other`` (either form)."""
+        lo = len(self)
+        more = self._own(other)
+        self.extend_zeros(len(other))
+        for lane, tail in zip(self.lanes, more):
+            lane[lo:] = tail
 
     # -- linear algebra ---------------------------------------------------
 
@@ -210,9 +250,7 @@ class CodedSymbolBank:
         ``direction`` is +1 to add, −1 to remove — the count bookkeeping,
         exactly as :meth:`CodedSymbol.apply` per index.
         """
-        sums = self.sums
-        checksums = self.checksums
-        counts = self.counts
+        sums, checksums, counts = self.lanes
         for idx in indices:
             sums[idx] ^= value
             checksums[idx] ^= checksum
@@ -220,35 +258,30 @@ class CodedSymbolBank:
 
     def subtract(self, other: "CodedSymbolBank") -> "CodedSymbolBank":
         """Cell-wise ``self ⊖ other`` (paper §3 sketch subtraction)."""
-        if len(other) != len(self):
-            raise ValueError(
-                f"bank sizes differ: {len(self)} vs {len(other)}"
-            )
-        return CodedSymbolBank(
-            [a ^ b for a, b in zip(self.sums, other.sums)],
-            [a ^ b for a, b in zip(self.checksums, other.checksums)],
-            [a - b for a, b in zip(self.counts, other.counts)],
-        )
+        out = self.copy()
+        out.subtract_in_place(other)
+        return out
 
     def subtract_in_place(self, other: "CodedSymbolBank") -> None:
-        """In-place version of :meth:`subtract`."""
+        """In-place version of :meth:`subtract`; one XOR per lane in the
+        lane form."""
         if len(other) != len(self):
-            raise ValueError(
-                f"bank sizes differ: {len(self)} vs {len(other)}"
-            )
-        sums = self.sums
-        checksums = self.checksums
-        counts = self.counts
-        for i, (s, k, c) in enumerate(zip(other.sums, other.checksums, other.counts)):
+            raise ValueError(f"bank sizes differ: {len(self)} vs {len(other)}")
+        sums, checksums, counts = self.lanes
+        other_sums, other_checksums, other_counts = self._own(other)
+        if self._room is not None:
+            sums ^= other_sums
+            checksums ^= other_checksums
+            counts -= other_counts
+            return
+        for i, (s, k, c) in enumerate(zip(other_sums, other_checksums, other_counts)):
             sums[i] ^= s
             checksums[i] ^= k
             counts[i] -= c
 
     def is_all_zero(self) -> bool:
         """True when every cell has been reduced to zero."""
-        return (
-            not any(self.counts) and not any(self.sums) and not any(self.checksums)
-        )
+        return not any(map(any, self.in_form(False).lanes))
 
     # -- wire format ------------------------------------------------------
     #
@@ -273,10 +306,10 @@ class CodedSymbolBank:
         * ``count`` — 8 bytes, **signed** little-endian (two's complement).
 
         Three columns through :func:`pack_records`, whose two engines
-        emit byte-identical blobs at any symbol width.
+        emit byte-identical blobs at any symbol width, from either form.
         """
         return pack_records(
-            (self.sums, self.checksums, self.counts),
+            self.lanes,
             (codec.symbol_size, codec.checksum_size, self.COUNT_BYTES),
             signed_last=True,
         )
@@ -338,8 +371,11 @@ def lanes_from_ints(values, size: int):
 
     Anything outside that range raises the ``OverflowError``
     ``int.to_bytes`` raises — it *is* that call for multi-lane symbols
-    and for a one-lane batch the array conversion rejected.
+    and for a one-lane batch the array conversion rejected.  A lane
+    matrix is returned as it is.
     """
+    if getattr(values, "ndim", 1) == 2:
+        return values
     if size <= 8:
         try:
             lanes = engine.np.asarray(values, dtype="<u8").reshape(-1, 1)
@@ -381,8 +417,9 @@ def to_list(column) -> list:
 
 
 def pack_records(columns: Sequence, widths: Sequence[int], signed_last: bool = False) -> bytes:
-    """Serialise parallel integer ``columns`` as ``len(columns[0])``
-    records of ``sum(widths)`` bytes each.
+    """Serialise parallel integer ``columns`` — lists, vectors or lane
+    matrices — as ``len(columns[0])`` records of ``sum(widths)`` bytes
+    each.
 
     A value outside its field raises ``OverflowError`` exactly as
     ``int.to_bytes`` words it, on either engine.
@@ -404,7 +441,7 @@ def pack_records(columns: Sequence, widths: Sequence[int], signed_last: bool = F
         except OverflowError:
             pass  # the reference body below raises it in canonical form
     fields = [
-        [int(v).to_bytes(width, "little", signed=sign) for v in column]
+        [int(v).to_bytes(width, "little", signed=sign) for v in to_list(column)]
         for column, width, sign in zip(columns, widths, signed)
     ]
     return b"".join(chain.from_iterable(zip(*fields)))
@@ -501,7 +538,6 @@ def scatter_walk_scalar(
     bit-identical to ``IndexGenerator.next_index``.
     """
     sqrt = math.sqrt
-    default_alpha = DEFAULT_ALPHA
     collect = touched.append if touched is not None else None
     for j in range(len(indices)):
         idx = indices[j]
@@ -510,54 +546,33 @@ def scatter_walk_scalar(
         state = states[j]
         value = values[j]
         checksum = symbol_checksums[j]
-        alpha = default_alpha if alphas is None else alphas[j]
-        if alpha == default_alpha:
-            while idx < hi:
-                sums[idx] ^= value
-                checksums[idx] ^= checksum
-                counts[idx] += direction
-                if collect is not None:
-                    collect(idx)
-                state = (state + GAMMA) & MASK64
-                z = (state ^ (state >> 30)) * MIX1 & MASK64
-                z = (z ^ (z >> 27)) * MIX2 & MASK64
-                r = ((z ^ (z >> 31)) >> 11) * INV_2_53
+        alpha = DEFAULT_ALPHA if alphas is None else alphas[j]
+        regular = alpha == DEFAULT_ALPHA
+        while idx < hi:
+            sums[idx] ^= value
+            checksums[idx] ^= checksum
+            counts[idx] += direction
+            if collect is not None:
+                collect(idx)
+            state = (state + GAMMA) & MASK64
+            z = (state ^ (state >> 30)) * MIX1 & MASK64
+            z = (z ^ (z >> 27)) * MIX2 & MASK64
+            r = ((z ^ (z >> 31)) >> 11) * INV_2_53
+            if regular:
                 half = idx + 1.5
-                gap = (
-                    sqrt(half * half + r * (idx + 1.0) * (idx + 2.0) / (1.0 - r))
-                    - half
-                )
-                step = int(gap)
-                if step < gap:
-                    step += 1
-                if step < 1:
-                    step = 1
-                nxt = idx + step
-                if nxt > MAX_INDEX:
-                    nxt = idx + 1
-                idx = nxt
-        else:
-            neg_alpha = -alpha
-            while idx < hi:
-                sums[idx] ^= value
-                checksums[idx] ^= checksum
-                counts[idx] += direction
-                if collect is not None:
-                    collect(idx)
-                state = (state + GAMMA) & MASK64
-                z = (state ^ (state >> 30)) * MIX1 & MASK64
-                z = (z ^ (z >> 27)) * MIX2 & MASK64
-                r = ((z ^ (z >> 31)) >> 11) * INV_2_53
-                gap = (idx + 1.0) * ((1.0 - r) ** neg_alpha - 1.0)
-                step = int(gap)
-                if step < gap:
-                    step += 1
-                if step < 1:
-                    step = 1
-                nxt = idx + step
-                if nxt > MAX_INDEX:
-                    nxt = idx + 1
-                idx = nxt
+                root = sqrt(half * half + r * (idx + 1.0) * (idx + 2.0) / (1.0 - r))
+                gap = root - half
+            else:
+                gap = (idx + 1.0) * ((1.0 - r) ** -alpha - 1.0)
+            step = int(gap)
+            if step < gap:
+                step += 1
+            if step < 1:
+                step = 1
+            nxt = idx + step
+            if nxt > MAX_INDEX:
+                nxt = idx + 1
+            idx = nxt
         indices[j] = idx
         states[j] = state
 
@@ -617,7 +632,7 @@ def scatter_walk_arrays(
         # One lane: fold 1-D vectors (same ufunc calls, no row axis).
         sums = sums[:, 0]
         vals = vals[:, 0]
-    rows = np.flatnonzero(idx < hi)
+    rows = (idx < hi).nonzero()[0]
     n = rows.size
     pos = idx[rows].astype(np.float64)
     st = state[rows]
@@ -626,11 +641,12 @@ def scatter_walk_arrays(
         al = None  # all-regular batch: no element-wise pass
     # the live rows' ends, unit-step limits and lane origins
     hl, bs = _rows_of(hi, rows), _rows_of(base, rows)
-    lim = np.minimum(hl, MAX_INDEX + 1)
-    shift = getattr(base, "ndim", 0) or base != 0  # a column, or a nonzero int
-    z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
-    a, b, h = np.empty(n), np.empty(n), np.empty(n)
-    slot_type = _slot_type(len(checksums))  # slots index the lanes
+    if n >= NUMPY_TAIL_JOBS:  # the rounds' unit-step limits and work buffers
+        lim = np.minimum(hl, MAX_INDEX + 1)
+        shift = getattr(base, "ndim", 0) or base != 0  # a column, or a nonzero int
+        z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
+        a, b, h = np.empty(n), np.empty(n), np.empty(n)
+        slot_type = _slot_type(len(checksums))  # slots index the lanes
     while n >= NUMPY_TAIL_JOBS:
         zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
         first = int(rows[0])
@@ -725,17 +741,17 @@ def fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
     """
     np = engine.np
     one = isinstance(dirs, int)
-    smin, smax = int(slot.min()), int(slot.max())
-    if smin == smax:
+    key = slot.astype(_slot_type(len(checksums)), copy=False)
+    perm = key.argsort(kind="stable")
+    ss = key[perm]
+    if ss[0] == ss[-1]:
         # One shared cell (always round 0 of a fresh walk, where every
         # symbol maps to index 0): fold the whole batch.
-        sums[smin] ^= np.bitwise_xor.reduce(vals[rows], axis=0)
-        checksums[smin] ^= np.bitwise_xor.reduce(csums[rows])
-        counts[smin] += dirs * slot.size if one else dirs[rows].sum()
+        cell = int(ss[0])
+        sums[cell] ^= np.bitwise_xor.reduce(vals[rows], axis=0)
+        checksums[cell] ^= np.bitwise_xor.reduce(csums[rows])
+        counts[cell] += dirs * slot.size if one else dirs[rows].sum()
         return
-    key = slot.astype(_slot_type(smax + 1), copy=False)
-    perm = np.argsort(key, kind="stable")
-    ss = key[perm]
     first = np.empty(ss.size + 1, dtype=bool)  # segment starts, then the end
     first[0] = first[-1] = True
     np.not_equal(ss[1:], ss[:-1], out=first[1:-1])
@@ -786,7 +802,7 @@ def fold_items(
     for rows, slots in edge_batches(csums):
         if rows.size:
             fold_edges(fold_sums, checksums, counts, slots, rows, fold_vals, csums, 1)
-    return CodedSymbolBank(ints_from_lanes(sums), checksums.tolist(), counts.tolist())
+    return CodedSymbolBank(sums, checksums, counts).in_form(False)
 
 
 def _unit_draws(seeds, done: int, count: int) -> list[list[float]]:
@@ -815,10 +831,10 @@ def _walk_tail_scalar(rows, pos, st, al, hi):
     np = engine.np
     sqrt, ceil = math.sqrt, math.ceil
     his = hi.tolist() if getattr(hi, "ndim", 0) else [hi] * rows.size
-    chunk = 2 + 2 * ceil(2.0 * math.log((max(his) + 2.0) / (float(pos.min()) + 2.0)))
+    ends = pos.astype(np.int64).tolist()
+    chunk = 2 + 2 * ceil(2.0 * math.log((max(his) + 2.0) / (min(ends) + 2.0)))
     draws = _unit_draws(st, 0, chunk)
     alphas = al.tolist() if al is not None else [DEFAULT_ALPHA] * rows.size
-    ends = pos.astype(np.int64).tolist()
     edge_idx, edge_rows, steps = [], [], []  # steps: draws taken per walk
     walks = zip(rows.tolist(), ends, alphas, draws, his)
     for j, (row, i, alpha, rs, end) in enumerate(walks):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count as _counter
+from itertools import accumulate, count as _counter
 from typing import Iterable, NamedTuple, Sequence
 
 from repro import engine
@@ -294,7 +294,9 @@ def ingest(
     ONE ``checksum_int_batch`` call, accepts them against that decoder's
     ``seen`` and peels them in one kernel call — so each decoder ends as
     a call of its own leaves it.  ``stop_when_decoded`` advances the jobs
-    in lock-step ``chunk``-cell sub-blocks.  One job per decoder at most.
+    in lock-step ``chunk``-cell sub-blocks.  One job per decoder at most;
+    a job's bank may take either form (a wave concatenates a lane-form
+    bank as it is, the per-cell engine reads it as ints).
     """
     if len({id(decoder) for decoder, _ in jobs}) < len(jobs):
         raise ValueError("a decoder may appear in at most one ingest job")
@@ -315,7 +317,7 @@ def ingest(
         ):
             waves.setdefault(id(decoder.codec), []).append(j)
             continue
-        consume, lanes = decoder._consume, (bank.sums, bank.checksums, bank.counts)
+        consume, lanes = decoder._consume, bank.in_form(False).lanes
         while consumed[j] < n:
             lo = consumed[j]
             consumed[j] = min(lo + step, n)
@@ -334,9 +336,8 @@ def ingest(
         totals = [len(mine) + len(src) for mine, src in banks]
         starts = [0, *accumulate(totals)]  # decoder w: rows starts[w]..starts[w+1]
         parts = [b for pair in banks for b in pair]  # a decoder's bank, its block
-        sums = lanes_from_ints(list(chain(*(b.sums for b in parts))), codec.symbol_size)
-        checksums = np.array(list(chain(*(b.checksums for b in parts))), np.uint64)
-        counts = np.array(list(chain(*(b.counts for b in parts))), np.int64)
+        parts = zip(*(b.in_form(True, codec.symbol_size).lanes for b in parts))
+        sums, checksums, counts = (np.concatenate(lane) for lane in parts)
         arrays, frontiers, ends = (sums, checksums, counts), olds[:], totals[:]
 
         def walk(owner, indices, states, values, csums, dirs, alphas, touched=None):
@@ -429,14 +430,12 @@ def ingest(
                 live = sums.any(axis=1) | (checksums != 0) | (counts != 0)
                 live = [live[starts[w] : starts[w] + ends[w]].any() for w in active]
                 active = [w for w, undecoded in zip(active, live) if undecoded]
-        values = ints_from_lanes(sums)
-        checksum_list, count_list = checksums.tolist(), counts.tolist()
+        lanes = CodedSymbolBank(sums, checksums, counts).in_form(False).lanes
         nonzero = sums.any(axis=1) | (checksums != 0) | (counts != 0)
         for w, (decoder, (bank, _)) in enumerate(zip(decoders, banks)):
             lo, hi = starts[w], starts[w] + frontiers[w]
-            bank.sums[:] = values[lo:hi]
-            bank.checksums[:] = checksum_list[lo:hi]
-            bank.counts[:] = count_list[lo:hi]
+            for mine, lane in zip(bank.lanes, lanes):
+                mine[:] = lane[lo:hi]
             decoder._nonzero = int(np.count_nonzero(nonzero[lo:hi]))
             consumed[wave[w]] = frontiers[w] - olds[w]
     return consumed

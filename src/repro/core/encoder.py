@@ -1,9 +1,10 @@
 """Incremental Rateless IBLT encoder (paper §4 design, §6 optimisations).
 
 The encoder's whole state is the one its paper definition names: the
-produced coded-symbol prefix, an array-backed
-:class:`~repro.core.cellbank.CodedSymbolBank`, and for every source
-symbol a parked position in its §4.2 index walk.  The symbols live in
+produced coded-symbol prefix, a
+:class:`~repro.core.cellbank.CodedSymbolBank` in the lane form (uint64
+arrays) under the vector engine and as lists otherwise, and for every
+source symbol a parked position in its §4.2 index walk.  The symbols live in
 one :class:`SourceStore` — one row per live symbol (``value``,
 ``checksum``, parked ``(idx, state)``, and its α when the codec maps
 some symbol with other than the default α, read from the codec's
@@ -38,8 +39,9 @@ every shard of a host in one :func:`_patch` pass, the shards' prefixes
 laid end to end under one walk-kernel call (removals replay each
 symbol's mapping from its seed — the checksum — with its stored α);
 ``add_items``/``remove_items`` and the one-item forms are its
-one-encoder case.  Produced cells are value snapshots; the live, patched
-state is the internal bank (:meth:`cached` / :meth:`cached_block`).
+one-encoder case; a lane-form prefix is patched in place.  Produced
+cells are value snapshots; the live, patched state is the internal bank
+(:meth:`cached` / :meth:`cached_block`, a copied slice of it).
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ from typing import Iterable, Optional, Sequence
 
 from repro import engine
 from repro.core.cellbank import (
-    NUMPY_MIN_JOBS,
     CodedSymbolBank,
     ints_from_lanes,
-    lane_count,
     lanes_from_bytes,
     lanes_from_ints,
     needs_alphas,
@@ -65,16 +65,6 @@ from repro.core.cellbank import (
 from repro.core.coded import CodedSymbol
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
-
-# A churn batch patches through the NumPy lane when it has a row per
-# _PATCH_CELLS_PER_ITEM · 8 / (7 + k) cached cells (rows and cells summed
-# over its banks); below that the scalar per-edge patch beats the banks'
-# lane round trip and ~15 lock-step rounds of fixed NumPy cost.  Measured
-# on 4 banks (add + remove, one Xeon core), lane factor out, the crossover
-# sat at one row per 22 cells (k = 1), 15 (k = 12) and 43 (k = 64) over
-# 2 500 cells, and per 53, 30 and 47 over 10^4: it grows with the prefix,
-# and servers hold the long ones, so the rule stays near that end.
-_PATCH_CELLS_PER_ITEM = 64
 
 # Parked index of a removed (or not yet used) row: past every frontier,
 # so no kernel walks it.
@@ -103,52 +93,43 @@ def _has_duplicates(lanes) -> bool:
     return bool((shared[1:] == shared[:-1]).all(axis=1).any())
 
 
-def _walk_into(spans, direction, size) -> None:
+def _walk_into(spans, direction) -> None:
     """Fold rows in (``direction`` +1) or peel them out (−1) at every cell
     their walks cross.  A span ``(bank, lo, hi, walks, alphas)`` walks its
     rows' ``(idx, state, values, checksums)`` (advanced in place, none
-    parked below ``lo``) over the bank's cells ``[lo, hi)``, appending
-    cells past its end; ``alphas`` is ``None`` for every span or none.
-    As lists, the scalar kernel walks one bank at a time; as NumPy
-    columns, the spans lie end to end in one lane matrix and one kernel
-    call walks each row in its own bank's coordinates."""
-    if isinstance(spans[0][3][0], list):
-        for bank, lo, hi, walks, alphas in spans:
-            bank.extend_zeros(hi - len(bank))
-            sums, checksums, counts = bank.sums, bank.checksums, bank.counts
-            scatter_walk_scalar(sums, checksums, counts, *walks, direction, alphas, hi)
+    parked below ``lo``) over the bank's cells ``[lo, hi)``, growing the
+    bank to ``hi``; ``alphas`` is ``None`` for every span or none.  List
+    banks (list walks) take the scalar kernel one at a time; lane banks
+    (NumPy walks) take one kernel call — in place for one span, for
+    several laid end to end in one lane matrix and copied back, each row
+    walking in its own bank's coordinates."""
+    for bank, _, hi, _, _ in spans:
+        bank.extend_zeros(hi - len(bank))
+    if not spans[0][0].vector:
+        for bank, _, hi, walks, alphas in spans:
+            scatter_walk_scalar(*bank.lanes, *walks, direction, alphas, hi)
         return
     np = engine.np
-    cells = [0, *accumulate(hi - lo for _, lo, hi, _, _ in spans)]
-    rows = [0, *accumulate(len(span[3][0]) for span in spans)]
-    sums = np.zeros((cells[-1], lane_count(size)), dtype=np.uint64)
-    checksums = np.zeros(cells[-1], dtype=np.uint64)
-    counts = np.zeros(cells[-1], dtype=np.int64)
-    for (bank, lo, _, _, _), off in zip(spans, cells):
-        held = off + len(bank) - lo
-        if held > off:  # cells already produced: the walks patch them
-            sums[off:held] = lanes_from_ints(bank.sums[lo:], size)
-            checksums[off:held] = bank.checksums[lo:]
-            counts[off:held] = bank.counts[lo:]
-    if len(spans) == 1:  # int hi and base
-        ((_, base, hi, walks, alphas),) = spans
-    else:  # per-row hi and base columns
+    if len(spans) == 1:  # the bank's own lanes, int hi and base
+        ((bank, base, hi, walks, alphas),) = spans
+        lanes = [lane[base:] for lane in bank.lanes]
+    else:  # one lane matrix, per-row hi and base columns
+        cells = [0, *accumulate(hi - lo for _, lo, hi, _, _ in spans)]
+        rows = [0, *accumulate(len(span[3][0]) for span in spans)]
+        held = ([lane[span[1] :] for lane in span[0].lanes] for span in spans)
+        lanes = [np.concatenate(column) for column in zip(*held)]
         width = np.diff(rows)
         hi = np.repeat([span[2] for span in spans], width)
         base = np.repeat([span[1] - off for span, off in zip(spans, cells)], width)
         walks = [np.concatenate(column) for column in zip(*(s[3] for s in spans))]
         alphas = None if spans[0][4] is None else np.concatenate([s[4] for s in spans])
     alphas = None if alphas is None else np.asarray(alphas, dtype=np.float64)
-    scatter_walk_arrays(
-        sums, checksums, counts, *walks, direction, hi, base=base, alphas=alphas
-    )
-    sums = ints_from_lanes(sums)
-    checksums, counts = checksums.tolist(), counts.tolist()
-    bounds = zip(spans, cells, cells[1:], rows, rows[1:])
-    for (bank, lo, _, own, _), a, b, c, d in bounds:
-        bank.sums[lo:], bank.checksums[lo:] = sums[a:b], checksums[a:b]
-        bank.counts[lo:] = counts[a:b]
-        if own is not walks:  # the span's rows take their parked walks back
+    scatter_walk_arrays(*lanes, *walks, direction, hi, base=base, alphas=alphas)
+    if len(spans) > 1:  # each span takes its cells and parked walks back
+        bounds = zip(spans, cells, cells[1:], rows, rows[1:])
+        for (bank, lo, _, own, _), a, b, c, d in bounds:
+            for mine, walked in zip(bank.lanes, lanes):
+                mine[lo:] = walked[a:b]
             own[0][:], own[1][:] = walks[0][c:d], walks[1][c:d]
 
 
@@ -173,15 +154,8 @@ def _patch(jobs, direction: int) -> None:
             alphas = store.alphas_for(checksums)
         rows.append((encoder, values, checksums, alphas))
     codec = jobs[0][0].codec
-    size = codec.symbol_size
     patched = [row for row in rows if row[0]._bank]
-    n = sum(len(row[1]) for row in patched)
-    cells = sum(len(row[0]._bank) for row in patched)
-    vector = (
-        n >= NUMPY_MIN_JOBS
-        and 8 * n * _PATCH_CELLS_PER_ITEM >= cells * (7 + lane_count(size))
-        and numpy_block_eligible(codec)
-    )
+    vector = numpy_block_eligible(codec)  # the form every prefix takes below
     opened = any(row[3] is not None for row in patched)
     spans = []
     for encoder, values, checksums, alphas in patched:
@@ -190,15 +164,15 @@ def _patch(jobs, direction: int) -> None:
         if vector:
             np = engine.np
             csums = np.array(checksums, dtype=np.uint64)
-            if isinstance(values, list):
-                values = lanes_from_ints(values, size)
+            values = lanes_from_ints(values, codec.symbol_size)
             walks = (np.zeros(len(csums), dtype=np.int64), csums.copy(), values, csums)
         else:
             checksums = to_list(checksums)
             walks = ([0] * len(checksums), list(checksums), to_list(values), checksums)
-        spans.append((encoder._bank, 0, len(encoder._bank), walks, alphas))
+        bank = encoder._prefix()
+        spans.append((bank, 0, len(bank), walks, alphas))
     if spans:
-        _walk_into(spans, direction, size)
+        _walk_into(spans, direction)
     if not removing:
         parked = {id(span[0]): span[3][:2] for span in spans}
         for encoder, values, checksums, alphas in rows:
@@ -290,11 +264,6 @@ class SourceStore:
             self._rows = dict(zip(ints_from_lanes(self.values[keep]), keep.tolist()))
         return self._rows
 
-    def _vector_for(self, rows: int) -> bool:
-        """The form ``rows`` live rows take: NumPy when the codec's
-        symbols ride the lanes and a batch amortises the call overhead."""
-        return rows >= NUMPY_MIN_JOBS and numpy_block_eligible(self.codec)
-
     def _repack(self, vector: bool, spare: int = 0) -> None:
         """Rewrite the columns in the given form with the live rows only,
         renumbered in row order, plus ``spare`` free rows (NumPy form)."""
@@ -349,8 +318,8 @@ class SourceStore:
         ``(idx, state)`` pair of columns, ``None`` for fresh walks
         (index 0, seeded by the checksum)."""
         n = len(values)
-        if not self.live:  # empty: take the form, and room, this batch wants
-            self._repack(self._vector_for(n), spare=n)
+        if not self.live:  # empty: take the engine's form, and room for this batch
+            self._repack(numpy_block_eligible(self.codec), spare=n)
             self._rows = None if self.vector else {}
         elif self.vector and not numpy_block_eligible(self.codec):
             self._repack(False)  # the vector engine went away mid-life
@@ -415,12 +384,10 @@ class SourceStore:
         """Extend ``bank`` to ``hi`` cells: every row XORed into each cell
         its walk reaches below ``hi``, in one kernel call."""
         self.heap = None  # the walks move under it
-        vector = self._vector_for(self.live)
-        if vector != self.vector:
-            self._repack(vector)
+        if bank.vector != self.vector:  # the kernel of the bank's form
+            self._repack(bank.vector)
         walks = (self.idx, self.state, self.values, self.checksums)
-        span = (bank, len(bank), hi, walks, self.alphas)
-        _walk_into([span], 1, self.codec.symbol_size)
+        _walk_into([(bank, len(bank), hi, walks, self.alphas)], 1)
 
     def next_heap(self) -> list[tuple[int, int]]:
         """The per-cell path's heap of ``(next index, row)`` over the list
@@ -469,7 +436,7 @@ class RatelessEncoder:
     ) -> None:
         self.codec = codec
         self._store = SourceStore(codec)
-        self._bank = CodedSymbolBank()
+        self._bank = self._prefix(CodedSymbolBank())
         # produce_next's stepper, re-parked at each row it advances; a
         # store without an α column leaves it at the mapping's default α
         self._walk = IndexGenerator(0)
@@ -560,6 +527,15 @@ class RatelessEncoder:
                 raise KeyError(f"{what}: {value:#x}")
             seen.add(value)
 
+    def _prefix(self, bank: Optional[CodedSymbolBank] = None) -> CodedSymbolBank:
+        """The cached prefix (``bank``, when given, adopted as it) in the
+        form the engine runs now — lanes under the vector engine, lists
+        otherwise — switched in one pass when the engine flipped."""
+        bank = self._bank if bank is None else bank
+        codec = self.codec
+        self._bank = bank.in_form(numpy_block_eligible(codec), codec.symbol_size)
+        return self._bank
+
     # -- persistence hooks -------------------------------------------------
 
     @property
@@ -596,7 +572,7 @@ class RatelessEncoder:
         output is bit-identical to the original's, on either engine.
         """
         encoder = cls(codec)
-        encoder._bank = bank
+        encoder._prefix(bank)
         store = encoder._store
         alphas = store.alphas_for(checksums)
         store.append(to_list(values), checksums, alphas, (currents, states))
@@ -639,7 +615,7 @@ class RatelessEncoder:
             idx[row] = nxt
             state[row] = walk.state
             heapq.heapreplace(heap, (nxt, row))
-        self._bank.append(cell_sum, cell_checksum, cell_count)
+        self._prefix().append(cell_sum, cell_checksum, cell_count)
         return CodedSymbol(cell_sum, cell_checksum, cell_count)
 
     def produce_block(self, m: int) -> CodedSymbolBank:
@@ -649,7 +625,7 @@ class RatelessEncoder:
         if m <= 0:
             return CodedSymbolBank()
         lo = len(self._bank)
-        self._store.walk(self._bank, lo + m)
+        self._store.walk(self._prefix(), lo + m)
         return self._bank.slice(lo, lo + m)
 
     def produce(self, n: int) -> list[CodedSymbol]:
@@ -661,7 +637,10 @@ class RatelessEncoder:
         return self._bank.cell_at(index)
 
     def cached_block(self, lo: int, hi: int) -> CodedSymbolBank:
-        """Value-copy bank of cached cells ``[lo, hi)``, producing on demand."""
+        """Value-copy bank of cached cells ``[lo, hi)`` (``0 <= lo <= hi``),
+        producing on demand: a copied slice of the prefix, in its form."""
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bad cell range [{lo}, {hi})")
         produced = len(self._bank)
         if produced < hi:
             self.produce_block(hi - produced)

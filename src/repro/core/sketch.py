@@ -27,7 +27,7 @@ class RatelessSketch:
         self, codec: SymbolCodec, bank: CodedSymbolBank, set_size: int = 0
     ) -> None:
         self.codec = codec
-        self.bank = bank
+        self.bank = bank.in_form(False)  # the per-cell add/remove indexes it
         self.set_size = set_size
 
     @classmethod

@@ -24,9 +24,9 @@ from repro.core import varint
 from repro.core.cellbank import (
     PACK_MIN_CELLS,
     CodedSymbolBank,
+    lanes_from_bytes,
     numpy_block_eligible,
     pack_records,
-    unpack_records,
 )
 from repro.core.coded import CodedSymbol
 from repro.core.symbols import SymbolCodec
@@ -115,10 +115,8 @@ class SymbolStreamWriter:
         """Serialise a whole bank of cells; byte-identical to per-cell
         :meth:`write` calls, without materialising cell objects.
 
-        Blocks whose count deltas all fit a single zigzag byte (the
-        overwhelmingly common case — §6's point is that deltas
-        concentrate near zero) are fixed-width records, emitted by the
-        record codec in one pass; any wider delta or ineligible codec
+        A sizeable block is serialised in one vector pass (straight from
+        a lane-form bank's columns); a small block or an ineligible codec
         takes the scalar loop for the whole block.
         """
         codec = self.codec
@@ -128,7 +126,8 @@ class SymbolStreamWriter:
             self.index += n
             self.cells_written += n
             self.bytes_written += len(blob)
-            self.count_bytes_written += n  # one zigzag byte per cell
+            fixed = codec.symbol_size + codec.checksum_size
+            self.count_bytes_written += len(blob) - n * fixed
             return blob
         symbol_size = codec.symbol_size
         checksum_size = codec.checksum_size
@@ -137,9 +136,7 @@ class SymbolStreamWriter:
         index = self.index
         count_bytes = 0
         parts = []
-        for cell_sum, cell_checksum, cell_count in zip(
-            bank.sums, bank.checksums, bank.counts
-        ):
+        for cell_sum, cell_checksum, cell_count in zip(*bank.in_form(False).lanes):
             count_blob = encode_svarint(
                 cell_count - expected_count(codec, set_size, index)
             )
@@ -156,13 +153,13 @@ class SymbolStreamWriter:
         return blob
 
     def _write_block_records(self, bank: CodedSymbolBank) -> Optional[bytes]:
-        """:meth:`write_block` for a block of single-byte count deltas:
-        ``sum ∥ checksum ∥ zigzag byte`` records.
+        """:meth:`write_block` as ``sum ∥ checksum ∥ varint`` records: one
+        zigzag byte per cell in the §6 common case, else the varints'
+        7-bit groups padded to the widest, the padding dropped by a mask.
 
         Returns ``None`` when the §6 expected-count vector is not
-        available (vector engine off, small block, absurd set size) or
-        some count needs a multibyte varint — the scalar loop then
-        serialises the block.
+        available (vector engine off, small block, absurd set size) —
+        the scalar loop then serialises the block.
         """
         codec = self.codec
         n = len(bank)
@@ -174,13 +171,20 @@ class SymbolStreamWriter:
         except OverflowError:
             return None
         delta = counts - _expected_counts_vector(codec, self.set_size, self.index, n)
-        zigzag = np.where(delta >= 0, delta * 2, (-delta) * 2 - 1)
-        if int(zigzag.max(initial=0)) >= 0x80:
-            return None  # some count needs a multibyte varint
-        return pack_records(
-            (bank.sums, bank.checksums, zigzag),
-            (codec.symbol_size, codec.checksum_size, 1),
-        )
+        zigzag = np.where(delta >= 0, delta * 2, (-delta) * 2 - 1).astype(np.uint64)
+        widths = (codec.symbol_size, codec.checksum_size)
+        width = -(-int(zigzag.max()).bit_length() // 7) or 1  # the widest varint
+        if width == 1:
+            return pack_records((bank.sums, bank.checksums, zigzag), (*widths, 1))
+        groups = zigzag[:, None] >> np.arange(0, 7 * width, 7, dtype=np.uint64)
+        length = np.maximum((groups != 0).sum(axis=1), 1)  # varint bytes per cell
+        fixed = sum(widths)
+        cells = np.empty((n, fixed + width), dtype=np.uint8)
+        head = pack_records((bank.sums, bank.checksums), widths)
+        cells[:, :fixed] = np.frombuffer(head, np.uint8).reshape(n, fixed)
+        cells[:, fixed:] = groups & 0x7F
+        cells[:, fixed:][np.arange(width) < length[:, None] - 1] |= 0x80
+        return cells[np.arange(fixed + width) < fixed + length[:, None]].tobytes()
 
     @property
     def mean_count_bytes(self) -> float:
@@ -209,12 +213,14 @@ class SymbolStreamReader:
 
     def feed_into(self, bank: CodedSymbolBank, data: bytes) -> int:
         """Append bytes; parse every completed cell straight into ``bank``'s
-        lanes (no cell objects).  Returns the number of cells appended.
+        lanes (no cell objects), in either form.  Returns the number of
+        cells appended.
 
         The maximal prefix of whole cells whose count varint is a single
-        byte is parsed as fixed-width records (the mirror of
-        :meth:`SymbolStreamWriter.write_block`'s fast path); the scalar
-        loop then handles any multibyte-varint, partial, or corrupt tail.
+        byte (§6: deltas concentrate near zero) is parsed as fixed-width
+        records; the scalar loop then handles any multibyte-varint,
+        partial, or corrupt tail (into a lane-form ``bank`` in one
+        extend).
         """
         self._buffer.extend(data)
         if not self._header_parsed and not self._try_parse_header():
@@ -224,9 +230,8 @@ class SymbolStreamReader:
         fixed = symbol_size + codec.checksum_size
         decode_svarint = varint.decode_svarint
         from_bytes = int.from_bytes
-        sums = bank.sums
-        checksums = bank.checksums
-        counts = bank.counts
+        tail = CodedSymbolBank() if bank.vector else bank  # the loop appends ints
+        sums, checksums, counts = tail.lanes
         set_size = self.set_size
         assert set_size is not None
         buf = bytes(self._buffer)
@@ -251,6 +256,8 @@ class SymbolStreamReader:
             self.index += 1
             appended += 1
             pos = after
+        if tail is not bank:
+            bank.extend(tail)
         if pos:
             del self._buffer[:pos]
         return appended
@@ -280,13 +287,17 @@ class SymbolStreamReader:
         limit = int(multibyte[0]) if multibyte.size else nmax
         if limit < PACK_MIN_CELLS:
             return 0, 0
-        sums, checksums, _ = unpack_records(buf[: limit * stride], (ssize, csize, 1))
+        records = np.frombuffer(buf, np.uint8, limit * stride).reshape(limit, stride)
         zigzag = count_bytes[:limit].astype(np.int64)
         delta = np.where(zigzag & 1, -((zigzag + 1) >> 1), zigzag >> 1)
         expected = _expected_counts_vector(codec, self.set_size, self.index, limit)
-        bank.sums.extend(sums)
-        bank.checksums.extend(checksums)
-        bank.counts.extend((delta + expected).tolist())
+        bank.extend(
+            CodedSymbolBank(
+                lanes_from_bytes(records[:, :ssize], ssize),
+                lanes_from_bytes(records[:, ssize : ssize + csize], csize)[:, 0],
+                delta + expected,
+            )
+        )
         self.index += limit
         return limit, limit * stride
 

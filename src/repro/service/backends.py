@@ -139,6 +139,8 @@ class _WarmStream(ShardStream):
         self._index = 0
 
     def next_block(self, max_cells: int) -> bytes:
+        if max_cells < 1:
+            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
         self._check_version()
         lo = self._index
         self._index += max_cells

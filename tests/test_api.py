@@ -182,6 +182,27 @@ def test_streaming_full_duplex_peers() -> None:
     assert set(peer_a.stream_result().remote) == b - a
 
 
+def test_riblt_produce_block_refuses_empty_blocks() -> None:
+    """A block of fewer than one cell raises before any state moves.  It
+    used to rewind the sender's stream index, so the next block carried
+    cells 5-12 that the peer absorbed as cells 8-15."""
+    a, b = sets_for("hundred_diff")
+    handle = get_scheme("riblt", symbol_size=ITEM)
+    sender, reference, receiver = handle.new(a), handle.new(a), handle.new(b)
+    block = sender.produce_block(8)
+    assert block == reference.produce_block(8)
+    receiver.absorb(block)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="block_size"):
+            sender.produce_block(size)
+    block = sender.produce_block(8)
+    assert block == reference.produce_block(8)
+    while not receiver.absorb(block):
+        block = sender.produce_block(64)
+    assert set(receiver.stream_result().remote) == a - b
+    assert set(receiver.stream_result().local) == b - a
+
+
 def test_streaming_budget_raises() -> None:
     a, b = sets_for("hundred_diff")
     with pytest.raises(ReconcileError):

@@ -1008,3 +1008,131 @@ def test_one_peel_round_per_wave(monkeypatch):
         and node.func.attr.startswith("absorb")
     ]
     assert absorbs == ["absorb_many"]
+
+
+# -- the lane form -------------------------------------------------------------
+
+
+def lane_bank(triples, size=8):
+    """The lane form of ``bank_of(triples)`` for ``size``-byte symbols."""
+    return bank_of(triples).in_form(True, size)
+
+
+@pytest.mark.parametrize("size", [8, 20])
+def test_lane_form_matches_list_form(size):
+    """Every bank operation gives the same Python-int cells in both forms,
+    and a bank equals its other form."""
+    pytest.importorskip("numpy")
+    big = (1 << (8 * size)) - 1
+    triples = [(1, 2, 3), (big, 5, -6), (7, 8, 9), (0, 0, 0)]
+    lists, lanes = bank_of(triples), lane_bank(triples, size)
+    assert lanes.vector and not lists.vector
+    assert lanes == lists and lists == lanes
+    assert lanes.cells() == lists.cells() and list(lanes) == list(lists)
+    assert lanes.cell_at(1) == lists.cell_at(1) == CodedSymbol(big, 5, -6)
+    assert lanes.cell_at(-1) == CodedSymbol(0, 0, 0)
+    with pytest.raises(IndexError):
+        lanes.cell_at(4)
+    assert lanes.in_form(True, size) is lanes and lanes.in_form(False) == lists
+    other = bank_of([(9, 9, 1), (big, 1, 1), (0, 7, 2), (3, 3, 3)])
+    diff = lanes.subtract(other.in_form(True, size))
+    assert diff.vector and diff == lists.subtract(other)
+    assert lanes.subtract(other) == lists.subtract(other)
+    assert lists.subtract(other.in_form(True, size)) == lists.subtract(other)
+    codec = SymbolCodec(size)
+    assert lanes.pack(codec) == lists.pack(codec)
+    assert not lanes.is_all_zero() and lane_bank([(0, 0, 0)] * 3).is_all_zero()
+
+
+def test_lane_form_grows_into_spare_rows():
+    """Appending, extending and zero-extending a lane-form bank keeps it
+    in the lane form; slices and copies are value copies, not views."""
+    np = pytest.importorskip("numpy")
+    bank = lane_bank([(1, 1, 1)])
+    bank.append(2, 2, 2)
+    bank.extend(bank_of([(3, 3, 3)]))
+    bank.extend(lane_bank([(4, 4, 4)]))
+    bank.append_cell(CodedSymbol(5, 5, 5))
+    bank.extend_zeros(2)
+    assert bank.vector and isinstance(bank.sums, np.ndarray)
+    assert bank.sums.shape == (7, 1)
+    assert bank == bank_of([(i, i, i) for i in range(1, 6)] + [(0, 0, 0)] * 2)
+    cut, dup = bank.slice(1, 3), bank.copy()
+    bank.sums[1] = 99
+    bank.subtract_in_place(bank.copy())
+    assert cut == bank_of([(2, 2, 2), (3, 3, 3)])
+    assert dup.cell_at(1) == CodedSymbol(2, 2, 2)
+    before = bank.sums
+    for _ in range(20):
+        bank.extend_zeros(5)
+    assert len(bank) == 107 and bank.is_all_zero() and bank.sums is not before
+    lists = bank_of([(1, 1, 1)])
+    lists.extend(lane_bank([(2, 2, 2)]))
+    assert not lists.vector and lists.sums == [1, 2]
+
+
+def test_encoder_prefix_lives_in_lanes():
+    """Under the vector engine the encoder's cached prefix is a lane-form
+    bank that churn patches in place and ``cached_block`` slices (a value
+    copy, in that form); under the scalar engine it is lists."""
+    pytest.importorskip("numpy")
+    import random
+
+    from repro.core.encoder import RatelessEncoder
+
+    from helpers import make_items
+
+    items = make_items(random.Random(32), 300)
+    for vector in (True, False):
+        with engine_lane(vector):
+            encoder = RatelessEncoder(SymbolCodec(8), items[:200])
+            block = encoder.cached_block(0, 120)
+            room = encoder.bank.sums
+            encoder.add_items(items[200:])
+            encoder.remove_items(items[:50])
+            assert encoder.bank.vector is vector and block.vector is vector
+            assert encoder.bank.sums is room  # patched in place
+            assert block != encoder.cached_block(0, 120)  # a copy, not a view
+            fresh = RatelessEncoder(SymbolCodec(8), items[50:])
+            assert encoder.cached_block(0, 120) == fresh.cached_block(0, 120)
+
+
+def test_one_lane_prefix_in_encoder():
+    """The encoder's cached prefix is stored as uint64 lanes, so nothing
+    converts it per call.  Before, every ``_walk_into`` call turned each
+    cached cell from Python ints into lanes and back, every served block
+    converted its cells again before packing, and a churn batch below
+    ``_PATCH_CELLS_PER_ITEM`` rows per cached cell took the scalar
+    kernel to avoid that round trip.  Now ``_walk_into`` patches and
+    extends the banks in place, ``_write_block_records`` packs a bank's
+    columns as they are, the rule is gone, and the int <-> lane
+    converters are called from ten places in ``src/`` (fourteen before).
+    """
+    import ast
+    from pathlib import Path
+
+    src = Path(engine.__file__).parent
+    converters = {"lanes_from_ints", "ints_from_lanes"}
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def called(path, function):
+        tree = ast.parse((src / path).read_text())
+        (fn,) = [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef) and n.name == function
+        ]
+        return {name(n) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+    assert not called("core/encoder.py", "_walk_into") & converters
+    assert "lanes_from_ints" not in called("core/wire.py", "_write_block_records")
+    sites = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        assert "_PATCH_CELLS_PER_ITEM" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and name(node) in converters:
+                sites.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert len(sites) == 10, sites

@@ -142,3 +142,21 @@ def test_one_byte_symbols(rng):
     enc = RatelessEncoder(codec, [bytes([i]) for i in range(30)])
     cell = enc.produce_next()
     assert cell.count == 30
+
+
+def test_cached_block_refuses_inverted_ranges(codec8, rng):
+    """``cached_block(lo, hi)`` needs ``0 <= lo <= hi``: a negative or
+    inverted range used to return an empty bank (after producing up to
+    ``hi`` on a fresh encoder) instead of failing."""
+    enc = RatelessEncoder(codec8, make_items(rng, 30))
+    enc.produce_block(40)
+    for lo, hi in ((-5, 2), (5, 3), (41, 40)):
+        with pytest.raises(ValueError, match="cell range"):
+            enc.cached_block(lo, hi)
+    fresh = RatelessEncoder(codec8, make_items(rng, 30))
+    with pytest.raises(ValueError, match="cell range"):
+        fresh.cached_block(5, 3)
+    assert fresh.produced_count == 0
+    assert len(enc.cached_block(7, 7)) == 0
+    assert len(enc.cached_block(40, 40)) == 0 and enc.produced_count == 40
+    assert enc.cached_block(38, 42).cells() == [enc.cached(i) for i in range(38, 42)]

@@ -119,3 +119,32 @@ def test_switch_flips_the_engine_taken(monkeypatch, name, size):
     vector, scalar = on_both_engines(monkeypatch, lambda: CALLS[name](*state))
     assert vector == scalar
 
+
+
+@pytest.mark.parametrize("size", [8, 92])
+def test_lane_prefix_follows_mid_life_flips(size):
+    """An encoder's cached prefix takes the form of the engine running:
+    lane form under the vector engine, lists once the switch goes off
+    mid-life, lanes again when it comes back.  Churn and serving through
+    every flip stream the same bytes as an encoder that never flips."""
+    rng = random.Random(size)
+    codec = SymbolCodec(size, hasher=SipHasher(KEY))
+    items = make_items(rng, 480, size)
+
+    def stream(engines):
+        with engine_lane(engines[0]):
+            encoder = RatelessEncoder(codec, items[:200])
+            writer = SymbolStreamWriter(codec, set_size=len(encoder))
+            blobs = [writer.header() + writer.write_block(encoder.cached_block(0, 90))]
+        for phase, vector in enumerate(engines[1:]):
+            fresh = items[200 + 70 * phase : 270 + 70 * phase]
+            with engine_lane(vector):
+                encoder.add_items(fresh)
+                encoder.remove_items(fresh[::3])
+                lo = writer.index
+                blobs.append(writer.write_block(encoder.cached_block(lo, lo + 60)))
+                assert encoder.bank.vector is vector
+        return blobs
+
+    flipping = stream([True, False, True, False, True])
+    assert flipping == stream([True] * 5) == stream([False] * 5)

@@ -358,6 +358,51 @@ def test_churn_batch_matches_per_shard_encoder_calls(lane, tmp_path, size, durab
             backend.close()
 
 
+def test_warm_stream_refuses_empty_blocks():
+    """``next_block(max_cells < 1)`` raises before the cursor moves: it
+    used to step the cursor back, so the next block re-sent cells under
+    later indices."""
+    items = items_for(8)
+    stream = open_backend(items, num_shards=NUM_SHARDS).open_stream(1)
+    expected = open_backend(items, num_shards=NUM_SHARDS).open_stream(1)
+    assert stream.next_block(8) == expected.next_block(8)
+    for cells in (0, -3):
+        with pytest.raises(ValueError, match="max_cells"):
+            stream.next_block(cells)
+    assert stream.symbols_sent == 8
+    assert stream.next_block(8) == expected.next_block(8)
+
+
+def test_golden_snapshots_restore_to_lane_banks(tmp_path):
+    """Restored under the vector engine, the snapshots in
+    ``tests/golden/durable_journal`` give lane-form banks whose ``pack``
+    is byte-identical to each file's cell section: the lane form does
+    not change the durable format."""
+    pytest.importorskip("numpy")
+    from repro.core.encoder import RatelessEncoder
+    from repro.core.symbols import SymbolCodec
+    from repro.durable.snapshot import unpack_shard
+
+    golden = Path(__file__).parent / "golden" / "durable_journal"
+    codec = SymbolCodec(8, hasher=SipHasher(bytes(range(16))))
+    stride = 8 + 8 + 8  # sum | checksum | count
+    with engine_lane(True):
+        for shard, cells in enumerate([40, 64, 88, 112]):
+            blob = (golden / f"shard-{shard:04d}.g2.snap").read_bytes()
+            snapshot = unpack_shard(blob, codec)
+            encoder = RatelessEncoder.restore(
+                codec,
+                snapshot.values,
+                snapshot.checksums,
+                snapshot.currents,
+                snapshot.states,
+                snapshot.bank,
+            )
+            assert encoder.bank.vector and len(encoder.bank) == cells
+            assert encoder.bank.pack(codec) == blob[-4 - cells * stride : -4]
+            assert encoder.bank == snapshot.bank
+
+
 def test_data_dir_written_per_shard_reopens_identically(lane, tmp_path):
     """``tests/golden/durable_journal`` was written while each shard's
     churn was still patched by its own kernel call: four shards with

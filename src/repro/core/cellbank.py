@@ -13,18 +13,18 @@ vector engines read and write in place: sums are a little-endian
 ``(rows, k)`` uint64 matrix, ``k = ⌈ℓ/8⌉``, the last lane zero-padded
 (source values take the same shape); checksums are a ``(rows,)`` uint64
 vector and counts ``(rows,)`` int64 — exact-length views of arrays with
-spare rows, so a growing prefix is not copied per block.  The encoder
-keeps its cached prefix in this form under the vector engine, so a churn
-patch and a served block touch no Python int.  The *list form* is plain
-Python lists of ints, which carry a symbol of any width: it is the
-scalar reference engine's, the form past :data:`LANE_MAX_SYMBOL_BYTES`
-(big-int XOR is memcpy-speed there while lane gathers are not: paper Fig
-11's knee, see the constant), and the decoder's received prefix, which
-its per-cell engine indexes one cell at a time.  This module is the only
-place Python ints meet the arrays, through :func:`lanes_from_ints` /
-:func:`ints_from_lanes` and :func:`lanes_from_bytes` (one zero-padded
-``frombuffer`` view of item or wire bytes); an 8-byte symbol is
-``k = 1``, which the kernels view as 1-D.
+spare rows, so a growing prefix is not copied per block.  The encoder's
+cached prefix and the decoder's received prefix keep this form under the
+vector engine, so a churn patch, a served block and a decode wave touch
+no Python int.  The *list form* is plain Python lists of ints, which
+carry a symbol of any width: it is the scalar reference engine's and the
+per-cell paths' (switched to in one pass), and the form past
+:data:`LANE_MAX_SYMBOL_BYTES` (big-int XOR is memcpy-speed there while
+lane gathers are not: paper Fig 11's knee, see the constant).  This
+module is the only place Python ints meet the arrays, through
+:func:`lanes_from_ints` / :func:`ints_from_lanes` and
+:func:`lanes_from_bytes` (one zero-padded ``frombuffer`` view of item or
+wire bytes); an 8-byte symbol is ``k = 1``, which the kernels view as 1-D.
 
 The record codec
 ----------------
@@ -46,9 +46,9 @@ exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would:
   inlined as local-variable arithmetic; any symbol width, per-symbol α.
 * :func:`scatter_walk_arrays` — vectorised across symbols: splitmix64's
   state is an additive counter, so a batch advances in lock-step rounds
-  of in-place uint64/float64 arithmetic, colliding slots folding by a
-  radix-sorted ``reduceat`` (XOR commutes); the last few walks finish
-  per edge on splitmix draws made in bulk.  Per-row ``hi``/``base``
+  of in-place uint64/float64 arithmetic, the last few walks finish per
+  edge on splitmix draws made in bulk, and the edges fold at once,
+  colliding slots by a radix-sorted ``reduceat``.  Per-row ``hi``/``base``
   columns let one call walk several banks laid end to end (a churn
   batch over every shard, a decoder wave over every shard's bank).
   Guarded by :func:`numpy_block_eligible`.
@@ -606,10 +606,12 @@ def scatter_walk_arrays(
     own bank's coordinates.  An int is the broadcast of its column
     (:func:`_rows_of` compacts either with the live rows).
 
-    Each lock-step round folds one edge per live walk (:func:`fold_edges`
-    reads value rows by row number, as a view while the live rows are
-    one run) and advances every live walk with in-place ops on work
-    buffers allocated once and sliced to the live count.  Positions are
+    Each lock-step round records one ``(slot, row)`` edge per live walk
+    and advances every live walk with in-place ops on work buffers
+    allocated once and sliced to the live count; ONE :func:`fold_edges`
+    call folds the rounds' and the tail's edges at the end (positions
+    never read the lanes, and XOR and add commute), or sooner, before
+    they outgrow the call's own arrays (10^5 fresh walks).  Positions are
     float64, exact below 2^53 (``MAX_INDEX`` = 2^48), and the live
     columns are compacted only in rounds where a walk retires.  The
     float64 expression tree is the reference's, op for op.  The
@@ -620,9 +622,9 @@ def scatter_walk_arrays(
     ``alphas`` (§8 irregular mappings): generic-α rows take the gap
     ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
     NumPy's SIMD ``pow`` is **not** bit-identical to libm's (~4 % of
-    draws differ in the last ulp).  ``touched``, when given, collects
-    per-round arrays of the lane slots written (``index − base``: rows of
-    the lane arrays, whichever bank they belong to).  Once fewer than
+    draws differ in the last ulp).  ``touched``, when given, receives
+    the array of lane slots of each fold (``index − base``: rows of the
+    lane arrays, whichever bank they belong to).  Once fewer than
     :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
     finishes them per edge (walks are independent, so the hand-off
     point cannot change the result).
@@ -647,14 +649,24 @@ def scatter_walk_arrays(
         z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
         a, b, h = np.empty(n), np.empty(n), np.empty(n)
         slot_type = _slot_type(len(checksums))  # slots index the lanes
-    while n >= NUMPY_TAIL_JOBS:
-        zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
-        first = int(rows[0])
-        take = slice(first, first + n) if int(rows[-1]) - first == n - 1 else rows
-        slot = (np.subtract(pos, bs, out=hh) if shift else pos).astype(slot_type)
-        fold_edges(sums, checksums, counts, slot, take, vals, csums, dirs)
+    edges, held = [], 0
+    room = sum(x.nbytes for x in (sums, checksums, counts, idx, state))
+
+    def fold():
+        slot, edge_rows = map(np.concatenate, zip(*edges)) if edges[1:] else edges[0]
+        fold_edges(sums, checksums, counts, slot, edge_rows, vals, csums, dirs)
         if touched is not None:
             touched.append(slot)
+        edges.clear()
+
+    while n >= NUMPY_TAIL_JOBS:
+        zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
+        slot = (np.subtract(pos, bs, out=hh) if shift else pos).astype(slot_type)
+        if edges and held + slot.nbytes + rows.nbytes > room:
+            fold()
+            held = 0
+        edges.append((slot, rows))
+        held += slot.nbytes + rows.nbytes
         np.add(st, GAMMA, out=st)
         mix64_lanes(st, zz, tt)
         np.right_shift(zz, 11, out=zz)
@@ -702,10 +714,9 @@ def scatter_walk_arrays(
         walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
             rows, pos, st, al, hl
         )
-        slot = walked - _rows_of(base, walked_rows)
-        fold_edges(sums, checksums, counts, slot, walked_rows, vals, csums, dirs)
-        if touched is not None:
-            touched.append(slot)
+        edges.append((walked - _rows_of(base, walked_rows), walked_rows))
+    if edges:
+        fold()
     return idx, state
 
 
@@ -725,9 +736,9 @@ def fold_edges(sums, checksums, counts, slot, rows, vals, csums, dirs) -> None:
     into lane slot ``slot[e]`` (``slot`` non-empty) with count ``dirs``:
     one int for every edge (encoder walks, churn patches, table fills) or
     a per-row column (the decoder's mixed-direction jobs).  ``rows`` may
-    be a slice, read as a view with no gather.  One round of a scatter
-    walk is one call; so is one hash row of a fixed IBLT table
-    (:func:`fold_items`).
+    be a slice, read as a view with no gather.  One scatter walk is one
+    call, all its rounds together; so is one hash row of a fixed IBLT
+    table (:func:`fold_items`).
 
     Buffered fancy indexing drops colliding slots, so batches with
     duplicates segment-reduce instead: group equal slots (stable radix

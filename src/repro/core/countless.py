@@ -13,25 +13,15 @@ internally; they are simply not transmitted.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count as _counter
 from typing import Callable, Iterable, Optional
 
 from repro.core.cellbank import pack_records, unpack_records
 from repro.core.coded import CodedSymbol
 from repro.core.decoder import DecodeResult
+from repro.core.encoder import SourceStore
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
-
-
-class _Recovered:
-    __slots__ = ("value", "checksum", "gen")
-
-    def __init__(self, value: int, checksum: int, gen: IndexGenerator) -> None:
-        self.value = value
-        self.checksum = checksum
-        self.gen = gen
 
 
 class CountlessDecoder:
@@ -39,7 +29,8 @@ class CountlessDecoder:
 
     ``is_local`` decides the side of a recovered item (e.g. membership in
     Bob's set).  Purity is checked solely via the checksum; peeling XORs
-    symbols out without any count bookkeeping.
+    symbols out without any count bookkeeping.  Recovered symbols are
+    :class:`~repro.core.encoder.SourceStore` rows, as the decoder's are.
     """
 
     def __init__(
@@ -48,8 +39,8 @@ class CountlessDecoder:
         self.codec = codec
         self.is_local = is_local
         self._cells: list[CodedSymbol] = []
-        self._pending: list[tuple[int, int, _Recovered]] = []
-        self._seq = _counter()
+        self._store = SourceStore(codec)
+        self._walk = IndexGenerator(0)
         self._queue: deque[int] = deque()
         self._remote: list[int] = []
         self._local: list[int] = []
@@ -72,12 +63,9 @@ class CountlessDecoder:
     def add_coded_symbol(self, cell: CodedSymbol) -> None:
         """Consume the next subtracted cell (count field ignored)."""
         index = len(self._cells)
-        pending = self._pending
-        while pending and pending[0][0] == index:
-            _, _, rec = heapq.heappop(pending)
-            cell.sum ^= rec.value
-            cell.checksum ^= rec.checksum
-            heapq.heappush(pending, (rec.gen.next_index(), next(self._seq), rec))
+        rec_sum, rec_checksum, _ = self._store.fold(index, self._walk)
+        cell.sum ^= rec_sum
+        cell.checksum ^= rec_checksum
         self._cells.append(cell)
         if not self._content_zero(cell):
             self._nonzero += 1
@@ -120,10 +108,9 @@ class CountlessDecoder:
                         self._nonzero += 1
                     queue.append(idx)
                 idx = gen.next_index()
-            heapq.heappush(
-                self._pending,
-                (idx, next(self._seq), _Recovered(value, checksum, gen)),
-            )
+            store = self._store
+            alphas = store.alphas_for([checksum])
+            store.append([value], [checksum], alphas, ([idx], [gen.state]))
 
     def remote_items(self) -> list[bytes]:
         """Items the sender has and we lack."""

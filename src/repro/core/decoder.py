@@ -1,33 +1,35 @@
 """Incremental peeling decoder (paper §3, extended to rateless streams).
 
-The decoder consumes the *subtracted* stream ``a_i ⊖ b_i``, stored as an
-array-backed :class:`~repro.core.cellbank.CodedSymbolBank` rather than a
-list of per-cell objects.  A cell is *pure* when it holds exactly one
-source symbol: ``count ∈ {+1, −1}`` and ``checksum == H(sum)``.
-Recovering a pure cell's symbol lets us peel it out of every other cell
-it maps to, possibly exposing new pure cells — classic sparse-graph
-peeling.
+The decoder consumes the *subtracted* stream ``a_i ⊖ b_i`` into its
+received prefix, a :class:`~repro.core.cellbank.CodedSymbolBank`.  A cell
+is *pure* when it holds exactly one source symbol: ``count ∈ {+1, −1}``
+and ``checksum == H(sum)``.  Recovering a pure cell's symbol lets us peel
+it out of every other cell it maps to, possibly exposing new pure cells —
+classic sparse-graph peeling.
 
 Ratelessness adds one twist: a recovered symbol also maps to coded
-indices the decoder has not received yet.  Each recovered symbol
-therefore parks its index generator in a heap keyed by its next index ≥
-the current frontier; when that cell eventually arrives, the symbol is
-peeled out of it before the cell is even examined (cost O(1) amortised
-per edge).
-
-Two ingestion paths exist:
+indices the decoder has not received yet.  So the decoder is an encoder
+of what it recovered: each recovered symbol is a row of a signed
+:class:`~repro.core.encoder.SourceStore` (value, checksum, count ±1, and
+its walk parked at its first index past the received prefix), peeled out
+of every later cell it maps to before that cell is examined.
 
 * :meth:`RatelessDecoder.add_coded_symbol` — the reference per-cell
-  path (peel depth-first via a work queue).
+  path: the store's ``(next index, row)`` heap yields the rows parked at
+  the new cell (as for the encoder's ``produce_next``), and peeling is
+  depth-first via a work queue.
 * :func:`ingest` — the batch path: a bank for each of many decoders
   (:meth:`RatelessDecoder.add_coded_block` is its one-decoder case).
-  Sizeable blocks share one *wave*: their banks lie end to end in one
-  lane matrix, one kernel call replays every parked symbol, and peeling
-  runs in breadth-first *rounds* — one batch hash call verifies every
-  decoder's pure candidates, one kernel call subtracts the recoveries.
-  Peeling is confluent and decoders are independent, so this reaches the
-  same fixed point — recovered symbols, final lanes — as per-cell
-  ingestion; the golden-equivalence suite asserts this.
+  Under the vector engine the jobs of one codec share one *wave*: their
+  banks and stores lie end to end, one kernel call replays every row
+  over the new cells, and peeling runs in breadth-first *rounds* — one
+  batch hash call verifies every decoder's pure candidates from their
+  lanes, one kernel call peels the recoveries (either sign), which join
+  the stores as rows.  Peeling is confluent and decoders are
+  independent, so this reaches the same fixed point — recovered
+  symbols, final lanes — as per-cell ingestion; the golden-equivalence
+  suite asserts this.  Bank and store stay in the lane form from wave to
+  wave (the per-cell path switches them to lists, in one pass).
 
 Termination: the stream is fully decoded exactly when every received
 cell has been reduced to zero.  Because ρ(0) = 1, cell 0 participates in
@@ -37,21 +39,21 @@ the first coded symbol is the completion signal.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, count as _counter
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from repro import engine
 from repro.core.cellbank import (
+    NUMPY_TAIL_JOBS,
     CodedSymbolBank,
-    ints_from_lanes,
-    lanes_from_ints,
     numpy_block_eligible,
     scatter_walk_arrays,
+    to_list,
 )
 from repro.core.coded import CodedSymbol
+from repro.core.encoder import SourceStore
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
 
@@ -60,18 +62,6 @@ from repro.core.symbols import SymbolCodec
 # 2048 keeps the overshoot past the decode point under ~10% at d = 10^4
 # while amortising the per-sub-block replay/scan overhead.
 DEFAULT_STOP_CHUNK = 2048
-
-# Below this bank size the NumPy block path costs more than it saves.
-_MIN_NUMPY_BLOCK = 64
-
-
-class _RecoveredEntry(NamedTuple):
-    """A recovered source symbol waiting to be peeled from future cells."""
-
-    value: int
-    checksum: int
-    direction: int
-    gen: IndexGenerator
 
 
 @dataclass
@@ -111,26 +101,22 @@ class RatelessDecoder:
 
     Feed subtracted cells (``a_i ⊖ b_i``) in stream order via
     :meth:`add_coded_symbol` / :meth:`add_coded_block`; read progress
-    from :attr:`decoded` and :meth:`result` at any point.  Internally
-    the received prefix lives in a three-lane
-    :class:`~repro.core.cellbank.CodedSymbolBank`, recovered symbols
-    are re-peeled from later cells as they arrive (a heap of parked
-    §4.2 walks), and a *pure* cell (count ±1, checksum matching its
-    sum) triggers breadth-first peeling.  Two ingestion engines — the
-    scalar reference and the NumPy waves of :func:`ingest` — reach the
-    same fixed point with identical lane state; peeling is confluent, so
-    engine choice never changes what is recovered.
+    from :attr:`decoded` and :meth:`result` at any point.  The received
+    prefix is a bank, the recovered symbols are rows of a signed store
+    (+1 for the sender's, −1 for the receiver's; module docstring).  Two
+    ingestion engines — the scalar reference and the NumPy waves of
+    :func:`ingest` — reach the same fixed point with identical lane
+    state, so engine choice never changes what is recovered.
     """
 
     def __init__(self, codec: SymbolCodec) -> None:
         self.codec = codec
         self._bank = CodedSymbolBank()
-        self._pending: list[tuple[int, int, _RecoveredEntry]] = []
-        self._seq = _counter()
+        self._store = SourceStore(codec, signed=True)
+        # the per-cell path's stepper, re-parked at each row it walks
+        self._walk = IndexGenerator(0)
         self._queue: deque[int] = deque()
-        self._remote: list[int] = []
-        self._local: list[int] = []
-        self._seen: set[int] = set()
+        self._seen: set[int] = set()  # recovered checksums
         self._nonzero = 0
 
     # -- stream ingestion --------------------------------------------------
@@ -150,18 +136,19 @@ class RatelessDecoder:
         self._consume(cell.sum, cell.checksum, cell.count)
 
     def _consume(self, cell_sum: int, cell_checksum: int, cell_count: int) -> None:
-        """Reference per-cell ingestion, operating on the lane triple."""
+        """Reference per-cell ingestion, on the list form."""
         bank = self._bank
+        if bank.vector:  # the last cells came through a wave
+            self._bank = bank = bank.in_form(False)
         index = len(bank.sums)
-        pending = self._pending
         # Symbols recovered earlier may map to this new index: peel them out
         # before the cell is examined.
-        while pending and pending[0][0] == index:
-            _, seq, rec = heapq.heappop(pending)
-            cell_sum ^= rec.value
-            cell_checksum ^= rec.checksum
-            cell_count -= rec.direction
-            heapq.heappush(pending, (rec.gen.next_index(), seq, rec))
+        heap = self._store.heap  # current whenever it is built (see _peel)
+        if heap is None or heap and heap[0][0] == index:
+            rec_sum, rec_checksum, rec_count = self._store.fold(index, self._walk)
+            cell_sum ^= rec_sum
+            cell_checksum ^= rec_checksum
+            cell_count -= rec_count
         bank.append(cell_sum, cell_checksum, cell_count)
         if cell_sum or cell_checksum or cell_count:
             self._nonzero += 1
@@ -171,11 +158,7 @@ class RatelessDecoder:
 
     def add_subtracted(self, remote_cell: CodedSymbol, local_cell: CodedSymbol) -> None:
         """Convenience: consume ``remote ⊖ local`` without mutating inputs."""
-        self._consume(
-            remote_cell.sum ^ local_cell.sum,
-            remote_cell.checksum ^ local_cell.checksum,
-            remote_cell.count - local_cell.count,
-        )
+        self.add_coded_symbol(remote_cell.subtract(local_cell))
 
     def add_coded_block(
         self,
@@ -197,12 +180,10 @@ class RatelessDecoder:
     def _peel(self) -> None:
         """Drain the pure-candidate queue, recovering symbols recursively."""
         queue = self._queue
-        bank = self._bank
-        sums = bank.sums
-        checksums = bank.checksums
-        counts = bank.counts
+        sums, checksums, counts = self._bank.lanes
         codec = self.codec
         checksum_int = codec.checksum_int
+        seen, found = self._seen, []
         while queue:
             index = queue.popleft()
             direction = counts[index]
@@ -212,15 +193,12 @@ class RatelessDecoder:
             value = sums[index]
             if checksum_int(value) != checksum:
                 continue  # not actually pure (multiple symbols cancel counts)
-            if checksum in self._seen:
+            if checksum in seen:
                 continue  # ghost duplicate of an already-recovered symbol
-            self._seen.add(checksum)
-            if direction == 1:
-                self._remote.append(value)
-            else:
-                self._local.append(value)
+            seen.add(checksum)
             # Peel the recovered symbol out of every cell it maps to.
-            gen = codec.new_mapping(checksum)
+            gen = self._walk  # re-parked at this symbol's seed
+            gen.current, gen.state, gen.alpha = 0, checksum, codec.alpha_for(checksum)
             frontier = len(sums)
             idx = 0
             while idx < frontier:
@@ -238,30 +216,39 @@ class RatelessDecoder:
                         self._nonzero += 1
                     if new_count == 1 or new_count == -1:
                         queue.append(idx)
-                else:
-                    if old_sum or old_checksum or old_count:
-                        self._nonzero -= 1
+                elif old_sum or old_checksum or old_count:
+                    self._nonzero -= 1
                 idx = gen.next_index()
-            entry = _RecoveredEntry(value, checksum, direction, gen)
-            heapq.heappush(self._pending, (idx, next(self._seq), entry))
+            found.append((value, checksum, idx, gen.state, direction))
+        if found:  # park the recoveries, as store rows, at their next index
+            values, csums, idx, state, signs = map(list, zip(*found))
+            alphas = self._store.alphas_for(csums)
+            self._store.append(values, csums, alphas, (idx, state), signs)
+            self._store.next_heap()  # ... and onto the per-cell heap
 
     # -- results -----------------------------------------------------------
 
+    def _recovered(self, sign: int) -> list[int]:
+        """The values of the store's rows of this sign, in recovery order."""
+        store = self._store
+        values, signs = (to_list(c[: store.size]) for c in (store.values, store.signs))
+        return [value for value, mine in zip(values, signs) if mine == sign]
+
     def remote_values(self) -> list[int]:
         """Recovered items exclusive to the sender, in integer form."""
-        return list(self._remote)
+        return self._recovered(1)
 
     def local_values(self) -> list[int]:
         """Recovered items exclusive to the receiver, in integer form."""
-        return list(self._local)
+        return self._recovered(-1)
 
     def remote_items(self) -> list[bytes]:
         """Recovered items exclusive to the sender (A \\ B)."""
-        return [self.codec.to_bytes(v) for v in self._remote]
+        return [self.codec.to_bytes(v) for v in self.remote_values()]
 
     def local_items(self) -> list[bytes]:
         """Recovered items exclusive to the receiver (B \\ A)."""
-        return [self.codec.to_bytes(v) for v in self._local]
+        return [self.codec.to_bytes(v) for v in self.local_values()]
 
     def result(self) -> DecodeResult:
         """Snapshot the current decoding outcome.
@@ -285,159 +272,140 @@ def ingest(
 ) -> list[int]:
     """Feed each ``(decoder, bank)`` job its bank; returns cells consumed per job.
 
-    A job takes the NumPy engine only when its block is sizeable and a
-    fair fraction of its decoder's bank (which the engine copies into
-    arrays and back per call), else the per-cell engine.  The NumPy jobs
-    of one codec run as one *wave* (banks end to end in one lane matrix,
-    per-row kernel ``hi``/``base``): one kernel call replays all parked
-    symbols, and each peel round verifies every decoder's candidates in
-    ONE ``checksum_int_batch`` call, accepts them against that decoder's
-    ``seen`` and peels them in one kernel call — so each decoder ends as
-    a call of its own leaves it.  ``stop_when_decoded`` advances the jobs
-    in lock-step ``chunk``-cell sub-blocks.  One job per decoder at most;
-    a job's bank may take either form (a wave concatenates a lane-form
-    bank as it is, the per-cell engine reads it as ints).
+    Under the vector engine a job whose codec fits the lanes joins its
+    codec's *wave* once its decoder is lane-resident or its block holds
+    :data:`~repro.core.cellbank.NUMPY_TAIL_JOBS` cells (a handful costs
+    less per cell, as a walk's last few edges do); the rest go per cell.
+    A wave lays its decoders' banks (each followed by its block) end to
+    end in one lane matrix and their stores' rows in one table, with
+    per-row kernel ``hi``/``base``: one kernel call replays every row,
+    and each peel round verifies every decoder's candidates in ONE
+    ``checksum_int_batch`` call, accepts them against that decoder's
+    recovered checksums and peels them, either sign, in one kernel call —
+    so each decoder ends as a call of its own leaves it.
+    ``stop_when_decoded`` advances the jobs in lock-step ``chunk``-cell
+    sub-blocks.  One job per decoder at most, its bank in either form.
     """
     if len({id(decoder) for decoder, _ in jobs}) < len(jobs):
         raise ValueError("a decoder may appear in at most one ingest job")
+    if stop_when_decoded and chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     consumed = [0] * len(jobs)
-    waves: dict[int, list[int]] = {}  # id(codec) -> its NumPy jobs
+    waves: dict[int, list[int]] = {}  # id(codec) -> its jobs on the vector engine
     for j, (decoder, bank) in enumerate(jobs):
         n = len(bank)
         if n == 0 or (stop_when_decoded and decoder.decoded):
             continue
-        step = chunk if stop_when_decoded else n
-        if step < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        if (
-            n >= _MIN_NUMPY_BLOCK
-            and step >= _MIN_NUMPY_BLOCK
-            and 16 * n >= len(decoder._bank)
-            and numpy_block_eligible(decoder.codec)
+        if numpy_block_eligible(decoder.codec) and (
+            n >= NUMPY_TAIL_JOBS or decoder._bank.vector
         ):
             waves.setdefault(id(decoder.codec), []).append(j)
             continue
-        consume, lanes = decoder._consume, bank.in_form(False).lanes
-        while consumed[j] < n:
-            lo = consumed[j]
-            consumed[j] = min(lo + step, n)
-            for cell in zip(*(lane[lo : consumed[j]] for lane in lanes)):
-                consume(*cell)
+        for cell in zip(*bank.in_form(False).lanes):
+            decoder._consume(*cell)
+            consumed[j] += 1
             if stop_when_decoded and decoder._nonzero == 0:
-                break
+                if consumed[j] == n or consumed[j] % chunk == 0:
+                    break
     np = engine.np
     for wave in waves.values():
         decoders = [jobs[j][0] for j in wave]
-        banks = [(decoder._bank, jobs[j][1]) for decoder, j in zip(decoders, wave)]
         codec = decoders[0].codec
-        irregular = codec.irregular is not None
-        seens = [decoder._seen for decoder in decoders]
-        olds = [len(mine) for mine, _ in banks]
-        totals = [len(mine) + len(src) for mine, src in banks]
+        olds = [len(decoder._bank) for decoder in decoders]
+        totals = [old + len(jobs[j][1]) for old, j in zip(olds, wave)]
         starts = [0, *accumulate(totals)]  # decoder w: rows starts[w]..starts[w+1]
-        parts = [b for pair in banks for b in pair]  # a decoder's bank, its block
-        parts = zip(*(b.in_form(True, codec.symbol_size).lanes for b in parts))
-        sums, checksums, counts = (np.concatenate(lane) for lane in parts)
-        arrays, frontiers, ends = (sums, checksums, counts), olds[:], totals[:]
+        parts = [
+            bank.in_form(True, codec.symbol_size).lanes
+            for decoder, j in zip(decoders, wave)
+            for bank in (decoder._bank, jobs[j][1])
+        ]
+        sums, checksums, counts = (np.concatenate(lane) for lane in zip(*parts))
+        # The wave's recovered rows — (values, checksums, signs, idx, state,
+        # owner) — every store's, then each peel round's recoveries.
+        stores = [decoder._store for decoder in decoders]
+        held = [store.columns() for store in stores]
+        table = [np.concatenate(column) for column in zip(*held)]
+        table.append(np.repeat(np.arange(len(wave)), [len(c[0]) for c in held]))
+        fresh: list[list] = []
+        frontiers, ends = olds[:], totals[:]
 
-        def walk(owner, indices, states, values, csums, dirs, alphas, touched=None):
-            # One kernel call; row r walks decoder owner[r]'s rows to its end.
-            hi, base = ends[0], 0
-            if len(wave) > 1:
-                hi, base = np.array(ends)[owner], -np.array(starts[:-1])[owner]
-            idx, state = scatter_walk_arrays(
-                *arrays, np.array(indices, np.int64), np.array(states, np.uint64),
-                lanes_from_ints(values, codec.symbol_size), np.array(csums, np.uint64),
-                np.array(dirs, np.int64), hi, base=base, touched=touched,
-                alphas=None if alphas is None else np.array(alphas, np.float64),
+        def walk(rows, touched=None):
+            # One kernel call; row r walks decoder owner[r]'s cells to its end.
+            values, csums, signs, idx, state, owner = rows
+            hi, base = np.array(ends)[owner], -np.array(starts[:-1])[owner]
+            alphas = codec.alpha_batch(csums)
+            alphas = None if alphas is None else np.array(alphas, np.float64)
+            scatter_walk_arrays(
+                sums, checksums, counts, idx, state, values, csums, -signs, hi,
+                base=base, touched=touched, alphas=alphas,
             )
-            indices[:], states[:] = idx.tolist(), state.tolist()
 
+        cuts = np.array(starts[1:-1])  # the decoders' row boundaries
         active = list(range(len(wave)))
         while active:
-            # 1. Replay every decoder's parked recoveries across its new cells.
-            replayed = []
-            for w in active:
-                if stop_when_decoded:
+            # 1. Replay every recovered row across its decoder's new cells.
+            if stop_when_decoded:
+                for w in active:
                     ends[w] = min(frontiers[w] + chunk, totals[w])
-                pending = decoders[w]._pending
-                while pending and pending[0][0] < ends[w]:
-                    replayed.append((w, *heapq.heappop(pending)))
-            if replayed:
-                owner, indices, _, recs = map(list, zip(*replayed))
-                states = [rec.gen.state for rec in recs]
-                values = [rec.value for rec in recs]
-                csums = [rec.checksum for rec in recs]
-                dirs = [-rec.direction for rec in recs]
-                alphas = [rec.gen.alpha for rec in recs] if irregular else None
-                walk(owner, indices, states, values, csums, dirs, alphas)
-                for (w, _, sq, rec), index, state in zip(replayed, indices, states):
-                    rec.gen.current, rec.gen.state = index, state
-                    heapq.heappush(decoders[w]._pending, (index, sq, rec))
+            if fresh:
+                table, fresh = [np.concatenate(c) for c in zip(table, *fresh)], []
+            walk(table)
             # 2. Breadth-first peel rounds over every decoder's [0, end).
             pure = (counts == 1) | (counts == -1)
             spans = [(starts[w] + frontiers[w], starts[w] + ends[w]) for w in active]
             hits = [np.flatnonzero(pure[lo:hi]) + lo for lo, hi in spans]
             candidates = np.concatenate(hits)
             while candidates.size:
-                cand_counts = counts[candidates].tolist()
-                cand_checksums = checksums[candidates].tolist()
-                cand_values = ints_from_lanes(sums[candidates])
-                cuts = starts[1:-1]  # the decoders' row boundaries
-                owners = np.searchsorted(cuts, candidates, side="right").tolist()
-                # ONE batch hash call verifies the round; an in-round ghost
-                # (recovered by an earlier candidate of its decoder) is
-                # re-checked against ``seen`` below, as the scalar loop does.
-                probe = [
-                    j
-                    for j, count in enumerate(cand_counts)
-                    if (count == 1 or count == -1)
-                    and cand_checksums[j] not in seens[owners[j]]
-                ]
-                hashes = codec.checksum_int_batch([cand_values[j] for j in probe])
-                recovered = []  # (decoder, value, checksum, count)
-                for j, hashed in zip(probe, hashes):
-                    checksum, w, value = cand_checksums[j], owners[j], cand_values[j]
-                    if checksum in seens[w] or hashed != checksum:
-                        continue  # a ghost duplicate, or not pure (counts cancelled)
-                    seens[w].add(checksum)
-                    decoder, sign = decoders[w], cand_counts[j]
-                    (decoder._remote if sign == 1 else decoder._local).append(value)
-                    recovered.append((w, value, checksum, sign))
-                if not recovered:
+                owner = np.searchsorted(cuts, candidates, side="right")
+                values, csums = sums[candidates], checksums[candidates]
+                # ONE batch hash call verifies the round from the lane rows; a
+                # verified checksum its decoder already holds (from an earlier
+                # round or candidate) is a ghost duplicate, as per cell.
+                hashed = codec.checksum_int_batch(values)
+                verified = np.flatnonzero(hashed == csums)
+                keep = []
+                mine = zip(owner[verified].tolist(), csums[verified].tolist())
+                for j, (w, checksum) in zip(verified.tolist(), mine):
+                    if checksum not in decoders[w]._seen:
+                        decoders[w]._seen.add(checksum)
+                        keep.append(j)
+                if not keep:
                     break
-                # Batch-subtract the round's recoveries everywhere they map,
-                # then park each for the cells beyond its decoder's end.
-                owner, values, csums, signs = map(list, zip(*recovered))
-                indices, states, touched = [0] * len(csums), list(csums), []
-                alphas = list(map(codec.alpha_for, csums)) if irregular else None
-                dirs = [-sign for sign in signs]
-                walk(owner, indices, states, values, csums, dirs, alphas, touched)
-                for (w, value, checksum, sign), index, state in zip(
-                    recovered, indices, states
-                ):
-                    gen = codec.new_mapping(checksum)
-                    gen.current, gen.state = index, state
-                    entry = _RecoveredEntry(value, checksum, sign, gen)
-                    seq = next(decoders[w]._seq)
-                    heapq.heappush(decoders[w]._pending, (index, seq, entry))
-                hit = np.unique(np.concatenate(touched))
-                hit_counts = counts[hit]
-                candidates = hit[(hit_counts == 1) | (hit_counts == -1)]
+                # Peel the recoveries (either sign) out of every cell they map
+                # to; they join the table parked past their decoder's end.
+                fresh.append([values[keep], csums[keep], counts[candidates[keep]]])
+                fresh[-1] += [np.zeros(len(keep), np.int64), csums[keep], owner[keep]]
+                touched = []
+                walk(fresh[-1], touched)
+                hit = np.concatenate(touched)  # the slots written
+                hit = np.sort(hit[np.abs(counts[hit]) == 1])
+                candidates = hit[np.diff(hit, prepend=-1) != 0]  # each pure one, once
             frontiers = ends[:]
             active = [w for w in active if ends[w] < totals[w]]
             if stop_when_decoded:  # a job stops after the sub-block decoding it
                 live = sums.any(axis=1) | (checksums != 0) | (counts != 0)
                 live = [live[starts[w] : starts[w] + ends[w]].any() for w in active]
                 active = [w for w, undecoded in zip(active, live) if undecoded]
-        lanes = CodedSymbolBank(sums, checksums, counts).in_form(False).lanes
+        # Each decoder takes its cells back, its stored rows' advanced walks
+        # and its new rows, in recovery order.
+        values, csums, signs, idx, state, owner = (
+            [np.concatenate(c) for c in zip(table, *fresh)] if fresh else table
+        )
+        lanes = sums, checksums, counts
         nonzero = sums.any(axis=1) | (checksums != 0) | (counts != 0)
-        for w, (decoder, (bank, _)) in enumerate(zip(decoders, banks)):
+        rows = [0, *accumulate(len(c[0]) for c in held)]
+        for w, (decoder, store) in enumerate(zip(decoders, stores)):
             lo, hi = starts[w], starts[w] + frontiers[w]
-            for mine, lane in zip(bank.lanes, lanes):
-                mine[:] = lane[lo:hi]
+            decoder._bank = CodedSymbolBank(*(lane[lo:hi] for lane in lanes))
             decoder._nonzero = int(np.count_nonzero(nonzero[lo:hi]))
             consumed[wave[w]] = frontiers[w] - olds[w]
+            mine = slice(rows[w], rows[w + 1])
+            held[w][3][:], held[w][4][:] = idx[mine], state[mine]
+            new = rows[-1] + np.flatnonzero(owner[rows[-1] :] == w)
+            if new.size:
+                alphas = store.alphas_for(csums[new])
+                walks = (idx[new], state[new])
+                store.append(values[new], csums[new], alphas, walks, signs[new])
     return consumed
 
 

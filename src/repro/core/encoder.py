@@ -14,9 +14,10 @@ some symbol with other than the default α, read from the codec's
   :mod:`~repro.core.cellbank` scatter-kernel call on the store's
   columns: NumPy columns advanced in place when the codec's symbols fit
   the lanes, the inlined scalar sampler over Python lists otherwise.
-* :meth:`RatelessEncoder.produce_next` is the §6 reference: a binary
-  heap of ``(next index, row)`` yields exactly the rows mapped to the
-  next cell, each stepped through ``IndexGenerator`` — O(k·log n).
+* :meth:`RatelessEncoder.produce_next` is the §6 reference: the store's
+  binary heap of ``(next index, row)`` yields exactly the rows mapped to
+  the next cell, each stepped through ``IndexGenerator`` — O(k·log n)
+  (:meth:`SourceStore.fold`, which a decoder's store shares).
 
 Both produce bit-identical cells (the golden-equivalence suite asserts
 it); the store alone switches its columns between the NumPy and the list
@@ -70,10 +71,10 @@ from repro.core.symbols import SymbolCodec
 # so no kernel walks it.
 _DEAD_ROW = (1 << 63) - 1
 
-# NumPy dtypes and free-row fillers of the checksum, idx, state and α
-# columns, in that order.
-_DTYPES = ("uint64", "int64", "uint64", "float64")
-_FILLERS = (0, _DEAD_ROW, 0, 0.0)
+# NumPy dtypes and free-row fillers of the checksum, idx, state, α and
+# sign columns, in that order.
+_DTYPES = ("uint64", "int64", "uint64", "float64", "int64")
+_FILLERS = (0, _DEAD_ROW, 0, 0.0, 0)
 
 
 def _column(values, spare: int, dtype: str, fill):
@@ -215,6 +216,8 @@ class SourceStore:
     parked walk position ``(idx, state)``, and its α in ``alphas`` — a
     column that exists only once some row's α is not the default the
     kernels inline (``None`` until then); ``live`` counts the live rows.
+    A ``signed`` store (a decoder's recovered symbols) adds each row's
+    count, ±1, in ``signs``; an encoder's rows all count +1.
 
     The columns take one of two forms.  NumPy (``vector``): ``values`` is
     the ``(capacity, k)`` uint64 lane matrix, the rest are vectors, and
@@ -238,11 +241,12 @@ class SourceStore:
         "idx",
         "state",
         "alphas",
+        "signs",
         "heap",
         "heaped",
     )
 
-    def __init__(self, codec: SymbolCodec) -> None:
+    def __init__(self, codec: SymbolCodec, signed: bool = False) -> None:
         self.codec = codec
         self._rows: Optional[dict[int, int]] = {}
         self.live = 0
@@ -253,6 +257,7 @@ class SourceStore:
         self.idx: list = []
         self.state: list = []
         self.alphas: Optional[list] = None
+        self.signs: Optional[list] = [] if signed else None
         self.heap: Optional[list[tuple[int, int]]] = None
         self.heaped = 0
 
@@ -268,7 +273,8 @@ class SourceStore:
         """Rewrite the columns in the given form with the live rows only,
         renumbered in row order, plus ``spare`` free rows (NumPy form)."""
         live = self.live
-        columns = (self.values, self.checksums, self.idx, self.state, self.alphas)
+        columns = (self.values, self.checksums, self.idx, self.state)
+        columns += (self.alphas, self.signs)
         if live == self.size:  # every row keeps its number
             columns = [None if c is None else c[:live] for c in columns]
         elif self.vector:
@@ -288,6 +294,8 @@ class SourceStore:
                 values = lanes_from_ints(values, self.codec.symbol_size)
             free = np.zeros((spare, values.shape[1]), dtype=np.uint64)
             self.values = np.concatenate([values, free])
+            if not self.vector:  # the index is rebuilt on first use
+                self._rows = None
             rest = [
                 None if c is None else _column(c, spare, d, f)
                 for c, d, f in zip(rest, _DTYPES, _FILLERS)
@@ -297,7 +305,7 @@ class SourceStore:
             rest = [None if c is None else to_list(c) for c in rest]
             if self._rows is None:  # the list form keeps its index
                 self._rows = dict(zip(self.values, range(live)))
-        self.checksums, self.idx, self.state, self.alphas = rest
+        self.checksums, self.idx, self.state, self.alphas, self.signs = rest
         self.vector = vector
 
     def alphas_for(self, checksums) -> Optional[list[float]]:
@@ -312,13 +320,15 @@ class SourceStore:
             self.alphas = engine.np.array(held) if self.vector else held
         return alphas
 
-    def append(self, values, checksums, alphas, walks=None) -> None:
+    def append(self, values, checksums, alphas, walks=None, signs=None) -> None:
         """Add validated rows: ``values`` as a lane matrix or ints,
         ``checksums`` as a vector or a list.  ``walks`` is their parked
         ``(idx, state)`` pair of columns, ``None`` for fresh walks
-        (index 0, seeded by the checksum)."""
+        (index 0, seeded by the checksum); ``signs`` their counts, for a
+        signed store."""
         n = len(values)
-        if not self.live:  # empty: take the engine's form, and room for this batch
+        if not self.live and self.heap is None:  # empty, and no per-cell heap:
+            # take the engine's form, and room for this batch
             self._repack(numpy_block_eligible(self.codec), spare=n)
             self._rows = None if self.vector else {}
         elif self.vector and not numpy_block_eligible(self.codec):
@@ -341,8 +351,9 @@ class SourceStore:
             else:
                 self.idx[lo:hi] = np.asarray(walks[0], dtype=np.int64)
                 self.state[lo:hi] = np.asarray(walks[1], dtype=np.uint64)
-            if self.alphas is not None:
-                self.alphas[lo:hi] = alphas
+            for column, new in ((self.alphas, alphas), (self.signs, signs)):
+                if column is not None:
+                    column[lo:hi] = new
         else:
             checksums = to_list(checksums)
             self.values += to_list(values)
@@ -353,8 +364,9 @@ class SourceStore:
             else:
                 self.idx += to_list(walks[0])
                 self.state += to_list(walks[1])
-            if self.alphas is not None:
-                self.alphas += alphas
+            for column, new in ((self.alphas, alphas), (self.signs, signs)):
+                if column is not None:
+                    column += to_list(new)
         if self._rows is not None:
             self._rows.update(zip(to_list(values), range(lo, hi)))
         self.live += n
@@ -389,6 +401,14 @@ class SourceStore:
         walks = (self.idx, self.state, self.values, self.checksums)
         _walk_into([(bank, len(bank), hi, walks, self.alphas)], 1)
 
+    def columns(self) -> tuple:
+        """A signed store's ``(values, checksums, signs, idx, state)`` in
+        the NumPy form, as views of rows ``[0, size)``."""
+        if not self.vector:
+            self._repack(True)
+        columns = (self.values, self.checksums, self.signs, self.idx, self.state)
+        return tuple(column[: self.size] for column in columns)
+
     def next_heap(self) -> list[tuple[int, int]]:
         """The per-cell path's heap of ``(next index, row)`` over the list
         form, rebuilt lazily: in full after a block walk or a repack moved
@@ -406,6 +426,36 @@ class SourceStore:
                     heapq.heappush(self.heap, (idx[row], row))
         self.heaped = self.size
         return self.heap
+
+    def fold(self, index: int, walk: IndexGenerator) -> tuple[int, int, int]:
+        """The per-cell path's cell ``index``: the XOR and count of the
+        rows the heap holds parked there, each stepped once by ``walk``
+        (re-parked from, then back into, the row's columns)."""
+        heap = self.heap
+        if heap is None or self.heaped != self.size:
+            heap = self.next_heap()
+        if not heap or heap[0][0] != index:
+            return 0, 0, 0
+        idx, state, values = self.idx, self.state, self.values
+        checksums, alphas, signs = self.checksums, self.alphas, self.signs
+        cell_sum = cell_checksum = cell_count = 0
+        while heap and heap[0][0] == index:
+            row = heap[0][1]
+            if idx[row] != index:  # a removed row, dropped as it surfaces
+                heapq.heappop(heap)
+                continue
+            cell_sum ^= values[row]
+            cell_checksum ^= checksums[row]
+            cell_count += 1 if signs is None else signs[row]
+            walk.current = index
+            walk.state = state[row]
+            if alphas is not None:
+                walk.alpha = alphas[row]
+            nxt = walk.next_index()
+            idx[row] = nxt
+            state[row] = walk.state
+            heapq.heapreplace(heap, (nxt, row))
+        return cell_sum, cell_checksum, cell_count
 
     def export(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """``(values, checksums, idx, state)`` of the live rows, in row order."""
@@ -583,40 +633,15 @@ class RatelessEncoder:
     def produce_next(self) -> CodedSymbol:
         """Produce (and cache) the next coded symbol in the sequence.
 
-        The §6 reference path: each row at the head of the store's heap
-        is parked at this index, so it is XORed into the cell, stepped
-        once by the reference :class:`~repro.core.mapping.IndexGenerator`
-        (re-parked from the row's columns, which take the step back) and
-        sifted down to its next index.  Returns a value snapshot; the
-        patched state lives in the internal bank (:meth:`cached`).
+        The §6 reference path: the store's heap yields the rows parked at
+        this index, each XORed into the cell and stepped once by the
+        reference :class:`~repro.core.mapping.IndexGenerator`
+        (:meth:`SourceStore.fold`).  Returns a value snapshot; the patched
+        state lives in the internal bank (:meth:`cached`).
         """
-        store = self._store
-        heap = store.heap
-        if heap is None or store.heaped != store.size:
-            heap = store.next_heap()
-        idx, state, values = store.idx, store.state, store.values
-        checksums, alphas = store.checksums, store.alphas
-        walk = self._walk
-        index = len(self._bank)
-        cell_sum = cell_checksum = cell_count = 0
-        while heap and heap[0][0] == index:
-            row = heap[0][1]
-            if idx[row] != index:  # a removed row, dropped as it surfaces
-                heapq.heappop(heap)
-                continue
-            cell_sum ^= values[row]
-            cell_checksum ^= checksums[row]
-            cell_count += 1
-            walk.current = index
-            walk.state = state[row]
-            if alphas is not None:
-                walk.alpha = alphas[row]
-            nxt = walk.next_index()
-            idx[row] = nxt
-            state[row] = walk.state
-            heapq.heapreplace(heap, (nxt, row))
-        self._prefix().append(cell_sum, cell_checksum, cell_count)
-        return CodedSymbol(cell_sum, cell_checksum, cell_count)
+        cell = self._store.fold(len(self._bank), self._walk)
+        self._prefix().append(*cell)
+        return CodedSymbol(*cell)
 
     def produce_block(self, m: int) -> CodedSymbolBank:
         """Materialise coded symbols ``[frontier, frontier+m)`` as a

@@ -83,11 +83,14 @@ class RatelessSketch:
     def decode(self) -> DecodeResult:
         """Peel this (already subtracted) sketch; cells are not mutated.
 
-        Cell-exact early stop (``chunk=1``), so ``symbols_used`` reports
-        the same consumed prefix as per-cell feeding.
+        Fed cell by cell and stopped at the first cell that completes
+        decoding, so ``symbols_used`` reports the consumed prefix exactly.
         """
         decoder = RatelessDecoder(self.codec)
-        decoder.add_coded_block(self.bank, stop_when_decoded=True, chunk=1)
+        for cell in self.bank:
+            decoder.add_coded_symbol(cell)
+            if decoder.decoded:
+                break
         return decoder.result()
 
     # -- container protocol ---------------------------------------------------

@@ -155,22 +155,26 @@ class SymbolCodec:
             return list(hashes)
         return [h & mask for h in hashes]
 
-    def checksum_int_batch(self, values: "Sequence[int]") -> list[int]:
+    def checksum_int_batch(self, values):
         """Keyed checksums of many integer-form items at once, in order.
 
         Element-for-element identical to :meth:`checksum_int` — the batch
         face the decoder's peel-round verification rides (one lane-
         parallel SipHash call per round instead of one hash call per
-        pure-cell candidate).
+        pure-cell candidate).  ``values`` are ints (a list out) or, as a
+        decoder's candidate rows, their ``(n, k)`` lane matrix (a vector out).
         """
         size = self.symbol_size
-        if lane_count(size) == 1:  # one lane is one hash block
-            batch = getattr(self.hasher, "hash64_int_batch", None)
-            if batch is not None:
-                return self.checksums_from_hash64(batch(values, size))
-        return to_list(
-            self.checksum_batch([v.to_bytes(size, "little") for v in values])
-        )
+        lanes = getattr(values, "ndim", 1) == 2
+        batch = getattr(self.hasher, "hash64_int_batch", None)
+        if lane_count(size) == 1 and batch is not None:  # one lane, one hash block
+            ints = values[:, 0].tolist() if lanes else values
+            hashes = self.checksums_from_hash64(batch(ints, size))
+        elif lanes:  # an item's bytes lead its lanes
+            hashes = self.checksum_batch(values.view(engine.np.uint8)[:, :size])
+        else:
+            hashes = self.checksum_batch([v.to_bytes(size, "little") for v in values])
+        return engine.np.asarray(hashes, "uint64") if lanes else to_list(hashes)
 
     # -- mapping ----------------------------------------------------------
 

@@ -237,29 +237,29 @@ class SymbolStreamReader:
         buf = bytes(self._buffer)
         end = len(buf)
         appended, pos = self._feed_records(bank, buf)
+        corrupt = False
         while end - pos >= fixed + 1:
             try:
                 delta, after = decode_svarint(buf, pos + fixed)
             except ValueError:
                 # Distinguish truncation (wait for more bytes) from a
                 # corrupted varint that no amount of further data can
-                # complete — the latter must fail loudly, not stall the
-                # stream while the buffer grows without bound.
-                if end - (pos + fixed) >= _MAX_VARINT_BYTES:
-                    raise ValueError(
-                        f"corrupt count varint at cell {self.index}"
-                    ) from None
-                break  # count varint still incomplete
+                # complete — the latter must fail loudly (below), not stall
+                # the stream while the buffer grows without bound.
+                corrupt = end - (pos + fixed) >= _MAX_VARINT_BYTES
+                break
             sums.append(from_bytes(buf[pos : pos + symbol_size], "little"))
             checksums.append(from_bytes(buf[pos + symbol_size : pos + fixed], "little"))
             counts.append(delta + expected_count(codec, set_size, self.index))
             self.index += 1
             appended += 1
             pos = after
+        # The cells parsed so far are committed, even before a corrupt varint.
         if tail is not bank:
             bank.extend(tail)
-        if pos:
-            del self._buffer[:pos]
+        del self._buffer[:pos]
+        if corrupt:
+            raise ValueError(f"corrupt count varint at cell {self.index}")
         return appended
 
     def _feed_records(self, bank: CodedSymbolBank, buf: bytes) -> tuple[int, int]:

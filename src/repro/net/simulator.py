@@ -21,14 +21,14 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = count()
+        self._ids = count()
         self._cancelled: set[int] = set()
 
     def schedule(self, delay: float, action: Callable[[], None]) -> int:
         """Run ``action`` ``delay`` seconds from now; returns an event id."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        event_id = next(self._seq)
+        event_id = next(self._ids)
         heapq.heappush(self._heap, (self.now + delay, event_id, action))
         return event_id
 
@@ -44,7 +44,7 @@ class Simulator:
         """
         if when < self.now:
             raise ValueError("cannot schedule into the past")
-        event_id = next(self._seq)
+        event_id = next(self._ids)
         heapq.heappush(self._heap, (when, event_id, action))
         return event_id
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro import engine
 from repro.analysis.montecarlo import IntSymbolCodec
 from repro.core import cellbank
-from repro.core.cellbank import CodedSymbolBank
+from repro.core.cellbank import CodedSymbolBank, to_list
 from repro.core.decoder import DEFAULT_STOP_CHUNK, RatelessDecoder, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
@@ -374,11 +374,26 @@ def test_add_coded_block_stop_when_decoded_cell_exact(lane, rng):
 
 
 def test_add_coded_block_rejects_bad_chunk(rng):
+    """With ``stop_when_decoded`` a chunk below 1 is rejected before any
+    job runs, on either engine — also when nothing is left to do: an
+    empty bank, or a decoder that has already decoded."""
     codec = SymbolCodec(8)
-    with pytest.raises(ValueError):
-        RatelessDecoder(codec).add_coded_block(
-            CodedSymbolBank.zeros(4), stop_when_decoded=True, chunk=0
-        )
+    for vector in (True, False) if engine.np is not None else (False,):
+        with engine_lane(vector):
+            with pytest.raises(ValueError):
+                RatelessDecoder(codec).add_coded_block(
+                    CodedSymbolBank.zeros(4), stop_when_decoded=True, chunk=0
+                )
+            done = RatelessDecoder(codec)
+            done.add_coded_block(CodedSymbolBank.zeros(4))
+            assert done.decoded
+            for chunk in (0, -5):
+                with pytest.raises(ValueError):
+                    ingest([(RatelessDecoder(codec), CodedSymbolBank())], True, chunk)
+                with pytest.raises(ValueError):
+                    done.add_coded_block(CodedSymbolBank.zeros(4), True, chunk)
+            assert done.symbols_received == 4  # nothing was consumed
+            assert ingest([(done, CodedSymbolBank())], False, 0) == [0]
 
 
 def test_scalar_and_numpy_decoders_agree(rng):
@@ -417,15 +432,18 @@ def test_property_block_paths_reconcile_exactly(set_a, set_b):
 
 
 def decoder_state(decoder):
-    """Everything a decoder holds: recovered lists in order, bank lanes,
-    the nonzero count and the parked ``(index, seq, state)`` heap."""
-    parked = [(k, seq, rec.gen.state, rec.value) for k, seq, rec in decoder._pending]
+    """Everything a decoder holds: recovered values in order, bank lanes,
+    the nonzero count and the recovered store's rows, each with its sign
+    and parked ``(idx, state)`` walk."""
+    store = decoder._store
+    columns = (store.values, store.checksums, store.signs, store.idx, store.state)
+    rows = list(zip(*(to_list(column[: store.size]) for column in columns)))
     return (
-        decoder._remote,
-        decoder._local,
+        decoder.remote_values(),
+        decoder.local_values(),
         decoder._bank,
         decoder._nonzero,
-        parked,
+        rows,
     )
 
 

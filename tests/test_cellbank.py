@@ -500,11 +500,12 @@ def test_walk_kernel_multi_bank_matches_per_bank_calls(
 
 @pytest.mark.parametrize("rows", [10, 100])  # per bank: tail only; rounds first
 def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
-    """``touched`` collects the lane slots (``index − base``) the edges
+    """``touched`` receives the lane slots (``index − base``) the edges
     were folded into, not walk indices: over three banks laid end to end
     under per-row ``base``, on the lock-step rounds and the per-edge tail
     alike, it is exactly what ``fold_edges`` wrote — the rows a decoder
-    wave reads its next peel candidates from."""
+    wave reads its next peel candidates from.  Every edge of the call,
+    rounds and tail together, is folded by ONE ``fold_edges`` call."""
     np = pytest.importorskip("numpy")
     spans = [(200, 760), (0, 500), (10, 300)]
     banks = []
@@ -527,8 +528,7 @@ def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
     monkeypatch.setattr(cellbank, "fold_edges", spy)
     touched = []
     run_banks(banks, 8, 1, touched=touched)
-    rounds = 3 * rows >= cellbank.NUMPY_TAIL_JOBS
-    assert len(folded) == len(touched) and (len(folded) > 1) == rounds
+    assert len(folded) == len(touched) == 1
     got = sorted(np.concatenate(touched).tolist())
     assert got == sorted(np.concatenate(folded).tolist())
     expected, off = [], 0
@@ -789,8 +789,9 @@ def test_one_source_store_in_encoder():
     them, a second eligibility predicate for the pool, and α = 0.5 hard
     coded on the pool's paths while the heap read the codec's α.  Now
     ``core/encoder.py`` defines the store and the encoder and nothing
-    else, only the per-cell reference path (``produce_next`` and the
-    store's lazy heap rebuild) touches ``heapq``, and every α comes from
+    else, only the per-cell reference path (the store's ``fold``, which
+    ``produce_next`` and a decoder's per-cell path share, and its lazy
+    heap rebuild) touches ``heapq``, and every α comes from
     the codec — ``alpha_for`` or its batch face ``alpha_batch``, which
     answers for a whole ingest batch at once.
     """
@@ -810,7 +811,7 @@ def test_one_source_store_in_encoder():
         for node in ast.walk(func)
         if isinstance(node, ast.Name) and node.id == "heapq"
     }
-    assert heap_users == {"produce_next", "next_heap"}
+    assert heap_users == {"fold", "next_heap"}
     for module in src.rglob("*.py"):
         assert "numpy_lane_eligible" not in module.read_text(), module.name
     # the α source: the codec's α faces into the store's α column,
@@ -1106,7 +1107,8 @@ def test_one_lane_prefix_in_encoder():
     kernel to avoid that round trip.  Now ``_walk_into`` patches and
     extends the banks in place, ``_write_block_records`` packs a bank's
     columns as they are, the rule is gone, and the int <-> lane
-    converters are called from ten places in ``src/`` (fourteen before).
+    converters are called from eight places in ``src/`` (fourteen before;
+    ten until the decoder kept its bank and recovered rows as lanes too).
     """
     import ast
     from pathlib import Path
@@ -1135,4 +1137,73 @@ def test_one_lane_prefix_in_encoder():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call) and name(node) in converters:
                 sites.append(f"{path.relative_to(src)}:{node.lineno}")
-    assert len(sites) == 10, sites
+    assert len(sites) == 8, sites
+
+
+def test_one_recovered_store_in_decoder():
+    """A decoder keeps what it recovered as the rows of a signed
+    ``SourceStore`` (value lanes, checksum, parked ``(idx, state)``, α,
+    sign) beside a received prefix that stays in the lane form between
+    waves.  Before, recoveries were ``_RecoveredEntry`` tuples on a
+    ``(index, seq, entry)`` heap with two replay loops, every wave turned
+    each decoder's whole bank from lists into lanes and back, a job
+    needed ``_MIN_NUMPY_BLOCK`` cells and ``16·n ≥ len(bank)`` to take
+    the wave, and the walk kernel folded its edges once per lock-step
+    round.  Now ``decoder.py`` has no heap of its own (the per-cell path
+    uses the store's), ``ingest`` converts no symbol between ints and
+    lanes, and ``scatter_walk_arrays`` folds every edge of a call with
+    one ``fold_edges`` call.
+    """
+    import ast
+    import re
+    from pathlib import Path
+
+    from repro.core.decoder import RatelessDecoder, ingest
+    from repro.core.encoder import RatelessEncoder, SourceStore
+
+    src = Path(engine.__file__).parent
+    tree = ast.parse((src / "core" / "decoder.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "heapq" not in imported
+    relics = re.compile(r"\b(_RecoveredEntry|_pending|_seq|_MIN_NUMPY_BLOCK)\b")
+    for path in sorted(src.rglob("*.py")):
+        assert not relics.search(path.read_text()), path.name
+
+    def calls(path, function):
+        module = ast.parse((src / path).read_text())
+        (fn,) = [
+            n
+            for n in ast.walk(module)
+            if isinstance(n, ast.FunctionDef) and n.name == function
+        ]
+        return [
+            ast.unparse(n.func).rpartition(".")[2]
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call)
+        ]
+
+    assert not {"lanes_from_ints", "ints_from_lanes"} & set(
+        calls("core/decoder.py", "ingest")
+    )
+    assert calls("core/cellbank.py", "scatter_walk_arrays").count("fold_edges") == 1
+
+    # the store and the bank keep the form of the path that last ran
+    codec = SymbolCodec(8)
+    items = [bytes([i, 7, 7, 7, 7, 7, 7, i]) for i in range(40)]
+    stream = RatelessEncoder(codec, items).produce_block(120)
+    decoder = RatelessDecoder(codec)
+    assert isinstance(decoder._store, SourceStore) and decoder._store.signs == []
+    for cell in stream.cells()[:30]:
+        decoder.add_coded_symbol(cell)
+    assert not decoder._bank.vector and not decoder._store.vector
+    vector = engine.np is not None
+    with engine_lane(vector):
+        ingest([(decoder, stream.slice(30, 120))])
+    assert decoder._bank.vector is vector and decoder._store.vector is vector
+    assert decoder.decoded and sorted(decoder.remote_items()) == sorted(items)
+    assert decoder._store.size == len(items) and decoder.local_values() == []

@@ -166,6 +166,33 @@ def test_reader_finish_mid_cell_raises(codec8, rng):
         reader.finish()
 
 
+@pytest.mark.parametrize("vector", [False, True])
+def test_reader_corrupt_varint_commits_parsed_cells(lane, codec8, rng, vector):
+    """A corrupt count varint after 20 good cells raises with those cells
+    committed: the bank holds them, ``index`` has passed them and the
+    buffer holds only the corrupt tail — so a retry appends nothing and
+    raises at cell 20 again, and ``finish`` reports the tail's length."""
+    from repro.core.cellbank import CodedSymbolBank, numpy_block_eligible
+
+    if vector and not numpy_block_eligible(codec8):
+        pytest.skip("the lane form needs the vector engine")
+    enc = RatelessEncoder(codec8, make_items(rng, 30))
+    good = encode_stream(codec8, 30, enc.produce_block(20))
+    corrupt = bytes(codec8.symbol_size + codec8.checksum_size) + b"\xff" * 10
+    reader = SymbolStreamReader(codec8)
+    bank = CodedSymbolBank().in_form(vector, codec8.symbol_size)
+    with pytest.raises(ValueError, match="at cell 20"):
+        reader.feed_into(bank, good + corrupt)
+    assert bank == enc.cached_block(0, 20) and bank.vector is vector
+    assert reader.index == 20
+    assert reader.pending_bytes == len(corrupt)
+    with pytest.raises(ValueError, match="at cell 20"):
+        reader.feed_into(bank, b"")
+    assert len(bank) == 20 and reader.pending_bytes == len(corrupt)
+    with pytest.raises(ValueError, match=f"{len(corrupt)} bytes"):
+        reader.finish()
+
+
 def test_reader_finish_mid_header_raises(codec8):
     reader = SymbolStreamReader(codec8)
     reader.feed(b"RIB1\x08")  # header cut short

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.api.adapters.cellpack import CellStreamFace, CodecParams, codec_for
-from repro.api.base import StreamingReconciler
+from repro.api.adapters.cellpack import CellTableFace, CodecParams, codec_for
+from repro.api.base import SetReconciler
 from repro.api.registry import Capabilities, register_scheme
 from repro.baselines.met_iblt import DEFAULT_MET_CONFIG, MetConfig, MetIBLT
 from repro.baselines.table import CELL_OVERHEAD_BYTES
-from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import DecodeResult
 
 
@@ -29,21 +28,19 @@ class MetIbltParams(CodecParams):
     config: MetConfig = DEFAULT_MET_CONFIG
 
 
-class MetIbltReconciler(CellStreamFace, StreamingReconciler):
+class MetIbltReconciler(CellTableFace, SetReconciler):
     """One MET-IBLT of one set, decoded at the cheapest block prefix.
 
-    The :class:`CellStreamFace` streaming face ships cells in index
-    order and attempts a decode at every preset block boundary — the
-    rate-compatible prefix growth of Lázaro & Matuz as an actual
-    stream, usable by the protocol engine.  The registry capability
-    stays ``streaming=False``: extension points are the coarse preset
-    boundaries and the stream is finite, not rateless.
+    The whole table travels as one sketch (the protocol's SKETCH mode);
+    the receiver decodes the smallest preset block prefix that succeeds
+    and charges only that prefix to the wire, the rate-compatible
+    growth of Lázaro & Matuz.  It is not a stream: its extension points
+    are the coarse preset boundaries, not every coded symbol.
     """
 
     def __init__(self, params: MetIbltParams, table: MetIBLT) -> None:
         super().__init__(params, table)
         self._consumed_cells: Optional[int] = None
-        self._stream_levels_tried = 0
 
     @classmethod
     def _empty_table(cls, params: MetIbltParams) -> MetIBLT:
@@ -62,26 +59,6 @@ class MetIbltReconciler(CellStreamFace, StreamingReconciler):
         if cells is None:
             return self.wire_size()
         return cells * (self._table.codec.symbol_size + CELL_OVERHEAD_BYTES)
-
-    def _try_stream_decode(
-        self, diff: CodedSymbolBank, absorbed: int
-    ) -> Optional[DecodeResult]:
-        config = self._table.config
-        result: Optional[DecodeResult] = None
-        for level in range(self._stream_levels_tried + 1, config.levels + 1):
-            limit = config.cumulative_cells(level)
-            if limit > absorbed:
-                break
-            self._stream_levels_tried = level
-            # Cells not received yet are zero: decode(level) reads only
-            # the first ``limit`` of them.
-            padded = diff.copy()
-            padded.extend_zeros(self._table.num_cells - absorbed)
-            result = self._table.with_bank(padded).decode(level)
-            if result.success:
-                self._consumed_cells = limit
-                return result
-        return result
 
 
 register_scheme(

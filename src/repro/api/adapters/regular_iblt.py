@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.api.adapters.cellpack import CellStreamFace, CodecParams, codec_for
-from repro.api.base import StreamingReconciler
+from repro.api.adapters.cellpack import CellTableFace, CodecParams, codec_for
+from repro.api.base import SetReconciler
 from repro.api.registry import Capabilities, register_scheme
 from repro.baselines.regular_iblt import RegularIBLT, recommended_cells
-from repro.core.cellbank import CodedSymbolBank
 from repro.core.decoder import DecodeResult
 
 
@@ -34,15 +33,12 @@ class RegularIbltParams(CodecParams):
     hash_count: int = 3
 
 
-class RegularIbltReconciler(CellStreamFace, StreamingReconciler):
+class RegularIbltReconciler(CellTableFace, SetReconciler):
     """One fixed-geometry IBLT of one set.
 
-    Also exposes the :class:`CellStreamFace` streaming face (cells
-    streamed in index order, decode attempted once the full table
-    arrived) so the protocol engine can move a fixed table as a stream;
-    the registry capability stays ``streaming=False`` because a prefix
-    of a fixed table is *not* decodable — the face is finite, not
-    rateless.
+    The whole table travels as one sketch (the protocol's SKETCH mode,
+    doubled on a failed decode): a prefix of a fixed table is *not*
+    decodable, so it never streams.
     """
 
     @classmethod
@@ -66,13 +62,6 @@ class RegularIbltReconciler(CellStreamFace, StreamingReconciler):
 
     def decode(self) -> DecodeResult:
         return self._table.decode()
-
-    def _try_stream_decode(
-        self, diff: CodedSymbolBank, absorbed: int
-    ) -> Optional[DecodeResult]:
-        if absorbed < self._table.num_cells:
-            return None  # a fixed table only decodes once complete
-        return self._table.with_bank(diff).decode()
 
 
 register_scheme(

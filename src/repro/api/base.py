@@ -8,7 +8,8 @@ One vocabulary for seven very different algorithms:
   difference (``decode`` → :class:`~repro.core.decoder.DecodeResult`).
 * :class:`StreamingReconciler` — the rateless extension: the sketch is
   an unbounded prefix-decodable stream (``produce_next``/``absorb``)
-  instead of a fixed-size blob.
+  instead of a fixed-size blob.  Rateless IBLT is its one
+  implementation; every other scheme is a sketch.
 * :class:`Capabilities` — per-scheme flags the generic driver in
   :mod:`repro.api.session` dispatches on.
 * :class:`ReconcileResult` — the scheme-independent outcome record.
@@ -230,7 +231,13 @@ class SetReconciler(ABC):
 
 
 class StreamingReconciler(SetReconciler):
-    """Rateless extension: the sketch is an endless, incremental stream."""
+    """Rateless extension: the sketch is an endless, incremental stream.
+
+    :class:`~repro.api.adapters.riblt.RibltReconciler` is the one
+    implementation — only a Rateless IBLT's coded prefix decodes
+    wherever it is cut (§4).  The table schemes (regular IBLT, MET-IBLT)
+    are plain :class:`SetReconciler` sketches, shipped whole.
+    """
 
     @abstractmethod
     def produce_block(self, block_size: int) -> bytes:
@@ -245,29 +252,18 @@ class StreamingReconciler(SetReconciler):
         """Consume the peer's next payload; True once fully decoded."""
 
     @classmethod
+    @abstractmethod
     def absorb_many(cls, pairs: Sequence[tuple["StreamingReconciler", bytes]]) -> list:
         """:meth:`absorb` one payload into each of several reconcilers
         (each at most once), in order: one result per pair, or, for a
         malformed payload, its ``ValueError`` — the list ends there and
-        later pairs stay unabsorbed.  Adapters that can share work across
-        streams override this loop."""
-        out: list = []
-        for reconciler, payload in pairs:
-            try:
-                out.append(reconciler.absorb(payload))
-            except ValueError as exc:
-                return out + [exc]
-        return out
+        later pairs stay unabsorbed."""
 
     @property
+    @abstractmethod
     def symbols_absorbed(self) -> int:
-        """Coded units consumed by ``absorb`` so far.
-
-        The default derives it from :meth:`stream_result`, which may
-        materialise the recovered items; adapters with an O(1) counter
-        override it (hot path: the service client reads this per frame).
-        """
-        return self.stream_result().symbols_used
+        """Coded units consumed by ``absorb`` so far (an O(1) counter:
+        the service client reads it per frame)."""
 
     @property
     @abstractmethod

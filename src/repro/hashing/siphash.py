@@ -23,12 +23,11 @@ from typing import Sequence
 
 from repro import engine
 
-# Below this batch size the NumPy call overhead outweighs the lane win.
-NUMPY_MIN_BATCH = 8
-
-# Integer-form batches have a much faster scalar engine (inline-unrolled
-# rounds, no bytes round-trip), so their lane crossover sits higher.
-NUMPY_INT_MIN_BATCH = 16
+# Below this batch size the NumPy call overhead outweighs the lane win,
+# for byte lists and integer batches alike: an alternating min-of-100
+# sweep (2-core x86-64 host) put the lanes ahead from 12 messages on for
+# 8- and 92-byte lists and from 14 for 7- and 8-byte integers.
+NUMPY_MIN_BATCH = 12
 
 # Messages per in-place lane pass, so the state vectors stay cache-resident:
 # 150 000 8-byte messages took 14 ms in one pass, 8 ms in 2^15-message
@@ -163,7 +162,7 @@ def siphash24_int_batch(key: bytes, values: Sequence[int], size: int) -> list[in
     # Same contract as int.to_bytes: reject values outside [0, 2^(8·size)).
     if min(values) < 0 or max(values) >> (8 * size):
         raise OverflowError(f"value does not fit in {size} bytes")
-    if not engine.NUMPY_LANE or n < NUMPY_INT_MIN_BATCH:
+    if not engine.NUMPY_LANE or n < NUMPY_MIN_BATCH:
         k0 = int.from_bytes(key[:8], "little")
         k1 = int.from_bytes(key[8:], "little")
         if size == 8:

@@ -53,16 +53,21 @@ Both machines speak the :mod:`repro.service.framing` catalogue at
 ``PROTOCOL_VERSION``; a peer on another version is refused, typed, at
 the HELLO/WELCOME check.  Capability dispatch:
 
-* **streaming** schemes run STREAM mode: the responder ships §6-framed
-  coded symbols in ``SYMBOLS`` frames until the initiator's peeler
-  reports done (``SHARD_DONE`` per shard, then ``BYE``/``STATS``) —
-  but never past the per-shard credit window the initiator's ``CREDIT``
-  frames open (see "Flow control" below);
+* the **streaming** scheme (Rateless IBLT, the only one) runs STREAM
+  mode: the responder ships §6-framed coded symbols in ``SYMBOLS``
+  frames until the initiator's peeler reports done (``SHARD_DONE`` per
+  shard, then ``BYE``/``STATS``) — but never past the per-shard credit
+  window the initiator's ``CREDIT`` frames open (see "Flow control"
+  below);
 * **fixed-capacity / one-shot serializable** schemes run SKETCH mode:
   sized sketches in ``SKETCH`` frames with client-driven doubling
-  ``RETRY``s — and, when both sides were constructed with
-  ``use_estimator=True``, the strata-estimator exchange (``ESTIMATE``
-  frame) sizes the first sketch, the composition deployments use;
+  ``RETRY``s, never past the responder's ``max_sketch_bound`` — and,
+  when both sides were constructed with ``use_estimator=True``, the
+  strata-estimator exchange (``ESTIMATE`` frame) sizes the first
+  sketch, the composition deployments use;
+* neither side trusts the other's sizes or mode: the initiator checks
+  the announced mode against its scheme's capabilities, and a
+  ``SKETCH`` must echo the bound the initiator asked for;
 * schemes that can neither stream nor serialize (Merkle's interactive
   heal) cannot be framed; callers keep the in-process path.
 
@@ -314,19 +319,23 @@ class _InitiatorShard:
     ``tally.shard`` is the *global* shard id (== the local frame id
     outside a cluster); ``items``/``hashes`` are the shard's slice of
     the batch and of its keyed hashes (computed once, for placement and
-    checksums) — in stream mode, row-matrix and vector slices.
+    checksums) — in stream mode, row-matrix and vector slices.  In
+    sketch mode ``bound`` is the sketch bound this side last asked for:
+    the only one a ``SKETCH`` frame may echo.
     """
 
     __slots__ = (
-        "items", "hashes", "reconciler", "tally", "done", "result", "granted"
+        "items", "hashes", "reconciler", "tally", "done", "result", "granted",
+        "bound",
     )
 
-    def __init__(self, shard: int, items: list, hashes: list) -> None:
+    def __init__(self, shard: int, items: list, hashes: list, bound: int) -> None:
         self.items = items
         self.hashes = hashes
         self.reconciler: Optional[StreamingReconciler] = None
         self.tally = ShardTally(shard)
         self.granted = INITIAL_WINDOW
+        self.bound = bound
         self.done = False
         self.result = None
 
@@ -460,6 +469,12 @@ class InitiatorMachine(ReconcilerMachine):
             raise ProtocolError(
                 f"server speaks protocol {version}, client {PROTOCOL_VERSION}"
             )
+        caps = self.handle.capabilities
+        if not (caps.streaming if mode == SyncMode.STREAM else caps.serializable):
+            raise ProtocolError(
+                f"server announced {mode.name} mode, which scheme "
+                f"{self.handle.name!r} cannot run"
+            )
         # In a cluster the worker grants its *local* shard count; the
         # wish (and placement) always speak global shards.
         total = cluster.total_shards if cluster is not None else granted
@@ -495,21 +510,16 @@ class InitiatorMachine(ReconcilerMachine):
         if mode == SyncMode.STREAM and self.handle.codec is not None:
             self.items = self.handle.codec.item_rows(self.items)  # encoders slice it
         parts, part_hashes = partition_with_hashes(self.items, hashes, total)
+        bound = self.difference_bound or DEFAULT_SKETCH_BOUND
         self._shards = [
-            _InitiatorShard(g, parts[g], part_hashes[g]) for g in owned
+            _InitiatorShard(g, parts[g], part_hashes[g], bound) for g in owned
         ]
         self._remaining = len(owned)
         if self._payloads is not None:
             self._payloads = {g: bytearray() for g in owned}
         if mode == SyncMode.STREAM:
             for st in self._shards:
-                reconciler = self.handle.new(st.items, item_hashes=st.hashes)
-                if not isinstance(reconciler, StreamingReconciler):
-                    raise ProtocolError(
-                        f"scheme {self.handle.name!r} announced stream mode "
-                        "but is not streaming"
-                    )
-                st.reconciler = reconciler
+                st.reconciler = self.handle.new(st.items, item_hashes=st.hashes)
             self._state = "stream"
         else:
             if self.use_estimator and len(owned) != 1:
@@ -634,7 +644,8 @@ class InitiatorMachine(ReconcilerMachine):
         bound = max(1, math.ceil(estimate * ESTIMATE_MARGIN))
         if self.difference_bound:
             bound = max(bound, self.difference_bound)
-        for local, _st in enumerate(self._shards):
+        for local, st in enumerate(self._shards):
+            st.bound = bound
             self._send_frame(FrameType.RETRY, pack_uvarints(local, bound))
         self._state = "sketch"
 
@@ -650,6 +661,11 @@ class InitiatorMachine(ReconcilerMachine):
         st = self._shards[shard_id]
         if st.done:
             return
+        if bound != st.bound:
+            raise ProtocolError(
+                f"shard {shard_id}: SKETCH echoes bound {bound}, "
+                f"asked for {st.bound}"
+            )
         if self._payloads is not None:
             self._payloads[st.tally.shard].extend(blob)
         st.tally.payload_bytes += len(blob)
@@ -681,9 +697,8 @@ class InitiatorMachine(ReconcilerMachine):
                 f"shard {shard_id}: sketch did not decode within "
                 f"{self.max_rounds} doublings (last bound {bound})"
             )
-        self._send_frame(
-            FrameType.RETRY, pack_uvarints(shard_id, max(1, bound) * 2)
-        )
+        st.bound = max(1, bound) * 2
+        self._send_frame(FrameType.RETRY, pack_uvarints(shard_id, st.bound))
 
     def _finish_up(self) -> None:
         for st in self._shards:
@@ -941,7 +956,8 @@ class ResponderMachine(ReconcilerMachine):
         probe = body.uvarint()
         num_shards = body.uvarint()
         body.uvarint()  # block_size wish: informational, responder decides
-        self._sketch_bound = body.uvarint() or DEFAULT_SKETCH_BOUND
+        requested = body.uvarint()
+        self._sketch_bound = requested or DEFAULT_SKETCH_BOUND
         body.expect_end()
         if version != PROTOCOL_VERSION:
             return self._reject(
@@ -990,6 +1006,10 @@ class ResponderMachine(ReconcilerMachine):
                 f"shard count mismatch: client expects {num_shards}, "
                 f"server runs {expected_shards}",
             )
+        # The client's own bound is capped like a RETRY's; the default is
+        # the server's choice.
+        if self.backend.mode == SyncMode.SKETCH:
+            return not self._refuse_bound("HELLO", requested)
         return True
 
     def _reject(self, code: ErrorCode, message: str) -> bool:
@@ -1124,15 +1144,8 @@ class ResponderMachine(ReconcilerMachine):
             if shard >= self.backend.num_shards:
                 self._protocol_fail(ErrorCode.PROTOCOL, f"no such shard {shard}")
                 return
-            if bound > self.max_sketch_bound:
-                message = (
-                    f"shard {shard}: sketch bound {bound} exceeds server cap "
-                    f"{self.max_sketch_bound}"
-                )
-                self._send_error(ErrorCode.BUDGET, message)
-                self._fail(ReconcileError(message))
-                return
-            self._send_sketch(shard, bound)
+            if not self._refuse_bound(f"shard {shard}", bound):
+                self._send_sketch(shard, bound)
             return
         if ftype == FrameType.SHARD_DONE:
             return  # bookkeeping only; nothing streams in sketch mode
@@ -1145,6 +1158,19 @@ class ResponderMachine(ReconcilerMachine):
         self._protocol_fail(
             ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x}"
         )
+
+    def _refuse_bound(self, what: str, bound: int) -> bool:
+        """Fail the session, typed ``BUDGET``, for a sketch bound past
+        ``max_sketch_bound`` — before any sketch is built."""
+        if bound <= self.max_sketch_bound:
+            return False
+        message = (
+            f"{what}: sketch bound {bound} exceeds server cap "
+            f"{self.max_sketch_bound}"
+        )
+        self._send_error(ErrorCode.BUDGET, message)
+        self._fail(ReconcileError(message))
+        return True
 
     def _send_sketch(self, shard: int, bound: int) -> None:
         blob = self.backend.build_sketch(shard, bound)

@@ -9,13 +9,11 @@ patched into every touched shard's cached prefix by one walk-kernel
 call (linearity) instead of re-encoding.  Per-session state is only a
 cursor: a stream index and a §6 writer.
 
-Any other registered scheme can back a shard too: streaming schemes ride
-:class:`SchemeStreamBackend` (a fresh per-session
-:class:`~repro.api.base.StreamingReconciler`: the interface does not
-promise shareable state), serializable fixed-capacity / one-shot ones
-:class:`SketchBackend`, which serves a ``bound``-sized sketch and
-rebuilds it on client ``RETRY``.  :func:`open_backend` is the one
-constructor of all of them — and so of every host's peer state.
+Rateless IBLT is the one streaming scheme, so it is the one that warms.
+Every other serializable scheme (fixed-capacity or one-shot) backs a
+shard through :class:`SketchBackend`, which serves a ``bound``-sized
+sketch and rebuilds it on client ``RETRY``.  :func:`open_backend` is
+the one constructor of both — and so of every host's peer state.
 
 Consistency: every stream cursor snapshots its shard's version at open;
 a mutation mid-stream makes the sent prefix and the unsent suffix
@@ -29,7 +27,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.api.base import StreamingReconciler, UnsupportedOperation
+from repro.api.base import UnsupportedOperation
 from repro.api.registry import Scheme, get_scheme
 from repro.core.cellbank import to_list
 from repro.core.encoder import RatelessEncoder, churn
@@ -199,35 +197,6 @@ class WarmRibltBackend(ShardBackend):
         return self.encoders[shard].produced_count
 
 
-class _SchemeStream(ShardStream):
-    """Cursor over a per-session StreamingReconciler (cold build)."""
-
-    def __init__(
-        self,
-        reconciler: StreamingReconciler,
-        backend: "SchemeStreamBackend",
-        shard: int,
-    ) -> None:
-        super().__init__(backend, shard)
-        self._reconciler = reconciler
-
-    def next_block(self, max_cells: int) -> bytes:
-        self._check_version()
-        self.symbols_sent += max_cells
-        return self._reconciler.produce_block(max_cells)
-
-
-class SchemeStreamBackend(ShardBackend):
-    """Any registered streaming scheme; sessions get cold reconcilers."""
-
-    mode = SyncMode.STREAM
-
-    def open_stream(self, shard: int) -> ShardStream:
-        reconciler = self.handle.new(list(self.sharded.shards[shard]))
-        assert isinstance(reconciler, StreamingReconciler)
-        return _SchemeStream(reconciler, self, shard)
-
-
 class SketchBackend(ShardBackend):
     """Serializable fixed-capacity / one-shot schemes: sized sketches."""
 
@@ -260,10 +229,10 @@ def open_backend(
     the library default unless ``params`` say otherwise; service hosts
     apply :func:`~repro.service.defaults.with_service_hasher` first.
 
-    Any registered scheme can back a shard: riblt as one warm encoder
-    per shard, other streaming schemes as cold per-session streams,
-    serializable ones as sized sketches.  Only a scheme that can neither
-    stream nor ship a sketch (Merkle's interactive heal) is rejected.
+    riblt backs a shard as one warm encoder per shard, every other
+    serializable scheme as sized sketches.  A scheme that can do neither
+    (Merkle's interactive heal, or a streaming scheme other than riblt)
+    is rejected.
 
     ``data_dir`` makes the state durable through
     :func:`repro.durable.open_durable` (``durable`` is its
@@ -288,10 +257,10 @@ def open_backend(
         )
     handle = get_scheme(scheme, **params).bound_to(materialised)
     caps = handle.capabilities
-    if not (caps.streaming or caps.serializable):
+    if not (handle.name == "riblt" if caps.streaming else caps.serializable):
         raise ValueError(
-            f"scheme {handle.name!r} can neither stream nor serialize a sketch; "
-            "it cannot back a service shard"
+            f"scheme {handle.name!r} can neither warm a riblt stream nor "
+            "serialize a sketch; it cannot back a service shard"
         )
     hash64 = handle.hash64
     sharded = ShardedSet(hash64, num_shards)
@@ -301,11 +270,8 @@ def open_backend(
     sharded.adopt_parts(parts)
     if not caps.streaming:
         return SketchBackend(handle, sharded)
-    codec = handle.codec
-    if handle.name != "riblt" or codec is None:
-        return SchemeStreamBackend(handle, sharded)
     encoders = [
-        RatelessEncoder(codec, part, item_hashes=hashes)
+        RatelessEncoder(handle.codec, part, item_hashes=hashes)
         for part, hashes in zip(parts, part_hashes)
     ]
     return WarmRibltBackend(handle, sharded, encoders)

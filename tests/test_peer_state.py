@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api.registry import get_scheme
+from repro.api.base import StreamingReconciler
+from repro.api.registry import available_schemes, get_scheme, scheme_info
 from repro.durable import DurableConfig
 from repro.durable.store import JOURNAL_NAME, journal_segment_name, open_durable
 from repro.gossip import GossipNode, make_nodes
@@ -523,6 +524,43 @@ def _enclosing_functions(tree: ast.AST) -> dict[int, str]:
     return owner
 
 
+def test_one_streaming_scheme_in_src():
+    """Rateless IBLT is the one scheme whose coded prefix decodes
+    wherever it is cut (§4), so "streams" means riblt on every layer:
+    exactly the registry's streaming entries subclass
+    ``StreamingReconciler`` (the tables carry no stream face), and
+    ``open_backend`` builds a warm riblt backend or a sketch backend —
+    no generic stream backend beside them.
+    """
+    streaming = set()
+    for name in available_schemes():
+        info = scheme_info(name)
+        assert info.capabilities.streaming == issubclass(
+            info.reconciler_class, StreamingReconciler
+        ), name
+        if info.capabilities.streaming:
+            streaming.add(name)
+    assert streaming == {"riblt"}
+    src = Path(repro.__file__).parent
+    gone = r"\b(SchemeStreamBackend|_SchemeStream|_try_stream_decode)\b"
+    for path in src.rglob("*.py"):
+        assert not re.search(gone, path.read_text()), path.relative_to(src)
+    tree = ast.parse((src / "service" / "backends.py").read_text())
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "open_backend"
+    ]
+    built = {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id.endswith("Backend")
+    }
+    assert built == {"WarmRibltBackend", "SketchBackend"}
+
+
 def test_one_peer_state_constructor_in_src():
     """Handle → codec → keyed hash → ``ShardedSet`` → backend is wired
     in one place.  A host that needs peer state calls ``open_backend``;
@@ -535,7 +573,6 @@ def test_one_peer_state_constructor_in_src():
         "ShardSubsetSet",
         "make_backend",
         "WarmRibltBackend",
-        "SchemeStreamBackend",
         "SketchBackend",
         "DurableBackend",
     }

@@ -49,6 +49,7 @@ from repro.service.framing import (
     ErrorCode,
     FrameDecoder,
     FrameType,
+    SyncMode,
     TruncatedFrame,
     encode_frame,
     pack_uvarints,
@@ -788,6 +789,118 @@ def test_version_one_peer_fails_typed_on_both_sides() -> None:
     assert "server speaks protocol 1" in str(initiator.failed)
 
 
+# --- untrusted sizes and modes: checked before anything is built -----------
+
+
+def test_hello_sketch_bound_is_capped_like_a_retry(monkeypatch) -> None:
+    """A HELLO bound past ``max_sketch_bound`` fails the session typed —
+    BUDGET ERROR, ``ReconcileError`` — before any sketch is built."""
+    handle = get_scheme("regular_iblt", symbol_size=8)
+    items = items_range(0, 100)
+
+    def hello(bound: int) -> bytes:
+        initiator = InitiatorMachine(handle, [], difference_bound=bound)
+        initiator.start()
+        return initiator.take_output()
+
+    hostile = service_responder(handle, items, max_sketch_bound=8)
+    built: list = []
+    monkeypatch.setattr(
+        hostile.backend, "build_sketch", lambda *args: built.append(args) or b""
+    )
+    hostile.start()
+    hostile.bytes_received(hello(9))
+    assert built == []
+    assert isinstance(hostile.failed, ReconcileError)
+    assert hostile.error_codes == [int(ErrorCode.BUDGET)]
+    (ftype, body), = frames_of(hostile.take_output())
+    assert ftype == FrameType.ERROR and "exceeds server cap 8" in body.decode()
+
+    at_cap = service_responder(handle, items, max_sketch_bound=8)
+    at_cap.start()
+    at_cap.bytes_received(hello(8))
+    assert not at_cap.finished
+    assert [f for f, _ in frames_of(at_cap.take_output())] == [
+        FrameType.WELCOME,
+        FrameType.SKETCH,
+    ]
+
+
+def _spy_on_welcome_work(monkeypatch) -> list:
+    """Record every hash pass, partition and sketch sizing the initiator does."""
+    import repro.protocol.machine as machine
+    from repro.api.registry import Scheme
+
+    calls: list = []
+    for name in ("hash_items", "partition_with_hashes"):
+        real = getattr(machine, name)
+        monkeypatch.setattr(
+            machine,
+            name,
+            lambda *a, _real=real, _name=name: calls.append((_name,)) or _real(*a),
+        )
+    real_sized_for = Scheme.sized_for
+    monkeypatch.setattr(
+        Scheme,
+        "sized_for",
+        lambda self, d: calls.append(("sized_for", d)) or real_sized_for(self, d),
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scheme, mode",
+    [
+        ("regular_iblt", SyncMode.STREAM),
+        ("met_iblt", SyncMode.STREAM),
+        ("merkle", SyncMode.SKETCH),
+    ],
+)
+def test_welcome_mode_the_scheme_cannot_run_is_refused(
+    scheme: str, mode: SyncMode, monkeypatch
+) -> None:
+    """STREAM needs a streaming scheme and SKETCH a serializable one; a
+    WELCOME announcing anything else fails typed before the initiator
+    hashes, partitions or builds anything."""
+    handle = get_scheme(scheme, symbol_size=8)
+    initiator = InitiatorMachine(handle, items_range(0, 50))
+    initiator.start()
+    initiator.take_output()
+    calls = _spy_on_welcome_work(monkeypatch)
+    initiator.bytes_received(
+        encode_frame(
+            FrameType.WELCOME, pack_uvarints(PROTOCOL_VERSION, int(mode), 1, 64)
+        )
+    )
+    assert isinstance(initiator.failed, ProtocolError)
+    assert f"announced {mode.name} mode" in str(initiator.failed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("echoed", [4096, 18])
+def test_sketch_echoing_a_bound_never_asked_for_is_refused(
+    echoed: int, monkeypatch
+) -> None:
+    """The initiator asked for bound 9 (HELLO): a SKETCH claiming any
+    other bound — far larger, or a doubling nobody requested — fails
+    typed, and no table of that size is ever allocated."""
+    handle = get_scheme("regular_iblt", symbol_size=8)
+    initiator = InitiatorMachine(handle, items_range(0, 50), difference_bound=9)
+    initiator.start()
+    initiator.take_output()
+    calls = _spy_on_welcome_work(monkeypatch)
+    initiator.bytes_received(
+        encode_frame(
+            FrameType.WELCOME,
+            pack_uvarints(PROTOCOL_VERSION, int(SyncMode.SKETCH), 1, 64),
+        )
+        + encode_frame(FrameType.SKETCH, pack_uvarints(0, echoed))
+    )
+    assert isinstance(initiator.failed, ProtocolError)
+    assert f"SKETCH echoes bound {echoed}, asked for 9" in str(initiator.failed)
+    assert not [c for c in calls if c[0] == "sized_for"]
+
+
 # --- the simulated-link transport (any scheme, lossy link) ------------------
 
 SIM_SCHEMES = [s for s in available_schemes() if scheme_info(s).capabilities.serializable or scheme_info(s).capabilities.streaming]
@@ -971,60 +1084,6 @@ def test_cli_sync_sim_requires_peer(tmp_path, capsys) -> None:
     )
     assert code == 2
     assert "--peer" in capsys.readouterr().err
-
-
-# --- the table adapters' streaming faces (cell streams) ---------------------
-
-
-def test_regular_iblt_streaming_face() -> None:
-    a = [b"%07d" % i for i in range(300)]
-    b = [b"%07d" % i for i in range(12, 312)]
-    handle = get_scheme("regular_iblt", symbol_size=7).sized_for(40)
-    alice, bob = handle.new(a), handle.new(b)
-    while not bob.decoded:
-        bob.absorb(alice.produce_block(16))
-    result = bob.stream_result()
-    assert set(result.remote) == set(a) - set(b)
-    assert set(result.local) == set(b) - set(a)
-    assert bob.symbols_absorbed == result.symbols_used
-
-
-def test_met_iblt_streams_decode_at_block_boundaries() -> None:
-    a = [b"%07d" % i for i in range(300)]
-    b = [b"%07d" % i for i in range(12, 312)]
-    handle = get_scheme("met_iblt", symbol_size=7)
-    alice, bob = handle.new(a), handle.new(b)
-    while not bob.decoded:
-        bob.absorb(alice.produce_block(19))  # deliberately boundary-misaligned
-    result = bob.stream_result()
-    assert set(result.remote) == set(a) - set(b)
-    # d = 24 needs the second preset block: 24 + 90 cells.
-    assert result.symbols_used == 114
-    # The counter is exact even though absorb overshoots the boundary.
-    assert bob.symbols_absorbed >= result.symbols_used
-
-
-def test_met_iblt_stream_survives_byte_fragmentation() -> None:
-    a = [b"%07d" % i for i in range(120)]
-    b = [b"%07d" % i for i in range(4, 124)]
-    handle = get_scheme("met_iblt", symbol_size=7)
-    alice, bob = handle.new(a), handle.new(b)
-    blob = alice.produce_block(130)
-    for i in range(0, len(blob), 5):
-        bob.absorb(blob[i : i + 5])
-    assert bob.decoded
-    assert set(bob.stream_result().remote) == set(a) - set(b)
-
-
-def test_fixed_table_stream_exhaustion_raises() -> None:
-    a = [b"%07d" % i for i in range(300)]
-    b = [b"%07d" % i for i in range(80, 380)]
-    handle = get_scheme("regular_iblt", symbol_size=7).sized_for(2)
-    alice, bob = handle.new(a), handle.new(b)
-    with pytest.raises(ReconcileError, match="exhausted"):
-        while True:
-            bob.absorb(alice.produce_block(64))
-    assert not bob.decoded
 
 
 # --- one driver per transport -----------------------------------------------

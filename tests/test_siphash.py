@@ -41,7 +41,8 @@ def hash_path(request, monkeypatch):
         yield siphash24
         return
     # Singleton batches still run the full lane pipeline (padding, final
-    # block, rounds) for every message length.
+    # block, rounds) for every message length.  NUMPY_MIN_BATCH is the one
+    # lane threshold, for byte lists and integer batches alike.
     monkeypatch.setattr(siphash, "NUMPY_MIN_BATCH", 1)
     with engine_lane(request.param == "batch-numpy"):
         yield lambda key, message: siphash24_batch(key, [message])[0]

@@ -10,11 +10,17 @@ times several per key) and
 compared on their throughput-style metric; a row that fell below
 ``1/THRESHOLD`` of the committed value fails the job.
 
-Differences in workload *scale* between profiles only ever make the
-fresh quick run faster (smaller sets, same d), so the gate can miss a
-regression hidden by scale but cannot fabricate one.  Unmatched rows
-and missing fresh records are reported and skipped — not every bench
-runs in CI.
+Each fresh record is held to a committed record of the *same* scale:
+``BENCH_<name>.<scale>.json`` as committed at ``HEAD`` (read with
+``git show``, because the fresh run has just overwritten the working
+copy).  Only a bench with no committed same-scale record falls back to
+its default-scale ``BENCH_<name>.json``.  That fallback compares unlike
+workloads, and scale cuts both ways: a smaller set is usually faster,
+but fixed per-run costs (a restore's manifest and snapshot opens, say)
+weigh more per item in a small run, so a cross-scale row can fail
+without any regression.  Record a same-scale baseline for a bench that
+keeps tripping it.  Unmatched rows and missing fresh records are
+reported and skipped — not every bench runs in CI.
 
 Usage::
 
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,6 +106,27 @@ def compare_records(committed: dict, fresh: dict) -> list[str]:
     return failures
 
 
+def committed_baseline(name: str, scale: str) -> tuple[dict, str]:
+    """The committed record a fresh ``scale`` run of bench ``name`` is
+    held to, and where it came from: the same-scale record at ``HEAD``
+    when one is committed, else the default-scale record."""
+    if scale != "default":
+        relpath = f"BENCH_{name}.{scale}.json"
+        try:
+            shown = subprocess.run(
+                ["git", "show", f"HEAD:{relpath}"],
+                cwd=REPO_ROOT,
+                capture_output=True,
+                check=True,
+            )
+        except (OSError, subprocess.CalledProcessError):
+            pass  # not committed (or no git): fall back below
+        else:
+            return json.loads(shown.stdout), f"HEAD:{relpath}"
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    return json.loads(path.read_text()), path.name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="quick", help="fresh records' REPRO_SCALE")
@@ -123,11 +151,11 @@ def main(argv=None) -> int:
         name = committed_path.stem.removeprefix("BENCH_")
         suffix = "" if args.scale == "default" else f".{args.scale}"
         fresh_path = REPO_ROOT / f"BENCH_{name}{suffix}.json"
-        print(f"{name}:")
         if not fresh_path.exists():
-            print(f"  (no fresh {fresh_path.name}; skipped)")
+            print(f"{name}:\n  (no fresh {fresh_path.name}; skipped)")
             continue
-        committed = json.loads(committed_path.read_text())
+        committed, source = committed_baseline(name, args.scale)
+        print(f"{name} (against {source}):")
         fresh = json.loads(fresh_path.read_text())
         failures.extend(compare_records(committed, fresh))
     if failures:

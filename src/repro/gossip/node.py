@@ -16,12 +16,13 @@ designs (PAPERS.md: Mitzenmacher et al.; SNIPPETS.md: bami's
 * a **version clock** — the sum of the sharded set's per-shard
   versions, bumped by every mutation (including pushes applied by a
   responder session);
-* a **set digest** (:class:`SetDigest`) — the XOR of the codec's keyed
-  64-bit hash over all items, plus the count.  Equal sets always match;
-  unequal sets collide with probability ~2⁻⁶⁴.  The digest is
-  maintained incrementally through the node API and lazily recomputed
-  when the backend mutated behind the node's back (a served session
-  applying PUSH frames);
+* a **set digest** (:class:`SetDigest`) — the backend's cell 0
+  (:meth:`~repro.service.backends.ShardBackend.digest`): the XOR of the
+  items' keyed checksums, plus the count.  Equal sets always match;
+  unequal sets collide with probability ~2^-(8·checksum bytes).  On a
+  riblt node it is read from the warm prefixes' cached cell 0, which
+  every mutation's patch keeps current (pushes a served session applied
+  included), so there is no second copy to maintain;
 * a :class:`PeerView` per neighbour — what this node last heard of the
   peer's clock/digest and the version pair at the last confirmed sync,
   which lets a round skip a neighbour with provably nothing new before
@@ -31,20 +32,16 @@ designs (PAPERS.md: Mitzenmacher et al.; SNIPPETS.md: bami's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 from typing import Dict, Iterable, Optional
 
 from repro.api.registry import Scheme
-from repro.core.cellbank import to_list
 from repro.protocol.machine import InitiatorMachine, ResponderMachine
 from repro.service.backends import ShardBackend, open_backend
-from repro.service.shard import hash_items
 
 
 @dataclass(frozen=True)
 class SetDigest:
-    """A node's cheap set fingerprint: (version clock, XOR hash, count)."""
+    """A node's cheap set fingerprint: (version clock, XOR checksum, count)."""
 
     version: int
     xor64: int
@@ -111,10 +108,7 @@ class GossipNode:
         self.node_id = node_id
         self.backend: ShardBackend = backend
         self.handle: Scheme = backend.handle
-        self.hash64 = self.handle.hash64
         self.views: Dict[int, PeerView] = {}
-        self._xor = 0
-        self._digest_version = -1  # stale: the first digest() folds the set
 
     # -- the set ----------------------------------------------------------
 
@@ -134,23 +128,16 @@ class GossipNode:
         return sorted(self.backend.sharded)
 
     def add(self, item: bytes) -> None:
-        """Local churn: add one item (warm banks patched, digest folded)."""
+        """Local churn: add one item (warm banks patched)."""
         self.add_many([item])
 
     def remove(self, item: bytes) -> None:
-        """Local churn: drop one item (XOR folding is its own inverse)."""
-        clean = self._digest_version == self.version
+        """Local churn: drop one item."""
         self.backend.remove(item)
-        self._fold([item], clean)
 
     def add_many(self, items: Iterable[bytes]) -> None:
         """Batch churn: one warm-bank patch pass over every touched shard."""
-        items = items if isinstance(items, list) else list(items)
-        if not items:
-            return
-        clean = self._digest_version == self.version
         self.backend.add_many(items)
-        self._fold(items, clean)
 
     def learn(self, items: Iterable[bytes]) -> int:
         """Absorb items gained from a peer (duplicates are fine).
@@ -166,29 +153,10 @@ class GossipNode:
             self.add_many(fresh)
         return len(fresh)
 
-    def _fold(self, items: list, was_clean: bool) -> None:
-        """Fold a just-applied mutation batch into the cached digest.
-
-        ``was_clean`` is whether the cache matched the backend *before*
-        the mutation; if it did not (a served session pushed items in
-        behind us), folding would mask the drift, so leave the cache
-        stale and let :meth:`digest` rebuild it.
-        """
-        if not was_clean:
-            return
-        self._xor = reduce(xor, to_list(hash_items(self.hash64, items)), self._xor)
-        self._digest_version = self.version
-
     def digest(self) -> SetDigest:
-        """The current set digest (recomputed only after backend drift)."""
-        version = self.version
-        if self._digest_version != version:
-            # A responder session applied pushes directly to the backend
-            # (or _fold saw drift): rebuild the XOR from the set.
-            members = list(self.backend.sharded)
-            self._xor = reduce(xor, to_list(hash_items(self.hash64, members)), 0)
-            self._digest_version = version
-        return SetDigest(version, self._xor, len(self))
+        """The current set digest: the backend's cell 0 under this clock."""
+        cell = self.backend.digest()
+        return SetDigest(self.version, cell.checksums[0], cell.counts[0])
 
     # -- peer clocks -------------------------------------------------------
 

@@ -150,21 +150,19 @@ def exchange_digests(
     """Tier-2: swap digest frames; returns (sets match, bytes moved)."""
     request = encode_digest(x.digest())
     response = encode_digest(y.digest())
-    x_digest = decode_digest(request)
-    y_digest = decode_digest(response)
-    y.note_peer_digest(x.node_id, x_digest, round_no)
-    x.note_peer_digest(y.node_id, y_digest, round_no)
-    matched = x_digest.matches(y_digest)
-    if matched:
-        x.mark_synced(y.node_id, y_digest, round_no)
-        y.mark_synced(x.node_id, x_digest, round_no)
+    matched = confirm_sync(
+        x, y, round_no, decode_digest(request), decode_digest(response)
+    )
     return matched, len(request) + len(response)
 
 
-def confirm_sync(x: GossipNode, y: GossipNode, round_no: int) -> bool:
-    """Post-session bookkeeping: re-digest both sides, pin the clocks."""
-    x_digest = x.digest()
-    y_digest = y.digest()
+def confirm_sync(
+    x: GossipNode, y: GossipNode, round_no: int, x_digest=None, y_digest=None
+) -> bool:
+    """Note each side's digest at the other (by default re-digest both,
+    the post-session bookkeeping) and pin the clocks if they match."""
+    x_digest = x_digest or x.digest()
+    y_digest = y_digest or y.digest()
     x.note_peer_digest(y.node_id, y_digest, round_no)
     y.note_peer_digest(x.node_id, x_digest, round_no)
     if x_digest.matches(y_digest):

@@ -59,6 +59,10 @@ the HELLO/WELCOME check.  Capability dispatch:
   shard, then ``BYE``/``STATS``) — but never past the per-shard credit
   window the initiator's ``CREDIT`` frames open (see "Flow control"
   below);
+* its ``HELLO`` ends with the initiator's cell 0, a set digest: a solo
+  responder with an equal cell 0 answers ``WELCOME`` (IN_SYNC) + ``STATS``
+  in one write, and on that ``STATS`` the initiator delivers the empty
+  difference — one round trip;
 * **fixed-capacity / one-shot serializable** schemes run SKETCH mode:
   sized sketches in ``SKETCH`` frames with client-driven doubling
   ``RETRY``s, never past the responder's ``max_sketch_bound`` — and,
@@ -119,7 +123,8 @@ from repro.protocol.events import (
     SendBytes,
     ShardTally,
 )
-from repro.service.backends import ShardBackend, StaleStream
+from repro.core.cellbank import CodedSymbolBank
+from repro.service.backends import ShardBackend, StaleStream, set_digest
 from repro.service.errors import (
     IdleTimeout,
     PeerError,
@@ -396,6 +401,7 @@ class InitiatorMachine(ReconcilerMachine):
         self._only_remote: set = set()
         self._only_local: set = set()
         self._payloads: Optional[dict] = {} if capture_payloads else None
+        self._digest = b""
 
     # -- progress introspection (used by the in-memory Session wrapper) ---
 
@@ -421,6 +427,14 @@ class InitiatorMachine(ReconcilerMachine):
         symbol_size = self.handle.params.symbol_size
         assert symbol_size is not None
         codec = self.handle.codec
+        if self.handle.capabilities.streaming and codec is not None:
+            # One pass from items to the row matrix the encoders slice and
+            # to the keyed hashes placement and checksums share; the HELLO
+            # digest (this side's cell 0) folds straight from both.
+            self.items = codec.item_rows(self.items)
+            if self._item_hashes is None:
+                self._item_hashes = hash_items(self._hash64, self.items)
+            self._digest = set_digest(self.items, self._item_hashes, codec).pack(codec)
         self._send_frame(
             FrameType.HELLO,
             pack_uvarints(PROTOCOL_VERSION)
@@ -434,7 +448,8 @@ class InitiatorMachine(ReconcilerMachine):
                 self.num_shards_wish,
                 0,  # block size: responder's choice
                 self.difference_bound,
-            ),
+            )
+            + self._digest,
         )
 
     def _on_frame(self, ftype: int, body: bytes) -> None:
@@ -448,6 +463,10 @@ class InitiatorMachine(ReconcilerMachine):
             self._on_estimate(ftype, body)
         elif self._state == "sketch":
             self._on_sketch(ftype, body)
+        elif self._state == "in_sync":
+            if ftype != FrameType.STATS:
+                raise ProtocolError(f"expected STATS, got frame type {ftype:#x}")
+            self._deliver(self._build_report())
         else:  # "stats": drain frames racing the BYE
             if ftype == FrameType.STATS:
                 self._deliver(self._build_report())
@@ -470,7 +489,9 @@ class InitiatorMachine(ReconcilerMachine):
                 f"server speaks protocol {version}, client {PROTOCOL_VERSION}"
             )
         caps = self.handle.capabilities
-        if not (caps.streaming if mode == SyncMode.STREAM else caps.serializable):
+        # IN_SYNC answers this side's digest; only a solo responder gives it.
+        runnable = {SyncMode.STREAM: caps.streaming, SyncMode.SKETCH: caps.serializable}
+        if not runnable.get(mode, bool(self._digest) and cluster is None):
             raise ProtocolError(
                 f"server announced {mode.name} mode, which scheme "
                 f"{self.handle.name!r} cannot run"
@@ -504,19 +525,25 @@ class InitiatorMachine(ReconcilerMachine):
             owned = list(range(granted))
         self.cluster = cluster
         self._mode = mode
+        if self._payloads is not None:
+            self._payloads = {g: bytearray() for g in owned}
+        if mode == SyncMode.IN_SYNC:
+            # The responder's cell 0 equals ours: the difference is empty.
+            # Delivered on the STATS sent in the same write, and on nothing
+            # else, so a corrupted mode byte cannot fake an empty answer.
+            self._shards = [_InitiatorShard(g, None, None, 0) for g in owned]
+            self._remaining = 0
+            self._state = "in_sync"
+            return
         hashes = self._item_hashes
         if hashes is None:
             hashes = hash_items(self._hash64, self.items)
-        if mode == SyncMode.STREAM and self.handle.codec is not None:
-            self.items = self.handle.codec.item_rows(self.items)  # encoders slice it
         parts, part_hashes = partition_with_hashes(self.items, hashes, total)
         bound = self.difference_bound or DEFAULT_SKETCH_BOUND
         self._shards = [
             _InitiatorShard(g, parts[g], part_hashes[g], bound) for g in owned
         ]
         self._remaining = len(owned)
-        if self._payloads is not None:
-            self._payloads = {g: bytearray() for g in owned}
         if mode == SyncMode.STREAM:
             for st in self._shards:
                 st.reconciler = self.handle.new(st.items, item_hashes=st.hashes)
@@ -900,10 +927,8 @@ class ResponderMachine(ReconcilerMachine):
     def _on_frame(self, ftype: int, body: bytes) -> None:
         if self._state == "hello":
             self._on_hello(ftype, body)
-        elif self._state == "stream":
-            self._on_stream_frame(ftype, body)
         else:
-            self._on_sketch_frame(ftype, body)
+            self._on_session_frame(ftype, body)
 
     def _on_hello(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.HELLO:
@@ -911,9 +936,14 @@ class ResponderMachine(ReconcilerMachine):
                 ErrorCode.PROTOCOL, f"expected HELLO, got frame type {ftype:#x}"
             )
             return
-        if not self._check_hello(BodyReader(body)):
+        digest = self._check_hello(BodyReader(body))
+        if digest is None:
             return
         mode = self.backend.mode
+        # A cluster worker serves a stripe, never the whole set: it streams.
+        if digest and not self.cluster:
+            if digest == self.backend.digest().pack(self.handle.codec):
+                mode = SyncMode.IN_SYNC
         welcome = pack_uvarints(
             PROTOCOL_VERSION,
             int(mode),
@@ -929,6 +959,9 @@ class ResponderMachine(ReconcilerMachine):
             )
         self._send_frame(FrameType.WELCOME, welcome)
         self._mode = mode
+        if mode == SyncMode.IN_SYNC:
+            self._send_stats()  # in the same write: one round trip
+            return
         if mode == SyncMode.STREAM:
             ramp = min(8, self.block_size) if self.slow_start else self.block_size
             self._streams = [
@@ -939,7 +972,7 @@ class ResponderMachine(ReconcilerMachine):
             return
         self._state = "sketch"
         if self.use_estimator:
-            estimator = StrataEstimator.from_items(self._all_items())
+            estimator = StrataEstimator.from_items(list(self.backend.sharded))
             blob = estimator.serialize()
             self.bytes_sent += len(blob)
             self._send_frame(FrameType.ESTIMATE, blob)
@@ -947,7 +980,9 @@ class ResponderMachine(ReconcilerMachine):
             for shard in range(self.backend.num_shards):
                 self._send_sketch(shard, self._sketch_bound)
 
-    def _check_hello(self, body: BodyReader) -> bool:
+    def _check_hello(self, body: BodyReader) -> Optional[bytes]:
+        """The HELLO's digest field (empty when it carries none) once every
+        trust check passed; ``None`` after a typed rejection."""
         version = body.uvarint()
         scheme = body.lp_str()
         symbol_size = body.uvarint()
@@ -958,85 +993,73 @@ class ResponderMachine(ReconcilerMachine):
         body.uvarint()  # block_size wish: informational, responder decides
         requested = body.uvarint()
         self._sketch_bound = requested or DEFAULT_SKETCH_BOUND
-        body.expect_end()
-        if version != PROTOCOL_VERSION:
-            return self._reject(
-                ErrorCode.PROTOCOL,
-                f"protocol version {version} unsupported "
-                f"(server: {PROTOCOL_VERSION})",
-            )
-        if scheme != self.handle.name:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                f"scheme mismatch: client {scheme!r}, server {self.handle.name!r}",
-            )
-        expected_symbol = self.handle.params.symbol_size
-        if symbol_size != expected_symbol:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                f"symbol_size mismatch: client {symbol_size}, "
-                f"server {expected_symbol}",
-            )
-        codec = self.handle.codec
-        if codec is not None and checksum_size != codec.checksum_size:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                f"checksum_size mismatch: client {checksum_size}, "
-                f"server {codec.checksum_size}",
-            )
-        expected_hasher = getattr(self.handle.params, "hasher", "")
-        if hasher and expected_hasher and hasher != expected_hasher:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                f"hasher mismatch: client {hasher!r}, server {expected_hasher!r}",
-            )
-        if probe != self.handle.key_probe:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                "hash key probe mismatch: peers hold different keys",
-            )
-        expected_shards = (
-            self.cluster.total_shards
-            if self.cluster is not None
-            else self.backend.num_shards
+        digest = body.rest()
+        handle, codec, mismatch = self.handle, self.handle.codec, ErrorCode.MISMATCH
+        ours = getattr(handle.params, "hasher", "")
+        shards = self.cluster.total_shards if self.cluster else self.backend.num_shards
+        stride = symbol_size + checksum_size + CodedSymbolBank.COUNT_BYTES
+        digests = (0, stride) if self.backend.mode == SyncMode.STREAM else (0,)
+        checks = (  # in order; the first that fails is the one reported
+            (version != PROTOCOL_VERSION, ErrorCode.PROTOCOL,
+             f"protocol version {version} unsupported (server: {PROTOCOL_VERSION})"),
+            (scheme != handle.name, mismatch,
+             f"scheme mismatch: client {scheme!r}, server {handle.name!r}"),
+            (symbol_size != handle.params.symbol_size, mismatch,
+             f"symbol_size mismatch: client {symbol_size}, "
+             f"server {handle.params.symbol_size}"),
+            (codec is not None and checksum_size != codec.checksum_size, mismatch,
+             f"checksum_size mismatch: client {checksum_size}, "
+             f"server {codec and codec.checksum_size}"),
+            (hasher and ours and hasher != ours, mismatch,
+             f"hasher mismatch: client {hasher!r}, server {ours!r}"),
+            (probe != handle.key_probe, mismatch,
+             "hash key probe mismatch: peers hold different keys"),
+            (num_shards and num_shards != shards, mismatch,
+             f"shard count mismatch: client expects {num_shards}, "
+             f"server runs {shards}"),
+            (len(digest) not in digests, ErrorCode.PROTOCOL,
+             f"HELLO digest of {len(digest)} bytes, expected one of {digests}"),
         )
-        if num_shards and num_shards != expected_shards:
-            return self._reject(
-                ErrorCode.MISMATCH,
-                f"shard count mismatch: client expects {num_shards}, "
-                f"server runs {expected_shards}",
-            )
+        for failed, code, message in checks:
+            if failed:
+                return self._reject(code, message)
         # The client's own bound is capped like a RETRY's; the default is
-        # the server's choice.
+        # the server's choice.  A sketch-mode responder has no digest.
         if self.backend.mode == SyncMode.SKETCH:
-            return not self._refuse_bound("HELLO", requested)
-        return True
+            return None if self._refuse_bound("HELLO", requested) else b""
+        return digest
 
-    def _reject(self, code: ErrorCode, message: str) -> bool:
+    def _reject(self, code: ErrorCode, message: str) -> None:
         self._send_error(code, message)
         self._fail(SchemeMismatch(message) if code == ErrorCode.MISMATCH
                    else ProtocolError(message))
-        return False
 
-    def _all_items(self) -> list:
-        out: list = []
-        for shard in range(self.backend.num_shards):
-            out.extend(self.backend.sharded.shards[shard])
-        return out
+    # -- after the handshake ------------------------------------------------
 
-    # -- stream mode -------------------------------------------------------
-
-    def _on_stream_frame(self, ftype: int, body: bytes) -> None:
+    def _on_session_frame(self, ftype: int, body: bytes) -> None:
+        """Client frames after the handshake, in stream or sketch mode."""
         reader = BodyReader(body)
-        if ftype == FrameType.SHARD_DONE:
+        stream = self._state == "stream"
+        if ftype == FrameType.PUSH:
+            self._apply_push(reader)
+        elif ftype == FrameType.BYE:
+            self._send_stats()
+        elif ftype == FrameType.SHARD_DONE and not stream:
+            pass  # bookkeeping only; nothing streams in sketch mode
+        elif ftype in (FrameType.SHARD_DONE, FrameType.RETRY):
             shard = reader.uvarint()
+            bound = reader.uvarint() if ftype == FrameType.RETRY else 0
             reader.expect_end()
-            if shard >= len(self._streams):
+            if shard >= self.backend.num_shards:
                 self._protocol_fail(ErrorCode.PROTOCOL, f"no such shard {shard}")
-                return
-            self._streams[shard].done = True
-            return
-        if ftype == FrameType.CREDIT:
+            elif ftype == FrameType.SHARD_DONE:
+                self._streams[shard].done = True
+            elif stream:
+                # In stream mode the backend has no sketches to rebuild.
+                self._protocol_fail(ErrorCode.PROTOCOL, "RETRY is invalid in stream mode")
+            elif not self._refuse_bound(f"shard {shard}", bound):
+                self._send_sketch(shard, bound)
+        elif ftype == FrameType.CREDIT and stream:
             shard = reader.uvarint()
             limit = reader.uvarint()
             if reader.remaining or shard >= len(self._streams):
@@ -1047,23 +1070,10 @@ class ResponderMachine(ReconcilerMachine):
             st = self._streams[shard]
             # Cumulative, so a stale or duplicated grant changes nothing.
             st.limit = max(st.limit, limit)
-            return
-        if ftype == FrameType.PUSH:
-            self._apply_push(reader)
-            return
-        if ftype == FrameType.RETRY:
-            # RETRY is a sketch-mode frame; in stream mode the backend
-            # has no sketches to rebuild, so it is a protocol violation.
+        else:
             self._protocol_fail(
-                ErrorCode.PROTOCOL, "RETRY is invalid in stream mode"
+                ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x} from client"
             )
-            return
-        if ftype == FrameType.BYE:
-            self._send_stats()
-            return
-        self._protocol_fail(
-            ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x} from client"
-        )
 
     def _on_tick(self, now: float) -> None:
         if self._state != "stream":
@@ -1133,32 +1143,6 @@ class ResponderMachine(ReconcilerMachine):
             return max(0.0, min(deadlines) - now)
         return None
 
-    # -- sketch mode -------------------------------------------------------
-
-    def _on_sketch_frame(self, ftype: int, body: bytes) -> None:
-        reader = BodyReader(body)
-        if ftype == FrameType.RETRY:
-            shard = reader.uvarint()
-            bound = reader.uvarint()
-            reader.expect_end()
-            if shard >= self.backend.num_shards:
-                self._protocol_fail(ErrorCode.PROTOCOL, f"no such shard {shard}")
-                return
-            if not self._refuse_bound(f"shard {shard}", bound):
-                self._send_sketch(shard, bound)
-            return
-        if ftype == FrameType.SHARD_DONE:
-            return  # bookkeeping only; nothing streams in sketch mode
-        if ftype == FrameType.PUSH:
-            self._apply_push(reader)
-            return
-        if ftype == FrameType.BYE:
-            self._send_stats()
-            return
-        self._protocol_fail(
-            ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x}"
-        )
-
     def _refuse_bound(self, what: str, bound: int) -> bool:
         """Fail the session, typed ``BUDGET``, for a sketch bound past
         ``max_sketch_bound`` — before any sketch is built."""
@@ -1184,7 +1168,7 @@ class ResponderMachine(ReconcilerMachine):
             self.symbols_sent, self.bytes_sent, self.pushes_applied
         )
         size = self._send_frame(FrameType.STATS, body)
-        if self._mode == SyncMode.STREAM:
+        if self._mode != SyncMode.SKETCH:
             self.bytes_sent += size
         self.complete = True
         self.finished = True

@@ -15,6 +15,9 @@ shard through :class:`SketchBackend`, which serves a ``bound``-sized
 sketch and rebuilds it on client ``RETRY``.  :func:`open_backend` is
 the one constructor of both — and so of every host's peer state.
 
+Every item maps to coded symbol 0 (ρ(0) = 1, §4.1.2), so a set's cell 0
+is its digest (:func:`set_digest`, :meth:`ShardBackend.digest`).
+
 Consistency: every stream cursor snapshots its shard's version at open;
 a mutation mid-stream makes the sent prefix and the unsent suffix
 describe *different* sets, so the cursor refuses to continue
@@ -24,12 +27,15 @@ describe *different* sets, so the cursor refuses to continue
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import reduce
+from operator import xor
 from pathlib import Path
 from typing import Iterable, Optional
 
+from repro import engine
 from repro.api.base import UnsupportedOperation
 from repro.api.registry import Scheme, get_scheme
-from repro.core.cellbank import to_list
+from repro.core.cellbank import CodedSymbolBank, lanes_from_bytes, to_list
 from repro.core.encoder import RatelessEncoder, churn
 from repro.core.wire import SymbolStreamWriter
 from repro.service.errors import ServiceError
@@ -49,6 +55,24 @@ def _group_by_shard(placed: list[int], items: list[bytes], hashes) -> dict:
         group[0].append(item)
         group[1].append(h)
     return groups
+
+
+def set_digest(items, hashes, codec=None) -> CodedSymbolBank:
+    """Cell 0 of a set, as a one-cell bank: the XOR of ``items`` (bytes or
+    a row matrix), the XOR of their checksums from keyed ``hashes`` (the
+    ``codec``'s masked ones, else the full hashes) and their count."""
+    checksums = codec.checksums_from_hash64(hashes) if codec is not None else hashes
+    if hasattr(items, "shape"):
+        size = items.shape[1]
+        folded = engine.np.bitwise_xor.reduce(lanes_from_bytes(items, size), axis=0)
+        total = int.from_bytes(folded.astype("<u8").tobytes()[:size], "little")
+    else:
+        total = reduce(xor, (int.from_bytes(item, "little") for item in items), 0)
+    if hasattr(checksums, "shape"):
+        checksum = int(engine.np.bitwise_xor.reduce(checksums))
+    else:
+        checksum = reduce(xor, checksums, 0)
+    return CodedSymbolBank([total], [checksum], [len(items)])
 
 
 class ShardStream(ABC):
@@ -115,6 +139,11 @@ class ShardBackend(ABC):
         batch; ``hashes`` are its keyed hashes when the caller has them."""
         mutate = self.sharded.add_many if direction > 0 else self.sharded.remove_many
         return mutate(items, hashes)
+
+    def digest(self) -> CodedSymbolBank:
+        """Cell 0 of the whole set, from the members in one hash pass."""
+        members = list(self.sharded)
+        return set_digest(members, hash_items(self.handle.hash64, members))
 
     def open_stream(self, shard: int) -> ShardStream:
         raise UnsupportedOperation(f"{type(self).__name__} does not stream")
@@ -188,6 +217,16 @@ class WarmRibltBackend(ShardBackend):
             direction,
         )
         return placed
+
+    def digest(self) -> CodedSymbolBank:
+        """Cell 0 of the whole set: the shards' cached cells 0 (kept current
+        by the churn patch) XOR-ed and count-summed.  Hashes nothing."""
+        cells = [encoder.cached_block(0, 1).in_form(False) for encoder in self.encoders]
+        return CodedSymbolBank(
+            [reduce(xor, (cell.sums[0] for cell in cells))],
+            [reduce(xor, (cell.checksums[0] for cell in cells))],
+            [sum(cell.counts[0] for cell in cells)],
+        )
 
     def open_stream(self, shard: int) -> ShardStream:
         return _WarmStream(self, shard)

@@ -13,7 +13,8 @@ helpers (:func:`read_frame` / :func:`write_frame`) are provided.
 Frame catalogue (bodies are varint-packed, see the pack helpers)::
 
     HELLO       c->s  version, scheme, symbol_size, checksum_size,
-                      hasher, key_probe, num_shards, block_size, bound
+                      hasher, key_probe, num_shards, block_size, bound,
+                      digest (rest of body: empty, or one packed cell)
     WELCOME     s->c  version, mode, num_shards, block_size
     SYMBOLS     s->c  shard, <§6 stream bytes>
     SKETCH      s->c  shard, bound, <serialized sketch>
@@ -39,6 +40,10 @@ shard only up to a cumulative symbol ``limit`` that starts at
 raise (see :mod:`repro.protocol.machine`).  Protocol version 2 made it
 mandatory — there is no unbounded streaming to fall back to — so a
 version-1 peer fails typed at the HELLO/WELCOME version check.
+
+Version 3 appends the initiator's cell 0, a set digest, to ``HELLO``; a
+solo stream-mode responder whose own cell 0 is equal answers ``WELCOME``
+in :data:`SyncMode.IN_SYNC` plus ``STATS``: one round trip, no stream.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Iterator, Optional
 
 from repro.core import varint
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Stream-mode flow control: coded symbols per shard a responder may
 # serve before the first CREDIT.  Two service-default blocks, which
@@ -102,6 +107,7 @@ class SyncMode(IntEnum):
 
     STREAM = 0  # rateless coded-symbol stream, SYMBOLS frames
     SKETCH = 1  # sized sketch + retry doubling, SKETCH frames
+    IN_SYNC = 2  # the HELLO digest matched: STATS follows, nothing streams
 
 
 class FrameError(Exception):

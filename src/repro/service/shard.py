@@ -272,10 +272,13 @@ def partition_with_hashes(
     Returns ``(parts, part_hashes)``: ``parts[s]`` holds shard ``s``'s
     items in input order, as row-matrix or list slices like the batch,
     and ``part_hashes[s][i]`` is the keyed hash of ``parts[s][i]`` —
-    ready to seed codec checksums without hashing the items again.
+    ready to seed codec checksums without hashing the items again.  One
+    shard is the identity: the batch and its hashes come back as they are.
     """
     if len(items) != len(hashes):
         raise ValueError(f"{len(items)} items but {len(hashes)} hashes")
+    if num_shards == 1:
+        return [items], [hashes]
     if engine.NUMPY_LANE:
         np = engine.np
         hashes = np.asarray(hashes, dtype=np.uint64)

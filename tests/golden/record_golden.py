@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Record golden wire traffic and results from the reconciliation drivers.
 
-Run ONCE against the pre-refactor (legacy) drivers to freeze their
-observable behaviour into ``protocol_golden.json``; the protocol-engine
-tests then assert the refactored stack reproduces every recording
-bit for bit.  Re-running against the current tree regenerates the file
-(useful only for intentional, documented wire-format changes).
+First run against the pre-engine drivers to freeze their observable
+behaviour into ``protocol_golden.json``; the protocol-engine tests then
+assert the current stack reproduces every recording bit for bit.
+Re-running against the current tree regenerates the file — only for an
+intentional, documented wire-format change (a ``PROTOCOL_VERSION``
+bump), after which every entry the change does not touch must come out
+byte-identical.
 
     PYTHONPATH=src python tests/golden/record_golden.py
 """
@@ -19,7 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from repro.api import Session, get_scheme, reconcile, scheme_info, available_schemes
+from repro.api import get_scheme, reconcile, scheme_info, available_schemes
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "protocol_golden.json"
@@ -61,31 +63,26 @@ def sha(data: bytes) -> str:
 
 def record_api_stream() -> dict:
     """The riblt streaming driver: exact wire payload per fixture."""
+    from repro.protocol import InitiatorMachine, memory_responder, pump
+
     out = {}
     for fixture in sorted(FIXTURES):
         a, b = sets_for(fixture)
         per_block = {}
         for block_size in (1, 8):
-            session = Session(sorted(a), sorted(b), "riblt", symbol_size=ITEM)
-            payload = bytearray()
-            while not session.decoded:
-                chunk = (
-                    session.alice.produce_block(block_size)
-                    if block_size > 1
-                    else session.alice.produce_next()
-                )
-                payload.extend(chunk)
-                session.bytes_sent += len(chunk)
-                session.steps += block_size
-                session.bob.absorb(bytes(chunk))
-            result = session.run()
+            handle = get_scheme("riblt", symbol_size=ITEM)
+            report = pump(
+                InitiatorMachine(handle, sorted(b), capture_payloads=True),
+                memory_responder(handle, sorted(a), block_size=block_size),
+            )
+            payload = bytes(report.payloads[0])
             per_block[str(block_size)] = {
-                "payload_hex": bytes(payload).hex(),
-                "payload_sha256": sha(bytes(payload)),
+                "payload_hex": payload.hex(),
+                "payload_sha256": sha(payload),
                 "payload_len": len(payload),
-                "bytes_on_wire": result.bytes_on_wire,
-                "symbols_used": result.symbols_used,
-                "rounds": result.rounds,
+                "bytes_on_wire": report.payload_bytes,
+                "symbols_used": report.symbols,
+                "rounds": report.rounds,
             }
         out[fixture] = per_block
     return out
@@ -206,10 +203,13 @@ def record_service() -> dict:
 
     # Stream mode (riblt): the client->server transcript is deterministic;
     # the server->client payload prefix equals the §4.1 universal stream.
+    # Both recordings predate the service-layer SipHash default; they pin
+    # the BLAKE2b hasher they were captured under.
+    blake2b = {"hasher": "blake2b"}
     result, up, down = asyncio.run(
         run_session(
             items_range(0, 300), items_range(5, 305), "riblt",
-            difference_bound=0, max_rounds=4,
+            difference_bound=0, max_rounds=4, params=blake2b,
         )
     )
     payload = bytes(result.payloads[0])
@@ -229,7 +229,7 @@ def record_service() -> dict:
     result, up, down = asyncio.run(
         run_session(
             items_range(0, 200), items_range(16, 216), "regular_iblt",
-            difference_bound=1, max_rounds=8,
+            difference_bound=1, max_rounds=8, params=blake2b,
         )
     )
     out["sketch"] = {

@@ -42,6 +42,7 @@ from repro.service.defaults import SERVICE_HASHER
 from repro.service.framing import (
     PROTOCOL_VERSION,
     FrameType,
+    SyncMode,
     encode_frame,
     pack_uvarints,
 )
@@ -162,6 +163,29 @@ def test_cluster_concurrent_clients():
                 assert len(res.only_in_client) == 1
 
             await asyncio.gather(*(one(k) for k in range(8)))
+
+    run(scenario())
+
+
+def test_cluster_workers_never_answer_in_sync():
+    """A worker serves a stripe of the shards, never the client's whole
+    set, so it ignores the HELLO digest: an identical client still streams
+    every shard (one termination cell each) from a pool, while the same
+    client against one process ends in one round trip."""
+    server_items = items_range(0, 300)
+
+    async def scenario():
+        async with ClusterSupervisor(
+            server_items, num_shards=4, config=fast_config()
+        ) as sup:
+            host, port = sup.entry_address
+            res = await sync(host, port, server_items)
+            assert res.mode == SyncMode.STREAM and res.symbols >= 4
+            assert res.difference_size == 0
+        async with ReconciliationServer(server_items, num_shards=4) as solo:
+            host, port = solo.address
+            res = await sync(host, port, server_items)
+            assert res.mode == SyncMode.IN_SYNC and res.symbols == 0
 
     run(scenario())
 

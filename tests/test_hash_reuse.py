@@ -101,6 +101,29 @@ def test_partition_with_hashes_keeps_alignment():
 
 
 @pytest.mark.parametrize("num_shards", (1, 4))
+def test_partition_parity_across_engines(num_shards):
+    """Both engines split a batch into the same parts in the same order;
+    one shard is the identity — the batch and its hashes come back as
+    they are, with no placement pass."""
+    from helpers import engine_lane
+
+    codec = SymbolCodec(symbol_size=12)
+    items = items_range(0, 300)
+    split = {}
+    for vector in (True, False):
+        with engine_lane(vector):
+            hashes = hash_items(codec.hasher.hash64, items)
+            parts, part_hashes = partition_with_hashes(items, hashes, num_shards)
+            if num_shards == 1:
+                assert parts == [items] and part_hashes[0] is hashes
+            split[vector] = (
+                [list(part) for part in parts],
+                [list(map(int, column)) for column in part_hashes],
+            )
+    assert split[True] == split[False]
+
+
+@pytest.mark.parametrize("num_shards", (1, 4))
 def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
     """The full engine round trip is byte-identical whether or not the
     initiator's placement hashes reach the encoders."""

@@ -561,6 +561,61 @@ def test_one_streaming_scheme_in_src():
     assert built == {"WarmRibltBackend", "SketchBackend"}
 
 
+def test_one_set_digest_in_src():
+    """A set's digest is its cell 0 (every item maps to coded symbol 0),
+    folded in one place: ``service.backends.set_digest`` XOR-reduces items
+    and keyed hashes, and every other digest reads a backend's
+    ``digest()`` — the warm prefixes' cached cell 0 on a riblt host.  No
+    other function both obtains keyed hashes and XOR-folds them, so the
+    gossip node keeps no second, incrementally folded copy.
+    """
+    src = Path(repro.__file__).parent
+    hash_sources = {
+        "hash_items",
+        "hash64",
+        "hash64_batch",
+        "checksum_batch",
+        "checksum_data",
+        "checksums_from_hash64",
+    }
+
+    def callee(call: ast.Call) -> str:
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+    def xor_folds(fn) -> bool:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            if callee(node) == "reduce" and node.args:
+                first = node.args[0]
+                if getattr(first, "id", getattr(first, "attr", "")) == "xor":
+                    return True
+                if getattr(node.func, "value", None) is not None and (
+                    getattr(node.func.value, "attr", "") == "bitwise_xor"
+                ):
+                    return True
+        return False
+
+    def takes_hashes(fn) -> bool:
+        if any(arg.arg == "hashes" for arg in fn.args.args):
+            return True
+        return any(
+            isinstance(node, ast.Call) and callee(node) in hash_sources
+            for node in ast.walk(fn)
+        )
+
+    folding = set()
+    for path in src.rglob("*.py"):
+        name = path.relative_to(src).as_posix()
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and xor_folds(fn) and takes_hashes(fn):
+                folding.add((name, fn.name))
+    assert folding == {("service/backends.py", "set_digest")}
+    node_text = (src / "gossip" / "node.py").read_text()
+    assert not re.search(r"\b(_xor|_fold|_digest_version)\b", node_text)
+
+
 def test_one_peer_state_constructor_in_src():
     """Handle → codec → keyed hash → ``ShardedSet`` → backend is wired
     in one place.  A host that needs peer state calls ``open_backend``;

@@ -6,7 +6,11 @@ Two jobs:
   replaced — ``tests/golden/protocol_golden.json`` was recorded against
   the pre-engine ``api.Session``/``reconcile``/service stack (see
   ``tests/golden/record_golden.py``), and every byte and every
-  ``ReconcileResult`` field must still match;
+  ``ReconcileResult`` field must still match.  Protocol version 3
+  re-recorded it once: the HELLO frames and the sketch transcript's
+  WELCOME version byte changed, and the identical-set fixtures
+  (``identical``, ``empty``) now end in-sync with no coded symbol; every
+  coded payload of a nonempty difference is byte-identical;
 * prove the machines survive **adversarial delivery**: arbitrary
   payload fragmentation and coalescing, duplicated ticks, mid-stream
   ``peer_closed``, garbage bytes, and budget exhaustion all surface the
@@ -238,11 +242,7 @@ def test_golden_service_sketch_transcripts() -> None:
     report = drive(initiator, responder, up=up, down=down)
     assert up.hex() == recorded["client_to_server_hex"]
     assert len(down) == recorded["server_to_client_len"]
-    # The digest was recorded under protocol version 1; the WELCOME's
-    # version byte (length, type, version) is the only byte allowed to
-    # differ, so rewind it and demand the recorded digest unchanged.
     assert down[:3] == bytes((down[0], FrameType.WELCOME, PROTOCOL_VERSION))
-    down[2] = 1
     assert (
         hashlib.sha256(bytes(down)).hexdigest()
         == recorded["server_to_client_sha256"]
@@ -773,12 +773,21 @@ def test_credit_cannot_buy_symbols_past_the_budget() -> None:
 def test_version_one_peer_fails_typed_on_both_sides() -> None:
     handle = get_scheme("riblt", symbol_size=8)
     hello = frames_of(hello_bytes(handle))[0][1]
-    assert hello[0] == PROTOCOL_VERSION == 2
+    assert hello[0] == PROTOCOL_VERSION == 3
     responder = service_responder(handle, items_range(0, 10))
     responder.start()
     responder.bytes_received(encode_frame(FrameType.HELLO, b"\x01" + hello[1:]))
     _expect_protocol_error(responder)
     assert "protocol version 1 unsupported" in str(responder.failed)
+    # A version-2 HELLO ends before the digest field: still refused typed.
+    stride = 8 + 8 + 8
+    responder = service_responder(handle, items_range(0, 10))
+    responder.start()
+    responder.bytes_received(
+        encode_frame(FrameType.HELLO, b"\x02" + hello[1:-stride])
+    )
+    _expect_protocol_error(responder)
+    assert "protocol version 2 unsupported" in str(responder.failed)
 
     initiator = InitiatorMachine(handle, items_range(0, 10))
     initiator.start()

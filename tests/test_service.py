@@ -72,8 +72,9 @@ def test_equal_sets_terminate_immediately():
             host, port = server.address
             result = await sync(host, port, items_range(0, 200))
             assert result.difference_size == 0
-            # §4.1: one zero cell per shard is the termination signal.
-            assert result.symbols >= server.num_shards
+            # The HELLO's cell 0 matched the server's: no shard streams.
+            assert result.mode == SyncMode.IN_SYNC
+            assert result.symbols == 0 and len(result.per_shard) == 2
 
     run(scenario())
 

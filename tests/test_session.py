@@ -23,12 +23,13 @@ def test_reconcile_empty_difference(rng):
     a, _ = split_sets(rng, shared=50, only_a=0, only_b=0)
     out = reconcile(a, a, symbol_size=8)
     assert out.only_in_a == set() and out.only_in_b == set()
-    assert out.symbols_used == 1  # first zero cell signals completion
+    # The HELLO's cell 0 matched the responder's: no coded symbol moves.
+    assert out.symbols_used == 0 and out.bytes_on_wire == 0
 
 
 def test_reconcile_both_empty():
     out = reconcile([], [], symbol_size=8)
-    assert out.symbols_used == 1
+    assert out.symbols_used == 0
     assert out.difference_size == 0
 
 

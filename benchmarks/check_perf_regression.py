@@ -5,9 +5,9 @@ CI's perf-smoke job runs the throughput benches at ``REPRO_SCALE=quick``
 (which writes ``BENCH_<name>.quick.json`` beside the committed
 default-scale ``BENCH_<name>.json``) and then calls this script.  Rows
 are matched on their workload key (``d`` / ``set_size`` /
-``item_bytes``, plus ``engine`` or ``prefix_cells`` where a bench
-times several per key) and
-compared on their throughput-style metric; a row that fell below
+``item_bytes`` / ``clients``, plus ``engine`` or ``prefix_cells`` where
+a bench times several per key) and compared on their throughput-style
+metric; a row that fell below
 ``1/THRESHOLD`` of the committed value fails the job.
 
 Each fresh record is held to a committed record of the *same* scale:
@@ -47,7 +47,7 @@ _METRICS = (
     ("symbols_per_s", True),
     ("seconds", False),
 )
-_KEYS = ("d", "set_size", "item_bytes")
+_KEYS = ("d", "set_size", "item_bytes", "clients")
 # Row fields that further split a key: fig11 times two engines per width,
 # churn_patch two cached-prefix lengths per width.
 _QUALIFIERS = ("engine", "prefix_cells")

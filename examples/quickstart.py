@@ -35,9 +35,8 @@ def main() -> None:
     print(f"saving           : {saving:,.0f}x less traffic than a full transfer")
 
     # Same workload shape, every baseline the paper compares against
-    # (Fig 7).  7-byte items: CPI's field holds at most 56-bit items and
-    # PinSketch's largest built-in field is GF(2^64), so that width is
-    # the one every scheme can represent.
+    # (Fig 7).  7-byte items: PinSketch's largest built-in field is
+    # GF(2^64), so that width is one every scheme can represent.
     small_shared = [rng.randbytes(7) for _ in range(2_000)]
     small_a = set(small_shared) | {rng.randbytes(7) for _ in range(20)}
     small_b = set(small_shared) | {rng.randbytes(7) for _ in range(20)}

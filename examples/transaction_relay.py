@@ -10,8 +10,7 @@ workloads" claim is a table instead of an assertion.
 
 Transactions are identified by 32-byte ids (txids), the exact workload
 shape of Fig 7; the scheme list holds the schemes whose fields can
-represent 32-byte items (PinSketch tops out at GF(2^64), CPI at 56-bit
-items).
+represent 32-byte items (PinSketch tops out at GF(2^64)).
 
 Run:  python examples/transaction_relay.py
 """

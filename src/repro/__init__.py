@@ -15,7 +15,7 @@ Module map (one sub-package per system):
     Keyed 64-bit hashing (SipHash-2-4, BLAKE2b) and deterministic PRNGs.
 ``repro.baselines``
     Every scheme the paper compares against: regular IBLT, the strata
-    estimator, MET-IBLT, PinSketch (BCH), CPI, and Merkle-trie state heal.
+    estimator, MET-IBLT, PinSketch (BCH), and Merkle-trie state heal.
 ``repro.net``
     A discrete-event network simulator and the synchronization protocols
     of the Ethereum experiments (§7.3), scheme-generic via the registry.

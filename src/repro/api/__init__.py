@@ -1,7 +1,7 @@
 """``repro.api`` — one interface, every reconciliation scheme.
 
-The paper's comparison ("Rateless IBLT vs regular IBLT, PinSketch, CPI,
-MET, Merkle heal, across workloads") requires running *the same
+The paper's comparison ("Rateless IBLT vs regular IBLT, PinSketch, MET,
+Merkle heal, across workloads") requires running *the same
 workload* over *any scheme*.  This package makes that a one-liner:
 
 >>> from repro.api import available_schemes, reconcile
@@ -24,7 +24,7 @@ Layers:
     :func:`available_schemes`, :func:`register_scheme` for third-party
     schemes.
 :mod:`repro.api.adapters`
-    The seven in-repo schemes behind the interface.
+    The in-repo schemes behind the interface.
 :mod:`repro.api.session`
     The generic driver: :func:`reconcile` (capability-dispatched) and
     the streaming :class:`Session`.

@@ -1,5 +1,5 @@
 """Scheme adapters. Importing this package populates the registry."""
 
-from repro.api.adapters import cpi, merkle, met_iblt, pinsketch, regular_iblt, riblt
+from repro.api.adapters import merkle, met_iblt, pinsketch, regular_iblt, riblt
 
-__all__ = ["cpi", "merkle", "met_iblt", "pinsketch", "regular_iblt", "riblt"]
+__all__ = ["merkle", "met_iblt", "pinsketch", "regular_iblt", "riblt"]

@@ -1,6 +1,6 @@
 """The uniform reconciliation interface every scheme adapts to.
 
-One vocabulary for seven very different algorithms:
+One vocabulary for very different algorithms:
 
 * :class:`SetReconciler` — build a sketch from items, optionally mutate
   it (``add``/``remove``), ship it (``serialize``/``wire_size``), combine
@@ -19,7 +19,7 @@ Direction convention (matches the rest of the repo): in
 possibly a deserialized sketch) and ``b_rec`` plays Bob (the local,
 *live* receiver, built from his own items).  The decoded ``remote`` list
 is then A \\ B and ``local`` is B \\ A.  Schemes whose decoders need the
-receiver's full set (CPI, PinSketch attribution, Merkle heal) read it
+receiver's full set (PinSketch attribution, Merkle heal) read it
 from ``b_rec`` — which is exactly what a real deployment's receiver has.
 """
 

@@ -8,8 +8,6 @@
                    optimised for preset difference sizes.
 ``pinsketch``    — BCH-syndrome set sketches [Dodis et al. 2008], the
                    algorithm behind Minisketch.
-``cpi``          — Characteristic Polynomial Interpolation [Minsky,
-                   Trachtenberg & Zippel 2003].
 ``merkle``       — hexary Merkle trie + the *state heal* protocol used by
                    Ethereum in production (§7.3).
 """

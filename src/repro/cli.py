@@ -117,6 +117,17 @@ def check_unique(items: Iterable[bytes], label: str) -> set[bytes]:
     return unique
 
 
+def read_two_sets(
+    args: argparse.Namespace, path_a: str, path_b: str
+) -> tuple[set[bytes], set[bytes], int]:
+    """Two files' items as duplicate-free sets, plus their one width."""
+    items_a = read_items(Path(path_a), args.item_size, args.format)
+    items_b = read_items(Path(path_b), args.item_size, args.format)
+    if len(items_a[0]) != len(items_b[0]):
+        raise CliError("the two files hold items of different sizes")
+    return check_unique(items_a, path_a), check_unique(items_b, path_b), len(items_a[0])
+
+
 def cmd_sketch(args: argparse.Namespace) -> int:
     items = read_items(Path(args.input), args.item_size, args.format)
     unique = check_unique(items, args.input)
@@ -166,12 +177,7 @@ def scheme_params_from_args(args: argparse.Namespace, item_size: int) -> dict:
 
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
-    items_a = read_items(Path(args.file_a), args.item_size, args.format)
-    items_b = read_items(Path(args.file_b), args.item_size, args.format)
-    if len(items_a[0]) != len(items_b[0]):
-        raise CliError("the two files hold items of different sizes")
-    set_a = check_unique(items_a, args.file_a)
-    set_b = check_unique(items_b, args.file_b)
+    set_a, set_b, width = read_two_sets(args, args.file_a, args.file_b)
     try:
         result = api_reconcile(
             set_a,
@@ -179,7 +185,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
             scheme=args.scheme,
             difference_bound=args.difference_bound,
             max_symbols=args.max_symbols,
-            **scheme_params_from_args(args, len(items_a[0])),
+            **scheme_params_from_args(args, width),
         )
     except (ReconcileError, ValueError) as exc:
         # scheme representation limits (item too wide for the field, bad
@@ -494,13 +500,8 @@ def _sync_local_transport(args: argparse.Namespace) -> int:
             f"--push is not supported on --transport {args.transport}: the "
             "in-process peer is read-only (use -o to merge locally)"
         )
-    local = read_items(Path(args.input), args.item_size, args.format)
-    peer = read_items(Path(args.peer), args.item_size, args.format)
-    if len(local[0]) != len(peer[0]):
-        raise CliError("the two files hold items of different sizes")
-    local_set = check_unique(local, args.input)
-    peer_set = check_unique(peer, args.peer)
-    params = scheme_params_from_args(args, len(local[0]))
+    local_set, peer_set, width = read_two_sets(args, args.input, args.peer)
+    params = scheme_params_from_args(args, width)
     outcome = None
     try:
         if args.transport == "sim":
@@ -643,12 +644,11 @@ def cmd_gossip(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    items_a = read_items(Path(args.file_a), args.item_size, args.format)
-    items_b = read_items(Path(args.file_b), args.item_size, args.format)
-    estimator_a = StrataEstimator.from_items(items_a)
-    estimator_b = StrataEstimator.from_items(items_b)
+    set_a, set_b, _ = read_two_sets(args, args.file_a, args.file_b)
+    estimator_a = StrataEstimator.from_items(set_a)
+    estimator_b = StrataEstimator.from_items(set_b)
     estimate = estimator_a.estimate(estimator_b)
-    true_d = len(set(items_a) ^ set(items_b))
+    true_d = len(set_a ^ set_b)
     print(f"estimated difference : {estimate}")
     print(f"true difference      : {true_d}")
     print(f"estimator wire size  : {estimator_a.wire_size()} bytes")

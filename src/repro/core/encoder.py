@@ -20,8 +20,8 @@ some symbol with other than the default α, read from the codec's
   (:meth:`SourceStore.fold`, which a decoder's store shares).
 
 Both produce bit-identical cells (the golden-equivalence suite asserts
-it); the store alone switches its columns between the NumPy and the list
-form, in one O(n) pass, when the next operation wants the other.
+it); the store's columns and the prefix switch between the NumPy and the
+list form, in one O(n) pass, when the next operation wants the other.
 
 Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is one array
 pass under the vector engine: :meth:`RatelessEncoder.add_items` fills the
@@ -637,10 +637,12 @@ class RatelessEncoder:
         this index, each XORed into the cell and stepped once by the
         reference :class:`~repro.core.mapping.IndexGenerator`
         (:meth:`SourceStore.fold`).  Returns a value snapshot; the patched
-        state lives in the internal bank (:meth:`cached`).
+        state lives in the internal bank (:meth:`cached`), on the list
+        form: a lane-form prefix is switched once, not set up per cell.
         """
         cell = self._store.fold(len(self._bank), self._walk)
-        self._prefix().append(*cell)
+        self._bank = self._bank.in_form(False)
+        self._bank.append(*cell)
         return CodedSymbol(*cell)
 
     def produce_block(self, m: int) -> CodedSymbolBank:

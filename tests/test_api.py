@@ -1,9 +1,9 @@
 """The acceptance suite for ``repro.api``: every registered scheme must
 pass the *same* calls on the *same* fixtures.
 
-Items are 7 bytes — the one width every scheme can represent exactly
-(CPI's field holds ≤56-bit items; PinSketch's largest built-in field is
-GF(2^64)) — and never all-zero (0 is not a PinSketch field element).
+Items are 7 bytes — a width every scheme can represent exactly
+(PinSketch's largest built-in field is GF(2^64)) — and never all-zero
+(0 is not a PinSketch field element).
 """
 
 from __future__ import annotations
@@ -217,18 +217,17 @@ def test_session_rejects_non_streaming_schemes() -> None:
 # --- registry behaviour -----------------------------------------------------
 
 
-def test_registry_lists_all_schemes() -> None:
-    assert len(ALL_SCHEMES) >= 6
-    for expected in (
-        "riblt",
-        "regular_iblt",
-        "regular_iblt+strata",
+def test_registry_is_the_papers_comparison() -> None:
+    """The registry holds Rateless IBLT and exactly the baselines the
+    paper measures it against (Figs 7–9 and 12–14) — no more, no fewer."""
+    assert available_schemes() == [
+        "merkle",
         "met_iblt",
         "pinsketch",
-        "cpi",
-        "merkle",
-    ):
-        assert expected in ALL_SCHEMES
+        "regular_iblt",
+        "regular_iblt+strata",
+        "riblt",
+    ]
 
 
 def test_unknown_scheme_is_a_helpful_keyerror() -> None:
@@ -268,13 +267,6 @@ def test_mixed_item_widths_rejected() -> None:
 # --- scheme-specific representation limits, surfaced uniformly --------------
 
 
-def test_cpi_rejects_wide_items() -> None:
-    with pytest.raises(ValueError, match="7 bytes"):
-        reconcile(
-            [bytes(range(8))], [], scheme="cpi", symbol_size=8, difference_bound=1
-        )
-
-
 def test_pinsketch_rejects_zero_item() -> None:
     with pytest.raises(ValueError, match="zero"):
         reconcile(
@@ -291,7 +283,7 @@ def test_negative_difference_bound_rejected() -> None:
         reconcile(a, b, scheme="pinsketch", symbol_size=ITEM, difference_bound=-3)
 
 
-@pytest.mark.parametrize("scheme", ["pinsketch", "cpi"])
+@pytest.mark.parametrize("scheme", ["pinsketch"])
 def test_attribution_survives_post_subtract_mutation(scheme: str) -> None:
     """subtract() must snapshot the receiver's set, not alias it
     (regression)."""

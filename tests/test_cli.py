@@ -79,6 +79,29 @@ def test_estimate_command(item_files, capsys):
     assert "true difference      : 12" in out
 
 
+def test_estimate_rejects_different_item_sizes(tmp_path, capsys):
+    """``estimate`` refuses the pair ``reconcile`` refuses (regression)."""
+    a = tmp_path / "a.hex"
+    b = tmp_path / "b.hex"
+    a.write_text("aabbccdd\n11223344\n")
+    b.write_text("aabbccddee\n1122334455\n")
+    code = main(["--format", "hex", "estimate", str(a), str(b)])
+    assert code == 2
+    assert "different sizes" in capsys.readouterr().err
+
+
+def test_estimate_rejects_duplicate_items(tmp_path, capsys):
+    """A duplicated line cancels itself in the strata cells, so the
+    estimate would read 0 beside a true difference of 1 (regression)."""
+    a = tmp_path / "a.hex"
+    b = tmp_path / "b.hex"
+    a.write_text("aabbccdd\n11223344\n11223344\n")
+    b.write_text("aabbccdd\n")
+    code = main(["--format", "hex", "estimate", str(a), str(b)])
+    assert code == 2
+    assert "duplicate items" in capsys.readouterr().err
+
+
 def test_hex_format(tmp_path, capsys):
     a = tmp_path / "a.hex"
     b = tmp_path / "b.hex"

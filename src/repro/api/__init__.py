@@ -16,9 +16,9 @@ True
 Layers:
 
 :mod:`repro.api.base`
-    The :class:`SetReconciler` / :class:`StreamingReconciler` interface,
-    capability flags, and the scheme-independent
-    :class:`ReconcileResult`.
+    The :class:`SetReconciler` interface, capability flags, and the
+    scheme-independent :class:`ReconcileResult`.  (Rateless IBLT's stream
+    runs on the core codec in :mod:`repro.protocol.machine`.)
 :mod:`repro.api.registry`
     String-keyed scheme registry — :func:`get_scheme`,
     :func:`available_schemes`, :func:`register_scheme` for third-party
@@ -36,7 +36,6 @@ from repro.api.base import (
     ReconcileResult,
     SchemeParams,
     SetReconciler,
-    StreamingReconciler,
     SymbolBudgetExceeded,
     UnsupportedOperation,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SchemeParams",
     "Session",
     "SetReconciler",
-    "StreamingReconciler",
     "SymbolBudgetExceeded",
     "UnsupportedOperation",
     "available_schemes",

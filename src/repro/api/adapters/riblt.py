@@ -1,12 +1,13 @@
 """Adapter: the paper's Rateless IBLT (repro.core) behind ``SetReconciler``.
 
-The streaming face (``produce_next``/``absorb``) wraps the incremental
-encoder/decoder pair with §6 wire framing, so byte accounting is what a
-§6 stream writer emits for the same cells.  The sketch face
-(``serialize``/``subtract``/``decode``) freezes a coded-symbol prefix —
-either explicitly sized via ``prefix_symbols`` / ``Scheme.sized_for`` or
-the conservative default — which is how a rateless stream is used in
-datagram settings.
+This is the sketch face (``serialize``/``subtract``/``decode``): it
+freezes a coded-symbol prefix — either explicitly sized via
+``prefix_symbols`` / ``Scheme.sized_for`` or the conservative default —
+which is how a rateless stream is used in datagram settings, with §6
+framing so byte accounting is what a stream writer emits for the same
+cells.  The stream itself is no adapter's business: STREAM mode in
+:mod:`repro.protocol.machine` drives the core encoder and decoder
+directly on both ends.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.api.adapters.cellpack import CodecParams, codec_for
-from repro.api.base import StreamingReconciler, UnsupportedOperation
+from repro.api.base import SetReconciler, UnsupportedOperation
 from repro.api.registry import Capabilities, register_scheme
-from repro.core.decoder import DecodeResult, RatelessDecoder, ingest
+from repro.core.decoder import DecodeResult
 from repro.core.encoder import RatelessEncoder
 from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
-from repro.core.wire import (
-    SymbolStreamReader,
-    SymbolStreamWriter,
-    decode_stream,
-    encode_stream,
-)
+from repro.core.wire import decode_stream, encode_stream
 
 # Sketch-mode prefix when nobody sized the sketch: enough for ~20
 # differences at the paper's 1.35-1.72 overhead, with tail margin.
@@ -40,24 +36,14 @@ class RibltParams(CodecParams):
     prefix_symbols: Optional[int] = None  # sketch-mode prefix length
 
 
-class RibltReconciler(StreamingReconciler):
-    """Rateless IBLT over one set: stream it, or freeze a prefix sketch."""
-
-    accepts_item_hashes = True
+class RibltReconciler(SetReconciler):
+    """Rateless IBLT over one set, as a frozen coded-prefix sketch."""
 
     def __init__(self, params: RibltParams, codec: SymbolCodec) -> None:
         self.params = params
         self.codec = codec
         self._encoder: Optional[RatelessEncoder] = None  # live mode
         self._sketch: Optional[RatelessSketch] = None  # received/diff mode
-        # streaming state, created lazily.  Sending and receiving index
-        # the *same* cached universal stream independently, so one
-        # reconciler can do both at once (full-duplex peer-to-peer).
-        self._writer: Optional[SymbolStreamWriter] = None
-        self._reader: Optional[SymbolStreamReader] = None
-        self._decoder: Optional[RatelessDecoder] = None
-        self._absorbed = 0
-        self._wire_index = 0
         # diff mode: Alice's original sketch, for consumed-prefix accounting
         self._source: Optional[RatelessSketch] = None
 
@@ -65,15 +51,11 @@ class RibltReconciler(StreamingReconciler):
 
     @classmethod
     def from_items(
-        cls,
-        items: Sequence[bytes],
-        params: RibltParams,
-        *,
-        item_hashes: Optional[Sequence[int]] = None,
+        cls, items: Sequence[bytes], params: RibltParams
     ) -> "RibltReconciler":
         codec = codec_for(params)
         rec = cls(params, codec)
-        rec._encoder = RatelessEncoder(codec, items, item_hashes=item_hashes)
+        rec._encoder = RatelessEncoder(codec, items)
         return rec
 
     @classmethod
@@ -104,74 +86,6 @@ class RibltReconciler(StreamingReconciler):
                 "this RibltReconciler wraps a received sketch, not a live set"
             )
         return self._encoder
-
-    # -- streaming face ----------------------------------------------------
-
-    def produce_block(self, block_size: int) -> bytes:
-        """The next ``block_size`` §6-framed coded symbols in one payload
-        (the stream header precedes the first).
-
-        Byte-identical however the stream is cut into blocks — the
-        framing is per cell.  ``block_size`` must be at least 1.
-        """
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        encoder = self._require_live()
-        if self._writer is None:
-            self._writer = SymbolStreamWriter(self.codec, set_size=encoder.set_size)
-            head = self._writer.header()
-        else:
-            head = b""
-        lo = self._wire_index
-        self._wire_index += block_size
-        block = encoder.cached_block(lo, lo + block_size)
-        return head + self._writer.write_block(block)
-
-    def absorb(self, payload: bytes) -> bool:
-        """Subtract our matching cells from the peer's stream and peel."""
-        (result,) = self.absorb_many([(self, payload)])
-        if isinstance(result, ValueError):
-            raise result
-        return result
-
-    @classmethod
-    def absorb_many(cls, pairs) -> list:
-        """Each pair subtracts its own ``cached_block``; then every decoder
-        peels in one :func:`~repro.core.decoder.ingest` wave."""
-        decoders, jobs = [], []
-        for rec, payload in pairs:
-            encoder = rec._require_live()
-            if rec._reader is None:
-                rec._reader = SymbolStreamReader(rec.codec)
-                rec._decoder = RatelessDecoder(rec.codec)
-            # the cached prefix's form, so the subtraction is one XOR per lane
-            incoming = encoder.bank.slice(0, 0)
-            try:
-                parsed = rec._reader.feed_into(incoming, payload)
-            except ValueError as exc:
-                ingest(jobs)
-                return [d.decoded for d in decoders] + [exc]
-            if parsed:
-                lo = rec._absorbed
-                rec._absorbed += parsed
-                incoming.subtract_in_place(encoder.cached_block(lo, lo + parsed))
-                jobs.append((rec._decoder, incoming))
-            decoders.append(rec._decoder)
-        ingest(jobs)
-        return [d.decoded for d in decoders]
-
-    @property
-    def symbols_absorbed(self) -> int:
-        return self._absorbed
-
-    @property
-    def decoded(self) -> bool:
-        return self._decoder is not None and self._decoder.decoded
-
-    def stream_result(self) -> DecodeResult:
-        if self._decoder is None:
-            return DecodeResult(success=False)
-        return self._decoder.result()
 
     # -- sketch face -------------------------------------------------------
 

@@ -6,13 +6,14 @@ One vocabulary for very different algorithms:
   it (``add``/``remove``), ship it (``serialize``/``wire_size``), combine
   it with the peer's (``subtract``), and recover the symmetric
   difference (``decode`` → :class:`~repro.core.decoder.DecodeResult`).
-* :class:`StreamingReconciler` — the rateless extension: the sketch is
-  an unbounded prefix-decodable stream (``produce_next``/``absorb``)
-  instead of a fixed-size blob.  Rateless IBLT is its one
-  implementation; every other scheme is a sketch.
 * :class:`Capabilities` — per-scheme flags the generic driver in
   :mod:`repro.api.session` dispatches on.
 * :class:`ReconcileResult` — the scheme-independent outcome record.
+
+Streaming is not part of this interface.  Rateless IBLT, the one scheme
+whose coded prefix decodes wherever it is cut (§4), is streamed by
+:mod:`repro.protocol.machine` straight from the core encoder and
+decoder; behind this interface it is a frozen-prefix sketch like the rest.
 
 Direction convention (matches the rest of the repo): in
 ``a_rec.subtract(b_rec)``, ``a_rec`` plays Alice (the remote sender —
@@ -139,10 +140,7 @@ class ReconcileResult:
         """Wire bytes per difference byte — the Fig 7 metric (0.0 when d = 0)."""
         if self.difference_size == 0:
             return 0.0
-        item = self.symbol_size
-        if item is None:  # legacy fallback: probe one recovered item
-            item = len(next(iter(self.only_in_a | self.only_in_b)))
-        return self.bytes_on_wire / (self.difference_size * item)
+        return self.bytes_on_wire / (self.difference_size * self.symbol_size)
 
 
 class SetReconciler(ABC):
@@ -155,11 +153,6 @@ class SetReconciler(ABC):
 
     scheme: str = "?"  # stamped by registry registration
     params: SchemeParams
-
-    # Adapters whose ``from_items`` accepts an ``item_hashes`` keyword
-    # (precomputed keyed 64-bit hashes, reused for checksums) set True;
-    # ``Scheme.new`` only forwards the hashes when the class opts in.
-    accepts_item_hashes: bool = False
 
     # -- construction (adapter contract) ---------------------------------
 
@@ -228,51 +221,6 @@ class SetReconciler(ABC):
         Merkle heal counts its request/response transcript).
         """
         return self.wire_size()
-
-
-class StreamingReconciler(SetReconciler):
-    """Rateless extension: the sketch is an endless, incremental stream.
-
-    :class:`~repro.api.adapters.riblt.RibltReconciler` is the one
-    implementation — only a Rateless IBLT's coded prefix decodes
-    wherever it is cut (§4).  The table schemes (regular IBLT, MET-IBLT)
-    are plain :class:`SetReconciler` sketches, shipped whole.
-    """
-
-    @abstractmethod
-    def produce_block(self, block_size: int) -> bytes:
-        """Serialise the next ``block_size`` coded units in one payload."""
-
-    def produce_next(self) -> bytes:
-        """Serialise the next coded unit: a one-unit block."""
-        return self.produce_block(1)
-
-    @abstractmethod
-    def absorb(self, payload: bytes) -> bool:
-        """Consume the peer's next payload; True once fully decoded."""
-
-    @classmethod
-    @abstractmethod
-    def absorb_many(cls, pairs: Sequence[tuple["StreamingReconciler", bytes]]) -> list:
-        """:meth:`absorb` one payload into each of several reconcilers
-        (each at most once), in order: one result per pair, or, for a
-        malformed payload, its ``ValueError`` — the list ends there and
-        later pairs stay unabsorbed."""
-
-    @property
-    @abstractmethod
-    def symbols_absorbed(self) -> int:
-        """Coded units consumed by ``absorb`` so far (an O(1) counter:
-        the service client reads it per frame)."""
-
-    @property
-    @abstractmethod
-    def decoded(self) -> bool:
-        """True once the whole symmetric difference has been recovered."""
-
-    @abstractmethod
-    def stream_result(self) -> DecodeResult:
-        """Snapshot of what ``absorb`` has recovered so far."""
 
 
 def as_item_list(items: Iterable[bytes], symbol_size: Optional[int]) -> list[bytes]:

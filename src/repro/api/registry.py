@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Type
+from typing import Callable, Iterable, Optional, Type
 
 from repro.api.base import (
     Capabilities,
@@ -146,27 +146,12 @@ class Scheme:
 
         return key_probe(self.hash64)
 
-    def new(
-        self,
-        items: Iterable[bytes],
-        *,
-        item_hashes: Optional[Sequence[int]] = None,
-    ) -> SetReconciler:
-        """Build a live sketch of ``items`` (symbol_size inferred if unset).
-
-        ``item_hashes`` — the codec hasher's keyed 64-bit hash of each
-        item, in order — lets schemes that opt in (``accepts_item_hashes``)
-        reuse e.g. shard-placement hashes for checksums instead of
-        hashing every item a second time, and take the batch as the
-        ingest pipeline carries it (``SymbolCodec.item_rows``).  Schemes
-        that don't opt in silently ignore them (a pure optimisation).
-        """
-        cls = self.info.reconciler_class
-        if item_hashes is not None and getattr(cls, "accepts_item_hashes", False):
-            params = self.bound_to(items).params
-            return cls.from_items(items, params, item_hashes=item_hashes)
+    def new(self, items: Iterable[bytes]) -> SetReconciler:
+        """Build a live sketch of ``items`` (symbol_size inferred if unset)."""
         materialised = as_item_list(items, self.params.symbol_size)
-        return cls.from_items(materialised, self.bound_to(materialised).params)
+        return self.info.reconciler_class.from_items(
+            materialised, self.bound_to(materialised).params
+        )
 
     def deserialize(self, blob: bytes) -> SetReconciler:
         """Rebuild a received sketch (needs an explicit symbol_size)."""

@@ -235,11 +235,11 @@ def reconcile(
         return Session(a, b, handle).run(
             max_symbols=max_symbols, block_size=block_size
         )
-    if not handle.capabilities.serializable:
-        return one_shot_result(handle, handle.new(a).subtract(handle.new(b)))
     a = as_item_list(a, handle.params.symbol_size)
     b = as_item_list(b, handle.params.symbol_size)
     handle = handle.bound_to(a, b)
+    if not handle.capabilities.serializable:
+        return one_shot_result(handle, handle.new(a).subtract(handle.new(b)))
     engine = _engine()
     bound, use_estimator = sketch_sizing(handle, difference_bound)
     initiator = engine.InitiatorMachine(

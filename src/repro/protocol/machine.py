@@ -93,11 +93,14 @@ so grants are idempotent and order-free: a duplicate or stale one is a
 no-op, never a double credit.
 
 A read usually carries a block of every shard (one per shard per tick),
-so the initiator absorbs a read's SYMBOLS frames in *waves* — the k-th
-frame of every undecoded shard, one ``absorb_many`` call whose decoders
-share each peel round's hash and kernel calls — then answers each frame
-(SHARD_DONE, CREDIT, typed error) in arrival order, exactly as
-frame-at-a-time absorption would: shards are independent.
+so the initiator absorbs a read's SYMBOLS frames in *waves*.  A wave is
+the k-th frame of every undecoded shard: each frame is parsed into a
+block shaped like its shard encoder's cached prefix and has the matching
+``cached_block`` subtracted, then one :func:`~repro.core.decoder.ingest`
+call peels every shard of the wave, sharing each peel round's hash and
+kernel calls.  The initiator then answers each frame (SHARD_DONE,
+CREDIT, typed error) in arrival order, exactly as frame-at-a-time
+absorption would: shards are independent.
 """
 
 from __future__ import annotations
@@ -109,11 +112,13 @@ from repro.api.base import (
     DEFAULT_MAX_ROUNDS,
     ESTIMATE_MARGIN,
     ReconcileError,
-    StreamingReconciler,
     SymbolBudgetExceeded,
 )
 from repro.api.registry import Scheme
 from repro.baselines.strata import StrataEstimator
+from repro.core.decoder import RatelessDecoder, ingest
+from repro.core.encoder import RatelessEncoder
+from repro.core.wire import SymbolStreamReader
 from repro.protocol.events import (
     ClusterInfo,
     Delivered,
@@ -325,19 +330,25 @@ class _InitiatorShard:
     outside a cluster); ``items``/``hashes`` are the shard's slice of
     the batch and of its keyed hashes (computed once, for placement and
     checksums) — in stream mode, row-matrix and vector slices.  In
-    sketch mode ``bound`` is the sketch bound this side last asked for:
-    the only one a ``SKETCH`` frame may echo.
+    stream mode the shard holds the core codec itself: an ``encoder``
+    of its items, the §6 ``reader`` of the peer's stream, the peeling
+    ``decoder``, and the count of coded symbols ``absorbed`` so far.
+    In sketch mode ``bound`` is the sketch bound this side last asked
+    for: the only one a ``SKETCH`` frame may echo.
     """
 
     __slots__ = (
-        "items", "hashes", "reconciler", "tally", "done", "result", "granted",
-        "bound",
+        "items", "hashes", "encoder", "reader", "decoder", "absorbed", "tally",
+        "done", "result", "granted", "bound",
     )
 
     def __init__(self, shard: int, items: list, hashes: list, bound: int) -> None:
         self.items = items
         self.hashes = hashes
-        self.reconciler: Optional[StreamingReconciler] = None
+        self.encoder: Optional[RatelessEncoder] = None
+        self.reader: Optional[SymbolStreamReader] = None
+        self.decoder: Optional[RatelessDecoder] = None
+        self.absorbed = 0
         self.tally = ShardTally(shard)
         self.granted = INITIAL_WINDOW
         self.bound = bound
@@ -348,8 +359,12 @@ class _InitiatorShard:
 class InitiatorMachine(ReconcilerMachine):
     """Bob's side: opens the session, absorbs, delivers the difference.
 
-    A read's SYMBOLS frames reach the reconcilers in waves, through
-    ``absorb_many`` (see "Flow control").  ``difference_bound`` (> 0)
+    In STREAM mode each shard runs the core codec directly — a
+    :class:`~repro.core.encoder.RatelessEncoder` of its items, a
+    :class:`~repro.core.wire.SymbolStreamReader` and a
+    :class:`~repro.core.decoder.RatelessDecoder` — and a read's SYMBOLS
+    frames reach the decoders in waves, one ``ingest`` call per wave
+    (see "Flow control").  ``difference_bound`` (> 0)
     pre-sizes sketch mode exactly like the legacy drivers;
     ``use_estimator=True`` (agreed out of band with the responder, not
     negotiated) runs the strata exchange first and sizes the initial
@@ -545,8 +560,11 @@ class InitiatorMachine(ReconcilerMachine):
         ]
         self._remaining = len(owned)
         if mode == SyncMode.STREAM:
+            codec = self.handle.codec
             for st in self._shards:
-                st.reconciler = self.handle.new(st.items, item_hashes=st.hashes)
+                st.encoder = RatelessEncoder(codec, st.items, item_hashes=st.hashes)
+                st.reader = SymbolStreamReader(codec)
+                st.decoder = RatelessDecoder(codec)
             self._state = "stream"
         else:
             if self.use_estimator and len(owned) != 1:
@@ -603,17 +621,29 @@ class InitiatorMachine(ReconcilerMachine):
             if not st.done:
                 queues.setdefault(st, []).append(pos)
         while wave := sorted(q.pop(0) for q in queues.values() if q and q[0] < end):
-            pairs = [(frames[pos][1].reconciler, frames[pos][2]) for pos in wave]
-            for pos, result in zip(wave, type(pairs[0][0]).absorb_many(pairs)):
+            jobs, absorbed = [], []
+            for pos in wave:
+                _, st, payload = frames[pos]
+                # the cached prefix's form, so the subtraction is one XOR per lane
+                incoming = st.encoder.bank.slice(0, 0)
+                try:
+                    parsed = st.reader.feed_into(incoming, payload)
+                except ValueError as exc:  # the wave ends at a malformed frame
+                    results[pos], end = exc, min(end, pos + 1)
+                    break
+                if parsed:
+                    lo = st.absorbed
+                    st.absorbed += parsed
+                    incoming.subtract_in_place(st.encoder.cached_block(lo, st.absorbed))
+                    jobs.append((st.decoder, incoming))
+                absorbed.append(pos)
+            ingest(jobs)
+            for pos in absorbed:
                 st = frames[pos][1]
-                if isinstance(result, ValueError):
-                    results[pos], end = result, min(end, pos + 1)
-                    continue
-                symbols = st.reconciler.symbols_absorbed
-                results[pos] = (result, symbols)
-                if result:
+                results[pos] = (st.decoder.decoded, st.absorbed)
+                if st.decoder.decoded:
                     queues[st] = []  # its later frames are dropped
-                elif self.max_symbols is not None and symbols >= self.max_symbols:
+                elif self.max_symbols is not None and st.absorbed >= self.max_symbols:
                     end = min(end, pos + 1)  # the run fails at this frame
         for pos in range(end):
             shard_id, st, payload = frames[pos]
@@ -632,7 +662,7 @@ class InitiatorMachine(ReconcilerMachine):
             decoded, st.tally.symbols = result
             if decoded:
                 st.done = True
-                st.result = st.reconciler.stream_result()
+                st.result = st.decoder.result()
                 self._remaining -= 1
                 self._send_frame(FrameType.SHARD_DONE, pack_uvarints(shard_id))
                 if not self._remaining:
@@ -703,7 +733,7 @@ class InitiatorMachine(ReconcilerMachine):
             raise ProtocolError(
                 f"shard {shard_id}: malformed SKETCH payload: {exc}"
             ) from None
-        local = sized.new(st.items, item_hashes=st.hashes)
+        local = sized.new(st.items)
         diff = remote.subtract(local)
         decode = diff.decode()
         st.tally.accounted_bytes += diff.decode_wire_bytes(decode)

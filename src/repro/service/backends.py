@@ -26,7 +26,7 @@ describe *different* sets, so the cursor refuses to continue
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from functools import reduce
 from operator import xor
 from pathlib import Path
@@ -73,27 +73,6 @@ def set_digest(items, hashes, codec=None) -> CodedSymbolBank:
     else:
         checksum = reduce(xor, checksums, 0)
     return CodedSymbolBank([total], [checksum], [len(items)])
-
-
-class ShardStream(ABC):
-    """One session's cursor into one shard's stream: it snapshots the
-    shard's version at open and refuses to go on past churn (StaleStream)."""
-
-    def __init__(self, backend: "ShardBackend", shard: int) -> None:
-        self._backend = backend
-        self._shard = shard
-        self._version = backend.sharded.versions[shard]
-        self.symbols_sent = 0
-
-    def _check_version(self) -> None:
-        if self._backend.sharded.versions[self._shard] != self._version:
-            raise StaleStream(
-                f"shard {self._shard} mutated mid-stream; reconnect to resync"
-            )
-
-    @abstractmethod
-    def next_block(self, max_cells: int) -> bytes:
-        """The next ``max_cells`` coded symbols, wire-framed (§6)."""
 
 
 class ShardBackend(ABC):
@@ -145,36 +124,40 @@ class ShardBackend(ABC):
         members = list(self.sharded)
         return set_digest(members, hash_items(self.handle.hash64, members))
 
-    def open_stream(self, shard: int) -> ShardStream:
-        raise UnsupportedOperation(f"{type(self).__name__} does not stream")
-
     def build_sketch(self, shard: int, bound: int) -> bytes:
         raise UnsupportedOperation(f"{type(self).__name__} does not sketch")
 
 
-class _WarmStream(ShardStream):
-    """Cursor over a shared warm encoder: reads cached cells, owns only
-    the §6 serialisation state (header + implicit indices + set size)."""
+class ShardStream:
+    """One session's cursor into one shard's warm encoder: it reads cached
+    cells and owns only the §6 serialisation state (header + implicit
+    indices + set size).  It snapshots the shard's version at open and
+    refuses to go on past churn (:class:`StaleStream`)."""
 
     def __init__(self, backend: "WarmRibltBackend", shard: int) -> None:
-        super().__init__(backend, shard)
+        self._backend = backend
+        self._shard = shard
+        self._version = backend.sharded.versions[shard]
+        self.symbols_sent = 0
         self._encoder = backend.encoders[shard]
         self._writer = SymbolStreamWriter(
             backend.codec, set_size=self._encoder.set_size
         )
         self._head: Optional[bytes] = self._writer.header()
-        self._index = 0
 
     def next_block(self, max_cells: int) -> bytes:
+        """The next ``max_cells`` coded symbols, wire-framed (§6)."""
         if max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-        self._check_version()
-        lo = self._index
-        self._index += max_cells
+        if self._backend.sharded.versions[self._shard] != self._version:
+            raise StaleStream(
+                f"shard {self._shard} mutated mid-stream; reconnect to resync"
+            )
+        lo = self.symbols_sent
+        self.symbols_sent += max_cells
         # cached_block only *encodes* cells nobody has pulled yet; every
         # prefix cell any previous session produced is reused as-is.
-        bank = self._encoder.cached_block(lo, self._index)
-        self.symbols_sent = self._index
+        bank = self._encoder.cached_block(lo, self.symbols_sent)
         head = self._head or b""
         self._head = None
         return head + self._writer.write_block(bank)
@@ -229,7 +212,7 @@ class WarmRibltBackend(ShardBackend):
         )
 
     def open_stream(self, shard: int) -> ShardStream:
-        return _WarmStream(self, shard)
+        return ShardStream(self, shard)
 
     def cached_symbols(self, shard: int) -> int:
         """Length of the shard's cached prefix (observability)."""

@@ -166,43 +166,6 @@ def test_streaming_session_step_by_step(scheme: str) -> None:
     assert result.bytes_on_wire == session.bytes_sent
 
 
-def test_streaming_full_duplex_peers() -> None:
-    """One reconciler can send and receive at once: producing must not
-    consume the indices absorb() subtracts against (regression)."""
-    a, b = sets_for("one_diff")
-    handle = get_scheme("riblt", symbol_size=ITEM)
-    peer_a, peer_b = handle.new(a), handle.new(b)
-    exchanges = 0
-    while not (peer_a.decoded and peer_b.decoded):
-        exchanges += 1
-        assert exchanges < 1000
-        peer_b.absorb(peer_a.produce_next())
-        peer_a.absorb(peer_b.produce_next())
-    assert set(peer_b.stream_result().remote) == a - b
-    assert set(peer_a.stream_result().remote) == b - a
-
-
-def test_riblt_produce_block_refuses_empty_blocks() -> None:
-    """A block of fewer than one cell raises before any state moves.  It
-    used to rewind the sender's stream index, so the next block carried
-    cells 5-12 that the peer absorbed as cells 8-15."""
-    a, b = sets_for("hundred_diff")
-    handle = get_scheme("riblt", symbol_size=ITEM)
-    sender, reference, receiver = handle.new(a), handle.new(a), handle.new(b)
-    block = sender.produce_block(8)
-    assert block == reference.produce_block(8)
-    receiver.absorb(block)
-    for size in (0, -3):
-        with pytest.raises(ValueError, match="block_size"):
-            sender.produce_block(size)
-    block = sender.produce_block(8)
-    assert block == reference.produce_block(8)
-    while not receiver.absorb(block):
-        block = sender.produce_block(64)
-    assert set(receiver.stream_result().remote) == a - b
-    assert set(receiver.stream_result().local) == b - a
-
-
 def test_streaming_budget_raises() -> None:
     a, b = sets_for("hundred_diff")
     with pytest.raises(ReconcileError):
@@ -252,6 +215,18 @@ def test_symbol_size_inferred_from_items() -> None:
     a, b = sets_for("one_diff")
     result = reconcile(a, b, scheme="riblt")  # no symbol_size given
     assert result.only_in_a == a - b
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_result_carries_the_inferred_width(scheme: str) -> None:
+    """Every result reports the item width it was reconciled at, the
+    one-shot (Merkle) path included, so ``byte_overhead`` normalises by
+    the configured width instead of probing a recovered item."""
+    a, b = sets_for("one_diff")
+    result = reconcile(a, b, scheme=scheme, difference_bound=1)  # width inferred
+    assert result.symbol_size == ITEM
+    assert 0.0 < result.byte_overhead < float("inf")
+    assert result.byte_overhead == result.bytes_on_wire / ITEM
 
 
 def test_empty_build_needs_explicit_symbol_size() -> None:

@@ -589,14 +589,16 @@ def test_api_session_block_run_matches(lane, rng):
 
 
 def test_riblt_adapter_block_payload_bytes_identical(lane, rng):
-    from repro.api import get_scheme
+    """A riblt stream's §6 payload is byte-identical however it is cut
+    into blocks.  The stream is served by the warm backend's cursor (the
+    adapter keeps only the sketch face), so the cut is made there."""
+    from repro.service.backends import open_backend
 
     items = make_items(rng, 60)
-    handle = get_scheme("riblt")
-    singles = handle.new(items)
-    payload_singles = b"".join(singles.produce_next() for _ in range(40))
-    blocks = handle.new(items)
-    payload_blocks = blocks.produce_block(25) + blocks.produce_block(15)
+    singles = open_backend(items).open_stream(0)
+    payload_singles = b"".join(singles.next_block(1) for _ in range(40))
+    blocks = open_backend(items).open_stream(0)
+    payload_blocks = blocks.next_block(25) + blocks.next_block(15)
     assert payload_blocks == payload_singles
 
 # -- packed bank (zero-copy pack/unpack) ------------------------------------

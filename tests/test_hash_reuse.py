@@ -3,9 +3,9 @@
 Every sync used to hash each item twice with the same keyed hash:
 once for shard placement, once for the codec's mapping/checksum seeds.
 The reuse path threads the placement hashes from
-:func:`repro.service.shard.hash_items` through
-:meth:`repro.api.registry.Scheme.new` down to
-:class:`~repro.core.encoder.RatelessEncoder`, which derives checksums
+:func:`repro.service.shard.hash_items` through the initiator's
+stream-mode shards (and :func:`repro.service.backends.open_backend`)
+into :class:`~repro.core.encoder.RatelessEncoder`, which derives checksums
 from them via
 :meth:`~repro.core.symbols.SymbolCodec.checksums_from_hash64`.
 
@@ -65,28 +65,6 @@ def test_encoder_rejects_misaligned_hashes():
         RatelessEncoder(codec, items, item_hashes=[1, 2, 3])
 
 
-def test_scheme_new_forwards_item_hashes():
-    handle = get_scheme("riblt", symbol_size=12)
-    items = items_range(0, 150)
-    codec = SymbolCodec(symbol_size=12)
-    hashes = hash_items(codec.hasher.hash64, items)
-    cold = handle.new(items)
-    reused = handle.new(items, item_hashes=hashes)
-    assert cold.produce_block(64) == reused.produce_block(64)
-
-
-def test_scheme_new_ignores_hashes_for_non_accepting_schemes():
-    # A scheme that never declared accepts_item_hashes must not receive
-    # the keyword (its from_items would TypeError on it).
-    handle = get_scheme("regular_iblt", symbol_size=12, num_cells=128)
-    items = items_range(0, 20)
-    reconciler = handle.new(items)
-    assert not getattr(type(reconciler), "accepts_item_hashes", False)
-    hashes = hash_items(make_hasher("blake2b").hash64, items)
-    reconciler = handle.new(items, item_hashes=hashes)  # silently dropped
-    assert reconciler is not None
-
-
 def test_partition_with_hashes_keeps_alignment():
     codec = SymbolCodec(symbol_size=12)
     items = items_range(0, 500)
@@ -127,7 +105,7 @@ def test_partition_parity_across_engines(num_shards):
 def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
     """The full engine round trip is byte-identical whether or not the
     initiator's placement hashes reach the encoders."""
-    from repro.api.adapters.riblt import RibltReconciler
+    from repro.protocol import machine
 
     handle = get_scheme("riblt", symbol_size=12)
     alice = items_range(0, 400)
@@ -141,7 +119,11 @@ def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
         return pump(initiator, responder)
 
     reused = roundtrip()
-    monkeypatch.setattr(RibltReconciler, "accepts_item_hashes", False)
+    monkeypatch.setattr(
+        machine,
+        "RatelessEncoder",
+        lambda codec, items, item_hashes: RatelessEncoder(codec, items),
+    )
     cold = roundtrip()
     assert reused.payloads == cold.payloads
     assert reused.only_in_remote == cold.only_in_remote

@@ -328,7 +328,7 @@ def test_cold_ingest_matches_per_item_reference(
         # One item fewer on the responder: equal sets would end in-sync,
         # before any encoder is built.
         pump(initiator, memory_responder(handle, items[1:], num_shards=4))
-        encoders = [st.reconciler._encoder for st in initiator._shards]
+        encoders = [st.encoder for st in initiator._shards]
         _assert_same_encoders(encoders, expected)
 
 

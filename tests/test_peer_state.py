@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api.base import StreamingReconciler
 from repro.api.registry import available_schemes, get_scheme, scheme_info
 from repro.durable import DurableConfig
 from repro.durable.store import JOURNAL_NAME, journal_segment_name, open_durable
@@ -527,22 +526,22 @@ def _enclosing_functions(tree: ast.AST) -> dict[int, str]:
 def test_one_streaming_scheme_in_src():
     """Rateless IBLT is the one scheme whose coded prefix decodes
     wherever it is cut (§4), so "streams" means riblt on every layer:
-    exactly the registry's streaming entries subclass
-    ``StreamingReconciler`` (the tables carry no stream face), and
-    ``open_backend`` builds a warm riblt backend or a sketch backend —
-    no generic stream backend beside them.
+    exactly one registry entry has the streaming capability, no generic
+    stream layer (a streaming reconciler interface, a scheme stream
+    backend) survives, and ``open_backend`` builds a warm riblt backend
+    or a sketch backend — no generic stream backend beside them.
     """
-    streaming = set()
-    for name in available_schemes():
-        info = scheme_info(name)
-        assert info.capabilities.streaming == issubclass(
-            info.reconciler_class, StreamingReconciler
-        ), name
-        if info.capabilities.streaming:
-            streaming.add(name)
+    streaming = {
+        name
+        for name in available_schemes()
+        if scheme_info(name).capabilities.streaming
+    }
     assert streaming == {"riblt"}
     src = Path(repro.__file__).parent
-    gone = r"\b(SchemeStreamBackend|_SchemeStream|_try_stream_decode)\b"
+    gone = (
+        r"\b(SchemeStreamBackend|_SchemeStream|_try_stream_decode"
+        r"|StreamingReconciler|absorb_many|stream_result|accepts_item_hashes)\b"
+    )
     for path in src.rglob("*.py"):
         assert not re.search(gone, path.read_text()), path.relative_to(src)
     tree = ast.parse((src / "service" / "backends.py").read_text())
@@ -559,6 +558,43 @@ def test_one_streaming_scheme_in_src():
         and node.func.id.endswith("Backend")
     }
     assert built == {"WarmRibltBackend", "SketchBackend"}
+
+
+def test_one_stream_path_in_src():
+    """STREAM mode drives the core codec directly on both ends: the
+    initiator's shards hold an encoder, a §6 reader and a decoder, and
+    the responder's one cursor class (``ShardStream``, over the warm
+    encoder) holds the §6 writer.  No interface, adapter stream face or
+    hash-forwarding keyword sits between the machine and the codec.
+    """
+    import inspect
+
+    src = Path(repro.__file__).parent
+    gone = r"\b(StreamingReconciler|absorb_many|accepts_item_hashes)\b"
+    constructed: dict[str, set[str]] = {}
+    stream_classes = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        rel = path.relative_to(src).as_posix()
+        assert not re.search(gone, text), rel
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                constructed.setdefault(node.func.id, set()).add(rel)
+            if isinstance(node, ast.ClassDef):
+                bases = {ast.unparse(base) for base in node.bases}
+                if node.name == "ShardStream" or "ShardStream" in bases:
+                    stream_classes.append((rel, node.name, bases))
+    assert constructed["SymbolStreamReader"] - {"core/wire.py"} == {
+        "protocol/machine.py"
+    }
+    assert constructed["SymbolStreamWriter"] - {"core/wire.py"} == {
+        "service/backends.py"
+    }
+    assert stream_classes == [("service/backends.py", "ShardStream", set())]
+    new = inspect.signature(get_scheme("riblt").new)
+    assert [p.kind for p in new.parameters.values()] == [
+        inspect.Parameter.POSITIONAL_OR_KEYWORD
+    ]
 
 
 def test_one_set_digest_in_src():

@@ -23,43 +23,58 @@ Commands
     ``--workers W`` (> 1) a supervised pool of W worker processes
     splits the shards across cores (``repro.cluster``); clients route
     transparently and results are byte-identical to ``--workers 1``.
-``repro sync INPUT --port P [--push] [-o OUT]``
-    Reconcile INPUT's items against a running ``serve`` instance; with
-    ``--push`` the server also learns this side's exclusive items.
 ``repro chaos INPUT --workers W [--schedule FILE] [--seed S]``
     Serve INPUT through a fault-injecting chaos pool: a supervised
     W-worker cluster where every client connection crosses a
     deterministic fault proxy (``repro.chaos``) — latency, jitter,
     partial writes, mid-frame resets — driven by a seeded schedule
     (optionally loaded from a JSON file).  For drills and soak tests.
-``repro sync INPUT --transport {tcp,sim,memory} [--peer FILE]``
-    Same reconciliation, any transport: ``tcp`` (the default) talks to a
-    ``serve`` instance, while ``sim`` and ``memory`` run the peer from
+``repro sync INPUT [--transport {tcp,sim,memory}] [--port P | --peer FILE]``
+    Reconcile INPUT's items with a peer: ``tcp`` (the default) talks to a
+    running ``serve`` instance (``--push`` also sends it this side's
+    exclusive items), while ``sim`` and ``memory`` run the peer from
     ``--peer FILE`` in-process — ``sim`` through the discrete-event link
     model (``--bandwidth/--delay/--loss``), ``memory`` through the
     lock-step pump.  All three drive the same sans-io protocol engine
-    (``repro.protocol``), so scheme behaviour and wire framing are
-    identical across transports.
+    (``repro.protocol``); ``-o OUT`` writes the merged set.
+``repro gossip --nodes N``
+    Run a synthetic anti-entropy gossip mesh and report convergence.
 
 Item files are either raw binary (fixed-width records, ``--item-size``)
 or newline-delimited hex (``--format hex``).
+
+Every command reads its files through one set loader (:func:`load_sets`)
+and forwards only the codec flags the user set (:func:`scheme_params`),
+so an unset ``--hasher`` is BLAKE2b for the local commands and the
+service's SipHash for ``serve``, ``chaos`` and ``sync --transport tcp``.
+:func:`main` maps the library's typed failures to ``error: ...`` and
+exit status 2; the servers share one runner, :func:`run_host`.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.api import ReconcileError, available_schemes, scheme_info
+from repro.api import ReconcileError, available_schemes, get_scheme, scheme_info
 from repro.api import reconcile as api_reconcile
 from repro.baselines.strata import StrataEstimator
+from repro.chaos import ChaosOrchestrator, FaultSchedule, default_schedule
+from repro.cluster import ClusterConfig, ClusterError, ClusterSupervisor
 from repro.core.sketch import RatelessSketch
-from repro.core.symbols import SymbolCodec
 from repro.core.wire import decode_stream, encode_stream
-from repro.hashing.keyed import make_hasher
+from repro.durable import DurabilityError, DurableConfig
+from repro.service import (
+    FrameError,
+    ReconciliationServer,
+    ServerConfig,
+    ServiceError,
+    sync_once,
+)
 
 
 class CliError(Exception):
@@ -80,58 +95,66 @@ def read_items(path: Path, item_size: int | None, file_format: str) -> list[byte
                 items.append(bytes.fromhex(line))
             except ValueError as exc:
                 raise CliError(f"{path}:{line_no}: invalid hex: {exc}") from exc
-        if not items:
-            raise CliError(f"{path}: no items")
-        sizes = {len(item) for item in items}
-        if len(sizes) != 1:
-            raise CliError(f"{path}: items have mixed sizes {sorted(sizes)}")
-        actual = sizes.pop()
-        if item_size is not None and actual != item_size:
-            raise CliError(
-                f"{path}: items are {actual} bytes, expected {item_size}"
-            )
-        return items
-    # raw binary, fixed-width records
-    if item_size is None:
-        raise CliError("--item-size is required for binary files")
-    blob = path.read_bytes()
-    if not blob:
+    else:  # raw binary, fixed-width records
+        if item_size is None:
+            raise CliError("--item-size is required for binary files")
+        blob = path.read_bytes()
+        if len(blob) % item_size:
+            raise CliError(f"{path}: size {len(blob)} is not a multiple of {item_size}")
+        items = [blob[i : i + item_size] for i in range(0, len(blob), item_size)]
+    if not items:
         raise CliError(f"{path}: no items")
-    if len(blob) % item_size:
-        raise CliError(
-            f"{path}: size {len(blob)} is not a multiple of {item_size}"
-        )
-    return [blob[i : i + item_size] for i in range(0, len(blob), item_size)]
+    sizes = sorted({len(item) for item in items})
+    if len(sizes) != 1:
+        raise CliError(f"{path}: items have mixed sizes {sizes}")
+    if item_size is not None and sizes[0] != item_size:
+        raise CliError(f"{path}: items are {sizes[0]} bytes, expected {item_size}")
+    return items
 
 
-def build_codec(items: Sequence[bytes], args: argparse.Namespace) -> SymbolCodec:
-    hasher = make_hasher(args.hasher, bytes.fromhex(args.key))
-    return SymbolCodec(len(items[0]), hasher, checksum_size=args.checksum_size)
-
-
-def check_unique(items: Iterable[bytes], label: str) -> set[bytes]:
-    items = list(items)
-    unique = set(items)
-    if len(unique) != len(items):
-        raise CliError(f"{label}: duplicate items (sets must be duplicate-free)")
-    return unique
-
-
-def read_two_sets(
-    args: argparse.Namespace, path_a: str, path_b: str
-) -> tuple[set[bytes], set[bytes], int]:
-    """Two files' items as duplicate-free sets, plus their one width."""
-    items_a = read_items(Path(path_a), args.item_size, args.format)
-    items_b = read_items(Path(path_b), args.item_size, args.format)
-    if len(items_a[0]) != len(items_b[0]):
+def load_sets(args: argparse.Namespace, *paths: str) -> tuple:
+    """The one set loader: each file's items as a duplicate-free set,
+    then the one width they all share."""
+    sets, widths = [], set()
+    for path in paths:
+        items = read_items(Path(path), args.item_size, args.format)
+        unique = set(items)
+        if len(unique) != len(items):
+            raise CliError(f"{path}: duplicate items (sets must be duplicate-free)")
+        sets.append(unique)
+        widths.add(len(items[0]))
+    if len(widths) != 1:
         raise CliError("the two files hold items of different sizes")
-    return check_unique(items_a, path_a), check_unique(items_b, path_b), len(items_a[0])
+    return (*sets, widths.pop())
+
+
+def scheme_params(
+    args: argparse.Namespace, width: int | None, scheme: str | None = None
+) -> dict:
+    """The item width and the codec flags the user set, narrowed to what
+    ``scheme`` (default ``--scheme``) accepts.  An unset flag is left
+    out, so the library's default for the host applies."""
+    candidates = {
+        "symbol_size": width,
+        "hasher": args.hasher,
+        "key": args.key,
+        "checksum_size": args.checksum_size,
+    }
+    accepted = {f.name for f in fields(scheme_info(scheme or args.scheme).param_class)}
+    return {k: v for k, v in candidates.items() if v is not None and k in accepted}
+
+
+def show_items(args: argparse.Namespace, *sides: set, marks=("+", "-")) -> None:
+    """``--show-items``: each side's items, sorted, after its mark."""
+    if args.show_items:
+        for mark, items in zip(marks, sides):
+            for item in sorted(items):
+                print(f"  {mark} {item.hex()}")
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
-    items = read_items(Path(args.input), args.item_size, args.format)
-    unique = check_unique(items, args.input)
-    codec = build_codec(items, args)
+    unique, width = load_sets(args, args.input)
+    codec = get_scheme("riblt", **scheme_params(args, width, "riblt")).codec
     sketch = RatelessSketch.from_items(unique, args.symbols, codec)
     blob = encode_stream(codec, sketch.set_size, sketch.bank)
     Path(args.output).write_bytes(blob)
@@ -143,9 +166,8 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    local_items = read_items(Path(args.local), args.item_size, args.format)
-    local = check_unique(local_items, args.local)
-    codec = build_codec(local_items, args)
+    local, width = load_sets(args, args.local)
+    codec = get_scheme("riblt", **scheme_params(args, width, "riblt")).codec
     bank, remote_size = decode_stream(codec, Path(args.sketch).read_bytes())
     mine = RatelessSketch.from_items(local, len(bank), codec)
     result = RatelessSketch(codec, bank, remote_size).subtract(mine).decode()
@@ -156,41 +178,20 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if result.success:
         print(f"missing locally : {len(result.remote)}")
         print(f"extra locally   : {len(result.local)}")
-        if args.show_items:
-            for item in sorted(result.remote):
-                print(f"  + {item.hex()}")
-            for item in sorted(result.local):
-                print(f"  - {item.hex()}")
+        show_items(args, result.remote, result.local)
     return 0 if result.success else 3
 
 
-def scheme_params_from_args(args: argparse.Namespace, item_size: int) -> dict:
-    """The CLI's codec knobs, narrowed to what the scheme accepts."""
-    candidates = {
-        "symbol_size": item_size,
-        "hasher": args.hasher,
-        "key": bytes.fromhex(args.key),
-        "checksum_size": args.checksum_size,
-    }
-    accepted = {f.name for f in fields(scheme_info(args.scheme).param_class)}
-    return {k: v for k, v in candidates.items() if k in accepted}
-
-
 def cmd_reconcile(args: argparse.Namespace) -> int:
-    set_a, set_b, width = read_two_sets(args, args.file_a, args.file_b)
-    try:
-        result = api_reconcile(
-            set_a,
-            set_b,
-            scheme=args.scheme,
-            difference_bound=args.difference_bound,
-            max_symbols=args.max_symbols,
-            **scheme_params_from_args(args, width),
-        )
-    except (ReconcileError, ValueError) as exc:
-        # scheme representation limits (item too wide for the field, bad
-        # bound, ...) and convergence failures are user-facing errors
-        raise CliError(str(exc)) from exc
+    set_a, set_b, width = load_sets(args, args.file_a, args.file_b)
+    result = api_reconcile(
+        set_a,
+        set_b,
+        scheme=args.scheme,
+        difference_bound=args.difference_bound,
+        max_symbols=args.max_symbols,
+        **scheme_params(args, width),
+    )
     print(f"scheme          : {result.scheme}")
     print(f"|A| = {len(set_a)}, |B| = {len(set_b)}")
     print(f"difference      : {result.difference_size}")
@@ -199,11 +200,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     print(f"bytes on wire   : {result.bytes_on_wire}")
     if result.rounds > 1:
         print(f"rounds          : {result.rounds}")
-    if args.show_items:
-        for item in sorted(result.only_in_a):
-            print(f"  A-only {item.hex()}")
-        for item in sorted(result.only_in_b):
-            print(f"  B-only {item.hex()}")
+    show_items(args, result.only_in_a, result.only_in_b, marks=("A-only", "B-only"))
     return 0
 
 
@@ -229,8 +226,6 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 def server_config_from_args(args: argparse.Namespace):
     """The one ``ServerConfig`` ``serve``, ``serve --workers`` and
     ``chaos`` build from their shared limit flags."""
-    from repro.service import ServerConfig
-
     return ServerConfig(
         block_size=args.block_size,
         max_symbols_per_shard=args.max_symbols,
@@ -239,81 +234,72 @@ def server_config_from_args(args: argparse.Namespace):
     )
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def run_host(make, banner, wait, report=lambda host: None, address=()) -> int:
+    """The one runner of ``serve``, ``serve --workers`` and ``chaos``:
+    start ``make()`` on ``address`` (closing it if that fails), print its
+    banner, ``wait`` on it, then close it and print its ``report`` — on
+    Ctrl-C too, which then ends in ``interrupted`` on stderr."""
 
-    from repro.service import ReconciliationServer
-
-    if args.input is None and args.data_dir is None:
-        raise CliError("serve needs an INPUT file, a --data-dir, or both")
-    if args.input is not None:
-        items = read_items(Path(args.input), args.item_size, args.format)
-        unique = check_unique(items, args.input)
-        params = scheme_params_from_args(args, len(items[0]))
-    else:
-        # Warm start: everything (items, scheme params, shard count)
-        # comes back from the durable data dir's manifest + journal.
-        unique = set()
-        params = {}
-    durable = None
-    if args.data_dir is not None and args.checkpoint_every is not None:
-        from repro.durable import DurableConfig
-
-        durable = DurableConfig(checkpoint_every=args.checkpoint_every or None)
-
-    if args.workers > 1:
-        return _serve_cluster(args, sorted(unique), params, durable)
-    config = server_config_from_args(args)
-
-    async def run_server() -> None:
+    async def run() -> None:
+        host = make()
         try:
-            server = ReconciliationServer(
-                sorted(unique),
-                scheme=args.scheme,
-                num_shards=args.shards,
-                config=config,
-                data_dir=args.data_dir,
-                durable=durable,
-                **params,
-            )
-        except ValueError as exc:
-            # e.g. a scheme that can neither stream nor ship a sketch
-            raise CliError(str(exc)) from exc
-        served = len(server.backend.sharded)
-        host, port = await server.start(args.host, args.port)
-        durability = f", durable in {args.data_dir}" if args.data_dir else ""
-        print(
-            f"serving {served} items ({args.scheme}, "
-            f"{server.num_shards} shards{durability}) on {host}:{port}",
-            flush=True,
-        )
+            bound = await host.start(*address)
+        except BaseException:
+            await host.close()
+            raise
+        print(banner(host, *bound), flush=True)
         try:
-            await server.wait_finished()
+            await wait(host)
         finally:
-            await server.close()
-        stats = server.stats
-        print(
-            f"served {stats.sessions_completed} sessions "
-            f"({stats.sessions_dropped} dropped), "
-            f"{stats.symbols_sent} symbols / {stats.bytes_sent} bytes, "
-            f"{stats.items_pushed} items pushed"
-        )
+            await host.close()
+            summary = report(host)
+            if summary is not None:
+                print(summary)
 
     try:
-        asyncio.run(run_server())
+        asyncio.run(run())
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
     return 0
 
 
-def _serve_cluster(
-    args: argparse.Namespace, items: list, params: dict, durable
-) -> int:
-    """``repro serve --workers N``: the multi-process pool path."""
-    import asyncio
-
-    from repro.cluster import ClusterConfig, ClusterError, ClusterSupervisor
-
+def cmd_serve(args: argparse.Namespace) -> int:
+    if args.input is None and args.data_dir is None:
+        raise CliError("serve needs an INPUT file, a --data-dir, or both")
+    # Without an INPUT, a warm start: items, scheme params and shard
+    # count come back from the durable data dir's manifest + journal.
+    unique, width = load_sets(args, args.input) if args.input else (set(), None)
+    kwargs = dict(
+        scheme=args.scheme,
+        num_shards=args.shards,
+        data_dir=args.data_dir,
+        durable=None,
+        **scheme_params(args, width),
+    )
+    if args.data_dir is not None and args.checkpoint_every is not None:
+        kwargs["durable"] = DurableConfig(
+            checkpoint_every=args.checkpoint_every or None
+        )
+    durability = f", durable in {args.data_dir}" if args.data_dir else ""
+    if args.workers <= 1:
+        return run_host(
+            lambda: ReconciliationServer(
+                sorted(unique), config=server_config_from_args(args), **kwargs
+            ),
+            lambda server, host, port: (
+                f"serving {len(server.backend.sharded)} items ({args.scheme}, "
+                f"{server.num_shards} shards{durability}) on {host}:{port}"
+            ),
+            lambda server: server.wait_finished(),
+            lambda server: (
+                f"served {server.stats.sessions_completed} sessions "
+                f"({server.stats.sessions_dropped} dropped), "
+                f"{server.stats.symbols_sent} symbols / {server.stats.bytes_sent} "
+                f"bytes, {server.stats.items_pushed} items pushed"
+            ),
+            address=(args.host, args.port),
+        )
+    # --workers N: the multi-process pool path
     if args.scheme != "riblt":
         raise CliError(
             "--workers > 1 needs the durable warm-riblt backend "
@@ -327,61 +313,22 @@ def _serve_cluster(
         entry_port=args.port,
         server=server_config_from_args(args),
     )
-
-    async def run_cluster() -> None:
-        sup = ClusterSupervisor(
-            items,
-            data_dir=args.data_dir,
-            scheme=args.scheme,
-            num_shards=args.shards,
-            config=config,
-            durable=durable,
-            **params,
-        )
-        try:
-            host, port = await sup.start()
-        except ClusterError as exc:
-            await sup.close()
-            raise CliError(str(exc)) from exc
-        mode = (
-            "SO_REUSEPORT" if sup.reuse_port_active else "per-worker ports"
-        )
-        durability = f", durable in {args.data_dir}" if args.data_dir else ""
-        print(
-            f"serving {sup.total_shards} shards across {args.workers} "
-            f"workers ({mode}{durability}) on {host}:{port}",
-            flush=True,
-        )
-        try:
-            await sup.wait()
-        finally:
-            await sup.close()
-
-    try:
-        asyncio.run(run_cluster())
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-    return 0
+    return run_host(
+        lambda: ClusterSupervisor(sorted(unique), config=config, **kwargs),
+        lambda sup, host, port: (
+            f"serving {sup.total_shards} shards across {args.workers} workers "
+            f"({'SO_REUSEPORT' if sup.reuse_port_active else 'per-worker ports'}"
+            f"{durability}) on {host}:{port}"
+        ),
+        lambda sup: sup.wait(),
+    )
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``repro chaos``: a fault-proxied worker pool for resilience drills."""
-    import asyncio
-
-    from repro.chaos import ChaosError, ChaosOrchestrator, FaultSchedule, default_schedule
-    from repro.cluster import ClusterConfig, ClusterError
-
-    items = read_items(Path(args.input), args.item_size, args.format)
-    unique = check_unique(items, args.input)
-    params = scheme_params_from_args(args, len(items[0]))
+    unique, width = load_sets(args, args.input)
     if args.schedule is not None:
-        path = Path(args.schedule)
-        if not path.exists():
-            raise CliError(f"no such schedule file: {path}")
-        try:
-            schedule = FaultSchedule.from_json(path.read_text())
-        except ChaosError as exc:
-            raise CliError(f"{path}: {exc}") from exc
+        schedule = FaultSchedule.from_json(Path(args.schedule).read_text())
     else:
         schedule = default_schedule(args.seed)
     config = ClusterConfig(
@@ -389,26 +336,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         host=args.host,
         server=server_config_from_args(args),
     )
+    stats: dict = {}  # the proxies' counters, read before close drops them
 
-    async def run_chaos() -> None:
-        orch = ChaosOrchestrator(
-            sorted(unique),
-            schedule=schedule,
-            config=config,
-            num_shards=args.shards,
-            **params,
-        )
-        try:
-            host, port = await orch.start()
-        except ClusterError as exc:
-            await orch.close()
-            raise CliError(str(exc)) from exc
-        print(
-            f"chaos: serving {len(unique)} items via {args.workers} "
-            f"fault-proxied workers ({len(schedule.specs)} fault specs, "
-            f"seed {schedule.seed}) on {host}:{port}",
-            flush=True,
-        )
+    async def wait(orch) -> None:
         try:
             if args.max_conns:
                 total = 0
@@ -420,47 +350,60 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             else:
                 await orch.supervisor.wait()
         finally:
-            stats = orch.proxy_stats()
-            await orch.close()
-            print(
-                f"chaos: {stats.get('connections', 0)} connections proxied, "
-                f"{stats.get('resets', 0)} reset, "
-                f"{stats.get('dropped', 0)} dropped, "
-                f"{stats.get('bytes_forwarded', 0)} bytes forwarded, "
-                f"restarts {tuple(orch.restart_counts)}"
-            )
+            stats.update(orch.proxy_stats())
 
-    try:
-        asyncio.run(run_chaos())
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-    return 0
+    return run_host(
+        lambda: ChaosOrchestrator(
+            sorted(unique),
+            schedule=schedule,
+            config=config,
+            num_shards=args.shards,
+            **scheme_params(args, width),
+        ),
+        lambda orch, host, port: (
+            f"chaos: serving {len(unique)} items via {args.workers} "
+            f"fault-proxied workers ({len(schedule.specs)} fault specs, "
+            f"seed {schedule.seed}) on {host}:{port}"
+        ),
+        wait,
+        lambda orch: (
+            f"chaos: {stats.get('connections', 0)} connections proxied, "
+            f"{stats.get('resets', 0)} reset, "
+            f"{stats.get('dropped', 0)} dropped, "
+            f"{stats.get('bytes_forwarded', 0)} bytes forwarded, "
+            f"restarts {tuple(orch.restart_counts)}"
+        ),
+    )
 
 
 def cmd_sync(args: argparse.Namespace) -> int:
-    if args.transport != "tcp":
-        return _sync_local_transport(args)
-    from repro.api import SymbolBudgetExceeded
-    from repro.service import ServiceError, sync_once
+    sync = _sync_tcp if args.transport == "tcp" else _sync_local_transport
+    local, missing, extra = sync(args)
+    show_items(args, missing, extra)
+    if args.output:
+        merged = sorted(local | missing)
+        if args.format == "hex":
+            Path(args.output).write_text("".join(f"{item.hex()}\n" for item in merged))
+        else:
+            Path(args.output).write_bytes(b"".join(merged))
+        print(f"wrote {len(merged)} reconciled items to {args.output}")
+    return 0
 
+
+def _sync_tcp(args: argparse.Namespace) -> tuple[set, set, set]:
+    """``repro sync --transport tcp``: the peer is a running ``serve``."""
     if args.port is None:
         raise CliError("--port is required for --transport tcp")
-    items = read_items(Path(args.input), args.item_size, args.format)
-    unique = check_unique(items, args.input)
-    try:
-        result = sync_once(
-            args.host,
-            args.port,
-            sorted(unique),
-            scheme=args.scheme,
-            push=args.push,
-            max_symbols=args.max_symbols,
-            **scheme_params_from_args(args, len(items[0])),
-        )
-    except SymbolBudgetExceeded as exc:
-        raise CliError(f"symbol budget exhausted: {exc}") from exc
-    except (ServiceError, ValueError, ConnectionError, OSError) as exc:
-        raise CliError(f"sync failed: {exc}") from exc
+    unique, width = load_sets(args, args.input)
+    result = sync_once(
+        args.host,
+        args.port,
+        sorted(unique),
+        scheme=args.scheme,
+        push=args.push,
+        max_symbols=args.max_symbols,
+        **scheme_params(args, width),
+    )
     print(f"scheme          : {result.scheme} ({result.num_shards} shards)")
     print(f"missing locally : {len(result.only_in_server)}")
     print(f"extra locally   : {len(result.only_in_client)}")
@@ -468,31 +411,11 @@ def cmd_sync(args: argparse.Namespace) -> int:
     print(f"bytes received  : {result.bytes_received}")
     if args.push:
         print(f"items pushed    : {result.pushed}")
-    if args.show_items:
-        for item in sorted(result.only_in_server):
-            print(f"  + {item.hex()}")
-        for item in sorted(result.only_in_client):
-            print(f"  - {item.hex()}")
-    if args.output:
-        _write_merged(args, unique | result.only_in_server)
-    return 0
+    return unique, result.only_in_server, result.only_in_client
 
 
-def _write_merged(args: argparse.Namespace, merged_items) -> None:
-    merged = sorted(merged_items)
-    if args.format == "hex":
-        Path(args.output).write_text(
-            "".join(f"{item.hex()}\n" for item in merged)
-        )
-    else:
-        Path(args.output).write_bytes(b"".join(merged))
-    print(f"wrote {len(merged)} reconciled items to {args.output}")
-
-
-def _sync_local_transport(args: argparse.Namespace) -> int:
+def _sync_local_transport(args: argparse.Namespace) -> tuple[set, set, set]:
     """``repro sync --transport {sim,memory}``: the peer is a local file."""
-    from repro.api import ReconcileError
-
     if not args.peer:
         raise CliError(f"--transport {args.transport} needs --peer FILE")
     if args.push:
@@ -500,50 +423,47 @@ def _sync_local_transport(args: argparse.Namespace) -> int:
             f"--push is not supported on --transport {args.transport}: the "
             "in-process peer is read-only (use -o to merge locally)"
         )
-    local_set, peer_set, width = read_two_sets(args, args.input, args.peer)
-    params = scheme_params_from_args(args, width)
+    local_set, peer_set, width = load_sets(args, args.input, args.peer)
+    params = scheme_params(args, width)
     outcome = None
-    try:
-        if args.transport == "sim":
-            if args.scheme == "merkle":
-                # The interactive heal cannot be framed; replay its
-                # transcript through the same link model instead.
-                from repro.net.protocols.heal_sync import simulate_merkle_sync
+    if args.transport == "sim":
+        if args.scheme == "merkle":
+            # The interactive heal cannot be framed; replay its
+            # transcript through the same link model instead.
+            from repro.net.protocols.heal_sync import simulate_merkle_sync
 
-                outcome = simulate_merkle_sync(
-                    sorted(peer_set),
-                    sorted(local_set),
-                    bandwidth_bps=args.bandwidth,
-                    delay_s=args.delay,
-                    **params,
-                )
-            else:
-                from repro.net.protocols.machine_sync import simulate_machine_sync
-
-                outcome = simulate_machine_sync(
-                    sorted(peer_set),
-                    sorted(local_set),
-                    args.scheme,
-                    bandwidth_bps=args.bandwidth,
-                    delay_s=args.delay,
-                    loss_rate=args.loss,
-                    seed=args.seed,
-                    difference_bound=args.difference_bound or 0,
-                    max_symbols=args.max_symbols,
-                    **params,
-                )
-            result = outcome.result
-        else:  # memory: the in-process pump behind repro.api.reconcile
-            result = api_reconcile(
+            outcome = simulate_merkle_sync(
                 sorted(peer_set),
                 sorted(local_set),
-                scheme=args.scheme,
-                difference_bound=args.difference_bound,
+                bandwidth_bps=args.bandwidth,
+                delay_s=args.delay,
+                **params,
+            )
+        else:
+            from repro.net.protocols.machine_sync import simulate_machine_sync
+
+            outcome = simulate_machine_sync(
+                sorted(peer_set),
+                sorted(local_set),
+                args.scheme,
+                bandwidth_bps=args.bandwidth,
+                delay_s=args.delay,
+                loss_rate=args.loss,
+                seed=args.seed,
+                difference_bound=args.difference_bound or 0,
                 max_symbols=args.max_symbols,
                 **params,
             )
-    except (ReconcileError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        result = outcome.result
+    else:  # memory: the in-process pump behind repro.api.reconcile
+        result = api_reconcile(
+            sorted(peer_set),
+            sorted(local_set),
+            scheme=args.scheme,
+            difference_bound=args.difference_bound,
+            max_symbols=args.max_symbols,
+            **params,
+        )
     print(f"scheme          : {result.scheme} ({args.transport} transport)")
     print(f"missing locally : {len(result.only_in_a)}")
     print(f"extra locally   : {len(result.only_in_b)}")
@@ -559,14 +479,7 @@ def _sync_local_transport(args: argparse.Namespace) -> int:
               f"(bw {args.bandwidth / 1e6:g} Mbps, delay {args.delay * 1e3:g} ms, "
               f"{loss})")
         print(f"bytes down/up   : {outcome.bytes_down} / {outcome.bytes_up}")
-    if args.show_items:
-        for item in sorted(result.only_in_a):
-            print(f"  + {item.hex()}")
-        for item in sorted(result.only_in_b):
-            print(f"  - {item.hex()}")
-    if args.output:
-        _write_merged(args, local_set | result.only_in_a)
-    return 0
+    return local_set, result.only_in_a, result.only_in_b
 
 
 def cmd_gossip(args: argparse.Namespace) -> int:
@@ -606,10 +519,7 @@ def cmd_gossip(args: argparse.Namespace) -> int:
         seed=args.seed,
         config=config,
     )
-    try:
-        report = mesh.run_until_converged(max_rounds=args.max_rounds)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = mesh.run_until_converged(max_rounds=args.max_rounds)
 
     print(
         f"{args.nodes} nodes, {args.topology} topology, fanout {args.fanout}, "
@@ -644,7 +554,7 @@ def cmd_gossip(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    set_a, set_b, _ = read_two_sets(args, args.file_a, args.file_b)
+    set_a, set_b, _ = load_sets(args, args.file_a, args.file_b)
     estimator_a = StrataEstimator.from_items(set_a)
     estimator_b = StrataEstimator.from_items(set_b)
     estimate = estimator_a.estimate(estimator_b)
@@ -653,6 +563,37 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"true difference      : {true_d}")
     print(f"estimator wire size  : {estimator_a.wire_size()} bytes")
     return 0
+
+
+def _option(*names: str, **spec):
+    """Declare an option once; each subcommand taking it calls the
+    result with its parser and its own default and help, if any."""
+    return lambda parser, **own: parser.add_argument(*names, **spec, **own)
+
+
+HOST = _option("--host", default="127.0.0.1")
+PORT = _option("--port", type=int)
+SCHEME = _option("--scheme", default="riblt", choices=available_schemes())
+SHARDS = _option("--shards", type=int)
+WORKERS = _option("--workers", type=int)
+BLOCK_SIZE = _option("--block-size", type=int, default=64)
+MAX_SYMBOLS = _option("--max-symbols", type=int)
+MAX_CLIENTS = _option("--max-clients", type=int, default=None)
+DIFFERENCE_BOUND = _option("--difference-bound", type=int, default=None)
+SHOW_ITEMS = _option("--show-items", action="store_true")
+OUTPUT = _option("-o", "--output")
+SEED = _option("--seed", type=int, default=0)
+TRANSPORT = _option("--transport")
+BANDWIDTH = _option("--bandwidth", type=float, default=20e6)
+DELAY = _option("--delay", type=float)
+LOSS = _option("--loss", type=float, default=0.0)
+
+
+def _command(sub, func, help: str, **defaults) -> argparse.ArgumentParser:
+    """The subcommand ``func`` runs, named after it (``cmd_<name>``)."""
+    parser = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+    parser.set_defaults(func=func, **defaults)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,50 +610,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="input file format (default: bin)",
     )
     parser.add_argument(
-        "--hasher", choices=("blake2b", "siphash"), default="blake2b",
-        help="keyed checksum hash family",
+        "--hasher", choices=("blake2b", "siphash"), default=None,
+        help="keyed checksum hash family (default: siphash for serve, chaos "
+             "and sync over tcp, blake2b otherwise)",
     )
     parser.add_argument(
-        "--key", default="000102030405060708090a0b0c0d0e0f",
+        "--key", type=bytes.fromhex, default=None,
         help="16-byte hash key, hex (share it with the peer)",
     )
     parser.add_argument(
-        "--checksum-size", type=int, default=8,
+        "--checksum-size", type=int, default=None,
         help="checksum bytes per cell, 1-8 (default 8)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sketch = sub.add_parser("sketch", help="encode a file into coded symbols")
+    p_sketch = _command(sub, cmd_sketch, "encode a file into coded symbols")
     p_sketch.add_argument("input")
-    p_sketch.add_argument("-o", "--output", required=True)
+    OUTPUT(p_sketch, required=True)
     p_sketch.add_argument("--symbols", type=int, required=True)
-    p_sketch.set_defaults(func=cmd_sketch)
 
-    p_decode = sub.add_parser(
-        "decode", help="decode a received sketch against a local file"
+    p_decode = _command(
+        sub, cmd_decode, "decode a received sketch against a local file"
     )
     p_decode.add_argument("sketch")
     p_decode.add_argument("local")
-    p_decode.add_argument("--show-items", action="store_true")
-    p_decode.set_defaults(func=cmd_decode)
+    SHOW_ITEMS(p_decode)
 
-    p_rec = sub.add_parser("reconcile", help="reconcile two local files")
+    p_rec = _command(sub, cmd_reconcile, "reconcile two local files")
     p_rec.add_argument("file_a")
     p_rec.add_argument("file_b")
-    p_rec.add_argument(
-        "--scheme", default="riblt", choices=available_schemes(),
-        help="reconciliation scheme from the registry (default: riblt)",
-    )
-    p_rec.add_argument(
-        "--difference-bound", type=int, default=None,
+    SCHEME(p_rec, help="reconciliation scheme from the registry (default: riblt)")
+    DIFFERENCE_BOUND(
+        p_rec,
         help="pre-size fixed-capacity schemes for this many differences "
              "(default: run a strata-estimator exchange)",
     )
-    p_rec.add_argument("--max-symbols", type=int, default=None)
-    p_rec.add_argument("--show-items", action="store_true")
-    p_rec.set_defaults(func=cmd_reconcile)
+    MAX_SYMBOLS(p_rec, default=None)
+    SHOW_ITEMS(p_rec)
 
-    p_serve = sub.add_parser("serve", help="serve reconciliation sessions over TCP")
+    p_serve = _command(sub, cmd_serve, "serve reconciliation sessions over TCP")
     p_serve.add_argument(
         "input", nargs="?", default=None,
         help="items file (optional when --data-dir holds a previous run)",
@@ -727,115 +663,89 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot after this many journaled mutations "
              "(default 4096; 0 disables auto-checkpointing)",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="TCP port (default 0: pick a free one and print it)")
-    p_serve.add_argument(
-        "--shards", type=int, default=4,
+    HOST(p_serve)
+    PORT(p_serve, default=0, help="TCP port (default 0: pick a free one and print it)")
+    SHARDS(
+        p_serve, default=4,
         help="hash-partition the set into this many parallel streams (default 4)",
     )
-    p_serve.add_argument(
-        "--scheme", default="riblt", choices=available_schemes(),
-        help="scheme backing each shard (default: riblt, warm encoders)",
-    )
-    p_serve.add_argument("--block-size", type=int, default=64,
-                         help="coded symbols per frame (default 64)")
-    p_serve.add_argument(
-        "--max-symbols", type=int, default=1 << 17,
+    SCHEME(p_serve, help="scheme backing each shard (default: riblt, warm encoders)")
+    BLOCK_SIZE(p_serve, help="coded symbols per frame (default 64)")
+    MAX_SYMBOLS(
+        p_serve, default=1 << 17,
         help="per-shard symbol budget before a session is dropped",
     )
     p_serve.add_argument(
         "--max-sessions", type=int, default=None,
         help="exit after serving this many sessions (default: run forever)",
     )
-    p_serve.add_argument(
-        "--workers", type=int, default=1,
+    WORKERS(
+        p_serve, default=1,
         help="worker processes sharing the shards (default 1: in-process "
              "server; >1 spawns a supervised pool, one core each)",
     )
-    p_serve.add_argument(
-        "--max-clients", type=int, default=None,
+    MAX_CLIENTS(
+        p_serve,
         help="concurrent-session admission cap (per worker with "
              "--workers > 1); excess connections get a typed BUSY shed "
              "with a retry-after hint instead of queueing",
     )
-    p_serve.set_defaults(func=cmd_serve)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="serve through a deterministic fault-injection proxy pool"
+    p_chaos = _command(
+        sub, cmd_chaos, "serve through a deterministic fault-injection proxy pool",
+        scheme="riblt", max_sessions=None,
     )
     p_chaos.add_argument("input", help="items file to serve")
-    p_chaos.add_argument("--host", default="127.0.0.1")
-    p_chaos.add_argument("--workers", type=int, default=2,
-                         help="worker processes behind the proxies (default 2)")
-    p_chaos.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count (default 0: one per worker)",
-    )
-    p_chaos.add_argument("--block-size", type=int, default=64)
-    p_chaos.add_argument("--max-symbols", type=int, default=1 << 17)
-    p_chaos.add_argument(
-        "--max-clients", type=int, default=None,
-        help="per-worker admission cap (BUSY sheds past it)",
-    )
+    HOST(p_chaos)
+    WORKERS(p_chaos, default=2, help="worker processes behind the proxies (default 2)")
+    SHARDS(p_chaos, default=0, help="shard count (default 0: one per worker)")
+    BLOCK_SIZE(p_chaos)
+    MAX_SYMBOLS(p_chaos, default=1 << 17)
+    MAX_CLIENTS(p_chaos, help="per-worker admission cap (BUSY sheds past it)")
     p_chaos.add_argument(
         "--schedule", default=None,
         help="fault schedule JSON file (default: the built-in mix of "
              "latency, jitter, partial writes, and mid-frame resets)",
     )
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="seed for the built-in schedule (default 0)")
+    SEED(p_chaos, help="seed for the built-in schedule (default 0)")
     p_chaos.add_argument(
         "--max-conns", type=int, default=None,
         help="exit once this many proxied connections have completed "
              "(default: serve until interrupted)",
     )
-    p_chaos.set_defaults(func=cmd_chaos, scheme="riblt", max_sessions=None)
 
-    p_sync = sub.add_parser(
-        "sync", help="reconcile a local file against a peer, over any transport"
+    p_sync = _command(
+        sub, cmd_sync, "reconcile a local file against a peer, over any transport"
     )
     p_sync.add_argument("input")
-    p_sync.add_argument(
-        "--transport", choices=("tcp", "sim", "memory"), default="tcp",
+    TRANSPORT(
+        p_sync, choices=("tcp", "sim", "memory"), default="tcp",
         help="tcp: a running `repro serve`; sim: an in-process peer over a "
              "simulated link; memory: the in-process lock-step pump "
              "(default: tcp)",
     )
-    p_sync.add_argument("--host", default="127.0.0.1")
-    p_sync.add_argument("--port", type=int, default=None,
-                        help="server TCP port (required for --transport tcp)")
+    HOST(p_sync)
+    PORT(p_sync, default=None, help="server TCP port (required for --transport tcp)")
     p_sync.add_argument(
         "--peer", default=None,
         help="peer item file (required for --transport sim/memory)",
     )
-    p_sync.add_argument(
-        "--scheme", default="riblt", choices=available_schemes(),
-        help="must match the server's scheme (default: riblt)",
-    )
+    SCHEME(p_sync, help="must match the server's scheme (default: riblt)")
     p_sync.add_argument("--push", action="store_true",
                         help="send the server the items it is missing")
-    p_sync.add_argument("--max-symbols", type=int, default=None,
-                        help="client-side per-shard symbol budget")
-    p_sync.add_argument(
-        "--difference-bound", type=int, default=None,
-        help="pre-size fixed-capacity schemes (sim/memory transports)",
+    MAX_SYMBOLS(p_sync, default=None, help="client-side per-shard symbol budget")
+    DIFFERENCE_BOUND(
+        p_sync, help="pre-size fixed-capacity schemes (sim/memory transports)"
     )
-    p_sync.add_argument("--bandwidth", type=float, default=20e6,
-                        help="simulated link bandwidth, bps (default 20e6)")
-    p_sync.add_argument("--delay", type=float, default=0.05,
-                        help="simulated one-way delay, seconds (default 0.05)")
-    p_sync.add_argument("--loss", type=float, default=0.0,
-                        help="simulated frame loss rate in [0,1) (default 0)")
-    p_sync.add_argument("--seed", type=int, default=0,
-                        help="loss-model RNG seed (default 0)")
-    p_sync.add_argument("--show-items", action="store_true")
-    p_sync.add_argument("-o", "--output", default=None,
-                        help="write the reconciled (merged) item file here")
-    p_sync.set_defaults(func=cmd_sync)
+    BANDWIDTH(p_sync, help="simulated link bandwidth, bps (default 20e6)")
+    DELAY(p_sync, default=0.05, help="simulated one-way delay, seconds (default 0.05)")
+    LOSS(p_sync, help="simulated frame loss rate in [0,1) (default 0)")
+    SEED(p_sync, help="loss-model RNG seed (default 0)")
+    SHOW_ITEMS(p_sync)
+    OUTPUT(p_sync, default=None, help="write the reconciled (merged) item file here")
 
-    p_gossip = sub.add_parser(
-        "gossip", help="run a synthetic N-node anti-entropy gossip mesh"
+    p_gossip = _command(
+        sub, cmd_gossip, "run a synthetic N-node anti-entropy gossip mesh"
     )
     p_gossip.add_argument("--nodes", type=int, default=32,
                           help="mesh size (default 32)")
@@ -852,39 +762,29 @@ def build_parser() -> argparse.ArgumentParser:
                           help="target average degree, random topology only")
     p_gossip.add_argument("--fanout", type=int, default=2,
                           help="exchanges each node initiates per round")
-    p_gossip.add_argument(
-        "--transport", choices=("memory", "sim", "service"), default="memory",
+    TRANSPORT(
+        p_gossip, choices=("memory", "sim", "service"), default="memory",
         help="how full sessions run: lock-step pump, simulated links, "
              "or real asyncio TCP (default: memory)",
     )
     p_gossip.add_argument("--max-rounds", type=int, default=32)
-    p_gossip.add_argument("--seed", type=int, default=0)
-    p_gossip.add_argument("--bandwidth", type=float, default=20e6,
-                          help="sim link bandwidth, bps (default 20e6)")
-    p_gossip.add_argument("--delay", type=float, default=0.001,
-                          help="sim one-way delay, seconds (default 0.001)")
-    p_gossip.add_argument("--loss", type=float, default=0.0,
-                          help="sim frame loss rate in [0,1) (default 0)")
-    p_gossip.set_defaults(func=cmd_gossip)
+    SEED(p_gossip)
+    BANDWIDTH(p_gossip, help="sim link bandwidth, bps (default 20e6)")
+    DELAY(p_gossip, default=0.001, help="sim one-way delay, seconds (default 0.001)")
+    LOSS(p_gossip, help="sim frame loss rate in [0,1) (default 0)")
 
-    p_est = sub.add_parser("estimate", help="strata-estimate the difference size")
+    p_est = _command(sub, cmd_estimate, "strata-estimate the difference size")
     p_est.add_argument("file_a")
     p_est.add_argument("file_b")
-    p_est.set_defaults(func=cmd_estimate)
 
-    p_sch = sub.add_parser("schemes", help="list registered schemes")
-    p_sch.set_defaults(func=cmd_schemes)
+    _command(sub, cmd_schemes, "list registered schemes")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout consumer (head, less, ...) went away mid-print; the
         # Unix convention is a quiet exit, not a traceback.
@@ -893,6 +793,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 141
+    except (
+        CliError, ReconcileError, ServiceError, FrameError, DurabilityError,
+        ClusterError, ValueError, ConnectionError, OSError,
+    ) as exc:
+        # The one mapping of the library's typed failures (and bad input)
+        # to a user-facing error line; anything else is a bug and raises.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

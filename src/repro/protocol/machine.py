@@ -432,10 +432,6 @@ class InitiatorMachine(ReconcilerMachine):
             st.tally.payload_bytes for st in self._shards
         )
 
-    @property
-    def symbols_absorbed(self) -> int:
-        return sum(st.tally.symbols for st in self._shards)
-
     # -- machine events ----------------------------------------------------
 
     def _on_start(self) -> None:

@@ -512,7 +512,7 @@ def cmd_gossip(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     mesh = GossipMesh(
-        make_nodes(node_sets),
+        make_nodes(node_sets, **scheme_params(args, item_size, "riblt")),
         topology=args.topology,
         degree=args.degree,
         fanout=args.fanout,

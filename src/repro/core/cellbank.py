@@ -366,6 +366,16 @@ def lanes_from_bytes(rows, size: int):
     return padded.view("<u8")
 
 
+def has_duplicates(lanes) -> bool:
+    """Whether a lane matrix holds a value twice: one sort of the first
+    lane, then only rows sharing a first lane are sorted whole."""
+    np = engine.np
+    first = np.sort(lanes[:, 0])
+    shared = lanes[np.isin(lanes[:, 0], first[1:][first[1:] == first[:-1]])]
+    shared = shared[np.lexsort(shared.T)]
+    return bool((shared[1:] == shared[:-1]).all(axis=1).any())
+
+
 def lanes_from_ints(values, size: int):
     """Lanes (see :func:`lanes_from_bytes`) of integers in ``[0, 2^(8·size))``.
 

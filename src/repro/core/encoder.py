@@ -54,6 +54,7 @@ from typing import Iterable, Optional, Sequence
 from repro import engine
 from repro.core.cellbank import (
     CodedSymbolBank,
+    has_duplicates,
     ints_from_lanes,
     lanes_from_bytes,
     lanes_from_ints,
@@ -82,16 +83,6 @@ def _column(values, spare: int, dtype: str, fill):
     column = engine.np.full(len(values) + spare, fill, dtype=dtype)
     column[: len(values)] = values
     return column
-
-
-def _has_duplicates(lanes) -> bool:
-    """Whether a lane matrix holds a value twice: one sort of the first
-    lane, then only rows sharing a first lane are sorted whole."""
-    np = engine.np
-    first = np.sort(lanes[:, 0])
-    shared = lanes[np.isin(lanes[:, 0], first[1:][first[1:] == first[:-1]])]
-    shared = shared[np.lexsort(shared.T)]
-    return bool((shared[1:] == shared[:-1]).all(axis=1).any())
 
 
 def _walk_into(spans, direction) -> None:
@@ -561,7 +552,7 @@ class RatelessEncoder:
         test) against the index for the common clean batch."""
         store = self._store
         if not (present or store.live or isinstance(values, list)):
-            if not _has_duplicates(values):
+            if not has_duplicates(values):
                 return
         values = to_list(values)
         rows = store.rows

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import engine
-from repro.core.cellbank import check_widths, lane_count, numpy_block_eligible
-from repro.core.cellbank import to_list, unpack_records
+from repro.core.cellbank import check_widths, has_duplicates, lane_count, to_list
+from repro.core.cellbank import lanes_from_bytes, numpy_block_eligible, unpack_records
 from repro.core.mapping import IndexGenerator
 from repro.core.params import CHECKSUM_BYTES, DEFAULT_ALPHA
 from repro.hashing.keyed import Blake2bHasher, KeyedHasher
@@ -109,6 +109,17 @@ class SymbolCodec:
             return items
         np = engine.np
         return np.frombuffer(b"".join(items), dtype=np.uint8).reshape(-1, size)
+
+    def distinct_item_rows(self, items: list):
+        """:meth:`item_rows` of the item list, repeats dropped (first kept).
+        A row matrix pays the encoder's first-lane sort (``has_duplicates``);
+        only a matrix holding a repeat, and the list form, pay ``dict.fromkeys``."""
+        rows = self.item_rows(items)
+        if isinstance(rows, list):
+            return list(dict.fromkeys(rows))
+        if has_duplicates(lanes_from_bytes(rows, self.symbol_size)):
+            return self.item_rows(list(dict.fromkeys(items)))
+        return rows
 
     def to_bytes(self, value: int) -> bytes:
         """Unpack an integer sum back into ℓ bytes."""

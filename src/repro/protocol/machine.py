@@ -101,6 +101,11 @@ call peels every shard of the wave, sharing each peel round's hash and
 kernel calls.  The initiator then answers each frame (SHARD_DONE,
 CREDIT, typed error) in arrival order, exactly as frame-at-a-time
 absorption would: shards are independent.
+
+A frame past a shard encoder's prefix grows it by doubling (to the frame's
+end, or twice the prefix within the grant): O(log symbols) walk-kernel
+calls per shard, and since cells are deterministic, block boundaries and
+wire bytes are those of frame-sized growth.
 """
 
 from __future__ import annotations
@@ -628,9 +633,13 @@ class InitiatorMachine(ReconcilerMachine):
                     results[pos], end = exc, min(end, pos + 1)
                     break
                 if parsed:
-                    lo = st.absorbed
+                    lo, encoder = st.absorbed, st.encoder
                     st.absorbed += parsed
-                    incoming.subtract_in_place(st.encoder.cached_block(lo, st.absorbed))
+                    produced = encoder.produced_count
+                    if st.absorbed > produced:  # the prefix grows by doubling
+                        grow = max(st.absorbed, min(2 * produced, st.granted))
+                        encoder.produce_block(grow - produced)
+                    incoming.subtract_in_place(encoder.cached_block(lo, st.absorbed))
                     jobs.append((st.decoder, incoming))
                 absorbed.append(pos)
             ingest(jobs)

@@ -53,6 +53,8 @@ from repro.service.framing import FrameError, MAX_FRAME_BYTES, SyncMode
 from repro.service.shard import hash_items
 
 _READ_CHUNK = 1 << 16
+# The typed failures wire corruption decays into (RetryPolicy.retry_frame_errors).
+_CORRUPTION = (FrameError, ProtocolError, SymbolBudgetExceeded, IdleTimeout)
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class SyncResult:
 
 
 def _to_sync_result(report) -> SyncResult:
-    result = SyncResult(
+    return SyncResult(
         scheme=report.scheme,
         mode=report.mode,
         num_shards=report.num_shards,
@@ -154,9 +156,7 @@ def _to_sync_result(report) -> SyncResult:
         payloads=report.payloads,
         only_in_server=set(report.only_in_remote),
         only_in_client=set(report.only_in_local),
-    )
-    for tally in report.per_shard:
-        result.per_shard.append(
+        per_shard=[
             ShardReport(
                 shard=tally.shard,
                 symbols=tally.symbols,
@@ -165,8 +165,9 @@ def _to_sync_result(report) -> SyncResult:
                 only_in_server=tally.only_in_remote,
                 only_in_client=tally.only_in_local,
             )
-        )
-    return result
+            for tally in report.per_shard
+        ],
+    )
 
 
 async def sync(
@@ -188,6 +189,10 @@ async def sync(
 ) -> SyncResult:
     """Reconcile ``items`` against the server at ``(host, port)``.
 
+    ``items`` may be any iterable; a repeated item counts once, dropped
+    before any hash or digest: on the lanes by one first-lane sort of the
+    row matrix (:meth:`~repro.core.symbols.SymbolCodec.distinct_item_rows`),
+    so only a batch holding a repeat, or a list-form one, pays a dedup pass.
     ``num_shards=0`` adopts the server's shard count (pass a value only
     to assert it).  ``max_symbols`` is this side's per-shard budget —
     exceeding it raises the same typed
@@ -197,26 +202,26 @@ async def sync(
     :func:`repro.api.reconcile`, except that the keyed checksum hash
     defaults to SipHash at the service layer (pass ``hasher="blake2b"``
     to override; see :mod:`repro.service.defaults`).  ``retry`` bounds
-    reconnects on
-    connection-level failures (see :class:`RetryPolicy`); the default
+    reconnects on connection-level failures (see :class:`RetryPolicy`); the default
     ``None`` keeps the historical fail-fast behaviour.  ``idle_timeout``
     is this side's stall deadline: a session in which no byte moves for
     that long fails with a typed
     :class:`~repro.service.errors.IdleTimeout` instead of hanging on a
     blackholed link (``None`` = wait forever, the historical default).
     """
-    materialised = list(dict.fromkeys(items))
-    handle = get_scheme(
-        scheme, **with_service_hasher(scheme, params)
-    ).bound_to(materialised)
+    materialised = list(items)
+    handle = get_scheme(scheme, **with_service_hasher(scheme, params))
+    handle = handle.bound_to(materialised)
     # One pass from item bytes to columns per sync, reused by every worker
     # session: a streaming scheme's batch becomes the row matrix its stream
-    # encoders slice, and one hash per item serves placement and checksums.
-    item_hashes = None
-    if handle.codec is not None and materialised:
-        if handle.capabilities.streaming:
-            materialised = handle.codec.item_rows(materialised)
-        item_hashes = hash_items(handle.hash64, materialised)
+    # encoders slice, deduplicated by one sort of its first lane, and one
+    # hash per item serves placement and checksums.
+    codec = handle.codec
+    if codec is not None and handle.capabilities.streaming:
+        materialised = codec.distinct_item_rows(materialised)
+    else:
+        materialised = list(dict.fromkeys(materialised))
+    item_hashes = hash_items(handle.hash64, materialised)
 
     async def _session(
         session_host: str,
@@ -259,15 +264,9 @@ async def sync(
         def _fan_out(info: ClusterInfo) -> None:
             cluster_box.append(info)
             for worker in range(info.num_workers):
-                if worker == info.worker_index:
-                    continue
-                siblings.append(
-                    asyncio.ensure_future(
-                        _session(
-                            host, info.ports[worker], expect_worker=worker
-                        )
-                    )
-                )
+                if worker != info.worker_index:
+                    session = _session(host, info.ports[worker], expect_worker=worker)
+                    siblings.append(asyncio.ensure_future(session))
 
         try:
             first = await _session(host, port, on_cluster=_fan_out)
@@ -284,42 +283,25 @@ async def sync(
     if retry is None:
         return await _attempt()
     delays = retry.delays()
-    attempts = 1
-    busy_waits = 0
+    attempts = busy_waits = 0
     while True:
+        attempts += 1
         try:
             result = await _attempt()
-            result.attempts = attempts
-            result.busy_waits = busy_waits
+        except (ServerBusy, ConnectionError, OSError, *_CORRUPTION) as exc:
+            weather = isinstance(exc, (ServerBusy, ConnectionError, OSError)) or (
+                retry.retry_frame_errors and not isinstance(exc, SchemeMismatch)
+            )
+            pause = next(delays, None) if weather else None
+            if pause is None:
+                raise
+            if isinstance(exc, ServerBusy):  # honour its retry-after hint
+                busy_waits += 1
+                pause = max(pause, exc.retry_after)
+            await asyncio.sleep(pause)
+        else:
+            result.attempts, result.busy_waits = attempts, busy_waits
             return result
-        except ServerBusy as exc:
-            # The server shed us with a retry-after hint; honour it —
-            # the longer of the hint and the policy's own backoff step,
-            # so a fleet's jittered schedules still decorrelate.
-            pause = next(delays, None)
-            if pause is None:
-                raise
-            busy_waits += 1
-            await asyncio.sleep(max(pause, exc.retry_after))
-        except (ConnectionError, OSError):
-            pause = next(delays, None)
-            if pause is None:
-                raise
-            await asyncio.sleep(pause)
-        except (FrameError, ProtocolError, SymbolBudgetExceeded, IdleTimeout) as exc:
-            # Typed protocol errors normally propagate: both ends were
-            # alive and disagreed; replaying the session replays the
-            # disagreement.  retry_frame_errors opts corruption-shaped
-            # failures (and blackhole stalls) back in (chaos testing) —
-            # but never a SchemeMismatch, which is configuration, not
-            # weather.
-            if not retry.retry_frame_errors or isinstance(exc, SchemeMismatch):
-                raise
-            pause = next(delays, None)
-            if pause is None:
-                raise
-            await asyncio.sleep(pause)
-        attempts += 1
 
 
 def sync_once(
@@ -444,8 +426,6 @@ def _merge_cluster(info: ClusterInfo, results: list) -> SyncResult:
         mode=results[0].mode,
         num_shards=info.total_shards,
     )
-    payloads: dict = {}
-    any_payloads = False
     for result in results:
         merged.only_in_server |= result.only_in_server
         merged.only_in_client |= result.only_in_client
@@ -455,8 +435,6 @@ def _merge_cluster(info: ClusterInfo, results: list) -> SyncResult:
         merged.pushed += result.pushed
         merged.per_shard.extend(result.per_shard)
         if result.payloads is not None:
-            any_payloads = True
-            payloads.update(result.payloads)
+            merged.payloads = {**(merged.payloads or {}), **result.payloads}
     merged.per_shard.sort(key=lambda shard: shard.shard)
-    merged.payloads = payloads if any_payloads else None
     return merged

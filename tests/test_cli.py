@@ -364,6 +364,39 @@ def test_cli_options_and_defaults_match_the_pinned_table():
     assert list(actual) == list(expected)  # subcommand order too
 
 
+def test_gossip_forwards_the_codec_flags(monkeypatch, capsys):
+    """``repro gossip`` builds its nodes with the global codec flags: two
+    hashers or two keys give different key probes, and ``--checksum-size``
+    reaches the nodes' codec.  Unset flags keep the library default."""
+    import repro.gossip as gossip
+
+    handles = []
+    make_nodes = gossip.make_nodes
+
+    def spy(node_sets, **params):
+        nodes = make_nodes(node_sets, **params)
+        handles.append(nodes[0].handle)
+        return nodes
+
+    monkeypatch.setattr(gossip, "make_nodes", spy)
+    mesh = ["gossip", "--nodes", "3", "--set-size", "32", "--diff", "0.1"]
+    for flags in (
+        [],
+        ["--hasher", "siphash"],
+        ["--hasher", "siphash", "--key", "ab" * 16],
+        ["--checksum-size", "4"],
+    ):
+        assert main([*flags, *mesh]) == 0
+    capsys.readouterr()
+    default, siphash, keyed, narrow = handles
+    assert default.params.hasher == "blake2b"
+    assert siphash.params.hasher == "siphash" and keyed.params.key == bytes.fromhex(
+        "ab" * 16
+    )
+    assert len({default.key_probe, siphash.key_probe, keyed.key_probe}) == 3
+    assert narrow.codec.checksum_size == 4 and default.codec.checksum_size == 8
+
+
 def test_one_cli_config_in_src():
     """``cli.py`` keeps one CLI config: every option string is declared
     once, one ``asyncio.run`` hosts every server, no command catches a

@@ -14,6 +14,8 @@ the reused-hash path is **bit-identical** to hashing from scratch, for
 every hasher family and checksum width.
 """
 
+import asyncio
+
 import pytest
 
 from repro.api import get_scheme
@@ -21,6 +23,8 @@ from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 from repro.hashing.keyed import make_hasher
 from repro.protocol import InitiatorMachine, memory_responder, pump
+from repro.service import ReconciliationServer, sync
+from repro.service.framing import FrameType, SyncMode
 from repro.service.shard import hash_items, partition_with_hashes
 
 HASHERS = ("blake2b", "siphash")
@@ -128,3 +132,54 @@ def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
     assert reused.payloads == cold.payloads
     assert reused.only_in_remote == cold.only_in_remote
     assert reused.only_in_local == cold.only_in_local
+
+
+# -- sync() drops repeats once, before any hash or digest ------------------------
+
+
+@pytest.mark.parametrize("feed", ("repeats", "generator"))
+def test_sync_counts_a_repeated_item_once(feed, lane, monkeypatch):
+    """``sync()`` takes any iterable and drops repeats (first occurrence
+    kept) before the keyed hashes and the HELLO digest are taken: a list
+    with repeats, or a generator, reconciles to the exact difference and
+    sends the HELLO of the deduplicated list — and a repeat-laden copy of
+    the server's set still matches its digest (one round trip)."""
+    from repro.protocol import machine
+
+    hellos = []
+    send = machine.InitiatorMachine._send_frame
+
+    def spy(self, ftype, body=b""):
+        if ftype == FrameType.HELLO:
+            hellos.append(body)
+        return send(self, ftype, body)
+
+    monkeypatch.setattr(machine.InitiatorMachine, "_send_frame", spy)
+    theirs, mine = items_range(0, 300), items_range(20, 320)
+    feeds = {
+        "repeats": lambda items: items + items[5::7] + items[:3],
+        "generator": lambda items: (item for item in items),
+    }
+
+    async def scenario():
+        async with ReconciliationServer(theirs, num_shards=2) as server:
+            host, port = server.address
+            clean = await sync(host, port, mine)
+            fed = await sync(host, port, feeds[feed](mine))
+            same = await sync(host, port, feeds[feed](theirs))
+            return clean, fed, same
+
+    clean, fed, same = asyncio.run(scenario())
+    assert fed.only_in_server == clean.only_in_server == set(items_range(0, 20))
+    assert fed.only_in_client == clean.only_in_client == set(items_range(300, 320))
+    assert fed.symbols == clean.symbols
+    assert hellos[0] == hellos[1] != hellos[2]
+    assert same.mode == SyncMode.IN_SYNC and same.difference_size == 0
+
+
+def test_sync_refuses_a_wrong_width_item(lane):
+    """A wrong-width item is refused before any connection, repeats or
+    not, with the codec's ``ValueError``."""
+    items = items_range(0, 50) + [b"short", b"short"] + items_range(0, 5)
+    with pytest.raises(ValueError, match="item must be exactly 12 bytes, got 5"):
+        asyncio.run(sync("127.0.0.1", 1, items))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import asyncio
 import hashlib
+import math
 import random
 import re
 import shutil
@@ -496,6 +497,53 @@ def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
         assert not re.search(r"\.(add_items|remove_items)\(", text), module
 
 
+def test_one_walk_per_prefix_doubling(monkeypatch, lane):
+    """A SYMBOLS frame past an initiator shard's coded prefix grows it by
+    doubling (to the frame's end, or twice the prefix within the grant),
+    so a shard's prefix costs O(log cells) walk-kernel calls over a
+    service-profile stream (8/16/32/64 ramp, then 64-cell blocks), not
+    one per frame.  The payloads stay those of a bare encoder's prefix."""
+    from repro.core import encoder as encoder_module
+    from repro.core.encoder import RatelessEncoder
+    from repro.protocol import InitiatorMachine, pump
+
+    walks: dict[int, int] = {}
+    kernel = encoder_module._walk_into
+
+    def spy(spans, direction):
+        for span in spans:
+            walks[id(span[0])] = walks.get(id(span[0]), 0) + 1
+        return kernel(spans, direction)
+
+    rng = random.Random(0x3A1C)
+    shared = [rng.randbytes(8) for _ in range(400)]
+    theirs = shared + [rng.randbytes(8) for _ in range(1_600)]
+    handle = get_scheme("riblt", symbol_size=8, hasher="siphash")
+    initiator = InitiatorMachine(handle, shared, capture_payloads=True)
+    responder = memory_responder(
+        handle, theirs, num_shards=2, block_size=64, slow_start=True
+    )
+    frames: dict[int, int] = {}
+    absorb = initiator._on_symbols
+
+    def count(run):
+        for shard_id, _, _ in run:
+            frames[shard_id] = frames.get(shard_id, 0) + 1
+        return absorb(run)
+
+    monkeypatch.setattr(initiator, "_on_symbols", count)
+    monkeypatch.setattr(encoder_module, "_walk_into", spy)
+    report = pump(initiator, responder)
+    monkeypatch.undo()
+    assert len(report.only_in_remote) == 1_600
+    for shard_id, st in enumerate(initiator._shards):
+        cells = st.encoder.produced_count
+        assert frames[shard_id] >= 17 and cells >= st.absorbed
+        assert walks[id(st.encoder.bank)] <= math.ceil(math.log2(cells / 8)) + 2
+        bare = RatelessEncoder(handle.codec, st.items)
+        assert st.encoder.cached_block(0, cells).cells() == bare.produce(cells)
+
+
 def test_service_node_items_is_a_view_of_the_backend():
     node = ServiceNode(items_for(8)[:50], num_shards=2)
     node.add_items(items_for(8)[50:60])
@@ -650,6 +698,50 @@ def test_one_set_digest_in_src():
     assert folding == {("service/backends.py", "set_digest")}
     node_text = (src / "gossip" / "node.py").read_text()
     assert not re.search(r"\b(_xor|_fold|_digest_version)\b", node_text)
+
+
+def test_one_duplicate_pass_per_sync():
+    """``sync()`` checks a batch for repeats once.  On the lane path (a
+    streaming codec) that check is ``SymbolCodec.distinct_item_rows``: one
+    sort of the row matrix's first lane, the one the encoder runs, and
+    only a batch holding a repeat pays ``dict.fromkeys``.  Every
+    ``dict.fromkeys`` left in ``service/client.py`` is on the other
+    branch of that streaming test (sketch schemes)."""
+    src = Path(repro.__file__).parent
+
+    def fromkeys(node) -> list:
+        return [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "dict.fromkeys"
+        ]
+
+    tree = ast.parse((src / "service" / "client.py").read_text())
+    branches = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "streaming" in ast.unparse(node.test)
+    ]
+    assert len(branches) == 1
+    (lane_path,) = branches
+    body = ast.Module(lane_path.body, [])
+    assert "distinct_item_rows" in ast.unparse(body) and not fromkeys(body)
+    other = {id(call) for node in lane_path.orelse for call in fromkeys(node)}
+    assert {id(call) for call in fromkeys(tree)} == other
+
+    tree = ast.parse((src / "core" / "symbols.py").read_text())
+    (method,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "distinct_item_rows"
+    ]
+    guarded = [
+        node
+        for node in ast.walk(method)
+        if isinstance(node, ast.If) and "has_duplicates" in ast.unparse(node.test)
+    ]
+    assert len(guarded) == 1 and len(fromkeys(guarded[0])) == 1
+    assert len(fromkeys(method)) == 2  # the repeat-holding lane batch, the list form
 
 
 def test_one_peer_state_constructor_in_src():

@@ -18,15 +18,24 @@ import pytest
 
 from repro.api import SymbolBudgetExceeded
 from repro.gossip import GossipConfig, GossipNode, run_round
+from repro.protocol.events import MachineReport
 from repro.service import (
     IdleTimeout,
     ReconciliationServer,
     RetryPolicy,
+    SchemeMismatch,
+    ServerBusy,
     ServerConfig,
     ServiceNode,
     sync,
 )
-from repro.service.framing import ErrorCode, FrameDecoder, FrameType
+from repro.service.framing import (
+    ErrorCode,
+    FrameDecoder,
+    FrameError,
+    FrameType,
+    SyncMode,
+)
 
 SYNC_TIMEOUT = 120.0
 
@@ -152,6 +161,49 @@ def test_retry_policy_is_deterministic_under_seed():
     assert a == b
     assert a != c
     assert len(a) == 5
+
+
+@pytest.mark.parametrize(
+    "failure, frame_errors, tries",
+    [
+        (ConnectionResetError("reset"), False, 3),
+        (ServerBusy("shed", retry_after=0.0), False, 3),
+        (FrameError("mangled"), False, 1),
+        (FrameError("mangled"), True, 3),
+        (SymbolBudgetExceeded("poisoned", symbols_sent=9, max_symbols=8), True, 3),
+        (SchemeMismatch("hasher"), True, 1),
+        (ValueError("a bug"), True, 1),
+    ],
+)
+def test_retry_policy_retries_weather_only(monkeypatch, failure, frame_errors, tries):
+    """Connection failures and BUSY sheds retry; corruption-shaped typed
+    failures only under ``retry_frame_errors``; a ``SchemeMismatch`` or an
+    untyped error never.  A sync that wins late counts its attempts and
+    its BUSY waits."""
+    from repro.service import client
+
+    outcomes = []
+
+    async def dial(machine, host, port, **kwargs):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome, 0
+
+    monkeypatch.setattr(client, "dial_initiator", dial)
+    policy = RetryPolicy(
+        attempts=3, base_delay=0.0, jitter=0.0, retry_frame_errors=frame_errors
+    )
+    outcomes[:] = [failure] * 3
+    with pytest.raises(type(failure)):
+        run(sync("127.0.0.1", 1, items_range(0, 4), retry=policy))
+    assert len(outcomes) == 3 - tries
+    if tries == 3:
+        report = MachineReport("riblt", SyncMode.STREAM, 1, 8, set(), set())
+        outcomes[:] = [failure, failure, report]
+        result = run(sync("127.0.0.1", 1, items_range(0, 4), retry=policy))
+        assert result.attempts == 3
+        assert result.busy_waits == (2 if isinstance(failure, ServerBusy) else 0)
 
 
 def test_retry_policy_backoff_envelope():

@@ -633,8 +633,9 @@ def scatter_walk_arrays(
     ``(i+1)·((1−r)^{−α} − 1)`` element-wise in Python floats, because
     NumPy's SIMD ``pow`` is **not** bit-identical to libm's (~4 % of
     draws differ in the last ulp).  ``touched``, when given, receives
-    the array of lane slots of each fold (``index − base``: rows of the
-    lane arrays, whichever bank they belong to).  Once fewer than
+    each fold's edges as a ``(slot, row)`` array pair: the lane slots
+    (``index − base``: rows of the lane arrays, whichever bank they
+    belong to) and the symbol rows (of this call's columns) folded there.  Once fewer than
     :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
     finishes them per edge (walks are independent, so the hand-off
     point cannot change the result).
@@ -666,7 +667,7 @@ def scatter_walk_arrays(
         slot, edge_rows = map(np.concatenate, zip(*edges)) if edges[1:] else edges[0]
         fold_edges(sums, checksums, counts, slot, edge_rows, vals, csums, dirs)
         if touched is not None:
-            touched.append(slot)
+            touched.append((slot, edge_rows))
         edges.clear()
 
     while n >= NUMPY_TAIL_JOBS:

@@ -18,7 +18,8 @@ of every later cell it maps to before that cell is examined.
   path: the store's ``(next index, row)`` heap yields the rows parked at
   the new cell (as for the encoder's ``produce_next``), and peeling is
   depth-first via a work queue.
-* :func:`ingest` — the batch path: a bank for each of many decoders
+* :func:`ingest` — the batch path: a bank for each of many decoders,
+  each stopping, if it names stop points, at the first it decodes at
   (:meth:`RatelessDecoder.add_coded_block` is its one-decoder case).
   Under the vector engine the jobs of one codec share one *wave*: their
   banks and stores lie end to end, one kernel call replays every row
@@ -56,6 +57,7 @@ from repro.core.coded import CodedSymbol
 from repro.core.encoder import SourceStore
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
+from repro.hashing.prng import GAMMA
 
 # Early-stop granularity of the batch path: the block is ingested in
 # sub-blocks of this many cells, checking for completion between them.
@@ -266,7 +268,7 @@ class RatelessDecoder:
 
 
 def ingest(
-    jobs: Sequence[tuple[RatelessDecoder, CodedSymbolBank]],
+    jobs: Sequence[tuple],
     stop_when_decoded: bool = False,
     chunk: int = DEFAULT_STOP_CHUNK,
 ) -> list[int]:
@@ -284,29 +286,36 @@ def ingest(
     recovered checksums and peels them, either sign, in one kernel call —
     so each decoder ends as a call of its own leaves it.
     ``stop_when_decoded`` advances the jobs in lock-step ``chunk``-cell
-    sub-blocks.  One job per decoder at most, its bank in either form.
+    sub-blocks.  A ``(decoder, bank, stops)`` job instead names its own
+    stop points — cell counts of its bank, ascending, such as its frames'
+    ends: it stops at the first at which its decoder is decoded, as
+    per-cell ingestion would, yet its wave peels the whole bank once.
+    Peeling is monotone in the prefix, so that point follows from the
+    rows the job recovered alone (:func:`_stop_point`), and the decoder
+    rolls back to it (:func:`_rewind`).  One job per decoder at most, its
+    bank in either form.
     """
-    if len({id(decoder) for decoder, _ in jobs}) < len(jobs):
+    if len({id(job[0]) for job in jobs}) < len(jobs):
         raise ValueError("a decoder may appear in at most one ingest job")
-    if stop_when_decoded and chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if stop_when_decoded and (chunk < 1 or any(job[2:] for job in jobs)):
+        raise ValueError(f"chunk must be >= 1 and no job name stops, got {chunk}")
     consumed = [0] * len(jobs)
     waves: dict[int, list[int]] = {}  # id(codec) -> its jobs on the vector engine
-    for j, (decoder, bank) in enumerate(jobs):
+    for j, (decoder, bank, *stops) in enumerate(jobs):
         n = len(bank)
-        if n == 0 or (stop_when_decoded and decoder.decoded):
+        if n == 0 or ((stop_when_decoded or stops) and decoder.decoded):
             continue
         if numpy_block_eligible(decoder.codec) and (
             n >= NUMPY_TAIL_JOBS or decoder._bank.vector
         ):
             waves.setdefault(id(decoder.codec), []).append(j)
             continue
+        at = range(chunk, n, chunk) if stop_when_decoded else set(*stops)
         for cell in zip(*bank.in_form(False).lanes):
             decoder._consume(*cell)
             consumed[j] += 1
-            if stop_when_decoded and decoder._nonzero == 0:
-                if consumed[j] == n or consumed[j] % chunk == 0:
-                    break
+            if consumed[j] in at and decoder._nonzero == 0:
+                break
     np = engine.np
     for wave in waves.values():
         decoders = [jobs[j][0] for j in wave]
@@ -328,6 +337,10 @@ def ingest(
         table.append(np.repeat(np.arange(len(wave)), [len(c[0]) for c in held]))
         fresh: list[list] = []
         frontiers, ends = olds[:], totals[:]
+        # For stop points: every edge walked, its row numbered over table ++
+        # fresh, and the stored rows' walks as they began.
+        log = [(np.zeros(0, np.int64),) * 2] if any(jobs[j][2:] for j in wave) else None
+        begun = table[4].copy()
 
         def walk(rows, touched=None):
             # One kernel call; row r walks decoder owner[r]'s cells to its end.
@@ -349,7 +362,7 @@ def ingest(
                     ends[w] = min(frontiers[w] + chunk, totals[w])
             if fresh:
                 table, fresh = [np.concatenate(c) for c in zip(table, *fresh)], []
-            walk(table)
+            walk(table, log)
             # 2. Breadth-first peel rounds over every decoder's [0, end).
             pure = (counts == 1) | (counts == -1)
             spans = [(starts[w] + frontiers[w], starts[w] + ends[w]) for w in active]
@@ -373,11 +386,14 @@ def ingest(
                     break
                 # Peel the recoveries (either sign) out of every cell they map
                 # to; they join the table parked past their decoder's end.
+                first = len(table[0]) + sum(len(f[0]) for f in fresh)
                 fresh.append([values[keep], csums[keep], counts[candidates[keep]]])
                 fresh[-1] += [np.zeros(len(keep), np.int64), csums[keep], owner[keep]]
                 touched = []
                 walk(fresh[-1], touched)
-                hit = np.concatenate(touched)  # the slots written
+                if log is not None:
+                    log += [(slot, row + first) for slot, row in touched]
+                hit = np.concatenate([slot for slot, _ in touched])  # slots written
                 hit = np.sort(hit[np.abs(counts[hit]) == 1])
                 candidates = hit[np.diff(hit, prepend=-1) != 0]  # each pure one, once
             frontiers = ends[:]
@@ -396,6 +412,20 @@ def ingest(
         rows = [0, *accumulate(len(c[0]) for c in held)]
         for w, (decoder, store) in enumerate(zip(decoders, stores)):
             lo, hi = starts[w], starts[w] + frontiers[w]
+            _, bank, *stops = jobs[wave[w]]
+            if stops and not nonzero[lo:hi].any():
+                # a decoded job's edges, by walk, each walk's in index order
+                slot, row = (np.concatenate(c).astype(np.int64) for c in zip(*log))
+                mine = np.flatnonzero(owner[row] == w)
+                mine = mine[np.argsort(row[mine], kind="stable")]
+                cell, of = slot[mine] - lo, row[mine]
+                at = [olds[w] + e for e in stops[0] if 0 < e < len(bank)]
+                new = of >= rows[-1]
+                stop = _stop_point(cell[new], of[new], olds[w], [*at, totals[w]])
+                if stop < totals[w]:
+                    began = np.concatenate([begun, csums[len(begun) :]])  # fresh: 0
+                    _rewind(idx, state, began, cell, of, stop)
+                    frontiers[w], hi = stop, lo + stop
             decoder._bank = CodedSymbolBank(*(lane[lo:hi] for lane in lanes))
             decoder._nonzero = int(np.count_nonzero(nonzero[lo:hi]))
             consumed[wave[w]] = frontiers[w] - olds[w]
@@ -407,6 +437,60 @@ def ingest(
                 walks = (idx[new], state[new])
                 store.append(values[new], csums[new], alphas, walks, signs[new])
     return consumed
+
+
+def _stop_point(cell, row, old: int, stops: Sequence[int]) -> int:
+    """The first of ``stops`` (ascending prefix lengths past ``old``) at
+    which peeling on degrees alone recovers every row of the edges
+    ``(cell, row)``, grouped by row: the rows a decoder recovered past
+    ``old``, with all their edges below the last stop (the rows it held
+    peel within ``old``).  Cells arrive one at a time, as per cell, but
+    only those rows' edges are touched — O(d log m) steps, not O(m)
+    kernel work.  A pure cell's row is its degree-1 row-id sum."""
+    np = engine.np
+    edges = cell.tolist()
+    bounds = np.searchsorted(row, np.arange(row.max(initial=-1) + 2)).tolist()
+    degree = np.bincount(cell, minlength=stops[-1])
+    queue = np.flatnonzero(degree[:old] == 1).tolist()
+    degree = degree.tolist()
+    owner = np.bincount(cell, row, stops[-1]).astype(np.int64).tolist()
+    left, frontier = int(np.count_nonzero(np.diff(row, prepend=-1))), old
+    for stop in stops:
+        while True:
+            while queue:
+                c = queue.pop()
+                if degree[c] != 1:
+                    continue
+                r, left = owner[c], left - 1
+                for c in edges[bounds[r] : bounds[r + 1]]:
+                    degree[c] -= 1
+                    owner[c] -= r
+                    if degree[c] == 1 and c < frontier:
+                        queue.append(c)
+            if frontier == stop:
+                break
+            if degree[frontier] == 1:
+                queue.append(frontier)
+            frontier += 1
+        if not left:
+            return stop
+    return stops[-1]
+
+
+def _rewind(idx, state, begun, cell, row, stop: int) -> None:
+    """Park each walk of ``row`` back at its first index ≥ ``stop``.
+    ``(cell, row)`` are every edge the walks crossed since ``begun``
+    (their states then), grouped by walk in index order: a walk's k-th
+    edge has state ``begun + k·γ``, and a walk with no edge at or past
+    ``stop`` is parked there already."""
+    np = engine.np
+    head = np.diff(row, prepend=-1) != 0  # each walk's first edge
+    past = cell >= stop
+    at = np.flatnonzero(past & (head | ~np.roll(past, 1)))
+    heads = np.flatnonzero(head)
+    steps = at - heads[np.searchsorted(heads, at, side="right") - 1]
+    idx[row[at]] = cell[at]
+    state[row[at]] = begun[row[at]] + steps.astype(np.uint64) * np.uint64(GAMMA)
 
 
 def decode_sketch_cells(

@@ -92,20 +92,23 @@ long-fat link still ramps like TCP slow start.  The limit is cumulative
 so grants are idempotent and order-free: a duplicate or stale one is a
 no-op, never a double credit.
 
-A read usually carries a block of every shard (one per shard per tick),
-so the initiator absorbs a read's SYMBOLS frames in *waves*.  A wave is
-the k-th frame of every undecoded shard: each frame is parsed into a
-block shaped like its shard encoder's cached prefix and has the matching
-``cached_block`` subtracted, then one :func:`~repro.core.decoder.ingest`
-call peels every shard of the wave, sharing each peel round's hash and
-kernel calls.  The initiator then answers each frame (SHARD_DONE,
-CREDIT, typed error) in arrival order, exactly as frame-at-a-time
-absorption would: shards are independent.
-
-A frame past a shard encoder's prefix grows it by doubling (to the frame's
-end, or twice the prefix within the grant): O(log symbols) walk-kernel
-calls per shard, and since cells are deterministic, block boundaries and
-wire bytes are those of frame-sized growth.
+A read usually carries several blocks of every shard (one per shard
+per tick), so the initiator absorbs a read's SYMBOLS frames in *waves*.
+For each undecoded shard a wave takes every next frame whose cells lie
+inside the shard encoder's coded prefix.  A frame past the prefix grows
+it by doubling (to the frame's end, or twice the prefix within the
+grant) and opens the shard's part of the next wave: O(log symbols) waves
+and walk-kernel calls per shard, not one per frame, and since cells are
+deterministic, block boundaries and wire bytes are those of frame-sized
+growth.  A shard's frames are parsed into one block shaped like its
+cached prefix, the matching ``cached_block`` is subtracted, and one
+:func:`~repro.core.decoder.ingest` call peels every shard of the wave,
+sharing each peel round's hash and kernel calls.  Each shard's job
+names its frames' ends as stop points, so a shard that decodes mid-wave
+stops at the first frame end it decodes at — peeling is monotone in the
+prefix — and its later frames are dropped uncounted.  The initiator then
+answers each frame (SHARD_DONE, CREDIT, typed error) in arrival order,
+exactly as frame-at-a-time absorption would: shards are independent.
 """
 
 from __future__ import annotations
@@ -368,8 +371,8 @@ class InitiatorMachine(ReconcilerMachine):
     :class:`~repro.core.encoder.RatelessEncoder` of its items, a
     :class:`~repro.core.wire.SymbolStreamReader` and a
     :class:`~repro.core.decoder.RatelessDecoder` — and a read's SYMBOLS
-    frames reach the decoders in waves, one ``ingest`` call per wave
-    (see "Flow control").  ``difference_bound`` (> 0)
+    frames reach the decoders in waves, one ``ingest`` call per prefix
+    doubling (see "Flow control").  ``difference_bound`` (> 0)
     pre-sizes sketch mode exactly like the legacy drivers;
     ``use_estimator=True`` (agreed out of band with the responder, not
     negotiated) runs the strata exchange first and sizes the initial
@@ -617,39 +620,59 @@ class InitiatorMachine(ReconcilerMachine):
     def _on_symbols(self, frames: list) -> None:
         """Absorb a run of SYMBOLS frames in waves, then answer each frame
         in arrival order (see "Flow control")."""
-        end, results, queues = len(frames), {}, {}
+        end, results, queues, ahead = len(frames), {}, {}, {}
         for pos, (_, st, _) in enumerate(frames):
             if not st.done:
                 queues.setdefault(st, []).append(pos)
-        while wave := sorted(q.pop(0) for q in queues.values() if q and q[0] < end):
-            jobs, absorbed = [], []
-            for pos in wave:
-                _, st, payload = frames[pos]
-                # the cached prefix's form, so the subtraction is one XOR per lane
-                incoming = st.encoder.bank.slice(0, 0)
-                try:
-                    parsed = st.reader.feed_into(incoming, payload)
-                except ValueError as exc:  # the wave ends at a malformed frame
-                    results[pos], end = exc, min(end, pos + 1)
-                    break
-                if parsed:
-                    lo, encoder = st.absorbed, st.encoder
-                    st.absorbed += parsed
+        while True:
+            jobs, spans, bad = [], [], {}
+            for st, queue in queues.items():
+                bank, taken, top, encoder = None, [], st.absorbed, st.encoder
+                while queue and queue[0] < end:
+                    part = ahead.pop(st, None)
+                    if part is None:
+                        # the cached prefix's form: the subtraction is one XOR per lane
+                        part = encoder.bank.slice(0, 0)
+                        try:
+                            st.reader.feed_into(part, frames[queue[0]][2])
+                        except ValueError as exc:  # the shard stops at a malformed frame
+                            bad[st] = (queue[0], exc)
+                            break
                     produced = encoder.produced_count
-                    if st.absorbed > produced:  # the prefix grows by doubling
-                        grow = max(st.absorbed, min(2 * produced, st.granted))
+                    if top + len(part) > produced:
+                        if taken:  # past the prefix: the next wave grows it
+                            ahead[st] = part
+                            break
+                        grow = max(top + len(part), min(2 * produced, st.granted))
                         encoder.produce_block(grow - produced)
-                    incoming.subtract_in_place(encoder.cached_block(lo, st.absorbed))
-                    jobs.append((st.decoder, incoming))
-                absorbed.append(pos)
-            ingest(jobs)
-            for pos in absorbed:
-                st = frames[pos][1]
-                results[pos] = (st.decoder.decoded, st.absorbed)
-                if st.decoder.decoded:
-                    queues[st] = []  # its later frames are dropped
-                elif self.max_symbols is not None and st.absorbed >= self.max_symbols:
-                    end = min(end, pos + 1)  # the run fails at this frame
+                    if bank is None:
+                        bank = part
+                    else:
+                        bank.extend(part)
+                    top += len(part)
+                    taken.append((queue.pop(0), top))
+                if taken:
+                    bank.subtract_in_place(encoder.cached_block(st.absorbed, top))
+                    stops = [cells - st.absorbed for _, cells in taken]
+                    jobs.append((st.decoder, bank, stops))
+                    spans.append((st, taken))
+            if not (jobs or bad):
+                break
+            ingest(jobs)  # each decoder stops at the first frame end it decodes at
+            for st, taken in spans:
+                decoded, stop = st.decoder.decoded, st.decoder.symbols_received
+                for pos, top in taken:
+                    done = decoded and top >= stop
+                    results[pos] = (done, top)
+                    if done:
+                        queues[st] = []  # its later frames are dropped
+                        break
+                    if self.max_symbols is not None and top >= self.max_symbols:
+                        end = min(end, pos + 1)  # the run fails at this frame
+                st.absorbed = stop
+            for st, (pos, exc) in bad.items():
+                if not st.decoder.decoded:  # reached: the run ends there
+                    results[pos], end, queues[st] = exc, min(end, pos + 1), []
         for pos in range(end):
             shard_id, st, payload = frames[pos]
             if st.done:

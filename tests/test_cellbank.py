@@ -246,7 +246,7 @@ def check_scatter_walk_numpy_matches_scalar(rng, width):
     ]
     assert got == expected_cells
     assert list(zip(indices, states)) == expected_ends
-    flat = np.concatenate(touched)
+    flat = np.concatenate([slot for slot, _ in touched])
     assert len(flat) == sum(c.count for c in expected_cells)
 
 
@@ -335,7 +335,7 @@ def run_kernel(walks, hi, base, width, dirs):
         CodedSymbol(s, k_, c)
         for s, k_, c in zip(cellbank.ints_from_lanes(sums), cks.tolist(), counts.tolist())
     ]
-    flat = np.concatenate(touched).tolist() if touched else []
+    flat = np.concatenate([slot for slot, _ in touched]).tolist() if touched else []
     return cells, list(zip(end_idx.tolist(), end_state.tolist())), sorted(flat)
 
 
@@ -501,11 +501,13 @@ def test_walk_kernel_multi_bank_matches_per_bank_calls(
 @pytest.mark.parametrize("rows", [10, 100])  # per bank: tail only; rounds first
 def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
     """``touched`` receives the lane slots (``index − base``) the edges
-    were folded into, not walk indices: over three banks laid end to end
-    under per-row ``base``, on the lock-step rounds and the per-edge tail
-    alike, it is exactly what ``fold_edges`` wrote — the rows a decoder
-    wave reads its next peel candidates from.  Every edge of the call,
-    rounds and tail together, is folded by ONE ``fold_edges`` call."""
+    were folded into, not walk indices, each beside the row that folded
+    it: over three banks laid end to end under per-row ``base``, on the
+    lock-step rounds and the per-edge tail alike, it is exactly what
+    ``fold_edges`` wrote — the rows a decoder wave reads its next peel
+    candidates from, and the edges its stop point is found on.  Every
+    edge of the call, rounds and tail together, is folded by ONE
+    ``fold_edges`` call."""
     np = pytest.importorskip("numpy")
     spans = [(200, 760), (0, 500), (10, 300)]
     banks = []
@@ -529,13 +531,17 @@ def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
     touched = []
     run_banks(banks, 8, 1, touched=touched)
     assert len(folded) == len(touched) == 1
-    got = sorted(np.concatenate(touched).tolist())
+    (slots, edge_rows), = touched
+    got = sorted(slots.tolist())
     assert got == sorted(np.concatenate(folded).tolist())
-    expected, off = [], 0
+    expected, off, row = [], 0, 0
     for walks, base, hi in banks:
-        expected += [off + slot for slot in walk_reference(walks, hi, base)[2]]
+        for walk in walks:
+            slots_of = walk_reference([walk], hi, base)[2]
+            expected += [(row, off + slot) for slot in slots_of]
+            row += 1
         off += hi - base
-    assert got == sorted(expected)
+    assert sorted(zip(edge_rows.tolist(), slots.tolist())) == sorted(expected)
 
 
 @pytest.mark.parametrize("rows", [8, 40])  # tail only; lock-step rounds first

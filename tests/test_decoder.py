@@ -160,3 +160,78 @@ def test_add_coded_block_stops_on_decode(codec8, rng):
     assert decoder.decoded
     assert used < 64
     assert decoder.symbols_received == used
+
+
+def _per_cell_stop(codec, cells, old, stops):
+    """The reference for ``ingest``'s ``stops``: a decoder fed
+    ``cells[:old]``, then cell by cell until the first of ``stops``
+    (counts past ``old``) at which it reports decoded, else every cell.
+    Returns it and the cells it consumed past ``old``."""
+    decoder = RatelessDecoder(codec)
+    for cell in cells[:old]:
+        decoder.add_coded_symbol(cell)
+    used = 0
+    for cell in cells[old:]:
+        decoder.add_coded_symbol(cell)
+        used += 1
+        if used in stops and decoder.decoded:
+            break
+    return decoder, used
+
+
+def _stops_for(case, rng, point):
+    """Stop lists (ascending, past ``old``) placing the per-cell decode
+    point ``point`` at the first stop, the last, on one, between two, or
+    past them all."""
+    below = sorted(rng.sample(range(1, point), 3))
+    above = sorted(rng.sample(range(point + 1, point + 40), 3))
+    return {
+        "first": [point + rng.randint(0, 3)] + above,
+        "last": below + [point + rng.randint(0, 3)],
+        "on": below + [point] + above,
+        "between": below + above,
+        "never": below,
+    }[case]
+
+
+def test_ingest_stops_at_the_first_decoding_end(lane, rng):
+    """A ``(decoder, bank, stops)`` job of ``ingest`` peels its bank whole
+    in one wave, yet returns — and rolls its decoder back to — the first
+    of its stops at which per-cell ``add_coded_symbol`` ingestion of the same
+    cells reports decoded: a decode at the first stop, at the last, on a
+    stop, between two, and never, as five jobs of one call, over
+    differences of both signs and decoders that already hold rows.  The
+    rolled-back decoder is the per-cell one: its cells, its recoveries
+    and where each recovered walk is parked."""
+    from repro.core.decoder import ingest
+
+    codec = SymbolCodec(8)
+    for _ in range(3):
+        jobs, refs = [], []
+        for case in ("first", "last", "on", "between", "never"):
+            d = rng.randint(60, 240)
+            a, b = split_sets(rng, shared=100, only_a=d // 3, only_b=d - d // 3)
+            m = 3 * d + 64
+            cells = RatelessEncoder(codec, a).produce_block(m)
+            cells = cells.subtract(RatelessEncoder(codec, b).produce_block(m)).cells()
+            point = _per_cell_stop(codec, cells, 0, range(m + 1))[1]
+            old = rng.choice([0, rng.randint(32, point // 2)])
+            at = _stops_for(case, rng, point - old)
+            decoder = RatelessDecoder(codec)
+            if old:
+                decoder.add_coded_block(CodedSymbolBank.from_cells(cells[:old]))
+            bank = CodedSymbolBank.from_cells(cells[old : old + at[-1]])
+            jobs.append((decoder, bank, at))
+            refs.append(_per_cell_stop(codec, cells[: old + at[-1]], old, set(at)))
+        used = ingest(jobs)
+        cases = ("first", "last", "on", "between", "never")
+        for (decoder, _, _), (ref, ref_used), got, case in zip(jobs, refs, used, cases):
+            assert got == ref_used, case
+            assert decoder.decoded == ref.decoded == (case != "never")
+            assert decoder.symbols_received == ref.symbols_received
+            assert decoder._bank == ref._bank
+            assert sorted(decoder.remote_values()) == sorted(ref.remote_values())
+            assert sorted(decoder.local_values()) == sorted(ref.local_values())
+            assert sorted(zip(*decoder._store.export())) == sorted(
+                zip(*ref._store.export())
+            )

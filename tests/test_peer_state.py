@@ -800,3 +800,74 @@ def test_one_peer_state_constructor_in_src():
     store = (src / "durable" / "store.py").read_text()
     assert "class DurableBackend(WarmRibltBackend)" in store
     assert not re.search(r"\binner\b", store), "DurableBackend wraps an inner again"
+
+
+def test_one_peel_per_read(monkeypatch, lane):
+    """A read's SYMBOLS frames share one decode wave per prefix doubling:
+    over a seeded 4-shard service-profile stream whose last read carries
+    eight frames of every shard, each ``_on_symbols`` run makes at most
+    1 + (the most prefix growths any one shard made in it) ``ingest``
+    calls, not one per frame of a shard (frame-by-frame waves made 6
+    calls in a run with 3 growths per shard); the vector engine's peel
+    rounds make fewer than 40 batch hash calls (frame-by-frame waves made
+    80); and each initiator shard's coded prefix and absorbed count are
+    those of frame-by-frame absorption (pinned)."""
+    from repro.core.encoder import RatelessEncoder
+    from repro.core.symbols import SymbolCodec
+    from repro.protocol import InitiatorMachine
+    from repro.protocol import machine as machine_module
+
+    rng = random.Random(0x9EE1)
+    shared = [rng.randbytes(8) for _ in range(2_000)]
+    theirs = shared[400:] + [rng.randbytes(8) for _ in range(1_600)]
+    handle = get_scheme("riblt", symbol_size=8, hasher="siphash")
+    initiator = InitiatorMachine(handle, shared, num_shards=4)
+    responder = memory_responder(
+        handle, theirs, num_shards=4, block_size=64, slow_start=True
+    )
+    runs, hashes = [], [0]
+    absorb, peel = initiator._on_symbols, machine_module.ingest
+    grow, verify = RatelessEncoder.produce_block, SymbolCodec.checksum_int_batch
+
+    def on_symbols(run):
+        runs.append({"frames": len(run), "ingest": 0, "grows": {}})
+        return absorb(run)
+
+    def ingest(*args, **kwargs):
+        runs[-1]["ingest"] += 1
+        return peel(*args, **kwargs)
+
+    def produce_block(encoder, m):
+        if runs and any(encoder is st.encoder for st in initiator._shards):
+            grows = runs[-1]["grows"]
+            grows[id(encoder)] = grows.get(id(encoder), 0) + 1
+        return grow(encoder, m)
+
+    def checksum_int_batch(codec, values):
+        hashes[0] += 1
+        return verify(codec, values)
+
+    monkeypatch.setattr(initiator, "_on_symbols", on_symbols)
+    monkeypatch.setattr(machine_module, "ingest", ingest)
+    monkeypatch.setattr(RatelessEncoder, "produce_block", produce_block)
+    monkeypatch.setattr(SymbolCodec, "checksum_int_batch", checksum_int_batch)
+    initiator.start()
+    responder.start()
+    while not initiator.finished:
+        responder.bytes_received(initiator.take_output())
+        for _ in range(8):
+            responder.tick()
+        initiator.bytes_received(responder.take_output())
+    monkeypatch.undo()
+    report = initiator.report
+    assert report.only_in_remote == set(theirs) - set(shared)
+    assert report.only_in_local == set(shared) - set(theirs)
+    assert runs[-1]["frames"] == 4 * 8
+    for run in runs:
+        assert run["ingest"] <= 1 + max(run["grows"].values(), default=0), runs
+    if lane:
+        assert hashes[0] < 40
+    shards = initiator._shards
+    assert [st.encoder.produced_count for st in shards] == [1136] * 4
+    assert [st.absorbed for st in shards] == [760, 696, 760, 760]
+    assert [st.tally.symbols for st in shards] == [760, 696, 760, 760]

@@ -378,13 +378,13 @@ def test_fragmentation_and_coalescing_equivalence(mode: str) -> None:
     assert fresh.report.symbols == reference.symbols
 
 
-def _multi_shard_session(server, client, ticks):
-    """A 4-shard service-profile session whose responder ticks ``ticks``
-    times per exchange, so one read can carry several frames of a shard;
-    returns the handle and both directions' bytes."""
-    handle = get_scheme("riblt", symbol_size=8)
-    initiator = InitiatorMachine(handle, client, num_shards=4)
-    responder = service_responder(handle, server, num_shards=4)
+def _multi_shard_session(server, client, ticks, shards=4):
+    """A ``shards``-shard service-profile session whose responder ticks
+    ``ticks`` times per exchange, so one read can carry several frames
+    of a shard; returns the handle and both directions' bytes."""
+    handle = get_scheme("riblt", symbol_size=len(server[0]))
+    initiator = InitiatorMachine(handle, client, num_shards=shards)
+    responder = service_responder(handle, server, num_shards=shards)
     up, down = bytearray(), bytearray()
     initiator.start()
     responder.start()
@@ -404,11 +404,11 @@ def _multi_shard_session(server, client, ticks):
     return handle, bytes(up), bytes(down)
 
 
-def _replay(handle, client, down, chunking, **kwargs):
+def _replay(handle, client, down, chunking, shards=4, **kwargs):
     """Feed ``down`` to a fresh initiator cut as ``chunking`` says:
     one frame per call, one blob, or seeded random chunks.  Returns the
     machine and every byte it sent back."""
-    fresh = InitiatorMachine(handle, client, num_shards=4, **kwargs)
+    fresh = InitiatorMachine(handle, client, num_shards=shards, **kwargs)
     fresh.start()
     if chunking == "per_frame":
         chunks = [encode_frame(t, body) for t, body in FrameDecoder().feed(down)]
@@ -438,20 +438,43 @@ def _shard_payloads(down):
     return totals
 
 
-@pytest.mark.parametrize("ticks", [1, 3])
-def test_multi_shard_transcript_is_independent_of_read_boundaries(ticks) -> None:
-    """A 4-shard session's downstream bytes replayed one frame per call,
-    as one blob and in random chunks: the initiator absorbs a read's
-    SYMBOLS frames in waves, yet sends the identical client→server
-    bytes (CREDITs, SHARD_DONEs, BYE in the same order) and reports the
-    identical symbols, payload bytes, per-shard tallies and diff.  With
-    three ticks per exchange a read carries several frames of a shard,
-    and a shard that decodes mid-read drops its later frames uncounted."""
-    server, client = items_range(0, 1200), items_range(80, 1280)
-    handle, up, down = _multi_shard_session(server, client, ticks)
+def wide_items(lo: int, hi: int) -> list:
+    """92-byte items: a symbol of twelve uint64 lanes."""
+    return [b"%092d" % i for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize(
+    "ticks, shards, server, client, drops",
+    [
+        pytest.param(1, 4, items_range(0, 1200), items_range(80, 1280), 0, id="1"),
+        pytest.param(3, 4, items_range(0, 1200), items_range(80, 1280), 1, id="3"),
+        pytest.param(
+            3, 4, items_range(0, 3000), items_range(500, 3500), 0, id="d1000-3"
+        ),
+        pytest.param(
+            8, 4, items_range(0, 3000), items_range(500, 3500), 1, id="d1000-8"
+        ),
+        pytest.param(3, 1, items_range(0, 1200), items_range(80, 1280), 1, id="1-shard"),
+        pytest.param(3, 4, wide_items(0, 1200), wide_items(80, 1280), 1, id="92-byte"),
+    ],
+)
+def test_multi_shard_transcript_is_independent_of_read_boundaries(
+    ticks, shards, server, client, drops
+) -> None:
+    """A session's downstream bytes replayed one frame per call, as one
+    blob and in random chunks: the initiator absorbs a read's SYMBOLS
+    frames in waves, each spanning a shard's frames up to its next prefix
+    doubling, yet sends the identical client→server bytes (CREDITs,
+    SHARD_DONEs, BYE in the same order) and reports the identical
+    symbols, payload bytes, per-shard tallies and diff.  With several
+    ticks per exchange a read carries several frames of a shard, and a
+    shard that decodes mid-read drops its later frames uncounted; at
+    d = 1 000 one read crosses several doublings and a decode lands
+    mid-wave.  One shard, and 92-byte (multi-lane) symbols, too."""
+    handle, up, down = _multi_shard_session(server, client, ticks, shards)
     reports = {}
     for chunking in ("per_frame", "one_blob", "random_chunks"):
-        fresh, sent = _replay(handle, client, down, chunking)
+        fresh, sent = _replay(handle, client, down, chunking, shards)
         assert fresh.finished and fresh.failed is None, chunking
         assert sent == up, chunking
         reports[chunking] = fresh.report
@@ -462,7 +485,7 @@ def test_multi_shard_transcript_is_independent_of_read_boundaries(ticks) -> None
     carried = _shard_payloads(down)
     counted = {tally.shard: tally.payload_bytes for tally in report.per_shard}
     assert report.payload_bytes == sum(counted.values())
-    if ticks > 1:  # frames that crossed a SHARD_DONE were dropped uncounted
+    if drops:  # frames that crossed a SHARD_DONE were dropped uncounted
         assert any(counted[g] < carried[g] for g in counted)
 
 

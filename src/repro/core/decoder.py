@@ -337,9 +337,14 @@ def ingest(
         table.append(np.repeat(np.arange(len(wave)), [len(c[0]) for c in held]))
         fresh: list[list] = []
         frontiers, ends = olds[:], totals[:]
-        # For stop points: every edge walked, its row numbered over table ++
-        # fresh, and the stored rows' walks as they began.
-        log = [(np.zeros(0, np.int64),) * 2] if any(jobs[j][2:] for j in wave) else None
+        # Each job's stops short of its whole bank, as prefix lengths; for
+        # them, every edge walked (its row numbered over table ++ fresh) and
+        # the stored rows' walks as they began.
+        inner = [
+            [old + e for stops in jobs[j][2:] for e in stops if 0 < e < total - old]
+            for old, total, j in zip(olds, totals, wave)
+        ]
+        log = [(np.zeros(0, np.int64),) * 2] if any(inner) else None
         begun = table[4].copy()
 
         def walk(rows, touched=None):
@@ -412,16 +417,14 @@ def ingest(
         rows = [0, *accumulate(len(c[0]) for c in held)]
         for w, (decoder, store) in enumerate(zip(decoders, stores)):
             lo, hi = starts[w], starts[w] + frontiers[w]
-            _, bank, *stops = jobs[wave[w]]
-            if stops and not nonzero[lo:hi].any():
+            if inner[w] and not nonzero[lo:hi].any():
                 # a decoded job's edges, by walk, each walk's in index order
                 slot, row = (np.concatenate(c).astype(np.int64) for c in zip(*log))
                 mine = np.flatnonzero(owner[row] == w)
                 mine = mine[np.argsort(row[mine], kind="stable")]
                 cell, of = slot[mine] - lo, row[mine]
-                at = [olds[w] + e for e in stops[0] if 0 < e < len(bank)]
                 new = of >= rows[-1]
-                stop = _stop_point(cell[new], of[new], olds[w], [*at, totals[w]])
+                stop = _stop_point(cell[new], of[new], olds[w], [*inner[w], totals[w]])
                 if stop < totals[w]:
                     began = np.concatenate([begun, csums[len(begun) :]])  # fresh: 0
                     _rewind(idx, state, began, cell, of, stop)

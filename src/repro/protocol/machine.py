@@ -629,6 +629,8 @@ class InitiatorMachine(ReconcilerMachine):
             for st, queue in queues.items():
                 bank, taken, top, encoder = None, [], st.absorbed, st.encoder
                 while queue and queue[0] < end:
+                    if taken and top == encoder.produced_count:
+                        break  # the prefix is spent: the next wave grows it
                     part = ahead.pop(st, None)
                     if part is None:
                         # the cached prefix's form: the subtraction is one XOR per lane

@@ -635,10 +635,10 @@ def scatter_walk_arrays(
     draws differ in the last ulp).  ``touched``, when given, receives
     each fold's edges as a ``(slot, row)`` array pair: the lane slots
     (``index − base``: rows of the lane arrays, whichever bank they
-    belong to) and the symbol rows (of this call's columns) folded there.  Once fewer than
-    :data:`NUMPY_TAIL_JOBS` walks are live, :func:`_walk_tail_scalar`
-    finishes them per edge (walks are independent, so the hand-off
-    point cannot change the result).
+    belong to) and the symbol rows (of this call's columns) folded
+    there.  Once fewer than :data:`NUMPY_TAIL_JOBS` walks are live,
+    :func:`_walk_tail_scalar` finishes them per edge (walks are
+    independent, so the hand-off point cannot change the result).
     """
     np = engine.np
     if sums.shape[1] == 1:

@@ -298,7 +298,7 @@ def ingest(
     if len({id(job[0]) for job in jobs}) < len(jobs):
         raise ValueError("a decoder may appear in at most one ingest job")
     if stop_when_decoded and (chunk < 1 or any(job[2:] for job in jobs)):
-        raise ValueError(f"chunk must be >= 1 and no job name stops, got {chunk}")
+        raise ValueError(f"chunk must be >= 1 and no job may name stops, got {chunk}")
     consumed = [0] * len(jobs)
     waves: dict[int, list[int]] = {}  # id(codec) -> its jobs on the vector engine
     for j, (decoder, bank, *stops) in enumerate(jobs):
@@ -391,12 +391,12 @@ def ingest(
                     break
                 # Peel the recoveries (either sign) out of every cell they map
                 # to; they join the table parked past their decoder's end.
-                first = len(table[0]) + sum(len(f[0]) for f in fresh)
                 fresh.append([values[keep], csums[keep], counts[candidates[keep]]])
                 fresh[-1] += [np.zeros(len(keep), np.int64), csums[keep], owner[keep]]
                 touched = []
                 walk(fresh[-1], touched)
                 if log is not None:
+                    first = len(table[0]) + sum(len(f[0]) for f in fresh[:-1])
                     log += [(slot, row + first) for slot, row in touched]
                 hit = np.concatenate([slot for slot, _ in touched])  # slots written
                 hit = np.sort(hit[np.abs(counts[hit]) == 1])
@@ -465,11 +465,11 @@ def _stop_point(cell, row, old: int, stops: Sequence[int]) -> int:
                 if degree[c] != 1:
                     continue
                 r, left = owner[c], left - 1
-                for c in edges[bounds[r] : bounds[r + 1]]:
-                    degree[c] -= 1
-                    owner[c] -= r
-                    if degree[c] == 1 and c < frontier:
-                        queue.append(c)
+                for e in edges[bounds[r] : bounds[r + 1]]:
+                    degree[e] -= 1
+                    owner[e] -= r
+                    if degree[e] == 1 and e < frontier:
+                        queue.append(e)
             if frontier == stop:
                 break
             if degree[frontier] == 1:

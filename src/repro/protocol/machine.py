@@ -637,7 +637,7 @@ class InitiatorMachine(ReconcilerMachine):
                         part = encoder.bank.slice(0, 0)
                         try:
                             st.reader.feed_into(part, frames[queue[0]][2])
-                        except ValueError as exc:  # the shard stops at a malformed frame
+                        except ValueError as exc:  # the shard stops here
                             bad[st] = (queue[0], exc)
                             break
                     produced = encoder.produced_count

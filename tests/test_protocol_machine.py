@@ -454,7 +454,9 @@ def wide_items(lo: int, hi: int) -> list:
         pytest.param(
             8, 4, items_range(0, 3000), items_range(500, 3500), 1, id="d1000-8"
         ),
-        pytest.param(3, 1, items_range(0, 1200), items_range(80, 1280), 1, id="1-shard"),
+        pytest.param(
+            3, 1, items_range(0, 1200), items_range(80, 1280), 1, id="1-shard"
+        ),
         pytest.param(3, 4, wide_items(0, 1200), wide_items(80, 1280), 1, id="92-byte"),
     ],
 )

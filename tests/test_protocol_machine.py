@@ -20,6 +20,7 @@ Two jobs:
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -378,10 +379,11 @@ def test_fragmentation_and_coalescing_equivalence(mode: str) -> None:
     assert fresh.report.symbols == reference.symbols
 
 
-def _multi_shard_session(server, client, ticks, shards=4):
+def _multi_shard_session(server, client, ticks, shards=4, reads=None):
     """A ``shards``-shard service-profile session whose responder ticks
     ``ticks`` times per exchange, so one read can carry several frames
-    of a shard; returns the handle and both directions' bytes."""
+    of a shard; returns the handle and both directions' bytes, and
+    appends each read's size to ``reads`` when given."""
     handle = get_scheme("riblt", symbol_size=len(server[0]))
     initiator = InitiatorMachine(handle, client, num_shards=shards)
     responder = service_responder(handle, server, num_shards=shards)
@@ -396,6 +398,8 @@ def _multi_shard_session(server, client, ticks, shards=4):
             responder.tick()
         back = responder.take_output()
         down += back
+        if reads is not None and back:
+            reads.append(len(back))
         if not back and not out:
             initiator.peer_closed()
         initiator.bytes_received(back)
@@ -406,11 +410,15 @@ def _multi_shard_session(server, client, ticks, shards=4):
 
 def _replay(handle, client, down, chunking, shards=4, **kwargs):
     """Feed ``down`` to a fresh initiator cut as ``chunking`` says:
-    one frame per call, one blob, or seeded random chunks.  Returns the
-    machine and every byte it sent back."""
+    one frame per call, one blob, seeded random chunks, or a list of
+    chunk sizes (a session's own reads).  Returns the machine and every
+    byte it sent back."""
     fresh = InitiatorMachine(handle, client, num_shards=shards, **kwargs)
     fresh.start()
-    if chunking == "per_frame":
+    if not isinstance(chunking, str):
+        cuts = [0, *itertools.accumulate(chunking)]
+        chunks = [down[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    elif chunking == "per_frame":
         chunks = [encode_frame(t, body) for t, body in FrameDecoder().feed(down)]
     elif chunking == "one_blob":
         chunks = [down]
@@ -506,6 +514,48 @@ def test_multi_shard_budget_trips_at_the_same_frame_mid_read() -> None:
         outcomes.append((str(failed), failed.symbols_sent, sent))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][1] >= 100
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+def test_multi_shard_malformed_frame_fails_at_the_same_frame_mid_read(dropped):
+    """A SYMBOLS frame with a corrupt count varint, in a session whose
+    reads carry up to sixteen frames of every shard: replayed per frame, as one
+    blob, in random chunks and in the session's own reads, the initiator
+    fails with the same typed ``ProtocolError`` after the same
+    client→server bytes, though a wave parses a shard's frames before it
+    knows where the shard decodes.  A corrupt frame that follows its
+    shard's decode — unread, or parsed by the wave that decoded the
+    shard — is dropped in every replay, and the session ends as a clean
+    replay does."""
+    server, client, reads = items_range(0, 4000), items_range(300, 4300), []
+    handle, up, down = _multi_shard_session(server, client, 16, reads=reads)
+    clean = _replay(handle, client, down, "per_frame")[0].report
+    counted = {tally.shard: tally.payload_bytes for tally in clean.per_shard}
+    # a frame inside the counted stream, or each shard's first dropped one
+    frames, carried, picks = list(FrameDecoder().feed(down)), {}, {}
+    for i, (ftype, body) in enumerate(frames):
+        if ftype == FrameType.SYMBOLS:
+            reader = BodyReader(body)
+            shard, size = reader.uvarint(), len(reader.rest())
+            if size > 200 and dropped == (carried.get(shard, 0) >= counted[shard]):
+                picks.setdefault(shard if dropped else i, i)
+            carried[shard] = carried.get(shard, 0) + size
+    picks = sorted(picks.values())
+    for pick in picks if dropped else picks[len(picks) // 2 :][:1]:
+        ftype, body = frames[pick]
+        mid = len(body) // 2
+        bad = (ftype, body[:mid] + b"\xff" * 40 + body[mid + 40 :])
+        corrupt = b"".join(encode_frame(*f) for f in frames[:pick] + [bad] + frames[pick + 1 :])
+        outcomes = []
+        for chunking in ("per_frame", "one_blob", "random_chunks", reads):
+            fresh, sent = _replay(handle, client, corrupt, chunking)
+            outcomes.append((type(fresh.failed), str(fresh.failed), fresh.report, sent))
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        if dropped:
+            assert outcomes[0] == (type(None), "None", clean, up)
+        else:
+            assert outcomes[0][0] is ProtocolError
+            assert "malformed SYMBOLS payload" in outcomes[0][1]
 
 
 def test_duplicated_ticks_only_overshoot() -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.decoder import RatelessDecoder, decode_sketch_cells
+from repro.core.decoder import RatelessDecoder, decode_sketch_cells, ingest
 from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 
@@ -186,7 +186,7 @@ def _stops_for(case, rng, point):
     below = sorted(rng.sample(range(1, point), 3))
     above = sorted(rng.sample(range(point + 1, point + 40), 3))
     return {
-        "first": [point + rng.randint(0, 3)] + above,
+        "first": sorted({point + rng.randint(0, 3), *above}),
         "last": below + [point + rng.randint(0, 3)],
         "on": below + [point] + above,
         "between": below + above,
@@ -203,8 +203,6 @@ def test_ingest_stops_at_the_first_decoding_end(lane, rng):
     differences of both signs and decoders that already hold rows.  The
     rolled-back decoder is the per-cell one: its cells, its recoveries
     and where each recovered walk is parked."""
-    from repro.core.decoder import ingest
-
     codec = SymbolCodec(8)
     for _ in range(3):
         jobs, refs = [], []

@@ -44,7 +44,7 @@ async def main() -> None:
         print(
             f"edge {i}: fetched {len(result.only_in_server):>2} txs in "
             f"{result.symbols:>4} coded symbols "
-            f"({result.bytes_received} bytes over {result.num_shards} shards)"
+            f"({result.bytes_received} bytes, one stream over {SHARDS} shards)"
         )
         assert edge.items >= set(txs), "edge failed to converge on hub's set"
 

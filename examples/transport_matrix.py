@@ -56,6 +56,6 @@ async def over_tcp():
 
 tcp = asyncio.run(over_tcp())
 show("tcp", tcp.only_in_server, tcp.only_in_client,
-     f"{tcp.num_shards} shards, {tcp.bytes_received} B received")
+     f"one stream over 2 shards, {tcp.bytes_received} B received")
 
 print("one ReconcilerMachine, three transports, identical difference.")

@@ -19,10 +19,11 @@ Commands
     List every scheme in the registry with its capability flags.
 ``repro serve INPUT --port P --shards N [--workers W]``
     Expose INPUT's items as an asyncio reconciliation service: warm
-    per-shard encoders, any number of concurrent clients.  With
-    ``--workers W`` (> 1) a supervised pool of W worker processes
-    splits the shards across cores (``repro.cluster``); clients route
-    transparently and results are byte-identical to ``--workers 1``.
+    per-shard encoders served as one stream, any number of concurrent
+    clients.  With ``--workers W`` (> 1) a supervised pool of W worker
+    processes splits the shards across cores (``repro.cluster``);
+    clients route transparently, one stream per worker, and find the
+    same difference as with ``--workers 1``.
 ``repro chaos INPUT --workers W [--schedule FILE] [--seed S]``
     Serve INPUT through a fault-injecting chaos pool: a supervised
     W-worker cluster where every client connection crosses a
@@ -228,7 +229,7 @@ def server_config_from_args(args: argparse.Namespace):
     ``chaos`` build from their shared limit flags."""
     return ServerConfig(
         block_size=args.block_size,
-        max_symbols_per_shard=args.max_symbols,
+        max_symbols=args.max_symbols,
         max_sessions=args.max_sessions,
         max_concurrent_sessions=args.max_clients,
     )
@@ -404,7 +405,7 @@ def _sync_tcp(args: argparse.Namespace) -> tuple[set, set, set]:
         max_symbols=args.max_symbols,
         **scheme_params(args, width),
     )
-    print(f"scheme          : {result.scheme} ({result.num_shards} shards)")
+    print(f"scheme          : {result.scheme}")
     print(f"missing locally : {len(result.only_in_server)}")
     print(f"extra locally   : {len(result.only_in_client)}")
     print(f"coded symbols   : {result.symbols}")
@@ -673,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     BLOCK_SIZE(p_serve, help="coded symbols per frame (default 64)")
     MAX_SYMBOLS(
         p_serve, default=1 << 17,
-        help="per-shard symbol budget before a session is dropped",
+        help="symbol budget of a session's stream before it is dropped",
     )
     p_serve.add_argument(
         "--max-sessions", type=int, default=None,
@@ -733,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     SCHEME(p_sync, help="must match the server's scheme (default: riblt)")
     p_sync.add_argument("--push", action="store_true",
                         help="send the server the items it is missing")
-    MAX_SYMBOLS(p_sync, default=None, help="client-side per-shard symbol budget")
+    MAX_SYMBOLS(p_sync, default=None, help="client-side symbol budget per stream")
     DIFFERENCE_BOUND(
         p_sync, help="pre-size fixed-capacity schemes (sim/memory transports)"
     )

@@ -50,7 +50,7 @@ exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would:
   edge on splitmix draws made in bulk, and the edges fold at once,
   colliding slots by a radix-sorted ``reduceat``.  Per-row ``hi``/``base``
   columns let one call walk several banks laid end to end (a churn
-  batch over every shard, a decoder wave over every shard's bank).
+  batch over every shard).
   Guarded by :func:`numpy_block_eligible`.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
@@ -265,6 +265,14 @@ class CodedSymbolBank:
     def subtract_in_place(self, other: "CodedSymbolBank") -> None:
         """In-place version of :meth:`subtract`; one XOR per lane in the
         lane form."""
+        self._combine(other, -1)
+
+    def add_in_place(self, other: "CodedSymbolBank") -> None:
+        """Cell-wise ``self ⊕ other`` in place: the cells of the disjoint
+        union of the two banks' sets (linearity, §4)."""
+        self._combine(other, 1)
+
+    def _combine(self, other: "CodedSymbolBank", sign: int) -> None:
         if len(other) != len(self):
             raise ValueError(f"bank sizes differ: {len(self)} vs {len(other)}")
         sums, checksums, counts = self.lanes
@@ -272,12 +280,12 @@ class CodedSymbolBank:
         if self._room is not None:
             sums ^= other_sums
             checksums ^= other_checksums
-            counts -= other_counts
+            counts += sign * other_counts
             return
         for i, (s, k, c) in enumerate(zip(other_sums, other_checksums, other_counts)):
             sums[i] ^= s
             checksums[i] ^= k
-            counts[i] -= c
+            counts[i] += sign * c
 
     def is_all_zero(self) -> bool:
         """True when every cell has been reduced to zero."""

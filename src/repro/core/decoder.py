@@ -18,19 +18,18 @@ of every later cell it maps to before that cell is examined.
   path: the store's ``(next index, row)`` heap yields the rows parked at
   the new cell (as for the encoder's ``produce_next``), and peeling is
   depth-first via a work queue.
-* :func:`ingest` — the batch path: a bank for each of many decoders,
-  each stopping, if it names stop points, at the first it decodes at
-  (:meth:`RatelessDecoder.add_coded_block` is its one-decoder case).
-  Under the vector engine the jobs of one codec share one *wave*: their
-  banks and stores lie end to end, one kernel call replays every row
+* :meth:`RatelessDecoder.add_coded_block` — the batch path: a bank of
+  cells, stopping, if it names stop points, at the first it decodes at.
+  Under the vector engine the received prefix and the block lie end to
+  end in one lane matrix (a *wave*): one kernel call replays every row
   over the new cells, and peeling runs in breadth-first *rounds* — one
-  batch hash call verifies every decoder's pure candidates from their
-  lanes, one kernel call peels the recoveries (either sign), which join
-  the stores as rows.  Peeling is confluent and decoders are
-  independent, so this reaches the same fixed point — recovered
-  symbols, final lanes — as per-cell ingestion; the golden-equivalence
-  suite asserts this.  Bank and store stay in the lane form from wave to
-  wave (the per-cell path switches them to lists, in one pass).
+  batch hash call verifies the pure candidates from their lanes, one
+  kernel call peels the recoveries (either sign), which join the store
+  as rows.  Peeling is confluent, so this reaches the same fixed point —
+  recovered symbols, final lanes — as per-cell ingestion; the
+  golden-equivalence suite asserts this.  Bank and store stay in the
+  lane form from wave to wave (the per-cell path switches them to
+  lists, in one pass).
 
 Termination: the stream is fully decoded exactly when every received
 cell has been reduced to zero.  Because ρ(0) = 1, cell 0 participates in
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from repro import engine
@@ -58,12 +56,6 @@ from repro.core.encoder import SourceStore
 from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
 from repro.hashing.prng import GAMMA
-
-# Early-stop granularity of the batch path: the block is ingested in
-# sub-blocks of this many cells, checking for completion between them.
-# 2048 keeps the overshoot past the decode point under ~10% at d = 10^4
-# while amortising the per-sub-block replay/scan overhead.
-DEFAULT_STOP_CHUNK = 2048
 
 
 @dataclass
@@ -107,8 +99,8 @@ class RatelessDecoder:
     prefix is a bank, the recovered symbols are rows of a signed store
     (+1 for the sender's, −1 for the receiver's; module docstring).  Two
     ingestion engines — the scalar reference and the NumPy waves of
-    :func:`ingest` — reach the same fixed point with identical lane
-    state, so engine choice never changes what is recovered.
+    :meth:`add_coded_block` — reach the same fixed point with identical
+    lane state, so engine choice never changes what is recovered.
     """
 
     def __init__(self, codec: SymbolCodec) -> None:
@@ -162,20 +154,136 @@ class RatelessDecoder:
         """Convenience: consume ``remote ⊖ local`` without mutating inputs."""
         self.add_coded_symbol(remote_cell.subtract(local_cell))
 
-    def add_coded_block(
-        self,
-        bank: CodedSymbolBank,
-        stop_when_decoded: bool = False,
-        chunk: int = DEFAULT_STOP_CHUNK,
-    ) -> int:
+    def add_coded_block(self, bank: CodedSymbolBank, stops: Sequence[int] = ()) -> int:
         """Consume a whole bank of subtracted cells; returns cells consumed.
 
-        The one-job case of :func:`ingest`: the fixed point of per-cell
-        ingestion, stopping (with ``stop_when_decoded``) after the first
-        ``chunk``-cell sub-block that completes decoding — ``chunk=1``
-        is cell-exact on both engines.  ``bank`` is never mutated.
+        The batch path: the fixed point of per-cell ingestion.  ``stops``
+        are optional cell counts of ``bank``, ascending, such as its
+        frames' ends: the decoder stops at the first at which it is
+        decoded, as per-cell ingestion would (``range(1, len(bank) + 1)``
+        is cell-exact), and with stops an already decoded decoder takes
+        nothing.  Stops outside ``0..len(bank)`` or out of order are a
+        ``ValueError``, before any cell is taken.  Under the vector
+        engine a block joins the lane *wave* (:meth:`_wave`) once the
+        decoder is lane-resident or the block holds
+        :data:`~repro.core.cellbank.NUMPY_TAIL_JOBS` cells (a handful
+        costs less per cell, as a walk's last few edges do); the rest go
+        per cell.  ``bank`` is never mutated, in either form.
         """
-        return ingest([(self, bank)], stop_when_decoded, chunk)[0]
+        n = len(bank)
+        if any(b < a for a, b in zip([0, *stops], stops)) or (stops and stops[-1] > n):
+            raise ValueError(f"stops must ascend within 0..{n}, got {list(stops)}")
+        if n == 0 or (stops and self.decoded):
+            return 0
+        if numpy_block_eligible(self.codec) and (
+            n >= NUMPY_TAIL_JOBS or self._bank.vector
+        ):
+            return self._wave(bank, stops)
+        at, consumed = set(stops), 0
+        for cell in zip(*bank.in_form(False).lanes):
+            self._consume(*cell)
+            consumed += 1
+            if consumed in at and self._nonzero == 0:
+                break
+        return consumed
+
+    def _wave(self, bank: CodedSymbolBank, stops: Sequence[int]) -> int:
+        """The vector engine's :meth:`add_coded_block`.
+
+        The received prefix and the block lie end to end in one lane
+        matrix: one kernel call replays every recovered row over the new
+        cells, then peeling runs in breadth-first *rounds* — ONE
+        ``checksum_int_batch`` call verifies a round's pure candidates
+        from their lanes, they are accepted against the recovered
+        checksums (a repeat is a ghost duplicate, as per cell) and one
+        kernel call peels them, either sign; they join the store as rows.
+        Peeling is monotone in the prefix, so the first of ``stops`` at
+        which the decoder is decoded follows from the edges of the rows
+        it recovered (:func:`_stop_point`), and the bank and the rows'
+        parked walks roll back to it (:func:`_rewind`).
+        """
+        np, codec, store = engine.np, self.codec, self._store
+        old = len(self._bank)
+        total = old + len(bank)
+        parts = (part.in_form(True, codec.symbol_size) for part in (self._bank, bank))
+        sums, checksums, counts = (
+            np.concatenate(lane) for lane in zip(*(part.lanes for part in parts))
+        )
+        # The recovered rows — (values, checksums, signs, idx, state) — the
+        # store's, then each peel round's recoveries.
+        table = list(store.columns())
+        held = len(table[0])
+        fresh: list[list] = []
+        # The stops short of the whole bank, as prefix lengths; for them,
+        # every edge walked (its row numbered over table ++ fresh) and the
+        # stored rows' walks as they began.
+        inner = [old + e for e in stops if 0 < e < total - old]
+        log = [(np.zeros(0, np.int64),) * 2] if inner else None
+        begun = table[4].copy()
+
+        def walk(rows, touched=None):
+            # One kernel call; every row walks to the wave's end.
+            values, csums, signs, idx, state = rows
+            alphas = codec.alpha_batch(csums)
+            alphas = None if alphas is None else np.array(alphas, np.float64)
+            scatter_walk_arrays(
+                sums, checksums, counts, idx, state, values, csums, -signs, total,
+                touched=touched, alphas=alphas,
+            )
+
+        walk(table, log)  # 1. replay every recovered row across the new cells
+        seen = self._seen
+        pure = (counts[old:] == 1) | (counts[old:] == -1)
+        candidates = np.flatnonzero(pure) + old
+        while candidates.size:  # 2. breadth-first peel rounds
+            values, csums = sums[candidates], checksums[candidates]
+            hashed = codec.checksum_int_batch(values)
+            verified = np.flatnonzero(hashed == csums)
+            keep = []
+            for j, checksum in zip(verified.tolist(), csums[verified].tolist()):
+                if checksum not in seen:
+                    seen.add(checksum)
+                    keep.append(j)
+            if not keep:
+                break
+            # Peel the recoveries out of every cell they map to; they join
+            # the table parked past the wave's end.
+            fresh.append([values[keep], csums[keep], counts[candidates[keep]]])
+            fresh[-1] += [np.zeros(len(keep), np.int64), csums[keep]]
+            touched = []
+            walk(fresh[-1], touched)
+            if log is not None:
+                first = held + sum(len(f[0]) for f in fresh[:-1])
+                log += [(slot, row + first) for slot, row in touched]
+            hit = np.concatenate([slot for slot, _ in touched])  # slots written
+            hit = np.sort(hit[np.abs(counts[hit]) == 1])
+            candidates = hit[np.diff(hit, prepend=-1) != 0]  # each pure one, once
+        values, csums, signs, idx, state = (
+            [np.concatenate(c) for c in zip(table, *fresh)] if fresh else table
+        )
+        nonzero = sums.any(axis=1) | (checksums != 0) | (counts != 0)
+        end = total
+        if inner and not nonzero.any():
+            # the edges, by walk, each walk's in index order
+            slot, row = (np.concatenate(c).astype(np.int64) for c in zip(*log))
+            order = np.argsort(row, kind="stable")
+            cell, of = slot[order], row[order]
+            new = of >= held
+            end = _stop_point(cell[new], of[new], old, [*inner, total])
+            if end < total:
+                began = np.concatenate([begun, csums[held:]])  # fresh: 0 steps
+                _rewind(idx, state, began, cell, of, end)
+        # The decoder takes its cells back, its stored rows' advanced walks
+        # and its new rows, in recovery order.
+        self._bank = CodedSymbolBank(sums[:end], checksums[:end], counts[:end])
+        self._nonzero = int(np.count_nonzero(nonzero[:end]))
+        table[3][:], table[4][:] = idx[:held], state[:held]
+        if len(values) > held:
+            new = slice(held, None)
+            alphas = store.alphas_for(csums[new])
+            walks = (idx[new], state[new])
+            store.append(values[new], csums[new], alphas, walks, signs[new])
+        return end - old
 
     # -- peeling -----------------------------------------------------------
 
@@ -265,181 +373,6 @@ class RatelessDecoder:
             local=self.local_items(),
             symbols_used=len(self._bank),
         )
-
-
-def ingest(
-    jobs: Sequence[tuple],
-    stop_when_decoded: bool = False,
-    chunk: int = DEFAULT_STOP_CHUNK,
-) -> list[int]:
-    """Feed each ``(decoder, bank)`` job its bank; returns cells consumed per job.
-
-    Under the vector engine a job whose codec fits the lanes joins its
-    codec's *wave* once its decoder is lane-resident or its block holds
-    :data:`~repro.core.cellbank.NUMPY_TAIL_JOBS` cells (a handful costs
-    less per cell, as a walk's last few edges do); the rest go per cell.
-    A wave lays its decoders' banks (each followed by its block) end to
-    end in one lane matrix and their stores' rows in one table, with
-    per-row kernel ``hi``/``base``: one kernel call replays every row,
-    and each peel round verifies every decoder's candidates in ONE
-    ``checksum_int_batch`` call, accepts them against that decoder's
-    recovered checksums and peels them, either sign, in one kernel call —
-    so each decoder ends as a call of its own leaves it.
-    ``stop_when_decoded`` advances the jobs in lock-step ``chunk``-cell
-    sub-blocks.  A ``(decoder, bank, stops)`` job instead names its own
-    stop points — cell counts of its bank, ascending, such as its frames'
-    ends: it stops at the first at which its decoder is decoded, as
-    per-cell ingestion would, yet its wave peels the whole bank once.
-    Peeling is monotone in the prefix, so that point follows from the
-    rows the job recovered alone (:func:`_stop_point`), and the decoder
-    rolls back to it (:func:`_rewind`).  One job per decoder at most, its
-    bank in either form.
-    """
-    if len({id(job[0]) for job in jobs}) < len(jobs):
-        raise ValueError("a decoder may appear in at most one ingest job")
-    if stop_when_decoded and (chunk < 1 or any(job[2:] for job in jobs)):
-        raise ValueError(f"chunk must be >= 1 and no job may name stops, got {chunk}")
-    consumed = [0] * len(jobs)
-    waves: dict[int, list[int]] = {}  # id(codec) -> its jobs on the vector engine
-    for j, (decoder, bank, *stops) in enumerate(jobs):
-        n = len(bank)
-        if n == 0 or ((stop_when_decoded or stops) and decoder.decoded):
-            continue
-        if numpy_block_eligible(decoder.codec) and (
-            n >= NUMPY_TAIL_JOBS or decoder._bank.vector
-        ):
-            waves.setdefault(id(decoder.codec), []).append(j)
-            continue
-        at = range(chunk, n, chunk) if stop_when_decoded else set(*stops)
-        for cell in zip(*bank.in_form(False).lanes):
-            decoder._consume(*cell)
-            consumed[j] += 1
-            if consumed[j] in at and decoder._nonzero == 0:
-                break
-    np = engine.np
-    for wave in waves.values():
-        decoders = [jobs[j][0] for j in wave]
-        codec = decoders[0].codec
-        olds = [len(decoder._bank) for decoder in decoders]
-        totals = [old + len(jobs[j][1]) for old, j in zip(olds, wave)]
-        starts = [0, *accumulate(totals)]  # decoder w: rows starts[w]..starts[w+1]
-        parts = [
-            bank.in_form(True, codec.symbol_size).lanes
-            for decoder, j in zip(decoders, wave)
-            for bank in (decoder._bank, jobs[j][1])
-        ]
-        sums, checksums, counts = (np.concatenate(lane) for lane in zip(*parts))
-        # The wave's recovered rows — (values, checksums, signs, idx, state,
-        # owner) — every store's, then each peel round's recoveries.
-        stores = [decoder._store for decoder in decoders]
-        held = [store.columns() for store in stores]
-        table = [np.concatenate(column) for column in zip(*held)]
-        table.append(np.repeat(np.arange(len(wave)), [len(c[0]) for c in held]))
-        fresh: list[list] = []
-        frontiers, ends = olds[:], totals[:]
-        # Each job's stops short of its whole bank, as prefix lengths; for
-        # them, every edge walked (its row numbered over table ++ fresh) and
-        # the stored rows' walks as they began.
-        inner = [
-            [old + e for stops in jobs[j][2:] for e in stops if 0 < e < total - old]
-            for old, total, j in zip(olds, totals, wave)
-        ]
-        log = [(np.zeros(0, np.int64),) * 2] if any(inner) else None
-        begun = table[4].copy()
-
-        def walk(rows, touched=None):
-            # One kernel call; row r walks decoder owner[r]'s cells to its end.
-            values, csums, signs, idx, state, owner = rows
-            hi, base = np.array(ends)[owner], -np.array(starts[:-1])[owner]
-            alphas = codec.alpha_batch(csums)
-            alphas = None if alphas is None else np.array(alphas, np.float64)
-            scatter_walk_arrays(
-                sums, checksums, counts, idx, state, values, csums, -signs, hi,
-                base=base, touched=touched, alphas=alphas,
-            )
-
-        cuts = np.array(starts[1:-1])  # the decoders' row boundaries
-        active = list(range(len(wave)))
-        while active:
-            # 1. Replay every recovered row across its decoder's new cells.
-            if stop_when_decoded:
-                for w in active:
-                    ends[w] = min(frontiers[w] + chunk, totals[w])
-            if fresh:
-                table, fresh = [np.concatenate(c) for c in zip(table, *fresh)], []
-            walk(table, log)
-            # 2. Breadth-first peel rounds over every decoder's [0, end).
-            pure = (counts == 1) | (counts == -1)
-            spans = [(starts[w] + frontiers[w], starts[w] + ends[w]) for w in active]
-            hits = [np.flatnonzero(pure[lo:hi]) + lo for lo, hi in spans]
-            candidates = np.concatenate(hits)
-            while candidates.size:
-                owner = np.searchsorted(cuts, candidates, side="right")
-                values, csums = sums[candidates], checksums[candidates]
-                # ONE batch hash call verifies the round from the lane rows; a
-                # verified checksum its decoder already holds (from an earlier
-                # round or candidate) is a ghost duplicate, as per cell.
-                hashed = codec.checksum_int_batch(values)
-                verified = np.flatnonzero(hashed == csums)
-                keep = []
-                mine = zip(owner[verified].tolist(), csums[verified].tolist())
-                for j, (w, checksum) in zip(verified.tolist(), mine):
-                    if checksum not in decoders[w]._seen:
-                        decoders[w]._seen.add(checksum)
-                        keep.append(j)
-                if not keep:
-                    break
-                # Peel the recoveries (either sign) out of every cell they map
-                # to; they join the table parked past their decoder's end.
-                fresh.append([values[keep], csums[keep], counts[candidates[keep]]])
-                fresh[-1] += [np.zeros(len(keep), np.int64), csums[keep], owner[keep]]
-                touched = []
-                walk(fresh[-1], touched)
-                if log is not None:
-                    first = len(table[0]) + sum(len(f[0]) for f in fresh[:-1])
-                    log += [(slot, row + first) for slot, row in touched]
-                hit = np.concatenate([slot for slot, _ in touched])  # slots written
-                hit = np.sort(hit[np.abs(counts[hit]) == 1])
-                candidates = hit[np.diff(hit, prepend=-1) != 0]  # each pure one, once
-            frontiers = ends[:]
-            active = [w for w in active if ends[w] < totals[w]]
-            if stop_when_decoded:  # a job stops after the sub-block decoding it
-                live = sums.any(axis=1) | (checksums != 0) | (counts != 0)
-                live = [live[starts[w] : starts[w] + ends[w]].any() for w in active]
-                active = [w for w, undecoded in zip(active, live) if undecoded]
-        # Each decoder takes its cells back, its stored rows' advanced walks
-        # and its new rows, in recovery order.
-        values, csums, signs, idx, state, owner = (
-            [np.concatenate(c) for c in zip(table, *fresh)] if fresh else table
-        )
-        lanes = sums, checksums, counts
-        nonzero = sums.any(axis=1) | (checksums != 0) | (counts != 0)
-        rows = [0, *accumulate(len(c[0]) for c in held)]
-        for w, (decoder, store) in enumerate(zip(decoders, stores)):
-            lo, hi = starts[w], starts[w] + frontiers[w]
-            if inner[w] and not nonzero[lo:hi].any():
-                # a decoded job's edges, by walk, each walk's in index order
-                slot, row = (np.concatenate(c).astype(np.int64) for c in zip(*log))
-                mine = np.flatnonzero(owner[row] == w)
-                mine = mine[np.argsort(row[mine], kind="stable")]
-                cell, of = slot[mine] - lo, row[mine]
-                new = of >= rows[-1]
-                stop = _stop_point(cell[new], of[new], olds[w], [*inner[w], totals[w]])
-                if stop < totals[w]:
-                    began = np.concatenate([begun, csums[len(begun) :]])  # fresh: 0
-                    _rewind(idx, state, began, cell, of, stop)
-                    frontiers[w], hi = stop, lo + stop
-            decoder._bank = CodedSymbolBank(*(lane[lo:hi] for lane in lanes))
-            decoder._nonzero = int(np.count_nonzero(nonzero[lo:hi]))
-            consumed[wave[w]] = frontiers[w] - olds[w]
-            mine = slice(rows[w], rows[w + 1])
-            held[w][3][:], held[w][4][:] = idx[mine], state[mine]
-            new = rows[-1] + np.flatnonzero(owner[rows[-1] :] == w)
-            if new.size:
-                alphas = store.alphas_for(csums[new])
-                walks = (idx[new], state[new])
-                store.append(values[new], csums[new], alphas, walks, signs[new])
-    return consumed
 
 
 def _stop_point(cell, row, old: int, stops: Sequence[int]) -> int:

@@ -261,7 +261,6 @@ class GossipNode:
         return InitiatorMachine(
             self.handle,
             self.items(),
-            num_shards=0,  # adopt the responder's shard count
             push=push,
             max_symbols=max_symbols,
             difference_bound=difference_bound,
@@ -273,7 +272,7 @@ class GossipNode:
         *,
         block_size: int = 8,
         slow_start: bool = False,
-        max_symbols_per_shard: Optional[int] = None,
+        max_symbols: Optional[int] = None,
         budget_grace: float = 0.0,
         use_estimator: bool = False,
     ) -> ResponderMachine:
@@ -283,7 +282,7 @@ class GossipNode:
             self.handle,
             block_size=block_size,
             slow_start=slow_start,
-            max_symbols_per_shard=max_symbols_per_shard,
+            max_symbols=max_symbols,
             budget_grace=budget_grace,
             use_estimator=use_estimator,
         )

@@ -84,7 +84,7 @@ class GossipConfig:
     """Coded symbols per SYMBOLS frame in full sessions."""
 
     max_symbols: Optional[int] = None
-    """Initiator-side per-shard symbol budget (typed failure beyond)."""
+    """Initiator-side symbol budget (typed failure beyond)."""
 
     difference_bound: int = 0
     """Pre-sizing for fixed-capacity (sketch-mode) schemes."""

@@ -11,8 +11,8 @@ wraps it for two item sets ("any registered scheme over a lossy
 sessions on one shared :class:`~repro.net.simulator.Simulator`.
 
 Streaming schemes fill the pipe like the Fig 13 model (the responder
-produces a block whenever its transmitter frees up and the shard's
-credit window is open, so a long-fat link ramps like slow start),
+produces a block whenever its transmitter frees up and the
+stream's credit window is open, so a long-fat link ramps like slow start),
 sketch schemes pay their lock-step round trips, and the estimator
 composition pays its extra exchange.
 
@@ -154,7 +154,7 @@ class LinkSession:
         """(report, wire bytes, completion time); raises typed on failure.
 
         Call once the simulator has drained.  ``completion time`` is the
-        moment the initiator's last shard decoded.
+        moment the initiator decoded.
         """
         if not self.initiator.finished:
             # The event heap drained with Bob still waiting — Alice died
@@ -195,7 +195,7 @@ def simulate_machine_sync(
     """Synchronise Bob to Alice through the engine, under a link model.
 
     Alice (the responder) sits at endpoint "a", Bob (the initiator) at
-    endpoint "b"; ``completion_time`` is the moment Bob's last shard
+    endpoint "b"; ``completion_time`` is the moment Bob
     decodes.  ``use_estimator`` defaults to "whenever a fixed-capacity
     scheme has no explicit ``difference_bound``" — the same policy as
     :func:`repro.api.reconcile` (``0`` here means "no bound").

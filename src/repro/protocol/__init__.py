@@ -19,7 +19,6 @@ from repro.protocol.events import (
     Failed,
     MachineReport,
     SendBytes,
-    ShardTally,
 )
 from repro.protocol.machine import (
     DEFAULT_MAX_ROUNDS,
@@ -44,7 +43,6 @@ __all__ = [
     "ReconcilerMachine",
     "ResponderMachine",
     "SendBytes",
-    "ShardTally",
     "memory_responder",
     "pump",
 ]

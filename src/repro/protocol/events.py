@@ -76,19 +76,6 @@ class ClusterInfo:
 
 
 @dataclass
-class ShardTally:
-    """Per-shard accounting, mirrored into service ``ShardReport``s."""
-
-    shard: int
-    symbols: int = 0
-    payload_bytes: int = 0
-    accounted_bytes: int = 0
-    rounds: int = 1
-    only_in_remote: int = 0
-    only_in_local: int = 0
-
-
-@dataclass
 class MachineReport:
     """Scheme- and transport-independent outcome of one machine run.
 
@@ -106,7 +93,6 @@ class MachineReport:
 
     scheme: str
     mode: "SyncMode"
-    num_shards: int
     symbol_size: Optional[int]
     only_in_remote: Set[bytes] = field(default_factory=set)
     only_in_local: Set[bytes] = field(default_factory=set)
@@ -116,9 +102,10 @@ class MachineReport:
     rounds: int = 1
     pushed: int = 0
     push_bytes: int = 0
-    per_shard: list = field(default_factory=list)
     payloads: Optional[dict] = None
-    """Raw per-shard payload bytes, captured only when asked (goldens)."""
+    """Raw payload bytes of the connection's stream, captured only when
+    asked (goldens), keyed by the serving worker's index (0 outside a
+    cluster)."""
 
     cluster: Optional["ClusterInfo"] = None
     """Routing metadata from a cluster WELCOME tail (None outside one)."""

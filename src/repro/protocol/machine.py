@@ -55,10 +55,10 @@ the HELLO/WELCOME check.  Capability dispatch:
 
 * the **streaming** scheme (Rateless IBLT, the only one) runs STREAM
   mode: the responder ships §6-framed coded symbols in ``SYMBOLS``
-  frames until the initiator's peeler reports done (``SHARD_DONE`` per
-  shard, then ``BYE``/``STATS``) — but never past the per-shard credit
-  window the initiator's ``CREDIT`` frames open (see "Flow control"
-  below);
+  frames — one stream per connection, whatever its shard count — until
+  the initiator's peeler reports done (``DONE``, then ``BYE``/``STATS``)
+  — but never past the credit window the initiator's ``CREDIT`` frames
+  open (see "Flow control" below);
 * its ``HELLO`` ends with the initiator's cell 0, a set digest: a solo
   responder with an equal cell 0 answers ``WELCOME`` (IN_SYNC) + ``STATS``
   in one write, and on that ``STATS`` the initiator delivers the empty
@@ -80,35 +80,40 @@ Flow control
 
 "Stream until Bob says stop" needs a brake that is not the transport's
 buffers: a responder that can write faster than its peer decodes would
-otherwise serialise megabytes nobody reads.  Each stream-mode shard
-therefore has a cumulative symbol *limit*, ``INITIAL_WINDOW`` at first.
-The responder starts a block only while the shard's cursor is below the
-limit (block boundaries never move, so the initiator absorbs the same
-prefix it always did).  The initiator doubles the limit — one
-``CREDIT(shard, limit)`` frame — whenever what it has absorbed without
-decoding reaches half of what it has granted: O(log symbols) frames per
-shard, a responder never more than ~4x ahead of its peer, and a
-long-fat link still ramps like TCP slow start.  The limit is cumulative
-so grants are idempotent and order-free: a duplicate or stale one is a
-no-op, never a double credit.
+otherwise serialise megabytes nobody reads.  So there is one window per
+connection: the stream has a cumulative symbol *limit*,
+``INITIAL_WINDOW`` at first.  The responder starts a block only while
+its cursor is below the limit (block boundaries never move, so the
+initiator absorbs the same prefix it always did).  The initiator doubles
+the limit — one ``CREDIT(limit)`` frame — whenever what it has absorbed
+without decoding reaches half of what it has granted: O(log symbols)
+frames per connection, a responder never more than ~4x ahead of its
+peer, and a long-fat link still ramps like TCP slow start.  The limit is
+cumulative so grants are idempotent and order-free: a duplicate or stale
+one is a no-op, never a double credit.
 
-A read usually carries several blocks of every shard (one per shard
-per tick), so the initiator absorbs a read's SYMBOLS frames in *waves*.
-For each undecoded shard a wave takes every next frame whose cells lie
-inside the shard encoder's coded prefix.  A frame past the prefix grows
-it by doubling (to the frame's end, or twice the prefix within the
-grant) and opens the shard's part of the next wave: O(log symbols) waves
-and walk-kernel calls per shard, not one per frame, and since cells are
-deterministic, block boundaries and wire bytes are those of frame-sized
-growth.  A shard's frames are parsed into one block shaped like its
-cached prefix, the matching ``cached_block`` is subtracted, and one
-:func:`~repro.core.decoder.ingest` call peels every shard of the wave,
-sharing each peel round's hash and kernel calls.  Each shard's job
-names its frames' ends as stop points, so a shard that decodes mid-wave
-stops at the first frame end it decodes at — peeling is monotone in the
-prefix — and its later frames are dropped uncounted.  The initiator then
-answers each frame (SHARD_DONE, CREDIT, typed error) in arrival order,
-exactly as frame-at-a-time absorption would: shards are independent.
+The stream is one because a coded symbol is linear in the set (§4): the
+responder's shards are storage, and its cell i is the XOR (and count
+sum) of their cells i — the whole set's cell i.  So one encoder of this
+side's items and one decoder serve the connection; a cluster worker
+serves its stripe of the shards, and its initiator encodes the items
+that stripe would hold.
+
+A read usually carries several blocks, so the initiator absorbs a
+read's SYMBOLS frames in *waves*.  A wave takes every next frame whose
+cells lie inside the encoder's coded prefix.  A frame past the prefix
+grows it by doubling (to the frame's end, or twice the prefix within
+the grant) and opens the next wave: O(log symbols) waves and walk-kernel
+calls, not one per frame, and since cells are deterministic, block
+boundaries and wire bytes are those of frame-sized growth.  A wave's
+frames are parsed into one block shaped like the cached prefix, the
+matching ``cached_block`` is subtracted, and one
+:meth:`~repro.core.decoder.RatelessDecoder.add_coded_block` call peels
+it.  The call names the frames' ends as stop points, so a stream that
+decodes mid-wave stops at the first frame end it decodes at — peeling is
+monotone in the prefix — and its later frames are dropped uncounted.
+The initiator then answers each frame (DONE, CREDIT, typed error) in
+arrival order, exactly as frame-at-a-time absorption would.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ from repro.api.base import (
 )
 from repro.api.registry import Scheme
 from repro.baselines.strata import StrataEstimator
-from repro.core.decoder import RatelessDecoder, ingest
+from repro.core.decoder import DecodeResult, RatelessDecoder
 from repro.core.encoder import RatelessEncoder
 from repro.core.wire import SymbolStreamReader
 from repro.protocol.events import (
@@ -134,7 +139,6 @@ from repro.protocol.events import (
     Failed,
     MachineReport,
     SendBytes,
-    ShardTally,
 )
 from repro.core.cellbank import CodedSymbolBank
 from repro.service.backends import ShardBackend, StaleStream, set_digest
@@ -161,7 +165,7 @@ from repro.service.framing import (
     pack_lp_str,
     pack_uvarints,
 )
-from repro.service.shard import hash_items, partition_with_hashes
+from repro.service.shard import hash_items, stripe_with_hashes
 
 # Sketch bound when the initiator's HELLO leaves sizing to the responder.
 DEFAULT_SKETCH_BOUND = 16
@@ -331,48 +335,16 @@ class ReconcilerMachine:
         raise ProtocolError("peer closed the connection mid-session")
 
 
-class _InitiatorShard:
-    """Initiator-side decoding state for one shard.
-
-    ``tally.shard`` is the *global* shard id (== the local frame id
-    outside a cluster); ``items``/``hashes`` are the shard's slice of
-    the batch and of its keyed hashes (computed once, for placement and
-    checksums) — in stream mode, row-matrix and vector slices.  In
-    stream mode the shard holds the core codec itself: an ``encoder``
-    of its items, the §6 ``reader`` of the peer's stream, the peeling
-    ``decoder``, and the count of coded symbols ``absorbed`` so far.
-    In sketch mode ``bound`` is the sketch bound this side last asked
-    for: the only one a ``SKETCH`` frame may echo.
-    """
-
-    __slots__ = (
-        "items", "hashes", "encoder", "reader", "decoder", "absorbed", "tally",
-        "done", "result", "granted", "bound",
-    )
-
-    def __init__(self, shard: int, items: list, hashes: list, bound: int) -> None:
-        self.items = items
-        self.hashes = hashes
-        self.encoder: Optional[RatelessEncoder] = None
-        self.reader: Optional[SymbolStreamReader] = None
-        self.decoder: Optional[RatelessDecoder] = None
-        self.absorbed = 0
-        self.tally = ShardTally(shard)
-        self.granted = INITIAL_WINDOW
-        self.bound = bound
-        self.done = False
-        self.result = None
-
-
 class InitiatorMachine(ReconcilerMachine):
     """Bob's side: opens the session, absorbs, delivers the difference.
 
-    In STREAM mode each shard runs the core codec directly — a
-    :class:`~repro.core.encoder.RatelessEncoder` of its items, a
-    :class:`~repro.core.wire.SymbolStreamReader` and a
+    In STREAM mode the connection's one stream runs the core codec
+    directly — a :class:`~repro.core.encoder.RatelessEncoder` of this
+    side's items (in a cluster, of the items the answering worker's
+    stripe holds), a :class:`~repro.core.wire.SymbolStreamReader` and a
     :class:`~repro.core.decoder.RatelessDecoder` — and a read's SYMBOLS
-    frames reach the decoders in waves, one ``ingest`` call per prefix
-    doubling (see "Flow control").  ``difference_bound`` (> 0)
+    frames reach the decoder in waves, one ``add_coded_block`` call per
+    prefix doubling (see "Flow control").  ``difference_bound`` (> 0)
     pre-sizes sketch mode exactly like the legacy drivers;
     ``use_estimator=True`` (agreed out of band with the responder, not
     negotiated) runs the strata exchange first and sizes the initial
@@ -384,7 +356,6 @@ class InitiatorMachine(ReconcilerMachine):
         handle: Scheme,
         items: Sequence[bytes],
         *,
-        num_shards: int = 0,
         push: bool = False,
         max_symbols: Optional[int] = None,
         difference_bound: int = 0,
@@ -402,7 +373,6 @@ class InitiatorMachine(ReconcilerMachine):
             )
         self.handle = handle
         self.items = items if hasattr(items, "shape") else list(items)
-        self.num_shards_wish = num_shards
         self.push = push
         self.max_symbols = max_symbols
         self.difference_bound = int(difference_bound or 0)
@@ -414,31 +384,37 @@ class InitiatorMachine(ReconcilerMachine):
         self.cluster: Optional[ClusterInfo] = None
         self._state = "welcome"
         self._mode: Optional[SyncMode] = None
-        self._shards: List[_InitiatorShard] = []
-        self._remaining = -1
+        # The one stream (or sketch exchange) of the connection.
+        self._encoder: Optional[RatelessEncoder] = None
+        self._reader: Optional[SymbolStreamReader] = None
+        self._decoder: Optional[RatelessDecoder] = None
+        self._absorbed = 0  # cells the decoder holds
+        self._granted = INITIAL_WINDOW
+        self._bound = 0  # the sketch bound last asked for: the only one echoed
+        self._symbols = 0
+        self._stream_payload = 0
+        self._accounted = 0
+        self._rounds = 1
+        self._result = None
         self._estimator_rounds = 0
         self._estimator_bytes = 0
         self._estimator_payload = 0
         self._pushed = 0
         self._push_bytes = 0
-        self._only_remote: set = set()
-        self._only_local: set = set()
-        self._payloads: Optional[dict] = {} if capture_payloads else None
+        self._payloads: Optional[bytearray] = bytearray() if capture_payloads else None
         self._digest = b""
 
     # -- progress introspection (used by the in-memory Session wrapper) ---
 
     @property
     def decoded(self) -> bool:
-        """True once every shard recovered its difference."""
-        return self._remaining == 0
+        """True once the difference is recovered."""
+        return self._result is not None
 
     @property
     def payload_bytes(self) -> int:
         """Coded payload bytes received so far (frame headers excluded)."""
-        return self._estimator_payload + sum(
-            st.tally.payload_bytes for st in self._shards
-        )
+        return self._estimator_payload + self._stream_payload
 
     # -- machine events ----------------------------------------------------
 
@@ -447,8 +423,8 @@ class InitiatorMachine(ReconcilerMachine):
         assert symbol_size is not None
         codec = self.handle.codec
         if self.handle.capabilities.streaming and codec is not None:
-            # One pass from items to the row matrix the encoders slice and
-            # to the keyed hashes placement and checksums share; the HELLO
+            # One pass from items to the row matrix the encoder takes and
+            # to the keyed hashes striping and checksums share; the HELLO
             # digest (this side's cell 0) folds straight from both.
             self.items = codec.item_rows(self.items)
             if self._item_hashes is None:
@@ -464,7 +440,6 @@ class InitiatorMachine(ReconcilerMachine):
             + pack_lp_str(str(getattr(self.handle.params, "hasher", "")))
             + pack_uvarints(
                 self.handle.key_probe,
-                self.num_shards_wish,
                 0,  # block size: responder's choice
                 self.difference_bound,
             )
@@ -499,7 +474,6 @@ class InitiatorMachine(ReconcilerMachine):
             mode = SyncMode(welcome.uvarint())
         except ValueError as exc:
             raise ProtocolError(f"unknown sync mode in WELCOME: {exc}") from None
-        granted = welcome.uvarint()
         welcome.uvarint()  # responder block size: informational
         cluster = self._parse_cluster_tail(welcome)
         welcome.expect_end()
@@ -515,66 +489,43 @@ class InitiatorMachine(ReconcilerMachine):
                 f"server announced {mode.name} mode, which scheme "
                 f"{self.handle.name!r} cannot run"
             )
-        # In a cluster the worker grants its *local* shard count; the
-        # wish (and placement) always speak global shards.
-        total = cluster.total_shards if cluster is not None else granted
-        if self.num_shards_wish and total != self.num_shards_wish:
-            raise SchemeMismatch(
-                f"server runs {total} shards, caller demanded "
-                f"{self.num_shards_wish}"
+        if (
+            cluster is not None
+            and self.expect_worker is not None
+            and cluster.worker_index != self.expect_worker
+        ):
+            raise ProtocolError(
+                f"routed to worker {cluster.worker_index}, "
+                f"expected worker {self.expect_worker}"
             )
-        if cluster is not None:
-            if (
-                self.expect_worker is not None
-                and cluster.worker_index != self.expect_worker
-            ):
-                raise ProtocolError(
-                    f"routed to worker {cluster.worker_index}, "
-                    f"expected worker {self.expect_worker}"
-                )
-            owned = list(
-                range(cluster.worker_index, total, cluster.num_workers)
-            )
-            if granted != len(owned):
-                raise ProtocolError(
-                    f"worker {cluster.worker_index} granted {granted} shards "
-                    f"but the striped topology owns {len(owned)}"
-                )
-        else:
-            owned = list(range(granted))
         self.cluster = cluster
         self._mode = mode
-        if self._payloads is not None:
-            self._payloads = {g: bytearray() for g in owned}
         if mode == SyncMode.IN_SYNC:
             # The responder's cell 0 equals ours: the difference is empty.
             # Delivered on the STATS sent in the same write, and on nothing
             # else, so a corrupted mode byte cannot fake an empty answer.
-            self._shards = [_InitiatorShard(g, None, None, 0) for g in owned]
-            self._remaining = 0
+            self._result = DecodeResult(success=True)
             self._state = "in_sync"
             return
-        hashes = self._item_hashes
-        if hashes is None:
-            hashes = hash_items(self._hash64, self.items)
-        parts, part_hashes = partition_with_hashes(self.items, hashes, total)
-        bound = self.difference_bound or DEFAULT_SKETCH_BOUND
-        self._shards = [
-            _InitiatorShard(g, parts[g], part_hashes[g], bound) for g in owned
-        ]
-        self._remaining = len(owned)
+        if cluster is not None:
+            # A worker serves its stripe of the global shards: sync those.
+            hashes = self._item_hashes
+            if hashes is None:
+                hashes = hash_items(self._hash64, self.items)
+            self.items, self._item_hashes = stripe_with_hashes(
+                self.items, hashes, cluster.total_shards, cluster.num_workers,
+                cluster.worker_index,
+            )
+        self._bound = self.difference_bound or DEFAULT_SKETCH_BOUND
         if mode == SyncMode.STREAM:
             codec = self.handle.codec
-            for st in self._shards:
-                st.encoder = RatelessEncoder(codec, st.items, item_hashes=st.hashes)
-                st.reader = SymbolStreamReader(codec)
-                st.decoder = RatelessDecoder(codec)
+            self._encoder = RatelessEncoder(
+                codec, self.items, item_hashes=self._item_hashes
+            )
+            self._reader = SymbolStreamReader(codec)
+            self._decoder = RatelessDecoder(codec)
             self._state = "stream"
         else:
-            if self.use_estimator and len(owned) != 1:
-                raise ProtocolError(
-                    "the estimator composition requires a single shard"
-                )
             self._state = "estimate" if self.use_estimator else "sketch"
 
     def _parse_cluster_tail(self, welcome: BodyReader) -> Optional[ClusterInfo]:
@@ -597,19 +548,15 @@ class InitiatorMachine(ReconcilerMachine):
         return ClusterInfo(num_workers, worker_index, total_shards, ports)
 
     def _feed(self, data: bytes) -> None:
-        run: list = []  # consecutive SYMBOLS frames: (shard id, state, payload)
+        run: list = []  # consecutive SYMBOLS payloads
         try:
             for ftype, body in self._frames.feed(data):
                 if self._state == "stream" and ftype == FrameType.SYMBOLS:
-                    parser = BodyReader(body)
-                    shard_id = parser.uvarint()
-                    if shard_id >= len(self._shards):
-                        raise ProtocolError(f"server sent unknown shard {shard_id}")
-                    run.append((shard_id, self._shards[shard_id], parser.rest()))
+                    run.append(body)
                     continue
-                frames, run = run, []
-                if frames:
-                    self._on_symbols(frames)
+                payloads, run = run, []
+                if payloads:
+                    self._on_symbols(payloads)
                 if self.finished:
                     return
                 self._on_frame(ftype, body)
@@ -617,104 +564,82 @@ class InitiatorMachine(ReconcilerMachine):
             if run:
                 self._on_symbols(run)
 
-    def _on_symbols(self, frames: list) -> None:
+    def _on_symbols(self, payloads: list) -> None:
         """Absorb a run of SYMBOLS frames in waves, then answer each frame
         in arrival order (see "Flow control")."""
-        end, results, queues, ahead = len(frames), {}, {}, {}
-        for pos, (_, st, _) in enumerate(frames):
-            if not st.done:
-                queues.setdefault(st, []).append(pos)
-        while True:
-            jobs, spans, bad = [], [], {}
-            for st, queue in queues.items():
-                bank, taken, top, encoder = None, [], st.absorbed, st.encoder
-                while queue and queue[0] < end:
-                    if taken and top == encoder.produced_count:
-                        break  # the prefix is spent: the next wave grows it
-                    part = ahead.pop(st, None)
-                    if part is None:
-                        # the cached prefix's form: the subtraction is one XOR per lane
-                        part = encoder.bank.slice(0, 0)
-                        try:
-                            st.reader.feed_into(part, frames[queue[0]][2])
-                        except ValueError as exc:  # the shard stops here
-                            bad[st] = (queue[0], exc)
-                            break
-                    produced = encoder.produced_count
-                    if top + len(part) > produced:
-                        if taken:  # past the prefix: the next wave grows it
-                            ahead[st] = part
-                            break
-                        grow = max(top + len(part), min(2 * produced, st.granted))
-                        encoder.produce_block(grow - produced)
-                    if bank is None:
-                        bank = part
-                    else:
-                        bank.extend(part)
-                    top += len(part)
-                    taken.append((queue.pop(0), top))
-                if taken:
-                    bank.subtract_in_place(encoder.cached_block(st.absorbed, top))
-                    stops = [cells - st.absorbed for _, cells in taken]
-                    jobs.append((st.decoder, bank, stops))
-                    spans.append((st, taken))
-            if not (jobs or bad):
-                break
-            ingest(jobs)  # each decoder stops at the first frame end it decodes at
-            for st, taken in spans:
-                decoded, stop = st.decoder.decoded, st.decoder.symbols_received
-                for pos, top in taken:
-                    done = decoded and top >= stop
-                    results[pos] = (done, top)
-                    if done:
-                        queues[st] = []  # its later frames are dropped
+        encoder, reader, decoder = self._encoder, self._reader, self._decoder
+        budget = self.max_symbols
+        tops: list = []  # cells absorbed after each answered frame
+        done = failure = part = None
+        while len(tops) < len(payloads) and done is None and failure is None:
+            if budget is not None and self._absorbed >= budget:
+                break  # the answers fail at the frame that spent it
+            bank, stops, start = None, [], self._absorbed
+            top = start
+            while len(tops) + len(stops) < len(payloads):
+                if stops and (top == encoder.produced_count or (
+                    budget is not None and top >= budget
+                )):
+                    break  # the prefix is spent (the next wave grows it), or the budget
+                if part is None:
+                    # the cached prefix's form: the subtraction is one XOR per lane
+                    part = encoder.bank.slice(0, 0)
+                    try:
+                        reader.feed_into(part, payloads[len(tops) + len(stops)])
+                    except ValueError as exc:  # the stream stops here
+                        failure = exc
                         break
-                    if self.max_symbols is not None and top >= self.max_symbols:
-                        end = min(end, pos + 1)  # the run fails at this frame
-                st.absorbed = stop
-            for st, (pos, exc) in bad.items():
-                if not st.decoder.decoded:  # reached: the run ends there
-                    results[pos], end, queues[st] = exc, min(end, pos + 1), []
-        for pos in range(end):
-            shard_id, st, payload = frames[pos]
-            if st.done:
-                continue  # frames already in flight when SHARD_DONE crossed them
+                produced = encoder.produced_count
+                if top + len(part) > produced:
+                    if stops:
+                        break  # past the prefix: the next wave grows it
+                    grow = max(top + len(part), min(2 * produced, self._granted))
+                    encoder.produce_block(grow - produced)
+                if bank is None:
+                    bank = part
+                else:
+                    bank.extend(part)
+                top += len(part)
+                stops.append(top - start)
+                part = None
+            if stops:
+                bank.subtract_in_place(encoder.cached_block(start, top))
+                # the decoder stops at the first frame end it decodes at
+                decoder.add_coded_block(bank, stops)
+                self._absorbed = decoder.symbols_received
+                for stop in stops:
+                    tops.append(start + stop)
+                    if decoder.decoded and start + stop >= self._absorbed:
+                        done = len(tops) - 1  # its later frames are dropped
+                        break
+            if decoder.decoded:
+                failure = None  # a bad frame past the decode point is dropped
+        for pos, top in enumerate(tops):
             if self._payloads is not None:
-                self._payloads[st.tally.shard].extend(payload)
-            st.tally.payload_bytes += len(payload)
-            result = results[pos]
-            if isinstance(result, ValueError):
-                # A scheme deserializer rejecting peer bytes is a wire-level
-                # corruption, not a caller bug: keep the failure typed.
-                raise ProtocolError(
-                    f"shard {shard_id}: malformed SYMBOLS payload: {result}"
-                )
-            decoded, st.tally.symbols = result
-            if decoded:
-                st.done = True
-                st.result = st.decoder.result()
-                self._remaining -= 1
-                self._send_frame(FrameType.SHARD_DONE, pack_uvarints(shard_id))
-                if not self._remaining:
-                    self._finish_up()
-            elif (
-                self.max_symbols is not None
-                and st.tally.symbols >= self.max_symbols
-            ):
+                self._payloads.extend(payloads[pos])
+            self._stream_payload += len(payloads[pos])
+            self._symbols = top
+            if pos == done:
+                self._result = decoder.result()
+                self._send_frame(FrameType.DONE)
+                self._finish_up()
+                return
+            if budget is not None and top >= budget:
                 raise SymbolBudgetExceeded(
-                    f"shard {shard_id}: no decode within {self.max_symbols} "
-                    "coded symbols",
-                    symbols_sent=st.tally.symbols,
-                    max_symbols=self.max_symbols,
+                    f"no decode within {budget} coded symbols",
+                    symbols_sent=top,
+                    max_symbols=budget,
                 )
-            elif 2 * st.tally.symbols >= st.granted:
+            if 2 * top >= self._granted:
                 # Half the window absorbed and still undecoded: double it,
                 # so the responder keeps streaming while the grant travels.
-                while 2 * st.tally.symbols >= st.granted:
-                    st.granted *= 2
-                self._send_frame(
-                    FrameType.CREDIT, pack_uvarints(shard_id, st.granted)
-                )
+                while 2 * top >= self._granted:
+                    self._granted *= 2
+                self._send_frame(FrameType.CREDIT, pack_uvarints(self._granted))
+        if failure is not None:
+            # A scheme deserializer rejecting peer bytes is a wire-level
+            # corruption, not a caller bug: keep the failure typed.
+            raise ProtocolError(f"malformed SYMBOLS payload: {failure}")
 
     def _on_estimate(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.ESTIMATE:
@@ -729,90 +654,57 @@ class InitiatorMachine(ReconcilerMachine):
         self._estimator_bytes = remote.wire_size()
         self._estimator_payload = len(body)
         bound = max(1, math.ceil(estimate * ESTIMATE_MARGIN))
-        if self.difference_bound:
-            bound = max(bound, self.difference_bound)
-        for local, st in enumerate(self._shards):
-            st.bound = bound
-            self._send_frame(FrameType.RETRY, pack_uvarints(local, bound))
+        self._bound = max(bound, self.difference_bound)
+        self._send_frame(FrameType.RETRY, pack_uvarints(self._bound))
         self._state = "sketch"
 
     def _on_sketch(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.SKETCH:
             raise ProtocolError(f"expected SKETCH, got frame type {ftype:#x}")
         parser = BodyReader(body)
-        shard_id = parser.uvarint()
         bound = parser.uvarint()
         blob = parser.rest()
-        if shard_id >= len(self._shards):
-            raise ProtocolError(f"server sent unknown shard {shard_id}")
-        st = self._shards[shard_id]
-        if st.done:
-            return
-        if bound != st.bound:
+        if bound != self._bound:
             raise ProtocolError(
-                f"shard {shard_id}: SKETCH echoes bound {bound}, "
-                f"asked for {st.bound}"
+                f"SKETCH echoes bound {bound}, asked for {self._bound}"
             )
         if self._payloads is not None:
-            self._payloads[st.tally.shard].extend(blob)
-        st.tally.payload_bytes += len(blob)
+            self._payloads.extend(blob)
+        self._stream_payload += len(blob)
         sized = self.handle.sized_for(max(1, bound))
         try:
             remote = sized.deserialize(blob)
         except ValueError as exc:
-            raise ProtocolError(
-                f"shard {shard_id}: malformed SKETCH payload: {exc}"
-            ) from None
-        local = sized.new(st.items)
-        diff = remote.subtract(local)
+            raise ProtocolError(f"malformed SKETCH payload: {exc}") from None
+        diff = remote.subtract(sized.new(self.items))
         decode = diff.decode()
-        st.tally.accounted_bytes += diff.decode_wire_bytes(decode)
+        self._accounted += diff.decode_wire_bytes(decode)
         if decode.success:
-            st.done = True
-            st.result = decode
-            st.tally.symbols = decode.symbols_used
-            self._remaining -= 1
-            self._send_frame(FrameType.SHARD_DONE, pack_uvarints(shard_id))
-            if not self._remaining:
-                self._finish_up()
+            self._result = decode
+            self._symbols = decode.symbols_used
+            self._send_frame(FrameType.DONE)
+            self._finish_up()
             return
         if not self.handle.capabilities.fixed_capacity:
             raise ReconcileError(f"{self.handle.name}: sketch did not decode")
-        st.tally.rounds += 1
-        if st.tally.rounds > self.max_rounds:
+        self._rounds += 1
+        if self._rounds > self.max_rounds:
             raise ReconcileError(
-                f"shard {shard_id}: sketch did not decode within "
-                f"{self.max_rounds} doublings (last bound {bound})"
+                f"sketch did not decode within {self.max_rounds} doublings "
+                f"(last bound {bound})"
             )
-        st.bound = max(1, bound) * 2
-        self._send_frame(FrameType.RETRY, pack_uvarints(shard_id, st.bound))
+        self._bound = max(1, bound) * 2
+        self._send_frame(FrameType.RETRY, pack_uvarints(self._bound))
 
     def _finish_up(self) -> None:
-        for st in self._shards:
-            decode = st.result
-            assert decode is not None
-            st.tally.only_in_remote = len(decode.remote)
-            st.tally.only_in_local = len(decode.local)
-            self._only_remote.update(decode.remote)
-            self._only_local.update(decode.local)
-        if self.push and self._only_local:
-            total = (
-                self.cluster.total_shards
-                if self.cluster is not None
-                else len(self._shards)
-            )
-            pushes = sorted(self._only_local)
-            by_shard, _ = partition_with_hashes(
-                pushes, hash_items(self._hash64, pushes), total
-            )
-            for local, st in enumerate(self._shards):
-                members = by_shard[st.tally.shard]
-                if not members:
-                    continue
-                body = pack_uvarints(local, len(members)) + b"".join(members)
-                self._push_bytes += len(body)
-                self._pushed += len(members)
-                self._send_frame(FrameType.PUSH, body)
+        if self.push and self._result.local:
+            # One PUSH: this side's exclusives all lie in the served set's
+            # shards (in a cluster, the answering worker's stripe).
+            pushes = sorted(self._result.local)
+            body = pack_uvarints(len(pushes)) + b"".join(pushes)
+            self._push_bytes += len(body)
+            self._pushed += len(pushes)
+            self._send_frame(FrameType.PUSH, body)
         self._send_frame(FrameType.BYE)
         self._state = "stats"
 
@@ -823,71 +715,53 @@ class InitiatorMachine(ReconcilerMachine):
             return
         if self._state == "welcome":
             raise ProtocolError("server closed the connection before WELCOME")
-        raise ProtocolError("server closed mid-sync (missing shards undecoded)")
+        raise ProtocolError("server closed mid-sync (difference undecoded)")
 
     def _build_report(self) -> MachineReport:
-        assert self._mode is not None
-        payload = self.payload_bytes
-        if self._mode == SyncMode.STREAM:
-            accounted = payload - self._estimator_payload
+        assert self._mode is not None and self._result is not None
+        if self._mode == SyncMode.SKETCH:
+            accounted = self._estimator_bytes + self._accounted
         else:
-            accounted = self._estimator_bytes + sum(
-                st.tally.accounted_bytes for st in self._shards
-            )
-        rounds = self._estimator_rounds + (
-            max((st.tally.rounds for st in self._shards), default=1)
-        )
+            accounted = self._stream_payload
+        payloads = self._payloads
+        if payloads is not None:
+            worker = self.cluster.worker_index if self.cluster is not None else 0
+            payloads = {worker: payloads}
         return MachineReport(
             scheme=self.handle.name,
             mode=self._mode,
-            num_shards=len(self._shards),
             symbol_size=self.handle.params.symbol_size,
-            only_in_remote=self._only_remote,
-            only_in_local=self._only_local,
-            symbols=sum(st.tally.symbols for st in self._shards),
-            payload_bytes=payload,
+            only_in_remote=set(self._result.remote),
+            only_in_local=set(self._result.local),
+            symbols=self._symbols,
+            payload_bytes=self.payload_bytes,
             accounted_bytes=accounted,
-            rounds=rounds,
+            rounds=self._estimator_rounds + self._rounds,
             pushed=self._pushed,
             push_bytes=self._push_bytes,
-            per_shard=[st.tally for st in self._shards],
-            payloads=self._payloads,
+            payloads=payloads,
             cluster=self.cluster,
         )
-
-
-class _ResponderShard:
-    """Responder-side production state for one stream-mode shard."""
-
-    __slots__ = ("shard", "cursor", "done", "ramp", "limit", "grace_deadline")
-
-    def __init__(self, shard: int, cursor, ramp: int) -> None:
-        self.shard = shard
-        self.cursor = cursor
-        self.done = False
-        self.ramp = ramp
-        self.limit = INITIAL_WINDOW
-        self.grace_deadline: Optional[float] = None
 
 
 class ResponderMachine(ReconcilerMachine):
     """Alice's side: validates the HELLO, then serves the backend.
 
-    Stream-mode production happens on ``tick`` — one block per shard
-    that is neither done nor at its credit limit, ramping from 8 cells
-    up to ``block_size`` (``slow_start=False`` pins every block to
-    ``block_size``, which the lock-step transports use for cell-exact
-    termination).  A shard's limit starts at ``INITIAL_WINDOW`` and
-    only the initiator's ``CREDIT`` frames raise it; a block starts
-    whenever the cursor is below the limit, so at most
-    ``limit + block_size`` symbols are ever served.  When every live
-    shard sits at its limit ``wants_tick`` is False and
-    ``next_tick_delay`` is None: only input (a grant, a SHARD_DONE) or
-    the host's idle deadline moves the session.  Budget exhaustion arms
-    a ``budget_grace`` deadline (symbols already in flight may still
-    decode); ``tick``-ing past it fails the session with the typed
-    ``SymbolBudgetExceeded`` and an ``ERROR`` frame.  The budget is
-    checked before the limit, so no grant can buy symbols past it.
+    Stream-mode production happens on ``tick`` — one block of the
+    connection's one stream while it is neither done nor at its credit
+    limit, ramping from 8 cells up to ``block_size`` (``slow_start=False``
+    pins every block to ``block_size``, which the lock-step transports
+    use for cell-exact termination).  The limit starts at
+    ``INITIAL_WINDOW`` and only the initiator's ``CREDIT`` frames raise
+    it; a block starts whenever the cursor is below the limit, so at
+    most ``limit + block_size`` symbols are ever served.  At the limit
+    ``wants_tick`` is False and ``next_tick_delay`` is None: only input
+    (a grant, a DONE) or the host's idle deadline moves the session.
+    Spending ``max_symbols`` arms a ``budget_grace`` deadline (symbols
+    already in flight may still decode); ``tick``-ing past it fails the
+    session with the typed ``SymbolBudgetExceeded`` and an ``ERROR``
+    frame.  The budget is checked before the limit, so no grant can buy
+    symbols past it.
     """
 
     def __init__(
@@ -897,7 +771,7 @@ class ResponderMachine(ReconcilerMachine):
         *,
         block_size: int = 64,
         slow_start: bool = True,
-        max_symbols_per_shard: Optional[int] = None,
+        max_symbols: Optional[int] = None,
         budget_grace: float = 1.0,
         max_sketch_bound: int = 1 << 16,
         use_estimator: bool = False,
@@ -910,7 +784,7 @@ class ResponderMachine(ReconcilerMachine):
         self.cluster = cluster
         self.block_size = block_size
         self.slow_start = slow_start
-        self.max_symbols_per_shard = max_symbols_per_shard
+        self.max_symbols = max_symbols
         self.budget_grace = budget_grace
         self.max_sketch_bound = max_sketch_bound
         self.use_estimator = use_estimator
@@ -920,7 +794,12 @@ class ResponderMachine(ReconcilerMachine):
         self.complete = False
         self.error_codes: List[int] = []
         self._mode: Optional[SyncMode] = None
-        self._streams: List[_ResponderShard] = []
+        # the one stream: its cursor, ramp, credit limit and grace deadline
+        self._cursor = None
+        self._done = False
+        self._ramp = 8
+        self._limit = INITIAL_WINDOW
+        self._grace_deadline: Optional[float] = None
         self._sketch_bound = DEFAULT_SKETCH_BOUND
         self._state = "hello"
 
@@ -1004,12 +883,7 @@ class ResponderMachine(ReconcilerMachine):
         if digest and not self.cluster:
             if digest == self.backend.digest().pack(self.handle.codec):
                 mode = SyncMode.IN_SYNC
-        welcome = pack_uvarints(
-            PROTOCOL_VERSION,
-            int(mode),
-            self.backend.num_shards,
-            self.block_size,
-        )
+        welcome = pack_uvarints(PROTOCOL_VERSION, int(mode), self.block_size)
         if self.cluster is not None:
             # Cluster tail: absent entirely outside a worker pool, so
             # solo WELCOMEs stay byte-identical to every golden capture.
@@ -1023,11 +897,7 @@ class ResponderMachine(ReconcilerMachine):
             self._send_stats()  # in the same write: one round trip
             return
         if mode == SyncMode.STREAM:
-            ramp = min(8, self.block_size) if self.slow_start else self.block_size
-            self._streams = [
-                _ResponderShard(shard, self.backend.open_stream(shard), ramp)
-                for shard in range(self.backend.num_shards)
-            ]
+            self._cursor = self.backend.open_stream()
             self._state = "stream"
             return
         self._state = "sketch"
@@ -1037,8 +907,7 @@ class ResponderMachine(ReconcilerMachine):
             self.bytes_sent += len(blob)
             self._send_frame(FrameType.ESTIMATE, blob)
         else:
-            for shard in range(self.backend.num_shards):
-                self._send_sketch(shard, self._sketch_bound)
+            self._send_sketch(self._sketch_bound)
 
     def _check_hello(self, body: BodyReader) -> Optional[bytes]:
         """The HELLO's digest field (empty when it carries none) once every
@@ -1049,14 +918,12 @@ class ResponderMachine(ReconcilerMachine):
         checksum_size = body.uvarint()
         hasher = body.lp_str()
         probe = body.uvarint()
-        num_shards = body.uvarint()
         body.uvarint()  # block_size wish: informational, responder decides
         requested = body.uvarint()
         self._sketch_bound = requested or DEFAULT_SKETCH_BOUND
         digest = body.rest()
         handle, codec, mismatch = self.handle, self.handle.codec, ErrorCode.MISMATCH
         ours = getattr(handle.params, "hasher", "")
-        shards = self.cluster.total_shards if self.cluster else self.backend.num_shards
         stride = symbol_size + checksum_size + CodedSymbolBank.COUNT_BYTES
         digests = (0, stride) if self.backend.mode == SyncMode.STREAM else (0,)
         checks = (  # in order; the first that fails is the one reported
@@ -1074,9 +941,6 @@ class ResponderMachine(ReconcilerMachine):
              f"hasher mismatch: client {hasher!r}, server {ours!r}"),
             (probe != handle.key_probe, mismatch,
              "hash key probe mismatch: peers hold different keys"),
-            (num_shards and num_shards != shards, mismatch,
-             f"shard count mismatch: client expects {num_shards}, "
-             f"server runs {shards}"),
             (len(digest) not in digests, ErrorCode.PROTOCOL,
              f"HELLO digest of {len(digest)} bytes, expected one of {digests}"),
         )
@@ -1104,104 +968,75 @@ class ResponderMachine(ReconcilerMachine):
             self._apply_push(reader)
         elif ftype == FrameType.BYE:
             self._send_stats()
-        elif ftype == FrameType.SHARD_DONE and not stream:
-            pass  # bookkeeping only; nothing streams in sketch mode
-        elif ftype in (FrameType.SHARD_DONE, FrameType.RETRY):
-            shard = reader.uvarint()
-            bound = reader.uvarint() if ftype == FrameType.RETRY else 0
+        elif ftype == FrameType.DONE:
             reader.expect_end()
-            if shard >= self.backend.num_shards:
-                self._protocol_fail(ErrorCode.PROTOCOL, f"no such shard {shard}")
-            elif ftype == FrameType.SHARD_DONE:
-                self._streams[shard].done = True
-            elif stream:
+            self._done = True  # in sketch mode, bookkeeping only
+        elif ftype == FrameType.RETRY:
+            bound = reader.uvarint()
+            reader.expect_end()
+            if stream:
                 # In stream mode the backend has no sketches to rebuild.
                 self._protocol_fail(ErrorCode.PROTOCOL, "RETRY is invalid in stream mode")
-            elif not self._refuse_bound(f"shard {shard}", bound):
-                self._send_sketch(shard, bound)
+            elif not self._refuse_bound("RETRY", bound):
+                self._send_sketch(bound)
         elif ftype == FrameType.CREDIT and stream:
-            shard = reader.uvarint()
             limit = reader.uvarint()
-            if reader.remaining or shard >= len(self._streams):
-                self._protocol_fail(
-                    ErrorCode.PROTOCOL, f"malformed CREDIT for shard {shard}"
-                )
+            if reader.remaining:
+                self._protocol_fail(ErrorCode.PROTOCOL, "malformed CREDIT")
                 return
-            st = self._streams[shard]
             # Cumulative, so a stale or duplicated grant changes nothing.
-            st.limit = max(st.limit, limit)
+            self._limit = max(self._limit, limit)
         else:
             self._protocol_fail(
                 ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x} from client"
             )
 
     def _on_tick(self, now: float) -> None:
-        if self._state != "stream":
+        if self._state != "stream" or self._done:
             return
-        budget = self.max_symbols_per_shard
-        for st in self._streams:
-            if st.done:
-                continue
-            sent = st.cursor.symbols_sent
-            if budget is not None and sent >= budget:
-                if st.grace_deadline is None:
-                    # Budget spent; symbols are still in flight, so give
-                    # the client one grace period to report decode
-                    # before declaring the session runaway.
-                    st.grace_deadline = now + self.budget_grace
-                    continue
-                if now >= st.grace_deadline:
-                    raise SymbolBudgetExceeded(
-                        f"shard {st.shard}: {sent} symbols served without "
-                        f"decode (budget {budget})",
-                        symbols_sent=sent,
-                        max_symbols=budget,
-                    )
-                continue
-            if sent >= st.limit:
-                continue  # window spent: wait for the initiator's CREDIT
-            if self.slow_start:
-                cells = st.ramp
-                st.ramp = min(st.ramp * 2, self.block_size)
-            else:
-                cells = self.block_size
-            if budget is not None:
-                cells = min(cells, budget - sent)
-            payload = st.cursor.next_block(cells)
-            self.symbols_sent += cells
-            self.bytes_sent += self._send_frame(
-                FrameType.SYMBOLS, pack_uvarints(st.shard) + payload
-            )
+        budget = self.max_symbols
+        sent = self._cursor.symbols_sent
+        if budget is not None and sent >= budget:
+            if self._grace_deadline is None:
+                # Budget spent; symbols are still in flight, so give the
+                # client one grace period to report decode before
+                # declaring the session runaway.
+                self._grace_deadline = now + self.budget_grace
+            elif now >= self._grace_deadline:
+                raise SymbolBudgetExceeded(
+                    f"{sent} symbols served without decode (budget {budget})",
+                    symbols_sent=sent,
+                    max_symbols=budget,
+                )
+            return
+        if sent >= self._limit:
+            return  # window spent: wait for the initiator's CREDIT
+        if self.slow_start:
+            cells = min(self._ramp, self.block_size)
+            self._ramp = cells * 2
+        else:
+            cells = self.block_size
+        if budget is not None:
+            cells = min(cells, budget - sent)
+        payload = self._cursor.next_block(cells)
+        self.symbols_sent += cells
+        self.bytes_sent += self._send_frame(FrameType.SYMBOLS, payload)
 
     @property
     def wants_tick(self) -> bool:
-        if self.finished or self._state != "stream":
+        if self.finished or self._state != "stream" or self._done:
             return False
-        budget = self.max_symbols_per_shard
-        for st in self._streams:
-            if st.done:
-                continue
-            sent = st.cursor.symbols_sent
-            if budget is not None and sent >= budget:
-                if st.grace_deadline is None:
-                    return True  # a tick is needed to arm the grace deadline
-            elif sent < st.limit:
-                return True
-        return False
+        sent = self._cursor.symbols_sent
+        if self.max_symbols is not None and sent >= self.max_symbols:
+            return self._grace_deadline is None  # a tick arms the deadline
+        return sent < self._limit
 
     def next_tick_delay(self, now: float) -> Optional[float]:
-        if self.finished or self._state != "stream":
-            return None
-        deadlines = [
-            st.grace_deadline
-            for st in self._streams
-            if not st.done and st.grace_deadline is not None
-        ]
         if self.wants_tick:
             return 0.0
-        if deadlines:
-            return max(0.0, min(deadlines) - now)
-        return None
+        if self.finished or self._done or self._grace_deadline is None:
+            return None
+        return max(0.0, self._grace_deadline - now)
 
     def _refuse_bound(self, what: str, bound: int) -> bool:
         """Fail the session, typed ``BUDGET``, for a sketch bound past
@@ -1216,10 +1051,10 @@ class ResponderMachine(ReconcilerMachine):
         self._fail(ReconcileError(message))
         return True
 
-    def _send_sketch(self, shard: int, bound: int) -> None:
-        blob = self.backend.build_sketch(shard, bound)
+    def _send_sketch(self, bound: int) -> None:
+        blob = self.backend.build_sketch(bound)
         self.bytes_sent += len(blob)
-        self._send_frame(FrameType.SKETCH, pack_uvarints(shard, bound) + blob)
+        self._send_frame(FrameType.SKETCH, pack_uvarints(bound) + blob)
 
     # -- shared ------------------------------------------------------------
 
@@ -1234,7 +1069,6 @@ class ResponderMachine(ReconcilerMachine):
         self.finished = True
 
     def _apply_push(self, reader: BodyReader) -> None:
-        reader.uvarint()  # shard hint; placement is re-derived locally
         count = reader.uvarint()
         symbol_size = self.handle.params.symbol_size
         assert symbol_size is not None
@@ -1242,7 +1076,7 @@ class ResponderMachine(ReconcilerMachine):
         reader.expect_end()
         # Known items (another session already pushed them) and repeats
         # are skipped; the rest land as one batch — one journal record
-        # and one warm-bank patch per shard on a durable server.
+        # and one warm-bank patch per touched shard on a durable server.
         sharded = self.backend.sharded
         fresh = [item for item in dict.fromkeys(items) if item not in sharded]
         try:

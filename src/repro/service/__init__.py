@@ -6,16 +6,16 @@ context*: one universal stream, patched incrementally as the set
 churns.  This package is that story over real sockets:
 
 :mod:`repro.service.framing`
-    Length-prefixed frame layer over TCP, multiplexing per-shard §6
-    coded-symbol streams (and one-shot sketches) on one connection.
+    Length-prefixed frame layer over TCP, carrying one §6 coded-symbol
+    stream (or one-shot sketch) per connection beside its control frames.
 :mod:`repro.service.shard`
-    Keyed hash-partitioning of a set into independently reconciled
-    shards, so large sets become N smaller parallel streams.
+    Keyed hash-partitioning of a set into shards: the server's storage
+    unit, and a cluster's routing unit.
 :mod:`repro.service.backends`
-    What produces a shard's bytes: the warm Rateless-IBLT backend
-    (one shared, continuously patched encoder per shard — never
-    re-encodes for a new client) or any registered scheme from
-    :mod:`repro.api`.
+    What produces a server's bytes: the warm Rateless-IBLT backend
+    (one shared, continuously patched encoder per shard, served as the
+    XOR of their prefixes — never re-encodes for a new client) or any
+    registered scheme from :mod:`repro.api`.
 :mod:`repro.service.server`
     The asyncio session manager: each connection pumps a
     :class:`~repro.protocol.ResponderMachine` (the sans-io engine),

@@ -1,4 +1,4 @@
-"""Shard backends: what turns a shard's items into bytes for a session.
+"""Shard backends: what turns a server's items into bytes for a session.
 
 The tentpole backend is :class:`WarmRibltBackend` — the paper's
 "universal stream" (§4.1, §7.3) made operational.  Each shard owns ONE
@@ -6,20 +6,24 @@ The tentpole backend is :class:`WarmRibltBackend` — the paper's
 server ever serves: a new client costs no encoding work for any cell
 another client already pulled, and a churn batch is hashed once and
 patched into every touched shard's cached prefix by one walk-kernel
-call (linearity) instead of re-encoding.  Per-session state is only a
-cursor: a stream index and a §6 writer.
+call (linearity) instead of re-encoding.  Shards are storage only: a
+connection reads ONE stream, whose cell i is the XOR (and count sum) of
+every shard's cell i — the whole set's cell i, since a coded symbol is
+linear in the set (§4).  Per-session state is only a cursor: a stream
+index and a §6 writer.
 
 Rateless IBLT is the one streaming scheme, so it is the one that warms.
 Every other serializable scheme (fixed-capacity or one-shot) backs a
-shard through :class:`SketchBackend`, which serves a ``bound``-sized
-sketch and rebuilds it on client ``RETRY``.  :func:`open_backend` is
-the one constructor of both — and so of every host's peer state.
+server through :class:`SketchBackend`, which serves a ``bound``-sized
+sketch of the whole set and rebuilds it on client ``RETRY``.
+:func:`open_backend` is the one constructor of both — and so of every
+host's peer state.
 
 Every item maps to coded symbol 0 (ρ(0) = 1, §4.1.2), so a set's cell 0
 is its digest (:func:`set_digest`, :meth:`ShardBackend.digest`).
 
-Consistency: every stream cursor snapshots its shard's version at open;
-a mutation mid-stream makes the sent prefix and the unsent suffix
+Consistency: every stream cursor snapshots the shards' versions at
+open; a mutation mid-stream makes the sent prefix and the unsent suffix
 describe *different* sets, so the cursor refuses to continue
 (:class:`StaleStream`).  Clients reconnect and read the patched bank.
 """
@@ -44,7 +48,7 @@ from repro.service.shard import ShardedSet, hash_items, partition_with_hashes
 
 
 class StaleStream(ServiceError):
-    """The shard's set changed while a session was mid-stream."""
+    """The served set changed while a session was mid-stream."""
 
 
 def _group_by_shard(placed: list[int], items: list[bytes], hashes) -> dict:
@@ -76,7 +80,7 @@ def set_digest(items, hashes, codec=None) -> CodedSymbolBank:
 
 
 class ShardBackend(ABC):
-    """Per-shard byte production plus set mutation for one server."""
+    """A server's sharded storage, its byte production and its mutation."""
 
     mode: SyncMode
 
@@ -124,40 +128,44 @@ class ShardBackend(ABC):
         members = list(self.sharded)
         return set_digest(members, hash_items(self.handle.hash64, members))
 
-    def build_sketch(self, shard: int, bound: int) -> bytes:
+    def build_sketch(self, bound: int) -> bytes:
         raise UnsupportedOperation(f"{type(self).__name__} does not sketch")
 
 
-class ShardStream:
-    """One session's cursor into one shard's warm encoder: it reads cached
-    cells and owns only the §6 serialisation state (header + implicit
-    indices + set size).  It snapshots the shard's version at open and
-    refuses to go on past churn (:class:`StaleStream`)."""
+class StreamCursor:
+    """One session's cursor into the backend's one coded stream: it reads
+    cached cells and owns only the §6 serialisation state (header +
+    implicit indices + set size).  It snapshots every shard's version at
+    open and refuses to go on past churn (:class:`StaleStream`).
 
-    def __init__(self, backend: "WarmRibltBackend", shard: int) -> None:
+    The cells it serves are XOR-ed from the shards' prefixes ahead of
+    need, by doubling (to the block's end, or twice what it has served
+    within what every shard has produced): O(log cells) XORs per
+    session, not one per block, and no cell is encoded early."""
+
+    def __init__(self, backend: "WarmRibltBackend") -> None:
         self._backend = backend
-        self._shard = shard
-        self._version = backend.sharded.versions[shard]
+        self._versions = list(backend.sharded.versions)
         self.symbols_sent = 0
-        self._encoder = backend.encoders[shard]
-        self._writer = SymbolStreamWriter(
-            backend.codec, set_size=self._encoder.set_size
-        )
+        self._ahead = CodedSymbolBank()  # cells [_ahead_lo, _ahead_lo + len)
+        self._ahead_lo = 0
+        self._writer = SymbolStreamWriter(backend.codec, set_size=len(backend.sharded))
         self._head: Optional[bytes] = self._writer.header()
 
     def next_block(self, max_cells: int) -> bytes:
         """The next ``max_cells`` coded symbols, wire-framed (§6)."""
         if max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-        if self._backend.sharded.versions[self._shard] != self._version:
-            raise StaleStream(
-                f"shard {self._shard} mutated mid-stream; reconnect to resync"
-            )
+        backend = self._backend
+        if backend.sharded.versions != self._versions:
+            raise StaleStream("the set mutated mid-stream; reconnect to resync")
         lo = self.symbols_sent
-        self.symbols_sent += max_cells
-        # cached_block only *encodes* cells nobody has pulled yet; every
-        # prefix cell any previous session produced is reused as-is.
-        bank = self._encoder.cached_block(lo, self.symbols_sent)
+        self.symbols_sent = hi = lo + max_cells
+        if hi > self._ahead_lo + len(self._ahead):
+            produced = min(encoder.produced_count for encoder in backend.encoders)
+            self._ahead = backend.cached_block(lo, max(hi, min(2 * lo, produced)))
+            self._ahead_lo = lo
+        bank = self._ahead.slice(lo - self._ahead_lo, hi - self._ahead_lo)
         head = self._head or b""
         self._head = None
         return head + self._writer.write_block(bank)
@@ -201,18 +209,24 @@ class WarmRibltBackend(ShardBackend):
         )
         return placed
 
-    def digest(self) -> CodedSymbolBank:
-        """Cell 0 of the whole set: the shards' cached cells 0 (kept current
-        by the churn patch) XOR-ed and count-summed.  Hashes nothing."""
-        cells = [encoder.cached_block(0, 1).in_form(False) for encoder in self.encoders]
-        return CodedSymbolBank(
-            [reduce(xor, (cell.sums[0] for cell in cells))],
-            [reduce(xor, (cell.checksums[0] for cell in cells))],
-            [sum(cell.counts[0] for cell in cells)],
-        )
+    def cached_block(self, lo: int, hi: int) -> CodedSymbolBank:
+        """Cells ``[lo, hi)`` of the whole set's stream: the lane XOR (and
+        count sum) of every shard's cached cells, since a coded symbol is
+        linear in the set (§4).  Each shard encodes only the cells nobody
+        has pulled yet; every prefix cell a previous session produced is
+        reused as-is."""
+        first, *rest = (encoder.cached_block(lo, hi) for encoder in self.encoders)
+        for block in rest:
+            first.add_in_place(block)
+        return first
 
-    def open_stream(self, shard: int) -> ShardStream:
-        return ShardStream(self, shard)
+    def digest(self) -> CodedSymbolBank:
+        """Cell 0 of the whole set, from the shards' cached cells 0 (kept
+        current by the churn patch).  Hashes nothing."""
+        return self.cached_block(0, 1).in_form(False)
+
+    def open_stream(self) -> StreamCursor:
+        return StreamCursor(self)
 
     def cached_symbols(self, shard: int) -> int:
         """Length of the shard's cached prefix (observability)."""
@@ -224,9 +238,10 @@ class SketchBackend(ShardBackend):
 
     mode = SyncMode.SKETCH
 
-    def build_sketch(self, shard: int, bound: int) -> bytes:
+    def build_sketch(self, bound: int) -> bytes:
+        """A ``bound``-sized sketch of the whole set (a worker's: its stripe)."""
         sized = self.handle.sized_for(max(1, bound))
-        return sized.new(list(self.sharded.shards[shard])).serialize()
+        return sized.new(list(self.sharded)).serialize()
 
 
 def open_backend(

@@ -4,8 +4,8 @@ Since the sans-io engine landed, the client is a ~30-line asyncio
 adapter: it opens the socket, then shuttles raw bytes between the
 stream pair and an :class:`~repro.protocol.InitiatorMachine` — the same
 machine the in-memory pump and the simulated-link transport drive, so
-the wire behaviour (HELLO handshake, per-shard absorb/SHARD_DONE,
-sketch RETRY doubling, PUSH/BYE/STATS) is defined exactly once, in
+the wire behaviour (HELLO handshake, stream absorb/DONE, sketch RETRY
+doubling, PUSH/BYE/STATS) is defined exactly once, in
 :mod:`repro.protocol.machine`.  That adapter, :func:`run_initiator`
 (:func:`dial_initiator` with the connection handling), is the only
 asyncio initiator loop: gossip's ``service`` transport drives its
@@ -105,18 +105,6 @@ class RetryPolicy:
 
 
 @dataclass
-class ShardReport:
-    """Per-shard accounting of one sync."""
-
-    shard: int
-    symbols: int = 0
-    bytes_received: int = 0
-    rounds: int = 1
-    only_in_server: int = 0
-    only_in_client: int = 0
-
-
-@dataclass
 class SyncResult:
     """Everything one :func:`sync` call learned (and spent)."""
 
@@ -124,12 +112,12 @@ class SyncResult:
     only_in_client: set = field(default_factory=set)
     scheme: str = "riblt"
     mode: SyncMode = SyncMode.STREAM
-    num_shards: int = 1
     symbols: int = 0
     bytes_received: int = 0
     bytes_sent: int = 0
     pushed: int = 0
-    per_shard: list = field(default_factory=list)
+    rounds: int = 1
+    """Sketch rounds (the estimator exchange counts one); 1 for a stream."""
     attempts: int = 1
     """Total connection attempts this sync spent (1 = first try won)."""
     busy_waits: int = 0
@@ -137,7 +125,8 @@ class SyncResult:
     after the server's retry-after hint — the client-side view of the
     server's shed counter."""
     payloads: Optional[dict] = None
-    """Raw per-shard wire bytes, captured only when asked (golden tests)."""
+    """Raw coded wire bytes per stream, captured only when asked (golden
+    tests), keyed by the serving worker's index (0 for a solo server)."""
 
     @property
     def difference_size(self) -> int:
@@ -148,25 +137,14 @@ def _to_sync_result(report) -> SyncResult:
     return SyncResult(
         scheme=report.scheme,
         mode=report.mode,
-        num_shards=report.num_shards,
         symbols=report.symbols,
         bytes_received=report.payload_bytes,
         bytes_sent=report.push_bytes,
         pushed=report.pushed,
+        rounds=report.rounds,
         payloads=report.payloads,
         only_in_server=set(report.only_in_remote),
         only_in_client=set(report.only_in_local),
-        per_shard=[
-            ShardReport(
-                shard=tally.shard,
-                symbols=tally.symbols,
-                bytes_received=tally.payload_bytes,
-                rounds=tally.rounds,
-                only_in_server=tally.only_in_remote,
-                only_in_client=tally.only_in_local,
-            )
-            for tally in report.per_shard
-        ],
     )
 
 
@@ -176,7 +154,6 @@ async def sync(
     items: Iterable[bytes],
     *,
     scheme: str = "riblt",
-    num_shards: int = 0,
     push: bool = False,
     max_symbols: Optional[int] = None,
     difference_bound: int = 0,
@@ -193,9 +170,9 @@ async def sync(
     before any hash or digest: on the lanes by one first-lane sort of the
     row matrix (:meth:`~repro.core.symbols.SymbolCodec.distinct_item_rows`),
     so only a batch holding a repeat, or a list-form one, pays a dedup pass.
-    ``num_shards=0`` adopts the server's shard count (pass a value only
-    to assert it).  ``max_symbols`` is this side's per-shard budget —
-    exceeding it raises the same typed
+    The server's shard count is its own affair: a solo server answers
+    with one stream, a cluster with one per worker.  ``max_symbols`` is
+    this side's budget per stream — exceeding it raises the same typed
     :class:`~repro.api.SymbolBudgetExceeded` a server-side drop
     produces.  ``difference_bound`` seeds sketch-mode sizing (ignored by
     streaming schemes); ``params`` configure the scheme exactly as in
@@ -214,8 +191,9 @@ async def sync(
     handle = handle.bound_to(materialised)
     # One pass from item bytes to columns per sync, reused by every worker
     # session: a streaming scheme's batch becomes the row matrix its stream
-    # encoders slice, deduplicated by one sort of its first lane, and one
-    # hash per item serves placement and checksums.
+    # encoder takes (a worker's stripe of it in a cluster), deduplicated by
+    # one sort of its first lane, and one hash per item serves striping
+    # and checksums.
     codec = handle.codec
     if codec is not None and handle.capabilities.streaming:
         materialised = codec.distinct_item_rows(materialised)
@@ -233,7 +211,6 @@ async def sync(
         machine = protocol_machine.InitiatorMachine(
             handle,
             materialised,
-            num_shards=num_shards,
             push=push,
             max_symbols=max_symbols,
             difference_bound=difference_bound,
@@ -256,8 +233,8 @@ async def sync(
         # A solo server answers the dialled port and that is the whole
         # sync.  A cluster worker's WELCOME carries a routing tail; the
         # moment it arrives we fan out one session per *other* worker
-        # (their private ports) and merge — the items are partitioned by
-        # the same keyed hash everywhere, so the sessions are disjoint.
+        # (their private ports) and merge — the items are striped by the
+        # same keyed hash everywhere, so the sessions are disjoint.
         cluster_box: list[ClusterInfo] = []
         siblings: list[asyncio.Task] = []
 
@@ -278,7 +255,7 @@ async def sync(
             raise
         if not cluster_box or cluster_box[0].num_workers == 1:
             return first
-        return _merge_cluster(cluster_box[0], [first, *others])
+        return _merge_cluster([first, *others])
 
     if retry is None:
         return await _attempt()
@@ -414,18 +391,14 @@ async def run_initiator(
     return machine.report, wire_bytes
 
 
-def _merge_cluster(info: ClusterInfo, results: list) -> SyncResult:
+def _merge_cluster(results: list) -> SyncResult:
     """Fold per-worker session results into one cluster-wide result.
 
-    Workers own disjoint global shards, so the difference sets are
-    disjoint unions and the counters plain sums; per-shard reports are
-    re-sorted by their global shard id.
+    Workers own disjoint stripes, so the difference sets are disjoint
+    unions, the counters plain sums and the rounds the most any worker
+    took; payloads stay keyed by worker.
     """
-    merged = SyncResult(
-        scheme=results[0].scheme,
-        mode=results[0].mode,
-        num_shards=info.total_shards,
-    )
+    merged = SyncResult(scheme=results[0].scheme, mode=results[0].mode)
     for result in results:
         merged.only_in_server |= result.only_in_server
         merged.only_in_client |= result.only_in_client
@@ -433,8 +406,7 @@ def _merge_cluster(info: ClusterInfo, results: list) -> SyncResult:
         merged.bytes_received += result.bytes_received
         merged.bytes_sent += result.bytes_sent
         merged.pushed += result.pushed
-        merged.per_shard.extend(result.per_shard)
+        merged.rounds = max(merged.rounds, result.rounds)
         if result.payloads is not None:
             merged.payloads = {**(merged.payloads or {}), **result.payloads}
-    merged.per_shard.sort(key=lambda shard: shard.shard)
     return merged

@@ -2,9 +2,9 @@
 
 A frame is ``uvarint(len) || type-byte || body``.  The §6 coded-symbol
 wire format stays untouched inside ``SYMBOLS`` frame bodies — this layer
-only adds what a multiplexed TCP connection needs: delimitation (so one
-connection can interleave N shard streams), a type tag, and a hard size
-cap so a corrupted length prefix cannot balloon the receive buffer.
+only adds what a TCP connection needs: delimitation (so control frames
+can interleave the coded stream), a type tag, and a hard size cap so a
+corrupted length prefix cannot balloon the receive buffer.
 
 Both a sans-io incremental decoder (:class:`FrameDecoder`, used by the
 robustness tests and any non-asyncio transport) and asyncio stream
@@ -13,29 +13,31 @@ helpers (:func:`read_frame` / :func:`write_frame`) are provided.
 Frame catalogue (bodies are varint-packed, see the pack helpers)::
 
     HELLO       c->s  version, scheme, symbol_size, checksum_size,
-                      hasher, key_probe, num_shards, block_size, bound,
+                      hasher, key_probe, block_size, bound,
                       digest (rest of body: empty, or one packed cell)
-    WELCOME     s->c  version, mode, num_shards, block_size
-    SYMBOLS     s->c  shard, <§6 stream bytes>
-    SKETCH      s->c  shard, bound, <serialized sketch>
-    SHARD_DONE  c->s  shard
-    RETRY       c->s  shard, bound          (sketch mode undershoot)
-    PUSH        c->s  shard, count, count·symbol_size item bytes
+    WELCOME     s->c  version, mode, block_size
+                      [cluster tail: num_workers, worker_index,
+                       total_shards, one port per worker]
+    SYMBOLS     s->c  <§6 stream bytes>
+    SKETCH      s->c  bound, <serialized sketch>
+    DONE        c->s  (empty)
+    RETRY       c->s  bound                 (sketch mode undershoot)
+    PUSH        c->s  count, count·symbol_size item bytes
     BYE         c->s  (empty)
     STATS       s->c  symbols_sent, bytes_sent, pushes_applied
     ERROR       both  code, utf-8 message
                       (code BUSY: code, retry_after_ms, utf-8 message)
     ESTIMATE    s->c  <serialized strata estimator summary>
-    CREDIT      c->s  shard, limit          (stream mode flow control)
+    CREDIT      c->s  limit                 (stream mode flow control)
 
 ``ESTIMATE`` carries the responder's strata-estimator summary when both
 peers agreed (at machine construction — it is not negotiated in HELLO)
 to run the estimator-then-sized-sketch composition; the initiator
-answers with ``RETRY`` frames that request the first sized sketches.
+answers with a ``RETRY`` that requests the first sized sketch.
 Sessions that did not agree on it never emit it.
 
-``CREDIT`` is stream mode's flow control: the responder serves each
-shard only up to a cumulative symbol ``limit`` that starts at
+``CREDIT`` is stream mode's flow control: the responder serves the
+stream only up to a cumulative symbol ``limit`` that starts at
 :data:`INITIAL_WINDOW` and that only the initiator's ``CREDIT`` frames
 raise (see :mod:`repro.protocol.machine`).  Protocol version 2 made it
 mandatory — there is no unbounded streaming to fall back to — so a
@@ -44,6 +46,15 @@ version-1 peer fails typed at the HELLO/WELCOME version check.
 Version 3 appends the initiator's cell 0, a set digest, to ``HELLO``; a
 solo stream-mode responder whose own cell 0 is equal answers ``WELCOME``
 in :data:`SyncMode.IN_SYNC` plus ``STATS``: one round trip, no stream.
+
+Version 4 carries one stream (or one sketch) per connection, whatever
+the server's shard count: a coded symbol is linear in the set, so the
+responder serves the XOR of its shards' cells.  Every per-shard field
+left the wire — the shard id of SYMBOLS, SKETCH, RETRY, PUSH and CREDIT,
+the shard-count wish of HELLO and the shard count of WELCOME — and
+SHARD_DONE became the bodyless ``DONE``.  A cluster client still learns
+``total_shards`` from the WELCOME tail: it routes its items to workers
+by global shard.
 """
 
 from __future__ import annotations
@@ -55,17 +66,17 @@ from typing import Iterator, Optional
 
 from repro.core import varint
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
-# Stream-mode flow control: coded symbols per shard a responder may
-# serve before the first CREDIT.  Two service-default blocks, which
-# covers the whole 8+16+32+64 slow-start ramp, so a session whose
-# shards each decode within it (d <= 64 or so) never waits a round trip.
+# Stream-mode flow control: coded symbols a responder may serve before
+# the first CREDIT.  Two service-default blocks, which covers the whole
+# 8+16+32+64 slow-start ramp, so a session that decodes within it
+# (d <= 64 or so) never waits a round trip.
 INITIAL_WINDOW = 128
 
 # A frame larger than this is corruption (or abuse), not data: the
 # biggest legitimate frames are PUSH bodies and serialized sketches,
-# both far below 4 MiB under any sane shard size.
+# both far below 4 MiB under any sane set size.
 MAX_FRAME_BYTES = 4 << 20
 
 # LEB128 for a value below MAX_FRAME_BYTES fits in 4 bytes; allow the
@@ -80,7 +91,7 @@ class FrameType(IntEnum):
     WELCOME = 0x02
     SYMBOLS = 0x03
     SKETCH = 0x04
-    SHARD_DONE = 0x05
+    DONE = 0x05
     RETRY = 0x06
     PUSH = 0x07
     BYE = 0x08
@@ -103,7 +114,7 @@ class ErrorCode(IntEnum):
 
 
 class SyncMode(IntEnum):
-    """How a scheme's shard bytes travel (announced in ``WELCOME``)."""
+    """How a scheme's bytes travel (announced in ``WELCOME``)."""
 
     STREAM = 0  # rateless coded-symbol stream, SYMBOLS frames
     SKETCH = 1  # sized sketch + retry doubling, SKETCH frames

@@ -181,7 +181,6 @@ class ServiceNode:
                     port,
                     sorted(self.backend.sharded),
                     scheme=self.scheme,
-                    num_shards=0,
                     push=push,
                     **{**self.params, **kwargs},
                 )

@@ -3,21 +3,22 @@
 One :class:`ReconciliationServer` owns a sharded set and serves any
 number of concurrent sessions over TCP.  Protocol logic — handshake
 validation, stream production with slow-start ramping and the
-per-shard credit window, sketch RETRY doubling, symbol budgets with
+connection's credit window, sketch RETRY doubling, symbol budgets with
 their grace window, PUSH/BYE/STATS — is *not* implemented here: each
 session is a :class:`~repro.protocol.ResponderMachine` (the same
 sans-io machine the in-memory pump and the simulated link drive), and
 this module is only the asyncio shell that shuttles socket bytes in,
 machine frames out, and ``tick``s production while the machine wants
-it.  What bounds a session's cost is the machine's credit window, not
-the socket: kernel buffers let a server run megabytes ahead of a busy
-client, so the machine serves each shard only up to the limit the
-client's ``CREDIT`` frames have granted.  A window-stalled session
+it (a burst of blocks per write, up to ``_WRITE_BYTES``).  What bounds
+a session's cost is the machine's credit window, not the socket:
+kernel buffers let a server run megabytes ahead of a busy client, so
+the machine serves the stream only up to the limit the client's
+``CREDIT`` frames have granted.  A window-stalled session
 holds a cursor and waits on its read task; one that never grants is
 reaped by ``idle_timeout`` with the typed ``IDLE`` error.
 
-Runaway sessions are dropped, not tolerated: a shard that exceeds
-``max_symbols_per_shard`` without the client reporting decode fails the
+Runaway sessions are dropped, not tolerated: a stream that exceeds
+``max_symbols`` without the client reporting decode fails the
 machine with the typed :class:`~repro.api.SymbolBudgetExceeded`, which
 reaches the client as an ``ERROR`` frame (so it fails with the same
 typed exception).  Mutating the served set mid-session similarly
@@ -46,6 +47,8 @@ from repro.service.framing import (
 from repro.service.defaults import DEFAULT_BUSY_RETRY_AFTER, with_service_hasher
 
 _READ_CHUNK = 1 << 16
+# Coded bytes a session serves per write while its window is open.
+_WRITE_BYTES = 1 << 12
 
 
 @dataclass
@@ -55,13 +58,14 @@ class ServerConfig:
     block_size: int = 64
     """Coded symbols per SYMBOLS frame (stream mode)."""
 
-    max_symbols_per_shard: Optional[int] = 1 << 17
-    """Per-session, per-shard symbol budget; ``None`` disables the cap."""
+    max_symbols: Optional[int] = 1 << 17
+    """Per-session symbol budget of the one stream; ``None`` disables
+    the cap."""
 
     budget_grace: float = 1.0
-    """Seconds a budget-exhausted shard waits for the client's
-    SHARD_DONE (covering symbols already in flight) before the session
-    is declared runaway and dropped."""
+    """Seconds a budget-exhausted stream waits for the client's DONE
+    (covering symbols already in flight) before the session is declared
+    runaway and dropped."""
 
     max_sketch_bound: int = 1 << 16
     """Largest sketch capacity a RETRY may request (sketch mode)."""
@@ -465,7 +469,7 @@ class _Session:
             server.backend,
             server.handle,
             block_size=config.block_size,
-            max_symbols_per_shard=config.max_symbols_per_shard,
+            max_symbols=config.max_symbols,
             budget_grace=config.budget_grace,
             max_sketch_bound=config.max_sketch_bound,
             max_frame=config.max_frame,
@@ -531,10 +535,15 @@ class _Session:
                     )
                     continue
                 if machine.wants_tick:
+                    # A tick serves one block: serve a burst of up to
+                    # _WRITE_BYTES per write, so the loop's per-write
+                    # costs are not paid per block.  Production is
+                    # synchronous CPU work; yield so concurrent sessions
+                    # interleave even when the socket buffer never fills.
+                    burst = machine.bytes_sent + _WRITE_BYTES
                     machine.tick(loop.time())
-                    # Production is synchronous CPU work; yield so
-                    # concurrent sessions interleave even when the
-                    # socket buffer never fills.
+                    while machine.wants_tick and machine.bytes_sent < burst:
+                        machine.tick(loop.time())
                     await asyncio.sleep(0)
                     continue
                 delay = machine.next_tick_delay(loop.time())

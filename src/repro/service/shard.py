@@ -1,9 +1,11 @@
-"""Keyed hash-partitioning of a set into independently reconciled shards.
+"""Keyed hash-partitioning of a server's set into shards.
 
-Sharding turns one huge reconciliation into ``N`` small, embarrassingly
-parallel ones: each shard is its own coded-symbol stream with its own
-termination, so a server can interleave them over one connection and a
-client can finish cheap shards early while a hot shard keeps streaming.
+Shards are storage: each holds its own warm encoder, snapshot file and
+journal segment, and a cluster stripes them over worker processes.  The
+wire never sees them — a connection carries one coded-symbol stream, the
+XOR of its server's shards' streams (a coded symbol is linear in the
+set) — except that a cluster client routes its items to workers by
+global shard (:func:`stripe_with_hashes`).
 
 Placement must be *identical* on both peers, so the router hashes with
 the same keyed 64-bit hash the codec uses for checksums — mixed through
@@ -302,3 +304,27 @@ def partition_with_hashes(
         parts[shard].append(item)
         part_hashes[shard].append(h)
     return parts, part_hashes
+
+
+def stripe_with_hashes(
+    items: Sequence[bytes],
+    hashes: Sequence[int],
+    total_shards: int,
+    num_workers: int,
+    worker: int,
+) -> tuple:
+    """The items of a batch (and their keyed hashes), in input order, whose
+    global shard out of ``total_shards`` worker ``worker`` of
+    ``num_workers`` owns: ``g % num_workers == worker``.  Items come as
+    row-matrix or list slices like the batch."""
+    if engine.NUMPY_LANE:
+        np = engine.np
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        placed = _placement_lanes(hashes, total_shards)
+        keep = np.flatnonzero(placed % np.uint64(num_workers) == worker)
+        if hasattr(items, "shape"):
+            return items[keep], hashes[keep]
+        return [items[i] for i in keep.tolist()], hashes[keep]
+    placed = placements_from_hashes(hashes, total_shards)
+    keep = [i for i, g in enumerate(placed) if g % num_workers == worker]
+    return [items[i] for i in keep], [hashes[i] for i in keep]

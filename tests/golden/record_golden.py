@@ -236,7 +236,7 @@ def record_service() -> dict:
         "client_to_server_hex": up.hex(),
         "server_to_client_sha256": sha(down),
         "server_to_client_len": len(down),
-        "rounds": result.per_shard[0].rounds,
+        "rounds": result.rounds,
         "bytes_received": result.bytes_received,
         "only_in_server": len(result.only_in_server),
         "only_in_client": len(result.only_in_client),

@@ -19,7 +19,7 @@ from repro import engine
 from repro.analysis.montecarlo import IntSymbolCodec
 from repro.core import cellbank
 from repro.core.cellbank import CodedSymbolBank, to_list
-from repro.core.decoder import DEFAULT_STOP_CHUNK, RatelessDecoder, ingest
+from repro.core.decoder import RatelessDecoder
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import PAPER_IRREGULAR, IrregularConfig
 from repro.core.params import DEFAULT_ALPHA
@@ -355,7 +355,8 @@ def test_add_coded_block_chunked_split_points_agree(lane, codec_name, rng):
 
 
 def test_add_coded_block_stop_when_decoded_cell_exact(lane, rng):
-    """chunk=1 reproduces per-cell early-stop accounting on both engines."""
+    """A stop at every cell reproduces per-cell early-stop accounting on
+    both engines."""
     codec = SymbolCodec(8)
     a, b = split_sets(rng, shared=80, only_a=8, only_b=8)
     stream = subtracted_stream(codec, a, b, 120)
@@ -367,33 +368,31 @@ def test_add_coded_block_stop_when_decoded_cell_exact(lane, rng):
         if reference.decoded:
             break
     batch = RatelessDecoder(codec)
-    used_batch = batch.add_coded_block(stream, stop_when_decoded=True, chunk=1)
+    used_batch = batch.add_coded_block(stream, range(1, len(stream) + 1))
     assert used_batch == used_reference
     assert batch.decoded
     assert batch._bank == reference._bank
 
 
-def test_add_coded_block_rejects_bad_chunk(rng):
-    """With ``stop_when_decoded`` a chunk below 1 is rejected before any
-    job runs, on either engine — also when nothing is left to do: an
-    empty bank, or a decoder that has already decoded."""
+def test_add_coded_block_rejects_bad_stops(rng):
+    """Stops outside the bank or out of order are rejected before any
+    cell is taken, on either engine — also when nothing is left to do:
+    an empty bank, or a decoder that has already decoded."""
     codec = SymbolCodec(8)
     for vector in (True, False) if engine.np is not None else (False,):
         with engine_lane(vector):
             with pytest.raises(ValueError):
-                RatelessDecoder(codec).add_coded_block(
-                    CodedSymbolBank.zeros(4), stop_when_decoded=True, chunk=0
-                )
+                RatelessDecoder(codec).add_coded_block(CodedSymbolBank.zeros(4), [0, 5])
             done = RatelessDecoder(codec)
             done.add_coded_block(CodedSymbolBank.zeros(4))
             assert done.decoded
-            for chunk in (0, -5):
+            for stops in ([-1, 2], [3, 2], [1]):
                 with pytest.raises(ValueError):
-                    ingest([(RatelessDecoder(codec), CodedSymbolBank())], True, chunk)
+                    RatelessDecoder(codec).add_coded_block(CodedSymbolBank(), stops)
                 with pytest.raises(ValueError):
-                    done.add_coded_block(CodedSymbolBank.zeros(4), True, chunk)
+                    done.add_coded_block(CodedSymbolBank.zeros(4), stops[:1] + [9])
             assert done.symbols_received == 4  # nothing was consumed
-            assert ingest([(done, CodedSymbolBank())], False, 0) == [0]
+            assert done.add_coded_block(CodedSymbolBank.zeros(4), [2, 2, 4]) == 0
 
 
 def test_scalar_and_numpy_decoders_agree(rng):
@@ -404,7 +403,7 @@ def test_scalar_and_numpy_decoders_agree(rng):
     for flag in (True, False):
         with engine_lane(flag):
             decoder = RatelessDecoder(codec)
-            decoder.add_coded_block(stream, stop_when_decoded=True)
+            decoder.add_coded_block(stream)
             results[flag] = (
                 decoder.symbols_received,
                 sorted(decoder.remote_values()),
@@ -425,7 +424,7 @@ def test_property_block_paths_reconcile_exactly(set_a, set_b):
     m = 24 * (len(set_a ^ set_b) + 2)
     stream = subtracted_stream(codec, set_a, set_b, m)
     decoder = RatelessDecoder(codec)
-    decoder.add_coded_block(stream, stop_when_decoded=True)
+    decoder.add_coded_block(stream)
     assert decoder.decoded
     assert set(decoder.remote_items()) == set_a - set_b
     assert set(decoder.local_items()) == set_b - set_a
@@ -448,7 +447,7 @@ def decoder_state(decoder):
 
 
 def block_schedule(data, rng):
-    """Block sizes for one decoder: the service's 8/16/32/64 slow-start
+    """Block sizes of one stream: the service's 8/16/32/64 slow-start
     ramp, or irregular sizes (some below the NumPy engine's minimum)."""
     if data.draw(st.booleans()):
         return [min(8 << k, 64) for k in range(data.draw(st.integers(1, 9)))]
@@ -463,52 +462,38 @@ def block_schedule(data, rng):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 def test_ingest_wave_equals_one_block_at_a_time(lane, codec_name, data):
-    """``ingest`` over every decoder's k-th block, wave after wave, leaves
-    each decoder exactly as feeding it its blocks one ``add_coded_block``
-    at a time: 1-8 decoders over random set pairs and block schedules,
-    some decoders recovering the same symbols, with and without the
-    chunked early stop."""
+    """One ``add_coded_block`` over a run of blocks, its stops at the
+    blocks' ends, leaves the decoder exactly as feeding it the blocks one
+    call at a time and stopping after the block that decodes — the
+    machine's waves rely on it — over random set pairs and block
+    schedules, with and without stops every ``chunk`` cells inside the
+    blocks."""
     codec = CODECS[codec_name]()
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    stop = data.draw(st.booleans())
-    chunk = data.draw(st.sampled_from([16, 64, DEFAULT_STOP_CHUNK]))
-    schedules = []
-    for k in range(data.draw(st.integers(1, 8))):
-        sizes = block_schedule(data, rng)
-        if not k or rng.random() < 0.5:  # else: the last decoder's sets again
-            a, b = split_sets(
-                rng, rng.randint(0, 60), rng.randint(0, 40), rng.randint(0, 40),
-                size=codec.symbol_size,
-            )
-        stream = subtracted_stream(codec, a, b, sum(sizes))
-        cuts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
-        schedules.append([stream.slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
-    alone = [RatelessDecoder(codec) for _ in schedules]
-    used_alone = [
-        [decoder.add_coded_block(block, stop, chunk) for block in blocks]
-        for decoder, blocks in zip(alone, schedules)
-    ]
-    waved = [RatelessDecoder(codec) for _ in schedules]
-    used_waved = [[] for _ in schedules]
-    for k in range(max(map(len, schedules))):
-        jobs = [
-            (i, (waved[i], blocks[k]))
-            for i, blocks in enumerate(schedules)
-            if k < len(blocks)
-        ]
-        for (i, _), used in zip(jobs, ingest([job for _, job in jobs], stop, chunk)):
-            used_waved[i].append(used)
-    assert used_waved == used_alone
-    for one, wave in zip(alone, waved):
-        assert decoder_state(wave) == decoder_state(one)
-
-
-def test_ingest_rejects_a_decoder_twice(rng):
-    codec = SymbolCodec(8)
-    decoder = RatelessDecoder(codec)
-    bank = CodedSymbolBank.zeros(4)
-    with pytest.raises(ValueError):
-        ingest([(decoder, bank), (decoder, bank)])
+    chunk = data.draw(st.sampled_from([None, 1, 16, 64]))
+    sizes = block_schedule(data, rng)
+    a, b = split_sets(
+        rng, rng.randint(0, 60), rng.randint(0, 40), rng.randint(0, 40),
+        size=codec.symbol_size,
+    )
+    stream = subtracted_stream(codec, a, b, sum(sizes))
+    ends = [sum(sizes[: k + 1]) for k in range(len(sizes))]
+    inside = set(range(chunk, ends[-1], chunk)) if chunk else set()
+    one = RatelessDecoder(codec)
+    used_one = 0
+    for lo, hi in zip([0, *ends], ends):
+        stops = sorted(e - lo for e in inside | {hi} if lo < e <= hi)
+        used_one += one.add_coded_block(stream.slice(lo, hi), stops)
+        if one.decoded:
+            break
+    wave = RatelessDecoder(codec)
+    used_wave = wave.add_coded_block(stream, sorted(inside | set(ends)))
+    assert used_wave == used_one
+    # A wave recovers in its own breadth-first order: rows compare as sets.
+    (*values, bank, nonzero, rows), expected = decoder_state(wave), decoder_state(one)
+    assert [sorted(v) for v in values] == [sorted(v) for v in expected[:2]]
+    assert (bank, nonzero) == expected[2:4]
+    assert sorted(rows) == sorted(expected[4])
 
 
 # -- wire + session --------------------------------------------------------
@@ -595,9 +580,9 @@ def test_riblt_adapter_block_payload_bytes_identical(lane, rng):
     from repro.service.backends import open_backend
 
     items = make_items(rng, 60)
-    singles = open_backend(items).open_stream(0)
+    singles = open_backend(items).open_stream()
     payload_singles = b"".join(singles.next_block(1) for _ in range(40))
-    blocks = open_backend(items).open_stream(0)
+    blocks = open_backend(items).open_stream()
     payload_blocks = blocks.next_block(25) + blocks.next_block(15)
     assert payload_blocks == payload_singles
 

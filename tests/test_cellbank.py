@@ -903,77 +903,92 @@ def test_cold_ingest_builds_no_item_objects(monkeypatch):
 
 
 def test_one_peel_round_per_wave(monkeypatch):
-    """One peel wave per read: the client absorbs every shard's next
-    block together, so each lock-step peel round is ONE verification
-    hash call for all shards — a wave makes as many calls as its slowest
-    shard alone, not one per shard per round.  Before, every SYMBOLS
-    frame was decoded on its own.  Structurally, ``decoder.py`` has one
-    decode path: ``_ingest_numpy`` is gone, the walk kernels are called
-    only from ``ingest`` and ``add_coded_block`` is its one-job case;
-    ``InitiatorMachine`` drives the core decoders itself, with one
-    ``ingest`` call per wave of its SYMBOLS loop, and nothing in ``src/``
-    defines an ``absorb``/``absorb_many`` layer in front of it (gossip's
-    round-outcome tally aside).
+    """One peel wave per read: the client's one decoder takes a read's
+    frames in one ``add_coded_block`` call per prefix doubling, whose
+    breadth-first peel rounds each make ONE verification hash call — a
+    call makes as many walk-kernel calls as hash calls, plus the replay
+    (minus one when a last round verifies nothing new) — and fewer hash
+    calls in all than the same frames fed one call each.  Structurally,
+    ``decoder.py`` has one batch path: ``ingest`` and ``_ingest_numpy``
+    are gone, the walk kernels are called only from ``_wave`` and
+    ``add_coded_block`` is its one caller; ``InitiatorMachine`` calls
+    ``add_coded_block`` once, in its SYMBOLS loop's wave loop, and
+    nothing in ``src/`` defines an ``absorb``/``absorb_many`` layer in
+    front of it (gossip's round-outcome tally aside).
     """
     import ast
     import random
     from pathlib import Path
 
     from repro.api import get_scheme
-    from repro.core.decoder import ingest
-    from repro.protocol import machine
+    from repro.core import decoder as decoder_module
+    from repro.core.decoder import RatelessDecoder
     from repro.protocol.machine import InitiatorMachine, ResponderMachine
-    from repro.protocol.pump import drive
     from repro.service.backends import open_backend
 
     from helpers import make_items
 
-    hashed = [0]
-    verify = SymbolCodec.checksum_int_batch
+    hashed, walked = [0], [0]
+    verify, kernel = SymbolCodec.checksum_int_batch, decoder_module.scatter_walk_arrays
+    peel = RatelessDecoder.add_coded_block
 
     def counted(codec, values):
         hashed[0] += 1
         return verify(codec, values)
 
+    def walk(*args, **kwargs):
+        walked[0] += 1
+        return kernel(*args, **kwargs)
+
     def session(waved):
-        """Hash calls per ``ingest`` call of a 4-shard service-profile
-        session: the wave's, or each job's alone, in job order."""
+        """(hash, walk) calls per ``add_coded_block`` call of a 4-shard
+        service-profile session, or each of its frames' hash calls alone."""
         log = []
 
-        def spy(jobs, *args):
+        def spy(decoder, bank, stops=()):
             if waved:
-                before = hashed[0]
-                out = ingest(jobs, *args)
-                log.append(hashed[0] - before)
+                before = hashed[0], walked[0]
+                out = peel(decoder, bank, stops)
+                log.append((hashed[0] - before[0], walked[0] - before[1]))
                 return out
-            out, alone = [], []
-            for job in jobs:
+            out, alone = 0, []
+            for lo, hi in zip([0, *stops], stops):
                 before = hashed[0]
-                out += ingest([job], *args)
+                out += peel(decoder, bank.slice(lo, hi), [hi - lo])
                 alone.append(hashed[0] - before)
+                if decoder.decoded:
+                    break
             log.append(alone)
             return out
 
-        monkeypatch.setattr(machine, "ingest", spy)
+        monkeypatch.setattr(RatelessDecoder, "add_coded_block", spy)
         handle = get_scheme("riblt", symbol_size=8)
         items = make_items(random.Random(29), 2400)
         responder = ResponderMachine(
             open_backend(items[:2000], scheme=handle, num_shards=4), handle
         )
-        initiator = InitiatorMachine(handle, items[400:], num_shards=4)
-        drive(initiator, responder)
+        initiator = InitiatorMachine(handle, items[400:])
+        initiator.start()
+        responder.start()
+        while not initiator.finished:  # four blocks per read
+            responder.bytes_received(initiator.take_output())
+            for _ in range(4):
+                responder.tick()
+            initiator.bytes_received(responder.take_output())
         return log, initiator.report
 
     with engine_lane(True):
         monkeypatch.setattr(SymbolCodec, "checksum_int_batch", counted)
+        monkeypatch.setattr(decoder_module, "scatter_walk_arrays", walk)
         waves, report = session(waved=True)
         alone, reference = session(waved=False)
+    monkeypatch.undo()
     assert report.symbols == reference.symbols
     assert report.only_in_remote == reference.only_in_remote
     assert len(waves) == len(alone)
-    assert waves == [max(calls, default=0) for calls in alone]
-    assert sum(waves) < sum(map(sum, alone))
-    assert any(sum(c > 0 for c in calls) == 4 for calls in alone)
+    assert all(walks - 1 <= hashes <= walks for hashes, walks in waves)
+    assert sum(hashes for hashes, _ in waves) < sum(map(sum, alone))
+    assert any(len(calls) > 1 for calls in alone)
 
     src = Path(engine.__file__).parent
 
@@ -994,10 +1009,10 @@ def test_one_peel_round_per_wave(monkeypatch):
         }
 
     decoder = calls_by_function("core/decoder.py")
-    assert "_ingest_numpy" not in decoder
+    assert not {"ingest", "_ingest_numpy"} & set(decoder)
     kernels = {"scatter_walk_numpy", "scatter_walk_arrays"}
-    assert {name for name, calls in decoder.items() if calls & kernels} == {"ingest"}
-    assert {name for name, calls in decoder.items() if "ingest" in calls} == {
+    assert {name for name, calls in decoder.items() if calls & kernels} == {"_wave"}
+    assert {name for name, calls in decoder.items() if "_wave" in calls} == {
         "add_coded_block"
     }
     tree = ast.parse((src / "protocol" / "machine.py").read_text())
@@ -1007,25 +1022,22 @@ def test_one_peel_round_per_wave(monkeypatch):
         if isinstance(node, ast.ClassDef) and node.name == "InitiatorMachine"
     ]
 
-    def ingest_calls(node):
+    def peel_calls(node):
         return [
             call
             for call in ast.walk(node)
-            if isinstance(call, ast.Call) and ast.unparse(call.func) == "ingest"
+            if isinstance(call, ast.Call)
+            and ast.unparse(call.func).endswith("add_coded_block")
         ]
 
-    # the one call sits directly in the body of the wave loop
+    # the one call sits in the wave loop
     (wave_loop,) = [
         loop
         for loop in ast.walk(initiator)
-        if isinstance(loop, ast.While) and ingest_calls(loop)
+        if isinstance(loop, ast.While) and peel_calls(loop)
     ]
-    assert ingest_calls(initiator) == ingest_calls(wave_loop)
-    assert [
-        stmt
-        for stmt in wave_loop.body
-        if isinstance(stmt, ast.Expr) and ingest_calls(stmt)
-    ] and len(ingest_calls(wave_loop)) == 1
+    assert peel_calls(initiator) == peel_calls(wave_loop)
+    assert len(peel_calls(wave_loop)) == 1
     for path in src.rglob("*.py"):
         if path == src / "gossip" / "stats.py":
             continue  # its ``absorb`` tallies round outcomes, not symbols
@@ -1173,7 +1185,7 @@ def test_one_recovered_store_in_decoder():
     needed ``_MIN_NUMPY_BLOCK`` cells and ``16·n ≥ len(bank)`` to take
     the wave, and the walk kernel folded its edges once per lock-step
     round.  Now ``decoder.py`` has no heap of its own (the per-cell path
-    uses the store's), ``ingest`` converts no symbol between ints and
+    uses the store's), its lane wave converts no symbol between ints and
     lanes, and ``scatter_walk_arrays`` folds every edge of a call with
     one ``fold_edges`` call.
     """
@@ -1181,7 +1193,7 @@ def test_one_recovered_store_in_decoder():
     import re
     from pathlib import Path
 
-    from repro.core.decoder import RatelessDecoder, ingest
+    from repro.core.decoder import RatelessDecoder
     from repro.core.encoder import RatelessEncoder, SourceStore
 
     src = Path(engine.__file__).parent
@@ -1211,7 +1223,7 @@ def test_one_recovered_store_in_decoder():
         ]
 
     assert not {"lanes_from_ints", "ints_from_lanes"} & set(
-        calls("core/decoder.py", "ingest")
+        calls("core/decoder.py", "_wave")
     )
     assert calls("core/cellbank.py", "scatter_walk_arrays").count("fold_edges") == 1
 
@@ -1226,7 +1238,7 @@ def test_one_recovered_store_in_decoder():
     assert not decoder._bank.vector and not decoder._store.vector
     vector = engine.np is not None
     with engine_lane(vector):
-        ingest([(decoder, stream.slice(30, 120))])
+        decoder.add_coded_block(stream.slice(30, 120))
     assert decoder._bank.vector is vector and decoder._store.vector is vector
     assert decoder.decoded and sorted(decoder.remote_items()) == sorted(items)
     assert decoder._store.size == len(items) and decoder.local_values() == []

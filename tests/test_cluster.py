@@ -2,9 +2,10 @@
 
 Acceptance anchors:
 
-* ``workers=2`` serving 4 shards is **byte-identical** to the same set
-  behind one in-process server — same diff sets and, shard by shard,
-  the same wire payloads — for 8 sequential clients;
+* ``workers=2`` serving 4 shards finds the same difference as the same
+  set behind one in-process server, and each worker's stream is
+  **byte-identical** to a solo server's over that worker's stripe, for
+  8 sequential clients;
 * a SIGKILL'd worker is restarted warm by the supervisor and a client
   retrying via the existing :class:`~repro.service.RetryPolicy`
   succeeds;
@@ -115,34 +116,46 @@ def test_supervisor_rejects_thin_topology():
 
 
 def test_cluster_byte_identical_to_single_server():
-    """8 clients against workers=2 see exactly the single-server bytes."""
+    """8 clients against workers=2 find the single server's difference,
+    and each worker's stream is, byte for byte, what a solo server
+    holding only that worker's stripe serves a client holding only its
+    stripe: the pool streams the XOR of a worker's shards, and the client
+    encodes the items the stripe would hold."""
     server_items = items_range(0, 600)
     workloads = [
         server_items[7 * k :] + items_range(10_000 + 3 * k, 10_000 + 3 * k + 9)
         for k in range(8)
     ]
+    hash64 = get_scheme("riblt", symbol_size=16, hasher=SERVICE_HASHER).hash64
+
+    def stripe(items, worker):
+        return [item for item in items if shard_of(hash64, item, 4) % 2 == worker]
 
     async def scenario():
-        refs = []
+        refs, stripes = [], []
         async with ReconciliationServer(server_items, num_shards=4) as solo:
             host, port = solo.address
             for wl in workloads:
-                refs.append(
-                    await sync(host, port, wl, capture_payloads=True)
+                refs.append(await sync(host, port, wl))
+        for worker in range(2):
+            async with ReconciliationServer(stripe(server_items, worker)) as solo:
+                host, port = solo.address
+                mine = [stripe(wl, worker) for wl in workloads]
+                stripes.append(
+                    [await sync(host, port, wl, capture_payloads=True) for wl in mine]
                 )
         async with ClusterSupervisor(
             server_items, num_shards=4, config=fast_config()
         ) as sup:
             host, port = sup.entry_address
-            for wl, ref in zip(workloads, refs):
+            for k, (wl, ref) in enumerate(zip(workloads, refs)):
                 res = await sync(host, port, wl, capture_payloads=True)
-                assert res.num_shards == ref.num_shards == 4
                 assert res.only_in_server == ref.only_in_server
                 assert res.only_in_client == ref.only_in_client
-                # Byte-identity, shard by global shard: the pool and the
-                # single process produced the same coded-symbol streams.
-                assert res.payloads == ref.payloads
-                assert [t.shard for t in res.per_shard] == [0, 1, 2, 3]
+                assert sorted(res.payloads) == [0, 1]
+                for worker in range(2):
+                    assert res.payloads[worker] == stripes[worker][k].payloads[0]
+                assert res.symbols == sum(runs[k].symbols for runs in stripes)
 
     run(scenario())
 
@@ -170,8 +183,8 @@ def test_cluster_concurrent_clients():
 def test_cluster_workers_never_answer_in_sync():
     """A worker serves a stripe of the shards, never the client's whole
     set, so it ignores the HELLO digest: an identical client still streams
-    every shard (one termination cell each) from a pool, while the same
-    client against one process ends in one round trip."""
+    from every worker (one termination cell each) from a pool, while the
+    same client against one process ends in one round trip."""
     server_items = items_range(0, 300)
 
     async def scenario():
@@ -180,7 +193,7 @@ def test_cluster_workers_never_answer_in_sync():
         ) as sup:
             host, port = sup.entry_address
             res = await sync(host, port, server_items)
-            assert res.mode == SyncMode.STREAM and res.symbols >= 4
+            assert res.mode == SyncMode.STREAM and res.symbols >= 2
             assert res.difference_size == 0
         async with ReconciliationServer(server_items, num_shards=4) as solo:
             host, port = solo.address
@@ -235,11 +248,11 @@ def test_worker_death_mid_session_is_typed_not_a_hang():
     WorkerUnavailable (a ConnectionError, so RetryPolicy retries it)."""
 
     async def handler(reader, writer):
-        # A plausible cluster WELCOME: our version, stream mode, 2 granted
-        # shards, block 64, then the routing tail (2 workers, index 0,
-        # 4 shards, ports) -- and then the "worker" dies mid-session.
+        # A plausible cluster WELCOME: our version, stream mode, block 64,
+        # then the routing tail (2 workers, index 0, 4 shards, ports) --
+        # and then the "worker" dies mid-session.
         await reader.read(64)  # let the HELLO arrive
-        welcome = pack_uvarints(PROTOCOL_VERSION, 0, 2, 64) + pack_uvarints(
+        welcome = pack_uvarints(PROTOCOL_VERSION, 0, 64) + pack_uvarints(
             2, 0, 4, 1, 2
         )
         writer.write(encode_frame(FrameType.WELCOME, welcome))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cellbank import CodedSymbolBank
-from repro.core.decoder import RatelessDecoder, decode_sketch_cells, ingest
+from repro.core.decoder import RatelessDecoder, decode_sketch_cells
 from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 
@@ -154,16 +154,14 @@ def test_add_coded_block_stops_on_decode(codec8, rng):
         alice.produce_next().subtract(bob.produce_next()) for _ in range(64)
     ]
     decoder = RatelessDecoder(codec8)
-    used = decoder.add_coded_block(
-        CodedSymbolBank.from_cells(cells), stop_when_decoded=True, chunk=1
-    )
+    used = decoder.add_coded_block(CodedSymbolBank.from_cells(cells), range(1, 65))
     assert decoder.decoded
     assert used < 64
     assert decoder.symbols_received == used
 
 
 def _per_cell_stop(codec, cells, old, stops):
-    """The reference for ``ingest``'s ``stops``: a decoder fed
+    """The reference for ``add_coded_block``'s ``stops``: a decoder fed
     ``cells[:old]``, then cell by cell until the first of ``stops``
     (counts past ``old``) at which it reports decoded, else every cell.
     Returns it and the cells it consumed past ``old``."""
@@ -195,14 +193,13 @@ def _stops_for(case, rng, point):
 
 
 def test_ingest_stops_at_the_first_decoding_end(lane, rng):
-    """A ``(decoder, bank, stops)`` job of ``ingest`` peels its bank whole
-    in one wave, yet returns — and rolls its decoder back to — the first
-    of its stops at which per-cell ``add_coded_symbol`` ingestion of the same
-    cells reports decoded: a decode at the first stop, at the last, on a
-    stop, between two, and never, as five jobs of one call, over
-    differences of both signs and decoders that already hold rows.  The
-    rolled-back decoder is the per-cell one: its cells, its recoveries
-    and where each recovered walk is parked."""
+    """``add_coded_block(bank, stops)`` peels its bank whole in one wave,
+    yet returns — and rolls its decoder back to — the first of its stops
+    at which per-cell ``add_coded_symbol`` ingestion of the same cells
+    reports decoded: a decode at the first stop, at the last, on a stop,
+    between two, and never, over differences of both signs and decoders
+    that already hold rows.  The rolled-back decoder is the per-cell one:
+    its cells, its recoveries and where each recovered walk is parked."""
     codec = SymbolCodec(8)
     for _ in range(3):
         jobs, refs = [], []
@@ -221,7 +218,7 @@ def test_ingest_stops_at_the_first_decoding_end(lane, rng):
             bank = CodedSymbolBank.from_cells(cells[old : old + at[-1]])
             jobs.append((decoder, bank, at))
             refs.append(_per_cell_stop(codec, cells[: old + at[-1]], old, set(at)))
-        used = ingest(jobs)
+        used = [decoder.add_coded_block(bank, at) for decoder, bank, at in jobs]
         cases = ("first", "last", "on", "between", "never")
         for (decoder, _, _), (ref, ref_used), got, case in zip(jobs, refs, used, cases):
             assert got == ref_used, case

@@ -282,7 +282,7 @@ def test_operations_cluster_limit_fields_exist():
         "max_session_bytes",
         "busy_retry_after",
         "block_size",
-        "max_symbols_per_shard",
+        "max_symbols",
         "idle_timeout",
     ):
         assert f"`{name}`" in body, f"ServerConfig.{name} undocumented"

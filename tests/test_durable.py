@@ -56,10 +56,9 @@ def fresh_backend(items, num_shards=NUM_SHARDS):
 
 
 def served_stream(backend, cells=96):
-    """The exact wire bytes a client would read from every shard."""
-    return [
-        backend.open_stream(shard).next_block(cells)
-        for shard in range(backend.num_shards)
+    """The exact wire bytes a client would read, and every shard's cells."""
+    return [backend.open_stream().next_block(cells)] + [
+        encoder.cached_block(0, cells) for encoder in backend.encoders
     ]
 
 
@@ -69,12 +68,12 @@ def assert_bit_identical(recovered, reference):
     assert recovered.num_shards == reference.num_shards
     assert served_stream(recovered) == served_stream(reference)
     # Future production must agree too, not just the cached prefix.
-    for shard in range(recovered.num_shards):
-        a = recovered.open_stream(shard)
-        b = reference.open_stream(shard)
-        a.next_block(64)
-        b.next_block(64)
-        assert a.next_block(64) == b.next_block(64)
+    a, b = recovered.open_stream(), reference.open_stream()
+    a.next_block(64)
+    b.next_block(64)
+    assert a.next_block(64) == b.next_block(64)
+    for ours, theirs in zip(recovered.encoders, reference.encoders):
+        assert ours.cached_block(0, 192) == theirs.cached_block(0, 192)
 
 
 # -- recovery is fresh-ingest, bit for bit ---------------------------------
@@ -403,8 +402,7 @@ def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
         config=DurableConfig(fsync=False),
         **params,
     )
-    for shard in range(2):
-        backend.open_stream(shard).next_block(200)
+    backend.open_stream().next_block(200)
     backend.add_many(pool[400:])
     backend.remove_many(pool[:30])
     backend.checkpoint()
@@ -449,8 +447,7 @@ def test_snapshot_crosses_engines_bit_identically(tmp_path, size, written_on_vec
         backend = open_durable(
             path, pool[:400], num_shards=2, config=DurableConfig(fsync=False), **params
         )
-        for shard in range(2):
-            backend.open_stream(shard).next_block(200)
+        backend.open_stream().next_block(200)
         backend.add_many(pool[400:])
         backend.remove_many(pool[:30])
         backend.checkpoint()
@@ -498,7 +495,7 @@ def test_push_frame_is_one_journal_append(tmp_path):
     fresh = make_items(900, 940)
     sent = fresh + [fresh[0]] + make_items(0, 3)
     backend, responder = _pushed_responder(
-        tmp_path, pack_uvarints(0, len(sent)) + b"".join(sent)
+        tmp_path, pack_uvarints(len(sent)) + b"".join(sent)
     )
     try:
         assert responder.failed is None
@@ -516,7 +513,7 @@ def test_malformed_push_applies_nothing(tmp_path):
 
     fresh = make_items(900, 910)
     backend, responder = _pushed_responder(
-        tmp_path, pack_uvarints(0, len(fresh)) + b"".join(fresh) + b"\x00"
+        tmp_path, pack_uvarints(len(fresh)) + b"".join(fresh) + b"\x00"
     )
     try:
         assert responder.finished and responder.failed is not None

@@ -15,7 +15,7 @@ def test_add_coded_block_stop_when_decoded_result(codec8, rng):
     remote = RatelessEncoder(codec8, a).produce_block(200)
     remote.subtract_in_place(RatelessEncoder(codec8, b).produce_block(200))
     decoder = RatelessDecoder(codec8)
-    used = decoder.add_coded_block(remote, stop_when_decoded=True, chunk=1)
+    used = decoder.add_coded_block(remote, range(1, 201))
     result = decoder.result()
     assert result.success
     assert result.symbols_used == used < 200

@@ -102,9 +102,9 @@ def test_body_reader_rejects_bad_utf8():
 def test_split_across_many_frames_with_garbage_tail():
     """Valid frames parse; the corrupt tail raises instead of looping."""
     decoder = FrameDecoder()
-    good = encode_frame(FrameType.SHARD_DONE, pack_uvarints(2))
+    good = encode_frame(FrameType.CREDIT, pack_uvarints(256))
     frames = decoder.feed(good)
-    assert frames == [(FrameType.SHARD_DONE, pack_uvarints(2))]
+    assert frames == [(FrameType.CREDIT, pack_uvarints(256))]
     with pytest.raises(FrameError):
         decoder.feed(b"\x81" * 32)  # endless continuation bits
 
@@ -130,17 +130,17 @@ def test_busy_body_packs_code_and_retry_after():
 # can emit).
 _SWEEP_BODIES = {
     FrameType.HELLO: pack_uvarints(1, 0, 4) + pack_lp_str("riblt"),
-    FrameType.WELCOME: pack_uvarints(1, 0, 4, 64),
-    FrameType.SYMBOLS: pack_uvarints(0, 3) + bytes(range(96)),
-    FrameType.SKETCH: pack_uvarints(1, 40) + bytes(40),
-    FrameType.SHARD_DONE: pack_uvarints(2),
-    FrameType.RETRY: pack_uvarints(1, 80),
-    FrameType.PUSH: pack_uvarints(0, 2) + bytes(32),
+    FrameType.WELCOME: pack_uvarints(1, 0, 64),
+    FrameType.SYMBOLS: pack_uvarints(3) + bytes(range(96)),
+    FrameType.SKETCH: pack_uvarints(40) + bytes(40),
+    FrameType.DONE: b"",
+    FrameType.RETRY: pack_uvarints(80),
+    FrameType.PUSH: pack_uvarints(2) + bytes(32),
     FrameType.BYE: b"",
     FrameType.STATS: pack_uvarints(12, 3456),
     FrameType.ERROR: pack_busy_body(0.5, "busy"),
     FrameType.ESTIMATE: pack_uvarints(1) + bytes(24),
-    FrameType.CREDIT: pack_uvarints(3, 4096),
+    FrameType.CREDIT: pack_uvarints(4096),
 }
 
 

@@ -108,7 +108,8 @@ def test_partition_parity_across_engines(num_shards):
 @pytest.mark.parametrize("num_shards", (1, 4))
 def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
     """The full engine round trip is byte-identical whether or not the
-    initiator's placement hashes reach the encoders."""
+    initiator's hashes reach its encoder, against one server shard or
+    four."""
     from repro.protocol import machine
 
     handle = get_scheme("riblt", symbol_size=12)
@@ -116,9 +117,7 @@ def test_wire_bytes_identical_with_hash_reuse(num_shards, monkeypatch):
     bob = alice[12:] + items_range(9_000, 9_006)
 
     def roundtrip():
-        initiator = InitiatorMachine(
-            handle, bob, num_shards=num_shards, capture_payloads=True
-        )
+        initiator = InitiatorMachine(handle, bob, capture_payloads=True)
         responder = memory_responder(handle, alice, num_shards=num_shards)
         return pump(initiator, responder)
 

@@ -109,7 +109,7 @@ def test_identical_sets_over_pump_are_one_round_trip() -> None:
     assert report.mode == SyncMode.IN_SYNC
     assert report.symbols == 0 and report.payload_bytes == 0
     assert report.only_in_remote == set() and report.only_in_local == set()
-    assert report.num_shards == 4 and report.payloads == {g: b"" for g in range(4)}
+    assert report.payloads == {0: b""}  # one stream, whatever the shards
     # The public pump reaches the same report.
     again = pump(InitiatorMachine(handle, items), memory_responder(handle, items))
     assert again.mode == SyncMode.IN_SYNC and again.symbols == 0
@@ -236,7 +236,7 @@ def test_an_in_sync_welcome_must_be_followed_by_stats(then: str) -> None:
     initiator = InitiatorMachine(handle, items_range(0, 20))
     initiator.start()
     initiator.take_output()
-    welcome = pack_uvarints(PROTOCOL_VERSION, int(SyncMode.IN_SYNC), 1, 64)
+    welcome = pack_uvarints(PROTOCOL_VERSION, int(SyncMode.IN_SYNC), 64)
     initiator.bytes_received(encode_frame(FrameType.WELCOME, welcome))
     assert not initiator.finished
     if then == "symbols":
@@ -255,7 +255,7 @@ def test_in_sync_is_refused_without_a_digest() -> None:
     initiator.start()
     ((_, hello),) = frames_of(initiator.take_output())
     assert hello.endswith(pack_uvarints(4))  # the bound, and no digest after it
-    welcome = pack_uvarints(PROTOCOL_VERSION, int(SyncMode.IN_SYNC), 1, 64)
+    welcome = pack_uvarints(PROTOCOL_VERSION, int(SyncMode.IN_SYNC), 64)
     initiator.bytes_received(encode_frame(FrameType.WELCOME, welcome))
     assert isinstance(initiator.failed, ProtocolError)
 

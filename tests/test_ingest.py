@@ -296,11 +296,11 @@ def _assert_same_encoders(got, expected):
 def test_cold_ingest_matches_per_item_reference(
     lane, codec_name, hasher, rng, monkeypatch
 ):
-    """Hash → place → per-shard columns, through ``open_backend`` and
-    through an initiator's stream-mode encoders (fed an item list, or a
-    row matrix with its hashes as the client feeds them), equals one
-    ``shard_of`` + ``add_item`` per item — on every codec the
-    equivalence suite covers, on both engines."""
+    """Hash → place → per-shard columns, through ``open_backend``, equals
+    one ``shard_of`` + ``add_item`` per item; an initiator's one stream
+    encoder (fed an item list, or a row matrix with its hashes as the
+    client feeds them) equals one ``add_item`` per item — on every codec
+    the equivalence suite covers, on both engines."""
     from repro.protocol import InitiatorMachine, memory_responder, pump
     from repro.service.backends import open_backend
     from repro.service.shard import hash_items
@@ -324,12 +324,13 @@ def test_cold_ingest_matches_per_item_reference(
     _assert_same_encoders(backend.encoders, expected)
     feeds = {"list": (items, None), "client": (rows, hash_items(hash64, rows))}
     for batch, hashes in feeds.values():
-        initiator = InitiatorMachine(handle, batch, num_shards=4, item_hashes=hashes)
+        initiator = InitiatorMachine(handle, batch, item_hashes=hashes)
         # One item fewer on the responder: equal sets would end in-sync,
         # before any encoder is built.
         pump(initiator, memory_responder(handle, items[1:], num_shards=4))
-        encoders = [st.encoder for st in initiator._shards]
-        _assert_same_encoders(encoders, expected)
+        _assert_same_encoders(
+            [initiator._encoder], _per_item_reference(codec, items, 1)
+        )
 
 
 @pytest.mark.parametrize("size", [8, 16])

@@ -364,14 +364,49 @@ def test_warm_stream_refuses_empty_blocks():
     used to step the cursor back, so the next block re-sent cells under
     later indices."""
     items = items_for(8)
-    stream = open_backend(items, num_shards=NUM_SHARDS).open_stream(1)
-    expected = open_backend(items, num_shards=NUM_SHARDS).open_stream(1)
+    stream = open_backend(items, num_shards=NUM_SHARDS).open_stream()
+    expected = open_backend(items, num_shards=NUM_SHARDS).open_stream()
     assert stream.next_block(8) == expected.next_block(8)
     for cells in (0, -3):
         with pytest.raises(ValueError, match="max_cells"):
             stream.next_block(cells)
     assert stream.symbols_sent == 8
     assert stream.next_block(8) == expected.next_block(8)
+
+
+def test_stream_cursor_reads_ahead_by_doubling(monkeypatch, lane):
+    """The cursor XORs the shards' prefixes ahead of need by doubling,
+    within what every shard has produced: over the service ramp and
+    64-cell blocks it serves the bytes the block-by-block XOR would; a
+    first session makes no shard encode a cell before a block needs it,
+    and a later one reads the warm prefix in O(log cells) XORs, not one
+    per block."""
+    from repro.core.wire import SymbolStreamWriter
+    from repro.service.backends import WarmRibltBackend
+
+    items = items_for(8)
+    backend = open_backend(items, num_shards=NUM_SHARDS)
+    reference = open_backend(items, num_shards=NUM_SHARDS)
+    reads, read = [0], WarmRibltBackend.cached_block
+
+    def counted(self, lo, hi):
+        reads[0] += self is backend
+        return read(self, lo, hi)
+
+    monkeypatch.setattr(WarmRibltBackend, "cached_block", counted)
+    for session in ("cold", "warm"):
+        writer = SymbolStreamWriter(reference.codec, set_size=len(items))
+        stream, served, reads[0] = backend.open_stream(), 0, 0
+        for cells in [8, 16, 32] + [64] * 30:
+            block = stream.next_block(cells)
+            cut = reference.cached_block(served, served + cells)
+            head = writer.header() if not served else b""
+            assert block == head + writer.write_block(cut)
+            served += cells
+            if session == "cold":
+                assert {e.produced_count for e in backend.encoders} == {served}
+    assert {e.produced_count for e in backend.encoders} == {served}
+    assert reads[0] <= math.ceil(math.log2(served / 8)) + 2
 
 
 def test_golden_snapshots_restore_to_lane_banks(tmp_path):
@@ -498,11 +533,12 @@ def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
 
 
 def test_one_walk_per_prefix_doubling(monkeypatch, lane):
-    """A SYMBOLS frame past an initiator shard's coded prefix grows it by
+    """A SYMBOLS frame past the initiator's coded prefix grows it by
     doubling (to the frame's end, or twice the prefix within the grant),
-    so a shard's prefix costs O(log cells) walk-kernel calls over a
-    service-profile stream (8/16/32/64 ramp, then 64-cell blocks), not
-    one per frame.  The payloads stay those of a bare encoder's prefix."""
+    so the prefix costs O(log cells) walk-kernel calls over a
+    service-profile stream (8/16/32/64 ramp, then 64-cell blocks) from a
+    two-shard server, not one per frame.  The payloads stay those of a
+    bare encoder's prefix."""
     from repro.core import encoder as encoder_module
     from repro.core.encoder import RatelessEncoder
     from repro.protocol import InitiatorMachine, pump
@@ -523,12 +559,11 @@ def test_one_walk_per_prefix_doubling(monkeypatch, lane):
     responder = memory_responder(
         handle, theirs, num_shards=2, block_size=64, slow_start=True
     )
-    frames: dict[int, int] = {}
+    frames = [0]
     absorb = initiator._on_symbols
 
     def count(run):
-        for shard_id, _, _ in run:
-            frames[shard_id] = frames.get(shard_id, 0) + 1
+        frames[0] += len(run)
         return absorb(run)
 
     monkeypatch.setattr(initiator, "_on_symbols", count)
@@ -536,12 +571,12 @@ def test_one_walk_per_prefix_doubling(monkeypatch, lane):
     report = pump(initiator, responder)
     monkeypatch.undo()
     assert len(report.only_in_remote) == 1_600
-    for shard_id, st in enumerate(initiator._shards):
-        cells = st.encoder.produced_count
-        assert frames[shard_id] >= 17 and cells >= st.absorbed
-        assert walks[id(st.encoder.bank)] <= math.ceil(math.log2(cells / 8)) + 2
-        bare = RatelessEncoder(handle.codec, st.items)
-        assert st.encoder.cached_block(0, cells).cells() == bare.produce(cells)
+    encoder = initiator._encoder
+    cells = encoder.produced_count
+    assert frames[0] >= 30 and cells >= initiator._absorbed
+    assert walks[id(encoder.bank)] <= math.ceil(math.log2(cells / 8)) + 2
+    bare = RatelessEncoder(handle.codec, shared)
+    assert encoder.cached_block(0, cells).cells() == bare.produce(cells)
 
 
 def test_service_node_items_is_a_view_of_the_backend():
@@ -610,9 +645,9 @@ def test_one_streaming_scheme_in_src():
 
 def test_one_stream_path_in_src():
     """STREAM mode drives the core codec directly on both ends: the
-    initiator's shards hold an encoder, a §6 reader and a decoder, and
-    the responder's one cursor class (``ShardStream``, over the warm
-    encoder) holds the §6 writer.  No interface, adapter stream face or
+    initiator's one stream holds an encoder, a §6 reader and a decoder,
+    and the responder's one cursor class (``StreamCursor``, over the warm
+    shard encoders) holds the §6 writer.  No interface, adapter stream face or
     hash-forwarding keyword sits between the machine and the codec.
     """
     import inspect
@@ -630,7 +665,8 @@ def test_one_stream_path_in_src():
                 constructed.setdefault(node.func.id, set()).add(rel)
             if isinstance(node, ast.ClassDef):
                 bases = {ast.unparse(base) for base in node.bases}
-                if node.name == "ShardStream" or "ShardStream" in bases:
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if "next_block" in methods:  # a server-side stream cursor
                     stream_classes.append((rel, node.name, bases))
     assert constructed["SymbolStreamReader"] - {"core/wire.py"} == {
         "protocol/machine.py"
@@ -638,7 +674,7 @@ def test_one_stream_path_in_src():
     assert constructed["SymbolStreamWriter"] - {"core/wire.py"} == {
         "service/backends.py"
     }
-    assert stream_classes == [("service/backends.py", "ShardStream", set())]
+    assert stream_classes == [("service/backends.py", "StreamCursor", set())]
     new = inspect.signature(get_scheme("riblt").new)
     assert [p.kind for p in new.parameters.values()] == [
         inspect.Parameter.POSITIONAL_OR_KEYWORD
@@ -804,43 +840,42 @@ def test_one_peer_state_constructor_in_src():
 
 def test_one_peel_per_read(monkeypatch, lane):
     """A read's SYMBOLS frames share one decode wave per prefix doubling:
-    over a seeded 4-shard service-profile stream whose last read carries
-    eight frames of every shard, each ``_on_symbols`` run makes at most
-    1 + (the most prefix growths any one shard made in it) ``ingest``
-    calls, not one per frame of a shard (frame-by-frame waves made 6
-    calls in a run with 3 growths per shard); the vector engine's peel
-    rounds make fewer than 40 batch hash calls (frame-by-frame waves made
-    80); and each initiator shard's coded prefix and absorbed count are
-    those of frame-by-frame absorption (pinned)."""
+    over a seeded service-profile stream from a 4-shard server whose
+    reads carry eight frames, each ``_on_symbols`` run makes at most
+    1 + (the prefix growths it made) ``add_coded_block`` calls, not one
+    per frame (the first two runs grow at most frames, the five full
+    ones at most once); the vector engine's peel rounds make fewer than
+    60 batch hash calls (170 when each frame is its own call); and the
+    initiator's coded prefix and absorbed count follow the doubling
+    schedule (pinned)."""
+    from repro.core.decoder import RatelessDecoder
     from repro.core.encoder import RatelessEncoder
     from repro.core.symbols import SymbolCodec
     from repro.protocol import InitiatorMachine
-    from repro.protocol import machine as machine_module
 
     rng = random.Random(0x9EE1)
     shared = [rng.randbytes(8) for _ in range(2_000)]
     theirs = shared[400:] + [rng.randbytes(8) for _ in range(1_600)]
     handle = get_scheme("riblt", symbol_size=8, hasher="siphash")
-    initiator = InitiatorMachine(handle, shared, num_shards=4)
+    initiator = InitiatorMachine(handle, shared)
     responder = memory_responder(
         handle, theirs, num_shards=4, block_size=64, slow_start=True
     )
     runs, hashes = [], [0]
-    absorb, peel = initiator._on_symbols, machine_module.ingest
+    absorb, peel = initiator._on_symbols, RatelessDecoder.add_coded_block
     grow, verify = RatelessEncoder.produce_block, SymbolCodec.checksum_int_batch
 
     def on_symbols(run):
-        runs.append({"frames": len(run), "ingest": 0, "grows": {}})
+        runs.append({"frames": len(run), "ingest": 0, "grows": 0})
         return absorb(run)
 
-    def ingest(*args, **kwargs):
+    def add_coded_block(decoder, *args):
         runs[-1]["ingest"] += 1
-        return peel(*args, **kwargs)
+        return peel(decoder, *args)
 
     def produce_block(encoder, m):
-        if runs and any(encoder is st.encoder for st in initiator._shards):
-            grows = runs[-1]["grows"]
-            grows[id(encoder)] = grows.get(id(encoder), 0) + 1
+        if runs and encoder is initiator._encoder:
+            runs[-1]["grows"] += 1
         return grow(encoder, m)
 
     def checksum_int_batch(codec, values):
@@ -848,7 +883,7 @@ def test_one_peel_per_read(monkeypatch, lane):
         return verify(codec, values)
 
     monkeypatch.setattr(initiator, "_on_symbols", on_symbols)
-    monkeypatch.setattr(machine_module, "ingest", ingest)
+    monkeypatch.setattr(RatelessDecoder, "add_coded_block", add_coded_block)
     monkeypatch.setattr(RatelessEncoder, "produce_block", produce_block)
     monkeypatch.setattr(SymbolCodec, "checksum_int_batch", checksum_int_batch)
     initiator.start()
@@ -862,12 +897,10 @@ def test_one_peel_per_read(monkeypatch, lane):
     report = initiator.report
     assert report.only_in_remote == set(theirs) - set(shared)
     assert report.only_in_local == set(shared) - set(theirs)
-    assert runs[-1]["frames"] == 4 * 8
+    assert runs[-1]["frames"] == 8
     for run in runs:
-        assert run["ingest"] <= 1 + max(run["grows"].values(), default=0), runs
+        assert run["ingest"] <= 1 + run["grows"], runs
     if lane:
-        assert hashes[0] < 40
-    shards = initiator._shards
-    assert [st.encoder.produced_count for st in shards] == [1136] * 4
-    assert [st.absorbed for st in shards] == [760, 696, 760, 760]
-    assert [st.tally.symbols for st in shards] == [760, 696, 760, 760]
+        assert hashes[0] < 60  # frame-by-frame absorption of these reads: 170
+    assert initiator._encoder.produced_count == 4544
+    assert initiator._absorbed == report.symbols == 2808

@@ -173,6 +173,28 @@ def test_golden_estimator_composition_identical(scheme: str) -> None:
     assert result.rounds == recorded["rounds"]
 
 
+@pytest.mark.parametrize("scheme", ["regular_iblt", "pinsketch"])
+def test_estimator_composition_against_a_sharded_sketch_server(scheme: str) -> None:
+    """The strata exchange sizes one sketch of the whole set, so it runs
+    against a server of four shards exactly as against one: the same
+    bytes both ways and the exact difference.  It used to be refused,
+    typed, with "the estimator composition requires a single shard"."""
+    handle = get_scheme(scheme, symbol_size=8)
+    server, client = items_range(0, 400), items_range(10, 410)
+    runs = []
+    for shards in (1, 4):
+        initiator = InitiatorMachine(handle, client, use_estimator=True)
+        responder = service_responder(handle, server, shards, use_estimator=True)
+        up, down = bytearray(), bytearray()
+        report = drive(initiator, responder, up=up, down=down)
+        assert initiator.failed is None and report.mode == SyncMode.SKETCH
+        assert report.only_in_remote == set(server) - set(client)
+        assert report.only_in_local == set(client) - set(server)
+        assert [t for t, _ in FrameDecoder().feed(bytes(down))][1] == FrameType.ESTIMATE
+        runs.append((bytes(up), bytes(down), report.rounds, report.payload_bytes))
+    assert runs[0] == runs[1]
+
+
 def test_golden_service_stream_transcripts() -> None:
     """Against a service-profile responder, the initiator's transcript is
     byte-identical to the legacy TCP client's recording, and the coded
@@ -248,7 +270,7 @@ def test_golden_service_sketch_transcripts() -> None:
         hashlib.sha256(bytes(down)).hexdigest()
         == recorded["server_to_client_sha256"]
     )
-    assert report.per_shard[0].rounds == recorded["rounds"]
+    assert report.rounds == recorded["rounds"]
     assert report.payload_bytes == recorded["bytes_received"]
 
 
@@ -372,7 +394,7 @@ def test_fragmentation_and_coalescing_equivalence(mode: str) -> None:
             pos += size
     for chunk in chunks:
         fresh.bytes_received(chunk)
-        fresh.take_output()  # SHARD_DONE/BYE answers go nowhere: replay
+        fresh.take_output()  # DONE/BYE answers go nowhere: replay
     assert fresh.finished and fresh.failed is None
     assert fresh.report.only_in_remote == reference.only_in_remote
     assert fresh.report.only_in_local == reference.only_in_local
@@ -380,12 +402,12 @@ def test_fragmentation_and_coalescing_equivalence(mode: str) -> None:
 
 
 def _multi_shard_session(server, client, ticks, shards=4, reads=None):
-    """A ``shards``-shard service-profile session whose responder ticks
-    ``ticks`` times per exchange, so one read can carry several frames
-    of a shard; returns the handle and both directions' bytes, and
+    """A service-profile session against a ``shards``-shard server whose
+    responder ticks ``ticks`` times per exchange, so one read can carry
+    several frames; returns the handle and both directions' bytes, and
     appends each read's size to ``reads`` when given."""
     handle = get_scheme("riblt", symbol_size=len(server[0]))
-    initiator = InitiatorMachine(handle, client, num_shards=shards)
+    initiator = InitiatorMachine(handle, client)
     responder = service_responder(handle, server, num_shards=shards)
     up, down = bytearray(), bytearray()
     initiator.start()
@@ -408,12 +430,12 @@ def _multi_shard_session(server, client, ticks, shards=4, reads=None):
     return handle, bytes(up), bytes(down)
 
 
-def _replay(handle, client, down, chunking, shards=4, **kwargs):
+def _replay(handle, client, down, chunking, **kwargs):
     """Feed ``down`` to a fresh initiator cut as ``chunking`` says:
     one frame per call, one blob, seeded random chunks, or a list of
     chunk sizes (a session's own reads).  Returns the machine and every
     byte it sent back."""
-    fresh = InitiatorMachine(handle, client, num_shards=shards, **kwargs)
+    fresh = InitiatorMachine(handle, client, **kwargs)
     fresh.start()
     if not isinstance(chunking, str):
         cuts = [0, *itertools.accumulate(chunking)]
@@ -435,15 +457,10 @@ def _replay(handle, client, down, chunking, shards=4, **kwargs):
     return fresh, bytes(up)
 
 
-def _shard_payloads(down):
-    """Total SYMBOLS payload bytes per shard in a downstream capture."""
-    totals = {}
-    for ftype, body in FrameDecoder().feed(down):
-        if ftype == FrameType.SYMBOLS:
-            reader = BodyReader(body)
-            shard = reader.uvarint()
-            totals[shard] = totals.get(shard, 0) + len(reader.rest())
-    return totals
+def _stream_payload(down):
+    """Total SYMBOLS payload bytes in a downstream capture."""
+    frames = FrameDecoder().feed(down)
+    return sum(len(body) for ftype, body in frames if ftype == FrameType.SYMBOLS)
 
 
 def wide_items(lo: int, hi: int) -> list:
@@ -473,18 +490,18 @@ def test_multi_shard_transcript_is_independent_of_read_boundaries(
 ) -> None:
     """A session's downstream bytes replayed one frame per call, as one
     blob and in random chunks: the initiator absorbs a read's SYMBOLS
-    frames in waves, each spanning a shard's frames up to its next prefix
-    doubling, yet sends the identical client→server bytes (CREDITs,
-    SHARD_DONEs, BYE in the same order) and reports the identical
-    symbols, payload bytes, per-shard tallies and diff.  With several
-    ticks per exchange a read carries several frames of a shard, and a
-    shard that decodes mid-read drops its later frames uncounted; at
-    d = 1 000 one read crosses several doublings and a decode lands
-    mid-wave.  One shard, and 92-byte (multi-lane) symbols, too."""
+    frames in waves, each spanning the frames up to the next prefix
+    doubling, yet sends the identical client→server bytes (CREDITs, DONE,
+    BYE in the same order) and reports the identical symbols, payload
+    bytes and diff.  With several ticks per exchange a read carries
+    several frames, and a stream that decodes mid-read drops its later
+    frames uncounted; at d = 1 000 one read crosses several doublings and
+    a decode lands mid-wave.  Servers of four shards and of one, and
+    92-byte (multi-lane) symbols, too."""
     handle, up, down = _multi_shard_session(server, client, ticks, shards)
     reports = {}
     for chunking in ("per_frame", "one_blob", "random_chunks"):
-        fresh, sent = _replay(handle, client, down, chunking, shards)
+        fresh, sent = _replay(handle, client, down, chunking)
         assert fresh.finished and fresh.failed is None, chunking
         assert sent == up, chunking
         reports[chunking] = fresh.report
@@ -492,18 +509,17 @@ def test_multi_shard_transcript_is_independent_of_read_boundaries(
     assert reports["one_blob"] == reports["random_chunks"] == report
     assert report.only_in_remote == set(server) - set(client)
     assert report.only_in_local == set(client) - set(server)
-    carried = _shard_payloads(down)
-    counted = {tally.shard: tally.payload_bytes for tally in report.per_shard}
-    assert report.payload_bytes == sum(counted.values())
-    if drops:  # frames that crossed a SHARD_DONE were dropped uncounted
-        assert any(counted[g] < carried[g] for g in counted)
+    carried = _stream_payload(down)
+    assert report.payload_bytes <= carried
+    if drops:  # frames that crossed the DONE were dropped uncounted
+        assert report.payload_bytes < carried
 
 
 def test_multi_shard_budget_trips_at_the_same_frame_mid_read() -> None:
     """``max_symbols`` spent mid-read: the wave absorbs on past the
     tripping frame, but the initiator raises the same typed
-    ``SymbolBudgetExceeded`` for the same shard, after the same
-    client→server bytes, as frame-at-a-time absorption."""
+    ``SymbolBudgetExceeded``, after the same client→server bytes, as
+    frame-at-a-time absorption."""
     server, client = items_range(0, 1200), items_range(300, 1500)
     handle, _, down = _multi_shard_session(server, client, 1)
     outcomes = []
@@ -519,29 +535,25 @@ def test_multi_shard_budget_trips_at_the_same_frame_mid_read() -> None:
 @pytest.mark.parametrize("dropped", [False, True])
 def test_multi_shard_malformed_frame_fails_at_the_same_frame_mid_read(dropped):
     """A SYMBOLS frame with a corrupt count varint, in a session whose
-    reads carry up to sixteen frames of every shard: replayed per frame, as one
-    blob, in random chunks and in the session's own reads, the initiator
-    fails with the same typed ``ProtocolError`` after the same
-    client→server bytes, though a wave parses a shard's frames before it
-    knows where the shard decodes.  A corrupt frame that follows its
-    shard's decode — unread, or parsed by the wave that decoded the
-    shard — is dropped in every replay, and the session ends as a clean
-    replay does."""
+    reads carry up to sixteen frames: replayed per frame, as one blob, in
+    random chunks and in the session's own reads, the initiator fails
+    with the same typed ``ProtocolError`` after the same client→server
+    bytes, though a wave parses frames before it knows where the stream
+    decodes.  A corrupt frame that follows the decode — unread, or parsed
+    by the wave that decoded the stream — is dropped in every replay, and
+    the session ends as a clean replay does."""
     server, client, reads = items_range(0, 4000), items_range(300, 4300), []
     handle, up, down = _multi_shard_session(server, client, 16, reads=reads)
     clean = _replay(handle, client, down, "per_frame")[0].report
-    counted = {tally.shard: tally.payload_bytes for tally in clean.per_shard}
-    # a frame inside the counted stream, or each shard's first dropped one
-    frames, carried, picks = list(FrameDecoder().feed(down)), {}, {}
+    # a frame inside the counted stream, or the first dropped one
+    frames, carried, picks = list(FrameDecoder().feed(down)), 0, []
     for i, (ftype, body) in enumerate(frames):
         if ftype == FrameType.SYMBOLS:
-            reader = BodyReader(body)
-            shard, size = reader.uvarint(), len(reader.rest())
-            if size > 200 and dropped == (carried.get(shard, 0) >= counted[shard]):
-                picks.setdefault(shard if dropped else i, i)
-            carried[shard] = carried.get(shard, 0) + size
-    picks = sorted(picks.values())
-    for pick in picks if dropped else picks[len(picks) // 2 :][:1]:
+            if len(body) > 200 and dropped == (carried >= clean.payload_bytes):
+                picks.append(i)
+            carried += len(body)
+    assert picks
+    for pick in picks[:1] if dropped else picks[len(picks) // 2 :][:1]:
         ftype, body = frames[pick]
         mid = len(body) // 2
         bad = (ftype, body[:mid] + b"\xff" * 40 + body[mid + 40 :])
@@ -634,7 +646,7 @@ def test_responder_budget_and_grace_surface_on_both_sides() -> None:
     responder = service_responder(
         handle,
         items_range(0, 400),
-        max_symbols_per_shard=16,
+        max_symbols=16,
         budget_grace=0.5,
     )
     with pytest.raises(SymbolBudgetExceeded):
@@ -690,12 +702,12 @@ def frames_of(data: bytes) -> list:
     return FrameDecoder().feed(bytes(data))
 
 
-def credit(shard: int, limit: int) -> bytes:
-    return encode_frame(FrameType.CREDIT, pack_uvarints(shard, limit))
+def credit(limit: int) -> bytes:
+    return encode_frame(FrameType.CREDIT, pack_uvarints(limit))
 
 
 @pytest.mark.parametrize(
-    "profile, per_shard",
+    "profile, served",
     [
         # The 8+16+32+64 ramp ends at 120 < 128, so one more whole block
         # starts: a block is never cut to fit the window.
@@ -705,32 +717,33 @@ def credit(shard: int, limit: int) -> bytes:
     ],
 )
 def test_non_granting_peer_gets_the_initial_window_and_no_more(
-    profile, per_shard
+    profile, served
 ) -> None:
+    """A three-shard server serves one window per connection, not one
+    per shard."""
     handle = get_scheme("riblt", symbol_size=8)
-    shards = 3
-    responder = service_responder(handle, items_range(0, 900), shards, **profile)
+    responder = service_responder(handle, items_range(0, 900), 3, **profile)
     responder.start()
     responder.bytes_received(hello_bytes(handle))
     tick_until_stalled(responder)
-    assert responder.symbols_sent == shards * per_shard
-    assert per_shard <= INITIAL_WINDOW + profile["block_size"]
+    assert responder.symbols_sent == served
+    assert served <= INITIAL_WINDOW + profile["block_size"]
     assert not responder.finished
     assert responder.wants_tick is False
     assert responder.next_tick_delay(0.0) is None
     responder.tick(1e9)  # a redundant tick is inert, whatever the clock
-    assert responder.symbols_sent == shards * per_shard
+    assert responder.symbols_sent == served
 
-    # A grant reopens exactly the granted shard, up to the new limit.
-    responder.bytes_received(credit(1, 2 * INITIAL_WINDOW))
+    # A grant reopens the stream, up to the new limit.
+    responder.bytes_received(credit(2 * INITIAL_WINDOW))
     assert responder.wants_tick
     tick_until_stalled(responder)
     block = profile["block_size"]
-    reopened = -(-(2 * INITIAL_WINDOW - per_shard) // block) * block
-    assert responder.symbols_sent == shards * per_shard + reopened
+    reopened = -(-(2 * INITIAL_WINDOW - served) // block) * block
+    assert responder.symbols_sent == served + reopened
 
     # Frames race: a stale (non-increasing) limit is ignored, not an error.
-    responder.bytes_received(credit(1, INITIAL_WINDOW) + credit(1, 2 * INITIAL_WINDOW))
+    responder.bytes_received(credit(INITIAL_WINDOW) + credit(2 * INITIAL_WINDOW))
     assert not responder.finished and responder.wants_tick is False
 
 
@@ -763,7 +776,7 @@ def test_responder_stays_within_four_times_what_the_peer_absorbed(d) -> None:
     if d > 10_000 and not engine.NUMPY_LANE:
         pytest.skip("30 s of scalar peeling; the window logic is engine-blind")
     handle = get_scheme("riblt", symbol_size=8)
-    shards, block = 2, 64
+    shards, block = 2, 64  # one window per connection, whatever the shards
     n = max(2 * d, 2_000)
     alice = items_range(0, n)
     bob = items_range(d // 2, n) + [b"B%07d" % i for i in range(d - d // 2)]
@@ -775,16 +788,12 @@ def test_responder_stays_within_four_times_what_the_peer_absorbed(d) -> None:
     assert len(report.only_in_remote) + len(report.only_in_local) == d
 
     absorbed = report.symbols
-    assert responder.symbols_sent <= 4 * absorbed + shards * (INITIAL_WINDOW + block)
-    credits = [0] * shards
-    for ftype, body in frames_of(up):
-        if ftype == FrameType.CREDIT:
-            credits[BodyReader(body).uvarint()] += 1
-    for tally, sent in zip(report.per_shard, credits):
-        if 2 * tally.symbols < INITIAL_WINDOW:
-            assert sent == 0  # decoded inside the window: no round trip
-        else:
-            assert sent <= math.ceil(math.log2(tally.symbols / INITIAL_WINDOW)) + 2
+    assert responder.symbols_sent <= 4 * absorbed + INITIAL_WINDOW + block
+    sent = sum(ftype == FrameType.CREDIT for ftype, _ in frames_of(up))
+    if 2 * absorbed < INITIAL_WINDOW:
+        assert sent == 0  # decoded inside the window: no round trip
+    else:
+        assert sent <= math.ceil(math.log2(absorbed / INITIAL_WINDOW)) + 2
 
 
 def _expect_protocol_error(responder) -> None:
@@ -798,8 +807,10 @@ def _expect_protocol_error(responder) -> None:
 @pytest.mark.parametrize(
     "frame",
     [
-        credit(5, 4096),  # unknown shard
-        encode_frame(FrameType.CREDIT, pack_uvarints(0, 4096) + b"\x00"),  # trailing
+        # a limit, then a field past it: a version-3 CREDIT(shard, limit),
+        # and the same with a trailing byte
+        encode_frame(FrameType.CREDIT, pack_uvarints(5, 4096)),
+        encode_frame(FrameType.CREDIT, pack_uvarints(0, 4096) + b"\x00"),
     ],
 )
 def test_malformed_credit_is_a_typed_protocol_error(frame) -> None:
@@ -816,7 +827,7 @@ def test_credit_before_hello_or_in_sketch_mode_is_a_protocol_error() -> None:
     handle = get_scheme("riblt", symbol_size=8)
     early = service_responder(handle, items_range(0, 100), 1)
     early.start()
-    early.bytes_received(credit(0, 4096))
+    early.bytes_received(credit(4096))
     _expect_protocol_error(early)
 
     sketchy = get_scheme("regular_iblt", symbol_size=8)
@@ -826,17 +837,17 @@ def test_credit_before_hello_or_in_sketch_mode_is_a_protocol_error() -> None:
     hello.start()
     responder.bytes_received(hello.take_output())
     responder.take_output()
-    responder.bytes_received(credit(0, 4096))
+    responder.bytes_received(credit(4096))
     _expect_protocol_error(responder)
 
 
 def test_credit_cannot_buy_symbols_past_the_budget() -> None:
     handle = get_scheme("riblt", symbol_size=8)
     responder = service_responder(
-        handle, items_range(0, 400), max_symbols_per_shard=200, budget_grace=0.5
+        handle, items_range(0, 400), max_symbols=200, budget_grace=0.5
     )
     responder.start()
-    responder.bytes_received(hello_bytes(handle) + credit(0, 1 << 60))
+    responder.bytes_received(hello_bytes(handle) + credit(1 << 60))
     tick_until_stalled(responder)
     assert responder.symbols_sent == 200  # the budget, not the grant
     assert responder.next_tick_delay(0.0) == 0.5  # grace armed as before
@@ -848,7 +859,7 @@ def test_credit_cannot_buy_symbols_past_the_budget() -> None:
 def test_version_one_peer_fails_typed_on_both_sides() -> None:
     handle = get_scheme("riblt", symbol_size=8)
     hello = frames_of(hello_bytes(handle))[0][1]
-    assert hello[0] == PROTOCOL_VERSION == 3
+    assert hello[0] == PROTOCOL_VERSION == 4
     responder = service_responder(handle, items_range(0, 10))
     responder.start()
     responder.bytes_received(encode_frame(FrameType.HELLO, b"\x01" + hello[1:]))
@@ -867,7 +878,7 @@ def test_version_one_peer_fails_typed_on_both_sides() -> None:
     initiator = InitiatorMachine(handle, items_range(0, 10))
     initiator.start()
     initiator.bytes_received(
-        encode_frame(FrameType.WELCOME, pack_uvarints(1, 0, 1, 64))
+        encode_frame(FrameType.WELCOME, pack_uvarints(1, 0, 64))
     )
     assert isinstance(initiator.failed, ProtocolError)
     assert "server speaks protocol 1" in str(initiator.failed)
@@ -911,12 +922,12 @@ def test_hello_sketch_bound_is_capped_like_a_retry(monkeypatch) -> None:
 
 
 def _spy_on_welcome_work(monkeypatch) -> list:
-    """Record every hash pass, partition and sketch sizing the initiator does."""
+    """Record every hash pass, stripe and sketch sizing the initiator does."""
     import repro.protocol.machine as machine
     from repro.api.registry import Scheme
 
     calls: list = []
-    for name in ("hash_items", "partition_with_hashes"):
+    for name in ("hash_items", "stripe_with_hashes"):
         real = getattr(machine, name)
         monkeypatch.setattr(
             machine,
@@ -945,7 +956,7 @@ def test_welcome_mode_the_scheme_cannot_run_is_refused(
 ) -> None:
     """STREAM needs a streaming scheme and SKETCH a serializable one; a
     WELCOME announcing anything else fails typed before the initiator
-    hashes, partitions or builds anything."""
+    hashes, stripes or builds anything."""
     handle = get_scheme(scheme, symbol_size=8)
     initiator = InitiatorMachine(handle, items_range(0, 50))
     initiator.start()
@@ -953,7 +964,7 @@ def test_welcome_mode_the_scheme_cannot_run_is_refused(
     calls = _spy_on_welcome_work(monkeypatch)
     initiator.bytes_received(
         encode_frame(
-            FrameType.WELCOME, pack_uvarints(PROTOCOL_VERSION, int(mode), 1, 64)
+            FrameType.WELCOME, pack_uvarints(PROTOCOL_VERSION, int(mode), 64)
         )
     )
     assert isinstance(initiator.failed, ProtocolError)
@@ -976,9 +987,9 @@ def test_sketch_echoing_a_bound_never_asked_for_is_refused(
     initiator.bytes_received(
         encode_frame(
             FrameType.WELCOME,
-            pack_uvarints(PROTOCOL_VERSION, int(SyncMode.SKETCH), 1, 64),
+            pack_uvarints(PROTOCOL_VERSION, int(SyncMode.SKETCH), 64),
         )
-        + encode_frame(FrameType.SKETCH, pack_uvarints(0, echoed))
+        + encode_frame(FrameType.SKETCH, pack_uvarints(echoed))
     )
     assert isinstance(initiator.failed, ProtocolError)
     assert f"SKETCH echoes bound {echoed}, asked for 9" in str(initiator.failed)
@@ -1136,7 +1147,7 @@ def test_hostile_estimate_header_fails_fast() -> None:
     initiator.take_output()
     welcome = encode_frame(
         FrameType.WELCOME,
-        pack_uvarints(PROTOCOL_VERSION, 1, 1, 64),  # SKETCH mode, 1 shard
+        pack_uvarints(PROTOCOL_VERSION, 1, 64),  # SKETCH mode
     )
     initiator.bytes_received(welcome + encode_frame(FrameType.ESTIMATE, hostile))
     # The machine wraps the deserializer's rejection into the wire-level
@@ -1244,3 +1255,149 @@ def test_only_the_known_loops_shuttle_a_machine_over_a_socket() -> None:
         if all(re.search(p, text) for p in (r"take_output\(", r"bytes_received\(", r"\bawait\b")):
             loops.add(path.relative_to(src).as_posix())
     assert loops == {"service/client.py", "service/server.py"}
+
+
+def _one_stream_transcript(server, client, shards):
+    """Both directions' bytes and the report of a service-profile sync
+    over ``pump`` against a solo server of ``shards`` shards."""
+    handle = get_scheme("riblt", symbol_size=len(server[0]), hasher="siphash")
+    initiator = InitiatorMachine(handle, client, capture_payloads=True)
+    responder = memory_responder(
+        handle, server, num_shards=shards, block_size=64, slow_start=True
+    )
+    up, down = bytearray(), bytearray()
+
+    def tap(machine, log):  # record what ``pump`` hands the machine
+        feed = machine.bytes_received
+
+        def received(data):
+            log.extend(data)
+            feed(data)
+
+        machine.bytes_received = received
+
+    tap(responder, up)
+    tap(initiator, down)
+    report = pump(initiator, responder)
+    return bytes(up), bytes(down), report
+
+
+def test_one_stream_per_connection() -> None:
+    """A server's shards are storage, and the wire carries the XOR of
+    their prefixes: over ``pump``, solo servers of 1, 2 and 4 shards send
+    byte-identical transcripts both ways — the same SYMBOLS payloads, the
+    same CREDIT sequence, one DONE — and the initiator reports the same
+    symbols and difference, for 8-byte and 92-byte items under both
+    engines.  Structurally, no SYMBOLS, SKETCH, DONE, RETRY, CREDIT or
+    PUSH body the machines pack carries a shard field, neither machine
+    keeps per-shard stream state, and the decoder has one batch path:
+    no multi-decoder ``ingest`` wave (its ``starts``/``owner``/``cuts``
+    bookkeeping and ``searchsorted`` split-back) is left.  Before, every
+    shard was its own stream, with its own window and SHARD_DONE."""
+    import ast
+
+    from repro import engine
+    from repro.core import decoder as decoder_module
+    from repro.protocol import machine as machine_module
+
+    from helpers import engine_lane
+
+    rng = random.Random(0x1CE)
+    for size in (8, 92):
+        pool = sorted({rng.randbytes(size) for _ in range(1_400)})
+        server, client = pool[:1_200], pool[150:1_200] + pool[1_200:]
+        for vector in (True, False) if engine.np is not None else (False,):
+            with engine_lane(vector):
+                runs = [_one_stream_transcript(server, client, s) for s in (1, 2, 4)]
+            (up, down, report), others = runs[0], runs[1:]
+            frames = FrameDecoder().feed(up)
+            assert [t for t, _ in frames].count(FrameType.CREDIT) >= 2
+            assert [t for t, _ in frames].count(FrameType.DONE) == 1
+            assert report.only_in_remote == set(pool[:150])
+            assert report.only_in_local == set(pool[1_200:])
+            symbols = b"".join(
+                body
+                for ftype, body in FrameDecoder().feed(down)
+                if ftype == FrameType.SYMBOLS
+            )
+            assert bytes(report.payloads[0]) == symbols[: len(report.payloads[0])]
+            for other_up, other_down, other in others:
+                assert other_up == up and other_down == down
+                assert other.symbols == report.symbols
+                assert other.payloads == report.payloads
+                assert other.only_in_remote == report.only_in_remote
+                assert other.only_in_local == report.only_in_local
+
+    src = Path(machine_module.__file__).read_text()
+    tree = ast.parse(src)
+    shardless = {"SYMBOLS", "SKETCH", "DONE", "RETRY", "CREDIT", "PUSH"}
+    sent = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        assigned = {  # a body built in a local first
+            target.id: node.value
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "self._send_frame"
+                and ast.unparse(node.args[0]).removeprefix("FrameType.") in shardless
+            ):
+                continue
+            body = node.args[1] if len(node.args) > 1 else ast.Constant(b"")
+            if isinstance(body, ast.Name):
+                body = assigned.get(body.id, body)
+            packed = [
+                len(call.args)
+                for call in ast.walk(body)
+                if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == "pack_uvarints"
+            ]
+            sent.append((ast.unparse(node.args[0]), packed))
+    # SYMBOLS carries the §6 bytes alone, DONE nothing, every other
+    # body one leading field: a bound, a limit or a count.
+    assert sorted(sent) == [
+        ("FrameType.CREDIT", [1]),
+        ("FrameType.DONE", []),
+        ("FrameType.DONE", []),
+        ("FrameType.PUSH", [1]),
+        ("FrameType.RETRY", [1]),
+        ("FrameType.RETRY", [1]),
+        ("FrameType.SKETCH", [1]),
+        ("FrameType.SYMBOLS", []),
+    ]
+    fields = {
+        ast.Name: "id",
+        ast.Attribute: "attr",
+        ast.ClassDef: "name",
+        ast.arg: "arg",
+    }
+    identifiers = {
+        getattr(node, fields[type(node)])
+        for node in ast.walk(tree)
+        if type(node) in fields
+    }
+    assert not {
+        "_shards", "_streams", "_InitiatorShard", "_ResponderShard", "ShardTally",
+        "queues", "ahead", "num_shards", "num_shards_wish", "max_symbols_per_shard",
+        "partition_with_hashes",
+    } & identifiers
+
+    decoder_tree = ast.parse(Path(decoder_module.__file__).read_text())
+    functions = {n.name for n in decoder_tree.body if isinstance(n, ast.FunctionDef)}
+    assert "ingest" not in functions
+    (decoder_class,) = [
+        n for n in decoder_tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "RatelessDecoder"
+    ]
+    names = {n.id for n in ast.walk(decoder_class) if isinstance(n, ast.Name)}
+    attributes = {
+        n.attr for n in ast.walk(decoder_class) if isinstance(n, ast.Attribute)
+    }
+    assert not {"starts", "owner", "cuts", "jobs", "waves"} & names
+    assert "searchsorted" not in attributes

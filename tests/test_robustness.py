@@ -92,9 +92,7 @@ def test_idle_error_surfaces_as_typed_exception_client_side():
         ) as server:
             host, port = server.address
             handle = get_scheme("riblt", symbol_size=8)
-            machine = protocol_machine.InitiatorMachine(
-                handle, items_range(0, 50), num_shards=0
-            )
+            machine = protocol_machine.InitiatorMachine(handle, items_range(0, 50))
             machine.start()
             reader, writer = await asyncio.open_connection(host, port)
             try:
@@ -199,7 +197,7 @@ def test_retry_policy_retries_weather_only(monkeypatch, failure, frame_errors, t
         run(sync("127.0.0.1", 1, items_range(0, 4), retry=policy))
     assert len(outcomes) == 3 - tries
     if tries == 3:
-        report = MachineReport("riblt", SyncMode.STREAM, 1, 8, set(), set())
+        report = MachineReport("riblt", SyncMode.STREAM, 8, set(), set())
         outcomes[:] = [failure, failure, report]
         result = run(sync("127.0.0.1", 1, items_range(0, 4), retry=policy))
         assert result.attempts == 3

@@ -55,11 +55,10 @@ def test_single_client_roundtrip():
             host, port = server.address
             result = await sync(host, port, items_range(6, 506))
             assert result.mode == SyncMode.STREAM
-            assert result.num_shards == 4
             assert result.only_in_server == set(items_range(0, 6))
             assert result.only_in_client == set(items_range(500, 506))
             assert result.bytes_received > 0
-            assert len(result.per_shard) == 4
+            assert result.rounds == 1
             await settle(server, "sessions_completed", 1)
         return result
 
@@ -72,9 +71,9 @@ def test_equal_sets_terminate_immediately():
             host, port = server.address
             result = await sync(host, port, items_range(0, 200))
             assert result.difference_size == 0
-            # The HELLO's cell 0 matched the server's: no shard streams.
+            # The HELLO's cell 0 matched the server's: nothing streams.
             assert result.mode == SyncMode.IN_SYNC
-            assert result.symbols == 0 and len(result.per_shard) == 2
+            assert result.symbols == 0 and result.bytes_received == 0
 
     run(scenario())
 
@@ -132,14 +131,13 @@ def test_warm_second_round_bit_identical_to_cold():
     warm_result, cold_result = run(scenario())
     assert warm_result.only_in_server == cold_result.only_in_server
     assert warm_result.only_in_client == cold_result.only_in_client
-    for shard in range(4):
-        warm_bytes = bytes(warm_result.payloads[shard])
-        cold_bytes = bytes(cold_result.payloads[shard])
-        # Lengths may differ by look-ahead blocks past the decode point;
-        # the streams themselves must be identical cell for cell.
-        common = min(len(warm_bytes), len(cold_bytes))
-        assert common > 0
-        assert warm_bytes[:common] == cold_bytes[:common]
+    warm_bytes = bytes(warm_result.payloads[0])
+    cold_bytes = bytes(cold_result.payloads[0])
+    # Lengths may differ by look-ahead blocks past the decode point; the
+    # streams themselves must be identical cell for cell.
+    common = min(len(warm_bytes), len(cold_bytes))
+    assert common > 0
+    assert warm_bytes[:common] == cold_bytes[:common]
 
 
 def test_warm_banks_are_reused_not_reencoded():
@@ -183,7 +181,7 @@ def test_push_updates_server_and_next_client():
 
 
 def test_budget_exhaustion_is_typed_and_server_survives():
-    config = ServerConfig(max_symbols_per_shard=16)
+    config = ServerConfig(max_symbols=16)
 
     async def scenario():
         async with ReconciliationServer(
@@ -229,8 +227,6 @@ def test_scheme_and_codec_mismatches_rejected():
                 await sync(host, port, items_range(0, 50), checksum_size=4)
             with pytest.raises(SchemeMismatch):
                 await sync(host, port, items_range(0, 50), key=b"\xff" * 16)
-            with pytest.raises(SchemeMismatch):
-                await sync(host, port, items_range(0, 50), num_shards=3)
             assert server.stats.sessions_completed == 0
 
     run(scenario())
@@ -295,7 +291,7 @@ def test_sketch_mode_retry_doubles_until_decoded():
                 max_rounds=8,
             )
             assert result.only_in_server == set(items_range(0, 12))
-            assert result.per_shard[0].rounds > 1
+            assert result.rounds > 1
 
     run(scenario())
 
@@ -410,11 +406,11 @@ def test_retry_frame_in_stream_mode_is_protocol_error():
                 + pack_lp_str("riblt")
                 + pack_uvarints(8, 8)
                 + pack_lp_str(server.handle.params.hasher)
-                + pack_uvarints(probe, 0, 0, 0),
+                + pack_uvarints(probe, 0, 0),
             )
             frame = await read_frame(reader)
             assert frame is not None and frame[0] == FrameType.WELCOME
-            await write_frame(writer, FrameType.RETRY, pack_uvarints(0, 8))
+            await write_frame(writer, FrameType.RETRY, pack_uvarints(8))
             saw_error = False
             for _ in range(200):
                 frame = await read_frame(reader)
@@ -431,11 +427,12 @@ def test_retry_frame_in_stream_mode_is_protocol_error():
     run(scenario())
 
 
-def test_handshake_then_silence_costs_one_window_per_shard():
+def test_handshake_then_silence_costs_one_window():
     """A client that completes the handshake and then stops reading (or
-    just never grants) is served the initial credit window per shard and
-    not a symbol more — the bound is the machine's, not the socket
-    buffers' — and the idle deadline reaps it with the typed IDLE error.
+    just never grants) is served the initial credit window of its one
+    stream, whatever the server's shard count, and not a symbol more —
+    the bound is the machine's, not the socket buffers' — and the idle
+    deadline reaps it with the typed IDLE error.
     Before the credit window the server serialised symbols until the
     kernel buffers filled: tens of thousands of them."""
     from repro.protocol import InitiatorMachine
@@ -447,12 +444,11 @@ def test_handshake_then_silence_costs_one_window_per_shard():
         read_frame,
     )
 
-    shards = 4
     config = ServerConfig(idle_timeout=0.3)
 
     async def scenario():
         async with ReconciliationServer(
-            items_range(0, 4000), num_shards=shards, config=config
+            items_range(0, 4000), num_shards=4, config=config
         ) as server:
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -465,7 +461,7 @@ def test_handshake_then_silence_costs_one_window_per_shard():
             assert frame is not None and frame[0] == FrameType.WELCOME
             # ... and now read nothing until the server has given up.
             await settle(server, "sessions_dropped", 1)
-            bound = shards * (INITIAL_WINDOW + config.block_size)
+            bound = INITIAL_WINDOW + config.block_size
             assert 0 < server.stats.symbols_sent <= bound
             assert server.stats.errors_sent == {int(ErrorCode.IDLE): 1}
             # Everything it did send still sits in the socket: the whole

@@ -392,7 +392,7 @@ class InitiatorMachine(ReconcilerMachine):
         self._granted = INITIAL_WINDOW
         self._bound = 0  # the sketch bound last asked for: the only one echoed
         self._symbols = 0
-        self._stream_payload = 0
+        self._payload = 0  # SYMBOLS or SKETCH payload bytes
         self._accounted = 0
         self._rounds = 1
         self._result = None
@@ -414,7 +414,7 @@ class InitiatorMachine(ReconcilerMachine):
     @property
     def payload_bytes(self) -> int:
         """Coded payload bytes received so far (frame headers excluded)."""
-        return self._estimator_payload + self._stream_payload
+        return self._estimator_payload + self._payload
 
     # -- machine events ----------------------------------------------------
 
@@ -617,7 +617,7 @@ class InitiatorMachine(ReconcilerMachine):
         for pos, top in enumerate(tops):
             if self._payloads is not None:
                 self._payloads.extend(payloads[pos])
-            self._stream_payload += len(payloads[pos])
+            self._payload += len(payloads[pos])
             self._symbols = top
             if pos == done:
                 self._result = decoder.result()
@@ -670,7 +670,7 @@ class InitiatorMachine(ReconcilerMachine):
             )
         if self._payloads is not None:
             self._payloads.extend(blob)
-        self._stream_payload += len(blob)
+        self._payload += len(blob)
         sized = self.handle.sized_for(max(1, bound))
         try:
             remote = sized.deserialize(blob)
@@ -722,7 +722,7 @@ class InitiatorMachine(ReconcilerMachine):
         if self._mode == SyncMode.SKETCH:
             accounted = self._estimator_bytes + self._accounted
         else:
-            accounted = self._stream_payload
+            accounted = self._payload
         payloads = self._payloads
         if payloads is not None:
             worker = self.cluster.worker_index if self.cluster is not None else 0

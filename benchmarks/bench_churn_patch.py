@@ -1,15 +1,15 @@
-"""Churn patch: one server churn batch folded into every shard's cached prefix.
+"""Churn patch: one server churn batch folded into the cached prefix.
 
 The §7.3 universal-stream server patches its cached coded-symbol prefix
 whenever its set changes (linearity, §4.1), so a churning server's cost
-per operation is the patch of a batch into every shard's prefix.  The
-workload is the end-to-end ``fleet_mix_churn`` server's: 4 shards of
-~2 500 items behind a warm backend, and one operation is
-``add_many`` of 256 fresh items then ``remove_many`` of 256 members —
-one keyed hash pass, placement and one ``churn`` call per batch.  Rows
+per operation is the patch of a batch into that prefix.  The workload is
+the end-to-end ``fleet_mix_churn`` server's: 10 000 items placed in 4
+shards behind one warm encoder, and one operation is ``add_many`` of 256
+fresh items then ``remove_many`` of 256 members — one keyed hash pass,
+placement and one ``add_items``/``remove_items`` call per batch.  Rows
 (gate-comparable, see ``check_perf_regression.py``) cross the symbol
-width (8 B on one uint64 lane, 92 B on twelve) with the length of each
-shard's cached prefix (760 and 2 100 cells), timing the median op.
+width (8 B on one uint64 lane, 92 B on twelve) with the length of the
+cached prefix (760 and 2 100 cells), timing the median op.
 
 ``meta`` also records a one-item ``add_item``/``remove_item`` on one
 2 500-item shard holding a 760-cell prefix (median µs per call, 8 B).
@@ -40,8 +40,7 @@ def median_op_seconds(width: int, cells: int, rng: random.Random) -> float:
     items = make_items(rng, SET_SIZE + OPS * BATCH, width)
     members, fresh = items[:SET_SIZE], items[SET_SIZE:]
     backend = open_backend(members, num_shards=SHARDS, hasher="siphash")
-    for encoder in backend.encoders:
-        encoder.cached_block(0, cells)
+    backend.encoder.cached_block(0, cells)
     times = []
     for op in range(OPS):
         added = fresh[op * BATCH : (op + 1) * BATCH]
@@ -50,7 +49,7 @@ def median_op_seconds(width: int, cells: int, rng: random.Random) -> float:
         backend.add_many(added)
         backend.remove_many(removed)
         times.append(time.perf_counter() - start)
-    assert all(encoder.produced_count == cells for encoder in backend.encoders)
+    assert backend.encoder.produced_count == cells
     return statistics.median(times)
 
 

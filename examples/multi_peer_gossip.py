@@ -6,7 +6,7 @@ are not two-party syncs — they are meshes, where every node repeatedly
 reconciles against a changing neighbourhood until everyone holds the
 same set.  ``repro.gossip`` builds that out of the existing engine:
 
-* each node's set lives in the same warm per-shard encoder bank the
+* each node's set lives in the same warm encoder bank the
   asyncio service serves (one continuously patched universal stream);
 * a round resolves every selected pair at the cheapest sufficient
   tier — a zero-byte *clock skip* when version clocks prove nothing

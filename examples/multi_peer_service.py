@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """A reconciliation service under concurrent load (§1, §7.3, served).
 
-One hub node exposes its transaction set over TCP with 4 hash-sharded
-warm encoder banks.  Six edge nodes at different staleness levels sync
-concurrently — every one of them reads prefixes of the *same* cached
-per-shard streams, so the hub never re-encodes for a new peer.  One
-edge then pushes its local-only items back; the hub's warm banks are
-patched in place (linearity) and the next sync proves it.
+One hub node exposes its transaction set over TCP: 4 hash-placed
+shards behind one warm encoder bank.  Six edge nodes at different
+staleness levels sync concurrently — every one of them reads a prefix
+of the *same* cached stream, so the hub never re-encodes for a new
+peer.  One edge then pushes its local-only items back; the hub's warm
+bank is patched in place (linearity) and the next sync proves it.
 
 Run:  python examples/multi_peer_service.py
 """
@@ -53,10 +53,10 @@ async def main() -> None:
         f"\nhub served {stats.sessions_completed} concurrent sessions: "
         f"{stats.symbols_sent} symbols / {stats.bytes_sent} bytes"
     )
-    warm = [hub.server.backend.cached_symbols(s) for s in range(SHARDS)]
-    print(f"warm banks hold {warm} cached cells — shared by all sessions")
+    warm = hub.server.backend.encoder.produced_count
+    print(f"the warm bank holds {warm} cached cells — shared by all sessions")
 
-    # The diverged edge pushes its own txs; the hub's banks are patched,
+    # The diverged edge pushes its own txs; the hub's bank is patched,
     # not rebuilt, and a fresh sync sees the new txs immediately.
     pushed = await edges[-1].sync_with(host, port, push=True)
     print(f"\nedge 5 pushed {pushed.pushed} local txs back to the hub")
@@ -66,7 +66,7 @@ async def main() -> None:
     result = await late.sync_with(host, port)
     assert set(own) <= result.only_in_server
     print(
-        f"late joiner fetched the pushed txs from the warm banks "
+        f"late joiner fetched the pushed txs from the warm bank "
         f"({len(result.only_in_server)} txs, {result.symbols} symbols)"
     )
     await hub.stop()

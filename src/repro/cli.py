@@ -18,10 +18,10 @@ Commands
 ``repro schemes``
     List every scheme in the registry with its capability flags.
 ``repro serve INPUT --port P --shards N [--workers W]``
-    Expose INPUT's items as an asyncio reconciliation service: warm
-    per-shard encoders served as one stream, any number of concurrent
-    clients.  With ``--workers W`` (> 1) a supervised pool of W worker
-    processes splits the shards across cores (``repro.cluster``);
+    Expose INPUT's items as an asyncio reconciliation service: one warm
+    encoder served as one stream, any number of concurrent clients.
+    With ``--workers W`` (> 1) a supervised pool of W worker processes
+    splits the shards across cores (``repro.cluster``);
     clients route transparently, one stream per worker, and find the
     same difference as with ``--workers 1``.
 ``repro chaos INPUT --workers W [--schedule FILE] [--seed S]``
@@ -670,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_serve, default=4,
         help="hash-partition the set into this many parallel streams (default 4)",
     )
-    SCHEME(p_serve, help="scheme backing each shard (default: riblt, warm encoders)")
+    SCHEME(p_serve, help="scheme backing the set (default: riblt, a warm encoder)")
     BLOCK_SIZE(p_serve, help="coded symbols per frame (default 64)")
     MAX_SYMBOLS(
         p_serve, default=1 << 17,

@@ -4,7 +4,7 @@
 multi-process reconciliation pool.  Boot is a full
 :func:`~repro.durable.open_durable` — which folds any per-worker
 journal segments left by a previous run — followed by an unconditional
-checkpoint, so every worker's subset open starts from fresh snapshots
+checkpoint, so every worker's subset open starts from a fresh snapshot
 and an empty base journal.  Workers are then spawned as real
 subprocesses (``python -m repro.cluster.worker``), each owning the
 striped shard subset of :func:`~repro.cluster.topology.worker_shards`

@@ -2,9 +2,11 @@
 
 Each worker the supervisor spawns runs this module's :func:`main`: it
 opens the shared data directory restricted to its striped shard subset
-(:func:`repro.cluster.topology.worker_shards`), journals its churn to a
-private segment (``journal.<worker>.log``) so concurrent workers never
-interleave writes in one file, and serves sessions whose WELCOME
+(:func:`repro.cluster.topology.worker_shards`) — the snapshot's rows of
+those shards, ingested into one warm encoder over the stripe whose
+prefix it produces on demand, as a fresh server's — journals its churn
+to a private segment (``journal.<worker>.log``) so concurrent workers
+never interleave writes in one file, and serves sessions whose WELCOME
 carries the pool's :class:`~repro.protocol.ClusterInfo` routing tail.
 
 The worker prints exactly one ``READY <port>`` line on stdout once it

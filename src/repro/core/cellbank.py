@@ -379,7 +379,10 @@ def has_duplicates(lanes) -> bool:
     lane, then only rows sharing a first lane are sorted whole."""
     np = engine.np
     first = np.sort(lanes[:, 0])
-    shared = lanes[np.isin(lanes[:, 0], first[1:][first[1:] == first[:-1]])]
+    repeated = first[1:][first[1:] == first[:-1]]
+    if not repeated.size:  # the common clean batch: no isin pass over it
+        return False
+    shared = lanes[np.isin(lanes[:, 0], repeated)]
     shared = shared[np.lexsort(shared.T)]
     return bool((shared[1:] == shared[:-1]).all(axis=1).any())
 

@@ -12,8 +12,9 @@ some symbol with other than the default α, read from the codec's
 
 * :meth:`RatelessEncoder.produce_block` is one
   :mod:`~repro.core.cellbank` scatter-kernel call on the store's
-  columns: NumPy columns advanced in place when the codec's symbols fit
-  the lanes, the inlined scalar sampler over Python lists otherwise.
+  columns (one per ``_WALK_ROWS`` rows): NumPy columns advanced in place
+  when the codec's symbols fit the lanes, the inlined scalar sampler
+  over Python lists otherwise.
 * :meth:`RatelessEncoder.produce_next` is the §6 reference: the store's
   binary heap of ``(next index, row)`` yields exactly the rows mapped to
   the next cell, each stepped through ``IndexGenerator`` — O(k·log n)
@@ -23,32 +24,32 @@ Both produce bit-identical cells (the golden-equivalence suite asserts
 it); the store's columns and the prefix switch between the NumPy and the
 list form, in one O(n) pass, when the next operation wants the other.
 
-Set ingestion (the §7 workloads: 10^5–10^6 items per shard) is one array
+Set ingestion (the §7 workloads: 10^5–10^6 items per host) is one array
 pass under the vector engine: :meth:`RatelessEncoder.add_items` fills the
-store's columns from a shard's slice of the batch's ``(n, ℓ)`` row matrix
-(:meth:`~repro.core.symbols.SymbolCodec.item_rows`) and of its placement
-hashes — one α answer and one duplicate sort per batch, no Python object
-per item, no value→row index until asked.
+store's columns from the batch's ``(n, ℓ)`` row matrix
+(:meth:`~repro.core.symbols.SymbolCodec.item_rows`) and its keyed hashes
+— one α answer and one duplicate sort per batch, no Python object per
+item, no value→row index until asked.
 
 Linearity (§4.1) makes the produced prefix *updatable*: adding or
 removing a source symbol after ``m`` cells were produced XORs that
 symbol into the affected cells of the cached bank, which is how a node
 maintains one universal stream while its set churns (§7.3: 11 ms to
 patch 50M cached symbols per Ethereum block, amortised).  Churn is
-batched too, across encoders: :func:`churn` adds or removes a batch at
-every shard of a host in one :func:`_patch` pass, the shards' prefixes
-laid end to end under one walk-kernel call (removals replay each
-symbol's mapping from its seed — the checksum — with its stored α);
-``add_items``/``remove_items`` and the one-item forms are its
-one-encoder case; a lane-form prefix is patched in place.  Produced
-cells are value snapshots; the live, patched state is the internal bank
+batched too: :meth:`~RatelessEncoder.add_items` /
+:meth:`~RatelessEncoder.remove_items` (and the one-item forms) patch a
+whole batch in one :func:`_patch` pass, one walk-kernel call over the
+prefix (removals replay each symbol's mapping from its seed — the
+checksum — with its stored α); a lane-form prefix is patched in place.
+A server holds one such encoder for its whole set (or a cluster
+worker's stripe), whatever its shard count.  Produced cells are value
+snapshots; the live, patched state is the internal bank
 (:meth:`cached` / :meth:`cached_block`, a copied slice of it).
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from repro import engine
@@ -72,6 +73,10 @@ from repro.core.symbols import SymbolCodec
 # so no kernel walks it.
 _DEAD_ROW = (1 << 63) - 1
 
+# Rows per walk-kernel call: the kernel holds a few work vectors per live
+# row, so a large set's first walk is cut into calls of this many rows.
+_WALK_ROWS = 1 << 15
+
 # NumPy dtypes and free-row fillers of the checksum, idx, state, α and
 # sign columns, in that order.
 _DTYPES = ("uint64", "int64", "uint64", "float64", "int64")
@@ -85,119 +90,88 @@ def _column(values, spare: int, dtype: str, fill):
     return column
 
 
-def _walk_into(spans, direction) -> None:
+def _walk_into(bank, lo: int, hi: int, walks, alphas, direction: int) -> None:
     """Fold rows in (``direction`` +1) or peel them out (−1) at every cell
-    their walks cross.  A span ``(bank, lo, hi, walks, alphas)`` walks its
-    rows' ``(idx, state, values, checksums)`` (advanced in place, none
-    parked below ``lo``) over the bank's cells ``[lo, hi)``, growing the
-    bank to ``hi``; ``alphas`` is ``None`` for every span or none.  List
-    banks (list walks) take the scalar kernel one at a time; lane banks
-    (NumPy walks) take one kernel call — in place for one span, for
-    several laid end to end in one lane matrix and copied back, each row
-    walking in its own bank's coordinates."""
-    for bank, _, hi, _, _ in spans:
-        bank.extend_zeros(hi - len(bank))
-    if not spans[0][0].vector:
-        for bank, _, hi, walks, alphas in spans:
-            scatter_walk_scalar(*bank.lanes, *walks, direction, alphas, hi)
+    their walks cross: ``walks`` — the rows' ``(idx, state, values,
+    checksums)``, advanced in place, none parked below ``lo`` — over the
+    bank's cells ``[lo, hi)``, growing the bank to ``hi``; ``alphas`` is
+    their α column or ``None``.  A list bank (list walks) takes the scalar
+    kernel, a lane bank (NumPy walks) one kernel call on its own lanes per
+    :data:`_WALK_ROWS` rows."""
+    bank.extend_zeros(hi - len(bank))
+    if not bank.vector:
+        scatter_walk_scalar(*bank.lanes, *walks, direction, alphas, hi)
         return
     np = engine.np
-    if len(spans) == 1:  # the bank's own lanes, int hi and base
-        ((bank, base, hi, walks, alphas),) = spans
-        lanes = [lane[base:] for lane in bank.lanes]
-    else:  # one lane matrix, per-row hi and base columns
-        cells = [0, *accumulate(hi - lo for _, lo, hi, _, _ in spans)]
-        rows = [0, *accumulate(len(span[3][0]) for span in spans)]
-        held = ([lane[span[1] :] for lane in span[0].lanes] for span in spans)
-        lanes = [np.concatenate(column) for column in zip(*held)]
-        width = np.diff(rows)
-        hi = np.repeat([span[2] for span in spans], width)
-        base = np.repeat([span[1] - off for span, off in zip(spans, cells)], width)
-        walks = [np.concatenate(column) for column in zip(*(s[3] for s in spans))]
-        alphas = None if spans[0][4] is None else np.concatenate([s[4] for s in spans])
     alphas = None if alphas is None else np.asarray(alphas, dtype=np.float64)
-    scatter_walk_arrays(*lanes, *walks, direction, hi, base=base, alphas=alphas)
-    if len(spans) > 1:  # each span takes its cells and parked walks back
-        bounds = zip(spans, cells, cells[1:], rows, rows[1:])
-        for (bank, lo, _, own, _), a, b, c, d in bounds:
-            for mine, walked in zip(bank.lanes, lanes):
-                mine[lo:] = walked[a:b]
-            own[0][:], own[1][:] = walks[0][c:d], walks[1][c:d]
+    lanes = [lane[lo:] for lane in bank.lanes]
+    for start in range(0, len(walks[0]), _WALK_ROWS):
+        rows = slice(start, start + _WALK_ROWS)
+        scatter_walk_arrays(
+            *lanes,
+            *(column[rows] for column in walks),
+            direction,
+            hi,
+            base=lo,
+            alphas=None if alphas is None else alphas[rows],
+        )
 
 
-def _patch(jobs, direction: int) -> None:
+def _patch(encoder: "RatelessEncoder", values, checksums, direction: int) -> None:
     """The one patch body of set churn (linearity, §4.1): add
-    (``direction`` +1) or remove (−1) ``jobs`` — ``(encoder, values,
-    checksums)`` over distinct encoders of one codec, ``checksums``
-    ``None`` when removing.  Every batch is validated first; then each
-    symbol's walk (from its seed, or replayed from its stored checksum
-    and α) is XORed into every cached cell it maps to, all the prefixes
-    under one :func:`_walk_into` call, and added rows park where their
-    walks stopped."""
+    (``direction`` +1) or remove (−1) ``values`` on ``encoder`` —
+    ``checksums`` their keyed checksums, ``None`` when removing.  The
+    batch is validated first; then each symbol's walk (from its seed, or
+    replayed from its stored checksum and α) is XORed into every cached
+    cell it maps to under one :func:`_walk_into` call, and added rows
+    park where their walks stopped."""
     removing = direction < 0
-    for encoder, values, _ in jobs:
-        encoder._validate(values, present=removing)
-    rows = []
-    for encoder, values, checksums in jobs:
-        store = encoder._store
-        if removing:  # parked walks are discarded: no future in the stream
-            checksums, alphas = store.kill(values)
-        else:
-            alphas = store.alphas_for(checksums)
-        rows.append((encoder, values, checksums, alphas))
-    codec = jobs[0][0].codec
-    patched = [row for row in rows if row[0]._bank]
-    vector = numpy_block_eligible(codec)  # the form every prefix takes below
-    opened = any(row[3] is not None for row in patched)
-    spans = []
-    for encoder, values, checksums, alphas in patched:
-        if opened and alphas is None:  # a store without an α column
-            alphas = codec.alpha_batch(checksums)
-        if vector:
+    encoder._validate(values, present=removing)
+    store = encoder._store
+    if removing:  # parked walks are discarded: no future in the stream
+        checksums, alphas = store.kill(values)
+    else:
+        alphas = store.alphas_for(checksums)
+    parked = None
+    if encoder._bank:
+        codec = encoder.codec
+        if numpy_block_eligible(codec):  # the form the prefix takes below
             np = engine.np
             csums = np.array(checksums, dtype=np.uint64)
-            values = lanes_from_ints(values, codec.symbol_size)
-            walks = (np.zeros(len(csums), dtype=np.int64), csums.copy(), values, csums)
+            lanes = lanes_from_ints(values, codec.symbol_size)
+            walks = (np.zeros(len(csums), dtype=np.int64), csums.copy(), lanes, csums)
         else:
             checksums = to_list(checksums)
             walks = ([0] * len(checksums), list(checksums), to_list(values), checksums)
         bank = encoder._prefix()
-        spans.append((bank, 0, len(bank), walks, alphas))
-    if spans:
-        _walk_into(spans, direction)
+        _walk_into(bank, 0, len(bank), walks, alphas, direction)
+        parked = walks[:2]
     if not removing:
-        parked = {id(span[0]): span[3][:2] for span in spans}
-        for encoder, values, checksums, alphas in rows:
-            walks = parked.get(id(encoder._bank))
-            encoder._store.append(values, checksums, alphas, walks)
+        store.append(values, checksums, alphas, parked)
 
 
-def churn(batches, direction: int) -> None:
-    """Add (``direction`` +1) or remove (−1) ``batches`` of items —
-    ``(encoder, items, item_hashes)`` over distinct encoders of one
-    codec, as :meth:`RatelessEncoder.add_items` takes them — in one
-    :func:`_patch` pass: a sharded host's churn batch."""
-    jobs = []
-    for encoder, items, item_hashes in batches:
-        codec = encoder.codec
-        datas = items if hasattr(items, "__getitem__") else list(items)
-        rows = codec.item_rows(datas) if direction > 0 else list(datas)
-        if not len(rows):
-            continue
-        if isinstance(rows, list):
-            values = codec.to_int_batch(rows)
-        else:  # the value lanes are the rows, zero-padded
-            values = lanes_from_bytes(rows, codec.symbol_size)
-        checksums = None  # a removal's rows hold theirs
-        if direction > 0 and item_hashes is None:
-            checksums = codec.checksum_batch(datas)
-        elif direction > 0 and len(item_hashes) != len(rows):
-            raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
-        elif direction > 0:
-            checksums = codec.checksums_from_hash64(item_hashes)
-        jobs.append((encoder, values, checksums))
-    if jobs:
-        _patch(jobs, direction)
+def churn(encoder: "RatelessEncoder", items, direction: int, item_hashes=None) -> None:
+    """Add (``direction`` +1) or remove (−1) a batch of ``items`` — ℓ-byte
+    items or :meth:`SymbolCodec.item_rows`, with ``item_hashes`` as
+    :meth:`RatelessEncoder.add_items` takes them — in one :func:`_patch`
+    pass."""
+    codec = encoder.codec
+    datas = items if hasattr(items, "__getitem__") else list(items)
+    rows = codec.item_rows(datas) if direction > 0 else list(datas)
+    if not len(rows):
+        return
+    if isinstance(rows, list):
+        values = codec.to_int_batch(rows)
+    else:  # the value lanes are the rows, zero-padded
+        values = lanes_from_bytes(rows, codec.symbol_size)
+    checksums = None  # a removal's rows hold theirs
+    if direction > 0 and item_hashes is None:
+        checksums = codec.checksum_batch(datas)
+    elif direction > 0 and len(item_hashes) != len(rows):
+        raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
+    elif direction > 0:
+        checksums = codec.checksums_from_hash64(item_hashes)
+    _patch(encoder, values, checksums, direction)
 
 
 class SourceStore:
@@ -385,12 +359,12 @@ class SourceStore:
 
     def walk(self, bank: CodedSymbolBank, hi: int) -> None:
         """Extend ``bank`` to ``hi`` cells: every row XORed into each cell
-        its walk reaches below ``hi``, in one kernel call."""
+        its walk reaches below ``hi``, in one :func:`_walk_into` pass."""
         self.heap = None  # the walks move under it
         if bank.vector != self.vector:  # the kernel of the bank's form
             self._repack(bank.vector)
         walks = (self.idx, self.state, self.values, self.checksums)
-        _walk_into([(bank, len(bank), hi, walks, self.alphas)], 1)
+        _walk_into(bank, len(bank), hi, walks, self.alphas, 1)
 
     def columns(self) -> tuple:
         """A signed store's ``(values, checksums, signs, idx, state)`` in
@@ -508,7 +482,7 @@ class RatelessEncoder:
 
     def add_value(self, value: int) -> None:
         """Add an item already packed into integer form."""
-        _patch([(self, [value], [self.codec.checksum_int(value)])], 1)
+        _patch(self, [value], [self.codec.checksum_int(value)], 1)
 
     def add_items(
         self,
@@ -516,7 +490,7 @@ class RatelessEncoder:
         *,
         item_hashes: Optional[Sequence[int]] = None,
     ) -> None:
-        """Add many items at once: the one-encoder case of :func:`churn`.
+        """Add many items at once, in one :func:`churn` pass.
 
         ``items`` (ℓ-byte items, or :meth:`SymbolCodec.item_rows`) join
         the source store as columns and patch a produced prefix in one
@@ -525,7 +499,7 @@ class RatelessEncoder:
         codec hasher's keyed 64-bit hashes of the items, in order (e.g.
         from shard placement): checksums are masked from them, not rehashed.
         """
-        churn([(self, items, item_hashes)], 1)
+        churn(self, items, 1, item_hashes)
 
     def remove_item(self, data: bytes) -> None:
         """Remove an item; the cached prefix is patched in place."""
@@ -533,16 +507,16 @@ class RatelessEncoder:
 
     def remove_value(self, value: int) -> None:
         """Remove an item given in integer form."""
-        _patch([(self, [value], None)], -1)
+        _patch(self, [value], None, -1)
 
     def remove_items(self, items: Iterable[bytes]) -> None:
-        """Remove many items at once: the one-encoder case of :func:`churn`.
+        """Remove many items at once, in one :func:`churn` pass.
 
         XOR is self-inverse, so each removal replays the symbol's mapping
         from its stored checksum and α (no re-hash) in one scatter; an
         item missing from the set raises ``KeyError`` before any removal.
         """
-        churn([(self, items, None)], -1)
+        churn(self, items, -1)
 
     def _validate(self, values, present: bool) -> None:
         """Raise ``KeyError`` for the first value named twice in the batch
@@ -639,7 +613,7 @@ class RatelessEncoder:
     def produce_block(self, m: int) -> CodedSymbolBank:
         """Materialise coded symbols ``[frontier, frontier+m)`` as a
         value-copy bank: bit-identical to ``m`` :meth:`produce_next`
-        calls, in one scatter-walk kernel call on the source store."""
+        calls, in one :func:`_walk_into` pass over the source store."""
         if m <= 0:
             return CodedSymbolBank()
         lo = len(self._bank)

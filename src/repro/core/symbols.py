@@ -28,6 +28,9 @@ from repro.hashing.keyed import Blake2bHasher, KeyedHasher
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.irregular import IrregularConfig
 
+# Items per join when a batch becomes its row matrix (item_rows).
+_JOIN_ITEMS = 8192
+
 
 class SymbolCodec:
     """Converts ℓ-byte items to the integer/checksum form the codec uses.
@@ -108,7 +111,10 @@ class SymbolCodec:
         if not items or not numpy_block_eligible(self):
             return items
         np = engine.np
-        return np.frombuffer(b"".join(items), dtype=np.uint8).reshape(-1, size)
+        # joined by slices: one join holds a buffer record (~80 B) per item
+        step = _JOIN_ITEMS
+        slices = [b"".join(items[i : i + step]) for i in range(0, len(items), step)]
+        return np.frombuffer(b"".join(slices), dtype=np.uint8).reshape(-1, size)
 
     def distinct_item_rows(self, items: list):
         """:meth:`item_rows` of the item list, repeats dropped (first kept).

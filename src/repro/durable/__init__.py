@@ -1,11 +1,11 @@
-"""``repro.durable`` — crash-safe persistence for warm shard state.
+"""``repro.durable`` — crash-safe persistence for warm encoder state.
 
 The paper's incremental maintainability (§4.1 linearity: churn patches
-a produced coded-symbol prefix in place) makes warm shard banks *state
-worth keeping*, not cache to rebuild.  This package persists them:
+a produced coded-symbol prefix in place) makes a warm bank *state worth
+keeping*, not cache to rebuild.  This package persists it:
 
 :mod:`repro.durable.snapshot`
-    Atomic per-shard snapshot files — source rows with their exact
+    Atomic encoder snapshot files — source rows with their exact
     parked §4.2 walk positions, plus the produced bank verbatim — so a
     restore does no hashing and no encoding.
 :mod:`repro.durable.journal`

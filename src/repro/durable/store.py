@@ -1,38 +1,43 @@
 """The durable shard store: snapshots + churn journal + recovery.
 
-``repro.durable`` makes the warm shard state the paper's linearity
-(§4.1) earns — one continuously patched coded-symbol bank per shard —
-survive process death.  A data dir holds::
+``repro.durable`` makes the warm state the paper's linearity (§4.1)
+earns — one continuously patched coded-symbol bank — survive process
+death.  A data dir holds::
 
     data_dir/
-      MANIFEST.json          # commit point: which generation is live
+      MANIFEST.json          # commit point: generation, shard versions
       journal.log            # CRC-framed churn since that generation
-      shard-0000.g3.snap     # per-shard encoder snapshots, generation-tagged
+      encoder.g3.snap        # the encoder snapshot, generation-tagged
 
-**Checkpoint** writes every shard's snapshot (write-temp + fsync +
-rename) under a *new* generation number, commits by atomically renaming
-the manifest, then resets the journal.  Because snapshot files are
-generation-tagged, a crash anywhere in that sequence leaves either the
-old generation fully intact (manifest not yet renamed: stray new-gen
-files are orphans, deleted on recovery) or the new one fully committed
-(journal records now at-or-below the manifest's sequence number are
-skipped on replay).  There is no instant at which a reader can observe
-half a checkpoint.
+**Checkpoint** writes the backend's one encoder snapshot (write-temp +
+fsync + rename) under a *new* generation number, commits by atomically
+renaming the manifest (which keeps every shard's version), then resets
+the journal.  Because snapshot files are generation-tagged, a crash
+anywhere in that sequence leaves either the old generation fully intact
+(manifest not yet renamed: stray new-gen files are orphans, deleted on
+recovery) or the new one fully committed (journal records now
+at-or-below the manifest's sequence number are skipped on replay).
+There is no instant at which a reader can observe half a checkpoint.
 
 **Mutation** is write-ahead through :class:`DurableBackend`: validate
 against the live set (``ShardedSet.check_many``, the same all-or-nothing
 test the apply runs, on the batch's one keyed hash pass), append to the
-journal, *then* patch the warm banks.  An ``OSError`` on the append
+journal, *then* patch the warm bank.  An ``OSError`` on the append
 leaves memory and disk unchanged; a replayed journal cannot fail.
 
 **Recovery** (:func:`open_durable` on an existing dir) parses the
-manifest, rebuilds each shard's :class:`~repro.core.encoder.
-RatelessEncoder` from its snapshot (exact parked walk states — no
-hashing, no re-encoding), replays journal records past the manifest's
-sequence through the batch ``add_many``/``remove_many`` patch path, and
-truncates any torn tail.  The restored banks are bit-identical to fresh
-ingest of the final set — the durability suite proves it under a sweep
-of every named crash point in :mod:`repro.durable.faults`.
+manifest, restores the :class:`~repro.core.encoder.RatelessEncoder`
+from its snapshot (exact parked walk states — no hashing, no
+re-encoding), re-places its rows into per-shard membership with one
+:func:`~repro.service.shard.partition_with_hashes` (an 8-byte checksum
+*is* the keyed hash; a narrower codec hashes the members once), replays
+journal records past the manifest's sequence through the batch
+``add_many``/``remove_many`` patch path, and truncates any torn tail.
+The restored bank is bit-identical to fresh ingest of the final set —
+the durability suite proves it under a sweep of every named crash point
+in :mod:`repro.durable.faults`.  A cluster worker's subset open keeps
+its owned shards' rows and ingests them into a fresh encoder, seeded by
+the stored checksums (masking is idempotent): still no hashing.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from repro.api.registry import Scheme, get_scheme
+from repro.core.cellbank import to_list
 from repro.core.encoder import RatelessEncoder
 from repro.core.symbols import SymbolCodec
 from repro.core.varint import decode_uvarint, encode_uvarint
@@ -56,17 +62,22 @@ from repro.durable.errors import (
 from repro.durable.faults import INJECTOR, FaultInjector
 from repro.durable.journal import Journal, read_journal
 from repro.durable.snapshot import (
-    ShardSnapshot,
-    pack_shard,
-    snapshot_members,
-    unpack_shard,
+    Snapshot,
+    pack_snapshot,
+    snapshot_items,
+    unpack_snapshot,
 )
 from repro.service.backends import WarmRibltBackend, open_backend
-from repro.service.shard import ShardedSet, ShardSubsetSet, hash_items
+from repro.service.shard import (
+    ShardedSet,
+    ShardSubsetSet,
+    hash_items,
+    partition_with_hashes,
+)
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.log"
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 # Cluster workers journal into per-worker segments so N processes can
 # share one data dir without a write lock.  Segments use the same
@@ -219,7 +230,7 @@ class DurableShardStore:
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint(self, backend: WarmRibltBackend) -> None:
-        """Freeze every shard's encoder to a new snapshot generation.
+        """Freeze the backend's encoder to a new snapshot generation.
 
         Crash-safe at every instant: the manifest rename is the single
         commit point, snapshots are generation-tagged so an aborted
@@ -239,34 +250,15 @@ class DurableShardStore:
             )
         gen = self.gen + 1
         codec = self.handle.codec
-        entries = []
-        for shard, encoder in enumerate(backend.encoders):
-            values, checksums, currents, states = encoder.export_rows()
-            snapshot = ShardSnapshot(
-                shard,
-                backend.sharded.versions[shard],
-                values,
-                checksums,
-                currents,
-                states,
-                encoder.bank,
-            )
-            name = _snap_name(shard, gen)
-            _atomic_write(
-                self.data_dir / name,
-                pack_shard(snapshot, codec),
-                kind="snapshot",
-                fsync=self.config.fsync,
-                injector=self.injector,
-            )
-            entries.append(
-                {
-                    "file": name,
-                    "version": backend.sharded.versions[shard],
-                    "count": len(encoder),
-                    "cells": encoder.produced_count,
-                }
-            )
+        encoder = backend.encoder
+        name = _snap_name(gen)
+        _atomic_write(
+            self.data_dir / name,
+            pack_snapshot(encoder),
+            kind="snapshot",
+            fsync=self.config.fsync,
+            injector=self.injector,
+        )
         params = self.handle.params
         manifest = {
             "format": MANIFEST_FORMAT,
@@ -276,9 +268,14 @@ class DurableShardStore:
             "hasher": params.hasher,
             "key": params.key.hex(),
             "num_shards": backend.num_shards,
+            "versions": list(backend.sharded.versions),
             "gen": gen,
             "seq": self.seq,
-            "shards": entries,
+            "snapshot": {
+                "file": name,
+                "count": len(encoder),
+                "cells": encoder.produced_count,
+            },
         }
         _atomic_write(
             self.data_dir / MANIFEST_NAME,
@@ -311,7 +308,7 @@ class DurableShardStore:
         worker segment into the new generation) also removes the
         ``journal.<worker>.log`` files.
         """
-        for path in self.data_dir.glob("shard-*.snap"):
+        for path in self.data_dir.glob("*.snap"):
             if _snap_gen(path.name) != keep_gen:
                 try:
                     path.unlink()
@@ -335,8 +332,8 @@ class DurableShardStore:
         self.journal.close()
 
 
-def _snap_name(shard: int, gen: int) -> str:
-    return f"shard-{shard:04d}.g{gen}.snap"
+def _snap_name(gen: int) -> str:
+    return f"encoder.g{gen}.snap"
 
 
 def _snap_gen(name: str) -> Optional[int]:
@@ -361,10 +358,10 @@ class DurableBackend(WarmRibltBackend):
         self,
         handle: Scheme,
         sharded: ShardedSet,
-        encoders: List[RatelessEncoder],
+        encoder: RatelessEncoder,
         store: DurableShardStore,
     ) -> None:
-        super().__init__(handle, sharded, encoders)
+        super().__init__(handle, sharded, encoder)
         self.store = store
 
     # -- write-ahead mutation ----------------------------------------------
@@ -414,7 +411,7 @@ def open_durable(
     exactly as :class:`~repro.service.server.ReconciliationServer`
     takes them; ``num_shards`` defaults to 1) and writes generation 1.
 
-    Existing directory: recovers — snapshots parsed, journal replayed,
+    Existing directory: recovers — snapshot parsed, journal replayed,
     torn tail truncated — and every explicit parameter is validated
     against the manifest (:class:`DataDirMismatch` on disagreement;
     ``num_shards=0`` and omitted params mean "adopt the store's").
@@ -423,10 +420,11 @@ def open_durable(
     is idempotent, passing a different one is an error, never a merge.
 
     ``shard_subset`` opens a cluster worker's view: only those global
-    shards are restored, churn goes to ``journal_name`` (a per-worker
-    segment, see :func:`journal_segment_name`), and the store never
-    checkpoints.  Requires an existing, checkpointed data dir.  A later
-    *full* open folds every segment back into a fresh checkpoint.
+    shards' members are kept (and encoded, on demand, like a fresh
+    server's), churn goes to ``journal_name`` (a per-worker segment, see
+    :func:`journal_segment_name`), and the store never checkpoints.
+    Requires an existing, checkpointed data dir.  A later *full* open
+    folds every segment back into a fresh checkpoint.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -473,27 +471,20 @@ def open_durable(
         data_dir, warm.handle, gen=0, seq=0, config=config, injector=injector
     )
     store.journal.open()
-    backend = DurableBackend(warm.handle, warm.sharded, warm.encoders, store)
+    backend = DurableBackend(warm.handle, warm.sharded, warm.encoder, store)
     backend.checkpoint()  # generation 1: the store is born consistent
     return backend
 
 
-def _restore_shard(
-    data_dir: Path, entry: dict, shard: int, codec: SymbolCodec
-) -> ShardSnapshot:
-    """Parse and cross-check one manifest entry's snapshot file."""
+def _read_snapshot(data_dir: Path, entry: dict, codec: SymbolCodec) -> Snapshot:
+    """Parse and cross-check the manifest's snapshot file."""
     snap_path = data_dir / entry["file"]
     try:
         blob = snap_path.read_bytes()
     except FileNotFoundError as exc:
         raise CorruptSnapshot(f"{snap_path}: missing snapshot file") from exc
-    snapshot = unpack_shard(blob, codec, name=entry["file"])
-    if (
-        snapshot.shard != shard
-        or snapshot.version != entry["version"]
-        or len(snapshot.values) != entry["count"]
-        or len(snapshot.bank) != entry["cells"]
-    ):
+    snapshot = unpack_snapshot(blob, codec, name=entry["file"])
+    if len(snapshot.values) != entry["count"] or len(snapshot.bank) != entry["cells"]:
         raise CorruptSnapshot(
             f"{snap_path}: snapshot disagrees with the manifest entry"
         )
@@ -543,29 +534,43 @@ def _recover(
     try:
         manifest = json.loads(manifest_path.read_text())
         fmt = manifest["format"]
-        scheme = manifest["scheme"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptManifest(f"{manifest_path}: {exc}") from exc
+    if fmt != MANIFEST_FORMAT:
+        raise CorruptManifest(
+            f"{manifest_path}: manifest format {fmt!r} is not {MANIFEST_FORMAT}"
+            " (format 1 kept one snapshot per shard and is not migrated)"
+        )
+    try:
         handle = get_scheme(
-            scheme,
+            manifest["scheme"],
             symbol_size=manifest["symbol_size"],
             checksum_size=manifest["checksum_size"],
             hasher=manifest["hasher"],
             key=bytes.fromhex(manifest["key"]),
         )
         num_shards = manifest["num_shards"]
+        versions = list(manifest["versions"])
         gen = manifest["gen"]
         seq = manifest["seq"]
-        shard_entries = manifest["shards"]
+        entry = manifest["snapshot"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptManifest(f"{manifest_path}: {exc}") from exc
-    if fmt != MANIFEST_FORMAT:
-        raise CorruptManifest(f"{manifest_path}: unknown format {fmt}")
-    if len(shard_entries) != num_shards:
+    if len(versions) != num_shards:
         raise CorruptManifest(
-            f"{manifest_path}: {len(shard_entries)} shard entries for "
+            f"{manifest_path}: {len(versions)} shard versions for "
             f"{num_shards} shards"
         )
     codec = handle.codec
     assert codec is not None
+    snapshot = _read_snapshot(data_dir, entry, codec)
+    # Re-place the rows: an 8-byte checksum is the keyed hash itself.
+    items = snapshot_items(snapshot, codec)
+    if codec.checksum_size == 8:
+        hashes = snapshot.checksums
+    else:
+        hashes = hash_items(handle.hash64, items)
+    parts, part_hashes = partition_with_hashes(items, hashes, num_shards)
     if shard_subset is not None:
         for g in shard_subset:
             if not 0 <= g < num_shards:
@@ -573,36 +578,25 @@ def _recover(
                     f"shard subset names shard {g}, store holds {num_shards}"
                 )
         sharded: ShardedSet = ShardSubsetSet(handle.hash64, num_shards, shard_subset)
-        restored = [
-            (local, g, shard_entries[g]) for local, g in enumerate(shard_subset)
-        ]
+        sharded.adopt_parts([parts[g] for g in shard_subset])
+        sharded.versions = [versions[g] for g in shard_subset]
+        encoder = RatelessEncoder(
+            codec,
+            [item for g in shard_subset for item in parts[g]],
+            item_hashes=[h for g in shard_subset for h in to_list(part_hashes[g])],
+        )
     else:
         sharded = ShardedSet(handle.hash64, num_shards)
-        restored = [
-            (shard, shard, entry) for shard, entry in enumerate(shard_entries)
-        ]
-    encoders: List[RatelessEncoder] = []
-    for local, g, entry in restored:
-        snapshot = _restore_shard(data_dir, entry, g, codec)
-        sharded.shards[local] = snapshot_members(snapshot, codec)
-        sharded.versions[local] = snapshot.version
-        encoders.append(
-            RatelessEncoder.restore(
-                codec,
-                snapshot.values,
-                snapshot.checksums,
-                snapshot.currents,
-                snapshot.states,
-                snapshot.bank,
-            )
-        )
+        sharded.adopt_parts(parts)
+        sharded.versions = versions
+        encoder = snapshot.restore(codec)
     # Replay churn the last checkpoint had not absorbed, oldest first,
     # on the bare warm layer (these records are already journalled).
     # A subset open replays only its *own* segment; a full open replays
     # the base journal, then folds every worker segment (merged by
     # (seq, worker) — workers touch disjoint shards, so the order
     # across segments only needs to be deterministic).
-    warm = WarmRibltBackend(handle, sharded, encoders)
+    warm = WarmRibltBackend(handle, sharded, encoder)
     records, torn_at = _replay_segment(
         data_dir / journal_name, seq, codec.symbol_size
     )
@@ -643,13 +637,13 @@ def _recover(
     if torn_at is not None:
         store.journal.truncate_to(torn_at)  # torn tail from a crash mid-append
     store.churned_since_checkpoint = replayed
-    backend = DurableBackend(handle, sharded, encoders, store)
+    backend = DurableBackend(handle, sharded, encoder, store)
     if shard_subset is not None:
         # Workers neither sweep (other generations may be mid-fold) nor
         # checkpoint; their state is bounded by the supervisor's fold.
         return backend
     store._sweep_stale_files(keep_gen=gen)
-    # Fold a long journal back into snapshots so replay work is bounded
+    # Fold a long journal back into a snapshot so replay work is bounded
     # across repeated restarts; worker segments *must* fold (their seq
     # numbers overlap per-segment, so they cannot stay behind a stale
     # manifest seq) — the checkpoint's sweep then deletes them.

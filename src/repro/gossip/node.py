@@ -128,7 +128,7 @@ class GossipNode:
         return sorted(self.backend.sharded)
 
     def add(self, item: bytes) -> None:
-        """Local churn: add one item (warm banks patched)."""
+        """Local churn: add one item (warm bank patched)."""
         self.add_many([item])
 
     def remove(self, item: bytes) -> None:

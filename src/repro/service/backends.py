@@ -1,16 +1,17 @@
 """Shard backends: what turns a server's items into bytes for a session.
 
 The tentpole backend is :class:`WarmRibltBackend` — the paper's
-"universal stream" (§4.1, §7.3) made operational.  Each shard owns ONE
-:class:`~repro.core.encoder.RatelessEncoder` shared by every session the
-server ever serves: a new client costs no encoding work for any cell
-another client already pulled, and a churn batch is hashed once and
-patched into every touched shard's cached prefix by one walk-kernel
-call (linearity) instead of re-encoding.  Shards are storage only: a
-connection reads ONE stream, whose cell i is the XOR (and count sum) of
-every shard's cell i — the whole set's cell i, since a coded symbol is
-linear in the set (§4).  Per-session state is only a cursor: a stream
-index and a §6 writer.
+"universal stream" (§4.1, §7.3) made operational.  The backend owns ONE
+:class:`~repro.core.encoder.RatelessEncoder` over its whole set (a
+cluster worker's: its stripe), shared by every session the server ever
+serves: a new client costs no encoding work for any cell another client
+already pulled, and a churn batch is hashed once and patched into the
+cached prefix by one walk-kernel call (linearity) instead of
+re-encoding.  Shards are placement only — membership and version clocks
+in :class:`~repro.service.shard.ShardedSet`, cluster stripes, journal
+segments — never a second encoder: a coded symbol is linear in the set,
+so splitting it inside one process would only add bookkeeping.
+Per-session state is only a cursor: a stream index and a §6 writer.
 
 Rateless IBLT is the one streaming scheme, so it is the one that warms.
 Every other serializable scheme (fixed-capacity or one-shot) backs a
@@ -39,8 +40,8 @@ from typing import Iterable, Optional
 from repro import engine
 from repro.api.base import UnsupportedOperation
 from repro.api.registry import Scheme, get_scheme
-from repro.core.cellbank import CodedSymbolBank, lanes_from_bytes, to_list
-from repro.core.encoder import RatelessEncoder, churn
+from repro.core.cellbank import CodedSymbolBank, lanes_from_bytes
+from repro.core.encoder import RatelessEncoder
 from repro.core.wire import SymbolStreamWriter
 from repro.service.errors import ServiceError
 from repro.service.framing import SyncMode
@@ -49,16 +50,6 @@ from repro.service.shard import ShardedSet, hash_items, partition_with_hashes
 
 class StaleStream(ServiceError):
     """The served set changed while a session was mid-stream."""
-
-
-def _group_by_shard(placed: list[int], items: list[bytes], hashes) -> dict:
-    """Bucket a placed batch and its keyed hashes per shard, in batch order."""
-    groups: dict[int, tuple[list, list]] = {}
-    for item, h, shard in zip(items, to_list(hashes), placed):
-        group = groups.setdefault(shard, ([], []))
-        group[0].append(item)
-        group[1].append(h)
-    return groups
 
 
 def set_digest(items, hashes, codec=None) -> CodedSymbolBank:
@@ -108,8 +99,8 @@ class ShardBackend(ABC):
         """Account a batch of items; returns each item's shard.
 
         All-or-nothing, one version bump per touched shard, and one keyed
-        hash pass over the batch.  Backends with warm per-shard state
-        patch it in :meth:`_churn`, one pass for the whole batch.
+        hash pass over the batch.  A warm backend patches its encoder in
+        :meth:`_churn`, one pass for the whole batch.
         """
         return self._churn(items, 1)
 
@@ -133,22 +124,16 @@ class ShardBackend(ABC):
 
 
 class StreamCursor:
-    """One session's cursor into the backend's one coded stream: it reads
-    cached cells and owns only the §6 serialisation state (header +
+    """One session's cursor into the backend's one coded stream: it slices
+    the warm encoder's cached cells (producing only the cells nobody has
+    pulled yet) and owns only the §6 serialisation state (header +
     implicit indices + set size).  It snapshots every shard's version at
-    open and refuses to go on past churn (:class:`StaleStream`).
-
-    The cells it serves are XOR-ed from the shards' prefixes ahead of
-    need, by doubling (to the block's end, or twice what it has served
-    within what every shard has produced): O(log cells) XORs per
-    session, not one per block, and no cell is encoded early."""
+    open and refuses to go on past churn (:class:`StaleStream`)."""
 
     def __init__(self, backend: "WarmRibltBackend") -> None:
         self._backend = backend
         self._versions = list(backend.sharded.versions)
         self.symbols_sent = 0
-        self._ahead = CodedSymbolBank()  # cells [_ahead_lo, _ahead_lo + len)
-        self._ahead_lo = 0
         self._writer = SymbolStreamWriter(backend.codec, set_size=len(backend.sharded))
         self._head: Optional[bytes] = self._writer.header()
 
@@ -160,77 +145,52 @@ class StreamCursor:
         if backend.sharded.versions != self._versions:
             raise StaleStream("the set mutated mid-stream; reconnect to resync")
         lo = self.symbols_sent
-        self.symbols_sent = hi = lo + max_cells
-        if hi > self._ahead_lo + len(self._ahead):
-            produced = min(encoder.produced_count for encoder in backend.encoders)
-            self._ahead = backend.cached_block(lo, max(hi, min(2 * lo, produced)))
-            self._ahead_lo = lo
-        bank = self._ahead.slice(lo - self._ahead_lo, hi - self._ahead_lo)
+        self.symbols_sent = lo + max_cells
+        bank = backend.encoder.cached_block(lo, self.symbols_sent)
         head = self._head or b""
         self._head = None
         return head + self._writer.write_block(bank)
 
 
 class WarmRibltBackend(ShardBackend):
-    """One warm, continuously patched Rateless-IBLT encoder per shard.
+    """One warm, continuously patched Rateless-IBLT encoder per backend.
 
-    ``encoders`` come ready-made, index-aligned with ``sharded.shards``
-    and holding the same members: :func:`open_backend` ingests each
-    shard with the placement hashes it already has, and durable
-    recovery restores each from its snapshot (exact parked walk state +
-    cached bank) with no hashing at all.
+    ``encoder`` comes ready-made, holding exactly ``sharded``'s members:
+    :func:`open_backend` ingests the batch with the placement hashes it
+    already has, and durable recovery restores it from its snapshot
+    (exact parked walk state + cached bank) with no hashing at all.
     """
 
     mode = SyncMode.STREAM
 
     def __init__(
-        self, handle: Scheme, sharded: ShardedSet, encoders: list[RatelessEncoder]
+        self, handle: Scheme, sharded: ShardedSet, encoder: RatelessEncoder
     ) -> None:
         super().__init__(handle, sharded)
-        if len(encoders) != sharded.num_shards:
-            raise ValueError(
-                f"{len(encoders)} encoders adopted for {sharded.num_shards} shards"
-            )
         self.codec = handle.codec
-        self.encoders = encoders
+        self.encoder = encoder
 
     def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
         """One keyed hash pass places, validates and applies the batch on the
-        set and seeds added rows' checksums; then one ``encoder.churn`` call
-        patches every touched shard's prefix together."""
+        set and seeds added rows' checksums; then one encoder call patches
+        the cached prefix."""
         items = items if isinstance(items, list) else list(items)
         if hashes is None:
             hashes = hash_items(self.handle.hash64, items)
         placed = super()._churn(items, direction, hashes)
-        groups = _group_by_shard(placed, items, hashes)
-        churn(
-            [(self.encoders[shard], *group) for shard, group in groups.items()],
-            direction,
-        )
+        if direction > 0:
+            self.encoder.add_items(items, item_hashes=hashes)
+        else:
+            self.encoder.remove_items(items)
         return placed
 
-    def cached_block(self, lo: int, hi: int) -> CodedSymbolBank:
-        """Cells ``[lo, hi)`` of the whole set's stream: the lane XOR (and
-        count sum) of every shard's cached cells, since a coded symbol is
-        linear in the set (§4).  Each shard encodes only the cells nobody
-        has pulled yet; every prefix cell a previous session produced is
-        reused as-is."""
-        first, *rest = (encoder.cached_block(lo, hi) for encoder in self.encoders)
-        for block in rest:
-            first.add_in_place(block)
-        return first
-
     def digest(self) -> CodedSymbolBank:
-        """Cell 0 of the whole set, from the shards' cached cells 0 (kept
+        """Cell 0 of the whole set, the encoder's cached cell 0 (kept
         current by the churn patch).  Hashes nothing."""
-        return self.cached_block(0, 1).in_form(False)
+        return self.encoder.cached_block(0, 1).in_form(False)
 
     def open_stream(self) -> StreamCursor:
         return StreamCursor(self)
-
-    def cached_symbols(self, shard: int) -> int:
-        """Length of the shard's cached prefix (observability)."""
-        return self.encoders[shard].produced_count
 
 
 class SketchBackend(ShardBackend):
@@ -262,12 +222,12 @@ def open_backend(
     :func:`repro.api.reconcile`, or an already-bound handle;
     ``symbol_size`` is inferred from the first item when unset), every
     item is hashed *once*, and those keyed hashes both place the items
-    in shards and seed the warm encoders' checksums.  The keyed hash is
+    in shards and seed the warm encoder's checksums.  The keyed hash is
     the library default unless ``params`` say otherwise; service hosts
     apply :func:`~repro.service.defaults.with_service_hasher` first.
 
-    riblt backs a shard as one warm encoder per shard, every other
-    serializable scheme as sized sketches.  A scheme that can do neither
+    riblt backs the set with one warm encoder, every other serializable
+    scheme with sized sketches.  A scheme that can do neither
     (Merkle's interactive heal, or a streaming scheme other than riblt)
     is rejected.
 
@@ -301,14 +261,9 @@ def open_backend(
         )
     hash64 = handle.hash64
     sharded = ShardedSet(hash64, num_shards)
-    parts, part_hashes = partition_with_hashes(
-        materialised, hash_items(hash64, materialised), num_shards
-    )
-    sharded.adopt_parts(parts)
+    hashes = hash_items(hash64, materialised)
+    sharded.adopt_parts(partition_with_hashes(materialised, hashes, num_shards)[0])
     if not caps.streaming:
         return SketchBackend(handle, sharded)
-    encoders = [
-        RatelessEncoder(handle.codec, part, item_hashes=hashes)
-        for part, hashes in zip(parts, part_hashes)
-    ]
-    return WarmRibltBackend(handle, sharded, encoders)
+    encoder = RatelessEncoder(handle.codec, materialised, item_hashes=hashes)
+    return WarmRibltBackend(handle, sharded, encoder)

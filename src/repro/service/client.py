@@ -13,7 +13,7 @@ machines through it too.
 
 ``push=True`` closes the loop: once everything decoded, the items the
 server is missing (this side's exclusives) are pushed back, so both
-sets converge in a single session while the server's warm encoders are
+sets converge in a single session while the server's warm encoder is
 patched — not rebuilt — by the incoming items.
 
 ``retry=RetryPolicy(...)`` makes connection-level failures survivable:

@@ -5,7 +5,7 @@ The node is the deployment-shaped wrapper: it owns one peer state — a
 (:meth:`ServiceNode.start`), can reconcile it against another node's
 server (:meth:`ServiceNode.sync_with`), and has nothing to keep
 consistent between the two faces: items learned from a sync patch the
-same warm shard encoders the server serves, so the next peer that
+same warm encoder the server serves, so the next peer that
 connects already sees them without any re-encoding.
 """
 

@@ -211,20 +211,20 @@ class ReconciliationServer:
     # -- the served set ---------------------------------------------------
 
     def add_item(self, item: bytes) -> None:
-        """Add an item; warm shard encoders are patched, not rebuilt."""
+        """Add an item; the warm encoder is patched, not rebuilt."""
         self.add_items([item])
 
     def remove_item(self, item: bytes) -> None:
-        """Remove an item; warm shard encoders are patched, not rebuilt."""
+        """Remove an item; the warm encoder is patched, not rebuilt."""
         self.remove_items([item])
 
     def add_items(self, items: Iterable[bytes]) -> None:
-        """Add a batch: one hash pass, one warm-bank patch over every
-        touched shard, one stream invalidation per shard."""
+        """Add a batch: one hash pass, one warm-bank patch, one stream
+        invalidation per touched shard."""
         self.backend.add_many(items)
 
     def remove_items(self, items: Iterable[bytes]) -> None:
-        """Remove a batch; the touched shards are patched in one pass."""
+        """Remove a batch; the warm bank is patched in one pass."""
         self.backend.remove_many(items)
 
     def checkpoint(self) -> None:

@@ -1,10 +1,12 @@
 """Keyed hash-partitioning of a server's set into shards.
 
-Shards are storage: each holds its own warm encoder, snapshot file and
-journal segment, and a cluster stripes them over worker processes.  The
-wire never sees them — a connection carries one coded-symbol stream, the
-XOR of its server's shards' streams (a coded symbol is linear in the
-set) — except that a cluster client routes its items to workers by
+Shards are placement: each has its own membership and version clock,
+the durable store keeps one version per shard, and a cluster stripes
+shards over worker processes, each with its own journal segment.  They
+are never encoders: a backend holds one warm encoder over its whole set
+(a worker's: its stripe), since a coded symbol is linear in the set.
+The wire never sees them — a connection carries that one coded-symbol
+stream — except that a cluster client routes its items to workers by
 global shard (:func:`stripe_with_hashes`).
 
 Placement must be *identical* on both peers, so the router hashes with
@@ -19,7 +21,7 @@ Every host's cold ingest places its batch here: :func:`hash_items` (the
 uint64 hash vector, under SipHash's lanes), then one ``mix64`` lane pass
 and one stable argsort split (:func:`partition_with_hashes`).  A churn
 batch's one :func:`hash_items` pass is handed to the set's mutations as
-``hashes`` (validation, placement), and on to the encoders' checksums.
+``hashes`` (validation, placement), and on to the encoder's checksums.
 """
 
 from __future__ import annotations

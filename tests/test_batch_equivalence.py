@@ -184,6 +184,31 @@ def test_batch_churn_bit_identical_across_engines(codec_name, rng):
     assert banks[True] == reference.produce_block(200).cells()
 
 
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+def test_walk_cut_into_row_slices_is_one_walk(codec_name, rng, monkeypatch):
+    """A lane walk over more rows than ``_WALK_ROWS`` is cut into one
+    kernel call per slice of rows, on the same lanes: a first walk, a
+    grown prefix and a churn patch leave the bank and the parked walks
+    exactly as one call per walk does."""
+    from repro.core import encoder as encoder_module
+
+    codec_factory = CODECS[codec_name]
+    items = make_items(rng, 260, size=codec_factory().symbol_size)
+
+    def walked():
+        with engine_lane(True):
+            enc = RatelessEncoder(codec_factory(), items[:200])
+            enc.produce_block(60)
+            enc.produce_block(90)
+            enc.add_items(items[200:])
+            enc.remove_items(items[:40])
+            return enc.bank.pack(enc.codec), enc.export_rows()
+
+    whole = walked()
+    monkeypatch.setattr(encoder_module, "_WALK_ROWS", 7)
+    assert walked() == whole
+
+
 class BulkIntCodec(IntSymbolCodec):
     """The Monte Carlo harness's u64 codec plus the batch faces
     ``add_items`` reads, so its rows can arrive in bulk too."""

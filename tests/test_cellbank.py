@@ -884,22 +884,19 @@ def test_cold_ingest_builds_no_item_objects(monkeypatch):
         monkeypatch.setattr(SymbolCodec, "to_int_batch", refuse)
         monkeypatch.setattr(SymbolCodec, "alpha_for", refuse)
         backend = open_backend(items, hasher="siphash", num_shards=4)
-        for encoder in backend.encoders:
-            encoder.cached_block(0, 64)
-        assert all(e._store._rows is None for e in backend.encoders)
+        warm = backend.encoder
+        warm.cached_block(0, 64)
+        assert warm._store._rows is None
         monkeypatch.undo()
         backend.remove_many(sorted(gone))
         model = [i for i in items if i not in gone]
-        cold = open_backend(model, hasher="siphash", num_shards=4)
-        for warm, fresh, members in zip(
-            backend.encoders, cold.encoders, backend.sharded.shards
-        ):
-            assert warm._store._rows is not None
-            values = {int.from_bytes(item, "little") for item in members}
-            assert set(warm._store.rows) == set(warm.export_rows()[0]) == values
-            assert all(item in warm for item in members)
-            assert not any(item in warm for item in gone)
-            assert warm.cached_block(0, 64) == fresh.cached_block(0, 64)
+        fresh = open_backend(model, hasher="siphash", num_shards=4).encoder
+        assert warm._store._rows is not None
+        values = {int.from_bytes(item, "little") for item in model}
+        assert set(warm._store.rows) == set(warm.export_rows()[0]) == values
+        assert all(item in warm for item in model)
+        assert not any(item in warm for item in gone)
+        assert warm.cached_block(0, 64) == fresh.cached_block(0, 64)
 
 
 def test_one_peel_round_per_wave(monkeypatch):

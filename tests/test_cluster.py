@@ -406,3 +406,44 @@ def test_pool_restart_recovers_churn_from_segments(tmp_path):
 
     run(scenario_push())
     run(scenario_verify())
+
+
+@pytest.mark.parametrize("worker", [0, 1])
+def test_subset_open_encoder_is_a_cold_stripe_encoder(tmp_path, worker):
+    """A worker's subset open keeps its stripe's rows from the one
+    snapshot and ingests them, checksums and all, without hashing: its
+    encoder, produced to 256 cells, equals a cold encoder over the
+    stripe, and its per-shard members and versions are the full store's."""
+    from repro.core.encoder import RatelessEncoder
+
+    items = items_range(0, 600)
+    data_dir = tmp_path / "pool"
+    full = open_durable(
+        data_dir, items, num_shards=4, config=NO_FSYNC, hasher=SERVICE_HASHER
+    )
+    full.open_stream().next_block(100)  # a parked prefix in the snapshot
+    full.add_many(items_range(10_000, 10_050))
+    full.remove_many(items[::9])
+    full.checkpoint()
+    shards, versions = list(full.sharded.shards), list(full.sharded.versions)
+    codec = full.handle.codec
+    full.close()
+    owned = worker_shards(4, 2, worker)
+    backend = open_durable(
+        data_dir,
+        shard_subset=owned,
+        journal_name=journal_segment_name(worker),
+        config=NO_FSYNC,
+    )
+    try:
+        assert backend.sharded.shards == [shards[g] for g in owned]
+        assert backend.sharded.versions == [versions[g] for g in owned]
+        stripe = sorted(item for g in owned for item in shards[g])
+        cold = RatelessEncoder(codec, stripe)
+        assert backend.encoder.produced_count == 0  # produced on demand
+        assert backend.encoder.cached_block(0, 256) == cold.cached_block(0, 256)
+        assert sorted(zip(*backend.encoder.export_rows())) == sorted(
+            zip(*cold.export_rows())
+        )
+    finally:
+        backend.close()

@@ -361,6 +361,35 @@ def test_durable_file_names_and_magics():
         assert f'"{quoted}"' in text, f"doc is missing magic {quoted!r}"
 
 
+def test_durable_manifest_and_snapshot_layout_match_store(tmp_path):
+    """The manifest table lists exactly the fields a checkpoint writes,
+    the snapshot header's documented format is the written one, and the
+    recovery section states the split's width rule and the format-1
+    refusal the store implements."""
+    import json
+
+    from repro.durable import CorruptManifest, open_durable
+
+    text = doc_text("durable-format.md")
+    body = section(text, "MANIFEST.json — the commit point")
+    documented = set()
+    for row in re.findall(r"^\|\s*(`[^|]+)\|", body, re.MULTILINE):
+        documented.update(re.findall(r"`(\w+)`", row))
+    open_durable(tmp_path, [b"%08d" % i for i in range(40)], num_shards=2).close()
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    assert documented == set(manifest)
+    assert set(manifest["snapshot"]) == {"file", "count", "cells"}
+    assert f"format={snapshot.FORMAT}, n_rows, n_cells" in text
+    recovery = section(text, "Recovery")
+    assert "`checksum_size == 8`" in recovery and "partition_with_hashes" in recovery
+    manifest["format"] = 1
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(CorruptManifest, match="format 1"):
+        open_durable(tmp_path)
+    refusal = r"format-1 data dir is\s+refused with a typed `CorruptManifest`"
+    assert re.search(refusal, text)
+
+
 def test_durable_crash_points_all_documented():
     text = doc_text("durable-format.md")
     for point in faults.CRASH_POINTS:
@@ -372,9 +401,9 @@ def test_snapshot_name_pattern_matches_store():
     from repro.durable.store import _snap_name
 
     text = doc_text("durable-format.md")
-    # the documented printf-style pattern must agree with the code
-    assert "shard-%04d.g<gen>.snap" in text
-    assert _snap_name(3, 7) == "shard-0003.g7.snap"
+    # the documented pattern must agree with the code
+    assert "encoder.g<gen>.snap" in text
+    assert _snap_name(7) == "encoder.g7.snap"
 
 
 def test_journal_segment_naming_matches_store():

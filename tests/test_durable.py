@@ -56,9 +56,10 @@ def fresh_backend(items, num_shards=NUM_SHARDS):
 
 
 def served_stream(backend, cells=96):
-    """The exact wire bytes a client would read, and every shard's cells."""
-    return [backend.open_stream().next_block(cells)] + [
-        encoder.cached_block(0, cells) for encoder in backend.encoders
+    """The exact wire bytes a client would read, and the encoder's cells."""
+    return [
+        backend.open_stream().next_block(cells),
+        backend.encoder.cached_block(0, cells),
     ]
 
 
@@ -72,8 +73,8 @@ def assert_bit_identical(recovered, reference):
     a.next_block(64)
     b.next_block(64)
     assert a.next_block(64) == b.next_block(64)
-    for ours, theirs in zip(recovered.encoders, reference.encoders):
-        assert ours.cached_block(0, 192) == theirs.cached_block(0, 192)
+    ours, theirs = recovered.encoder, reference.encoder
+    assert ours.cached_block(0, 192) == theirs.cached_block(0, 192)
 
 
 # -- recovery is fresh-ingest, bit for bit ---------------------------------
@@ -285,7 +286,7 @@ def test_journal_sequence_gap_fails_typed(tmp_path, name):
 def test_corrupt_snapshot_fails_typed(tmp_path):
     backend = open_durable(tmp_path, make_items(0, 60), num_shards=2)
     backend.close()
-    snap = sorted(tmp_path.glob("shard-*.snap"))[0]
+    (snap,) = tmp_path.glob("*.snap")
     blob = bytearray(snap.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     snap.write_bytes(bytes(blob))
@@ -301,6 +302,52 @@ def test_corrupt_manifest_fails_typed(tmp_path):
     manifest.write_text(manifest.read_text()[:-10])
     with pytest.raises(CorruptManifest):
         open_durable(tmp_path)
+
+
+def test_format_1_manifest_is_refused_typed(tmp_path):
+    """A data dir from before the one-encoder snapshot (manifest format 1:
+    one snapshot file per shard) is refused with a typed error naming
+    its format, not misread."""
+    from repro.durable import CorruptManifest
+
+    open_durable(tmp_path, make_items(0, 20), num_shards=2).close()
+    manifest = tmp_path / MANIFEST_NAME
+    old = json.loads(manifest.read_text())
+    old["format"] = 1
+    old["shards"] = [
+        {"file": f"shard-{s:04d}.g1.snap", "version": v, "count": 0, "cells": 0}
+        for s, v in enumerate(old.pop("versions"))
+    ]
+    del old["snapshot"]
+    manifest.write_text(json.dumps(old))
+    with pytest.raises(CorruptManifest, match="manifest format 1 is not 2"):
+        open_durable(tmp_path)
+
+
+def test_narrow_checksum_store_reopens_same_shards(tmp_path, lane):
+    """With a 4-byte checksum the stored checksum column is not the keyed
+    hash, so a reopen re-places the snapshot's members by hashing them
+    once: per-shard membership and versions come back as they were, and
+    the restored stream is a fresh ingest's."""
+    params = dict(symbol_size=ITEM, checksum_size=4)
+    backend = open_durable(
+        tmp_path, make_items(0, 300), num_shards=NUM_SHARDS, **params
+    )
+    backend.open_stream().next_block(64)
+    backend.add_many(make_items(300, 340))
+    backend.remove_many(make_items(0, 25))
+    backend.checkpoint()
+    shards = [set(members) for members in backend.sharded.shards]
+    versions = list(backend.sharded.versions)
+    backend.close()
+    recovered = open_durable(tmp_path)
+    try:
+        assert [set(m) for m in recovered.sharded.shards] == shards
+        assert list(recovered.sharded.versions) == versions
+        reference = open_backend(make_items(25, 340), num_shards=NUM_SHARDS, **params)
+        assert_bit_identical(recovered, reference)
+    finally:
+        recovered.close()
 
 
 # -- injected IO errors (no crash, just a failing disk) ---------------------
@@ -369,7 +416,7 @@ def test_checkpoint_sweeps_stale_generations(tmp_path):
     backend.checkpoint()
     backend.add(b"%08d" % 501)
     backend.checkpoint()
-    gens = {int(p.name.split(".g")[1].split(".")[0]) for p in tmp_path.glob("shard-*.snap")}
+    gens = {int(p.name.split(".g")[1].split(".")[0]) for p in tmp_path.glob("*.snap")}
     assert len(gens) == 1  # only the live generation remains
     assert not list(tmp_path.glob("*.tmp"))
     backend.close()
@@ -377,20 +424,21 @@ def test_checkpoint_sweeps_stale_generations(tmp_path):
 
 # -- wide symbols: the snapshot format does not know about lanes -----------
 
-# Recorded at the commit before the core moved wide symbols onto the
-# (rows, k) uint64 lane matrix: sha256 over each shard's sorted source
-# rows and packed bank (row *order* follows set iteration and is not
-# part of the contract).  Equal content means a snapshot written on
-# either side of that change restores on the other.
+# sha256 over the one snapshot's sorted source rows and packed bank
+# (row *order* follows set iteration and is not part of the contract).
+# Re-pinned when the per-shard snapshots became one: its sorted rows
+# were checked to be the union of the two former shard files' rows, and
+# its bank the lane XOR of theirs, so the content is what the digest
+# recorded before the lane matrix (and before the one encoder) pinned.
 _WIDE_SNAPSHOT_SHA256 = (
-    "f9c4278cecefd2d40725331ac6c393867a90ed9e7f4646384801f05f393e7e45"
+    "12c409c160af47fac3f242c1b5c240846e62c9288fa33f7d4e5f960ee813eceb"
 )
 
 
 def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
     import hashlib
 
-    from repro.durable.snapshot import unpack_shard
+    from repro.durable.snapshot import unpack_snapshot
 
     rng = random.Random(92)
     pool = sorted({rng.randbytes(92) for _ in range(460)})
@@ -409,19 +457,18 @@ def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
     backend.close()
 
     codec = get_scheme("riblt", **params).codec
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.glob("*.snap")):
-        snap = unpack_shard(path.read_bytes(), codec)
-        rows = sorted(
-            zip(
-                map(int, snap.values),
-                map(int, snap.checksums),
-                map(int, snap.currents),
-                map(int, snap.states),
-            )
+    (path,) = tmp_path.glob("*.snap")
+    snap = unpack_snapshot(path.read_bytes(), codec)
+    rows = sorted(
+        zip(
+            map(int, snap.values),
+            map(int, snap.checksums),
+            map(int, snap.currents),
+            map(int, snap.states),
         )
-        digest.update(repr((snap.shard, rows)).encode())
-        digest.update(snap.bank.pack(codec))
+    )
+    digest = hashlib.sha256(repr(rows).encode())
+    digest.update(snap.bank.pack(codec))
     assert digest.hexdigest() == _WIDE_SNAPSHOT_SHA256
 
     recovered = open_durable(tmp_path)

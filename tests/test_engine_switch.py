@@ -21,7 +21,7 @@ from repro.core.encoder import RatelessEncoder
 from repro.core.sketch import RatelessSketch
 from repro.core.symbols import SymbolCodec
 from repro.core.wire import SymbolStreamReader, SymbolStreamWriter
-from repro.durable.snapshot import ShardSnapshot, pack_shard, unpack_shard
+from repro.durable.snapshot import pack_snapshot, unpack_snapshot
 from repro.hashing.keyed import SipHasher
 from repro.hashing.siphash import siphash24_batch
 from repro.service.shard import placements_from_hashes
@@ -75,12 +75,12 @@ def fixture_for(size):
     items = make_items(rng, 120, size)
     encoder = RatelessEncoder(codec, items)
     bank = encoder.produce_block(80)
-    snapshot = pack_shard(ShardSnapshot(0, 1, *encoder.export_rows(), encoder.bank), codec)
+    snapshot = pack_snapshot(encoder)
     return codec, items, bank, snapshot
 
 
-def shard_state(blob, codec):
-    snap = unpack_shard(blob, codec)
+def snapshot_state(blob, codec):
+    snap = unpack_snapshot(blob, codec)
     rows = [list(map(int, column)) for column in
             (snap.values, snap.checksums, snap.currents, snap.states)]
     return rows, snap.bank
@@ -105,7 +105,7 @@ CALLS = {
     "bank_pack": lambda c, items, bank, snap: bank.pack(c),
     "bank_unpack": lambda c, items, bank, snap: CodedSymbolBank.unpack(bank.pack(c), c),
     "write_block_feed_into": lambda c, items, bank, snap: stream_round_trip(c, bank),
-    "unpack_shard": lambda c, items, bank, snap: shard_state(snap, c),
+    "unpack_snapshot": lambda c, items, bank, snap: snapshot_state(snap, c),
     "regular_iblt": lambda c, items, bank, snap: RegularIBLT.from_items(items, 90, c).cells,
     "met_iblt": lambda c, items, bank, snap: MetIBLT.from_items(items, c).cells,
     "sketch": lambda c, items, bank, snap: RatelessSketch.from_items(items, 70, c).cells,

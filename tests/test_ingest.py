@@ -10,7 +10,7 @@ from repro.core.mapping import IndexGenerator
 from repro.core.symbols import SymbolCodec
 from repro.hashing.keyed import Blake2bHasher, SipHasher
 from repro.hashing.prng import mix64, mix64_lanes
-from repro.service.shard import ShardedSet
+from repro.service.shard import ShardedSet, shard_of
 
 from helpers import engine_lane, make_items
 from test_batch_equivalence import CODECS as EQUIVALENCE_CODECS
@@ -223,23 +223,20 @@ def test_warm_backend_bulk_churn_matches_rebuild(rng):
     codec = SymbolCodec(8)
     backend = open_backend(base, num_shards=3)
     sharded = backend.sharded
-    # produce some cells on every shard, then churn in one batch
-    for shard in range(3):
-        backend.encoders[shard].produce_block(64)
+    # produce some cells, then churn in one batch
+    warm = backend.encoder
+    warm.produce_block(64)
     versions = list(sharded.versions)
     backend.add_many(fresh)
     backend.remove_many(base[:40])
-    assert [v > old for v, old in zip(sharded.versions, versions)]
+    assert all(v > old for v, old in zip(sharded.versions, versions))
     survivors = base[40:] + fresh
     rebuilt = ShardedSet(_hash64, 3, survivors)
-    for shard in range(3):
-        expected = RatelessEncoder(codec, sorted(rebuilt.shards[shard]))
-        warm = backend.encoders[shard]
-        produced = warm.produced_count
-        assert expected.produce_block(produced).cells() == [
-            warm.cached(i) for i in range(produced)
-        ]
-        assert warm.set_size == len(rebuilt.shards[shard])
+    assert sharded.shards == rebuilt.shards
+    expected = RatelessEncoder(codec, sorted(survivors))
+    assert warm.produced_count == 64
+    assert expected.produce_block(64).cells() == [warm.cached(i) for i in range(64)]
+    assert warm.set_size == len(survivors)
 
 
 def test_server_bulk_mutation_api(rng):
@@ -273,22 +270,18 @@ def _handle_for(codec, monkeypatch):
     return handle
 
 
-def _per_item_reference(codec, items, num_shards):
-    """The reference the pipeline must equal: each item placed by
-    ``shard_of`` and added to its shard's encoder one at a time."""
-    from repro.service.shard import shard_of
-
-    encoders = [RatelessEncoder(codec) for _ in range(num_shards)]
+def _per_item_reference(codec, items):
+    """The reference the pipeline must equal: one ``add_item`` per item."""
+    encoder = RatelessEncoder(codec)
     for item in items:
-        encoders[shard_of(codec.hasher.hash64, item, num_shards)].add_item(item)
-    return encoders
+        encoder.add_item(item)
+    return encoder
 
 
-def _assert_same_encoders(got, expected):
-    for encoder, reference in zip(got, expected, strict=True):
-        cells = max(300, encoder.produced_count)
-        assert encoder.cached_block(0, cells) == reference.cached_block(0, cells)
-        assert encoder.export_rows() == reference.export_rows()
+def _assert_same_encoder(encoder, reference):
+    cells = max(300, encoder.produced_count)
+    assert encoder.cached_block(0, cells) == reference.cached_block(0, cells)
+    assert encoder.export_rows() == reference.export_rows()
 
 
 @pytest.mark.parametrize("hasher", ["blake2b", "siphash"])
@@ -296,8 +289,9 @@ def _assert_same_encoders(got, expected):
 def test_cold_ingest_matches_per_item_reference(
     lane, codec_name, hasher, rng, monkeypatch
 ):
-    """Hash → place → per-shard columns, through ``open_backend``, equals
-    one ``shard_of`` + ``add_item`` per item; an initiator's one stream
+    """Hash → place → the one encoder's columns, through ``open_backend``,
+    equals one ``shard_of`` per item for placement and one ``add_item``
+    per item for the encoder; an initiator's one stream
     encoder (fed an item list, or a row matrix with its hashes as the
     client feeds them) equals one ``add_item`` per item — on every codec
     the equivalence suite covers, on both engines."""
@@ -318,19 +312,18 @@ def test_cold_ingest_matches_per_item_reference(
     rows = codec.item_rows(items)
     for batch in (items, rows):
         assert list(map(int, hash_items(hash64, batch))) == [hash64(x) for x in items]
-    expected = _per_item_reference(codec, items, 4)
-
     backend = open_backend(items, scheme=handle, num_shards=4)
-    _assert_same_encoders(backend.encoders, expected)
+    assert [backend.sharded.place(item) for item in items] == [
+        shard_of(hash64, item, 4) for item in items
+    ]
+    _assert_same_encoder(backend.encoder, _per_item_reference(codec, items))
     feeds = {"list": (items, None), "client": (rows, hash_items(hash64, rows))}
     for batch, hashes in feeds.values():
         initiator = InitiatorMachine(handle, batch, item_hashes=hashes)
         # One item fewer on the responder: equal sets would end in-sync,
         # before any encoder is built.
         pump(initiator, memory_responder(handle, items[1:], num_shards=4))
-        _assert_same_encoders(
-            [initiator._encoder], _per_item_reference(codec, items, 1)
-        )
+        _assert_same_encoder(initiator._encoder, _per_item_reference(codec, items))
 
 
 @pytest.mark.parametrize("size", [8, 16])

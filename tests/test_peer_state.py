@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.api.registry import available_schemes, get_scheme, scheme_info
+from repro.core.encoder import RatelessEncoder
 from repro.durable import DurableConfig
 from repro.durable.store import JOURNAL_NAME, journal_segment_name, open_durable
 from repro.gossip import GossipNode, make_nodes
@@ -68,15 +69,27 @@ def items_for(size: int) -> list[bytes]:
 
 def fingerprint(backend) -> str:
     """Per-shard members and versions, the key probe and — for a warm
-    backend — the first 64 packed coded cells of every shard."""
+    backend — the first 64 packed coded cells of every shard's members
+    (the digests were recorded with one encoder per shard).  The warm
+    backend's one encoder must hold those cells' XOR: a coded symbol is
+    linear in the set."""
     sharded = backend.sharded
+    codec = backend.handle.codec
     digest = hashlib.sha256()
     for shard in range(backend.num_shards):
         members = sorted(sharded.shards[shard])
         digest.update(repr((members, sharded.versions[shard])).encode())
     digest.update(str(backend.handle.key_probe).encode())
-    for encoder in getattr(backend, "encoders", ()):
-        digest.update(encoder.cached_block(0, 64).pack(backend.handle.codec))
+    if hasattr(backend, "encoder"):
+        blocks = [
+            RatelessEncoder(codec, sorted(members)).cached_block(0, 64)
+            for members in sharded.shards
+        ]
+        for block in blocks:
+            digest.update(block.pack(codec))
+        for block in blocks[1:]:
+            blocks[0].add_in_place(block)
+        assert backend.encoder.cached_block(0, 64) == blocks[0]
     return digest.hexdigest()
 
 
@@ -159,8 +172,8 @@ def test_existing_store_keeps_its_hasher_under_a_service_host(tmp_path):
 
 
 def test_server_setup_hashes_each_item_once(monkeypatch, lane, tmp_path):
-    """Shard placement and the warm encoders' checksums share one keyed
-    hash pass (two at the parent: ``ShardedSet`` placed, then each
+    """Shard placement and the warm encoder's checksums share one keyed
+    hash pass (two once: ``ShardedSet`` placed, then each per-shard
     ``RatelessEncoder`` hashed its shard again).  So does churn: a
     durable ``add_many`` or ``remove_many`` validates, journals, places
     and seeds checksums from one pass over its batch (three and two
@@ -183,13 +196,10 @@ def test_server_setup_hashes_each_item_once(monkeypatch, lane, tmp_path):
     server = ReconciliationServer(items, num_shards=NUM_SHARDS)
     assert hashed["batch"] == len(items)
     assert hashed["scalar"] <= 1  # at most the handshake's key probe
-    assert [len(e) for e in server.backend.encoders] == [
-        len(members) for members in server.backend.sharded.shards
-    ]
+    assert len(server.backend.encoder) == len(server.backend.sharded)
 
     def churn_passes(backend, fresh, gone):
-        for encoder in backend.encoders:
-            encoder.cached_block(0, 48)  # a prefix for the churn to patch
+        backend.encoder.cached_block(0, 48)  # a prefix for the churn to patch
         passes = []
         for mutate, batch_ in ((backend.add_many, fresh), (backend.remove_many, gone)):
             hashed.update(batch=0, scalar=0)
@@ -213,10 +223,12 @@ def test_server_setup_hashes_each_item_once(monkeypatch, lane, tmp_path):
     mine = [i for i in sorted(live) if shard_of(hash64, i, NUM_SHARDS) in owned]
     more = [rng.randbytes(8) for _ in range(90)]
     extra = [i for i in more if shard_of(hash64, i, NUM_SHARDS) in owned]
+    hashed.update(batch=0, scalar=0)
     worker = open_durable(
         tmp_path / "full", shard_subset=owned, journal_name=journal_segment_name(0),
         config=NO_FSYNC,
     )
+    assert hashed == {"batch": 0, "scalar": 0}  # 8-byte checksums are the hashes
     try:
         assert isinstance(worker.sharded, ShardSubsetSet)
         assert churn_passes(worker, extra, mine[:40]) == [(1, 0), (1, 0)]
@@ -232,8 +244,7 @@ def _twins(build):
 
 
 def _bank_bytes(backend, cells=96):
-    codec = backend.handle.codec
-    return [e.cached_block(0, cells).pack(codec) for e in backend.encoders]
+    return backend.encoder.cached_block(0, cells).pack(backend.handle.codec)
 
 
 def test_single_item_mutation_is_the_one_element_batch(tmp_path, lane):
@@ -310,34 +321,35 @@ def test_single_item_mutation_is_the_one_element_batch(tmp_path, lane):
 # -- one churn pass per batch ------------------------------------------------
 
 
-def _state(backend):
-    """Every shard's packed bank and exported source rows."""
-    codec = backend.handle.codec
-    return [(e.bank.pack(codec), e.export_rows()) for e in backend.encoders]
+def _state(encoder, codec):
+    """An encoder's packed bank and its source rows, sorted (row order
+    follows ingest order, which is not part of the state)."""
+    return encoder.bank.pack(codec), sorted(zip(*encoder.export_rows()))
 
 
 @pytest.mark.parametrize("size", [8, 92])
 @pytest.mark.parametrize("durable", [False, True])
 def test_churn_batch_matches_per_shard_encoder_calls(lane, tmp_path, size, durable):
     """Random add/remove batches through a warm or durable 4-shard
-    backend — one hash pass and one patch call each — leave every
-    shard's bank and source rows byte-identical to
-    ``RatelessEncoder.add_items`` / ``remove_items`` run one shard at a
-    time, over unequal cached prefixes (one of them empty) that grow
-    between batches."""
+    backend — one hash pass and one ``add_items``/``remove_items`` call
+    on its one encoder each — leave that encoder's bank the lane XOR of
+    per-shard ``RatelessEncoder.add_items`` / ``remove_items`` run one
+    shard at a time, and its source rows their union, over cached
+    prefixes that start empty and grow between batches."""
     rng = random.Random(size)
     items = items_for(size)
     spec = dict(num_shards=NUM_SHARDS, hasher="siphash")
     data_dir = tmp_path if durable else None
     backend = open_backend(items, data_dir=data_dir, durable=NO_FSYNC, **spec)
-    reference = open_backend(items, **spec)
-    depths = [0, 40, 300, 700]
+    codec = backend.handle.codec
+    reference = ShardedSet(backend.handle.hash64, NUM_SHARDS, items)
+    shards = [RatelessEncoder(codec, sorted(part)) for part in reference.shards]
+    depths = [0, 0, 40, 40, 300, 300, 700, 700, 720, 740, 760, 780]
     live = list(items)
     try:
-        for op in range(12):
-            for depth, a, b in zip(depths, backend.encoders, reference.encoders):
-                a.cached_block(0, depth + 20 * op * (depth > 0))
-                b.cached_block(0, depth + 20 * op * (depth > 0))
+        for depth in depths:
+            for encoder in [backend.encoder, *shards]:
+                encoder.cached_block(0, depth)
             rng.shuffle(live)
             count = rng.choice([1, 5, 40, 200])
             gone, live = live[:count], live[count:]
@@ -346,14 +358,18 @@ def test_churn_batch_matches_per_shard_encoder_calls(lane, tmp_path, size, durab
             backend.add_many(fresh)
             backend.remove_many(gone)
             for batch, adding in ((fresh, True), (gone, False)):
-                sharded = reference.sharded
-                placed = (sharded.add_many if adding else sharded.remove_many)(batch)
-                for shard, encoder in enumerate(reference.encoders):
+                mutate = reference.add_many if adding else reference.remove_many
+                placed = mutate(batch)
+                for shard, encoder in enumerate(shards):
                     group = [i for i, s in zip(batch, placed) if s == shard]
                     if group:
                         (encoder.add_items if adding else encoder.remove_items)(group)
-            assert _state(backend) == _state(reference)
-            assert backend.sharded.versions == reference.sharded.versions
+            union = shards[0].cached_block(0, depth)
+            for encoder in shards[1:]:
+                union.add_in_place(encoder.cached_block(0, depth))
+            rows = sorted(row for e in shards for row in zip(*e.export_rows()))
+            assert _state(backend.encoder, codec) == (union.pack(codec), rows)
+            assert backend.sharded.versions == reference.versions
     finally:
         if durable:
             backend.close()
@@ -374,93 +390,80 @@ def test_warm_stream_refuses_empty_blocks():
     assert stream.next_block(8) == expected.next_block(8)
 
 
-def test_stream_cursor_reads_ahead_by_doubling(monkeypatch, lane):
-    """The cursor XORs the shards' prefixes ahead of need by doubling,
-    within what every shard has produced: over the service ramp and
-    64-cell blocks it serves the bytes the block-by-block XOR would; a
-    first session makes no shard encode a cell before a block needs it,
-    and a later one reads the warm prefix in O(log cells) XORs, not one
-    per block."""
+def test_stream_cursor_slices_the_encoders_prefix(lane):
+    """The cursor serves slices of the backend's one warm encoder: over
+    the service ramp and 64-cell blocks it serves the bytes a bare
+    encoder of the set would; a first session makes the encoder encode
+    no cell before a block needs it, and a later one encodes none."""
     from repro.core.wire import SymbolStreamWriter
-    from repro.service.backends import WarmRibltBackend
 
     items = items_for(8)
     backend = open_backend(items, num_shards=NUM_SHARDS)
-    reference = open_backend(items, num_shards=NUM_SHARDS)
-    reads, read = [0], WarmRibltBackend.cached_block
-
-    def counted(self, lo, hi):
-        reads[0] += self is backend
-        return read(self, lo, hi)
-
-    monkeypatch.setattr(WarmRibltBackend, "cached_block", counted)
+    bare = RatelessEncoder(backend.codec, items)
     for session in ("cold", "warm"):
-        writer = SymbolStreamWriter(reference.codec, set_size=len(items))
-        stream, served, reads[0] = backend.open_stream(), 0, 0
+        writer = SymbolStreamWriter(backend.codec, set_size=len(items))
+        stream, served = backend.open_stream(), 0
         for cells in [8, 16, 32] + [64] * 30:
             block = stream.next_block(cells)
-            cut = reference.cached_block(served, served + cells)
+            cut = bare.cached_block(served, served + cells)
             head = writer.header() if not served else b""
             assert block == head + writer.write_block(cut)
             served += cells
             if session == "cold":
-                assert {e.produced_count for e in backend.encoders} == {served}
-    assert {e.produced_count for e in backend.encoders} == {served}
-    assert reads[0] <= math.ceil(math.log2(served / 8)) + 2
+                assert backend.encoder.produced_count == served
+    assert backend.encoder.produced_count == served
 
 
 def test_golden_snapshots_restore_to_lane_banks(tmp_path):
-    """Restored under the vector engine, the snapshots in
-    ``tests/golden/durable_journal`` give lane-form banks whose ``pack``
-    is byte-identical to each file's cell section: the lane form does
-    not change the durable format."""
+    """Restored under the vector engine, the snapshot in
+    ``tests/golden/durable_journal`` gives a lane-form bank whose ``pack``
+    is byte-identical to the file's cell section: the lane form does not
+    change the durable format."""
     pytest.importorskip("numpy")
-    from repro.core.encoder import RatelessEncoder
     from repro.core.symbols import SymbolCodec
-    from repro.durable.snapshot import unpack_shard
+    from repro.durable.snapshot import unpack_snapshot
 
     golden = Path(__file__).parent / "golden" / "durable_journal"
     codec = SymbolCodec(8, hasher=SipHasher(bytes(range(16))))
     stride = 8 + 8 + 8  # sum | checksum | count
+    cells = 112
     with engine_lane(True):
-        for shard, cells in enumerate([40, 64, 88, 112]):
-            blob = (golden / f"shard-{shard:04d}.g2.snap").read_bytes()
-            snapshot = unpack_shard(blob, codec)
-            encoder = RatelessEncoder.restore(
-                codec,
-                snapshot.values,
-                snapshot.checksums,
-                snapshot.currents,
-                snapshot.states,
-                snapshot.bank,
-            )
-            assert encoder.bank.vector and len(encoder.bank) == cells
-            assert encoder.bank.pack(codec) == blob[-4 - cells * stride : -4]
-            assert encoder.bank == snapshot.bank
+        blob = (golden / "encoder.g2.snap").read_bytes()
+        snapshot = unpack_snapshot(blob, codec)
+        encoder = snapshot.restore(codec)
+        assert encoder.bank.vector and len(encoder.bank) == cells
+        assert encoder.bank.pack(codec) == blob[-4 - cells * stride : -4]
+        assert encoder.bank == snapshot.bank
 
 
 def test_data_dir_written_per_shard_reopens_identically(lane, tmp_path):
-    """``tests/golden/durable_journal`` was written while each shard's
-    churn was still patched by its own kernel call: four shards with
-    unequal cached prefixes, checkpointed, then six churn batches (1 to
-    70 items) left in the journal.  Reopening replays them through the
-    one-pass ``add_many``/``remove_many``; members, versions, banks and
-    source rows must hash to the digest recorded when it was written."""
+    """``tests/golden/durable_journal``'s journal was written while each
+    shard's churn was still patched by its own kernel call: four shards
+    with unequal cached prefixes, checkpointed, then six churn batches (1
+    to 70 items) left in the journal.  Its snapshot is those four shard
+    encoders in one, each produced to 112 cells, rows concatenated and
+    banks lane-XORed.  Reopening replays the journal through the
+    one-pass ``add_many``/``remove_many``; the encoder must equal a cold
+    ingest of the final set produced to 112 cells, and members, versions,
+    bank and sorted source rows must hash to the pinned digest."""
     golden = Path(__file__).parent / "golden" / "durable_journal"
     data_dir = shutil.copytree(golden, tmp_path / "data")
     config = DurableConfig(fsync=False, checkpoint_every=None)
     backend = open_backend(data_dir=data_dir, durable=config)
     try:
+        codec = backend.handle.codec
+        encoder = backend.encoder
+        assert len(backend.sharded) == 431 and len(encoder.bank) == 112
+        cold = open_backend(list(backend.sharded), scheme=backend.handle).encoder
+        cold.cached_block(0, 112)
+        assert _state(encoder, codec) == _state(cold, codec)
+        sharded = backend.sharded
         digest = hashlib.sha256()
-        for shard, encoder in enumerate(backend.encoders):
-            members = sorted(backend.sharded.shards[shard])
-            digest.update(repr((members, backend.sharded.versions[shard])).encode())
-            digest.update(encoder.bank.pack(backend.handle.codec))
-            digest.update(repr(encoder.export_rows()).encode())
-        assert len(backend.sharded) == 431
-        assert [len(e.bank) for e in backend.encoders] == [40, 64, 88, 112]
+        for members, version in zip(sharded.shards, sharded.versions):
+            digest.update(repr((sorted(members), version)).encode())
+        digest.update(repr(_state(encoder, codec)).encode())
         assert digest.hexdigest() == (
-            "b04a8840c466d3726f014a6487735f502d18608b4a2dcb7f11f3c217412a27f6"
+            "33fcb8fe7685dadb442f194deb7d5f8dc1e1de92d663df86cd9c0d5222b04b7a"
         )
     finally:
         backend.close()
@@ -468,13 +471,11 @@ def test_data_dir_written_per_shard_reopens_identically(lane, tmp_path):
 
 def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
     """A churn batch is one walk-kernel call, however many shards it
-    touches: the touched shards' cached prefixes lie end to end in one
-    lane matrix, each row walking in its own bank's coordinates.  Before,
-    a 4-shard batch made one call per shard.  And ``encoder.py`` has one
-    patch body, ``_patch``: the only code that validates a batch, kills
-    rows or walks a produced prefix for churn; every add and remove
-    form is a call of it, and the backends reach it through ``churn``
-    rather than per-encoder ``add_items``/``remove_items``."""
+    touches: the backend's one encoder walks the whole batch over its one
+    cached prefix.  And ``encoder.py`` has one patch body, ``_patch``: the
+    only code that validates a batch, kills rows or walks a produced
+    prefix for churn; every add and remove form is a call of it, and the
+    backends reach it through the encoder's ``add_items``/``remove_items``."""
     pytest.importorskip("numpy")
     from repro.core import encoder as encoder_module
 
@@ -482,7 +483,7 @@ def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
     kernel = encoder_module.scatter_walk_arrays
 
     def spy(*args, **kwargs):
-        calls.append(args[8])  # hi: an int, or one end per row
+        calls.append(args[3])  # the walked rows' idx column
         return kernel(*args, **kwargs)
 
     items = items_for(8)
@@ -493,8 +494,7 @@ def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
         durable = open_backend(items, data_dir=tmp_path, durable=NO_FSYNC, **spec)
         try:
             for backend in (warm, durable):
-                for encoder in backend.encoders:
-                    encoder.cached_block(0, 128)
+                backend.encoder.cached_block(0, 128)
                 fresh = [rng.randbytes(8) for _ in range(160)]
                 gone = items[1::3]
                 monkeypatch.setattr(encoder_module, "scatter_walk_arrays", spy)
@@ -527,9 +527,85 @@ def test_one_patch_walk_per_churn_batch(monkeypatch, tmp_path):
     } == {"_patch"}
     assert callers("_patch") == {"add_value", "remove_value", "churn"}
     assert callers("churn") == {"add_items", "remove_items"}
+    backends = (src / "service" / "backends.py").read_text()
+    for method in ("add_items", "remove_items"):
+        assert f"self.encoder.{method}(" in backends
     for module in ("service/backends.py", "durable/store.py"):
-        text = (src / module).read_text()
-        assert not re.search(r"\.(add_items|remove_items)\(", text), module
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse((src / module).read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "churn" not in imported, module
+
+
+@pytest.mark.parametrize("size", [8, 92])
+def test_one_encoder_per_backend(lane, size):
+    """A backend holds ONE warm encoder over its whole set, whatever its
+    shard count: shards are placement (membership, versions, stripes,
+    journal segments), never encoders.  A 1-shard and a 4-shard backend
+    of the same items hold byte-identical encoder state — bank, source
+    rows (in ingest order), digest and served blocks — after 64 produced
+    cells and after an add/remove churn batch.  Structurally, no module
+    of ``service`` or ``durable`` keeps an ``encoders`` list, the stream
+    cursor reads no XOR-ed read-ahead, and ``_walk_into`` walks one bank:
+    no lane matrix laid end to end, no per-row ends."""
+    rng = random.Random(43 + size)
+    items = items_for(size)
+    fresh = [rng.randbytes(size) for _ in range(90)]
+    one, four = (
+        open_backend(items, num_shards=shards, hasher="siphash") for shards in (1, 4)
+    )
+    codec = one.handle.codec
+
+    def state(backend):
+        stream = backend.open_stream()
+        blocks = [stream.next_block(cells) for cells in (8, 16, 40)]
+        encoder = backend.encoder
+        rows = encoder.export_rows()
+        return encoder.bank.pack(codec), rows, backend.digest(), blocks
+
+    assert state(one) == state(four)
+    assert one.encoder.produced_count == 64
+    for backend in (one, four):
+        backend.add_many(fresh)
+        backend.remove_many(items[::5])
+    assert state(one) == state(four)
+    assert [len(members) for members in four.sharded.shards] != [len(one.sharded)]
+
+    src = Path(repro.__file__).parent
+    for package in ("service", "durable"):
+        for path in (src / package).rglob("*.py"):
+            names = {
+                getattr(node, "attr", getattr(node, "id", None))
+                for node in ast.walk(ast.parse(path.read_text()))
+            }
+            assert "encoders" not in names, path.relative_to(src)
+    tree = ast.parse((src / "service" / "backends.py").read_text())
+    (cursor,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "StreamCursor"
+    ]
+    assert not [
+        node
+        for node in ast.walk(cursor)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_ahead")
+    ]
+    tree = ast.parse((src / "core" / "encoder.py").read_text())
+    (walk,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_walk_into"
+    ]
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(walk)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"concatenate", "repeat", "accumulate", "diff"}, called
+    assert [arg.arg for arg in walk.args.args][0] == "bank"
 
 
 def test_one_walk_per_prefix_doubling(monkeypatch, lane):
@@ -540,16 +616,14 @@ def test_one_walk_per_prefix_doubling(monkeypatch, lane):
     two-shard server, not one per frame.  The payloads stay those of a
     bare encoder's prefix."""
     from repro.core import encoder as encoder_module
-    from repro.core.encoder import RatelessEncoder
     from repro.protocol import InitiatorMachine, pump
 
     walks: dict[int, int] = {}
     kernel = encoder_module._walk_into
 
-    def spy(spans, direction):
-        for span in spans:
-            walks[id(span[0])] = walks.get(id(span[0]), 0) + 1
-        return kernel(spans, direction)
+    def spy(bank, *rest):
+        walks[id(bank)] = walks.get(id(bank), 0) + 1
+        return kernel(bank, *rest)
 
     rng = random.Random(0x3A1C)
     shared = [rng.randbytes(8) for _ in range(400)]
@@ -647,7 +721,7 @@ def test_one_stream_path_in_src():
     """STREAM mode drives the core codec directly on both ends: the
     initiator's one stream holds an encoder, a §6 reader and a decoder,
     and the responder's one cursor class (``StreamCursor``, over the warm
-    shard encoders) holds the §6 writer.  No interface, adapter stream face or
+    encoder) holds the §6 writer.  No interface, adapter stream face or
     hash-forwarding keyword sits between the machine and the codec.
     """
     import inspect
@@ -849,7 +923,6 @@ def test_one_peel_per_read(monkeypatch, lane):
     initiator's coded prefix and absorbed count follow the doubling
     schedule (pinned)."""
     from repro.core.decoder import RatelessDecoder
-    from repro.core.encoder import RatelessEncoder
     from repro.core.symbols import SymbolCodec
     from repro.protocol import InitiatorMachine
 

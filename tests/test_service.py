@@ -148,17 +148,12 @@ def test_warm_banks_are_reused_not_reencoded():
         async with ReconciliationServer(items_range(0, 400), num_shards=2) as server:
             host, port = server.address
             await sync(host, port, items_range(2, 402))
-            produced_after_first = [
-                server.backend.cached_symbols(s) for s in range(2)
-            ]
+            first = server.backend.encoder.produced_count
             await sync(host, port, items_range(3, 403))
-            produced_after_second = [
-                server.backend.cached_symbols(s) for s in range(2)
-            ]
+            second = server.backend.encoder.produced_count
             # Similar-difficulty syncs pull similar prefix lengths; the
             # bank only extends, never rebuilds.
-            for first, second in zip(produced_after_first, produced_after_second):
-                assert second <= first * 4 + 256
+            assert first <= second <= first * 4 + 256
 
     run(scenario())
 

@@ -48,9 +48,7 @@ exactly as :class:`~repro.core.mapping.IndexGenerator.next_index` would:
   state is an additive counter, so a batch advances in lock-step rounds
   of in-place uint64/float64 arithmetic, the last few walks finish per
   edge on splitmix draws made in bulk, and the edges fold at once,
-  colliding slots by a radix-sorted ``reduceat``.  Per-row ``hi``/``base``
-  columns let one call walk several banks laid end to end (a churn
-  batch over every shard).
+  colliding slots by a radix-sorted ``reduceat``.
   Guarded by :func:`numpy_block_eligible`.
 
 Both engines are bit-identical to the reference per-cell path (IEEE-754
@@ -607,8 +605,8 @@ def scatter_walk_arrays(
     vals,  # np.ndarray[uint64] (n, k)
     csums,  # np.ndarray[uint64] (n,)
     dirs,  # int, or np.ndarray[int64] (n,) — see fold_edges
-    hi,  # int, or np.ndarray[int64] (n,) — each row's own end
-    base=0,  # int, or np.ndarray[int64] (n,) — each row's lane origin
+    hi: int,
+    base: int = 0,
     touched: Optional[list] = None,
     alphas=None,  # np.ndarray[float64] | None — per-symbol α (§8)
 ):
@@ -621,11 +619,6 @@ def scatter_walk_arrays(
     return the ``(idx, state)`` arrays, advanced in place.  Symbols
     already at or past ``hi`` are not read, so a caller may hand over a
     whole column store and park retired rows at a sentinel index.
-    ``hi`` and ``base`` may instead be per-row columns: row ``j`` walks
-    to ``hi[j]`` and folds index ``i`` into lane row ``i − base[j]``, so
-    several banks laid end to end are walked by one call, each row in its
-    own bank's coordinates.  An int is the broadcast of its column
-    (:func:`_rows_of` compacts either with the live rows).
 
     Each lock-step round records one ``(slot, row)`` edge per live walk
     and advances every live walk with in-place ops on work buffers
@@ -645,10 +638,9 @@ def scatter_walk_arrays(
     NumPy's SIMD ``pow`` is **not** bit-identical to libm's (~4 % of
     draws differ in the last ulp).  ``touched``, when given, receives
     each fold's edges as a ``(slot, row)`` array pair: the lane slots
-    (``index − base``: rows of the lane arrays, whichever bank they
-    belong to) and the symbol rows (of this call's columns) folded
-    there.  Once fewer than :data:`NUMPY_TAIL_JOBS` walks are live,
-    :func:`_walk_tail_scalar` finishes them per edge (walks are
+    (``index − base``) and the symbol rows (of this call's columns)
+    folded there.  Once fewer than :data:`NUMPY_TAIL_JOBS` walks are
+    live, :func:`_walk_tail_scalar` finishes them per edge (walks are
     independent, so the hand-off point cannot change the result).
     """
     np = engine.np
@@ -663,11 +655,7 @@ def scatter_walk_arrays(
     al = alphas[rows] if alphas is not None else None
     if al is not None and not (al != DEFAULT_ALPHA).any():
         al = None  # all-regular batch: no element-wise pass
-    # the live rows' ends, unit-step limits and lane origins
-    hl, bs = _rows_of(hi, rows), _rows_of(base, rows)
-    if n >= NUMPY_TAIL_JOBS:  # the rounds' unit-step limits and work buffers
-        lim = np.minimum(hl, MAX_INDEX + 1)
-        shift = getattr(base, "ndim", 0) or base != 0  # a column, or a nonzero int
+    if n >= NUMPY_TAIL_JOBS:  # the rounds' work buffers
         z, t, live = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
         a, b, h = np.empty(n), np.empty(n), np.empty(n)
         slot_type = _slot_type(len(checksums))  # slots index the lanes
@@ -683,7 +671,7 @@ def scatter_walk_arrays(
 
     while n >= NUMPY_TAIL_JOBS:
         zz, tt, aa, bb, hh, lv = z[:n], t[:n], a[:n], b[:n], h[:n], live[:n]
-        slot = (np.subtract(pos, bs, out=hh) if shift else pos).astype(slot_type)
+        slot = (np.subtract(pos, base, out=hh) if base else pos).astype(slot_type)
         if edges and held + slot.nbytes + rows.nbytes > room:
             fold()
             held = 0
@@ -716,35 +704,28 @@ def scatter_walk_arrays(
         np.ceil(aa, out=aa)
         np.maximum(aa, 1.0, out=aa)
         np.add(pos, aa, out=aa)  # the next index of every live walk
-        np.less(aa, lim, out=lv)
+        np.less(aa, min(hi, MAX_INDEX + 1), out=lv)  # the unit-step limit
         if lv.all():
             pos, a = aa, pos
             continue
         out = np.flatnonzero(~lv)
         far = out[aa[out] > MAX_INDEX]
         aa[far] = pos[far] + 1.0
-        lv[far] = aa[far] < _rows_of(hl, far)
+        lv[far] = aa[far] < hi
         out = out[~lv[out]]
         idx[rows[out]] = aa[out]
         state[rows[out]] = st[out]
         keep = np.flatnonzero(lv)
         rows, pos, st = rows[keep], aa[keep], st[keep]
         al = None if al is None else al[keep]
-        hl, bs, lim = _rows_of(hl, keep), _rows_of(bs, keep), _rows_of(lim, keep)
         n = rows.size
     if n:  # every straggler crosses at least one edge
-        walked, walked_rows, idx[rows], state[rows] = _walk_tail_scalar(
-            rows, pos, st, al, hl
-        )
-        edges.append((walked - _rows_of(base, walked_rows), walked_rows))
+        tail = _walk_tail_scalar(rows, pos, st, al, hi)
+        walked, walked_rows, idx[rows], state[rows] = tail
+        edges.append((walked - base, walked_rows))
     if edges:
         fold()
     return idx, state
-
-
-def _rows_of(column, rows):
-    """``column[rows]``; an int or 0-d value (every row's) as it is."""
-    return column[rows] if getattr(column, "ndim", 0) else column
 
 
 def _slot_type(span: int):
@@ -848,10 +829,9 @@ def _unit_draws(seeds, done: int, count: int) -> list[list[float]]:
     return ((mixed >> np.uint64(11)) * INV_2_53).tolist()
 
 
-def _walk_tail_scalar(rows, pos, st, al, hi):
+def _walk_tail_scalar(rows, pos, st, al, hi: int):
     """Per-edge finisher for :func:`scatter_walk_arrays` stragglers: walk
-    symbol ``rows[j]`` from ``(pos[j], st[j])`` to its first index ≥
-    ``hi`` — an int for every walk, or a column aligned with ``rows``.
+    symbol ``rows[j]`` from ``(pos[j], st[j])`` to its first index ≥ ``hi``.
 
     One :func:`_unit_draws` call draws every walk twice the slowest one's
     expected remaining α = 0.5 degree (§4.1.2: about 2·ln((hi+2)/(i+2))
@@ -863,16 +843,15 @@ def _walk_tail_scalar(rows, pos, st, al, hi):
     """
     np = engine.np
     sqrt, ceil = math.sqrt, math.ceil
-    his = hi.tolist() if getattr(hi, "ndim", 0) else [hi] * rows.size
     ends = pos.astype(np.int64).tolist()
-    chunk = 2 + 2 * ceil(2.0 * math.log((max(his) + 2.0) / (min(ends) + 2.0)))
+    chunk = 2 + 2 * ceil(2.0 * math.log((hi + 2.0) / (min(ends) + 2.0)))
     draws = _unit_draws(st, 0, chunk)
     alphas = al.tolist() if al is not None else [DEFAULT_ALPHA] * rows.size
     edge_idx, edge_rows, steps = [], [], []  # steps: draws taken per walk
-    walks = zip(rows.tolist(), ends, alphas, draws, his)
-    for j, (row, i, alpha, rs, end) in enumerate(walks):
+    walks = zip(rows.tolist(), ends, alphas, draws)
+    for j, (row, i, alpha, rs) in enumerate(walks):
         k = 0
-        while i < end:
+        while i < hi:
             edge_idx.append(i)
             if k == len(rs):  # double this walk's draws
                 rs += _unit_draws(st[j : j + 1], k, k)[0]

@@ -176,17 +176,17 @@ class SymbolCodec:
         """Keyed checksums of many integer-form items at once, in order.
 
         Element-for-element identical to :meth:`checksum_int` — the batch
-        face the decoder's peel-round verification rides (one lane-
-        parallel SipHash call per round instead of one hash call per
-        pure-cell candidate).  ``values`` are ints (a list out) or, as a
-        decoder's candidate rows, their ``(n, k)`` lane matrix (a vector out).
+        face the decoder's peel-round verification rides (one batched
+        SipHash call per round instead of one hash call per pure-cell
+        candidate).  ``values`` are ints (a list out) or, as a decoder's
+        candidate rows, their ``(n, k)`` lane matrix (a vector out), which
+        an integer-batch hasher takes as the messages' words, at any width.
         """
         size = self.symbol_size
         lanes = getattr(values, "ndim", 1) == 2
         batch = getattr(self.hasher, "hash64_int_batch", None)
-        if lane_count(size) == 1 and batch is not None:  # one lane, one hash block
-            ints = values[:, 0].tolist() if lanes else values
-            hashes = self.checksums_from_hash64(batch(ints, size))
+        if batch is not None and (lanes or lane_count(size) == 1):
+            hashes = self.checksums_from_hash64(batch(values, size))
         elif lanes:  # an item's bytes lead its lanes
             hashes = self.checksum_batch(values.view(engine.np.uint8)[:, :size])
         else:

@@ -6,10 +6,11 @@ function, but not for a secret key.  Two interchangeable families are
 provided:
 
 * :class:`SipHasher` — the paper's choice: our bit-faithful SipHash-2-4.
-  One call runs at interpreter speed, but its batch face runs the
-  rounds as uint64 lane arithmetic on the vector engine, which makes it
-  the faster path through batch ingestion and the service layer's
-  default (:mod:`repro.service.defaults`);
+  One call runs at interpreter speed; its batch faces run one Python
+  kernel over a small batch packed into big ints, a lane per message,
+  and a large one as NumPy uint64 lane arithmetic on the vector engine,
+  which makes it the faster path through batch ingestion and the
+  service layer's default (:mod:`repro.service.defaults`);
 * :class:`Blake2bHasher` — ``hashlib.blake2b`` with ``digest_size=8`` and
   the same 16-byte key, a keyed PRF at C speed per call.  It stays the
   default of the core codec and the scheme registry (a documented
@@ -20,7 +21,7 @@ provided:
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from repro.hashing.siphash import siphash24, siphash24_batch, siphash24_int_batch
 
@@ -63,13 +64,10 @@ class SipHasher:
     def hash64_batch(self, items):
         return siphash24_batch(self.key, items)
 
-    def hash64_int_batch(self, values: Sequence[int], size: int) -> list[int]:
-        """Keyed hashes of ``size``-byte little-endian integer messages.
-
-        Identical to hashing ``v.to_bytes(size, "little")`` per value;
-        a message of ≤ 8 bytes is a single SipHash block, so the lane
-        engine builds its padded words straight from the integers.
-        """
+    def hash64_int_batch(self, values, size: int):
+        """Keyed hashes of ``size``-byte little-endian integer messages —
+        ints of ≤ 8 bytes or any width's ``(n, k)`` uint64 lane matrix —
+        identical to hashing ``v.to_bytes(size, "little")`` per value."""
         return siphash24_int_batch(self.key, values, size)
 
 

@@ -5,29 +5,36 @@ that malicious workloads cannot target collisions at a victim whose key they
 do not know.  This module is a from-scratch implementation of the 64-bit
 variant, bit-compatible with the reference ``siphash24`` C code.
 
-Two entry points:
-
-* :func:`siphash24` — one message at a time, any length.
-* :func:`siphash24_batch` — many fixed-width messages at once.  SipRounds
-  are pure 64-bit add/rotate/xor, so the whole batch advances in
-  lock-step as uint64 lane arithmetic under NumPy (the set-ingestion
-  pipeline hashes every item of a batch this way, from its row matrix
-  into a uint64 hash vector); with the vector engine off
-  (:mod:`repro.engine`) it falls back to a :func:`siphash24` loop.  Both
-  engines are bit-identical, which the reference-vector tests assert.
+Every entry point runs one of two kernels, both bit-identical to the
+reference (the reference-vector tests assert every path):
+:func:`_siphash24_packed`, the one Python SipRound body, over n messages
+packed into Python ints (n = 1 is the plain scalar hash) for one message,
+a batch below :data:`NUMPY_MIN_BATCH` and any batch on the scalar engine
+(:mod:`repro.engine`); and NumPy uint64 lanes for a larger batch, as
+:func:`_siphash24_word_lanes` (the ingest pipeline's row matrices).
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
 from typing import Sequence
 
 from repro import engine
 
-# Below this batch size the NumPy call overhead outweighs the lane win,
-# for byte lists and integer batches alike: an alternating min-of-100
-# sweep (2-core x86-64 host) put the lanes ahead from 12 messages on for
-# 8- and 92-byte lists and from 14 for 7- and 8-byte integers.
-NUMPY_MIN_BATCH = 12
+# Batches below this size take the packed kernel, larger ones the NumPy
+# lanes: byte lists, row matrices and integer batches alike.  The lanes
+# cost ~150 us (8-byte) or ~450 us (92-byte messages) at any n up to here.
+# A sweep of 8-byte ints, 1-lane matrices and byte lists and of 92-byte
+# row and 12-lane matrices (min of 20 alternating rounds, 2-core x86-64
+# host) put packed/lanes at 0.12-0.15 for n = 8, 0.31-0.33 at 32,
+# 0.86-0.96 at 128, 1.00-1.11 at 144 and 1.13-1.27 at 160.
+NUMPY_MIN_BATCH = 144
+
+# Messages per packed-kernel call: over 2^13 messages on the scalar
+# engine, 8-byte messages cost 1.4 us each in chunks of 32 and 0.9 us
+# from 512 on (92-byte: 4.4 and 2.9 us), no less in larger chunks.
+_PACK_CHUNK = 512
 
 # Messages per in-place lane pass, so the state vectors stay cache-resident:
 # 150 000 8-byte messages took 14 ms in one pass, 8 ms in 2^15-message
@@ -35,6 +42,8 @@ NUMPY_MIN_BATCH = 12
 _LANE_CHUNK = 1 << 15
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+_ONE_LANE = b"\x01" + bytes(15)  # one 128-bit lane holding 1
+_TWO, _FOUR = (0, 0), (0, 0, 0, 0)  # SipRounds per block: a tuple iterates fastest
 
 # Initialisation constants: ASCII "somepseudorandomlygeneratedbytes".
 _IV0 = 0x736F6D6570736575
@@ -52,16 +61,13 @@ def siphash24(key: bytes, data: bytes) -> int:
     """
     if len(key) != 16:
         raise ValueError(f"SipHash key must be 16 bytes, got {len(key)}")
-    n_blocks, tail_len = divmod(len(data), 8)
+    n_blocks = len(data) // 8
     words = [int.from_bytes(data[8 * i : 8 * i + 8], "little") for i in range(n_blocks)]
-    # Final block: remaining bytes, zero padded, with the low byte of the
-    # total length in the most significant byte.
-    tail = data[8 * n_blocks :]
-    words.append(
-        (len(data) & 0xFF) << 56 | int.from_bytes(tail + bytes(7 - tail_len), "little")
-    )
+    # Final block: the remaining bytes, zero-padded, under the length's low byte.
+    tail = int.from_bytes(data[8 * n_blocks :], "little")
+    words.append((len(data) & 0xFF) << 56 | tail)
     k0 = int.from_bytes(key[:8], "little")
-    return _siphash24_words_scalar(k0, int.from_bytes(key[8:], "little"), words)
+    return _siphash24_packed(k0, int.from_bytes(key[8:], "little"), words, 1)
 
 
 def siphash24_batch(key: bytes, items):
@@ -70,8 +76,8 @@ def siphash24_batch(key: bytes, items):
     ``items`` is a sequence of messages or their ``(n, size)`` uint8 row
     matrix.  Returns one unsigned 64-bit hash per message, in order —
     element-for-element identical to :func:`siphash24` on each — as the
-    lanes' uint64 vector on the vector engine, else a list.  A ragged
-    batch raises ``ValueError`` on either engine.
+    lanes' uint64 vector for a batch on the NumPy lanes, else a list.  A
+    ragged batch raises ``ValueError`` on either engine.
     """
     if len(key) != 16:
         raise ValueError(f"SipHash key must be 16 bytes, got {len(key)}")
@@ -83,110 +89,126 @@ def siphash24_batch(key: bytes, items):
     # costs nearly as much as the hashing itself on large batches.
     if not rows and set(map(len, items)) != {len(items[0])}:
         raise ValueError("siphash24_batch requires equal-length messages")
-    if not engine.NUMPY_LANE or (n < NUMPY_MIN_BATCH and not rows):
-        return [siphash24(key, item) for item in items]
-    np = engine.np
-    if not rows:
-        items = np.frombuffer(b"".join(items), dtype=np.uint8).reshape(n, len(items[0]))
-    size = items.shape[1]
-    # One word per full 8-byte block plus the final block (tail bytes,
-    # zero padded, length byte in the MSB — same rule as the scalar path).
-    n_words = size // 8 + 1
-    padded = np.zeros((n, n_words * 8), dtype=np.uint8)
-    padded[:, :size] = items
-    # '<u8' then astype: explicit little-endian view, native for the math.
-    words = padded.view("<u8").astype(np.uint64, copy=False)
-    words[:, -1] |= np.uint64((size & 0xFF) << 56)
-    return _siphash24_word_lanes(key, [words[:, j] for j in range(n_words)], n)
+    size = items.shape[1] if rows else len(items[0])
+    if engine.NUMPY_LANE and n >= NUMPY_MIN_BATCH:
+        np = engine.np
+        if not rows:
+            items = np.frombuffer(b"".join(items), dtype=np.uint8).reshape(n, size)
+        padded = np.zeros((n, size // 8 * 8 + 8), dtype=np.uint8)
+        padded[:, :size] = items
+        padded[:, -1] = size & 0xFF  # the final block's length byte
+        # '<u8' then astype: explicit little-endian view, native for the math.
+        words = padded.view("<u8").astype(np.uint64, copy=False)
+        return _siphash24_word_lanes(key, words)
+    pad = bytes(7 - size % 8) + bytes([size & 0xFF])  # zeros, then the length byte
+    return _siphash24_rows(key, pad.join(items) + pad, n)
 
 
-def _siphash24_words_scalar(k0: int, k1: int, words: Sequence[int]) -> int:
-    """Scalar SipHash-2-4 over pre-built 8-byte message words.
+def siphash24_int_batch(key: bytes, values, size: int):
+    """SipHash-2-4 of many ``size``-byte integer-form messages at once:
+    identical to hashing ``v.to_bytes(size, "little")`` per value.
 
-    The one scalar round body: :func:`siphash24` builds its words from
-    bytes, small peel-round batches straight from integers.  The rounds
-    are written out inline — no helper calls, no nonlocal cells — because
-    call overhead roughly doubles the cost of the arithmetic.
-    """
-    v0 = k0 ^ _IV0
-    v1 = k1 ^ _IV1
-    v2 = k0 ^ _IV2
-    v3 = k1 ^ _IV3
-    for m in words:
-        v3 ^= m
-        for _ in range(2):
-            v0 = (v0 + v1) & _MASK
-            v1 = ((v1 << 13) | (v1 >> 51)) & _MASK ^ v0
-            v0 = ((v0 << 32) | (v0 >> 32)) & _MASK
-            v2 = (v2 + v3) & _MASK
-            v3 = ((v3 << 16) | (v3 >> 48)) & _MASK ^ v2
-            v0 = (v0 + v3) & _MASK
-            v3 = ((v3 << 21) | (v3 >> 43)) & _MASK ^ v0
-            v2 = (v2 + v1) & _MASK
-            v1 = ((v1 << 17) | (v1 >> 47)) & _MASK ^ v2
-            v2 = ((v2 << 32) | (v2 >> 32)) & _MASK
-        v0 ^= m
-    v2 ^= 0xFF
-    for _ in range(4):
-        v0 = (v0 + v1) & _MASK
-        v1 = ((v1 << 13) | (v1 >> 51)) & _MASK ^ v0
-        v0 = ((v0 << 32) | (v0 >> 32)) & _MASK
-        v2 = (v2 + v3) & _MASK
-        v3 = ((v3 << 16) | (v3 >> 48)) & _MASK ^ v2
-        v0 = (v0 + v3) & _MASK
-        v3 = ((v3 << 21) | (v3 >> 43)) & _MASK ^ v0
-        v2 = (v2 + v1) & _MASK
-        v1 = ((v1 << 17) | (v1 >> 47)) & _MASK ^ v2
-        v2 = ((v2 << 32) | (v2 >> 32)) & _MASK
-    return v0 ^ v1 ^ v2 ^ v3
-
-
-def siphash24_int_batch(key: bytes, values: Sequence[int], size: int) -> list[int]:
-    """SipHash-2-4 of many ``size``-byte integer-form messages at once.
-
-    Element-for-element identical to hashing ``v.to_bytes(size,
-    "little")`` per value, for sizes 1..8.  The decoder's peel-round
-    verification holds candidate symbols as integers, and a message of
-    at most 8 bytes is a *single* SipHash block — tail bytes zero-padded
-    with the length in the top byte — so the padded words are computed
-    straight from the values, skipping the bytes round-trip entirely:
-    ``v | size << 56`` for sizes below 8, ``[v, 8 << 56]`` at exactly 8.
-    """
+    ``values`` are ints of 1..8 bytes (a list out) or, at any ``size``, the
+    ``(n, ⌈size/8⌉)`` uint64 lanes of the decoder's peel candidates — the
+    little-endian words, zero-padded (a list, or from
+    :data:`NUMPY_MIN_BATCH` messages on the lanes' vector), hashed as
+    they are, with no bytes round-trip."""
     if len(key) != 16:
         raise ValueError(f"SipHash key must be 16 bytes, got {len(key)}")
-    if not 1 <= size <= 8:
+    lanes = getattr(values, "ndim", 1) == 2
+    if not lanes and not 1 <= size <= 8:
         raise ValueError(f"size must be 1..8 bytes, got {size}")
     n = len(values)
     if n == 0:
         return []
     # Same contract as int.to_bytes: reject values outside [0, 2^(8·size)).
-    if min(values) < 0 or max(values) >> (8 * size):
+    if not lanes and (min(values) < 0 or max(values) >> (8 * size)):
         raise OverflowError(f"value does not fit in {size} bytes")
-    if not engine.NUMPY_LANE or n < NUMPY_MIN_BATCH:
-        k0 = int.from_bytes(key[:8], "little")
-        k1 = int.from_bytes(key[8:], "little")
-        if size == 8:
-            tail = 8 << 56
-            return [
-                _siphash24_words_scalar(k0, k1, (v, tail)) for v in values
-            ]
-        tag = size << 56
-        return [_siphash24_words_scalar(k0, k1, (v | tag,)) for v in values]
+    on_lanes = engine.NUMPY_LANE and n >= NUMPY_MIN_BATCH
+    if not lanes and not on_lanes:  # the words and the final block, per value
+        width = size // 8 * 8 + 8
+        tag = (size & 0xFF) << (8 * width - 8)
+        blob = b"".join([(v | tag).to_bytes(width, "little") for v in values])
+        return _siphash24_rows(key, blob, n)
     np = engine.np
-    lanes = np.array(values, dtype=np.uint64)
-    if size == 8:
-        words = [lanes, np.uint64(8 << 56)]
-    else:
-        words = [lanes | np.uint64(size << 56)]
-    return _siphash24_word_lanes(key, words, n).tolist()
+    if not lanes:
+        values = np.array(values, dtype=np.uint64).reshape(n, 1)
+    words = np.zeros((n, size // 8 + 1), dtype=np.uint64)
+    words[:, : values.shape[1]] = values
+    words[:, -1] |= np.uint64((size & 0xFF) << 56)  # the final block's length byte
+    if not on_lanes:
+        return _siphash24_rows(key, words.astype("<u8", copy=False).tobytes(), n)
+    hashes = _siphash24_word_lanes(key, words)
+    return hashes if lanes else hashes.tolist()
 
 
-def _siphash24_word_lanes(key: bytes, words, n: int):
-    """The uint64 hash vector of ``n`` messages given as their words: one
-    uint64 entry per 8-byte block — an array of per-message words, or a
-    scalar shared by every message (the final block of 8-byte messages).
-    Every step runs in place, ``_LANE_CHUNK`` messages at a time."""
+def _siphash24_rows(key: bytes, blob: bytes, n: int) -> list[int]:
+    """SipHash-2-4 of ``n`` messages through the packed kernel,
+    :data:`_PACK_CHUNK` at a time.  ``blob`` holds each message's words,
+    final block included, little-endian, message after message; word
+    ``j`` of a chunk's messages becomes one packed int (the 8-byte units
+    are moved, never read, so host byte order cannot matter)."""
+    k0, k1 = int.from_bytes(key[:8], "little"), int.from_bytes(key[8:], "little")
+    width = len(blob) // (8 * n)
+    units = array("Q", blob)
+    out: list[int] = []
+    for lo in range(0, n, _PACK_CHUNK):
+        count = min(n - lo, _PACK_CHUNK)
+        lane = array("Q", bytes(16 * count))  # value, headroom, value, ...
+        words = []
+        for j in range(width):
+            lane[::2] = units[lo * width + j : (lo + count) * width : width]
+            words.append(int.from_bytes(lane.tobytes(), "little"))
+        ones = int.from_bytes(_ONE_LANE * count, "little")
+        packed = _siphash24_packed(k0, k1, words, ones).to_bytes(16 * count, "little")
+        out += struct.unpack(f"<{2 * count}Q", packed)[::2]
+    return out
+
+
+def _siphash24_packed(k0: int, k1: int, words: Sequence[int], ones: int) -> int:
+    """SipHash-2-4 of n messages at once, in the 128-bit lanes of Python
+    ints — the one Python SipRound body (``ones = 1``: the scalar hash).
+
+    ``ones`` holds 1 per lane; every word holds a 64-bit value per lane,
+    its upper 64 bits zero.  So ``(a + b) & mask`` is n adds (the carry
+    is masked off) and ``(v << s | v >> 64 - s) & mask`` n rotations: the
+    next lane's low bits the right shift pulls down land at 64 + s and up,
+    masked off too.  The rounds are inline, as call overhead would about
+    double the cost of the arithmetic."""
+    mask = _MASK * ones
+    v0 = (k0 ^ _IV0) * ones
+    v1 = (k1 ^ _IV1) * ones
+    v2 = (k0 ^ _IV2) * ones
+    v3 = (k1 ^ _IV3) * ones
+    last = len(words)
+    for i, m in enumerate([*words, 0]):
+        if i < last:  # a message block: two rounds
+            v3 ^= m
+            rounds = _TWO
+        else:  # finalisation: four rounds
+            v2 ^= 0xFF * ones
+            rounds = _FOUR
+        for _ in rounds:
+            v0 = (v0 + v1) & mask
+            v1 = ((v1 << 13) | (v1 >> 51)) & mask ^ v0
+            v0 = ((v0 << 32) | (v0 >> 32)) & mask
+            v2 = (v2 + v3) & mask
+            v3 = ((v3 << 16) | (v3 >> 48)) & mask ^ v2
+            v0 = (v0 + v3) & mask
+            v3 = ((v3 << 21) | (v3 >> 43)) & mask ^ v0
+            v2 = (v2 + v1) & mask
+            v1 = ((v1 << 17) | (v1 >> 47)) & mask ^ v2
+            v2 = ((v2 << 32) | (v2 >> 32)) & mask
+        v0 ^= m
+    return v0 ^ v1 ^ v2 ^ v3
+
+
+def _siphash24_word_lanes(key: bytes, words):
+    """The uint64 hash vector of n messages given as their ``(n, w)``
+    uint64 words, final block included.  Every step runs in place,
+    ``_LANE_CHUNK`` messages at a time."""
     np = engine.np
+    n = len(words)
     k0 = np.uint64(int.from_bytes(key[:8], "little"))
     k1 = np.uint64(int.from_bytes(key[8:], "little"))
     ivs = ((k0, _IV0), (k1, _IV1), (k0, _IV2), (k1, _IV3))
@@ -220,8 +242,8 @@ def _siphash24_word_lanes(key: bytes, words, n: int):
             v1 ^= v2
             rotl(v2, 32)
 
-        for word in words:
-            m = word[lo:hi] if word.ndim else word
+        for word in words.T:
+            m = word[lo:hi]
             v[3] ^= m
             sipround()
             sipround()

@@ -683,7 +683,7 @@ def test_siphash_int_batch_matches_bytes_path(rng):
         for flag in (True, False) if engine.np is not None else (False,):
             with engine_lane(flag):
                 assert sh.siphash24_int_batch(key, values, size) == expected
-                # below the lane threshold the unrolled scalar engine runs
+                # below NUMPY_MIN_BATCH the packed kernel runs
                 assert sh.siphash24_int_batch(key, values[:3], size) == expected[:3]
 
 
@@ -723,3 +723,27 @@ def test_checksum_int_batch_matches_per_value(codec_name, rng):
         ]
         expected = [codec.checksum_int(v) for v in values]
         assert codec.checksum_int_batch(values) == expected
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 92, 96])
+def test_checksum_int_batch_from_lanes_matches_per_value(size, rng):
+    """The decoder's candidates arrive as their ``(n, k)`` uint64 lanes;
+    SipHash takes their words as they are (the final block is the last
+    lane with the length byte, or the length byte alone at a multiple of
+    8 bytes), on either side of the packed/lane crossover and with a
+    truncated checksum, and equals per-value checksum_int."""
+    np = pytest.importorskip("numpy")
+    from repro.hashing import siphash
+    from repro.hashing.keyed import SipHasher
+
+    hasher = SipHasher(key=bytes(range(16)))
+    for checksum_size in (8, 4):
+        codec = SymbolCodec(size, hasher=hasher, checksum_size=checksum_size)
+        for count in (1, 5, siphash.NUMPY_MIN_BATCH + 3):
+            values = [rng.getrandbits(8 * size) for _ in range(count - 1)]
+            values.append((1 << (8 * size)) - 1)  # every message byte set
+            lanes = cellbank.lanes_from_ints(values, size)
+            with engine_lane(True):
+                got = codec.checksum_int_batch(lanes)
+            assert isinstance(got, np.ndarray) and got.dtype == np.uint64
+            assert got.tolist() == [codec.checksum_int(v) for v in values]

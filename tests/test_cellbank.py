@@ -307,16 +307,17 @@ def walk_reference(walks, hi, base):
     return cells, ends, sorted(touched)
 
 
-def run_kernel(walks, hi, base, width, dirs):
-    """The same walks through ``scatter_walk_arrays``; ``dirs`` is the
-    one direction as an int, or ``None`` for the per-row column."""
+def run_kernel(walks, hi, base, width, dirs, touched=None):
+    """The same walks through one ``scatter_walk_arrays`` call; ``dirs``
+    is the one direction as an int, or ``None`` for the per-row column;
+    ``touched`` (a fresh list when not given) is handed to the call."""
     np = pytest.importorskip("numpy")
     values, checksums, idx, state, alphas, directions = map(list, zip(*walks))
     k = cellbank.lane_count(width)
     sums = np.zeros((hi - base, k), dtype=np.uint64)
     cks = np.zeros(hi - base, dtype=np.uint64)
     counts = np.zeros(hi - base, dtype=np.int64)
-    touched: list = []
+    touched = [] if touched is None else touched
     end_idx, end_state = cellbank.scatter_walk_arrays(
         sums,
         cks,
@@ -418,45 +419,17 @@ def test_walk_kernel_far_tail_clamp(rng, rows):
     assert sum(c.count for c in got[0]) >= 2 * rows  # every row took the unit step
 
 
-def run_banks(banks, width, direction, touched=None):
-    """One ``scatter_walk_arrays`` call over several banks laid end to
-    end: ``banks`` holds ``(walks, base, hi)`` per bank, and every row
-    carries its bank's ``hi`` and lane origin as per-row columns.
-    Returns each bank's cells and parked ``(idx, state)`` pairs;
-    ``touched`` is handed to the kernel."""
-    np = pytest.importorskip("numpy")
-    offs = [0]
-    for _, base, hi in banks:
-        offs.append(offs[-1] + hi - base)
-    rows = [w for walks, _, _ in banks for w in walks]
-    his = [hi for walks, _, hi in banks for _ in walks]
-    bases = [base - off for (walks, base, _), off in zip(banks, offs) for _ in walks]
-    values, checksums, idx, state, alphas, _ = map(list, zip(*rows))
-    sums = np.zeros((offs[-1], cellbank.lane_count(width)), dtype=np.uint64)
-    cks = np.zeros(offs[-1], dtype=np.uint64)
-    counts = np.zeros(offs[-1], dtype=np.int64)
-    end_idx, end_state = cellbank.scatter_walk_arrays(
-        sums,
-        cks,
-        counts,
-        np.array(idx, dtype=np.int64),
-        np.array(state, dtype=np.uint64),
-        cellbank.lanes_from_ints(values, width),
-        np.array(checksums, dtype=np.uint64),
-        direction,
-        np.array(his, dtype=np.int64),
-        base=np.array(bases, dtype=np.int64),
-        touched=touched,
-        alphas=np.array(alphas) if set(alphas) != {DEFAULT_ALPHA} else None,
-    )
-    lanes = zip(cellbank.ints_from_lanes(sums), cks.tolist(), counts.tolist())
-    cells = [CodedSymbol(s, k_, c) for s, k_, c in lanes]
-    ends = list(zip(end_idx.tolist(), end_state.tolist()))
-    out, at = [], 0
-    for (walks, _, _), lo, hi in zip(banks, offs, offs[1:]):
-        out.append((cells[lo:hi], ends[at : at + len(walks)]))
-        at += len(walks)
-    return out
+def parked_walks(rng, count, base, choices, width):
+    """``count`` walks (direction 0) resumed at their first index ≥ ``base``."""
+    walks = []
+    for _ in range(count):
+        checksum = rng.getrandbits(64)
+        alpha = rng.choice(choices)
+        gen = IndexGenerator(checksum, alpha)
+        gen.indices_below(base)
+        value = rng.getrandbits(8 * width)
+        walks.append((value, checksum, gen.current, gen.state, alpha, 0))
+    return walks
 
 
 @pytest.mark.parametrize("width", [8, 92])  # 1 and 12 uint64 lanes
@@ -467,59 +440,35 @@ def run_banks(banks, width, direction, touched=None):
 def test_walk_kernel_multi_bank_matches_per_bank_calls(
     rng, width, irregular, rows, parked, direction
 ):
-    """Banks end to end under per-row ``hi``/``base`` columns walk
-    exactly as one kernel call per bank: unequal prefixes, a 0-cell bank
-    (its rows are not read and keep their parked walks), a bank with no
-    rows (a shard missing from the batch: its cells stay as they were),
-    rows resumed from parked states, irregular α, 1 and 12 lanes, and a
-    batch below ``NUMPY_TAIL_JOBS`` that only the per-edge tail walks."""
+    """Banks of unequal prefixes, each walked by its own kernel call on
+    its own lanes, match per-row ``IndexGenerator`` walks: rows resumed
+    from parked states over a nonzero ``base``, a 0-cell bank (its rows
+    are not read and keep their parked walks), irregular α, 1 and 12
+    lanes, both directions, and at 31 rows a batch below
+    ``NUMPY_TAIL_JOBS`` in every bank, which only the per-edge tail walks."""
     pytest.importorskip("numpy")
     spans = [(200, 760), (300, 300), (500, 1500), (10, 64)] if parked else [
         (0, 760), (0, 0), (0, 1500), (0, 64)
     ]
-    shares = [2, 1, 0, 2]  # bank 2 is missing from the batch
+    shares = [2, 1, 1, 2]
     choices = [DEFAULT_ALPHA, 0.11, 0.68, 0.82] if irregular else [DEFAULT_ALPHA]
-    banks = []
     for (base, hi), share in zip(spans, shares):
-        walks = []
-        for _ in range(rows * share // sum(shares)):
-            checksum = rng.getrandbits(64)
-            alpha = rng.choice(choices)
-            gen = IndexGenerator(checksum, alpha)
-            gen.indices_below(base)
-            value = rng.getrandbits(8 * width)
-            walks.append((value, checksum, gen.current, gen.state, alpha, 0))
-        banks.append((walks, base, hi))
-    got = run_banks(banks, width, direction)
-    for (walks, base, hi), (cells, ends) in zip(banks, got):
+        walks = parked_walks(rng, rows * share // sum(shares), base, choices, width)
         signed = [w[:5] + (direction,) for w in walks]
-        assert (cells, ends) == walk_reference(signed, hi, base)[:2]
-        if walks:
-            assert (cells, ends) == run_kernel(signed, hi, base, width, direction)[:2]
+        got = run_kernel(signed, hi, base, width, direction)[:2]
+        assert got == walk_reference(signed, hi, base)[:2]
 
 
-@pytest.mark.parametrize("rows", [10, 100])  # per bank: tail only; rounds first
+@pytest.mark.parametrize("rows", [10, 100])  # tail only; rounds first
 def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
     """``touched`` receives the lane slots (``index − base``) the edges
     were folded into, not walk indices, each beside the row that folded
-    it: over three banks laid end to end under per-row ``base``, on the
-    lock-step rounds and the per-edge tail alike, it is exactly what
-    ``fold_edges`` wrote — the rows a decoder wave reads its next peel
-    candidates from, and the edges its stop point is found on.  Every
-    edge of the call, rounds and tail together, is folded by ONE
-    ``fold_edges`` call."""
+    it: on banks over a nonzero ``base``, on the lock-step rounds and the
+    per-edge tail alike, it is exactly what ``fold_edges`` wrote — the
+    rows a decoder wave reads its next peel candidates from, and the
+    edges its stop point is found on.  Every edge of a call, rounds and
+    tail together, is folded by ONE ``fold_edges`` call."""
     np = pytest.importorskip("numpy")
-    spans = [(200, 760), (0, 500), (10, 300)]
-    banks = []
-    for base, hi in spans:
-        walks = []
-        for _ in range(rows):
-            checksum = rng.getrandbits(64)
-            gen = IndexGenerator(checksum)
-            gen.indices_below(base)
-            value = rng.getrandbits(64)
-            walks.append((value, checksum, gen.current, gen.state, DEFAULT_ALPHA, 1))
-        banks.append((walks, base, hi))
     folded = []
     fold = cellbank.fold_edges
 
@@ -528,39 +477,39 @@ def test_walk_kernel_touched_records_lane_slots(monkeypatch, rng, rows):
         return fold(sums, checksums, counts, slot, *rest)
 
     monkeypatch.setattr(cellbank, "fold_edges", spy)
-    touched = []
-    run_banks(banks, 8, 1, touched=touched)
-    assert len(folded) == len(touched) == 1
-    (slots, edge_rows), = touched
-    got = sorted(slots.tolist())
-    assert got == sorted(np.concatenate(folded).tolist())
-    expected, off, row = [], 0, 0
-    for walks, base, hi in banks:
-        for walk in walks:
-            slots_of = walk_reference([walk], hi, base)[2]
-            expected += [(row, off + slot) for slot in slots_of]
-            row += 1
-        off += hi - base
-    assert sorted(zip(edge_rows.tolist(), slots.tolist())) == sorted(expected)
+    for base, hi in [(200, 760), (0, 500), (10, 300)]:
+        walks = parked_walks(rng, rows, base, [DEFAULT_ALPHA], 8)
+        walks = [w[:5] + (1,) for w in walks]
+        folded.clear()
+        touched = []
+        run_kernel(walks, hi, base, 8, 1, touched=touched)
+        assert len(folded) == len(touched) == 1
+        (slots, edge_rows), = touched
+        assert sorted(slots.tolist()) == sorted(folded[0].tolist())
+        expected = [
+            (row, slot)
+            for row, walk in enumerate(walks)
+            for slot in walk_reference([walk], hi, base)[2]
+        ]
+        assert sorted(zip(edge_rows.tolist(), slots.tolist())) == sorted(expected)
 
 
 @pytest.mark.parametrize("rows", [8, 40])  # tail only; lock-step rounds first
 def test_walk_kernel_far_tail_clamp_per_row_hi(rng, rows):
-    """The ``MAX_INDEX`` unit-step clamp with per-row ``hi``: two banks at
-    index ~2^40 end at different ``hi``, and each clamped walk stays live
-    below its own bank's end, not the other's."""
+    """The ``MAX_INDEX`` unit-step clamp at two ends: walks at index ~2^40
+    end at ``hi`` = base + 64 or base + 24, one call each, and each
+    clamped walk stays live below its call's ``hi``, while one parked at
+    or past it is not read."""
     pytest.importorskip("numpy")
     base = 1 << 40
     state = state_before_draw((1 << 53) - 1)
-    banks = []
     for hi in (base + 64, base + 24):
         walks = [
             (rng.getrandbits(64), rng.getrandbits(64), base + j, state, 0.5, 1)
             for j in range(rows)
         ]
-        banks.append((walks, base, hi))
-    for (walks, base_, hi), (cells, ends) in zip(banks, run_banks(banks, 8, 1)):
-        assert (cells, ends) == walk_reference(walks, hi, base_)[:2]
+        cells, ends = run_kernel(walks, hi, base, 8, 1)[:2]
+        assert (cells, ends) == walk_reference(walks, hi, base)[:2]
         assert sum(c.count for c in cells) >= sum(base + j < hi for j in range(rows))
 
 
@@ -1239,3 +1188,78 @@ def test_one_recovered_store_in_decoder():
     assert decoder._bank.vector is vector and decoder._store.vector is vector
     assert decoder.decoded and sorted(decoder.remote_items()) == sorted(items)
     assert decoder._store.size == len(items) and decoder.local_values() == []
+
+
+def test_one_python_siphash_kernel(monkeypatch):
+    """SipHash has one Python round body: ``_siphash24_packed`` advances n
+    messages at once in the 128-bit lanes of Python ints (n = 1 is the
+    scalar hash), beside the NumPy lanes for large batches.  Before, a
+    one-message body (``_siphash24_words_scalar``) ran every small batch
+    and every scalar-engine batch once per message.  Now exactly one
+    function in ``siphash.py`` rotates Python ints, no loop there hashes
+    per message (the kernel's batch caller loops over chunks of
+    ``_PACK_CHUNK`` messages), and ``siphash24``, ``siphash24_batch`` and
+    ``siphash24_int_batch`` all reach that kernel: small batches on
+    either engine, any batch on the scalar engine."""
+    import ast
+    from pathlib import Path
+
+    from repro.hashing import siphash
+
+    tree = ast.parse(Path(siphash.__file__).read_text())
+
+    def called(node):
+        return {
+            ast.unparse(n.func).rpartition(".")[2]
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+        }
+
+    def rotates(fn):  # a SipRound rotation on Python ints: v << 13 | v >> 51
+        return any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.LShift)
+            and isinstance(n.right, ast.Constant)
+            and n.right.value == 13
+            for n in ast.walk(fn)
+        )
+
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert [fn.name for fn in functions if rotates(fn)] == ["_siphash24_packed"]
+    hashes = {"siphash24", "_siphash24_packed"}
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    for node in ast.walk(tree):
+        if isinstance(node, comprehensions):
+            assert not called(node) & hashes, ast.unparse(node)
+        if isinstance(node, (ast.For, ast.While)) and called(node) & hashes:
+            assert "_PACK_CHUNK" in ast.unparse(node.iter), ast.unparse(node)
+    graph = {fn.name: called(fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+    def reaches(name, seen=frozenset()):
+        if name == "_siphash24_packed":
+            return True
+        return any(reaches(c, seen | {name}) for c in graph.get(name, set()) - seen)
+
+    for entry in ("siphash24", "siphash24_batch", "siphash24_int_batch"):
+        assert reaches(entry), entry
+
+    # and at run time: the packed kernel below the crossover on either
+    # engine and for every batch on the scalar engine; the lanes above it
+    packed = siphash._siphash24_packed
+    runs = []
+    monkeypatch.setattr(
+        siphash, "_siphash24_packed", lambda *a: runs.append(1) or packed(*a)
+    )
+    key, big = bytes(16), siphash.NUMPY_MIN_BATCH
+    assert siphash.siphash24(key, b"abc") == packed(0, 0, [3 << 56 | 0x636261], 1)
+    assert runs == [1]
+    for vector in (False, True) if engine.np is not None else (False,):
+        with engine_lane(vector):
+            for n in (3, big):
+                for call in (
+                    lambda: siphash.siphash24_batch(key, [bytes(9)] * n),
+                    lambda: siphash.siphash24_int_batch(key, [7] * n, 8),
+                ):
+                    runs.clear()
+                    call()
+                    assert bool(runs) == (n < big or not vector), (vector, n)

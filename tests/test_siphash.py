@@ -1,9 +1,15 @@
 """SipHash-2-4: reference vectors and PRF properties (§4.3 substrate)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import engine
+from repro.core.cellbank import lanes_from_ints
 from repro.hashing import siphash
-from repro.hashing.siphash import siphash24, siphash24_batch
+from repro.hashing.siphash import siphash24, siphash24_batch, siphash24_int_batch
 
 from helpers import engine_lane
 
@@ -34,24 +40,119 @@ VECTORS_SIP64 = [
 ]
 
 
-@pytest.fixture(params=["scalar", "batch-numpy", "batch-scalar"])
+def kernel_spy(monkeypatch):
+    """Count the calls each SipHash kernel takes from here on."""
+    calls = {"packed": 0, "lanes": 0}
+    kernels = {"packed": "_siphash24_packed", "lanes": "_siphash24_word_lanes"}
+    for path, name in kernels.items():
+        kernel = getattr(siphash, name)
+
+        def spy(*args, _kernel=kernel, _path=path):
+            calls[_path] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(siphash, name, spy)
+    return calls
+
+
+# Each batch path, by the kernel and engine it runs: the NumPy lanes
+# (crossover forced to 1), the packed kernel below the crossover on the
+# vector engine, and the packed kernel on the scalar engine.
+BATCH_PATHS = {
+    "batch-numpy": ("lanes", True),
+    "batch-packed": ("packed", True),
+    "batch-scalar": ("packed", False),
+}
+
+
+@pytest.fixture(params=["scalar", *BATCH_PATHS])
 def hash_path(request, monkeypatch):
-    """One hasher callable per engine path, same (key, message) contract."""
+    """One hasher callable per kernel path, same (key, message) contract;
+    a batch path checks that its singleton batch ran its named kernel."""
     if request.param == "scalar":
         yield siphash24
         return
-    # Singleton batches still run the full lane pipeline (padding, final
-    # block, rounds) for every message length.  NUMPY_MIN_BATCH is the one
-    # lane threshold, for byte lists and integer batches alike.
-    monkeypatch.setattr(siphash, "NUMPY_MIN_BATCH", 1)
-    with engine_lane(request.param == "batch-numpy"):
-        yield lambda key, message: siphash24_batch(key, [message])[0]
+    kernel, vector = BATCH_PATHS[request.param]
+    if kernel == "lanes":
+        monkeypatch.setattr(siphash, "NUMPY_MIN_BATCH", 1)
+    calls = kernel_spy(monkeypatch)
+
+    def one(key, message):
+        digest = siphash24_batch(key, [message])[0]
+        assert calls[kernel] == 1 and sum(calls.values()) == 1, calls
+        return digest
+
+    with engine_lane(vector):
+        yield one
 
 
 @pytest.mark.parametrize("length", range(64))
 def test_reference_vectors(hash_path, length):
     message = bytes(range(length))
     assert hash_path(REFERENCE_KEY, message) == VECTORS_SIP64[length]
+
+
+BATCH_SIZES = {
+    "1": 1,
+    "2": 2,
+    "3": 3,
+    "crossover-1": siphash.NUMPY_MIN_BATCH - 1,
+    "crossover": siphash.NUMPY_MIN_BATCH,
+    "crossover+1": siphash.NUMPY_MIN_BATCH + 1,
+    "pack-chunk+1": siphash._PACK_CHUNK + 1,
+}
+
+
+@pytest.mark.parametrize("vector", [True, False], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("size", BATCH_SIZES.values(), ids=BATCH_SIZES.keys())
+def test_reference_vectors_at_every_batch_size(vector, size):
+    """All 64 reference vectors through one batch per message length, at
+    sizes either side of the crossover and across a packed-kernel chunk
+    boundary: the reference message sits at every third position of the
+    batch, between other messages of its length, so a lane mixed with
+    its neighbours, or a chunk seam, shows."""
+    rng = random.Random(size)
+    with engine_lane(vector):
+        for length in range(64):
+            message = bytes(range(length))
+            batch = [
+                message if j % 3 == 0 else rng.randbytes(length) for j in range(size)
+            ]
+            got = list(map(int, siphash24_batch(REFERENCE_KEY, batch)))
+            assert got[::3] == [VECTORS_SIP64[length]] * len(got[::3])
+            others = [j for j in range(size) if j % 3]
+            expected = [siphash24(REFERENCE_KEY, batch[j]) for j in others]
+            assert [got[j] for j in others] == expected, length
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.one_of(st.integers(1, 200), st.sampled_from([8, 16, 92, 96, 200])),
+    count=st.integers(1, 2 * siphash.NUMPY_MIN_BATCH),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_batch_form_matches_per_message_siphash(width, count, seed):
+    """Any width 1..200 and batch size up to twice the crossover, on both
+    engines and in every input form — byte list, row matrix, integer list
+    (widths to 8) and uint64 lane matrix — equals per-message siphash24."""
+    rng = random.Random(seed)
+    items = [rng.randbytes(width) for _ in range(count)]
+    expected = [siphash24(REFERENCE_KEY, item) for item in items]
+    ints = [int.from_bytes(item, "little") for item in items]
+    for vector in (True, False) if engine.np is not None else (False,):
+        with engine_lane(vector):
+            assert list(map(int, siphash24_batch(REFERENCE_KEY, items))) == expected
+            if width <= 8:
+                got = siphash24_int_batch(REFERENCE_KEY, ints, width)
+                assert list(map(int, got)) == expected
+            if engine.np is not None:  # the NumPy input forms, on either engine
+                rows = engine.np.frombuffer(b"".join(items), engine.np.uint8)
+                rows = rows.reshape(count, width)
+                got = siphash24_batch(REFERENCE_KEY, rows)
+                assert list(map(int, got)) == expected
+                lanes = lanes_from_ints(ints, width)
+                got = siphash24_int_batch(REFERENCE_KEY, lanes, width)
+                assert list(map(int, got)) == expected
 
 
 def test_batch_matches_scalar_elementwise():

@@ -37,12 +37,12 @@ def test_service_restart_cold_vs_warm(benchmark, tmp_path):
 
     # Checkpoint once so the snapshot holds the served cell prefix.
     seeded = open_durable(data_dir, items, num_shards=NUM_SHARDS)
-    seeded.open_stream().next_block(RESTART_CELLS)
+    seeded.open_stream().next_blocks([RESTART_CELLS])
     seeded.checkpoint()
     seeded.close()
 
     def first_blocks(backend):
-        return backend.open_stream().next_block(RESTART_CELLS)
+        return backend.open_stream().next_blocks([RESTART_CELLS])[0]
 
     def cold_start():
         return first_blocks(open_backend(items, num_shards=NUM_SHARDS))

@@ -117,16 +117,17 @@ def _walk_into(bank, lo: int, hi: int, walks, alphas, direction: int) -> None:
         )
 
 
-def _patch(encoder: "RatelessEncoder", values, checksums, direction: int) -> None:
+def _patch(encoder: "RatelessEncoder", values, checksums, direction, distinct=False):
     """The one patch body of set churn (linearity, §4.1): add
     (``direction`` +1) or remove (−1) ``values`` on ``encoder`` —
     ``checksums`` their keyed checksums, ``None`` when removing.  The
-    batch is validated first; then each symbol's walk (from its seed, or
-    replayed from its stored checksum and α) is XORed into every cached
-    cell it maps to under one :func:`_walk_into` call, and added rows
-    park where their walks stopped."""
+    batch is validated first (``distinct``: known free of repeats); then
+    each symbol's walk (from its seed, or replayed from its stored
+    checksum and α) is XORed into every cached cell it maps to under one
+    :func:`_walk_into` call, and added rows park where their walks
+    stopped."""
     removing = direction < 0
-    encoder._validate(values, present=removing)
+    encoder._validate(values, removing, distinct)
     store = encoder._store
     if removing:  # parked walks are discarded: no future in the stream
         checksums, alphas = store.kill(values)
@@ -164,6 +165,7 @@ def churn(encoder: "RatelessEncoder", items, direction: int, item_hashes=None) -
         values = codec.to_int_batch(rows)
     else:  # the value lanes are the rows, zero-padded
         values = lanes_from_bytes(rows, codec.symbol_size)
+    distinct = direction > 0 and codec.proven_distinct(rows)
     checksums = None  # a removal's rows hold theirs
     if direction > 0 and item_hashes is None:
         checksums = codec.checksum_batch(datas)
@@ -171,7 +173,7 @@ def churn(encoder: "RatelessEncoder", items, direction: int, item_hashes=None) -
         raise ValueError(f"{len(rows)} items but {len(item_hashes)} hashes")
     elif direction > 0:
         checksums = codec.checksums_from_hash64(item_hashes)
-    _patch(encoder, values, checksums, direction)
+    _patch(encoder, values, checksums, direction, distinct)
 
 
 class SourceStore:
@@ -518,15 +520,16 @@ class RatelessEncoder:
         """
         churn(self, items, -1)
 
-    def _validate(self, values, present: bool) -> None:
+    def _validate(self, values, present: bool, distinct: bool) -> None:
         """Raise ``KeyError`` for the first value named twice in the batch
         or whose membership is not ``present``.  A lane batch loaded into
-        an empty store is one sort of its lanes, leaving the store's index
-        unbuilt; anything else is one C-speed sweep (set build + keys-view
-        test) against the index for the common clean batch."""
+        an empty store is one sort of its lanes (none when ``distinct``),
+        leaving the store's index unbuilt; anything else is one C-speed
+        sweep (set build + keys-view test) against the index for the
+        common clean batch."""
         store = self._store
         if not (present or store.live or isinstance(values, list)):
-            if not has_duplicates(values):
+            if distinct or not has_duplicates(values):
                 return
         values = to_list(values)
         rows = store.rows

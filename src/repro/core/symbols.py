@@ -16,6 +16,7 @@ decoder's purity test and the wire format stay consistent automatically.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro import engine
@@ -57,6 +58,7 @@ class SymbolCodec:
         "checksum_size",
         "_checksum_mask",
         "_inv_mask_span",
+        "_distinct",
     )
 
     def __init__(
@@ -77,6 +79,7 @@ class SymbolCodec:
         self.checksum_size = checksum_size
         self._checksum_mask = (1 << (8 * checksum_size)) - 1
         self._inv_mask_span = 1.0 / float(1 << (8 * checksum_size))
+        self._distinct = None  # a weak ref to the rows distinct_item_rows proved
 
     # -- byte/int conversions -------------------------------------------
 
@@ -118,14 +121,23 @@ class SymbolCodec:
 
     def distinct_item_rows(self, items: list):
         """:meth:`item_rows` of the item list, repeats dropped (first kept).
-        A row matrix pays the encoder's first-lane sort (``has_duplicates``);
-        only a matrix holding a repeat, and the list form, pay ``dict.fromkeys``."""
+        A row matrix pays the encoder's first-lane sort (``has_duplicates``)
+        once: an encoder of this codec ingesting the very matrix returned
+        skips it (:meth:`proven_distinct`).  Only a matrix holding a repeat,
+        and the list form, pay ``dict.fromkeys``."""
         rows = self.item_rows(items)
         if isinstance(rows, list):
             return list(dict.fromkeys(rows))
         if has_duplicates(lanes_from_bytes(rows, self.symbol_size)):
-            return self.item_rows(list(dict.fromkeys(items)))
+            rows = self.item_rows(list(dict.fromkeys(items)))
+        if not rows.flags.writeable:  # no repeat can appear in it later
+            self._distinct = weakref.ref(rows)
         return rows
+
+    def proven_distinct(self, rows) -> bool:
+        """Whether ``rows`` is the read-only matrix :meth:`distinct_item_rows`
+        last returned, so free of repeats."""
+        return self._distinct is not None and self._distinct() is rows
 
     def to_bytes(self, value: int) -> bytes:
         """Unpack an integer sum back into ℓ bytes."""

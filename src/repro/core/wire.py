@@ -111,30 +111,35 @@ class SymbolStreamWriter:
         """Serialise the next cell; the index advances implicitly."""
         return self.write_block(CodedSymbolBank.from_cells((cell,)))
 
-    def write_block(self, bank: CodedSymbolBank) -> bytes:
+    def write_block(self, bank: CodedSymbolBank, cuts: Optional[list] = None) -> bytes:
         """Serialise a whole bank of cells; byte-identical to per-cell
         :meth:`write` calls, without materialising cell objects.
 
         A sizeable block is serialised in one vector pass (straight from
         a lane-form bank's columns); a small block or an ineligible codec
-        takes the scalar loop for the whole block.
+        takes the scalar loop for the whole block.  ``cuts`` (increasing
+        cell counts ≥ 1, block ends in ``bank``) is rewritten to the byte
+        offsets those cells end at, so one pass serves a run of blocks.
         """
+        blob, ends = self._write_block_records(bank) or self._write_block_scalar(bank)
+        n, fixed = len(bank), self.codec.symbol_size + self.codec.checksum_size
+        self.index += n
+        self.cells_written += n
+        self.bytes_written += len(blob)
+        self.count_bytes_written += len(blob) - n * fixed
+        if cuts:  # ends[i]: count bytes through cell i (None: one each)
+            cuts[:] = [c * fixed + (c if ends is None else ends[c - 1]) for c in cuts]
+        return blob
+
+    def _write_block_scalar(self, bank: CodedSymbolBank) -> tuple[bytes, list]:
+        """The reference loop: the blob and the count bytes through each cell."""
         codec = self.codec
-        blob = self._write_block_records(bank)
-        if blob is not None:
-            n = len(bank)
-            self.index += n
-            self.cells_written += n
-            self.bytes_written += len(blob)
-            fixed = codec.symbol_size + codec.checksum_size
-            self.count_bytes_written += len(blob) - n * fixed
-            return blob
         symbol_size = codec.symbol_size
         checksum_size = codec.checksum_size
         set_size = self.set_size
         encode_svarint = varint.encode_svarint
         index = self.index
-        count_bytes = 0
+        ends = [0]
         parts = []
         for cell_sum, cell_checksum, cell_count in zip(*bank.in_form(False).lanes):
             count_blob = encode_svarint(
@@ -143,19 +148,15 @@ class SymbolStreamWriter:
             parts.append(cell_sum.to_bytes(symbol_size, "little"))
             parts.append(cell_checksum.to_bytes(checksum_size, "little"))
             parts.append(count_blob)
-            count_bytes += len(count_blob)
+            ends.append(ends[-1] + len(count_blob))
             index += 1
-        blob = b"".join(parts)
-        self.index = index
-        self.cells_written += len(bank)
-        self.bytes_written += len(blob)
-        self.count_bytes_written += count_bytes
-        return blob
+        return b"".join(parts), ends[1:]
 
-    def _write_block_records(self, bank: CodedSymbolBank) -> Optional[bytes]:
+    def _write_block_records(self, bank: CodedSymbolBank) -> Optional[tuple]:
         """:meth:`write_block` as ``sum ∥ checksum ∥ varint`` records: one
         zigzag byte per cell in the §6 common case, else the varints'
-        7-bit groups padded to the widest, the padding dropped by a mask.
+        7-bit groups padded to the widest, the padding dropped by a mask;
+        with the count bytes through each cell (``None``: one each).
 
         Returns ``None`` when the §6 expected-count vector is not
         available (vector engine off, small block, absurd set size) —
@@ -175,7 +176,7 @@ class SymbolStreamWriter:
         widths = (codec.symbol_size, codec.checksum_size)
         width = -(-int(zigzag.max()).bit_length() // 7) or 1  # the widest varint
         if width == 1:
-            return pack_records((bank.sums, bank.checksums, zigzag), (*widths, 1))
+            return pack_records((bank.sums, bank.checksums, zigzag), (*widths, 1)), None
         groups = zigzag[:, None] >> np.arange(0, 7 * width, 7, dtype=np.uint64)
         length = np.maximum((groups != 0).sum(axis=1), 1)  # varint bytes per cell
         fixed = sum(widths)
@@ -184,7 +185,8 @@ class SymbolStreamWriter:
         cells[:, :fixed] = np.frombuffer(head, np.uint8).reshape(n, fixed)
         cells[:, fixed:] = groups & 0x7F
         cells[:, fixed:][np.arange(width) < length[:, None] - 1] |= 0x80
-        return cells[np.arange(fixed + width) < fixed + length[:, None]].tobytes()
+        blob = cells[np.arange(fixed + width) < fixed + length[:, None]].tobytes()
+        return blob, np.cumsum(length).tolist()
 
     @property
     def mean_count_bytes(self) -> float:
@@ -335,16 +337,10 @@ class SymbolStreamReader:
             start_index, pos = varint.decode_uvarint(buf, pos)
         except ValueError:
             return False  # header still incomplete
-        if symbol_size != self.codec.symbol_size:
-            raise ValueError(
-                f"symbol size mismatch: stream={symbol_size}, "
-                f"codec={self.codec.symbol_size}"
-            )
-        if checksum_size != self.codec.checksum_size:
-            raise ValueError(
-                f"checksum size mismatch: stream={checksum_size}, "
-                f"codec={self.codec.checksum_size}"
-            )
+        for what, got in (("symbol", symbol_size), ("checksum", checksum_size)):
+            want = getattr(self.codec, f"{what}_size")
+            if got != want:
+                raise ValueError(f"{what} size mismatch: stream={got}, codec={want}")
         self.set_size = set_size
         self.index = start_index
         del self._buffer[:pos]

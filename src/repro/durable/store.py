@@ -21,9 +21,10 @@ There is no instant at which a reader can observe half a checkpoint.
 
 **Mutation** is write-ahead through :class:`DurableBackend`: validate
 against the live set (``ShardedSet.check_many``, the same all-or-nothing
-test the apply runs, on the batch's one keyed hash pass), append to the
-journal, *then* patch the warm bank.  An ``OSError`` on the append
-leaves memory and disk unchanged; a replayed journal cannot fail.
+test a plain apply runs, on the batch's one keyed hash pass), append to
+the journal, *then* apply its placements and patch the warm bank.  An
+``OSError`` on the append leaves memory and disk unchanged; a replayed
+journal cannot fail.
 
 **Recovery** (:func:`open_durable` on an existing dir) parses the
 manifest, restores the :class:`~repro.core.encoder.RatelessEncoder`
@@ -370,13 +371,13 @@ class DurableBackend(WarmRibltBackend):
         items = items if isinstance(items, list) else list(items)
         if not items:
             return []
-        # Validate first, with the very test the apply below repeats, so a
-        # journalled record can never fail to replay.  The batch's one keyed
-        # hash pass serves the test, the apply and the checksums.
+        # Validate first, so a journalled record can never fail to replay;
+        # the apply takes the placements the check returned.  The batch's
+        # one keyed hash pass serves the check and the checksums.
         hashes = hash_items(self.handle.hash64, items)
-        self.sharded.check_many(items, direction > 0, hashes)
+        placed = self.sharded.check_many(items, direction > 0, hashes)
         self.store.journal_op(OP_ADD if direction > 0 else OP_REMOVE, items)
-        placed = super()._churn(items, direction, hashes)
+        super()._churn(items, direction, hashes, placed)
         self.store.note_churn(len(items), self)
         return placed
 

@@ -13,12 +13,12 @@ Event/effect contract
 A transport adapter feeds a machine **events** and drains **effects**
 (:mod:`repro.protocol.events`):
 
-* events — ``start()``, ``bytes_received(data)``, ``tick(now)``,
+* events — ``start()``, ``bytes_received(data)``, ``tick(now, burst)``,
   ``peer_closed()``.  ``tick`` drives time-based behaviour: stream
   production on the responder and budget-grace expiry; ``now`` is any
   monotonic clock the transport likes (the in-memory pump uses a
   virtual one, asyncio uses ``loop.time()``, the network simulator its
-  event-heap clock).
+  event-heap clock); ``burst`` lets one tick serve that many bytes.
 * effects — :class:`~repro.protocol.events.SendBytes` (framed bytes to
   deliver, in order), :class:`~repro.protocol.events.Delivered` (the
   terminal :class:`~repro.protocol.events.MachineReport`), and
@@ -187,9 +187,7 @@ def _raise_peer_error(body: bytes) -> None:
         raise ServerBusy(f"server: {message}", retry_after=retry_ms / 1000.0)
     message = parser.rest().decode("utf-8", errors="replace")
     if code == ErrorCode.BUDGET:
-        raise SymbolBudgetExceeded(
-            f"server: {message}", symbols_sent=0, max_symbols=0
-        )
+        raise SymbolBudgetExceeded(f"server: {message}", symbols_sent=0, max_symbols=0)
     if code == ErrorCode.STALE:
         raise StaleStream(f"server: {message}")
     if code == ErrorCode.MISMATCH:
@@ -233,10 +231,10 @@ class ReconcilerMachine:
             return
         self._guard(lambda: self._feed(data))
 
-    def tick(self, now: float = 0.0) -> None:
+    def tick(self, now: float = 0.0, burst: int = 0) -> None:
         """Advance time-based behaviour (production, grace deadlines)."""
         if self._started and not self.finished:
-            self._guard(lambda: self._on_tick(now))
+            self._guard(lambda: self._on_tick(now, burst))
 
     def peer_closed(self) -> None:
         """The transport saw EOF; mid-frame or mid-sync closes fail."""
@@ -328,7 +326,7 @@ class ReconcilerMachine:
     def _on_frame(self, ftype: int, body: bytes) -> None:
         raise ProtocolError(f"unexpected frame type {ftype:#x}")
 
-    def _on_tick(self, now: float) -> None:
+    def _on_tick(self, now: float, burst: int) -> None:
         pass
 
     def _on_peer_closed(self) -> None:
@@ -665,9 +663,7 @@ class InitiatorMachine(ReconcilerMachine):
         bound = parser.uvarint()
         blob = parser.rest()
         if bound != self._bound:
-            raise ProtocolError(
-                f"SKETCH echoes bound {bound}, asked for {self._bound}"
-            )
+            raise ProtocolError(f"SKETCH echoes bound {bound}, asked for {self._bound}")
         if self._payloads is not None:
             self._payloads.extend(blob)
         self._payload += len(blob)
@@ -748,7 +744,8 @@ class ResponderMachine(ReconcilerMachine):
     """Alice's side: validates the HELLO, then serves the backend.
 
     Stream-mode production happens on ``tick`` — one block of the
-    connection's one stream while it is neither done nor at its credit
+    connection's one stream (or the run a byte ``burst`` buys, read and
+    §6-encoded in one pass) while it is neither done nor at its credit
     limit, ramping from 8 cells up to ``block_size`` (``slow_start=False``
     pins every block to ``block_size``, which the lock-step transports
     use for cell-exact termination).  The limit starts at
@@ -814,18 +811,12 @@ class ResponderMachine(ReconcilerMachine):
         # matching the asyncio server (no ERROR reply to garbage).
         self._fail(exc)
 
-    def _send_error(self, code: ErrorCode, message: str) -> None:
+    def _send_error(self, code: ErrorCode, message: str, body: bytes = b"") -> None:
         self.error_codes.append(int(code))
-        size = self._send_frame(
-            FrameType.ERROR,
-            pack_uvarints(int(code)) + message.encode("utf-8"),
-        )
+        body = body or pack_uvarints(int(code)) + message.encode("utf-8")
+        size = self._send_frame(FrameType.ERROR, body)
         if self._mode == SyncMode.STREAM:
             self.bytes_sent += size
-
-    def _protocol_fail(self, code: ErrorCode, message: str) -> None:
-        self._send_error(code, message)
-        self._fail(ProtocolError(message))
 
     def deadline_expired(self, message: str = "session idle past deadline") -> None:
         """Hosting transport declares the peer stalled.
@@ -853,12 +844,7 @@ class ResponderMachine(ReconcilerMachine):
         """
         if self.finished:
             return
-        self.error_codes.append(int(ErrorCode.BUSY))
-        size = self._send_frame(
-            FrameType.ERROR, pack_busy_body(retry_after, message)
-        )
-        if self._mode == SyncMode.STREAM:
-            self.bytes_sent += size
+        self._send_error(ErrorCode.BUSY, message, pack_busy_body(retry_after, message))
         self._fail(ServerBusy(message, retry_after=retry_after))
 
     # -- machine events ----------------------------------------------------
@@ -871,7 +857,7 @@ class ResponderMachine(ReconcilerMachine):
 
     def _on_hello(self, ftype: int, body: bytes) -> None:
         if ftype != FrameType.HELLO:
-            self._protocol_fail(
+            self._reject(
                 ErrorCode.PROTOCOL, f"expected HELLO, got frame type {ftype:#x}"
             )
             return
@@ -976,22 +962,22 @@ class ResponderMachine(ReconcilerMachine):
             reader.expect_end()
             if stream:
                 # In stream mode the backend has no sketches to rebuild.
-                self._protocol_fail(ErrorCode.PROTOCOL, "RETRY is invalid in stream mode")
+                self._reject(ErrorCode.PROTOCOL, "RETRY is invalid in stream mode")
             elif not self._refuse_bound("RETRY", bound):
                 self._send_sketch(bound)
         elif ftype == FrameType.CREDIT and stream:
             limit = reader.uvarint()
             if reader.remaining:
-                self._protocol_fail(ErrorCode.PROTOCOL, "malformed CREDIT")
+                self._reject(ErrorCode.PROTOCOL, "malformed CREDIT")
                 return
             # Cumulative, so a stale or duplicated grant changes nothing.
             self._limit = max(self._limit, limit)
         else:
-            self._protocol_fail(
+            self._reject(
                 ErrorCode.PROTOCOL, f"unexpected frame type {ftype:#x} from client"
             )
 
-    def _on_tick(self, now: float) -> None:
+    def _on_tick(self, now: float, burst: int) -> None:
         if self._state != "stream" or self._done:
             return
         budget = self.max_symbols
@@ -1011,16 +997,19 @@ class ResponderMachine(ReconcilerMachine):
             return
         if sent >= self._limit:
             return  # window spent: wait for the initiator's CREDIT
-        if self.slow_start:
-            cells = min(self._ramp, self.block_size)
-            self._ramp = cells * 2
-        else:
-            cells = self.block_size
-        if budget is not None:
-            cells = min(cells, budget - sent)
-        payload = self._cursor.next_block(cells)
-        self.symbols_sent += cells
-        self.bytes_sent += self._send_frame(FrameType.SYMBOLS, payload)
+        # Each block starts below the limit and the budget, as its own tick
+        # would; the run lasts while the burst does (a cell is at least its
+        # fixed fields and one count byte), one encode pass for all of it.
+        codec, stop = self.handle.codec, math.inf if budget is None else budget
+        cell_bytes = codec.symbol_size + codec.checksum_size + 1
+        sizes, top = [], sent
+        while top < min(self._limit, stop) and (top - sent) * cell_bytes <= burst:
+            ramp = self._ramp if self.slow_start else self.block_size
+            sizes.append(min(ramp, self.block_size, stop - top))
+            self._ramp, top = 2 * sizes[-1], top + sizes[-1]
+        for payload in self._cursor.next_blocks(sizes):
+            self.bytes_sent += self._send_frame(FrameType.SYMBOLS, payload)
+        self.symbols_sent = top
 
     @property
     def wants_tick(self) -> bool:
@@ -1059,9 +1048,7 @@ class ResponderMachine(ReconcilerMachine):
     # -- shared ------------------------------------------------------------
 
     def _send_stats(self) -> None:
-        body = pack_uvarints(
-            self.symbols_sent, self.bytes_sent, self.pushes_applied
-        )
+        body = pack_uvarints(self.symbols_sent, self.bytes_sent, self.pushes_applied)
         size = self._send_frame(FrameType.STATS, body)
         if self._mode != SyncMode.SKETCH:
             self.bytes_sent += size
@@ -1082,7 +1069,7 @@ class ResponderMachine(ReconcilerMachine):
         try:
             self.backend.add_many(fresh)
         except KeyError as exc:  # an item of a shard this worker does not own
-            self._protocol_fail(ErrorCode.PROTOCOL, f"PUSH refused: {exc.args[0]}")
+            self._reject(ErrorCode.PROTOCOL, f"PUSH refused: {exc.args[0]}")
             return
         self.pushes_applied += len(fresh)
 

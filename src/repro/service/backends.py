@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from abc import ABC
 from functools import reduce
+from itertools import accumulate
 from operator import xor
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro import engine
 from repro.api.base import UnsupportedOperation
@@ -108,11 +109,12 @@ class ShardBackend(ABC):
         """Drop a batch of items; returns each item's shard."""
         return self._churn(items, -1)
 
-    def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
+    def _churn(self, items, direction: int, hashes=None, checked=None) -> list[int]:
         """The one mutation body: add (``direction`` +1) or remove (−1) a
-        batch; ``hashes`` are its keyed hashes when the caller has them."""
+        batch; ``hashes`` are its keyed hashes when the caller has them,
+        ``checked`` its ``ShardedSet.check_many`` placements."""
         mutate = self.sharded.add_many if direction > 0 else self.sharded.remove_many
-        return mutate(items, hashes)
+        return mutate(items, hashes, checked)
 
     def digest(self) -> CodedSymbolBank:
         """Cell 0 of the whole set, from the members in one hash pass."""
@@ -135,21 +137,22 @@ class StreamCursor:
         self._versions = list(backend.sharded.versions)
         self.symbols_sent = 0
         self._writer = SymbolStreamWriter(backend.codec, set_size=len(backend.sharded))
-        self._head: Optional[bytes] = self._writer.header()
+        self._head = self._writer.header()  # sent with the first block
 
-    def next_block(self, max_cells: int) -> bytes:
-        """The next ``max_cells`` coded symbols, wire-framed (§6)."""
-        if max_cells < 1:
-            raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-        backend = self._backend
-        if backend.sharded.versions != self._versions:
+    def next_blocks(self, sizes: Sequence[int]) -> list[bytes]:
+        """The next blocks of ``sizes`` coded symbols each, wire-framed (§6):
+        one cached slice and one writer pass, cut at the block ends."""
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"every block needs max_cells >= 1, got {list(sizes)}")
+        if self._backend.sharded.versions != self._versions:
             raise StaleStream("the set mutated mid-stream; reconnect to resync")
-        lo = self.symbols_sent
-        self.symbols_sent = lo + max_cells
-        bank = backend.encoder.cached_block(lo, self.symbols_sent)
-        head = self._head or b""
-        self._head = None
-        return head + self._writer.write_block(bank)
+        lo, cuts = self.symbols_sent, list(accumulate(sizes))
+        self.symbols_sent = lo + cuts[-1]
+        bank = self._backend.encoder.cached_block(lo, self.symbols_sent)
+        blob = self._writer.write_block(bank, cuts)
+        blocks = [blob[a:b] for a, b in zip([0, *cuts], cuts)]
+        blocks[0], self._head = self._head + blocks[0], b""
+        return blocks
 
 
 class WarmRibltBackend(ShardBackend):
@@ -170,14 +173,14 @@ class WarmRibltBackend(ShardBackend):
         self.codec = handle.codec
         self.encoder = encoder
 
-    def _churn(self, items: Iterable[bytes], direction: int, hashes=None) -> list[int]:
+    def _churn(self, items, direction: int, hashes=None, checked=None) -> list[int]:
         """One keyed hash pass places, validates and applies the batch on the
         set and seeds added rows' checksums; then one encoder call patches
         the cached prefix."""
         items = items if isinstance(items, list) else list(items)
         if hashes is None:
             hashes = hash_items(self.handle.hash64, items)
-        placed = super()._churn(items, direction, hashes)
+        placed = super()._churn(items, direction, hashes, checked)
         if direction > 0:
             self.encoder.add_items(items, item_hashes=hashes)
         else:

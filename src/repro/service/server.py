@@ -9,11 +9,12 @@ session is a :class:`~repro.protocol.ResponderMachine` (the same
 sans-io machine the in-memory pump and the simulated link drive), and
 this module is only the asyncio shell that shuttles socket bytes in,
 machine frames out, and ``tick``s production while the machine wants
-it (a burst of blocks per write, up to ``_WRITE_BYTES``).  What bounds
-a session's cost is the machine's credit window, not the socket:
-kernel buffers let a server run megabytes ahead of a busy client, so
-the machine serves the stream only up to the limit the client's
-``CREDIT`` frames have granted.  A window-stalled session
+it: one tick per write, serving the blocks ``_WRITE_BYTES`` buy in one
+encode pass (the in-memory pump and the simulated link tick one block
+at a time).  What bounds a session's cost is the machine's credit
+window, not the socket: kernel buffers let a server run megabytes ahead
+of a busy client, so the machine serves the stream only up to the limit
+the client's ``CREDIT`` frames have granted.  A window-stalled session
 holds a cursor and waits on its read task; one that never grants is
 reaped by ``idle_timeout`` with the typed ``IDLE`` error.
 
@@ -47,7 +48,9 @@ from repro.service.framing import (
 from repro.service.defaults import DEFAULT_BUSY_RETRY_AFTER, with_service_hasher
 
 _READ_CHUNK = 1 << 16
-# Coded bytes a session serves per write while its window is open.
+# Coded bytes a session serves per tick (one encode pass, one write)
+# while its window is open.  16 KiB cut big_diff server CPU by another
+# quarter but raised its client CPU and sync p50 ~8 % on a 2-core host.
 _WRITE_BYTES = 1 << 12
 
 
@@ -485,9 +488,7 @@ class _Session:
         # session making either kind never expires; one making neither
         # is a stalled client squatting on session state.
         last_progress = loop.time()
-        read_task: asyncio.Task = asyncio.ensure_future(
-            self.reader.read(_READ_CHUNK)
-        )
+        read_task: asyncio.Task = asyncio.ensure_future(self.reader.read(_READ_CHUNK))
         byte_cap = self.server.config.max_session_bytes
         try:
             while not machine.finished:
@@ -530,20 +531,14 @@ class _Session:
                         continue
                     machine.bytes_received(data)
                     last_progress = loop.time()
-                    read_task = asyncio.ensure_future(
-                        self.reader.read(_READ_CHUNK)
-                    )
+                    read_task = asyncio.ensure_future(self.reader.read(_READ_CHUNK))
                     continue
                 if machine.wants_tick:
-                    # A tick serves one block: serve a burst of up to
-                    # _WRITE_BYTES per write, so the loop's per-write
-                    # costs are not paid per block.  Production is
-                    # synchronous CPU work; yield so concurrent sessions
+                    # One tick serves about _WRITE_BYTES in one encode
+                    # pass: no per-write or §6 writer cost per block.
+                    # Production is synchronous CPU work; yield so sessions
                     # interleave even when the socket buffer never fills.
-                    burst = machine.bytes_sent + _WRITE_BYTES
-                    machine.tick(loop.time())
-                    while machine.wants_tick and machine.bytes_sent < burst:
-                        machine.tick(loop.time())
+                    machine.tick(loop.time(), _WRITE_BYTES)
                     await asyncio.sleep(0)
                     continue
                 delay = machine.next_tick_delay(loop.time())

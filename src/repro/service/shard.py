@@ -144,9 +144,6 @@ class ShardedSet:
             hashes = hash_items(self.hash64, items)
         return placements_from_hashes(hashes, self.num_shards)
 
-    def shard_of(self, item: bytes) -> int:
-        return self.place(item)
-
     # -- mutation (one body; the single-item forms are one-element batches)
 
     def add(self, item: bytes) -> int:
@@ -157,24 +154,25 @@ class ShardedSet:
         """Remove ``item``; returns its shard.  Raises ``KeyError`` if absent."""
         return self.remove_many([item])[0]
 
-    def add_many(self, items: Iterable[bytes], hashes=None) -> list[int]:
+    def add_many(self, items: Iterable[bytes], hashes=None, checked=None) -> list[int]:
         """Place a batch of items; returns each item's shard, in order.
 
         All-or-nothing: a duplicate (against the set or inside the batch)
         raises ``KeyError`` before anything is placed.  Each touched
         shard's version bumps once per batch — one stream invalidation
         per churn event, not one per item.  ``hashes`` as in
-        :meth:`place_many`.
+        :meth:`place_many`; ``checked``, what :meth:`check_many` just
+        returned for the batch, is applied without a second check.
         """
-        return self._mutate_many(items, True, hashes)
+        return self._mutate_many(items, True, hashes, checked)
 
-    def remove_many(self, items: Iterable[bytes], hashes=None) -> list[int]:
+    def remove_many(self, items, hashes=None, checked=None) -> list[int]:
         """Drop a batch of items; returns each item's shard, in order.
 
         All-or-nothing, mirroring :meth:`add_many` (an absent item — or
         one named twice in the batch — raises before anything changes).
         """
-        return self._mutate_many(items, False, hashes)
+        return self._mutate_many(items, False, hashes, checked)
 
     def check_many(
         self, items: Sequence[bytes], adding: bool, hashes=None
@@ -194,9 +192,9 @@ class ShardedSet:
             seen.add(item)
         return placed
 
-    def _mutate_many(self, items: Iterable[bytes], adding: bool, hashes) -> list[int]:
+    def _mutate_many(self, items, adding: bool, hashes, checked) -> list[int]:
         items = items if isinstance(items, list) else list(items)
-        placed = self.check_many(items, adding, hashes)
+        placed = self.check_many(items, adding, hashes) if checked is None else checked
         for item, shard in zip(items, placed):
             (self.shards[shard].add if adding else self.shards[shard].remove)(item)
         for shard in set(placed):
@@ -248,19 +246,15 @@ class ShardSubsetSet(ShardedSet):
         return self.place_many([item])[0]
 
     def place_many(self, items: Sequence[bytes], hashes=None) -> list[int]:
-        local = self._local
-        out: list[int] = []
         if hashes is None:
             hashes = hash_items(self.hash64, items)
         placed = placements_from_hashes(hashes, self.total_shards)
-        for item, g in zip(items, placed):
-            try:
-                out.append(local[g])
-            except KeyError:
-                raise KeyError(
-                    f"item {item.hex()} places in unowned shard {g}"
-                ) from None
-        return out
+        try:
+            return [self._local[g] for g in placed]
+        except KeyError as exc:
+            (g,) = exc.args
+            item = items[placed.index(g)]
+            raise KeyError(f"item {item.hex()} places in unowned shard {g}") from None
 
     def __contains__(self, item: bytes) -> bool:
         g = shard_of(self.hash64, item, self.total_shards)

@@ -223,6 +223,9 @@ class BulkIntCodec(IntSymbolCodec):
     def checksum_batch(self, datas):
         return [self.checksum_data(data) for data in datas]
 
+    def proven_distinct(self, rows):
+        return False
+
 
 ALPHA_CODECS = {
     # Fig 4's α sweep and the α ablation: regular, but not α = 0.5
@@ -606,10 +609,12 @@ def test_riblt_adapter_block_payload_bytes_identical(lane, rng):
 
     items = make_items(rng, 60)
     singles = open_backend(items).open_stream()
-    payload_singles = b"".join(singles.next_block(1) for _ in range(40))
+    payload_singles = b"".join(singles.next_blocks([1])[0] for _ in range(40))
     blocks = open_backend(items).open_stream()
-    payload_blocks = blocks.next_block(25) + blocks.next_block(15)
+    payload_blocks = blocks.next_blocks([25])[0] + blocks.next_blocks([15])[0]
     assert payload_blocks == payload_singles
+    burst = open_backend(items).open_stream().next_blocks([25, 15])
+    assert burst == [payload_blocks[: len(burst[0])], payload_blocks[len(burst[0]) :]]
 
 # -- packed bank (zero-copy pack/unpack) ------------------------------------
 

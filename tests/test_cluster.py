@@ -421,7 +421,7 @@ def test_subset_open_encoder_is_a_cold_stripe_encoder(tmp_path, worker):
     full = open_durable(
         data_dir, items, num_shards=4, config=NO_FSYNC, hasher=SERVICE_HASHER
     )
-    full.open_stream().next_block(100)  # a parked prefix in the snapshot
+    full.open_stream().next_blocks([100])  # a parked prefix in the snapshot
     full.add_many(items_range(10_000, 10_050))
     full.remove_many(items[::9])
     full.checkpoint()

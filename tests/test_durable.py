@@ -12,6 +12,7 @@ Acceptance anchors:
   complete record with a bad CRC is *corruption* and fails typed.
 """
 
+import importlib
 import json
 import random
 
@@ -58,7 +59,7 @@ def fresh_backend(items, num_shards=NUM_SHARDS):
 def served_stream(backend, cells=96):
     """The exact wire bytes a client would read, and the encoder's cells."""
     return [
-        backend.open_stream().next_block(cells),
+        backend.open_stream().next_blocks([cells])[0],
         backend.encoder.cached_block(0, cells),
     ]
 
@@ -70,9 +71,9 @@ def assert_bit_identical(recovered, reference):
     assert served_stream(recovered) == served_stream(reference)
     # Future production must agree too, not just the cached prefix.
     a, b = recovered.open_stream(), reference.open_stream()
-    a.next_block(64)
-    b.next_block(64)
-    assert a.next_block(64) == b.next_block(64)
+    a.next_blocks([64])
+    b.next_blocks([64])
+    assert a.next_blocks([64]) == b.next_blocks([64])
     ours, theirs = recovered.encoder, reference.encoder
     assert ours.cached_block(0, 192) == theirs.cached_block(0, 192)
 
@@ -333,7 +334,7 @@ def test_narrow_checksum_store_reopens_same_shards(tmp_path, lane):
     backend = open_durable(
         tmp_path, make_items(0, 300), num_shards=NUM_SHARDS, **params
     )
-    backend.open_stream().next_block(64)
+    backend.open_stream().next_blocks([64])
     backend.add_many(make_items(300, 340))
     backend.remove_many(make_items(0, 25))
     backend.checkpoint()
@@ -371,6 +372,54 @@ def test_journal_io_error_leaves_memory_and_disk_unchanged(tmp_path):
     recovered = open_durable(tmp_path)
     try:
         assert set(recovered.sharded) == before | set(make_items(100, 105))
+    finally:
+        recovered.close()
+
+
+def test_churn_checks_and_places_each_batch_once(tmp_path, monkeypatch):
+    """A churn batch is hashed, validated and placed once, durable or
+    not: the write-ahead check's placements are the ones applied (the
+    apply used to run ``check_many`` — and ``place_many`` — again), and a
+    rejected batch still fails typed before the journal sees it."""
+    from repro.service import shard as shard_module
+
+    calls = {"check_many": 0, "place_many": 0, "hash_items": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(shard_module.ShardedSet, "check_many")
+    counted(shard_module.ShardedSet, "place_many")
+    durable = open_durable(tmp_path, make_items(0, 300), num_shards=NUM_SHARDS)
+    warm = open_backend(make_items(0, 300), num_shards=NUM_SHARDS, symbol_size=ITEM)
+    for module in ("repro.durable.store", "repro.service.backends"):
+        counted(importlib.import_module(module), "hash_items")
+    try:
+        for backend in (durable, warm):
+            for batch, mutate in (
+                (make_items(300, 556), backend.add_many),
+                (make_items(0, 256), backend.remove_many),
+            ):
+                calls.update(dict.fromkeys(calls, 0))
+                placed = mutate(batch)
+                assert calls == {"check_many": 1, "place_many": 1, "hash_items": 1}
+                assert placed == backend.sharded.place_many(batch)
+        journal = (tmp_path / JOURNAL_NAME).read_bytes()
+        with pytest.raises(KeyError, match="duplicate item"):
+            durable.add_many(make_items(400, 401))
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == journal
+        assert set(durable.sharded) == set(warm.sharded) == set(make_items(256, 556))
+    finally:
+        durable.close()
+    recovered = open_durable(tmp_path)
+    try:
+        assert_bit_identical(recovered, fresh_backend(make_items(256, 556)))
     finally:
         recovered.close()
 
@@ -450,7 +499,7 @@ def test_wide_symbol_snapshot_content_pinned_and_recovers(tmp_path):
         config=DurableConfig(fsync=False),
         **params,
     )
-    backend.open_stream().next_block(200)
+    backend.open_stream().next_blocks([200])
     backend.add_many(pool[400:])
     backend.remove_many(pool[:30])
     backend.checkpoint()
@@ -494,7 +543,7 @@ def test_snapshot_crosses_engines_bit_identically(tmp_path, size, written_on_vec
         backend = open_durable(
             path, pool[:400], num_shards=2, config=DurableConfig(fsync=False), **params
         )
-        backend.open_stream().next_block(200)
+        backend.open_stream().next_blocks([200])
         backend.add_many(pool[400:])
         backend.remove_many(pool[:30])
         backend.checkpoint()

@@ -193,7 +193,7 @@ def test_sharded_add_many_matches_singles(rng):
         one.add(item)
     many = ShardedSet(_hash64, 4)
     placed = many.add_many(items)
-    assert placed == [one.shard_of(item) for item in items]
+    assert placed == [one.place(item) for item in items]
     assert [sorted(s) for s in many.shards] == [sorted(s) for s in one.shards]
     # one version bump per touched shard, not per item
     assert all(v <= 1 for v in many.versions)

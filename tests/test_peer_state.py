@@ -376,18 +376,18 @@ def test_churn_batch_matches_per_shard_encoder_calls(lane, tmp_path, size, durab
 
 
 def test_warm_stream_refuses_empty_blocks():
-    """``next_block(max_cells < 1)`` raises before the cursor moves: it
-    used to step the cursor back, so the next block re-sent cells under
-    later indices."""
+    """A run holding a block of ``max_cells < 1`` (or no block at all)
+    raises before the cursor moves: it used to step the cursor back, so
+    the next block re-sent cells under later indices."""
     items = items_for(8)
     stream = open_backend(items, num_shards=NUM_SHARDS).open_stream()
     expected = open_backend(items, num_shards=NUM_SHARDS).open_stream()
-    assert stream.next_block(8) == expected.next_block(8)
-    for cells in (0, -3):
+    assert stream.next_blocks([8])[0] == expected.next_blocks([8])[0]
+    for sizes in ([0], [-3], [8, 0], []):
         with pytest.raises(ValueError, match="max_cells"):
-            stream.next_block(cells)
+            stream.next_blocks(sizes)
     assert stream.symbols_sent == 8
-    assert stream.next_block(8) == expected.next_block(8)
+    assert stream.next_blocks([8])[0] == expected.next_blocks([8])[0]
 
 
 def test_stream_cursor_slices_the_encoders_prefix(lane):
@@ -404,7 +404,7 @@ def test_stream_cursor_slices_the_encoders_prefix(lane):
         writer = SymbolStreamWriter(backend.codec, set_size=len(items))
         stream, served = backend.open_stream(), 0
         for cells in [8, 16, 32] + [64] * 30:
-            block = stream.next_block(cells)
+            block = stream.next_blocks([cells])[0]
             cut = bare.cached_block(served, served + cells)
             head = writer.header() if not served else b""
             assert block == head + writer.write_block(cut)
@@ -561,7 +561,7 @@ def test_one_encoder_per_backend(lane, size):
 
     def state(backend):
         stream = backend.open_stream()
-        blocks = [stream.next_block(cells) for cells in (8, 16, 40)]
+        blocks = [stream.next_blocks([cells])[0] for cells in (8, 16, 40)]
         encoder = backend.encoder
         rows = encoder.export_rows()
         return encoder.bank.pack(codec), rows, backend.digest(), blocks
@@ -740,7 +740,7 @@ def test_one_stream_path_in_src():
             if isinstance(node, ast.ClassDef):
                 bases = {ast.unparse(base) for base in node.bases}
                 methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                if "next_block" in methods:  # a server-side stream cursor
+                if "next_blocks" in methods:  # a server-side stream cursor
                     stream_classes.append((rel, node.name, bases))
     assert constructed["SymbolStreamReader"] - {"core/wire.py"} == {
         "protocol/machine.py"
@@ -810,13 +810,49 @@ def test_one_set_digest_in_src():
     assert not re.search(r"\b(_xor|_fold|_digest_version)\b", node_text)
 
 
-def test_one_duplicate_pass_per_sync():
+def test_one_duplicate_pass_per_sync(monkeypatch):
     """``sync()`` checks a batch for repeats once.  On the lane path (a
     streaming codec) that check is ``SymbolCodec.distinct_item_rows``: one
     sort of the row matrix's first lane, the one the encoder runs, and
     only a batch holding a repeat pays ``dict.fromkeys``.  Every
     ``dict.fromkeys`` left in ``service/client.py`` is on the other
-    branch of that streaming test (sketch schemes)."""
+    branch of that streaming test (sketch schemes).  At run time a cold
+    sync sorts once, clean batch or not: the initiator's stream encoder
+    ingests the very matrix ``distinct_item_rows`` proved and skips its
+    own sort (it ran both before, 2.45 + 1.83 ms at 150 000 rows)."""
+    from repro import engine
+    from repro.core import cellbank, encoder as encoder_module, symbols
+    from repro.service.client import sync
+
+    sorted_rows = []
+
+    def spy(lanes):
+        sorted_rows.append(len(lanes))
+        return cellbank.has_duplicates(lanes)
+
+    for module in (symbols, encoder_module):
+        monkeypatch.setattr(module, "has_duplicates", spy)
+    rng = random.Random(0xD0B)
+    pool = sorted({rng.randbytes(8) for _ in range(2_300)})
+    server_items, client_items = pool[:2_000], pool[100:]
+
+    async def scenario(batch):
+        server = ReconciliationServer(server_items)
+        host, port = await server.start()
+        try:
+            sorted_rows.clear()
+            return await sync(host, port, batch)
+        finally:
+            await server.close()
+
+    for vector in (True, False) if engine.np is not None else (False,):
+        with engine_lane(vector):
+            for batch in (client_items, client_items + client_items[::7]):
+                result = asyncio.run(scenario(batch))
+                assert result.only_in_server == set(pool[:100])
+                assert result.only_in_client == set(pool[2_000:])
+                assert sorted_rows == ([len(batch)] if vector else [])
+
     src = Path(repro.__file__).parent
 
     def fromkeys(node) -> list:

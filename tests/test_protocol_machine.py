@@ -1401,3 +1401,189 @@ def test_one_stream_per_connection() -> None:
     }
     assert not {"starts", "owner", "cuts", "jobs", "waves"} & names
     assert "searchsorted" not in attributes
+
+
+@pytest.mark.parametrize(
+    "size, max_symbols, burst",
+    [(8, None, 1 << 12), (8, 300, 1 << 14), (92, None, 1 << 12), (92, 75, 1 << 16)],
+)
+def test_burst_ticks_serve_the_per_block_frames(size, max_symbols, burst) -> None:
+    """A tick with a byte ``burst`` serves the frames per-block ticks
+    serve, byte for byte, and leaves the same ``symbols_sent``,
+    ``bytes_sent`` and STATS: over the slow-start ramp, under the credit
+    limit the initiator's grants move, and with a ``max_symbols`` budget
+    that cuts a block short (then the grace deadline's typed ERROR).
+    Each burst is replayed on a per-block responder, one tick per block,
+    and both answer the same initiator bytes."""
+    rng = random.Random(0xB0257 + size)
+    pool = sorted({rng.randbytes(size) for _ in range(2_600)})
+    server, client = pool[:2_000], pool[600:]
+    handle = get_scheme("riblt", symbol_size=size, hasher="siphash")
+    config = dict(block_size=64, max_symbols=max_symbols, budget_grace=1.0)
+    bursty = service_responder(handle, server, **config)
+    stepped = service_responder(handle, server, **config)
+    initiator = InitiatorMachine(handle, client)
+    for machine in (initiator, bursty, stepped):
+        machine.start()
+    ticks = blocks = 0
+    now = 0.0
+    wire = bytearray()  # everything the responders sent
+    while not (initiator.finished or bursty.finished):
+        up = initiator.take_output()
+        if up:
+            bursty.bytes_received(up)
+            stepped.bytes_received(up)
+        if bursty.wants_tick or bursty.next_tick_delay(now) is not None:
+            now += bursty.next_tick_delay(now) or 0.0
+            bursty.tick(now, burst)
+            ticks += 1
+            for _ in range(bursty.symbols_sent - stepped.symbols_sent):
+                if stepped.symbols_sent >= bursty.symbols_sent:
+                    break
+                stepped.tick(now)
+                blocks += 1
+            if not bursty.wants_tick:
+                stepped.tick(now)  # a budget grace tick, or a no-op
+        elif not up:
+            break
+        down = bursty.take_output()
+        assert stepped.take_output() == down
+        assert (stepped.symbols_sent, stepped.bytes_sent) == (
+            bursty.symbols_sent,
+            bursty.bytes_sent,
+        )
+        wire += down
+        initiator.bytes_received(down)
+    up = initiator.take_output()
+    bursty.bytes_received(up)
+    stepped.bytes_received(up)
+    down = bursty.take_output()
+    assert stepped.take_output() == down
+    wire += down
+    initiator.bytes_received(down)
+    assert 1 < ticks < blocks
+    assert bursty.error_codes == stepped.error_codes
+    assert (stepped.symbols_sent, stepped.bytes_sent, stepped.complete) == (
+        bursty.symbols_sent,
+        bursty.bytes_sent,
+        bursty.complete,
+    )
+    if max_symbols is None:
+        assert bursty.complete and initiator.report is not None
+        assert initiator.report.only_in_remote == set(pool[:600])
+        frames = FrameDecoder().feed(bytes(wire))
+        (stats,) = [body for ftype, body in frames if ftype == FrameType.STATS]
+        assert BodyReader(stats).uvarint() == bursty.symbols_sent
+    else:
+        assert bursty.symbols_sent == max_symbols
+        assert bursty.error_codes == [int(ErrorCode.BUDGET)]
+        assert isinstance(initiator.failed, SymbolBudgetExceeded)
+
+
+def test_one_encode_pass_per_burst(monkeypatch) -> None:
+    """A responder tick serves its run of blocks from one cursor read:
+    one ``cached_block`` slice and one ``write_block`` pass, cut into one
+    SYMBOLS frame per block.  Structurally, ``ResponderMachine._on_tick``
+    reaches the cursor in one call outside any loop, ``StreamCursor`` has
+    one serving method (its read and its writer pass outside any loop,
+    the writer handed the block cuts), and the asyncio shell ticks once
+    per burst — it used to loop one tick, one slice and one §6 writer
+    pass per 64-cell block."""
+    import ast
+
+    from repro.core.encoder import RatelessEncoder
+    from repro.core.wire import SymbolStreamWriter
+
+    src = Path(__file__).parent.parent / "src" / "repro"
+
+    def method(path, cls, name):
+        tree = ast.parse((src / path).read_text())
+        (node,) = [
+            f
+            for c in tree.body
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for f in c.body
+            if isinstance(f, ast.FunctionDef) and f.name == name
+        ]
+        return node
+
+    def repeated(loop):  # what a loop evaluates once per turn
+        if isinstance(loop, ast.For):
+            return loop.body
+        if isinstance(loop, ast.While):
+            return [loop.test, *loop.body]
+        if isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            return [loop.elt, *(i for g in loop.generators for i in g.ifs)]
+        return []
+
+    def calls_in_loops(fn, pattern):
+        looped = {
+            id(call)
+            for loop in ast.walk(fn)
+            for part in repeated(loop)
+            for call in ast.walk(part)
+        }
+        found = [
+            call
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call)
+            and re.fullmatch(pattern, ast.unparse(call.func))
+        ]
+        return found, [call for call in found if id(call) in looped]
+
+    tick = method("protocol/machine.py", "ResponderMachine", "_on_tick")
+    reads, looped = calls_in_loops(tick, r"self\._cursor\.\w+")
+    assert [ast.unparse(c.func) for c in reads] == ["self._cursor.next_blocks"]
+    assert not looped
+    tree = ast.parse((src / "service" / "backends.py").read_text())
+    (cursor,) = [
+        c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "StreamCursor"
+    ]
+    public = [
+        f.name
+        for f in cursor.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+    ]
+    assert public == ["next_blocks"]
+    serve = method("service/backends.py", "StreamCursor", "next_blocks")
+    for pattern, args in ((r".*\.cached_block", 2), (r".*\.write_block", 2)):
+        found, looped = calls_in_loops(serve, pattern)
+        assert len(found) == 1 and len(found[0].args) == args and not looped
+    server = ast.parse((src / "service" / "server.py").read_text())
+    ticks, looped = calls_in_loops(server, r"machine\.tick")
+    (burst,) = [c for c in ticks if "_WRITE_BYTES" in ast.unparse(c)]
+    around = [  # the session loop alone: no per-block loop inside it
+        ast.unparse(loop.test)
+        for loop in ast.walk(server)
+        if isinstance(loop, ast.While) and burst in ast.walk(loop)
+    ]
+    assert around == ["not machine.finished"]
+
+    counted = {"cached_block": 0, "write_block": 0}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            counted[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    handle = get_scheme("riblt", symbol_size=8, hasher="siphash")
+    responder = service_responder(handle, items_range(0, 3_000))
+    initiator = InitiatorMachine(handle, items_range(1_000, 4_000))
+    initiator.start()
+    responder.start()
+    responder.bytes_received(initiator.take_output())
+    responder.take_output()
+    spy(RatelessEncoder, "cached_block")
+    spy(SymbolStreamWriter, "write_block")
+    responder.tick(0.0, 1 << 14)
+    frames = FrameDecoder().feed(responder.take_output())
+    # the ramp, then blocks while the cursor is below the initial window
+    sizes = [8, 16, 32, 64, 64]
+    assert sum(sizes[:-1]) < INITIAL_WINDOW <= sum(sizes)
+    assert [t for t, _ in frames] == [FrameType.SYMBOLS] * len(sizes)
+    assert counted == {"cached_block": 1, "write_block": 1}
+    assert responder.symbols_sent == sum(sizes)

@@ -1,6 +1,14 @@
 """Wire format: round-trips, count compression, streaming parse (§6)."""
 
+import random
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import engine
+from repro.core.cellbank import CodedSymbolBank
 
 from repro.core.encoder import RatelessEncoder
 from repro.core.irregular import PAPER_IRREGULAR
@@ -14,7 +22,7 @@ from repro.core.wire import (
     expected_count,
 )
 
-from helpers import make_items
+from helpers import engine_lane, make_items
 
 
 def test_roundtrip(codec8, rng):
@@ -241,3 +249,73 @@ def test_feed_into_byte_by_byte_matches_bulk(codec8, rng):
         trickle.feed_into(bank_trickle, blob[i : i + 1])
     assert bank_bulk == bank_trickle
     trickle.finish()
+
+
+def _served_sizes(ramp, budget):
+    """Block sizes as a responder decides them: ``ramp`` in turn, the
+    last one cut short where ``budget`` cells run out."""
+    sizes, top = [], 0
+    for cells in ramp:
+        if top >= budget:
+            break
+        sizes.append(min(cells, budget - top))
+        top += sizes[-1]
+    return sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    symbol_size=st.sampled_from([8, 92]),
+    set_size=st.integers(0, 60_000),
+    start=st.integers(0, 5_000),
+    ramp=st.lists(st.integers(1, 80), min_size=1, max_size=8),
+    budget=st.integers(1, 400),
+    varint_bytes=st.lists(st.integers(1, 3), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_burst_write_cuts_into_the_per_block_writes(
+    symbol_size, set_size, start, ramp, budget, varint_bytes, seed
+):
+    """One ``write_block`` over a run of blocks, cut at the offsets it
+    writes into ``cuts``, is byte for byte the per-block calls: 1- and
+    12-lane symbols, count deltas of 1–3 varint bytes, blocks below
+    ``PACK_MIN_CELLS`` and a last block cut short by a budget, on both
+    engines and from either bank form.  The writers' counters agree."""
+    codec = SymbolCodec(symbol_size)
+    sizes = _served_sizes(ramp, budget)
+    ends = list(accumulate(sizes))
+    rng = random.Random(seed)
+    counts = []
+    for i in range(ends[-1]):
+        width = varint_bytes[i % len(varint_bytes)]
+        zigzag = rng.randrange(128 ** (width - 1) if width > 1 else 0, 128**width)
+        delta = zigzag >> 1 if zigzag % 2 == 0 else -((zigzag + 1) >> 1)
+        counts.append(expected_count(codec, set_size, start + i) + delta)
+    cells = CodedSymbolBank(
+        [rng.getrandbits(8 * symbol_size) for _ in counts],
+        [rng.getrandbits(64) for _ in counts],
+        counts,
+    )
+    for vector in (True, False) if engine.np is not None else (False,):
+        with engine_lane(vector):
+            bank = cells.in_form(vector, symbol_size)
+            burst = SymbolStreamWriter(codec, set_size, start)
+            per_block = SymbolStreamWriter(codec, set_size, start)
+            cuts = list(ends)
+            blob = burst.write_block(bank, cuts)
+            blocks = [
+                per_block.write_block(bank.slice(lo, hi))
+                for lo, hi in zip([0, *ends], ends)
+            ]
+            assert [blob[lo:hi] for lo, hi in zip([0, *cuts], cuts)] == blocks
+            assert cuts[-1] == len(blob)
+
+            def counters(writer):
+                return (
+                    writer.index,
+                    writer.cells_written,
+                    writer.bytes_written,
+                    writer.count_bytes_written,
+                )
+
+            assert counters(burst) == counters(per_block)
